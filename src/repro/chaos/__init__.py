@@ -2,11 +2,11 @@
 
 One seeded :class:`ChaosPlan` drives every injected fault in a run:
 disk errors and corruption in the block manager, checkpoint store,
-journal, and shuffle; task-level deaths, hangs, and broken pools in the
-scheduler; worker deaths, connection resets, and clock skew in the
-serve layer.  Every injection is published as a ``chaos.inject`` event,
-and the same plan + seed always reproduces the identical fault
-sequence — failure scenarios are replayable artifacts, not flakes.
+journal, and shuffle; task-level deaths and hangs in the scheduler;
+worker deaths, connection resets, and clock skew in the serve layer.
+Every injection is published as a ``chaos.inject`` event, and the same
+plan + seed always reproduces the identical fault sequence — failure
+scenarios are replayable artifacts, not flakes.
 
 See DESIGN.md §13 for the architecture and the injection-site catalog.
 """

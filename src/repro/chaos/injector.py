@@ -4,8 +4,7 @@ Code under test calls one of three hooks at a named injection site:
 
 ``hit(site, **detail)``
     May raise (``enospc``/``eio`` -> :class:`OSError`, ``die`` ->
-    :class:`InjectedFault`, ``broken_pool`` ->
-    :class:`BrokenProcessPool`, ``conn_reset`` ->
+    :class:`InjectedFault`, ``conn_reset`` ->
     :class:`ConnectionResetError`, ``exit`` -> :class:`SystemExit`) or
     delay the calling thread (``slow``/``hang`` sleep ``rule.delay``
     seconds, hard-capped — a chaos hang is *bounded* so the engine's
@@ -26,8 +25,8 @@ published as a schema-validated ``chaos.inject`` event.
 
 The injector is picklable (locks and event buses are dropped, as with
 :class:`repro.engine.faults.RandomFaults`) so it can ride into
-process-backend workers; replay assertions should run on the serial or
-thread backend where one process observes the whole sequence.
+cluster workers; replay assertions should run on the serial or thread
+backend where one process observes the whole sequence.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import errno
 import random
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.chaos.plan import (
     DELAY_FAULTS,
@@ -188,8 +186,6 @@ class ChaosInjector:
             return OSError(errno.EIO, message)
         if rule.fault == "die":
             return InjectedFault(message)
-        if rule.fault == "broken_pool":
-            return BrokenProcessPool(message)
         if rule.fault == "conn_reset":
             return ConnectionResetError(errno.ECONNRESET, message)
         if rule.fault == "exit":

@@ -24,9 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 #: Fault kinds that raise when the site is hit.
-RAISING_FAULTS = frozenset(
-    {"enospc", "eio", "die", "broken_pool", "conn_reset", "exit"}
-)
+RAISING_FAULTS = frozenset({"enospc", "eio", "die", "conn_reset", "exit"})
 #: Fault kinds that delay the hitting thread (bounded by ``delay``).
 DELAY_FAULTS = frozenset({"slow", "hang"})
 #: Fault kinds that mangle bytes passing through the site.

@@ -22,7 +22,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.chaos.plan import ChaosPlan, ChaosRule
@@ -54,7 +53,6 @@ def _typed_failures() -> tuple[type, ...]:
             RetryBudgetExhaustedError,
             InjectedFault,
             BlockCorruptionError,
-            BrokenProcessPool,
             OSError,
         )
     return TYPED_FAILURES

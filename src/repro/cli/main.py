@@ -109,13 +109,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "threads", "process", "cluster"),
         default=None,
-        help="executor backend (default: serial, or threads when --threads > 0)",
+        help=(
+            "executor backend (default: serial, or threads when --threads > 0); "
+            "'process' selects the threads pool"
+        ),
     )
     run.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="workers for the threads/process backends (default: --threads or 4)",
+        help=(
+            "pool threads for the threads backend, in-flight ships for "
+            "cluster (default: --threads or 4)"
+        ),
     )
     _add_cluster_options(run)
     run.add_argument(

@@ -1,10 +1,10 @@
 """repro.dist — the distributed execution plane.
 
-Everything the engine needs to run on more than one box:
+Everything the engine needs to run on more than one box.  ``dist``
+depends on ``engine``, never the reverse: the ``Transport`` seam lives in
+:mod:`repro.engine.executors`, and ``make_executor("cluster")`` imports
+:mod:`repro.dist.cluster` only when that backend is selected.
 
-- :mod:`repro.dist.transport` — the pluggable ``Transport`` interface
-  every executor backend implements (Serial/Thread/Process are *local*
-  transports), plus the backend registry ``make_executor`` resolves.
 - :mod:`repro.dist.protocol` — the stdlib-socket wire protocol:
   length-prefixed frames wrapping the existing ``GPFB`` crc32 framing.
 - :mod:`repro.dist.shipping` — closure shipping: a pickler that sends
@@ -13,21 +13,8 @@ Everything the engine needs to run on more than one box:
 - :mod:`repro.dist.worker` — the ``gpf worker`` daemon and the
   worker-side context/shuffle machinery.
 - :mod:`repro.dist.cluster` — the driver side: ``FleetServer`` (worker
-  registry, heartbeats, block serving) and ``ClusterExecutor``.
+  registry, heartbeats, block serving) and ``ClusterExecutor``, the one
+  remote ``Transport``.
 - :mod:`repro.dist.spec` — shared ``--workers``-style spec parsers for
   ``gpf worker`` / ``gpf serve``.
 """
-
-from repro.dist.transport import (
-    Transport,
-    available_transports,
-    create_transport,
-    register_transport,
-)
-
-__all__ = [
-    "Transport",
-    "available_transports",
-    "create_transport",
-    "register_transport",
-]

@@ -9,13 +9,13 @@ block-serving channel for driver-held shuffle outputs — the driver is a
 peer in the shuffle, so tasks that fall back inline interoperate with
 remote ones.
 
-:class:`ClusterExecutor` implements the :class:`~repro.dist.transport`
-seam: ``execute`` ships one measured task body to a worker slot and
-returns the worker-mutated metrics; everything above it — retries,
-backoff, blacklists, progress — stays in the driver's scheduler.  Any
-failure to ship (no workers, unpicklable closure) degrades to running
-the body inline, so the cluster backend is *always safe to select*, the
-same guarantee the process backend makes via its thread fallback.
+:class:`ClusterExecutor` implements the engine's
+:class:`~repro.engine.executors.Transport` seam: ``execute`` ships one
+measured task body to a worker slot and returns the worker-mutated
+metrics; everything above it — retries, backoff, progress — stays in
+the driver's scheduler.  Any failure to ship (no workers, unpicklable
+closure) degrades to running the body inline, so the cluster backend is
+*always safe to select*.
 
 Fleets are shared per listen address and refcounted: a serve-layer
 context pool reuses one fleet across many contexts, each isolated by a
@@ -35,8 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.dist import protocol
 from repro.dist.shipping import ship_dumps
 from repro.dist.spec import parse_hostport
-from repro.dist.transport import Transport
 from repro.dist.worker import DistShuffle, serve_fetch_connection
+from repro.engine.executors import Transport, run_in_pool
 from repro.engine.faults import WorkerLostError
 
 
@@ -82,7 +82,11 @@ class FleetServer:
         self._closed = False
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(listen)
+        try:
+            self._listener.bind(listen)
+        except OSError:  # address in use: don't leave the socket to the GC
+            self._listener.close()
+            raise
         self._listener.listen(128)
         self.port: int = self._listener.getsockname()[1]
         host = listen[0]
@@ -362,20 +366,18 @@ class DriverShuffle:
 class ClusterExecutor(Transport):
     """Ships measured task bodies to a socket-connected worker fleet."""
 
-    def __init__(
-        self,
-        num_workers: int = 4,
-        blacklist_after: int = 3,
-        config=None,
-    ):
-        self.num_workers = max(1, num_workers)
-        self.blacklist_after = blacklist_after
-        self.config = config
+    def __init__(self, num_workers: int = 4):
         self.fleet: FleetServer | None = None
         self.ns: int | None = None
         self._ctx = None
         self._dist: DistShuffle | None = None
-        self._pool: ThreadPoolExecutor | None = None
+        # Thunks block on slot acquisition (bounded by timeout, then
+        # inline fallback), so the driver-side thread count only caps
+        # concurrent in-flight ships, not fleet size.
+        self._pool = ThreadPoolExecutor(
+            max_workers=max(4, num_workers),
+            thread_name_prefix="gpf-cluster-driver",
+        )
         self._waited = False
         self._wait_lock = threading.Lock()
         self.fallback_batches = 0
@@ -404,9 +406,7 @@ class ClusterExecutor(Transport):
         ctx.shuffle_manager = DriverShuffle(ctx.shuffle_manager, self._dist, self)
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pool.shutdown(wait=True)
         if self.fleet is not None:
             if self.ns is not None:
                 self.fleet.release_ns(self.ns)
@@ -415,23 +415,7 @@ class ClusterExecutor(Transport):
 
     # -- scheduling ------------------------------------------------------
     def run_all(self, tasks):
-        if not tasks:
-            return []
-        if self._pool is None:
-            # Thunks block on slot acquisition (bounded by timeout, then
-            # inline fallback), so the driver-side thread count only caps
-            # concurrent in-flight ships, not fleet size.
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(4, self.num_workers),
-                thread_name_prefix="gpf-cluster-driver",
-            )
-        futures = [self._pool.submit(task) for task in tasks]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+        return run_in_pool(self._pool, tasks)
 
     # -- bookkeeping -----------------------------------------------------
     def _on_local_write(self, shuffle_id: int, map_partition: int) -> None:
@@ -559,12 +543,3 @@ class ClusterExecutor(Transport):
         else:
             value = pickle.loads(rbody)
         return remote_task, value
-
-
-def make_cluster_transport(
-    num_workers: int = 4, blacklist_after: int = 3, config=None, **_ignored
-) -> ClusterExecutor:
-    """Factory the transport registry resolves for backend 'cluster'."""
-    return ClusterExecutor(
-        num_workers=num_workers, blacklist_after=blacklist_after, config=config
-    )

@@ -16,9 +16,10 @@ cost structure as Spark:
 - **Pluggable serializers** (``pickle`` for Java-serialization,
   ``compact`` for Kryo, ``gpf`` for the paper's genomic codec) used for
   both caching (MEMORY_SER) and shuffle blocks.
-- **Executor backends**: ``serial`` (deterministic, for tests) and
+- **Executor backends**: ``serial`` (deterministic, for tests),
   ``threads`` (NumPy kernels release the GIL, so threads give genuine
-  overlap on the vectorized stages).
+  overlap on the vectorized stages), and ``cluster`` (a socket worker
+  fleet in the ``dist`` package, imported only when selected).
 - **Broadcast variables** for the reference genome and PartitionInfo.
 """
 

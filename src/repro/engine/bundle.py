@@ -235,7 +235,7 @@ class LazyPartition:
     def __repr__(self) -> str:
         return f"<LazyPartition {self._bundle!r}>"
 
-    # -- pickling (process backend ships partitions across workers) ------
+    # -- pickling (the cluster shipper sends partitions to workers) ------
     def __reduce__(self):
         return (
             _rebuild_lazy_partition,

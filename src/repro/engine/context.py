@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence, TypeVar
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.blockmanager import BlockManager
@@ -56,10 +56,12 @@ class EngineConfig:
     #: Default partition count for ``parallelize`` when not specified.
     default_parallelism: int = 4
     #: 'serial' (deterministic), 'threads' (NumPy kernels release the
-    #: GIL), or 'process' (spawn-safe pool for pure-Python stages; batches
-    #: with unpicklable closures fall back to threads automatically).
+    #: GIL), or 'cluster' (the socket worker fleet in the ``dist`` package).
+    #: 'process' is accepted and selects the 'threads' pool (why: the
+    #: ``repro.engine.executors`` module docstring).
     executor_backend: str = "serial"
-    #: Workers for the 'threads' and 'process' backends.
+    #: Pool threads for 'threads'/'process'; for 'cluster', the cap on
+    #: concurrent in-flight ships from the driver.
     num_workers: int = 4
     #: 'pickle' (Java-serialization analogue), 'compact' (Kryo), 'gpf', or
     #: a constructed Serializer instance (e.g. GpfRefSerializer).
@@ -94,18 +96,13 @@ class EngineConfig:
     retry_backoff: float = 0.05
     #: Ceiling on a single backoff sleep.
     retry_backoff_max: float = 2.0
-    #: Executor-level incidents (timeouts, broken pools) tolerated before
-    #: the process pool is blacklisted and batches run on threads.
-    blacklist_after: int = 3
     #: Directory for durable RDD checkpoints; defaults inside the spill dir.
     checkpoint_dir: str | None = None
     #: Sampling-profiler interval in seconds.  When set, the context runs
     #: a :class:`~repro.obs.SamplingProfiler` that attributes collapsed
     #: stacks to live spans, publishes ``profile.sample`` events, and
-    #: writes ``<trace_dir>/profile.folded`` at flush.  Process-backend
-    #: workers run their own child profiler and ship folded stacks home
-    #: with the task results.  None (the default) = no sampler thread,
-    #: zero overhead.
+    #: writes ``<trace_dir>/profile.folded`` at flush.  None (the
+    #: default) = no sampler thread, zero overhead.
     profile_interval: float | None = None
     #: Trace output directory.  When set, the context runs a real
     #: :class:`~repro.obs.Tracer`, streams every event to
@@ -145,6 +142,13 @@ class GPFContext:
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
+        # Built before anything below is acquired (profiler thread, event
+        # sink, temp dir, GC hook): an unknown backend name raises here
+        # with nothing to release.  Pools start their threads on first
+        # submit, so an executor that is never used holds nothing either.
+        self.executor = make_executor(
+            self.config.executor_backend, self.config.num_workers
+        )
         serializer = self.config.serializer
         # EngineConfig.serializer accepts a registry name or an already
         # constructed Serializer instance (e.g. the reference-based codec,
@@ -195,20 +199,8 @@ class GPFContext:
             from repro.chaos.injector import ChaosInjector
 
             self.chaos = ChaosInjector(chaos_cfg, events=self.events)
-        self.executor = make_executor(
-            self.config.executor_backend,
-            self.config.num_workers,
-            blacklist_after=self.config.blacklist_after,
-            config=self.config,
-        )
         self.executor.events = self.events
         self.executor.telemetry = self.telemetry
-        if self.profiler is not None:
-            # Process-pool batches run a worker-side profiler at the same
-            # interval; folded child stacks come home with the results
-            # and fold into the driver profile here.
-            self.executor.profile_interval = self.config.profile_interval
-            self.executor.profile_sink = self.profiler.merge_counts
         spill = self.config.spill_dir or tempfile.mkdtemp(prefix="gpf_spill_")
         os.makedirs(spill, exist_ok=True)
         self._owns_spill = self.config.spill_dir is None
@@ -254,16 +246,24 @@ class GPFContext:
         # The gc.callbacks hook is refcounted per live context and removed
         # when the last context stops (no global callback left behind).
         GC_TIMER.acquire()
-        # Bind the transport last: a remote transport hooks the shuffle
-        # manager and opens its fleet listener here, and needs the block
-        # manager and spill dir above to exist.
-        self.executor.bind(self)
         self.events.publish(
             "run.start",
             backend=self.config.executor_backend,
             workers=self.config.num_workers,
             serializer=str(self.config.serializer),
         )
+        # Bind the transport last: a remote transport hooks the shuffle
+        # manager and opens its fleet listener here, and needs the block
+        # manager and spill dir above to exist.  Everything stop() gives
+        # back is acquired by now, so a failed bind (cluster_listen port
+        # already in use) releases it all the ordinary way; the caller
+        # sees the bind error even if that cleanup fails too.
+        try:
+            self.executor.bind(self)
+        except BaseException:
+            with suppress(Exception):
+                self.stop()
+            raise
 
     # -- construction ---------------------------------------------------
     def parallelize(self, data: Sequence[T], num_partitions: int | None = None) -> RDD:
@@ -429,9 +429,8 @@ class GPFContext:
 
         Live-incremented counters (shuffle bytes, journal restores, cache
         statistics) come straight from the registry; subsystems that keep
-        their own tallies (block manager, quarantine sink, failure ledger,
-        executor events) are folded in read-only, so calling this twice
-        never double-counts.
+        their own tallies (block manager, quarantine sink, failure ledger)
+        are folded in read-only, so calling this twice never double-counts.
         """
         snapshot = self.telemetry.snapshot()
         counters = snapshot["counters"]
@@ -459,8 +458,6 @@ class GPFContext:
             gauges["blockmanager.compression_ratio"] = (
                 stats.logical_bytes / stats.memory_bytes
             )
-        for kind, count in self.metrics.executor_events.items():
-            counters[f"executor.{kind}"] = counters.get(f"executor.{kind}", 0) + count
         for kind, count in self.quarantine.counts.items():
             counters[f"quarantine.{kind}"] = (
                 counters.get(f"quarantine.{kind}", 0) + count
@@ -521,8 +518,13 @@ class GPFContext:
             return rdd_id
 
     def stop(self) -> None:
-        if not self._closed:
+        if self._closed:
+            return
+        try:
+            # Writes trace.json/profile.folded: the one step here that can
+            # realistically fail (full disk) must not strand the rest.
             self._flush_observability()
+        finally:
             if self.profiler is not None:
                 self.profiler.stop()
             GC_TIMER.release()

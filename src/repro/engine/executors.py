@@ -1,48 +1,88 @@
-"""Executor backends: where task closures actually run.
+"""The execution seam: where task thunks and task bodies run.
 
-``serial`` executes tasks in submission order on the calling thread —
-deterministic, ideal for tests.  ``threads`` uses a thread pool; the
-pipeline's hot kernels (pair-HMM, Smith-Waterman, bit packing) are NumPy
-code that releases the GIL, so threads deliver genuine parallel speedup
-for the stages that dominate run time.  ``process`` adds a spawn-safe
-process pool for the pure-Python parts the GIL would otherwise serialize:
-tasks are pickled in chunks on the driver and shipped to workers; batches
-whose closures cannot be pickled (the common case for lineage closures
-that capture an RDD context) transparently fall back to the thread pool,
-so ``process`` is always safe to select.
+The scheduler is placement-agnostic: it builds per-partition thunks,
+hands batches to :meth:`Transport.run_all`, and routes each measured
+attempt through :meth:`Transport.execute` — the one method a remote
+transport overrides to ship the body somewhere else.
 
-All three are *local* transports behind the pluggable
-:class:`~repro.dist.transport.Transport` seam; the ``cluster`` backend
-(:mod:`repro.dist.cluster`) resolves through the same registry and ships
-task bodies to socket-connected worker nodes instead.
+Two local runners live here.  ``serial`` executes thunks in submission
+order on the calling thread — deterministic, ideal for tests.
+``threads`` uses a thread pool; the pipeline's hot kernels (pair-HMM,
+Smith-Waterman, bit packing) are NumPy code that releases the GIL, so
+threads overlap the stages that dominate run time.  The one remote
+runner, ``cluster`` (``ClusterExecutor`` in the ``dist`` package),
+subclasses :class:`Transport` from here — ``dist`` depends on ``engine``,
+never the reverse — and is imported only when selected.
+
+There is no local process pool.  Every thunk the scheduler submits is a
+function defined inside ``DAGScheduler.make_task``, which ``pickle``
+cannot serialize, so the pool this module used to carry fell back to
+threads on every engine batch (the PR 11 ledger counted 9 of 9 batches
+on ``wgs_process2``).  The backend name ``process`` is still accepted
+and selects the thread pool it always ended up on; real process
+parallelism is the cluster backend's closure shipper
+(``dist/shipping.py``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
-
-from repro.dist.transport import Transport, create_transport, register_transport
 
 T = TypeVar("T")
 
 
-class Executor(Transport):
-    """Runs a batch of task thunks and returns results in order.
+class Transport:
+    """Where task thunks and task bodies run.
 
-    Kept as the engine-facing name; the interface (``run_all``,
-    ``execute``, ``bind``, ``note_slot_failure``, ``shutdown``) lives on
-    :class:`~repro.dist.transport.Transport`.
+    Lifecycle: built by :func:`make_executor`, then :meth:`bind` is
+    called once by the owning context (after its shuffle manager and
+    block manager exist), then ``run_all``/``execute`` during jobs, then
+    :meth:`shutdown` at context stop.
     """
 
+    #: Optional EventBus the owning context attaches; backends publish
+    #: executor-level incidents (inline fallbacks, lost workers) to it.
+    events = None
+    #: Optional TelemetryRegistry the owning context attaches; backends
+    #: count fallbacks, shipped tasks, and transport traffic on it.
+    telemetry = None
 
-def _drain_in_order(futures: Sequence[Future]) -> list:
-    """Collect results in submission order; on the first failure, cancel
-    every future that has not started yet so a failed stage stops the
-    batch instead of letting queued tasks run to completion."""
+    def bind(self, ctx) -> None:
+        """Attach the owning context (remote transports hook shuffle I/O
+        and allocate their namespace here).  Local transports ignore it."""
+
+    def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
+        """Run a batch of task thunks, returning results in order."""
+        raise NotImplementedError
+
+    def execute(self, body, task):
+        """Run one measured task body; returns ``(task, value)``.
+
+        The scheduler's retry/backoff machinery stays on the driver:
+        this is only the *placement* decision.  Local transports run the
+        body inline; the cluster transport ships it to a worker and
+        returns the worker-mutated :class:`TaskMetrics` so blocked time
+        measured remotely lands in the driver's accounting.
+        """
+        return task, body(task)
+
+    def missing_map_outputs(self, shuffle_id: int) -> list[int]:
+        """Map partitions of ``shuffle_id`` whose output is unreachable
+        (the worker holding them died).  The scheduler re-runs these on
+        a shuffle-fetch failure; local transports never lose outputs."""
+        return []
+
+    def shutdown(self) -> None:  # pragma: no cover - trivial default
+        pass
+
+
+def run_in_pool(pool: ThreadPoolExecutor, tasks: Sequence[Callable[[], T]]) -> list[T]:
+    """Submit every thunk, collect results in submission order; on the
+    first failure, cancel every future that has not started yet so a
+    failed stage stops the batch instead of letting queued tasks run to
+    completion."""
+    futures = [pool.submit(task) for task in tasks]
     try:
         return [f.result() for f in futures]
     except BaseException:
@@ -51,12 +91,12 @@ def _drain_in_order(futures: Sequence[Future]) -> list:
         raise
 
 
-class SerialExecutor(Executor):
+class SerialExecutor(Transport):
     def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
         return [task() for task in tasks]
 
 
-class ThreadExecutor(Executor):
+class ThreadExecutor(Transport):
     def __init__(self, num_workers: int):
         if num_workers <= 0:
             raise ValueError("need at least one worker")
@@ -64,212 +104,30 @@ class ThreadExecutor(Executor):
         self._pool = ThreadPoolExecutor(max_workers=num_workers)
 
     def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        futures = [self._pool.submit(task) for task in tasks]
-        return _drain_in_order(futures)
+        return run_in_pool(self._pool, tasks)
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
 
 
-def _run_pickled_chunk(blob: bytes) -> bytes:
-    """Worker-side body: unpickle a chunk of thunks, run them in order.
-
-    Module-level (not a closure) so it imports cleanly under the spawn
-    start method, which re-imports this module in the worker instead of
-    inheriting driver state.
-    """
-    tasks = pickle.loads(blob)
-    return pickle.dumps([task() for task in tasks])
-
-
-def _run_pickled_chunk_profiled(blob: bytes, interval: float) -> bytes:
-    """Worker-side body with a child sampling profiler.
-
-    The driver's profiler cannot see into pool workers, so each chunk
-    runs under its own :class:`~repro.obs.SamplingProfiler` (no tracer —
-    there are no spans in the worker) and the folded stacks travel home
-    *with the results* through the existing pickle path.  Stacks are
-    rooted at ``worker:<pid>`` so driver and worker samples stay
-    distinguishable in the merged flamegraph.
-    """
-    import os
-
-    from repro.obs.profiler import SamplingProfiler
-
-    tasks = pickle.loads(blob)
-    profiler = SamplingProfiler(interval=interval)
-    profiler.start()
-    try:
-        results = [task() for task in tasks]
-    finally:
-        profiler.stop()
-    prefix = f"worker:{os.getpid()}"
-    folded = {
-        f"{prefix};{stack}": count for stack, count in profiler.folded().items()
-    }
-    return pickle.dumps((results, folded))
-
-
-class ProcessExecutor(Executor):
-    """Process-pool backend for CPU-bound pure-Python stages.
-
-    Submission is *chunked*: tasks are pre-pickled on the driver into
-    ``num_workers * chunks_per_worker`` chunks, so per-task IPC overhead
-    is amortized and a pickling failure is detected eagerly — before
-    anything is submitted — rather than surfacing as a broken pool.  When
-    any task in the batch is unpicklable (lineage closures capturing the
-    engine context usually are), the whole batch runs on an internal
-    :class:`ThreadExecutor` instead, which preserves result order and
-    exception behaviour exactly.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        chunks_per_worker: int = 4,
-        start_method: str = "spawn",
-        blacklist_after: int = 3,
-    ):
-        if num_workers <= 0:
-            raise ValueError("need at least one worker")
-        if chunks_per_worker <= 0:
-            raise ValueError("need at least one chunk per worker")
-        self.num_workers = num_workers
-        self.chunks_per_worker = chunks_per_worker
-        self.blacklist_after = blacklist_after
-        self._mp_context = multiprocessing.get_context(start_method)
-        self._pool: ProcessPoolExecutor | None = None  # spawned lazily
-        self._fallback = ThreadExecutor(num_workers)
-        self._pool_broken = False
-        #: Batches routed to the thread fallback because of unpicklable
-        #: closures or a broken pool (observable by tests and operators).
-        self.fallback_batches = 0
-        #: Executor-level incidents reported by the scheduler (timeouts,
-        #: broken pools); once they reach ``blacklist_after`` the process
-        #: pool is blacklisted and every batch runs on the thread fallback.
-        self.slot_failures = 0
-        self.blacklisted = False
-
-    def note_slot_failure(self, reason: str = "") -> bool:
-        self.slot_failures += 1
-        if not self.blacklisted and self.slot_failures >= self.blacklist_after:
-            self.blacklisted = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            return True
-        return False
-
-    def _note_fallback(self, reason: str) -> None:
-        self.fallback_batches += 1
-        # Fallbacks are a capacity signal operators watch: the counter
-        # (total + per-reason) lands in /metrics next to the event.
-        if self.telemetry is not None:
-            self.telemetry.inc("executor.fallbacks")
-            self.telemetry.inc(f"executor.fallbacks.{reason}")
-        if self.events is not None:
-            self.events.publish(
-                "executor.incident", incident="fallback_batch", reason=reason
-            )
-
-    def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        if not tasks:
-            return []
-        if self._pool_broken or self.blacklisted:
-            self._note_fallback("blacklisted" if self.blacklisted else "pool_broken")
-            return self._fallback.run_all(tasks)
-        try:
-            blobs = [
-                pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
-                for chunk in self._chunks(tasks)
-            ]
-        except Exception:
-            self._note_fallback("unpicklable")
-            return self._fallback.run_all(tasks)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers, mp_context=self._mp_context
-            )
-        # The thread fallback needs no profiled variant: its tasks run in
-        # the driver process, where the context's own profiler already
-        # samples every thread.
-        profiled = self.profile_interval is not None
-        if profiled:
-            futures = [
-                self._pool.submit(
-                    _run_pickled_chunk_profiled, blob, self.profile_interval
-                )
-                for blob in blobs
-            ]
-        else:
-            futures = [
-                self._pool.submit(_run_pickled_chunk, blob) for blob in blobs
-            ]
-        try:
-            result_blobs = _drain_in_order(futures)
-        except BrokenProcessPool:
-            # Spawn-hostile environments (REPL drivers, frozen mains) kill
-            # workers at import time; engine tasks are idempotent (they
-            # recompute from lineage), so rerun the batch on threads and
-            # stop trying processes for this executor's lifetime.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._pool_broken = True
-            self._note_fallback("broken_pool")
-            return self._fallback.run_all(tasks)
-        out: list[T] = []
-        for result_blob in result_blobs:
-            payload = pickle.loads(result_blob)
-            if profiled:
-                results, folded = payload
-                if folded and self.profile_sink is not None:
-                    self.profile_sink(folded)
-                out.extend(results)
-            else:
-                out.extend(payload)
-        return out
-
-    def _chunks(
-        self, tasks: Sequence[Callable[[], T]]
-    ) -> list[Sequence[Callable[[], T]]]:
-        target = self.num_workers * self.chunks_per_worker
-        size = max(1, -(-len(tasks) // target))
-        return [tasks[i : i + size] for i in range(0, len(tasks), size)]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._fallback.shutdown()
-
-
-register_transport("serial", lambda **kwargs: SerialExecutor())
-register_transport(
-    "threads", lambda **kwargs: ThreadExecutor(kwargs.get("num_workers", 4))
-)
-register_transport(
-    "process",
-    lambda **kwargs: ProcessExecutor(
-        kwargs.get("num_workers", 4),
-        blacklist_after=kwargs.get("blacklist_after", 3),
-    ),
-)
-
-
-def make_executor(
-    backend: str, num_workers: int = 4, blacklist_after: int = 3, config=None
-) -> Executor:
+def make_executor(backend: str, num_workers: int = 4) -> Transport:
     """Executor factory: 'serial', 'threads', 'process', or 'cluster'.
 
-    Resolves through the transport registry, so plugins registered with
-    :func:`repro.dist.register_transport` are selectable by name too.
-    ``config`` (the owning ``EngineConfig``) is forwarded for transports
-    that need more than a worker count — the cluster backend reads its
-    listen address and fleet expectations from it.
+    A worker count is all any backend needs at construction; the cluster
+    backend reads its listen address and fleet expectations from the
+    owning context's config at :meth:`Transport.bind`.
     """
-    return create_transport(
-        backend,
-        num_workers=num_workers,
-        blacklist_after=blacklist_after,
-        config=config,
+    if backend == "serial":
+        return SerialExecutor()
+    if backend in ("threads", "process"):
+        # 'process' names the thread pool: see the module docstring.
+        return ThreadExecutor(num_workers)
+    if backend == "cluster":
+        # Function-local: importing the engine never loads socket code.
+        from repro.dist.cluster import ClusterExecutor
+
+        return ClusterExecutor(num_workers)
+    raise ValueError(
+        f"unknown executor backend {backend!r}; "
+        "options: serial, threads, process, cluster"
     )

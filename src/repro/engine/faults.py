@@ -143,10 +143,9 @@ class WorkerLostError(RuntimeError):
     """A cluster worker died (or vanished) while running a task attempt.
 
     Raised driver-side by the cluster transport when the task channel to
-    a worker breaks or its heartbeats stop.  The scheduler treats it
-    like a broken pool: the attempt is retried — on another worker, or
-    inline on the driver when the fleet is empty — and the incident
-    feeds the executor blacklist/telemetry machinery.
+    a worker breaks or its heartbeats stop.  The scheduler retries the
+    attempt — on another worker, or inline on the driver when the fleet
+    is empty — and counts the incident as ``executor.worker_lost``.
     """
 
     def __init__(self, worker: str, cause: Exception | None = None):

@@ -138,7 +138,6 @@ class MetricsRegistry:
         self._stages: dict[int, StageMetrics] = {}
         self._next_stage_id = 0
         self._failures: list[TaskFailure] = []
-        self._executor_events: dict[str, int] = {}
 
     def new_stage(self, name: str = "") -> StageMetrics:
         with self._lock:
@@ -192,24 +191,11 @@ class MetricsRegistry:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    # -- executor events ------------------------------------------------------
-    def record_executor_event(self, kind: str) -> None:
-        """Count executor-level incidents: timeouts, broken pools,
-        slot blacklisting, thread fallbacks."""
-        with self._lock:
-            self._executor_events[kind] = self._executor_events.get(kind, 0) + 1
-
-    @property
-    def executor_events(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._executor_events)
-
     def reset(self) -> None:
         with self._lock:
             self._stages.clear()
             self._next_stage_id = 0
             self._failures.clear()
-            self._executor_events.clear()
 
 
 class _GcTimer:

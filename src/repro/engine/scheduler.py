@@ -13,8 +13,7 @@ times (Spark's ``spark.task.maxFailures``); a retry recomputes the
 partition from lineage — the RDD resilience property — and registered
 fault injectors (``repro.engine.faults``) can kill attempts to prove it.
 
-Retries are hardened three ways (Spark's speculation/blacklisting,
-scaled down):
+Retries are hardened three ways (Spark's speculation, scaled down):
 
 - **Deadlines** — with ``EngineConfig.task_timeout`` set, each attempt
   runs under a watchdog; a hung attempt is abandoned with
@@ -22,10 +21,10 @@ scaled down):
 - **Backoff** — failed attempts sleep ``retry_backoff * 2**attempt``
   (capped, plus deterministic jitter) before retrying, so a transiently
   overloaded resource is not hammered.
-- **Ledger + blacklisting** — every failed attempt is recorded in the
-  metrics failure ledger keyed by ``(stage_kind, partition)``; repeated
-  executor-level incidents (timeouts, broken process pools) blacklist
-  the process pool, pinning subsequent batches to the thread fallback.
+- **Ledger** — every failed attempt is recorded in the metrics failure
+  ledger keyed by ``(stage_kind, partition)``; executor-level incidents
+  (timeouts, lost workers) are also counted as ``executor.<kind>``
+  telemetry and published as ``executor.incident`` events.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.engine.faults import (
@@ -305,20 +303,14 @@ class DAGScheduler:
                 raise
             except Exception as exc:  # noqa: BLE001 - retry semantics
                 last_error = exc
-                if isinstance(
-                    exc, (TaskTimeoutError, BrokenProcessPool, WorkerLostError)
-                ):
-                    if isinstance(exc, TaskTimeoutError):
-                        kind = "timeout"
-                    elif isinstance(exc, WorkerLostError):
-                        kind = "worker_lost"
-                    else:
-                        kind = "broken_pool"
-                    self.ctx.metrics.record_executor_event(kind)
+                if isinstance(exc, (TaskTimeoutError, WorkerLostError)):
+                    kind = (
+                        "timeout"
+                        if isinstance(exc, TaskTimeoutError)
+                        else "worker_lost"
+                    )
+                    self.ctx.telemetry.inc(f"executor.{kind}")
                     events.publish("executor.incident", incident=kind)
-                    if self.ctx.executor.note_slot_failure(kind):
-                        self.ctx.metrics.record_executor_event("blacklisted")
-                        events.publish("executor.incident", incident="blacklisted")
                 if isinstance(exc, ShuffleFetchFailedError):
                     # FetchFailed semantics: retrying the reduce against
                     # a dead peer can never succeed — regenerate the lost

@@ -25,12 +25,6 @@ Outputs, all derived from the same counters:
 - Chrome-trace ``ph:"P"`` sample events from a bounded ring of raw
   samples (enough for the timeline view without unbounded memory).
 
-Child-process profiles ship home through the existing pickle path:
-``executors._run_pickled_chunk_profiled`` runs a worker-side profiler
-(no tracer there) and returns its folded counters alongside the task
-results; the driver folds them in via :meth:`merge_counts` under a
-``worker:<pid>`` root.
-
 Overhead budget: a 5 ms default interval costs well under 5% wall on
 real workloads (CI asserts this) because each sample is one C-level
 frame walk plus dict increments; the sampler holds no lock while the
@@ -189,17 +183,6 @@ class SamplingProfiler:
                 samples=sum(delta.values()),
             )
         return delta
-
-    def merge_counts(self, stacks: dict[str, int]) -> None:
-        """Fold externally collected stacks in (child-process profiles
-        arriving through the executor's serializer path)."""
-        if not stacks:
-            return
-        with self._lock:
-            for folded, n in stacks.items():
-                self._counts[folded] = self._counts.get(folded, 0) + n
-                self._delta[folded] = self._delta.get(folded, 0) + n
-            self._samples += sum(stacks.values())
 
     def folded(self) -> dict[str, int]:
         """Cumulative collapsed-stack counters, ``{folded_stack: n}``."""

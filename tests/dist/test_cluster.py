@@ -137,7 +137,7 @@ class TestWorkerLoss:
                 release.set()
             assert result == [x * 10 for x in range(16)]
             assert ctx.telemetry.counter("dist.workers_lost") >= 1
-            assert ctx.metrics.executor_events.get("worker_lost", 0) >= 1
+            assert ctx.telemetry.counter("executor.worker_lost") >= 1
             live = ctx.executor.fleet.live_workers()
             assert victim.worker_id not in {w.id for w in live}
 

@@ -1,50 +1,36 @@
-"""Transport registry and executor thread-fallback telemetry."""
+"""The Transport seam's defaults, the backend factory, and inline-fallback
+telemetry on the one transport that still falls back (cluster)."""
 
 import pytest
 
-from repro.dist.transport import (
-    Transport,
-    available_transports,
-    create_transport,
-)
+from repro.dist.cluster import ClusterExecutor
 from repro.engine.executors import (
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    Transport,
     make_executor,
 )
-from repro.obs import TelemetryRegistry
+from repro.obs import EventBus, TelemetryRegistry
 
 
-class TestRegistry:
+class TestFactory:
     def test_builtin_backends_resolve(self):
-        assert isinstance(create_transport("serial"), SerialExecutor)
-        threads = create_transport("threads", num_workers=2)
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        threads = make_executor("threads", num_workers=2)
         assert isinstance(threads, ThreadExecutor)
         threads.shutdown()
 
-    def test_cluster_is_listed_and_lazily_resolvable(self):
-        assert "cluster" in available_transports()
-        transport = create_transport("cluster", num_workers=2)
+    def test_cluster_resolves_to_a_transport(self):
+        transport = make_executor("cluster", num_workers=2)
         try:
             assert isinstance(transport, Transport)
-            assert type(transport).__name__ == "ClusterExecutor"
+            assert isinstance(transport, ClusterExecutor)
         finally:
             transport.shutdown()
 
     def test_unknown_backend_names_the_options(self):
-        with pytest.raises(ValueError, match="cluster"):
-            create_transport("quantum")
-        with pytest.raises(ValueError, match="unknown executor backend"):
+        with pytest.raises(ValueError, match="unknown executor backend.*cluster"):
             make_executor("quantum")
-
-    def test_make_executor_still_builds_locals(self):
-        ex = make_executor("process", num_workers=2, blacklist_after=5)
-        try:
-            assert isinstance(ex, ProcessExecutor)
-            assert ex.blacklist_after == 5
-        finally:
-            ex.shutdown()
 
     def test_default_execute_runs_inline(self):
         transport = SerialExecutor()
@@ -58,53 +44,30 @@ class TestRegistry:
 
 
 class TestFallbackTelemetry:
-    """Satellite: thread fallbacks are counted, total and per reason."""
+    """Inline fallbacks are counted, total and per reason.  An unbound
+    cluster executor has no fleet, so every ``execute`` falls back."""
 
-    def test_unpicklable_batch_counts_a_fallback(self):
-        ex = ProcessExecutor(num_workers=2)
+    @pytest.fixture
+    def ex(self):
+        ex = ClusterExecutor(num_workers=2)
+        yield ex
+        ex.shutdown()
+
+    def test_no_workers_counts_a_fallback(self, ex):
         ex.telemetry = TelemetryRegistry()
-        try:
-            captured = object()  # unpicklable-by-plain-pickle closure
-            results = ex.run_all(
-                [lambda i=i: (id(captured), i)[1] for i in range(4)]
-            )
-            assert results == [0, 1, 2, 3]
-            assert ex.fallback_batches == 1
-            assert ex.telemetry.counter("executor.fallbacks") == 1
-            assert ex.telemetry.counter("executor.fallbacks.unpicklable") == 1
-        finally:
-            ex.shutdown()
+        assert ex.execute(lambda t: t + 1, 1) == (1, 2)
+        assert ex.fallback_batches == 1
+        assert ex.telemetry.counter("executor.fallbacks") == 1
+        assert ex.telemetry.counter("executor.fallbacks.no_workers") == 1
 
-    def test_blacklisted_pool_counts_per_reason(self):
-        ex = ProcessExecutor(num_workers=2, blacklist_after=1)
-        ex.telemetry = TelemetryRegistry()
-        try:
-            assert ex.note_slot_failure("timeout") is True
-            assert ex.run_all([lambda: 1, lambda: 2]) == [1, 2]
-            assert ex.telemetry.counter("executor.fallbacks.blacklisted") == 1
-        finally:
-            ex.shutdown()
-
-    def test_fallback_event_reaches_the_bus(self):
-        from repro.obs import EventBus
-
+    def test_fallback_event_reaches_the_bus(self, ex):
         seen = []
-        ex = ProcessExecutor(num_workers=2)
         ex.events = EventBus()
-        ex.events.subscribe(lambda e: seen.append(e))
-        try:
-            captured = object()
-            ex.run_all([lambda: id(captured)])
-        finally:
-            ex.shutdown()
+        ex.events.subscribe(seen.append)
+        ex.execute(lambda t: t, 0)
         incidents = [e for e in seen if e.get("kind") == "executor.incident"]
-        assert incidents and incidents[0]["reason"] == "unpicklable"
+        assert incidents and incidents[0]["reason"] == "no_workers"
 
-    def test_no_telemetry_attached_is_fine(self):
-        ex = ProcessExecutor(num_workers=2)
-        try:
-            captured = object()
-            assert ex.run_all([lambda: (id(captured), 9)[1]]) == [9]
-            assert ex.fallback_batches == 1
-        finally:
-            ex.shutdown()
+    def test_no_telemetry_attached_is_fine(self, ex):
+        assert ex.execute(lambda t: 9, 0) == (0, 9)
+        assert ex.fallback_batches == 1

@@ -1,5 +1,5 @@
 """Fault-tolerance suite: RDD checkpointing, run-journal crash resume,
-task deadlines with backoff, executor blacklisting, shutdown cleanup."""
+task deadlines with backoff, shutdown cleanup."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.core.pipeline import Pipeline
 from repro.core.process import Process, ProcessState
 from repro.core.resource import Resource
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.executors import ProcessExecutor
 from repro.engine.faults import (
     InjectedFault,
     RandomFaults,
@@ -265,14 +264,13 @@ class TestJournalResume:
         pipe3, _, _ = _build(ctx, [], n_stages=2)
         assert plan_signature(pipe1.processes) != plan_signature(pipe3.processes)
 
-    @pytest.mark.parametrize("backend", ["threads", "process"])
-    def test_kill_and_resume_under_random_faults(self, tmp_path, backend):
+    def test_kill_and_resume_under_random_faults(self, tmp_path):
         """Crash resume is byte-identical even with tasks dying at rate 0.2."""
         jdir = str(tmp_path / "journal")
         config = EngineConfig(
             default_parallelism=2,
             spill_dir=str(tmp_path / "spill"),
-            executor_backend=backend,
+            executor_backend="threads",
             num_workers=2,
             max_task_attempts=8,
         )
@@ -296,7 +294,7 @@ class TestJournalResume:
 
 
 # ---------------------------------------------------------------------------
-# Task deadlines, backoff, failure ledger, blacklisting
+# Task deadlines, backoff, failure ledger
 # ---------------------------------------------------------------------------
 class TestDeadlinesAndBackoff:
     def test_timeout_kills_hung_task_and_ledgers_backoff(self, tmp_path):
@@ -325,7 +323,8 @@ class TestDeadlinesAndBackoff:
             assert failures[0].backoff > 0
             assert failures[1].backoff == 0.0
             assert ctx.metrics.failure_counts() == {("result", 0): 2}
-            assert ctx.metrics.executor_events["timeout"] == 2
+            assert ctx.telemetry.counter("executor.timeout") == 2
+            assert ctx.telemetry_snapshot()["counters"]["executor.timeout"] == 2
 
     def test_timeout_recovers_when_retry_is_fast(self, tmp_path):
         config = EngineConfig(
@@ -371,47 +370,8 @@ class TestDeadlinesAndBackoff:
         assert {f.error_type for f in ledger} == {"InjectedFault"}
 
 
-class TestBlacklisting:
-    def test_process_executor_blacklists_after_repeated_failures(self):
-        executor = ProcessExecutor(num_workers=2, blacklist_after=2)
-        try:
-            assert executor.note_slot_failure("timeout") is False
-            assert executor.note_slot_failure("timeout") is True  # trips
-            assert executor.blacklisted
-            assert executor.note_slot_failure("timeout") is False  # only once
-            before = executor.fallback_batches
-            assert executor.run_all([lambda: 1, lambda: 2]) == [1, 2]
-            assert executor.fallback_batches == before + 1  # thread fallback
-        finally:
-            executor.shutdown()
-
-    def test_scheduler_blacklists_slot_on_repeated_timeouts(self, tmp_path):
-        config = EngineConfig(
-            default_parallelism=1,
-            spill_dir=str(tmp_path / "spill"),
-            executor_backend="process",
-            num_workers=2,
-            task_timeout=0.15,
-            max_task_attempts=2,
-            retry_backoff=0.0,
-            blacklist_after=1,
-        )
-
-        def hang(x):
-            time.sleep(2.0)
-            return x
-
-        with GPFContext(config) as ctx:
-            with pytest.raises(TaskFailedError):
-                ctx.parallelize([1], 1).map(hang).collect()
-            assert ctx.executor.blacklisted
-            events = ctx.metrics.executor_events
-            assert events["timeout"] == 2
-            assert events["blacklisted"] == 1
-
-
 # ---------------------------------------------------------------------------
-# Exceptions survive the process-backend pickle round trip
+# Exceptions survive a pickle round trip (the cluster wire)
 # ---------------------------------------------------------------------------
 class TestExceptionPickling:
     def test_task_failed_error_round_trip(self):

@@ -1,4 +1,8 @@
 import gc
+import json
+import os
+import socket
+import tempfile
 import threading
 
 import pytest
@@ -13,6 +17,7 @@ from repro.engine.metrics import (
     StageMetrics,
     TaskMetrics,
 )
+from repro.obs import TelemetryRegistry
 
 
 class TestTaskMetrics:
@@ -93,6 +98,7 @@ class TestEngineIntegration:
 class TestMetricsRegistryConcurrency:
     def test_parallel_recording_is_consistent(self):
         registry = MetricsRegistry()
+        telemetry = TelemetryRegistry()
         threads_n, per_thread = 8, 50
         stage_ids: list[int] = []
         lock = threading.Lock()
@@ -104,7 +110,7 @@ class TestMetricsRegistryConcurrency:
                 mine.append(stage.stage_id)
                 registry.add_task(stage, TaskMetrics(run_time=0.001))
                 registry.record_failure("result", i, 0, ValueError("x"))
-                registry.record_executor_event("timeout")
+                telemetry.inc("executor.timeout")
             with lock:
                 stage_ids.extend(mine)
 
@@ -121,7 +127,7 @@ class TestMetricsRegistryConcurrency:
         # Stage ids come back sorted and dense.
         assert [s.stage_id for s in job.stages] == list(range(total))
         assert len(registry.failures) == total
-        assert registry.executor_events == {"timeout": total}
+        assert telemetry.counter("executor.timeout") == total
 
 
 class TestGcTimer:
@@ -163,6 +169,75 @@ class TestGcTimer:
             with GC_TIMER.measure() as state:
                 gc.collect()
             assert state["total"] >= 0.0
+
+
+class TestFailedConstructionReleasesEverything:
+    """A context whose executor cannot be built or bound must give back
+    what ``__init__`` had acquired and re-raise the original error."""
+
+    @pytest.fixture
+    def spill_root(self, tmp_path, monkeypatch):
+        # mkdtemp lands here, so "no gpf_spill_* survives" is checked in a
+        # directory no other context (or pytest session) writes to.
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @staticmethod
+    def _gpf_threads():
+        return {t.ident for t in threading.enumerate() if t.name.startswith("gpf-")}
+
+    def test_unknown_backend_with_profiler_and_trace(self, tmp_path, spill_root):
+        refs, threads = GC_TIMER._refs, self._gpf_threads()
+        config = EngineConfig(
+            executor_backend="mpi",
+            profile_interval=0.001,
+            trace_dir=str(tmp_path / "trace"),
+        )
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            GPFContext(config)
+        assert GC_TIMER._refs == refs
+        assert os.listdir(spill_root) == []
+        assert self._gpf_threads() - threads == set()
+        assert not os.path.exists(tmp_path / "trace")  # no sink was opened
+
+    @pytest.mark.parametrize("cleanup_fails", [False, True])
+    def test_cluster_listen_port_in_use(
+        self, tmp_path, spill_root, monkeypatch, cleanup_fails
+    ):
+        if cleanup_fails:
+            # The caller must still see the bind error, and the releases
+            # after the failing flush must still happen.
+            flush = GPFContext._flush_observability
+
+            def failing_flush(self):
+                flush(self)
+                raise RuntimeError("flush failed")
+
+            monkeypatch.setattr(GPFContext, "_flush_observability", failing_flush)
+        refs, threads = GC_TIMER._refs, self._gpf_threads()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as squatter:
+            squatter.bind(("127.0.0.1", 0))
+            squatter.listen(1)
+            port = squatter.getsockname()[1]
+            config = EngineConfig(
+                executor_backend="cluster",
+                cluster_listen=f"127.0.0.1:{port}",
+                profile_interval=0.001,
+                trace_dir=str(tmp_path / "trace"),
+            )
+            with pytest.raises(OSError):
+                GPFContext(config)
+        assert GC_TIMER._refs == refs
+        if refs == 0:
+            assert not GC_TIMER.installed
+        assert os.listdir(spill_root) == []
+        assert self._gpf_threads() - threads == set()
+        # The sink was closed, not abandoned: the log is complete.
+        with open(tmp_path / "trace" / "events.jsonl") as fh:
+            kinds = [json.loads(line)["kind"] for line in fh]
+        assert kinds[0] == "run.start" and kinds[-1] == "run.end"
 
 
 class TestBroadcast:

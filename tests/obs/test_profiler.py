@@ -20,6 +20,14 @@ def _burn(stop: threading.Event) -> None:
         sum(i * i for i in range(500))
 
 
+def _sample_this_thread(profiler: SamplingProfiler) -> None:
+    """One deterministic sample of the caller's stack (``sample_once``
+    skips the thread it runs on, so it runs on a helper)."""
+    sampler = threading.Thread(target=profiler.sample_once)
+    sampler.start()
+    sampler.join()
+
+
 class TestSampling:
     def test_samples_busy_thread_with_qualified_names(self):
         profiler = SamplingProfiler(interval=0.001)
@@ -67,25 +75,35 @@ class TestSampling:
         replayed = sum(e["samples"] for e in samples)
         assert replayed == profiler.samples
 
-    def test_merge_counts_accepts_worker_stacks(self):
-        profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"worker:123;mod.fn": 4})
-        assert profiler.folded()["worker:123;mod.fn"] == 4
-        assert profiler.samples == 4
-
     def test_reset_clears_everything(self):
         profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"a;b": 2})
+        _sample_this_thread(profiler)
+        assert profiler.samples > 0
         profiler.reset()
         assert profiler.samples == 0
         assert profiler.folded() == {}
 
     def test_folded_text_format(self):
         profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"a;b": 2, "c": 1})
-        lines = profiler.folded_text().splitlines()
-        assert lines[0] == "a;b 2"
-        assert lines[1] == "c 1"
+
+        def hot():
+            _sample_this_thread(profiler)
+
+        def cold():
+            _sample_this_thread(profiler)
+
+        hot()
+        hot()
+        cold()
+        # Other live threads get sampled too; keep this test's own stacks.
+        lines = [
+            line
+            for line in profiler.folded_text().splitlines()
+            if "test_folded_text_format" in line
+        ]
+        assert len(lines) == 2
+        assert "hot" in lines[0] and lines[0].endswith(" 2")
+        assert "cold" in lines[1] and lines[1].endswith(" 1")
 
 
 class TestHelpers:
