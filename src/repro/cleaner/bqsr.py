@@ -107,7 +107,9 @@ class RecalibrationTable:
                 continue
             raw_rate = cell[1] / cell[0]
             result += -10.0 * np.log10(raw_rate) - (-10.0 * np.log10(q_raw))
-        return int(np.clip(round(result), 1, MAX_RECALIBRATED))
+        # Plain min/max: this runs once per base, and np.clip on a Python
+        # int builds two arrays to clamp one number.
+        return int(min(max(round(result), 1), MAX_RECALIBRATED))
 
 
 def build_recalibration_table(

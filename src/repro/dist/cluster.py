@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.dist import protocol
 from repro.dist.shipping import ship_dumps
 from repro.dist.spec import parse_hostport
-from repro.dist.worker import DistShuffle, serve_fetch_connection
+from repro.dist.worker import DistShuffle, serve_fetch_connection, stop_listener
 from repro.engine.executors import Transport, run_in_pool
 from repro.engine.faults import WorkerLostError
 
@@ -114,13 +114,9 @@ class FleetServer:
         with self._lock:
             self._ns_roots.pop(ns, None)
 
-    def _block_path(self, ns: int, shuffle_id: int, map_p: int, reduce_p: int):
+    def _ns_root(self, ns: int) -> str | None:
         with self._lock:
-            root = self._ns_roots.get(ns)
-        if root is None:
-            return None
-        path = os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin")
-        return path if os.path.exists(path) else None
+            return self._ns_roots.get(ns)
 
     # -- connection dispatch ---------------------------------------------
     def _accept_loop(self) -> None:
@@ -149,7 +145,7 @@ class FleetServer:
             self._heartbeat(header.get("worker", ""))
             conn.close()
         elif kind == protocol.MSG_FETCH:
-            serve_fetch_connection(conn, self._block_path, initial=header)
+            serve_fetch_connection(conn, self._ns_root, initial=header)
         else:
             conn.close()
 
@@ -291,10 +287,8 @@ class FleetServer:
                 return
             self._closed = True
             workers = list(self._workers.values())
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        stop_listener(self._listener)
+        self._accept_thread.join(timeout=1.0)
         for handle in workers:
             self.lose_worker(handle, reason="fleet shutdown")
 
@@ -331,38 +325,6 @@ def release_fleet(fleet: FleetServer) -> None:
     fleet.shutdown()
 
 
-class DriverShuffle:
-    """Shuffle facade swapped in by :meth:`ClusterExecutor.bind`.
-
-    Registration and completeness bookkeeping stay on the inner
-    :class:`~repro.engine.shuffle.ShuffleManager`; the data path moves to
-    the location-aware :class:`~repro.dist.worker.DistShuffle`, so a map
-    task that runs *inline* (ship fallback) writes to the driver's P2P
-    store and its output is fetchable by remote reduce tasks.
-    """
-
-    def __init__(self, inner, dist: DistShuffle, executor: "ClusterExecutor"):
-        self._inner = inner
-        self._dist = dist
-        self._executor = executor
-
-    def register(self, num_map: int, num_reduce: int) -> int:
-        shuffle_id = self._inner.register(num_map, num_reduce)
-        self._dist.ensure_shuffle(shuffle_id, num_map)
-        return shuffle_id
-
-    def write(self, shuffle_id, map_partition, elements, partition_func, serializer, task):
-        self._dist.write(
-            shuffle_id, map_partition, elements, partition_func, serializer, task
-        )
-
-    def read(self, shuffle_id, reduce_partition, serializer, task):
-        return self._dist.read(shuffle_id, reduce_partition, serializer, task)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class ClusterExecutor(Transport):
     """Ships measured task bodies to a socket-connected worker fleet."""
 
@@ -370,7 +332,6 @@ class ClusterExecutor(Transport):
         self.fleet: FleetServer | None = None
         self.ns: int | None = None
         self._ctx = None
-        self._dist: DistShuffle | None = None
         # Thunks block on slot acquisition (bounded by timeout, then
         # inline fallback), so the driver-side thread count only caps
         # concurrent in-flight ships, not fleet size.
@@ -392,18 +353,18 @@ class ClusterExecutor(Transport):
         )
         self.ns = self.fleet.allocate_ns()
         root = os.path.join(ctx._spill_dir, "dist", f"ns{self.ns}")
-        os.makedirs(root, exist_ok=True)
-        self._dist = DistShuffle(
+        # The driver is a peer in the shuffle: a map task that runs inline
+        # (ship fallback) spills here under the driver's advertised
+        # address, where remote reduce tasks can fetch it.
+        ctx.shuffle_manager = DistShuffle(
             root,
             self.fleet.advertise_addr,
             ns=self.ns,
             compress=config.shuffle_compression,
             chaos=ctx.chaos,
             telemetry=ctx.telemetry,
-            on_write=self._on_local_write,
         )
         self.fleet.register_ns_root(self.ns, root)
-        ctx.shuffle_manager = DriverShuffle(ctx.shuffle_manager, self._dist, self)
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
@@ -418,25 +379,10 @@ class ClusterExecutor(Transport):
         return run_in_pool(self._pool, tasks)
 
     # -- bookkeeping -----------------------------------------------------
-    def _on_local_write(self, shuffle_id: int, map_partition: int) -> None:
-        """A map output landed in the *driver's* store (inline task)."""
-        self._record_map_output(shuffle_id, map_partition, self.fleet.advertise_addr)
-
-    def _record_map_output(self, shuffle_id, map_partition, addr) -> None:
-        self._dist.add_location(shuffle_id, map_partition, addr)
-        # Keep the inner manager's completeness ledger true: reads that
-        # bypass the dist path (reports, is_complete checks) still work.
-        try:
-            self._ctx.shuffle_manager._inner.mark_map_done(shuffle_id, map_partition)
-        except (AttributeError, KeyError):
-            pass
-
     def missing_map_outputs(self, shuffle_id: int) -> list[int]:
-        entry = self._dist._resolve(shuffle_id)
+        _, maps = self._ctx.shuffle_manager.locations(shuffle_id)
         return sorted(
-            m
-            for m, addr in entry["maps"].items()
-            if not self.fleet.is_addr_live(addr)
+            m for m, addr in maps.items() if not self.fleet.is_addr_live(addr)
         )
 
     def _note_fallback(self, reason: str) -> None:
@@ -505,7 +451,7 @@ class ClusterExecutor(Transport):
                 raise self._lose(slot, exc) from exc
         header = {
             "ns": self.ns,
-            "locations": self._dist.snapshot_locations(),
+            "locations": ctx.shuffle_manager.snapshot_locations(),
             "serializer": ctx.serializer,
             "batch": ctx.config.decode_batch_size,
             "compress": ctx.config.shuffle_compression,
@@ -524,7 +470,9 @@ class ClusterExecutor(Transport):
         remote_task = rheader["task"]
         remote_task.worker = rheader.get("worker", worker.id)
         for shuffle_id, map_partition in rheader.get("outputs", ()):
-            self._record_map_output(shuffle_id, map_partition, worker.fetch_addr)
+            ctx.shuffle_manager.add_location(
+                shuffle_id, map_partition, worker.fetch_addr
+            )
         counts = rheader.get("telemetry") or {}
         if counts:
             ctx.telemetry.merge_counts(counts)

@@ -2,11 +2,14 @@
 
 A worker node runs the *same source tree* as the driver and receives
 task bodies by value (:mod:`repro.dist.shipping`).  Everything a task
-body reaches through ``ctx`` resolves to a :class:`WorkerContext`: a
-worker-local block manager for cache/checkpoint blocks, a
-:class:`DistShuffle` whose reduce side fetches map blocks *from peer
-workers* (never through the driver), and telemetry that travels home
-with each result frame.
+body reaches through ``ctx`` resolves to a :class:`WorkerContext`, and
+the data plane behind it is the engine's own code, not a copy: cache and
+checkpoint blocks go through :class:`~repro.engine.context.PartitionStore`
+over a worker-local block manager, and shuffle blocks through
+:class:`DistShuffle`, a :class:`~repro.engine.shuffle.ShuffleManager`
+whose only data-path override fetches a block held by another node *from
+that peer* (never through the driver).  Telemetry — including the shared
+code's encode/decode timers — travels home with each result frame.
 
 The daemon (``gpf worker --connect HOST:PORT``) opens one task channel
 per slot, serves shuffle blocks to peers on its own listener, and
@@ -23,14 +26,15 @@ import tempfile
 import threading
 import time
 import traceback
-import zlib
 
 from repro.dist import protocol
 from repro.dist.shipping import ship_loads
-from repro.engine.blockmanager import BlockManager, frame_block, unframe_block
-from repro.engine.bundle import PartitionChain, decode_partition, encode_partition
+from repro.engine import bundle
+from repro.engine.blockmanager import BlockManager
+from repro.engine.context import PartitionStore
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import timed
+from repro.engine.shuffle import ShuffleManager, block_path
 from repro.obs import EventBus, NoopTracer, TelemetryRegistry
 
 
@@ -98,11 +102,11 @@ def fetch_block(
     raise protocol.ProtocolError(f"unexpected reply {kind!r} to FETCH")
 
 
-def serve_fetch_connection(conn: socket.socket, path_for, initial: dict | None = None) -> None:
+def serve_fetch_connection(conn: socket.socket, root_for, initial: dict | None = None) -> None:
     """Serve FETCH requests on one connection until the peer hangs up.
 
-    ``path_for(ns, shuffle, map, reduce)`` maps a block identity to its
-    file path (or None when the namespace is unknown).  A missing block
+    ``root_for(ns)`` is the shuffle root of one namespace on this node
+    (or None when the namespace is unknown).  A missing block
     answers with a pickled :class:`ShuffleFetchFailedError` so the
     fetching task fails with the *typed* error the scheduler's recovery
     path keys on.  ``initial`` is a FETCH header the caller already read
@@ -127,16 +131,15 @@ def serve_fetch_connection(conn: socket.socket, path_for, initial: dict | None =
                     continue
             shuffle_id = header.get("shuffle", -1)
             map_p = header.get("map", -1)
-            path = path_for(
-                header.get("ns", -1), shuffle_id, map_p, header.get("reduce", -1)
-            )
+            root = root_for(header.get("ns", -1))
             blob = None
-            if path is not None:
+            if root is not None:
+                path = block_path(root, shuffle_id, map_p, header.get("reduce", -1))
                 try:
                     with open(path, "rb") as fh:
                         blob = fh.read()
                 except OSError:
-                    blob = None
+                    pass  # missing or unreadable: answered as a fetch failure
             if blob is None:
                 protocol.send_error(
                     conn,
@@ -155,7 +158,7 @@ def serve_fetch_connection(conn: socket.socket, path_for, initial: dict | None =
 
 
 def run_block_server(
-    bind_host: str, path_for, *, port: int = 0
+    bind_host: str, root_for, *, port: int = 0
 ) -> tuple[socket.socket, int, threading.Thread]:
     """Start the shuffle block server; returns (listener, port, thread)."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -171,7 +174,7 @@ def run_block_server(
                 return  # listener closed: shutdown
             threading.Thread(
                 target=serve_fetch_connection,
-                args=(conn, path_for),
+                args=(conn, root_for),
                 daemon=True,
                 name="gpf-dist-blockserve",
             ).start()
@@ -183,20 +186,34 @@ def run_block_server(
     return listener, listener.getsockname()[1], thread
 
 
-class DistShuffle:
-    """Peer-to-peer hash shuffle over the spill-file format.
+def stop_listener(listener: socket.socket) -> None:
+    """Close a listening socket and wake the thread parked in its
+    ``accept()``: ``close()`` alone leaves that thread, and the bound
+    port, for the life of the process."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not every platform lets a listener be shut down
+    listener.close()
 
-    Map tasks write exactly the spill blocks
-    :class:`~repro.engine.shuffle.ShuffleManager` writes (tag byte +
-    crc32 ``GPFB`` frame + ``GPB2`` bundle) into this node's store;
-    reduce tasks read the *locations* table and fetch every remote
-    bucket directly from the owning peer's block server.  Bytes cross
-    the wire in their compressed resident form — no re-pickling.
 
-    Used on both ends: workers get a per-namespace instance with
-    locations snapshotted from each TASK frame; the driver gets one
-    (wrapped by the cluster transport) whose locations resolve live, so
-    locally-fallen-back tasks interoperate with remote ones.
+class DistShuffle(ShuffleManager):
+    """The engine's shuffle with peers: a location is a ``(host, port)``.
+
+    Bucketing, encoding, framing, spilling, the ``shuffle.*`` chaos
+    sites, crc checks and decode are the base class's.  This adds what a
+    fleet needs on top: the wire-facing side of the location table
+    (merged from each TASK frame on a worker, snapshotted into it on the
+    driver), the per-task manifest of map outputs a worker reports home,
+    and the one data-path override — a block whose location is another
+    node is FETCHed from that peer's block server instead of read from
+    disk.  Bytes cross the wire in their compressed resident form.
+
+    Peer fetches are *measured* ``network_blocked`` time, so the base is
+    built without a bandwidth model.  Used on both ends: each worker
+    namespace has one, and :meth:`ClusterExecutor.bind` installs one as
+    the driver's ``ctx.shuffle_manager``, so tasks that fall back inline
+    interoperate with remote ones.
     """
 
     def __init__(
@@ -208,47 +225,32 @@ class DistShuffle:
         compress: bool = False,
         chaos=None,
         telemetry=None,
-        on_write=None,
     ):
-        self._root = root
-        self._self_addr = tuple(self_addr)
+        super().__init__(
+            root,
+            network_bandwidth=None,
+            compress=compress,
+            telemetry=telemetry,
+            chaos=chaos,
+        )
+        self._here = tuple(self_addr)
         self._ns = ns
-        self._compress = compress
-        self._chaos = chaos
-        self._telemetry = telemetry
-        self._on_write = on_write
-        self._lock = threading.Lock()
-        #: shuffle_id -> {"num_map": int, "maps": {map_p: (host, port)}}
-        self._locations: dict[int, dict] = {}
         self._tls = threading.local()
-        os.makedirs(root, exist_ok=True)
 
-    # -- locations -------------------------------------------------------
+    # -- locations on the wire -------------------------------------------
     def set_locations(self, locations: dict) -> None:
         """Merge a TASK frame's locations snapshot (worker side)."""
         with self._lock:
-            for shuffle_id, entry in (locations or {}).items():
+            for shuffle_id, entry in locations.items():
                 current = self._locations.setdefault(
-                    shuffle_id, {"num_map": entry.get("num_map", 0), "maps": {}}
+                    shuffle_id, {"num_map": entry["num_map"], "maps": {}}
                 )
-                current["num_map"] = entry.get("num_map", current["num_map"])
-                current["maps"].update(entry.get("maps", {}))
-
-    def ensure_shuffle(self, shuffle_id: int, num_map: int) -> None:
-        """Declare a shuffle's map-side width (driver side, at register)."""
-        with self._lock:
-            entry = self._locations.setdefault(
-                shuffle_id, {"num_map": num_map, "maps": {}}
-            )
-            entry["num_map"] = num_map
+                current["maps"].update(entry["maps"])
 
     def add_location(self, shuffle_id: int, map_partition: int, addr) -> None:
         """Record which node holds one map output (driver side)."""
         with self._lock:
-            entry = self._locations.setdefault(
-                shuffle_id, {"num_map": 0, "maps": {}}
-            )
-            entry["maps"][map_partition] = tuple(addr)
+            self._locations[shuffle_id]["maps"][map_partition] = tuple(addr)
 
     def snapshot_locations(self) -> dict:
         """A picklable copy of the whole locations table (TASK header)."""
@@ -258,171 +260,95 @@ class DistShuffle:
                 for shuffle_id, e in self._locations.items()
             }
 
-    def _resolve(self, shuffle_id: int) -> dict:
-        with self._lock:
-            entry = self._locations.get(shuffle_id)
-            if entry is None:
-                return {"num_map": 0, "maps": {}}
-            return {"num_map": entry["num_map"], "maps": dict(entry["maps"])}
-
     # -- per-task output manifest (worker side) --------------------------
-    def begin_task(self) -> None:
-        self._tls.outputs = []
-
-    def drain_outputs(self) -> list[tuple[int, int]]:
-        outputs = getattr(self._tls, "outputs", None) or []
-        self._tls.outputs = []
+    def begin_task(self) -> list[tuple[int, int]]:
+        """Start this slot thread's manifest: ``(shuffle, map partition)``
+        of every map output the task goes on to write."""
+        outputs = self._tls.outputs = []
         return outputs
 
-    def _record_output(self, shuffle_id: int, map_partition: int) -> None:
-        if self._on_write is not None:
-            self._on_write(shuffle_id, map_partition)
-            return
-        outputs = getattr(self._tls, "outputs", None)
-        if outputs is None:
-            outputs = self._tls.outputs = []
-        outputs.append((shuffle_id, map_partition))
-
-    # -- map side --------------------------------------------------------
     def write(
-        self, shuffle_id, map_partition, elements, partition_func, serializer, task
+        self, shuffle_id, map_partition, elements, partitioner, serializer, task
     ) -> None:
-        num_reduce = partition_func.num_partitions
-        buckets: list[list] = [[] for _ in range(num_reduce)]
-        records = 0
-        for kv in elements:
-            buckets[partition_func(kv[0])].append(kv)
-            records += 1
-        shuffle_dir = self._shuffle_dir(shuffle_id)
-        os.makedirs(shuffle_dir, exist_ok=True)
-        total = 0
-        for reduce_partition, bucket in enumerate(buckets):
-            body, _ = encode_partition(bucket, serializer)
-            blob = frame_block(body)
-            blob = (b"z" + zlib.compress(blob, 1)) if self._compress else (b"r" + blob)
-            total += len(blob)
-            if self._chaos is not None:
-                self._chaos.hit(
-                    "shuffle.write", shuffle=shuffle_id, map=map_partition
-                )
-            path = os.path.join(shuffle_dir, f"{map_partition}_{reduce_partition}.bin")
-            with timed(task, "disk_blocked"):
-                with open(path, "wb") as fh:
-                    fh.write(blob)
-        task.shuffle_bytes_written += total
-        task.records_written += records
-        if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_written", total)
-            self._telemetry.inc("shuffle.records_written", records)
-        self._record_output(shuffle_id, map_partition)
+        super().write(
+            shuffle_id, map_partition, elements, partitioner, serializer, task
+        )
+        outputs = getattr(self._tls, "outputs", None)
+        if outputs is not None:
+            outputs.append((shuffle_id, map_partition))
 
     # -- reduce side -----------------------------------------------------
-    def read(self, shuffle_id, reduce_partition, serializer, task) -> PartitionChain:
-        entry = self._resolve(shuffle_id)
-        num_map = entry["num_map"]
-        maps = entry["maps"]
-        if len(maps) < num_map:
-            missing = sorted(set(range(num_map)) - set(maps))
-            raise ShuffleFetchFailedError(
-                shuffle_id, missing[0] if missing else -1, where="no location"
-            )
-        parts: list = []
-        total = 0
-        peer_socks: dict[tuple[str, int], socket.socket] = {}
+    def read(self, shuffle_id, reduce_partition, serializer, task):
+        # One connection per peer for the whole read, closed with it.
+        socks = self._tls.socks = {}
         try:
-            for map_partition in range(num_map):
-                addr = tuple(maps[map_partition])
-                local = addr == self._self_addr
-                if local:
-                    path = os.path.join(
-                        self._shuffle_dir(shuffle_id),
-                        f"{map_partition}_{reduce_partition}.bin",
-                    )
-                    try:
-                        with timed(task, "disk_blocked"):
-                            with open(path, "rb") as fh:
-                                blob = fh.read()
-                    except OSError as exc:
-                        raise ShuffleFetchFailedError(
-                            shuffle_id, map_partition, where=str(exc)
-                        ) from exc
-                else:
-                    if self._chaos is not None:
-                        # dist.fetch faults: a hit simulates a dead or
-                        # refusing peer (typed as a fetch failure so the
-                        # scheduler's recovery path exercises), a mangle
-                        # corrupts the fetched bytes so the crc below
-                        # fails the attempt.
-                        try:
-                            self._chaos.hit(
-                                "dist.fetch", shuffle=shuffle_id, map=map_partition
-                            )
-                        except Exception as exc:  # noqa: BLE001 - typed below
-                            raise ShuffleFetchFailedError(
-                                shuffle_id, map_partition, where=f"chaos: {exc}"
-                            ) from exc
-                    try:
-                        sock = peer_socks.get(addr)
-                        if sock is None:
-                            sock = socket.create_connection(addr, timeout=FETCH_TIMEOUT)
-                            peer_socks[addr] = sock
-                        with timed(task, "network_blocked"):
-                            blob = fetch_block(
-                                sock, self._ns, shuffle_id, map_partition, reduce_partition
-                            )
-                    except ShuffleFetchFailedError:
-                        raise
-                    except (OSError, protocol.ProtocolError) as exc:
-                        raise ShuffleFetchFailedError(
-                            shuffle_id, map_partition, where=f"{addr[0]}:{addr[1]}: {exc}"
-                        ) from exc
-                    if self._chaos is not None:
-                        blob = self._chaos.mangle(
-                            "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
-                        )
-                    if self._telemetry is not None:
-                        self._telemetry.inc("dist.fetch_bytes", len(blob))
-                        self._telemetry.inc("dist.fetches")
-                total += len(blob)
-                tag, body = blob[:1], blob[1:]
-                if tag == b"z":
-                    body = zlib.decompress(body)
-                part = decode_partition(unframe_block(body), serializer)
-                if part:
-                    parts.append(part)
+            return super().read(shuffle_id, reduce_partition, serializer, task)
         finally:
-            for sock in peer_socks.values():
+            self._tls.socks = None
+            for sock in socks.values():
                 try:
                     sock.close()
                 except OSError:
                     pass
-        chain = PartitionChain(parts)
-        records = len(chain)
-        task.shuffle_bytes_read += total
-        task.records_read += records
+
+    def _fetch_block(
+        self, shuffle_id, map_partition, reduce_partition, location, task
+    ) -> bytes:
+        addr = tuple(location)
+        if addr == self._here:
+            return super()._fetch_block(
+                shuffle_id, map_partition, reduce_partition, location, task
+            )
+        if self.chaos is not None:
+            # dist.fetch faults: a hit simulates a dead or refusing peer
+            # (typed as a fetch failure so the scheduler's recovery path
+            # exercises), a mangle corrupts the fetched bytes so the
+            # base class's crc check fails the attempt.
+            try:
+                self.chaos.hit("dist.fetch", shuffle=shuffle_id, map=map_partition)
+            except Exception as exc:  # noqa: BLE001 - typed below
+                raise ShuffleFetchFailedError(
+                    shuffle_id, map_partition, where=f"chaos: {exc}"
+                ) from exc
+        socks = self._tls.socks
+        try:
+            sock = socks.get(addr)
+            if sock is None:
+                sock = socks[addr] = socket.create_connection(
+                    addr, timeout=FETCH_TIMEOUT
+                )
+            with timed(task, "network_blocked"):
+                blob = fetch_block(
+                    sock, self._ns, shuffle_id, map_partition, reduce_partition
+                )
+        except ShuffleFetchFailedError:
+            raise
+        except (OSError, protocol.ProtocolError) as exc:
+            raise ShuffleFetchFailedError(
+                shuffle_id, map_partition, where=f"{addr[0]}:{addr[1]}: {exc}"
+            ) from exc
+        if self.chaos is not None:
+            blob = self.chaos.mangle(
+                "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
+            )
         if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_read", total)
-            self._telemetry.inc("shuffle.records_read", records)
-        return chain
-
-    # -- paths -----------------------------------------------------------
-    def _shuffle_dir(self, shuffle_id: int) -> str:
-        return os.path.join(self._root, f"shuffle_{shuffle_id}")
+            self._telemetry.inc("dist.fetch_bytes", len(blob))
+            self._telemetry.inc("dist.fetches")
+        return blob
 
 
-class WorkerContext:
+class WorkerContext(PartitionStore):
     """The ``ctx`` a shipped task body sees on a worker node.
 
     Implements exactly the context surface lineage code touches at
-    *compute* time: serializer, cache/checkpoint block I/O (worker-local
+    *compute* time: serializer, cache/checkpoint block I/O (the engine's
+    :class:`~repro.engine.context.PartitionStore` over a worker-local
     block manager — a partition cached by one task is reused by the next
     task of the same namespace), the P2P shuffle, telemetry, and an
     inert event bus.  Driver-only machinery (scheduler, executor,
     accumulators) is deliberately absent; a closure that calls
     ``ctx.run_job`` mid-task gets a clear error instead of a deadlock.
     """
-
-    is_remote_worker = True
 
     def __init__(
         self,
@@ -433,6 +359,7 @@ class WorkerContext:
         *,
         compress: bool = False,
         decode_batch_size: int = 512,
+        chaos=None,
     ):
         self.ns = ns
         self.serializer = serializer
@@ -440,72 +367,23 @@ class WorkerContext:
         self.telemetry = _TaskLocalTelemetry()
         self.events = EventBus()
         self.tracer = NoopTracer()
-        self.chaos = None
+        #: The namespace's fault stream on this node: the injector that
+        #: rode in with the first TASK frame, kept for the namespace's
+        #: life so hit counters advance across tasks and retries.
+        self.chaos = chaos
         self.fault_injectors: list = []
         from repro.formats.quarantine import QuarantineSink
 
         self.quarantine = QuarantineSink(events=self.events)
-        ns_dir = os.path.join(root, f"ns{ns}")
-        os.makedirs(ns_dir, exist_ok=True)
-        self.block_manager = BlockManager(
-            os.path.join(ns_dir, "blocks"),
-            checkpoint_dir=os.path.join(ns_dir, "checkpoints"),
-            events=self.events,
-        )
+        self.block_manager = BlockManager(root, events=self.events)
         self.shuffle_manager = DistShuffle(
-            ns_dir,
+            root,
             self_addr,
             ns=ns,
             compress=compress,
+            chaos=chaos,
             telemetry=self.telemetry,
         )
-
-    # -- cache (mirrors GPFContext, worker-local store) ------------------
-    def _cache_get(self, rdd, split: int):
-        blob = self.block_manager.get((rdd.id, split))
-        if blob is None:
-            return None
-        return decode_partition(
-            blob, self.serializer, telemetry=self.telemetry,
-            batch_size=self.decode_batch_size,
-        )
-
-    def _cache_put(self, rdd, split: int, data) -> None:
-        blob, bundle = encode_partition(data, self.serializer)
-        self.block_manager.put(
-            (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
-        )
-
-    def _cache_evict(self, rdd) -> None:
-        self.block_manager.evict_rdd(rdd.id)
-
-    def _cache_complete(self, rdd) -> bool:
-        return all(
-            self.block_manager.contains((rdd.id, split))
-            for split in range(rdd.num_partitions)
-        )
-
-    # -- checkpoints -----------------------------------------------------
-    def _checkpoint_put(self, rdd, split: int, data) -> str:
-        blob, _ = encode_partition(data, self.serializer)
-        return self.block_manager.put_checkpoint((rdd.id, split), blob)
-
-    def _checkpoint_get(self, rdd, split: int):
-        blob = self.block_manager.get_checkpoint((rdd.id, split))
-        if blob is None:
-            return None
-        try:
-            part = decode_partition(
-                blob, self.serializer, telemetry=self.telemetry,
-                batch_size=self.decode_batch_size,
-            )
-            if hasattr(part, "batches"):
-                for _ in part.batches():
-                    pass
-        except Exception:  # noqa: BLE001 - undecodable => recompute
-            self.block_manager.discard_checkpoint((rdd.id, split))
-            return None
-        return part
 
     # -- guards ----------------------------------------------------------
     def run_job(self, rdd, partitions=None):
@@ -559,43 +437,38 @@ class WorkerDaemon:
             wctx = self._contexts.get(ns)
             if wctx is None:
                 wctx = WorkerContext(
-                    self.root_dir,
+                    self._ns_root(ns),
                     ns,
                     (self.advertise_host, self.fetch_port),
                     header["serializer"],
                     compress=header.get("compress", False),
                     decode_batch_size=header.get("batch", 512),
+                    chaos=header.get("chaos"),
                 )
                 self._contexts[ns] = wctx
         return wctx
 
-    def _block_path(self, ns: int, shuffle_id: int, map_p: int, reduce_p: int):
-        path = os.path.join(
-            self.root_dir, f"ns{ns}", f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin"
-        )
-        return path if os.path.exists(path) else None
+    def _ns_root(self, ns: int) -> str:
+        return os.path.join(self.root_dir, f"ns{ns}")
 
     # -- task execution --------------------------------------------------
     def _run_task(self, header: dict, body_blob: bytes) -> tuple[dict, bytes]:
         wctx = self._context_for(header)
         wctx.shuffle_manager.set_locations(header.get("locations") or {})
-        wctx.chaos = header.get("chaos")
-        wctx.shuffle_manager._chaos = wctx.chaos
         registry = wctx.telemetry.activate()
-        wctx.shuffle_manager.begin_task()
+        outputs = wctx.shuffle_manager.begin_task()
         try:
             body, task = ship_loads(body_blob, wctx)
             started = time.perf_counter()
             value = body(task)
             task.run_time = time.perf_counter() - started
             task.finalize()
-            outputs = wctx.shuffle_manager.drain_outputs()
             if value is None:
                 encoding, result_blob = "none", b""
             else:
                 try:
                     elements = value if isinstance(value, list) else list(value)
-                    result_blob, _ = encode_partition(elements, wctx.serializer)
+                    result_blob, _ = bundle.encode_partition(elements, wctx.serializer)
                     encoding = "bundle"
                 except Exception:  # noqa: BLE001 - non-record values
                     import pickle as _pickle
@@ -684,7 +557,7 @@ class WorkerDaemon:
         """Start the block server, slot threads, and heartbeats."""
         os.makedirs(self.root_dir, exist_ok=True)
         self._block_listener, self.fetch_port, _ = run_block_server(
-            "0.0.0.0", self._block_path
+            "0.0.0.0", self._ns_root
         )
         self._threads = [
             threading.Thread(
@@ -710,10 +583,7 @@ class WorkerDaemon:
     def stop(self) -> None:
         self._stop.set()
         if self._block_listener is not None:
-            try:
-                self._block_listener.close()
-            except OSError:
-                pass
+            stop_listener(self._block_listener)
             self._block_listener = None
         if self._owns_root:
             import shutil

@@ -1,4 +1,4 @@
-"""Compressed-resident partition blocks: the v2 block codec layer.
+"""Compressed-resident partition blocks: the block codec layer.
 
 The paper's thesis is that genomic pipelines become hardware-bound once
 the working set fits *in memory* — which only happens if the resident
@@ -9,8 +9,8 @@ small self-describing header, decoded lazily in record batches by
 :class:`LazyPartition` instead of being materialized wholesale on every
 ``get``.
 
-Block format v2 (the payload *inside* the existing crc32 ``GPFB``
-frame — crc framing is unchanged)::
+Block format (``GPB2``: the payload *inside* the crc32 ``GPFB``
+frame)::
 
     [4s magic "GPB2"][u8 version][1s codec tag]
     [u32 record count][u64 logical bytes]
@@ -20,9 +20,10 @@ The codec tag is the serializer's own frame tag (``Q`` FASTQ, ``S`` SAM,
 ``P`` FASTQ pairs, ``K`` keyed SAM, ``R``/``k`` reference-based, ``F``
 pickle fallback) or ``.`` for serializers without tagged frames
 (pickle/compact), so the chosen representation of every block is
-recorded and inspectable.  Blobs without the magic are legacy v1 blocks
-(raw serializer output) and decode eagerly, so pre-existing checkpoint
-directories and journals remain readable.
+recorded and inspectable.  This is the only block format: a blob whose
+header is missing, short or of another version is refused with
+:class:`~repro.engine.blockmanager.BlockCorruptionError`, which the
+checkpoint and journal read paths downgrade to discard-and-recompute.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import time
 from typing import Iterator, Sequence
 
 from repro.compression.records import logical_size
+from repro.engine.blockmanager import BlockCorruptionError
 from repro.engine.serializers import CODEC_TAGS, Serializer
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
 
-#: Magic prefix of a v2 block payload (inside the GPFB crc frame).
+#: Magic prefix of a block payload (inside the GPFB crc frame).
 BUNDLE_MAGIC = b"GPB2"
 BUNDLE_VERSION = 2
 
@@ -113,13 +115,14 @@ class CompressedBundle:
 
     # -- decode ----------------------------------------------------------
     @classmethod
-    def frombytes(cls, blob: bytes) -> "CompressedBundle | None":
-        """Parse a v2 block; None for legacy (v1, raw serializer) blobs."""
+    def frombytes(cls, blob: bytes) -> "CompressedBundle":
+        """Parse a block; raises :class:`BlockCorruptionError` unless it
+        opens with a whole ``GPB2`` header of the version written here."""
         if len(blob) < _HEADER.size or blob[:4] != BUNDLE_MAGIC:
-            return None
+            raise BlockCorruptionError("not a GPB2 block: header missing or short")
         magic, version, codec, count, logical = _HEADER.unpack_from(blob)
         if version != BUNDLE_VERSION:
-            return None
+            raise BlockCorruptionError(f"unknown GPB2 block version {version}")
         return cls(codec, count, logical, blob[_HEADER.size :])
 
     @property
@@ -244,15 +247,15 @@ class LazyPartition:
 
 
 def _rebuild_lazy_partition(blob: bytes, serializer, batch_size: int):
-    bundle = CompressedBundle.frombytes(blob)
-    assert bundle is not None
-    return LazyPartition(bundle, serializer, None, batch_size)
+    return LazyPartition(
+        CompressedBundle.frombytes(blob), serializer, None, batch_size
+    )
 
 
 def encode_partition(
     elements: Sequence[object], serializer: Serializer
 ) -> tuple[bytes, CompressedBundle]:
-    """One partition -> (v2 block bytes, its bundle) in a single pass."""
+    """One partition -> (block bytes, its bundle) in a single pass."""
     bundle = CompressedBundle.encode(elements, serializer)
     return bundle.tobytes(), bundle
 
@@ -262,17 +265,11 @@ def decode_partition(
     serializer: Serializer,
     telemetry=None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-):
-    """Inverse of :func:`encode_partition`: a lazy partition view.
-
-    Legacy blobs (no ``GPB2`` magic — blocks written before the v2
-    format) decode eagerly through the serializer, preserving
-    compatibility with journals and checkpoint dirs from older runs.
-    """
-    bundle = CompressedBundle.frombytes(blob)
-    if bundle is None:
-        return serializer.loads(blob)
-    return LazyPartition(bundle, serializer, telemetry, batch_size)
+) -> LazyPartition:
+    """Inverse of :func:`encode_partition`: a lazy partition view."""
+    return LazyPartition(
+        CompressedBundle.frombytes(blob), serializer, telemetry, batch_size
+    )
 
 
 class PartitionChain:

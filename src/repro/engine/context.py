@@ -11,7 +11,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 from contextlib import contextmanager, suppress
@@ -73,14 +73,11 @@ class EngineConfig:
     network_bandwidth: float | None = 1.25e9
     #: Task attempts before a stage fails (Spark's spark.task.maxFailures).
     max_task_attempts: int = 4
-    #: Memory cap (bytes) for persisted partitions; least-recently-used
-    #: blocks spill to disk beyond it (MEMORY_AND_DISK).  None = unbounded.
-    cache_memory_limit: int | None = None
     #: Memory budget (bytes) for the *compressed-resident* block cache —
     #: partitions live in §4.1 codec form and this caps their compressed
     #: footprint, so the effective in-memory capacity is the budget times
-    #: the compression ratio.  Takes precedence over ``cache_memory_limit``
-    #: (the older alias) when both are set.  None = unbounded.
+    #: the compression ratio; least-recently-used blocks spill to disk
+    #: beyond it (MEMORY_AND_DISK).  None = unbounded.
     memory_budget: int | None = None
     #: Records per chunk when lazily decoding a cached block; also the
     #: batch size fed to the batched kernels.
@@ -133,11 +130,84 @@ class EngineConfig:
     #: retry storm can't wedge a worker re-attempting forever.  None
     #: leaves only the per-task ``max_task_attempts`` cap.
     retry_budget: int | None = None
-    #: Extra key-value settings (reserved for experiments).
-    extra: dict = field(default_factory=dict)
 
 
-class GPFContext:
+class PartitionStore:
+    """Cache and checkpoint block I/O over one block manager.
+
+    The surface ``RDD.iterator`` and the scheduler touch at compute time.
+    The driver's :class:`GPFContext` and the cluster worker's context
+    both inherit it, so a partition is encoded, timed, stored, decoded
+    and verified by the same code wherever the task runs.  Subclasses
+    provide ``block_manager``, ``serializer``, ``telemetry`` and
+    ``decode_batch_size``.
+    """
+
+    # -- cache ------------------------------------------------------------
+    def _cache_get(self, rdd: RDD, split: int):
+        """A lazily-decoded view of one cached partition (or None).
+
+        The block stays compressed; the returned partition decodes in
+        record batches as the task pulls from it.
+        """
+        blob = self.block_manager.get((rdd.id, split))
+        if blob is None:
+            return None
+        return decode_partition(
+            blob,
+            self.serializer,
+            telemetry=self.telemetry,
+            batch_size=self.decode_batch_size,
+        )
+
+    def _cache_put(self, rdd: RDD, split: int, data: list) -> None:
+        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
+            blob, bundle = encode_partition(data, self.serializer)
+        self.block_manager.put(
+            (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
+        )
+
+    def _cache_evict(self, rdd: RDD) -> None:
+        self.block_manager.evict_rdd(rdd.id)
+
+    def _cache_complete(self, rdd: RDD) -> bool:
+        return all(
+            self.block_manager.contains((rdd.id, split))
+            for split in range(rdd.num_partitions)
+        )
+
+    # -- checkpoints -------------------------------------------------------
+    def _checkpoint_put(self, rdd: RDD, split: int, data: list) -> str:
+        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
+            blob, _ = encode_partition(data, self.serializer)
+        return self.block_manager.put_checkpoint((rdd.id, split), blob)
+
+    def _checkpoint_get(self, rdd: RDD, split: int):
+        blob = self.block_manager.get_checkpoint((rdd.id, split))
+        if blob is None:
+            return None
+        # crc32 catches bit flips, but a crc-valid blob can still be
+        # undecodable (bad codec tag, short GPB2 header): the lazy view
+        # would surface those mid-task, far from the checkpoint store.
+        # Verify by draining a throwaway decode and downgrade failures
+        # to a recompute-and-rewrite — checkpoint reads are rare enough
+        # (resume paths) that the extra decode pass is cheap insurance.
+        try:
+            part = decode_partition(
+                blob,
+                self.serializer,
+                telemetry=self.telemetry,
+                batch_size=self.decode_batch_size,
+            )
+            for _ in part.batches():
+                pass
+        except Exception:  # noqa: BLE001 - any decode failure => recompute
+            self.block_manager.discard_checkpoint((rdd.id, split))
+            return None
+        return part
+
+
+class GPFContext(PartitionStore):
     """Entry point to the engine."""
 
     def __init__(self, config: EngineConfig | None = None):
@@ -156,6 +226,7 @@ class GPFContext:
         self.serializer = (
             get_serializer(serializer) if isinstance(serializer, str) else serializer
         )
+        self.decode_batch_size = self.config.decode_batch_size
         # -- observability (repro.obs) ----------------------------------
         # Every context owns a telemetry registry and an event bus; both
         # are near-free when nothing subscribes.  A configured trace_dir
@@ -221,14 +292,9 @@ class GPFContext:
         # GPF persists RDDs in compressed serialized form (paper §4.2),
         # and the limit is enforced on *compressed* bytes so the
         # effective capacity grows by the compression ratio.
-        budget = (
-            self.config.memory_budget
-            if self.config.memory_budget is not None
-            else self.config.cache_memory_limit
-        )
         self.block_manager = BlockManager(
             spill,
-            memory_limit=budget,
+            memory_limit=self.config.memory_budget,
             checkpoint_dir=self.config.checkpoint_dir,
             events=self.events,
             chaos=self.chaos,
@@ -290,70 +356,6 @@ class GPFContext:
         if self._closed:
             raise RuntimeError("context is closed")
         return self._scheduler.run_job(rdd, partitions)
-
-    # -- cache ------------------------------------------------------------
-    def _cache_get(self, rdd: RDD, split: int):
-        """A lazily-decoded view of one cached partition (or None).
-
-        The block stays compressed; the returned partition decodes in
-        record batches as the task pulls from it.
-        """
-        blob = self.block_manager.get((rdd.id, split))
-        if blob is None:
-            return None
-        return decode_partition(
-            blob,
-            self.serializer,
-            telemetry=self.telemetry,
-            batch_size=self.config.decode_batch_size,
-        )
-
-    def _cache_put(self, rdd: RDD, split: int, data: list) -> None:
-        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
-            blob, bundle = encode_partition(data, self.serializer)
-        self.block_manager.put(
-            (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
-        )
-
-    def _cache_evict(self, rdd: RDD) -> None:
-        self.block_manager.evict_rdd(rdd.id)
-
-    def _cache_complete(self, rdd: RDD) -> bool:
-        return all(
-            self.block_manager.contains((rdd.id, split))
-            for split in range(rdd.num_partitions)
-        )
-
-    # -- checkpoints -------------------------------------------------------
-    def _checkpoint_put(self, rdd: RDD, split: int, data: list) -> str:
-        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
-            blob, _ = encode_partition(data, self.serializer)
-        return self.block_manager.put_checkpoint((rdd.id, split), blob)
-
-    def _checkpoint_get(self, rdd: RDD, split: int):
-        blob = self.block_manager.get_checkpoint((rdd.id, split))
-        if blob is None:
-            return None
-        # crc32 catches bit flips, but a crc-valid blob can still be
-        # undecodable (bad codec tag, short v2 header): the lazy view
-        # would surface those mid-task, far from the checkpoint store.
-        # Verify by draining a throwaway decode and downgrade failures
-        # to a recompute-and-rewrite — checkpoint reads are rare enough
-        # (resume paths) that the extra decode pass is cheap insurance.
-        try:
-            part = decode_partition(
-                blob,
-                self.serializer,
-                telemetry=self.telemetry,
-                batch_size=self.config.decode_batch_size,
-            )
-            if hasattr(part, "batches"):
-                for _ in part.batches():
-                    pass
-        except Exception:  # noqa: BLE001 - any decode failure => recompute
-            self.block_manager.discard_checkpoint((rdd.id, split))
-            return None
-        return part
 
     def cached_bytes(self) -> int:
         """Total size of the serialized block cache (Table 3 measurements)."""

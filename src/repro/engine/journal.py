@@ -81,13 +81,13 @@ class CheckpointFileRDD(RDD):
         self._paths = list(paths)
 
     def compute(self, split: int, task: TaskMetrics) -> list:
-        # Checkpoints are stored as v2 compressed bundles; hand back the
+        # Checkpoints are stored as compressed bundles; hand back the
         # lazy view so a restored partition stays compressed until pulled.
         return decode_partition(
             read_block_file(self._paths[split]),
             self.ctx.serializer,
             telemetry=self.ctx.telemetry,
-            batch_size=self.ctx.config.decode_batch_size,
+            batch_size=self.ctx.decode_batch_size,
         )
 
 
@@ -257,8 +257,7 @@ class RunJournal:
                     ]
                     # Deserialize eagerly too: a blob that passes crc32 but
                     # does not decode must also downgrade to re-execution.
-                    # Draining the lazy view walks every record; legacy v1
-                    # blobs come back as plain lists and verify the same way.
+                    # Draining the lazy view walks every record.
                     for blob in blobs:
                         for _ in decode_partition(blob, ctx.serializer):
                             pass

@@ -374,12 +374,27 @@ class DAGScheduler:
         )
 
     # -- execution ----------------------------------------------------------
+    def _map_task_body(
+        self, dep: "ShuffleDependency", shuffle_id: int, split: int
+    ) -> Callable[[TaskMetrics], None]:
+        """The body of one map task: compute the parent partition, combine
+        map-side if the dependency asks, spill it bucketed."""
+        parent = dep.parent
+
+        def body(task: TaskMetrics) -> None:
+            elements = parent.iterator(split, task)
+            if dep.map_side_combine is not None:
+                elements = dep.map_side_combine(elements)
+            self.ctx.shuffle_manager.write(
+                shuffle_id, split, elements, dep.partitioner, parent.serializer, task
+            )
+
+        return body
+
     def _run_map_stage(self, dep: "ShuffleDependency") -> None:
         parent = dep.parent
         stage = self.ctx.metrics.new_stage(name=f"shuffle-map:{parent.name}")
-        shuffle_id = self.ctx.shuffle_manager.register(
-            parent.num_partitions, dep.partitioner.num_partitions
-        )
+        shuffle_id = self.ctx.shuffle_manager.register(parent.num_partitions)
         self.ctx.events.publish(
             "stage.start", stage_id=stage.stage_id, name=stage.name
         )
@@ -391,24 +406,11 @@ class DAGScheduler:
             progress.start()
 
         def make_task(split: int, stage_span):
-            def body(task: TaskMetrics) -> None:
-                elements = parent.iterator(split, task)
-                if dep.map_side_combine is not None:
-                    elements = dep.map_side_combine(elements)
-                self.ctx.shuffle_manager.write(
-                    shuffle_id,
-                    split,
-                    elements,
-                    dep.partitioner,
-                    parent.serializer,
-                    task,
-                )
-
             def run() -> None:
                 self._run_with_retries(
                     "shuffle-map",
                     split,
-                    body,
+                    self._map_task_body(dep, shuffle_id, split),
                     lambda task: self.ctx.metrics.add_task(stage, task),
                     parent_span=stage_span,
                     progress=progress,
@@ -454,24 +456,10 @@ class DAGScheduler:
             shuffle_id=failure.shuffle_id,
             maps=len(missing),
         )
-        parent = dep.parent
         for split in sorted(missing):
-
-            def body(task: TaskMetrics, split: int = split) -> None:
-                elements = parent.iterator(split, task)
-                if dep.map_side_combine is not None:
-                    elements = dep.map_side_combine(elements)
-                self.ctx.shuffle_manager.write(
-                    failure.shuffle_id,
-                    split,
-                    elements,
-                    dep.partitioner,
-                    parent.serializer,
-                    task,
-                )
-
             self.ctx.executor.execute(
-                body, TaskMetrics(partition=split, attempt=0)
+                self._map_task_body(dep, failure.shuffle_id, split),
+                TaskMetrics(partition=split, attempt=0),
             )
 
     def _run_result_stage(

@@ -1,4 +1,4 @@
-"""Hash shuffle with real spill files.
+"""Hash shuffle with real spill files — the one shuffle data path.
 
 Spark writes *all* shuffle data to disk, even for in-memory workloads — a
 fact the paper leans on ("even in-memory workloads store shuffle data on
@@ -6,6 +6,17 @@ disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
 output by the partitioner, serialize each bucket with the RDD's serializer,
 and write one spill file per (shuffle, map partition, reduce partition).
 Reduce tasks read the files back.
+
+Every backend runs this code.  The only thing a backend may vary is
+:meth:`ShuffleManager._fetch_block` — "give me the bytes of block
+(shuffle, map, reduce)" — which reads this node's spill file here and
+which the cluster transport's subclass (``DistShuffle`` in the ``dist``
+package) overrides to fetch from the peer the *location table* names.
+That table, ``shuffle -> {map partition -> location}``, is also the
+completeness ledger: a reduce that finds a map partition without a
+location, or whose block cannot be read, raises the typed
+:class:`~repro.engine.faults.ShuffleFetchFailedError` the scheduler's
+lineage recovery keys on.
 
 Time spent inside file read/write is recorded as *disk-blocked* time on the
 running task.  Network-blocked time is modelled: a reduce task reading
@@ -20,28 +31,22 @@ import os
 import shutil
 import threading
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
 from repro.engine.bundle import PartitionChain, decode_partition, encode_partition
+from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import TaskMetrics, timed
 from repro.engine.serializers import Serializer
 
+if TYPE_CHECKING:
+    from repro.engine.rdd import Partitioner
 
-@dataclass
-class ShuffleWriteInfo:
-    """Bookkeeping for one completed shuffle's map side."""
 
-    shuffle_id: int
-    num_map_partitions: int
-    num_reduce_partitions: int
-    bytes_written: int = 0
-    map_done: set[int] = field(default_factory=set)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.map_done) == self.num_map_partitions
+def block_path(root: str, shuffle_id: int, map_p: int, reduce_p: int) -> str:
+    """Where one spill block lives under a shuffle root — the layout every
+    writer, reader and block server shares."""
+    return os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin")
 
 
 class ShuffleManager:
@@ -59,7 +64,7 @@ class ShuffleManager:
         self._network_bandwidth = network_bandwidth
         #: Optional ChaosInjector: shuffle.write faults surface as task
         #: OSErrors (retried), shuffle.fetch mangles exercise the crc path.
-        self._chaos = chaos
+        self.chaos = chaos
         #: Optional TelemetryRegistry mirroring shuffle traffic as named
         #: whole-run counters (the context wires its own registry in).
         self._telemetry = telemetry
@@ -67,47 +72,29 @@ class ShuffleManager:
         #: Off by default here because the gpf serializer already entropy-
         #: codes its payload; the ablation benches flip it per run.
         self._compress = compress
+        #: What the location table records for a map output written here.
+        #: Opaque to this class; ``_fetch_block`` is its only reader.
+        self._here: object = None
         self._lock = threading.Lock()
-        self._shuffles: dict[int, ShuffleWriteInfo] = {}
+        #: shuffle_id -> {"num_map": int, "maps": {map_partition: location}}
+        self._locations: dict[int, dict] = {}
         self._next_id = 0
         os.makedirs(spill_dir, exist_ok=True)
 
     # -- registration ----------------------------------------------------
-    def register(self, num_map: int, num_reduce: int) -> int:
-        """Allocate a shuffle id and its spill directory."""
+    def register(self, num_map: int) -> int:
+        """Allocate a shuffle id for a map side ``num_map`` partitions wide."""
         with self._lock:
             shuffle_id = self._next_id
             self._next_id += 1
-            self._shuffles[shuffle_id] = ShuffleWriteInfo(
-                shuffle_id, num_map, num_reduce
-            )
-        os.makedirs(self._shuffle_dir(shuffle_id), exist_ok=True)
+            self._locations[shuffle_id] = {"num_map": num_map, "maps": {}}
         return shuffle_id
 
-    def info(self, shuffle_id: int) -> ShuffleWriteInfo:
+    def locations(self, shuffle_id: int) -> tuple[int, dict]:
+        """``(map-side width, {map partition: location})`` of one shuffle."""
         with self._lock:
-            return self._shuffles[shuffle_id]
-
-    def is_complete(self, shuffle_id: int) -> bool:
-        with self._lock:
-            return (
-                shuffle_id in self._shuffles and self._shuffles[shuffle_id].complete
-            )
-
-    def mark_map_done(
-        self, shuffle_id: int, map_partition: int, bytes_written: int = 0
-    ) -> None:
-        """Record one map partition as written.
-
-        ``write`` does this implicitly for spills through this manager;
-        the cluster transport calls it for map outputs that landed in the
-        distributed store so the completeness ledger stays authoritative
-        no matter where the bytes live.
-        """
-        with self._lock:
-            info = self._shuffles[shuffle_id]
-            info.map_done.add(map_partition)
-            info.bytes_written += bytes_written
+            entry = self._locations[shuffle_id]
+            return entry["num_map"], dict(entry["maps"])
 
     # -- map side ----------------------------------------------------------
     def write(
@@ -115,22 +102,24 @@ class ShuffleManager:
         shuffle_id: int,
         map_partition: int,
         elements: Sequence[tuple],
-        partition_func: Callable[[object], int],
+        partitioner: "Partitioner",
         serializer: Serializer,
         task: TaskMetrics,
     ) -> None:
         """Bucket key-value pairs and spill each bucket to disk."""
-        with self._lock:
-            info = self._shuffles[shuffle_id]
-            num_reduce = info.num_reduce_partitions
-        buckets: list[list] = [[] for _ in range(num_reduce)]
+        buckets: list[list] = [[] for _ in range(partitioner.num_partitions)]
         records = 0
         for kv in elements:
-            buckets[partition_func(kv[0])].append(kv)
+            buckets[partitioner(kv[0])].append(kv)
             records += 1
+        paths = [
+            block_path(self._spill_dir, shuffle_id, map_partition, reduce_partition)
+            for reduce_partition in range(len(buckets))
+        ]
+        os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
         total = 0
-        for reduce_partition, bucket in enumerate(buckets):
-            # Spill the compressed block form (crc32-framed v2 bundle):
+        for path, bucket in zip(paths, buckets):
+            # Spill the compressed block form (crc32-framed GPB2 bundle):
             # spill I/O shrinks by the codec's compression ratio and a
             # torn file is detected on read instead of feeding garbage.
             body, _ = encode_partition(bucket, serializer)
@@ -140,12 +129,11 @@ class ShuffleManager:
             else:
                 blob = b"r" + blob
             total += len(blob)
-            path = self._block_path(shuffle_id, map_partition, reduce_partition)
-            if self._chaos is not None:
+            if self.chaos is not None:
                 # An injected ENOSPC/EIO here kills the map attempt; the
                 # scheduler retries it and the rewrite overwrites any
                 # partial spill file from the failed attempt.
-                self._chaos.hit(
+                self.chaos.hit(
                     "shuffle.write", shuffle=shuffle_id, map=map_partition
                 )
             with timed(task, "disk_blocked"):
@@ -157,10 +145,32 @@ class ShuffleManager:
             self._telemetry.inc("shuffle.bytes_written", total)
             self._telemetry.inc("shuffle.records_written", records)
         with self._lock:
-            info.bytes_written += total
-            info.map_done.add(map_partition)
+            self._locations[shuffle_id]["maps"][map_partition] = self._here
 
     # -- reduce side --------------------------------------------------------
+    def _fetch_block(
+        self,
+        shuffle_id: int,
+        map_partition: int,
+        reduce_partition: int,
+        location: object,
+        task: TaskMetrics,
+    ) -> bytes:
+        """The bytes of one spill block, exactly as ``write`` stored them.
+
+        The single point a backend varies: here every location is this
+        node, so the block is a file under the spill directory.
+        """
+        path = block_path(self._spill_dir, shuffle_id, map_partition, reduce_partition)
+        try:
+            with timed(task, "disk_blocked"):
+                with open(path, "rb") as fh:
+                    return fh.read()
+        except OSError as exc:
+            raise ShuffleFetchFailedError(
+                shuffle_id, map_partition, where=str(exc)
+            ) from exc
+
     def read(
         self,
         shuffle_id: int,
@@ -174,31 +184,25 @@ class ShuffleManager:
         blocks in compressed form — the reduce task decodes lazily and
         never holds the whole fetched input as one record list.
         """
-        with self._lock:
-            info = self._shuffles[shuffle_id]
-            num_map = info.num_map_partitions
-            map_done = set(info.map_done)
-        if len(map_done) != num_map:
-            missing = set(range(num_map)) - map_done
-            raise RuntimeError(
-                f"shuffle {shuffle_id} map side incomplete; missing maps {sorted(missing)}"
-            )
+        num_map, maps = self.locations(shuffle_id)
+        missing = sorted(set(range(num_map)) - set(maps))
+        if missing:
+            raise ShuffleFetchFailedError(shuffle_id, missing[0], where="no location")
         parts: list = []
         total = 0
         for map_partition in range(num_map):
-            path = self._block_path(shuffle_id, map_partition, reduce_partition)
-            with timed(task, "disk_blocked"):
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            if self._chaos is not None:
+            blob = self._fetch_block(
+                shuffle_id, map_partition, reduce_partition, maps[map_partition], task
+            )
+            if self.chaos is not None:
                 # Fetch faults: a hit raises (connection-reset-class
                 # failure), a mangle damages only this in-memory copy —
                 # the crc check below fails the attempt, and the retry
                 # re-reads the intact spill file.
-                self._chaos.hit(
+                self.chaos.hit(
                     "shuffle.fetch", shuffle=shuffle_id, map=map_partition
                 )
-                blob = self._chaos.mangle(
+                blob = self.chaos.mangle(
                     "shuffle.fetch", blob, shuffle=shuffle_id, map=map_partition
                 )
             total += len(blob)
@@ -222,20 +226,9 @@ class ShuffleManager:
         return chain
 
     # -- cleanup ---------------------------------------------------------
-    def total_bytes_written(self) -> int:
-        with self._lock:
-            return sum(s.bytes_written for s in self._shuffles.values())
-
     def cleanup(self) -> None:
         """Delete every spill file and reset shuffle state."""
         shutil.rmtree(self._spill_dir, ignore_errors=True)
         os.makedirs(self._spill_dir, exist_ok=True)
         with self._lock:
-            self._shuffles.clear()
-
-    # -- paths --------------------------------------------------------------
-    def _shuffle_dir(self, shuffle_id: int) -> str:
-        return os.path.join(self._spill_dir, f"shuffle_{shuffle_id}")
-
-    def _block_path(self, shuffle_id: int, map_p: int, reduce_p: int) -> str:
-        return os.path.join(self._shuffle_dir(shuffle_id), f"{map_p}_{reduce_p}.bin")
+            self._locations.clear()

@@ -86,3 +86,20 @@ def ctx(tmp_path):
     )
     yield context
     context.stop()
+
+
+@pytest.fixture(params=["engine", "dist"])
+def shuffle_ctx(request, tmp_path):
+    """A serial context over each shuffle: the engine's ``ShuffleManager``,
+    and the cluster transport's ``DistShuffle`` as a single node whose
+    every location is its own address (no fleet, nothing fetched)."""
+    spill = tmp_path / "spill"
+    context = GPFContext(EngineConfig(default_parallelism=3, spill_dir=str(spill)))
+    if request.param == "dist":
+        from repro.dist.worker import DistShuffle
+
+        context.shuffle_manager = DistShuffle(
+            str(spill / "dist"), ("127.0.0.1", 1), telemetry=context.telemetry
+        )
+    yield context
+    context.stop()

@@ -83,6 +83,15 @@ class TestBasicJobs:
             }
             assert workers == {daemons[0].worker_id}
 
+    def test_worker_side_block_encode_time_lands_in_the_driver(self, tmp_path):
+        """A partition persisted on a worker is encoded by the engine's
+        shared, timed ``_cache_put``; the counter rides home in RESULT."""
+        with cluster(tmp_path, workers=1, tag="enc") as (ctx, _):
+            rdd = ctx.parallelize(range(400), 4).map(lambda x: (x, "v" * 20)).persist()
+            assert rdd.count() == 400
+            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            assert ctx.telemetry.counter("blockmanager.encode_seconds") > 0
+
     def test_per_worker_telemetry_and_gauge(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="tel") as (ctx, daemons):
             ctx.parallelize(range(80), 8).map(lambda x: x).collect()
@@ -110,6 +119,26 @@ class TestBasicJobs:
                 assert row["alive"] is True
                 assert row["slots"] == 3
                 assert ":" in row["fetch"]
+
+    def test_no_listener_thread_outlives_its_fleet(self, tmp_path):
+        """Closing a listening socket does not wake a thread parked in its
+        accept(); every context used to leave one behind, port bound."""
+
+        def listeners():
+            return {
+                t
+                for t in threading.enumerate()
+                if t.name in ("gpf-fleet-accept", "gpf-dist-blockserver")
+            }
+
+        before = listeners()
+        with cluster(tmp_path, workers=1, tag="leak") as (ctx, _):
+            assert ctx.parallelize(range(8), 2).map(lambda x: x + 1).collect()
+            assert len(listeners() - before) == 2
+        deadline = time.monotonic() + 5.0
+        while listeners() - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not listeners() - before
 
 
 class TestWorkerLoss:
@@ -200,3 +229,33 @@ class TestChaosSites:
             assert ctx.telemetry.counter("dist.workers_lost") == 1
             kinds = {f.error_type for f in ctx.metrics.failures}
             assert "WorkerLostError" in kinds
+
+    @pytest.mark.parametrize(
+        "site, fault, error_type",
+        [
+            # Every block a reduce reads, local or fetched: the engine's
+            # own site, reached on workers because they run its read().
+            ("shuffle.fetch", "eio", "OSError"),
+            # Peer fetches only; typed so lineage recovery runs.
+            ("dist.fetch", "conn_reset", "ShuffleFetchFailedError"),
+        ],
+    )
+    def test_fetch_faults_fire_on_workers_and_are_retried(
+        self, tmp_path, site, fault, error_type
+    ):
+        from repro.chaos import ChaosPlan
+
+        plan = ChaosPlan(seed=3, rules=[{"site": site, "fault": fault, "nth": 1}])
+        data = [(f"k{i % 7}", i) for i in range(140)]
+        expected: dict = {}
+        for k, v in data:
+            expected[k] = expected.get(k, 0) + v
+        with cluster(tmp_path, workers=2, tag="sf", chaos=plan) as (ctx, _):
+            result = dict(
+                ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b).collect()
+            )
+            assert result == expected
+            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            injected = [f for f in ctx.metrics.failures if site in f.message]
+            assert injected, "the fault never fired on a worker"
+            assert {f.error_type for f in injected} == {error_type}

@@ -67,7 +67,7 @@ class TestEngineIntegration:
     def test_persisted_rdd_survives_tiny_memory_limit(self, tmp_path):
         config = EngineConfig(
             spill_dir=str(tmp_path / "s"),
-            cache_memory_limit=200,  # far below the data size
+            memory_budget=200,  # far below the data size
             default_parallelism=4,
         )
         with GPFContext(config) as ctx:
@@ -90,7 +90,7 @@ class TestEngineIntegration:
     def test_cache_avoids_recompute_even_when_spilled(self, tmp_path):
         calls = []
         config = EngineConfig(
-            spill_dir=str(tmp_path / "r"), cache_memory_limit=50
+            spill_dir=str(tmp_path / "r"), memory_budget=50
         )
         with GPFContext(config) as ctx:
             rdd = (

@@ -1,9 +1,10 @@
-"""Block format v2 (CompressedBundle) and lazy partition decode tests."""
+"""Block format (GPB2 CompressedBundle) and lazy partition decode tests."""
 
 import pickle
 
 import pytest
 
+from repro.engine.blockmanager import BlockCorruptionError
 from repro.engine.bundle import (
     BUNDLE_MAGIC,
     CompressedBundle,
@@ -61,15 +62,20 @@ class TestCompressedBundle:
         assert bundle.codec == b"P"
         assert bundle.count == 4
 
-    def test_legacy_blob_returns_none(self):
-        assert CompressedBundle.frombytes(b"not a bundle") is None
-        assert CompressedBundle.frombytes(b"") is None
+    @pytest.mark.parametrize(
+        "blob", [b"not a bundle", b"", BUNDLE_MAGIC + b"\x02"],
+        ids=["no_magic", "empty", "short_header"],
+    )
+    def test_non_gpb2_blob_is_refused(self, blob):
+        with pytest.raises(BlockCorruptionError, match="GPB2"):
+            CompressedBundle.frombytes(blob)
 
-    def test_wrong_version_returns_none(self):
+    def test_wrong_version_is_refused(self):
         bundle = CompressedBundle.encode(make_fastq(2), GpfSerializer())
         blob = bytearray(bundle.tobytes())
         blob[4] = 99  # version byte
-        assert CompressedBundle.frombytes(bytes(blob)) is None
+        with pytest.raises(BlockCorruptionError, match="version 99"):
+            CompressedBundle.frombytes(bytes(blob))
 
     def test_compression_ratio_over_one_for_genomic(self):
         bundle = CompressedBundle.encode(make_fastq(100), GpfSerializer())
@@ -149,16 +155,6 @@ class TestLazyPartition:
         part = self._lazy(records, serializer=CompactSerializer())
         assert list(part) == records
         assert [len(b) for b in part.batches(2)] == [5]
-
-
-class TestDecodePartition:
-    def test_legacy_blob_decodes_eagerly(self):
-        serializer = GpfSerializer()
-        records = make_fastq(4)
-        legacy = serializer.dumps(records)  # v1: raw serializer output
-        out = decode_partition(legacy, serializer)
-        assert isinstance(out, list)
-        assert out == records
 
 
 class TestPartitionChain:

@@ -1,7 +1,7 @@
 """Corrupt/truncated GPB2 compressed checkpoints must recompute cleanly.
 
 The block frame's crc32 catches bit flips, but a crc-valid blob can
-still be undecodable: a mangled codec tag or a truncated v2 header
+still be undecodable: a mangled codec tag or a truncated or absent GPB2 header
 passes the frame check and only explodes at decode time.  The context's
 checkpoint read path decode-verifies eagerly and downgrades any failure
 to discard + lineage recompute + rewrite, including under a thread pool.
@@ -30,7 +30,6 @@ def make_ctx(tmp_path, backend):
 def bad_codec_tag(blob: bytes) -> bytes:
     """Valid GPB2 header, payload tag byte zeroed: undecodable codec."""
     bundle = CompressedBundle.frombytes(blob)
-    assert bundle is not None, "checkpoint was not a v2 bundle"
     payload = b"\x00" + bundle.payload[1:]
     return CompressedBundle(
         bundle.codec, bundle.count, bundle.logical_bytes, payload
@@ -38,12 +37,21 @@ def bad_codec_tag(blob: bytes) -> bytes:
 
 
 def short_header(blob: bytes) -> bytes:
-    """GPB2 magic but the header is cut short: frombytes -> None -> the
-    legacy serializer path chokes on the stub."""
+    """GPB2 magic but the header is cut short: frombytes refuses it."""
     return BUNDLE_MAGIC + b"\x02"
 
 
-CORRUPTIONS = {"bad_codec_tag": bad_codec_tag, "short_header": short_header}
+def no_header(blob: bytes) -> bytes:
+    """The raw serializer payload with no GPB2 header in front — what a
+    pre-GPB2 writer left behind.  Decodable bytes, but not a block."""
+    return CompressedBundle.frombytes(blob).payload
+
+
+CORRUPTIONS = {
+    "bad_codec_tag": bad_codec_tag,
+    "short_header": short_header,
+    "no_header": no_header,
+}
 
 
 @pytest.mark.parametrize("backend", ["threads"])

@@ -57,7 +57,8 @@ class TestAggregation:
 
 
 class TestEngineIntegration:
-    def test_shuffle_bytes_recorded(self, ctx):
+    def test_shuffle_bytes_recorded(self, shuffle_ctx):
+        ctx = shuffle_ctx
         rdd = ctx.parallelize([(i, "x" * 100) for i in range(50)], 4)
         rdd.group_by_key().collect()
         job = ctx.metrics.job()
@@ -66,7 +67,8 @@ class TestEngineIntegration:
         written = sum(t.shuffle_bytes_written for s in job.stages for t in s.tasks)
         assert read == written
 
-    def test_disk_blocked_time_positive_for_shuffles(self, ctx):
+    def test_disk_blocked_time_positive_for_shuffles(self, shuffle_ctx):
+        ctx = shuffle_ctx
         rdd = ctx.parallelize([(i % 3, "y" * 200) for i in range(300)], 4)
         rdd.group_by_key().collect()
         job = ctx.metrics.job()

@@ -85,16 +85,15 @@ class TestThreadBackend:
 
 
 class TestSpillFiles:
-    def test_shuffle_writes_real_files(self, tmp_path):
-        spill = tmp_path / "spill"
-        with GPFContext(EngineConfig(spill_dir=str(spill))) as ctx:
-            ctx.parallelize([(1, 1), (2, 2)], 2).group_by_key().collect()
-            files = [
-                os.path.join(root, f)
-                for root, _, fs in os.walk(spill)
-                for f in fs
-            ]
-            assert files, "shuffle must spill to disk even for in-memory data"
+    def test_shuffle_writes_real_files(self, shuffle_ctx, tmp_path):
+        out = shuffle_ctx.parallelize([(1, 1), (2, 2)], 2).group_by_key().collect()
+        assert sorted((k, list(v)) for k, v in out) == [(1, [1]), (2, [2])]
+        files = [
+            os.path.join(root, f)
+            for root, _, fs in os.walk(tmp_path / "spill")
+            for f in fs
+        ]
+        assert files, "shuffle must spill to disk even for in-memory data"
 
 
 class TestShuffleCompression:
