@@ -100,27 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable redundancy elimination (Fig. 7)",
     )
     run.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker threads (0 = serial); shorthand for --backend threads",
-    )
-    run.add_argument(
         "--backend",
         choices=("serial", "threads", "process", "cluster"),
-        default=None,
-        help=(
-            "executor backend (default: serial, or threads when --threads > 0); "
-            "'process' selects the threads pool"
-        ),
+        default="serial",
+        help="executor backend (default: serial); 'process' selects the threads pool",
     )
     run.add_argument(
         "--workers",
         type=int,
-        default=0,
+        default=4,
         help=(
             "pool threads for the threads backend, in-flight ships for "
-            "cluster (default: --threads or 4)"
+            "cluster (default: 4)"
         ),
     )
     _add_cluster_options(run)
@@ -612,8 +603,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         journal_dir = job_journal_dir(journal_dir, args.job_id)
 
-    backend = args.backend or ("threads" if args.threads > 0 else "serial")
-    workers = args.workers or args.threads or 4
     chaos_plan = None
     if getattr(args, "chaos", None):
         from repro.chaos import ChaosPlan
@@ -622,8 +611,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         default_parallelism=args.partitions,
         serializer=args.serializer,
-        executor_backend=backend,
-        num_workers=max(1, workers),
+        executor_backend=args.backend,
+        num_workers=max(1, args.workers),
         task_timeout=args.task_timeout,
         profile_interval=args.profile,
         trace_dir=args.trace_out,

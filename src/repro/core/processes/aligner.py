@@ -63,14 +63,13 @@ class BwaMemProcess(Process):
             self.reference, self.aligner_config, self.pairing_config
         )
         shared = ctx.broadcast(aligner)
-        batch_size = ctx.config.decode_batch_size
 
         def align_partition(pairs: list) -> list:
             # Lazily-decoded partitions stream codec chunks straight into
             # the batched kernel — no whole-partition pair list in between.
             pe = shared.value
             out = []
-            for batch in iter_record_batches(pairs, batch_size):
+            for batch in iter_record_batches(pairs):
                 for r1, r2 in pe.align_pairs(batch):
                     out.append(r1)
                     out.append(r2)

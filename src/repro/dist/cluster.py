@@ -39,6 +39,10 @@ from repro.dist.worker import DistShuffle, serve_fetch_connection, stop_listener
 from repro.engine.executors import Transport, run_in_pool
 from repro.engine.faults import WorkerLostError
 
+#: Seconds without a heartbeat before a worker is declared lost; workers
+#: are told to PING at a fifth of it.
+HEARTBEAT_TIMEOUT = 10.0
+
 
 class WorkerHandle:
     """One registered worker daemon (possibly many slots)."""
@@ -65,14 +69,9 @@ class WorkerSlot:
 class FleetServer:
     """Worker registry, heartbeat ledger, slot pool, and block server."""
 
-    def __init__(
-        self,
-        listen: tuple[str, int],
-        *,
-        heartbeat_timeout: float = 10.0,
-    ):
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_interval = max(0.2, heartbeat_timeout / 5.0)
+    def __init__(self, listen: tuple[str, int]):
+        self.heartbeat_timeout = HEARTBEAT_TIMEOUT
+        self.heartbeat_interval = max(0.2, HEARTBEAT_TIMEOUT / 5.0)
         self.refs = 0
         self._lock = threading.Lock()
         self._workers: dict[str, WorkerHandle] = {}
@@ -300,14 +299,14 @@ _FLEETS: dict[tuple[str, int], FleetServer] = {}
 _FLEETS_LOCK = threading.Lock()
 
 
-def get_fleet(listen: tuple[str, int], heartbeat_timeout: float = 10.0) -> FleetServer:
+def get_fleet(listen: tuple[str, int]) -> FleetServer:
     with _FLEETS_LOCK:
         if listen[1] != 0:
             fleet = _FLEETS.get(listen)
             if fleet is not None:
                 fleet.refs += 1
                 return fleet
-        fleet = FleetServer(listen, heartbeat_timeout=heartbeat_timeout)
+        fleet = FleetServer(listen)
         fleet.refs = 1
         if listen[1] != 0:
             _FLEETS[listen] = fleet
@@ -346,11 +345,8 @@ class ClusterExecutor(Transport):
     # -- lifecycle -------------------------------------------------------
     def bind(self, ctx) -> None:
         self._ctx = ctx
-        config = ctx.config
-        listen = parse_hostport(config.cluster_listen or "127.0.0.1:0")
-        self.fleet = get_fleet(
-            listen, heartbeat_timeout=config.cluster_heartbeat_timeout
-        )
+        listen = parse_hostport(ctx.config.cluster_listen or "127.0.0.1:0")
+        self.fleet = get_fleet(listen)
         self.ns = self.fleet.allocate_ns()
         root = os.path.join(ctx._spill_dir, "dist", f"ns{self.ns}")
         # The driver is a peer in the shuffle: a map task that runs inline
@@ -360,7 +356,6 @@ class ClusterExecutor(Transport):
             root,
             self.fleet.advertise_addr,
             ns=self.ns,
-            compress=config.shuffle_compression,
             chaos=ctx.chaos,
             telemetry=ctx.telemetry,
         )
@@ -453,8 +448,6 @@ class ClusterExecutor(Transport):
             "ns": self.ns,
             "locations": ctx.shuffle_manager.snapshot_locations(),
             "serializer": ctx.serializer,
-            "batch": ctx.config.decode_batch_size,
-            "compress": ctx.config.shuffle_compression,
             "chaos": chaos,
         }
         try:
@@ -473,9 +466,7 @@ class ClusterExecutor(Transport):
             ctx.shuffle_manager.add_location(
                 shuffle_id, map_partition, worker.fetch_addr
             )
-        counts = rheader.get("telemetry") or {}
-        if counts:
-            ctx.telemetry.merge_counts(counts)
+        ctx.telemetry.merge(rheader.get("telemetry") or {})
         if self.telemetry is not None:
             self.telemetry.inc("dist.tasks_shipped")
             self.telemetry.inc("dist.bytes_shipped", len(blob))

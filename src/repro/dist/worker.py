@@ -8,8 +8,9 @@ checkpoint blocks go through :class:`~repro.engine.context.PartitionStore`
 over a worker-local block manager, and shuffle blocks through
 :class:`DistShuffle`, a :class:`~repro.engine.shuffle.ShuffleManager`
 whose only data-path override fetches a block held by another node *from
-that peer* (never through the driver).  Telemetry — including the shared
-code's encode/decode timers — travels home with each result frame.
+that peer* (never through the driver).  Telemetry — counters and
+histograms, including the shared code's encode/decode timers — travels
+home with each result frame.
 
 The daemon (``gpf worker --connect HOST:PORT``) opens one task channel
 per slot, serves shuffle blocks to peers on its own listener, and
@@ -41,6 +42,9 @@ from repro.obs import EventBus, NoopTracer, TelemetryRegistry
 #: Socket timeout for peer block fetches; a hung peer must fail the
 #: task (-> retry + recovery) rather than wedge the reduce slot.
 FETCH_TIMEOUT = 30.0
+#: Socket timeout for a worker's connections to the driver (slot
+#: registration, heartbeat PINGs).
+CONNECT_TIMEOUT = 10.0
 
 
 class _TaskLocalTelemetry:
@@ -158,12 +162,13 @@ def serve_fetch_connection(conn: socket.socket, root_for, initial: dict | None =
 
 
 def run_block_server(
-    bind_host: str, root_for, *, port: int = 0
+    bind_host: str, root_for
 ) -> tuple[socket.socket, int, threading.Thread]:
-    """Start the shuffle block server; returns (listener, port, thread)."""
+    """Start the shuffle block server on an ephemeral port; returns
+    (listener, port, thread)."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((bind_host, port))
+    listener.bind((bind_host, 0))
     listener.listen(64)
 
     def accept_loop() -> None:
@@ -222,16 +227,11 @@ class DistShuffle(ShuffleManager):
         self_addr: tuple[str, int],
         *,
         ns: int = 0,
-        compress: bool = False,
         chaos=None,
         telemetry=None,
     ):
         super().__init__(
-            root,
-            network_bandwidth=None,
-            compress=compress,
-            telemetry=telemetry,
-            chaos=chaos,
+            root, network_bandwidth=None, telemetry=telemetry, chaos=chaos
         )
         self._here = tuple(self_addr)
         self._ns = ns
@@ -357,13 +357,10 @@ class WorkerContext(PartitionStore):
         self_addr: tuple[str, int],
         serializer,
         *,
-        compress: bool = False,
-        decode_batch_size: int = 512,
         chaos=None,
     ):
         self.ns = ns
         self.serializer = serializer
-        self.decode_batch_size = decode_batch_size
         self.telemetry = _TaskLocalTelemetry()
         self.events = EventBus()
         self.tracer = NoopTracer()
@@ -377,12 +374,7 @@ class WorkerContext(PartitionStore):
         self.quarantine = QuarantineSink(events=self.events)
         self.block_manager = BlockManager(root, events=self.events)
         self.shuffle_manager = DistShuffle(
-            root,
-            self_addr,
-            ns=ns,
-            compress=compress,
-            chaos=chaos,
-            telemetry=self.telemetry,
+            root, self_addr, ns=ns, chaos=chaos, telemetry=self.telemetry
         )
 
     # -- guards ----------------------------------------------------------
@@ -413,7 +405,6 @@ class WorkerDaemon:
         worker_id: str | None = None,
         root_dir: str | None = None,
         advertise_host: str | None = None,
-        connect_timeout: float = 10.0,
     ):
         self.connect_addr = tuple(connect)
         self.slots = max(1, slots or (os.cpu_count() or 2))
@@ -421,7 +412,6 @@ class WorkerDaemon:
         self.root_dir = root_dir or tempfile.mkdtemp(prefix="gpf_worker_")
         self._owns_root = root_dir is None
         self.advertise_host = advertise_host or self.connect_addr[0]
-        self.connect_timeout = connect_timeout
         self._stop = threading.Event()
         self._contexts: dict[int, WorkerContext] = {}
         self._contexts_lock = threading.Lock()
@@ -441,8 +431,6 @@ class WorkerDaemon:
                     ns,
                     (self.advertise_host, self.fetch_port),
                     header["serializer"],
-                    compress=header.get("compress", False),
-                    decode_batch_size=header.get("batch", 512),
                     chaos=header.get("chaos"),
                 )
                 self._contexts[ns] = wctx
@@ -482,7 +470,7 @@ class WorkerDaemon:
                 "task": task,
                 "outputs": outputs,
                 "encoding": encoding,
-                "telemetry": registry.snapshot()["counters"],
+                "telemetry": registry.snapshot(),
                 "worker": self.worker_id,
             }
             return reply, result_blob
@@ -492,7 +480,7 @@ class WorkerDaemon:
     def _slot_loop(self, slot: int) -> None:
         try:
             sock = socket.create_connection(
-                self.connect_addr, timeout=self.connect_timeout
+                self.connect_addr, timeout=CONNECT_TIMEOUT
             )
         except OSError:
             self._stop.set()
@@ -543,7 +531,7 @@ class WorkerDaemon:
         while not self._stop.is_set():
             try:
                 with socket.create_connection(
-                    self.connect_addr, timeout=self.connect_timeout
+                    self.connect_addr, timeout=CONNECT_TIMEOUT
                 ) as sock:
                     protocol.send_frame(
                         sock, protocol.MSG_PING, {"worker": self.worker_id}

@@ -32,7 +32,7 @@ import struct
 import time
 from typing import Iterator, Sequence
 
-from repro.compression.records import logical_size
+from repro.compression.records import DECODE_BATCH_SIZE, logical_size
 from repro.engine.blockmanager import BlockCorruptionError
 from repro.engine.serializers import CODEC_TAGS, Serializer
 from repro.formats.fastq import FastqPair, FastqRecord
@@ -46,10 +46,6 @@ _HEADER = struct.Struct("<4sBcIQ")
 
 #: Codec tag recorded for serializers whose frames carry no leading tag.
 OPAQUE_TAG = b"."
-
-#: Default records-per-chunk for lazy decode (overridden per context by
-#: ``EngineConfig.decode_batch_size``).
-DEFAULT_BATCH_SIZE = 512
 
 
 def approx_logical_bytes(elements: Sequence[object]) -> int:
@@ -155,30 +151,24 @@ class LazyPartition:
     whole-partition list.
     """
 
-    __slots__ = ("_bundle", "_serializer", "_telemetry", "_batch_size")
+    __slots__ = ("_bundle", "_serializer", "_telemetry")
 
     def __init__(
-        self,
-        bundle: CompressedBundle,
-        serializer: Serializer,
-        telemetry=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        self, bundle: CompressedBundle, serializer: Serializer, telemetry=None
     ):
         self._bundle = bundle
         self._serializer = serializer
         self._telemetry = telemetry
-        self._batch_size = max(1, batch_size)
 
     # -- lazy access -----------------------------------------------------
-    def batches(self, batch_size: int | None = None) -> Iterator[list]:
+    def batches(self, batch_size: int = DECODE_BATCH_SIZE) -> Iterator[list]:
         """Yield the partition as record lists of ~``batch_size``."""
-        size = batch_size or self._batch_size
         iter_loads = getattr(self._serializer, "iter_loads", None)
         started = time.perf_counter()
         if iter_loads is None:
             chunks = iter([self._serializer.loads(self._bundle.payload)])
         else:
-            chunks = iter_loads(self._bundle.payload, size)
+            chunks = iter_loads(self._bundle.payload, batch_size)
         while True:
             try:
                 chunk = next(chunks)
@@ -240,16 +230,7 @@ class LazyPartition:
 
     # -- pickling (the cluster shipper sends partitions to workers) ------
     def __reduce__(self):
-        return (
-            _rebuild_lazy_partition,
-            (self._bundle.tobytes(), self._serializer, self._batch_size),
-        )
-
-
-def _rebuild_lazy_partition(blob: bytes, serializer, batch_size: int):
-    return LazyPartition(
-        CompressedBundle.frombytes(blob), serializer, None, batch_size
-    )
+        return (decode_partition, (self._bundle.tobytes(), self._serializer))
 
 
 def encode_partition(
@@ -261,15 +242,10 @@ def encode_partition(
 
 
 def decode_partition(
-    blob: bytes,
-    serializer: Serializer,
-    telemetry=None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    blob: bytes, serializer: Serializer, telemetry=None
 ) -> LazyPartition:
     """Inverse of :func:`encode_partition`: a lazy partition view."""
-    return LazyPartition(
-        CompressedBundle.frombytes(blob), serializer, telemetry, batch_size
-    )
+    return LazyPartition(CompressedBundle.frombytes(blob), serializer, telemetry)
 
 
 class PartitionChain:
@@ -309,12 +285,14 @@ class PartitionChain:
                 return element
         raise IndexError("partition index out of range")  # pragma: no cover
 
-    def batches(self, batch_size: int | None = None) -> Iterator[list]:
+    def batches(self, batch_size: int = DECODE_BATCH_SIZE) -> Iterator[list]:
         for part in self._parts:
-            yield from iter_record_batches(part, batch_size or DEFAULT_BATCH_SIZE)
+            yield from iter_record_batches(part, batch_size)
 
 
-def iter_record_batches(partition, batch_size: int) -> Iterator[list]:
+def iter_record_batches(
+    partition, batch_size: int = DECODE_BATCH_SIZE
+) -> Iterator[list]:
     """Uniform batch view over lazy or materialized partitions.
 
     Lazily-decoded partitions stream codec chunks; plain lists/iterables

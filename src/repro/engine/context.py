@@ -51,7 +51,14 @@ def _timed_counter(telemetry: TelemetryRegistry, name: str):
 
 @dataclass
 class EngineConfig:
-    """Tunable knobs of one engine instance."""
+    """Tunable knobs of one engine instance.
+
+    A value no caller varies is a constant beside the code that reads it
+    instead (``compression.records.DECODE_BATCH_SIZE``,
+    ``engine.scheduler.RETRY_BACKOFF``, ``dist.cluster.HEARTBEAT_TIMEOUT``);
+    a test pins the field list, so a new knob arrives as a reviewed test
+    change.
+    """
 
     #: Default partition count for ``parallelize`` when not specified.
     default_parallelism: int = 4
@@ -68,9 +75,6 @@ class EngineConfig:
     serializer: object = "gpf"
     #: Directory for shuffle spill files; a temp dir when None.
     spill_dir: str | None = None
-    #: Modelled fabric bandwidth (bytes/s) used to charge network-blocked
-    #: time on shuffle reads; None disables the model.
-    network_bandwidth: float | None = 1.25e9
     #: Task attempts before a stage fails (Spark's spark.task.maxFailures).
     max_task_attempts: int = 4
     #: Memory budget (bytes) for the *compressed-resident* block cache —
@@ -79,20 +83,10 @@ class EngineConfig:
     #: the compression ratio; least-recently-used blocks spill to disk
     #: beyond it (MEMORY_AND_DISK).  None = unbounded.
     memory_budget: int | None = None
-    #: Records per chunk when lazily decoding a cached block; also the
-    #: batch size fed to the batched kernels.
-    decode_batch_size: int = 512
-    #: zlib over shuffle blocks (Spark's spark.shuffle.compress).
-    shuffle_compression: bool = False
     #: Per-attempt task deadline in seconds; a hung attempt is abandoned
     #: with :class:`~repro.engine.faults.TaskTimeoutError` and retried.
     #: None disables the watchdog entirely (zero overhead).
     task_timeout: float | None = None
-    #: Base delay (seconds) of the exponential retry backoff; attempt k
-    #: sleeps ~``retry_backoff * 2**k`` plus deterministic jitter.
-    retry_backoff: float = 0.05
-    #: Ceiling on a single backoff sleep.
-    retry_backoff_max: float = 2.0
     #: Directory for durable RDD checkpoints; defaults inside the spill dir.
     checkpoint_dir: str | None = None
     #: Sampling-profiler interval in seconds.  When set, the context runs
@@ -122,8 +116,6 @@ class EngineConfig:
     cluster_min_workers: int = 1
     #: Seconds to wait for the fleet (registration and slot acquisition).
     cluster_wait: float = 30.0
-    #: Seconds without a heartbeat before a worker is declared lost.
-    cluster_heartbeat_timeout: float = 10.0
     #: Consolidated per-job retry budget: total task failures tolerated
     #: across the whole run before the job fails with
     #: :class:`~repro.engine.faults.RetryBudgetExhaustedError`, so a
@@ -139,8 +131,7 @@ class PartitionStore:
     The driver's :class:`GPFContext` and the cluster worker's context
     both inherit it, so a partition is encoded, timed, stored, decoded
     and verified by the same code wherever the task runs.  Subclasses
-    provide ``block_manager``, ``serializer``, ``telemetry`` and
-    ``decode_batch_size``.
+    provide ``block_manager``, ``serializer`` and ``telemetry``.
     """
 
     # -- cache ------------------------------------------------------------
@@ -153,12 +144,7 @@ class PartitionStore:
         blob = self.block_manager.get((rdd.id, split))
         if blob is None:
             return None
-        return decode_partition(
-            blob,
-            self.serializer,
-            telemetry=self.telemetry,
-            batch_size=self.decode_batch_size,
-        )
+        return decode_partition(blob, self.serializer, telemetry=self.telemetry)
 
     def _cache_put(self, rdd: RDD, split: int, data: list) -> None:
         with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
@@ -193,12 +179,7 @@ class PartitionStore:
         # to a recompute-and-rewrite — checkpoint reads are rare enough
         # (resume paths) that the extra decode pass is cheap insurance.
         try:
-            part = decode_partition(
-                blob,
-                self.serializer,
-                telemetry=self.telemetry,
-                batch_size=self.decode_batch_size,
-            )
+            part = decode_partition(blob, self.serializer, telemetry=self.telemetry)
             for _ in part.batches():
                 pass
         except Exception:  # noqa: BLE001 - any decode failure => recompute
@@ -226,7 +207,6 @@ class GPFContext(PartitionStore):
         self.serializer = (
             get_serializer(serializer) if isinstance(serializer, str) else serializer
         )
-        self.decode_batch_size = self.config.decode_batch_size
         # -- observability (repro.obs) ----------------------------------
         # Every context owns a telemetry registry and an event bus; both
         # are near-free when nothing subscribes.  A configured trace_dir
@@ -277,11 +257,7 @@ class GPFContext(PartitionStore):
         self._owns_spill = self.config.spill_dir is None
         self._spill_dir = spill
         self.shuffle_manager = ShuffleManager(
-            spill,
-            network_bandwidth=self.config.network_bandwidth,
-            compress=self.config.shuffle_compression,
-            telemetry=self.telemetry,
-            chaos=self.chaos,
+            spill, telemetry=self.telemetry, chaos=self.chaos
         )
         self.metrics = MetricsRegistry()
         self._scheduler = DAGScheduler(self)

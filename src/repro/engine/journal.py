@@ -87,7 +87,6 @@ class CheckpointFileRDD(RDD):
             read_block_file(self._paths[split]),
             self.ctx.serializer,
             telemetry=self.ctx.telemetry,
-            batch_size=self.ctx.decode_batch_size,
         )
 
 

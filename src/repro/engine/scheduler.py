@@ -18,9 +18,9 @@ Retries are hardened three ways (Spark's speculation, scaled down):
 - **Deadlines** — with ``EngineConfig.task_timeout`` set, each attempt
   runs under a watchdog; a hung attempt is abandoned with
   :class:`~repro.engine.faults.TaskTimeoutError` and retried.
-- **Backoff** — failed attempts sleep ``retry_backoff * 2**attempt``
-  (capped, plus deterministic jitter) before retrying, so a transiently
-  overloaded resource is not hammered.
+- **Backoff** — failed attempts sleep ``RETRY_BACKOFF * 2**attempt``
+  (capped at ``RETRY_BACKOFF_MAX``, plus deterministic jitter) before
+  retrying, so a transiently overloaded resource is not hammered.
 - **Ledger** — every failed attempt is recorded in the metrics failure
   ledger keyed by ``(stage_kind, partition)``; executor-level incidents
   (timeouts, lost workers) are also counted as ``executor.<kind>``
@@ -46,6 +46,11 @@ from repro.engine.metrics import GC_TIMER, TaskMetrics
 if TYPE_CHECKING:
     from repro.engine.context import GPFContext
     from repro.engine.rdd import RDD, ShuffleDependency
+
+#: Base delay (seconds) of the exponential retry backoff.
+RETRY_BACKOFF = 0.05
+#: Ceiling on a single backoff sleep (seconds).
+RETRY_BACKOFF_MAX = 2.0
 
 
 class _StageProgress:
@@ -244,17 +249,13 @@ class DAGScheduler:
 
     def _backoff_delay(self, stage_kind: str, split: int, attempt: int) -> float:
         """Exponential backoff with deterministic jitter, capped."""
-        base = self.ctx.config.retry_backoff
-        if base <= 0:
-            return 0.0
-        cap = self.ctx.config.retry_backoff_max
-        delay = min(base * (2**attempt), cap)
+        delay = min(RETRY_BACKOFF * (2**attempt), RETRY_BACKOFF_MAX)
         # Jitter is seeded from the task identity (a string seed hashes
         # identically across interpreters) so reruns back off identically.
         jitter = random.Random(f"{stage_kind}:{split}:{attempt}").uniform(
             0.0, delay / 2
         )
-        return min(delay + jitter, cap)
+        return min(delay + jitter, RETRY_BACKOFF_MAX)
 
     def _run_with_retries(
         self,

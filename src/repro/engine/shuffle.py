@@ -4,8 +4,9 @@ Spark writes *all* shuffle data to disk, even for in-memory workloads — a
 fact the paper leans on ("even in-memory workloads store shuffle data on
 disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
 output by the partitioner, serialize each bucket with the RDD's serializer,
-and write one spill file per (shuffle, map partition, reduce partition).
-Reduce tasks read the files back.
+and write one spill file per (shuffle, map partition, reduce partition),
+whose bytes are exactly one crc-framed GPB2 block (``frame_block`` over
+``encode_partition``).  Reduce tasks read the files back.
 
 Every backend runs this code.  The only thing a backend may vary is
 :meth:`ShuffleManager._fetch_block` — "give me the bytes of block
@@ -30,7 +31,6 @@ from __future__ import annotations
 import os
 import shutil
 import threading
-import zlib
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
@@ -56,11 +56,12 @@ class ShuffleManager:
         self,
         spill_dir: str,
         network_bandwidth: float | None = 1.25e9,
-        compress: bool = False,
         telemetry=None,
         chaos=None,
     ):
         self._spill_dir = spill_dir
+        #: Modelled fabric bandwidth (bytes/s) charged as network-blocked
+        #: time on reads; None when fetches are measured instead.
         self._network_bandwidth = network_bandwidth
         #: Optional ChaosInjector: shuffle.write faults surface as task
         #: OSErrors (retried), shuffle.fetch mangles exercise the crc path.
@@ -68,10 +69,6 @@ class ShuffleManager:
         #: Optional TelemetryRegistry mirroring shuffle traffic as named
         #: whole-run counters (the context wires its own registry in).
         self._telemetry = telemetry
-        #: Spark's spark.shuffle.compress: zlib over the serialized bucket.
-        #: Off by default here because the gpf serializer already entropy-
-        #: codes its payload; the ablation benches flip it per run.
-        self._compress = compress
         #: What the location table records for a map output written here.
         #: Opaque to this class; ``_fetch_block`` is its only reader.
         self._here: object = None
@@ -124,10 +121,6 @@ class ShuffleManager:
             # torn file is detected on read instead of feeding garbage.
             body, _ = encode_partition(bucket, serializer)
             blob = frame_block(body)
-            if self._compress:
-                blob = b"z" + zlib.compress(blob, 1)
-            else:
-                blob = b"r" + blob
             total += len(blob)
             if self.chaos is not None:
                 # An injected ENOSPC/EIO here kills the map attempt; the
@@ -206,11 +199,8 @@ class ShuffleManager:
                     "shuffle.fetch", blob, shuffle=shuffle_id, map=map_partition
                 )
             total += len(blob)
-            tag, body = blob[:1], blob[1:]
-            if tag == b"z":
-                body = zlib.decompress(body)
             # crc check catches torn/corrupt spill files before decode.
-            part = decode_partition(unframe_block(body), serializer)
+            part = decode_partition(unframe_block(blob), serializer)
             if part:
                 parts.append(part)
         chain = PartitionChain(parts)

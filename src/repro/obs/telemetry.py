@@ -196,11 +196,19 @@ class TelemetryRegistry:
                 },
             }
 
-    def merge_counts(self, counts: dict[str, float]) -> None:
-        """Fold a mapping of counter deltas in (per-task partial counts)."""
+    def merge(self, snapshot: dict) -> None:
+        """Fold another registry's :meth:`snapshot` in (a shipped task's
+        partial telemetry): counters add, histograms merge bucket-wise.
+        Gauges are the sender's point-in-time values and are not folded.
+        """
         with self._lock:
-            for name, delta in counts.items():
+            for name, delta in snapshot.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + delta
+            for name, hist_snapshot in snapshot.get("histograms", {}).items():
+                hist = self._histograms.get(name)
+                if hist is None:
+                    hist = self._histograms[name] = Histogram()
+                hist.merge_snapshot(hist_snapshot)
 
     def reset(self) -> None:
         with self._lock:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.dist import cluster as dist_cluster
 from repro.dist.worker import WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
 
@@ -23,11 +24,14 @@ def cluster(tmp_path, workers=1, slots=2, tag="c", **config_kwargs):
         executor_backend="cluster",
         cluster_min_workers=workers,
         cluster_wait=10.0,
-        cluster_heartbeat_timeout=5.0,
         spill_dir=str(tmp_path / f"spill_{tag}"),
         **config_kwargs,
     )
-    ctx = GPFContext(config)
+    # Half the production timeout: silent-loss tests notice a dead worker
+    # sooner.  The fleet reads the constant once, at construction.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dist_cluster, "HEARTBEAT_TIMEOUT", 5.0)
+        ctx = GPFContext(config)
     daemons = []
     try:
         port = ctx.executor.fleet.port
@@ -91,6 +95,34 @@ class TestBasicJobs:
             assert rdd.count() == 400
             assert ctx.telemetry.counter("executor.fallbacks") == 0
             assert ctx.telemetry.counter("blockmanager.encode_seconds") > 0
+
+    def test_worker_side_histograms_land_in_the_driver(self, tmp_path):
+        """A shipped task's ``observe()`` calls travel home in RESULT with
+        its counters: the same job samples as often on a fleet as serially."""
+
+        def job(ctx):
+            rdd = ctx.parallelize(range(400), 4).map(lambda x: (x, "v" * 20))
+            rdd.persist()
+            # The first job fills the cache; the second decodes from it.
+            for _ in range(2):
+                assert rdd.map(lambda kv: kv[0]).count() == 400
+            counts = {
+                name: h["count"] for name, h in ctx.telemetry.histograms().items()
+            }
+            return counts, ctx.telemetry.counter("blockmanager.decoded_records")
+
+        serial = GPFContext(
+            EngineConfig(default_parallelism=4, spill_dir=str(tmp_path / "serial"))
+        )
+        try:
+            expected = job(serial)
+        finally:
+            serial.stop()
+        with cluster(tmp_path, workers=1, tag="hist") as (ctx, _):
+            actual = job(ctx)
+            assert ctx.telemetry.counter("executor.fallbacks") == 0
+        assert expected[0]["blockmanager.decode_batch_seconds"] > 0
+        assert actual == expected
 
     def test_per_worker_telemetry_and_gauge(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="tel") as (ctx, daemons):

@@ -73,21 +73,18 @@ def drive(manager, telemetry, root, map_inputs, serializer):
     return files, records, counters, metrics
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["raw", "zlib"])
 @pytest.mark.parametrize(
     "serializer_name, make_input",
     [("gpf", keyed_reads), ("compact", keyed_ints), ("pickle", keyed_ints)],
 )
 def test_single_node_dist_shuffle_equals_the_engine_shuffle(
-    tmp_path, serializer_name, make_input, compress
+    tmp_path, serializer_name, make_input
 ):
     serializer = get_serializer(serializer_name)
     plain_tel, dist_tel = TelemetryRegistry(), TelemetryRegistry()
     plain_root, dist_root = str(tmp_path / "plain"), str(tmp_path / "dist")
-    plain = ShuffleManager(plain_root, compress=compress, telemetry=plain_tel)
-    dist = DistShuffle(
-        dist_root, ("127.0.0.1", 1), compress=compress, telemetry=dist_tel
-    )
+    plain = ShuffleManager(plain_root, telemetry=plain_tel)
+    dist = DistShuffle(dist_root, ("127.0.0.1", 1), telemetry=dist_tel)
 
     expected = drive(plain, plain_tel, plain_root, make_input(), serializer)
     actual = drive(dist, dist_tel, dist_root, make_input(), serializer)

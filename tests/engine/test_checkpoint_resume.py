@@ -20,6 +20,7 @@ from repro.engine.faults import (
     TaskTimeoutError,
 )
 from repro.engine.journal import RunJournal, plan_signature
+from repro.engine.scheduler import RETRY_BACKOFF, RETRY_BACKOFF_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,6 @@ class TestDeadlinesAndBackoff:
             spill_dir=str(tmp_path / "spill"),
             task_timeout=0.2,
             max_task_attempts=2,
-            retry_backoff=0.01,
         )
 
         def hang(x):
@@ -332,7 +332,6 @@ class TestDeadlinesAndBackoff:
             spill_dir=str(tmp_path / "spill"),
             task_timeout=0.5,
             max_task_attempts=3,
-            retry_backoff=0.01,
         )
         hung_once: list[bool] = []
 
@@ -346,21 +345,16 @@ class TestDeadlinesAndBackoff:
             assert ctx.parallelize([1, 2], 1).map(flaky).collect() == [2, 4]
             assert ctx.metrics.failure_counts() == {("result", 0): 1}
 
-    def test_backoff_is_deterministic_and_bounded(self, tmp_path):
-        config = EngineConfig(
-            spill_dir=str(tmp_path / "spill"),
-            retry_backoff=0.05,
-            retry_backoff_max=0.4,
-        )
-        with GPFContext(config) as ctx:
-            scheduler = ctx._scheduler
-            first = scheduler._backoff_delay("result", 3, 2)
-            assert first == scheduler._backoff_delay("result", 3, 2)
-            assert 0 < first <= 0.4
-            # Different task identity jitters differently.
-            assert first != scheduler._backoff_delay("result", 4, 2)
-            # Exponential growth until the cap.
-            assert scheduler._backoff_delay("result", 0, 9) <= 0.4
+    def test_backoff_is_deterministic_and_bounded(self, ctx):
+        scheduler = ctx._scheduler
+        first = scheduler._backoff_delay("result", 3, 2)
+        assert first == scheduler._backoff_delay("result", 3, 2)
+        # Attempt 2: base * 2**2, plus up to half of that in jitter.
+        assert RETRY_BACKOFF * 4 <= first <= RETRY_BACKOFF * 6
+        # Different task identity jitters differently.
+        assert first != scheduler._backoff_delay("result", 4, 2)
+        # Exponential growth until the cap.
+        assert scheduler._backoff_delay("result", 0, 9) == RETRY_BACKOFF_MAX
 
     def test_injected_failures_enter_ledger(self, ctx):
         ctx.add_fault_injector(RandomFaults(rate=1.0, seed=0, max_failures=2))

@@ -17,6 +17,9 @@ from repro.engine.metrics import (
     StageMetrics,
     TaskMetrics,
 )
+from repro.engine.rdd import HashPartitioner
+from repro.engine.serializers import get_serializer
+from repro.engine.shuffle import ShuffleManager
 from repro.obs import TelemetryRegistry
 
 
@@ -74,21 +77,30 @@ class TestEngineIntegration:
         job = ctx.metrics.job()
         assert sum(s.disk_blocked for s in job.stages) > 0
 
+    @staticmethod
+    def _reduce_network_blocked(tmp_path, network_bandwidth) -> float:
+        """Shuffle 4 map outputs through one manager; the reduce task's
+        charged network-blocked seconds."""
+        manager = ShuffleManager(
+            str(tmp_path / "s"), network_bandwidth=network_bandwidth
+        )
+        serializer = get_serializer("gpf")
+        shuffle_id = manager.register(4)
+        for map_partition in range(4):
+            manager.write(
+                shuffle_id, map_partition, [(0, "z" * 500)] * 50,
+                HashPartitioner(1), serializer, TaskMetrics(),
+            )
+        task = TaskMetrics()
+        manager.read(shuffle_id, 0, serializer, task)
+        return task.network_blocked
+
     def test_network_model_charges_remote_fraction(self, tmp_path):
-        config = EngineConfig(
-            spill_dir=str(tmp_path / "s"), network_bandwidth=1e6
-        )  # slow fabric so the charge is visible
-        with GPFContext(config) as ctx:
-            ctx.parallelize([(i % 2, "z" * 500) for i in range(200)], 4).group_by_key().collect()
-            job = ctx.metrics.job()
-            assert sum(s.network_blocked for s in job.stages) > 0
+        # A slow fabric so the charge is visible: 3 of 4 blocks are remote.
+        assert self._reduce_network_blocked(tmp_path, 1e6) > 0
 
     def test_network_model_disabled(self, tmp_path):
-        config = EngineConfig(spill_dir=str(tmp_path / "s"), network_bandwidth=None)
-        with GPFContext(config) as ctx:
-            ctx.parallelize([(1, 1)], 2).group_by_key().collect()
-            job = ctx.metrics.job()
-            assert sum(s.network_blocked for s in job.stages) == 0
+        assert self._reduce_network_blocked(tmp_path, None) == 0
 
     def test_metrics_reset(self, ctx):
         ctx.parallelize([1], 1).collect()
