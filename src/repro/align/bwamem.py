@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.align.fmindex import FMIndex, reverse_complement
-from repro.align.seeds import Seed, chain_seeds, find_seeds
+from repro.align.seeds import Seed, chain_seeds, find_seeds_batch
 from repro.align.smith_waterman import ScoringScheme, smith_waterman
 from repro.align.sw_batch import smith_waterman_batch
 from repro.formats import flags as F
@@ -83,16 +83,25 @@ class BwaMemAligner:
     ) -> list[list[AlignmentCandidate]]:
         """Candidate placements for a batch of reads, best first per read.
 
-        Seed/chain discovery runs per read, but every candidate chain of
-        every read in the batch is extended in ONE vectorized banded
-        Smith-Waterman DP (:func:`smith_waterman_batch`) — the CPU-bound
-        extension kernel the paper's Fig. 13 profile points at.
+        Every anchor of every read in the batch is seeded by ONE lockstep
+        FM-index backward search (:func:`find_seeds_batch`), chaining runs
+        per read, and every candidate chain of every read is extended in
+        ONE vectorized banded Smith-Waterman DP
+        (:func:`smith_waterman_batch`) — the extension kernel the paper's
+        Fig. 13 profile points at.
         """
         cfg = self.config
+        seeds_per_read = find_seeds_batch(
+            self.index,
+            sequences,
+            min_seed_length=cfg.min_seed_length,
+            max_hits_per_seed=cfg.max_hits_per_seed,
+            anchor_stride=cfg.anchor_stride,
+        )
         jobs: list[_ChainJob] = []
         owners: list[int] = []
         for idx, sequence in enumerate(sequences):
-            for job in self._chain_jobs(sequence):
+            for job in self._chain_jobs(sequence, seeds_per_read[idx]):
                 jobs.append(job)
                 owners.append(idx)
         results = smith_waterman_batch(
@@ -146,16 +155,9 @@ class BwaMemAligner:
         return ";".join(entries) + ";"
 
     # -- internals --------------------------------------------------------
-    def _chain_jobs(self, sequence: str) -> list[_ChainJob]:
-        """Seed, orient and chain one read; extension jobs for top chains."""
+    def _chain_jobs(self, sequence: str, seeds: list[Seed]) -> list[_ChainJob]:
+        """Orient and chain one read's seeds; extension jobs for top chains."""
         cfg = self.config
-        seeds = find_seeds(
-            self.index,
-            sequence,
-            min_seed_length=cfg.min_seed_length,
-            max_hits_per_seed=cfg.max_hits_per_seed,
-            anchor_stride=cfg.anchor_stride,
-        )
         if not seeds:
             return []
         n = len(sequence)

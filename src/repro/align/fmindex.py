@@ -4,6 +4,9 @@ Supports the two primitives seed-and-extend alignment needs:
 
 - :meth:`FMIndex.backward_search` — the (lo, hi) suffix-array interval of
   every exact occurrence of a pattern, in O(|pattern|) rank queries.
+  :meth:`FMIndex.extend_left` is its one-character step and
+  :meth:`FMIndex.extend_left_batch` the same step for many independent
+  lanes at once.
 - :meth:`FMIndex.locate` — text positions for an interval, via the sampled
   suffix array and LF-walking.
 
@@ -24,8 +27,11 @@ from repro.align.bwt import bwt_from_suffix_array
 from repro.align.suffix_array import build_suffix_array
 from repro.formats.fasta import Reference
 
-#: DNA complement for reverse-complement handling.
-_COMPLEMENT = bytes.maketrans(b"ACGTN", b"TGCAN")
+#: DNA complement for reverse-complement handling: case-preserving, with
+#: the IUPAC ambiguity pairs (S, W and N are their own complements).
+_COMPLEMENT = bytes.maketrans(
+    b"ACGTNRYKMBVDHSWacgtnrykmbvdhsw", b"TGCANYRMKVBHDSWtgcanyrmkvbhdsw"
+)
 
 
 def reverse_complement(seq: str) -> str:
@@ -144,6 +150,61 @@ class FMIndex:
         new_lo = int(self._C[code]) + self._rank(int(code), lo)
         new_hi = int(self._C[code]) + self._rank(int(code), hi)
         return (new_lo, new_hi) if new_lo < new_hi else (0, 0)
+
+    def search_codes(self, text: bytes) -> np.ndarray:
+        """Per-byte character codes of ``text`` for :meth:`extend_left_batch`.
+
+        ``N``, lowercase and any byte outside the alphabet map to -1, which
+        ends a search exactly where :meth:`extend_left` would.
+        """
+        codes = self._code_of[np.frombuffer(text, dtype=np.uint8)]
+        codes[codes == self._code_of[ord("N")]] = -1
+        return codes
+
+    def extend_left_batch(
+        self, codes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`extend_left` for many independent lanes at once.
+
+        Lane ``i`` extends ``(lo[i], hi[i])`` by the character whose code
+        (from :meth:`search_codes`) is ``codes[i]``.  A negative code or an
+        emptied interval yields ``(0, 0)``, as in the scalar step.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        valid = codes >= 0
+        safe = np.where(valid, codes, 0)
+        ranks = self._rank_batch(
+            np.concatenate([safe, safe]),
+            np.concatenate([lo, hi]).astype(np.int64, copy=False),
+        )
+        new_lo = self._C[safe] + ranks[: len(safe)]
+        new_hi = self._C[safe] + ranks[len(safe) :]
+        empty = ~valid | (new_lo >= new_hi)
+        new_lo[empty] = 0
+        new_hi[empty] = 0
+        return new_lo, new_hi
+
+    def _rank_batch(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """:meth:`_rank` per lane: the occ checkpoint at or below ``row``
+        plus a masked compare over the ``occ_sample``-byte BWT block that
+        starts at that checkpoint."""
+        sample = self._occ_sample
+        checkpoint = rows // sample
+        # Whole blocks are gathered from a reshaped view of the BWT (small
+        # uint8 temporaries, no index matrix); the short last block, padded,
+        # is copied in for the lanes whose row falls in it.
+        full = len(self._bwt_codes) // sample
+        last = np.zeros(sample, dtype=np.uint8)
+        last[: len(self._bwt_codes) - full * sample] = self._bwt_codes[full * sample :]
+        if full:
+            blocks = self._bwt_codes[: full * sample].reshape(full, sample)
+            window = blocks[np.minimum(checkpoint, full - 1)]
+            window[checkpoint == full] = last
+        else:
+            window = np.broadcast_to(last, (len(rows), sample))
+        hits = window == codes.astype(np.uint8)[:, None]
+        hits &= np.arange(sample) < (rows - checkpoint * sample)[:, None]
+        return self._occ[checkpoint, codes] + np.count_nonzero(hits, axis=1)
 
     # -- locate ------------------------------------------------------------
     def _suffix_position(self, row: int) -> int:

@@ -8,13 +8,25 @@ there via repeated backward-search extension, then filters out contained
 matches — a faithful (if simplified) SMEM definition that preserves the
 property the pipeline needs: every alignable read yields at least one
 long, low-repetition seed.
+
+:func:`find_seeds` does this one read, one anchor, one base at a time and
+is the reference.  :func:`find_seeds_batch` returns exactly the same seeds
+for a batch of reads, but extends every ``(read, anchor)`` pair as one lane
+of a lockstep backward search (:meth:`FMIndex.extend_left_batch`), and
+never extends an anchor whose match is already known to be contained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.align.fmindex import FMIndex
+
+#: One anchor's extension: ``(start, end, lo, hi)`` — the match
+#: read[start:end] and its suffix-array interval.
+Extension = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,13 +65,8 @@ def find_seeds(
     n = len(read)
     if n < min_seed_length:
         return []
-    anchors = list(range(n, min_seed_length - 1, -anchor_stride))
-    if anchors and anchors[-1] != min_seed_length:
-        anchors.append(min_seed_length)
-
-    kept_intervals: list[tuple[int, int]] = []
-    seeds: list[Seed] = []
-    for end in anchors:
+    extensions: list[Extension] = []
+    for end in _anchors(n, min_seed_length, anchor_stride):
         lo, hi = 0, index.text_length
         start = end
         # Extend left while the interval stays non-empty.
@@ -69,6 +76,130 @@ def find_seeds(
                 break
             lo, hi = new_lo, new_hi
             start -= 1
+        extensions.append((start, end, lo, hi))
+    return _kept_seeds(index, extensions, min_seed_length, max_hits_per_seed)
+
+
+def find_seeds_batch(
+    index: FMIndex,
+    reads: list[str],
+    min_seed_length: int = 19,
+    max_hits_per_seed: int = 16,
+    anchor_stride: int = 8,
+) -> list[list[Seed]]:
+    """Seeds for every read of a batch: exactly
+    ``[find_seeds(index, read, ...) for read in reads]``, with the backward
+    searches run by :func:`extend_anchors_batch`."""
+    extensions, _ = extend_anchors_batch(index, reads, min_seed_length, anchor_stride)
+    return [
+        _kept_seeds(index, read_extensions, min_seed_length, max_hits_per_seed)
+        for read_extensions in extensions
+    ]
+
+
+def extend_anchors_batch(
+    index: FMIndex,
+    reads: list[str],
+    min_seed_length: int = 19,
+    anchor_stride: int = 8,
+) -> tuple[list[list[Extension]], int]:
+    """Anchor extensions of every read, and the lane-steps that took.
+
+    Runs in two lockstep waves.  The first extends each read's first anchor
+    (the read end).  A read whose first match reaches position 0 keeps the
+    seed ``[0, n)``, which contains every later anchor's match whatever its
+    extension, so the second wave extends the remaining anchors of the
+    other reads only.  Each read's list is in anchor order, without the
+    skipped anchors.  The step count (one per lane per backward-search
+    step, the work of one :meth:`FMIndex.extend_left` call) is the
+    deterministic work counter of this layer.
+    """
+    lengths = [len(read) for read in reads]
+    # One code per character: ``replace`` turns each non-ASCII character
+    # into one '?' byte, which stops a lane like any byte off the alphabet.
+    codes = index.search_codes("".join(reads).encode("ascii", "replace"))
+    read_offsets = np.cumsum([0] + lengths[:-1], dtype=np.int64)
+    anchors = [
+        _anchors(n, min_seed_length, anchor_stride) if n >= min_seed_length else []
+        for n in lengths
+    ]
+    extensions: list[list[Extension]] = [[] for _ in reads]
+
+    def run_wave(lanes: list[tuple[int, int]]) -> int:
+        if not lanes:
+            return 0
+        read_ids, ends = np.asarray(lanes, dtype=np.int64).T
+        starts, los, his, steps = _extend_lanes(
+            index, codes, read_offsets[read_ids], ends
+        )
+        for (read_id, end), start, lo, hi in zip(
+            lanes, starts.tolist(), los.tolist(), his.tolist()
+        ):
+            extensions[read_id].append((start, end, lo, hi))
+        return steps
+
+    steps = run_wave([(i, ends[0]) for i, ends in enumerate(anchors) if ends])
+    steps += run_wave(
+        [
+            (i, end)
+            for i, ends in enumerate(anchors)
+            if ends and extensions[i][0][0] > 0
+            for end in ends[1:]
+        ]
+    )
+    return extensions, steps
+
+
+def _extend_lanes(
+    index: FMIndex, codes: np.ndarray, read_offsets: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Extend lanes left in lockstep until each interval would empty or the
+    lane reaches its read's first base; compacts the active set each step.
+
+    Lane ``i`` reads ``codes`` leftwards from ``read_offsets[i] + ends[i] - 1``.
+    Returns the final ``(start, lo, hi)`` arrays and the lane-steps taken.
+    """
+    starts = ends.copy()
+    los = np.zeros(len(ends), dtype=np.int64)
+    his = np.full(len(ends), index.text_length, dtype=np.int64)
+    active = np.flatnonzero(starts > 0)
+    steps = 0
+    while active.size:
+        steps += int(active.size)
+        new_lo, new_hi = index.extend_left_batch(
+            codes[read_offsets[active] + starts[active] - 1],
+            los[active],
+            his[active],
+        )
+        grew = new_lo < new_hi
+        moved = active[grew]
+        los[moved] = new_lo[grew]
+        his[moved] = new_hi[grew]
+        starts[moved] -= 1
+        active = moved[starts[moved] > 0]
+    return starts, los, his, steps
+
+
+def _anchors(n: int, min_seed_length: int, anchor_stride: int) -> list[int]:
+    """Anchor ends, read end first, every ``anchor_stride`` down to
+    ``min_seed_length``."""
+    anchors = list(range(n, min_seed_length - 1, -anchor_stride))
+    if anchors and anchors[-1] != min_seed_length:
+        anchors.append(min_seed_length)
+    return anchors
+
+
+def _kept_seeds(
+    index: FMIndex,
+    extensions: list[Extension],
+    min_seed_length: int,
+    max_hits_per_seed: int,
+) -> list[Seed]:
+    """Containment filter over one read's extensions, in anchor order, and
+    up to ``max_hits_per_seed`` located hits for each kept match."""
+    kept_intervals: list[tuple[int, int]] = []
+    seeds: list[Seed] = []
+    for start, end, lo, hi in extensions:
         length = end - start
         if length < min_seed_length:
             continue

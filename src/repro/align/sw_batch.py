@@ -78,9 +78,14 @@ def smith_waterman_batch(
         if r:
             r_arr[b, : len(r)] = np.frombuffer(r.encode("ascii"), dtype=np.uint8)
 
-    H = np.zeros((B, m_max + 1, n_max + 1), dtype=np.int64)
-    E = np.full((B, m_max + 1, n_max + 1), NEG_INF, dtype=np.int64)
-    F = np.full((B, m_max + 1, n_max + 1), NEG_INF, dtype=np.int64)
+    # One block for all three matrices: for aligner-sized batches it is
+    # above glibc's adaptive mmap threshold (capped at 32 MiB), so it is
+    # mapped and unmapped per batch.  Three separate ~23 MB matrices could
+    # land in the heap instead, where fragmentation added ~20 MB to peak
+    # RSS in some runs and not in others.
+    H, E, F = np.zeros((3, B, m_max + 1, n_max + 1), dtype=np.int64)
+    E.fill(NEG_INF)
+    F.fill(NEG_INF)
 
     n_big = ord("N")
     r_is_n = r_arr == n_big

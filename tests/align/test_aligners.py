@@ -79,6 +79,16 @@ class TestBwaMem:
         # SEQ is stored as the forward-strand sequence.
         assert rec.seq == ref.contigs[0].fetch(2500, 2600)
 
+    def test_reverse_strand_seq_keeps_soft_mask_and_iupac(self, ref):
+        forward = ref.contigs[0].fetch(2500, 2600)
+        rc = reverse_complement(forward)
+        # Soft-mask the read end that covers forward[:10]; a Y at read
+        # offset 49 is an R at forward offset 50.
+        read_seq = rc[:49] + "Y" + rc[50:90] + rc[90:].lower()
+        rec = BwaMemAligner(ref).align_read(FastqRecord("rm", read_seq, "I" * 100))
+        assert rec.is_reverse
+        assert rec.seq == forward[:10].lower() + forward[10:50] + "R" + forward[51:]
+
     def test_read_with_mismatches(self, ref):
         raw = read_at(ref, 4000)
         seq = list(raw.sequence)

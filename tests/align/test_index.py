@@ -132,6 +132,12 @@ class TestReverseComplement:
     def test_basic(self):
         assert reverse_complement("ACGTN") == "NACGT"
 
-    @given(dna)
+    def test_lowercase_and_iupac_are_complemented(self):
+        assert reverse_complement("acgtn") == "nacgt"
+        assert reverse_complement("ACGR") == "YCGT"
+        assert reverse_complement("RYKMBVDHSW") == "WSDHBVKMRY"
+        assert reverse_complement("aCgRy") == "rYcGt"
+
+    @given(st.text(alphabet="ACGTNRYKMBVDHSWacgtnrykmbvdhsw", max_size=200))
     def test_involution(self, seq):
         assert reverse_complement(reverse_complement(seq)) == seq

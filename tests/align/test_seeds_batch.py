@@ -1,0 +1,223 @@
+"""Batched FM-index seeding must reproduce the scalar path exactly.
+
+Differential tests over seeded stdlib-``random`` inputs: repeat-rich and
+random references, read batches mixing lengths (0, below, at and well
+above ``min_seed_length``) with ``N``, lowercase and IUPAC bases, and
+several anchor strides / seed lengths.  ``find_seeds`` and
+``FMIndex.extend_left`` are the references.
+"""
+
+import random
+
+import pytest
+
+from repro.align.fmindex import FMIndex, reverse_complement
+from repro.align.pairing import PairedEndAligner
+from repro.align.seeds import extend_anchors_batch, find_seeds, find_seeds_batch
+from repro.formats.fasta import Contig, Reference
+from repro.sim import ReadSimConfig, ReadSimulator, generate_reference
+
+#: Off-alphabet bases a read can carry: soft-masked, ambiguous, unknown.
+NOISE = "NacgtnRYKMBVDHSW?"
+
+#: ``(anchor_stride, min_seed_length)``; the first is the aligner default.
+SEED_PARAMS = [(8, 19), (1, 12), (5, 25), (13, 4)]
+
+
+def _dna(rng, n):
+    return "".join(rng.choice("ACGT") for _ in range(n))
+
+
+def _mutate(rng, seq, rate):
+    out = list(seq)
+    for i in range(len(out)):
+        if rng.random() < rate:
+            out[i] = rng.choice("ACGT" + NOISE)
+    return "".join(out)
+
+
+def _random_reference():
+    rng = random.Random(101)
+    return Reference(
+        [Contig("r1", _dna(rng, 1_500).encode()), Contig("r2", _dna(rng, 900).encode())]
+    )
+
+
+def _repeat_reference():
+    """Tandem repeats plus exact and near-exact copies of one segment."""
+    rng = random.Random(202)
+    segment = _dna(rng, 180)
+    near_copy = "".join(
+        rng.choice("ACGT") if rng.random() < 0.03 else c for c in segment
+    )
+    parts = [
+        _dna(rng, 300),
+        _dna(rng, 3) * 60,
+        segment,
+        _dna(rng, 250),
+        segment,
+        _dna(rng, 7) * 30,
+        near_copy,
+        "A" * 40,
+        _dna(rng, 200),
+    ]
+    return Reference(
+        [Contig("rep", "".join(parts).encode()), Contig("cp", segment.encode() * 3)]
+    )
+
+
+def _simulated_reference():
+    return generate_reference([2_500], n_run_rate=0.002, n_run_length=20, seed=31)
+
+
+REFERENCES = {
+    "random": _random_reference,
+    "repeats": _repeat_reference,
+    "simulated": _simulated_reference,
+    # A BWT shorter than one occ block.
+    "tiny": lambda: Reference([Contig("t", b"ACGTNACG")]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCES))
+def index(request):
+    return FMIndex(REFERENCES[request.param]())
+
+
+def _read_batch(rng, reference, min_seed_length, size=30):
+    """Reads of mixed lengths and sources, with off-alphabet noise."""
+    contigs = [c.sequence.decode() for c in reference.contigs]
+    reads = []
+    for _ in range(size):
+        length = rng.choice(
+            [0, rng.randint(1, max(1, min_seed_length - 1)), min_seed_length]
+            + [rng.randint(100, 151)] * 3
+        )
+        source = rng.choice(contigs)
+        if rng.random() < 0.15 or length > len(source):
+            read = _dna(rng, length)
+        else:
+            start = rng.randint(0, len(source) - length)
+            read = source[start : start + length]
+            if rng.random() < 0.5:
+                read = reverse_complement(read)
+        read = _mutate(rng, read, rng.choice([0.0, 0.005, 0.02, 0.08]))
+        if read and rng.random() < 0.1:  # a soft-masked run
+            cut = rng.randint(0, len(read))
+            read = read[:cut] + read[cut:].lower()
+        reads.append(read)
+    return reads
+
+
+class TestFindSeedsBatch:
+    @pytest.mark.parametrize("anchor_stride,min_seed_length", SEED_PARAMS)
+    def test_random_batches_match_scalar(self, index, anchor_stride, min_seed_length):
+        rng = random.Random(anchor_stride * 1_000 + min_seed_length)
+        kwargs = dict(min_seed_length=min_seed_length, anchor_stride=anchor_stride)
+        for _ in range(4):
+            reads = _read_batch(rng, index.reference, min_seed_length)
+            batched = find_seeds_batch(index, reads, **kwargs)
+            assert len(batched) == len(reads)
+            for read, got in zip(reads, batched):
+                assert got == find_seeds(index, read, **kwargs), read
+
+    def test_max_hits_is_honoured(self, index):
+        rng = random.Random(5)
+        reads = _read_batch(rng, index.reference, 12)
+        for limit in (1, 3):
+            kwargs = dict(min_seed_length=12, max_hits_per_seed=limit, anchor_stride=4)
+            assert find_seeds_batch(index, reads, **kwargs) == [
+                find_seeds(index, read, **kwargs) for read in reads
+            ]
+
+    def test_later_anchor_reaching_read_start_is_kept(self):
+        """Only a first match reaching base 0 lets later anchors be skipped:
+        here it stops at base 1 while a later anchor's match reaches 0."""
+        rng = random.Random(9)
+        body = _dna(rng, 400)
+        first = "A" if body[100] != "A" else "C"
+        read = first + body[101:200]
+        # A copy of read[:29] elsewhere, so anchors ending by 29 reach base 0.
+        contig = body + "N" + read[:29] + _dna(rng, 50)
+        index = FMIndex(Reference([Contig("c", contig.encode())]))
+        seeds = find_seeds(index, read)
+        assert (0, 28) in {(s.query_start, s.query_end) for s in seeds}
+        assert min(s.query_start for s in seeds if s.query_end == 100) == 1
+        assert find_seeds_batch(index, [read]) == [seeds]
+
+    def test_edge_batches(self, index):
+        edge = ["", "A", "N" * 30, "acgt" * 10, "?" * 25, "ACGTé" * 6]
+        assert find_seeds_batch(index, []) == []
+        assert find_seeds_batch(index, edge) == [find_seeds(index, r) for r in edge]
+
+
+class TestExtendLeftBatch:
+    def test_lanes_match_scalar_step(self, index):
+        rng = random.Random(77)
+        text_len = index.text_length
+        contig = index.reference.contigs[0].sequence.decode()
+        intervals = [(0, text_len), (0, 0), (text_len, text_len)]
+        for _ in range(60):
+            start = rng.randint(0, max(0, len(contig) - 12))
+            pattern = contig[start : start + rng.randint(1, 12)]
+            intervals.append(index.backward_search(pattern))
+            lo = rng.randint(0, text_len)
+            intervals.append((lo, rng.randint(lo, text_len)))
+        chars = "ACGT" + NOISE + "\x00"
+        lanes = [(rng.choice(chars), lo, hi) for lo, hi in intervals for _ in range(3)]
+        codes = index.search_codes("".join(c for c, _, _ in lanes).encode("ascii"))
+        new_lo, new_hi = index.extend_left_batch(
+            codes, [lo for _, lo, _ in lanes], [hi for _, _, hi in lanes]
+        )
+        for (char, lo, hi), got_lo, got_hi in zip(lanes, new_lo, new_hi):
+            assert (int(got_lo), int(got_hi)) == index.extend_left(char, lo, hi)
+
+
+class TestSeedingWork:
+    def test_skipped_anchors_cut_backward_search_steps(self):
+        """The lane-step count of the batched path is pinned against the
+        scalar path's ``extend_left`` calls on a fixed simulated input."""
+        reference = generate_reference([6_000], seed=211)
+        simulator = ReadSimulator(reference, ReadSimConfig(coverage=3.0, seed=211))
+        pairs = simulator.simulate()
+        reads = [r.sequence for pair in pairs for r in (pair.read1, pair.read2)]
+        index = FMIndex(reference)
+
+        scalar_steps = 0
+        extend_left = index.extend_left
+
+        def counting_extend_left(char, lo, hi):
+            nonlocal scalar_steps
+            scalar_steps += 1
+            return extend_left(char, lo, hi)
+
+        index.extend_left = counting_extend_left
+        expected = [find_seeds(index, read) for read in reads]
+        del index.extend_left
+
+        _, batch_steps = extend_anchors_batch(index, reads)
+        assert find_seeds_batch(index, reads) == expected
+        assert scalar_steps > 0
+        assert batch_steps <= 0.55 * scalar_steps, (batch_steps, scalar_steps)
+
+
+class TestAlignerOutput:
+    def test_align_pairs_sam_matches_scalar_seeding(self, monkeypatch):
+        reference = generate_reference([5_000], seed=17)
+        pairs = ReadSimulator(reference, ReadSimConfig(coverage=2.0, seed=3)).simulate()
+        aligner = PairedEndAligner(reference)
+
+        def sam_lines():
+            return [
+                rec.to_line()
+                for start in range(0, len(pairs), 16)
+                for mates in aligner.align_pairs(pairs[start : start + 16])
+                for rec in mates
+            ]
+
+        batched = sam_lines()
+        monkeypatch.setattr(
+            "repro.align.bwamem.find_seeds_batch",
+            lambda index, reads, **kw: [find_seeds(index, r, **kw) for r in reads],
+        )
+        assert sam_lines() == batched
