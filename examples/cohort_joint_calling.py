@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 
 from repro.caller.filters import apply_hard_filters, filter_summary, passing
+from repro.chaos import ChaosPlan, ChaosRule
 from repro.cleaner.qc import flagstat, insert_size_metrics
 from repro.engine import EngineConfig, GPFContext
-from repro.engine.faults import RandomFaults
 from repro.sim import (
     ReadSimConfig,
     ReadSimulator,
@@ -39,9 +39,17 @@ def main() -> None:
     print(f"   samples: {[len(s) for s in samples]} pairs; truth: {len(truth.records)} variants")
 
     print("2. Building the cohort pipeline and injecting random task failures...")
-    ctx = GPFContext(EngineConfig(default_parallelism=3, max_task_attempts=6))
-    faults = RandomFaults(rate=0.08, seed=85, max_failures=12)
-    ctx.add_fault_injector(faults)
+    faults = ChaosPlan(
+        seed=85,
+        rules=[
+            ChaosRule(
+                site="task.attempt", fault="die", probability=0.08, max_faults=12
+            )
+        ],
+    )
+    ctx = GPFContext(
+        EngineConfig(default_parallelism=3, max_task_attempts=6, chaos=faults)
+    )
     handles = build_cohort_pipeline(
         ctx,
         reference,
@@ -55,7 +63,7 @@ def main() -> None:
     handles.pipeline.run()
     raw_calls = handles.vcf.rdd.collect()
     elapsed = time.perf_counter() - start
-    print(f"\n3. Done in {elapsed:.1f}s despite {faults.injected} injected task failures")
+    print(f"\n3. Done in {elapsed:.1f}s despite {ctx.chaos.injected} injected task failures")
 
     print("\n4. Per-sample QC (flagstat + insert sizes):")
     for i in range(3):

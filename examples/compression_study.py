@@ -11,6 +11,8 @@ Run:  python examples/compression_study.py
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
 from repro.compression.delta import delta_encode
@@ -22,7 +24,7 @@ from repro.compression.twobit import (
     decompress_sequence,
     mask_special_bases,
 )
-from repro.engine.serializers import CompactSerializer, PickleSerializer
+from repro.engine.serializers import CompactSerializer
 from repro.formats.fastq import FastqRecord
 from repro.sim.qualities import ILLUMINA_HISEQ, ILLUMINA_OLD
 
@@ -59,7 +61,7 @@ def measured_study() -> None:
     raw = sum(len(r.name) + len(r.sequence) + len(r.quality) + 6 for r in reads)
     gpf = len(FastqCodec.encode(reads))
     kryo = len(CompactSerializer().dumps(reads))
-    java = len(PickleSerializer().dumps(reads))
+    java = len(pickle.dumps(reads, protocol=2))  # Java-serialization stand-in
     print(f"  raw FASTQ text : {raw / 1e3:8.1f} KB")
     print(f"  Java (pickle)  : {java / 1e3:8.1f} KB ({java / raw:.2f}x raw)")
     print(f"  Kryo (compact) : {kryo / 1e3:8.1f} KB ({kryo / raw:.2f}x raw)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.align.fmindex import FMIndex, reverse_complement
 from repro.align.seeds import Seed, chain_seeds, find_seeds_batch
-from repro.align.smith_waterman import ScoringScheme, smith_waterman
+from repro.align.smith_waterman import ScoringScheme
 from repro.align.sw_batch import smith_waterman_batch
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar, CigarOp
@@ -206,25 +206,6 @@ class BwaMemAligner:
             contig=anchor.contig,
             is_reverse=is_reverse,
         )
-
-    def _extend_chain(
-        self, chain: list[Seed], sequence: str, rc: str
-    ) -> AlignmentCandidate | None:
-        """Scalar single-chain extension (the batched path in
-        :meth:`candidates_batch` is the hot one; this stays as the
-        reference entry point)."""
-        cfg = self.config
-        job = self._job_from_chain(chain, sequence, rc)
-        # The seed diagonal sits ``extension_pad`` columns right of the main
-        # diagonal (the window starts that far before the read's implied
-        # start), so a band of pad + band_width covers it plus indel slack.
-        result = smith_waterman(
-            job.query,
-            job.ref_window,
-            scoring=cfg.scoring,
-            band=cfg.extension_pad + cfg.band_width,
-        )
-        return self._candidate_from_result(job, result)
 
     def _candidate_from_result(
         self, job: _ChainJob, result

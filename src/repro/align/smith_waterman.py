@@ -37,14 +37,6 @@ class AlignmentResult:
     ref_end: int
     cigar_pairs: tuple[tuple[int, str], ...]  # (length, op) over [query_start, query_end)
 
-    @property
-    def query_span(self) -> int:
-        return self.query_end - self.query_start
-
-    @property
-    def ref_span(self) -> int:
-        return self.ref_end - self.ref_start
-
 
 def smith_waterman(
     query: str,

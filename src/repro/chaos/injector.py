@@ -23,10 +23,9 @@ counter, so the same plan + seed reproduces the identical ordered fault
 sequence.  Each injection is appended to :attr:`ChaosInjector.log` and
 published as a schema-validated ``chaos.inject`` event.
 
-The injector is picklable (locks and event buses are dropped, as with
-:class:`repro.engine.faults.RandomFaults`) so it can ride into
-cluster workers; replay assertions should run on the serial or thread
-backend where one process observes the whole sequence.
+The injector is picklable (locks and event buses are dropped) so it can
+ride into cluster workers; replay assertions should run on the serial or
+thread backend where one process observes the whole sequence.
 """
 
 from __future__ import annotations
@@ -192,16 +191,6 @@ class ChaosInjector:
             return SystemExit(message)
         raise AssertionError(f"unrealizable fault {rule.fault!r}")
 
-    # -- task-injector protocol (absorbs engine/faults.py ad-hoc hooks) --
-    def __call__(self, stage_kind: str, partition: int, attempt: int) -> None:
-        """Scheduler fault-injector adapter: the ``task.attempt`` site."""
-        self.hit(
-            "task.attempt",
-            stage_kind=stage_kind,
-            partition=partition,
-            attempt=attempt,
-        )
-
     # -- introspection ---------------------------------------------------
     @property
     def injected(self) -> int:
@@ -228,7 +217,7 @@ class ChaosInjector:
             f"rules={len(self.plan.rules)} injected={self.injected}>"
         )
 
-    # -- pickling (rides into process-backend workers) -------------------
+    # -- pickling (rides into cluster workers in TASK frames) ------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--known-sites", help="dbSNP-like VCF path")
     run.add_argument("--output", required=True, help="output VCF path")
     run.add_argument(
-        "--serializer", choices=("gpf", "compact", "pickle"), default="gpf"
+        "--serializer", choices=("gpf", "compact"), default="gpf"
     )
     run.add_argument("--partition-length", type=int, default=5_000)
     run.add_argument("--partitions", type=int, default=4)
@@ -650,37 +650,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_pipeline(args, config, journal_dir: str | None, start: float) -> int:
     """The happy path of ``gpf run`` (exceptions handled by the caller)."""
     from repro.engine import GPFContext
-    from repro.engine.files import load_fastq_pair_lazy
-    from repro.formats.fasta import read_fasta
-    from repro.formats.vcf import read_vcf, sort_records, write_vcf
     from repro.obs import RunReport
-    from repro.wgs import build_wgs_pipeline
+    from repro.wgs import run_wgs_files
 
     with GPFContext(config) as ctx:
-        sink = ctx.quarantine if args.malformed == "quarantine" else None
-        reference = read_fasta(args.reference)
-        known = []
-        if args.known_sites:
-            _, known = read_vcf(args.known_sites, args.malformed, sink)
-        rdd = load_fastq_pair_lazy(
-            ctx, args.fastq1, args.fastq2, args.partitions, malformed=args.malformed
-        )
-        handles = build_wgs_pipeline(
+        handles, calls = run_wgs_files(
             ctx,
-            reference,
-            rdd,
-            known,
+            args.reference,
+            args.fastq1,
+            args.fastq2,
+            args.partitions,
+            known_sites=args.known_sites,
+            output=args.output,
             partition_length=args.partition_length,
             use_gvcf=args.gvcf,
-        )
-        handles.pipeline.run(
-            optimize=not args.no_optimize, journal_dir=journal_dir
-        )
-        calls = handles.vcf.rdd.collect()
-        write_vcf(
-            handles.vcf.header,
-            sort_records(calls, reference.contig_names),
-            args.output,
+            malformed=args.malformed,
+            optimize=not args.no_optimize,
+            journal_dir=journal_dir,
         )
         job = ctx.metrics.job()
         elapsed = time.perf_counter() - start
@@ -1146,29 +1132,19 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     """jobs: list jobs (or dump /metrics) from a serve instance."""
     import json
 
+    from repro.obs import RunReport
     from repro.serve import ServiceError
 
     client = _client(args)
     try:
         if args.metrics:
             metrics = client.metrics()
-            gauges = metrics.get("gauges", {})
-            counters = metrics.get("counters", {})
-            compressed = gauges.get("blockmanager.compressed_bytes", 0)
             # Pre-digested memory view over the raw gauge fold: resident
             # (compressed) vs decoded footprint of cached blocks fleet-wide.
-            metrics["memory"] = {
-                "compressed_bytes": compressed,
-                "logical_bytes": gauges.get("blockmanager.logical_bytes", 0),
-                "compression_ratio": (
-                    gauges.get("blockmanager.logical_bytes", 0) / compressed
-                    if compressed
-                    else 0.0
-                ),
-                "decode_seconds": counters.get(
-                    "blockmanager.decode_seconds", 0.0
-                ),
-            }
+            metrics["memory"] = RunReport(
+                counters=metrics.get("counters", {}),
+                gauges=metrics.get("gauges", {}),
+            ).memory_summary()
             print(json.dumps(metrics, indent=2, sort_keys=True))
             return 0
         jobs = client.jobs(state=args.state)

@@ -178,9 +178,6 @@ class _BatchReader:
         self._off += n
         return out
 
-    def eof(self) -> bool:
-        return self._off >= len(self._data)
-
 
 def _encode_qualities(masked_quals: list[str]) -> tuple[HuffmanCodec, list[bytes]]:
     """Build one Huffman codec over a batch's quality deltas, encode each."""

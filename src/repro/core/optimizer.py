@@ -29,23 +29,6 @@ if TYPE_CHECKING:
     from repro.engine.context import GPFContext
 
 
-def _build_edges(processes: list[Process]) -> dict[int, list[tuple[Process, Process, object]]]:
-    """Producer/consumer edges keyed by resource identity."""
-    producers: dict[int, Process] = {}
-    for process in processes:
-        for resource in process.outputs:
-            producers[id(resource)] = process
-    edges: dict[int, list[tuple[Process, Process, object]]] = {}
-    for process in processes:
-        for resource in process.inputs:
-            producer = producers.get(id(resource))
-            if producer is not None:
-                edges.setdefault(id(resource), []).append(
-                    (producer, process, resource)
-                )
-    return edges
-
-
 def _consumers(processes: list[Process]) -> dict[int, list[Process]]:
     """resource id -> consuming processes."""
     out: dict[int, list[Process]] = {}

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.bundles import FASTQPairBundle, SAMBundle, VCFBundle
+from repro.core.bundles import FASTQPairBundle, VCFBundle
 from repro.core.process import Process
 from repro.formats.fastq import pair_reads, read_fastq
-from repro.formats.sam import read_sam
-from repro.formats.vcf import read_vcf
 
 if TYPE_CHECKING:
     from repro.engine.context import GPFContext
@@ -46,26 +44,6 @@ class FileLoader:
             )
         )
         return ctx.parallelize(pairs, num_partitions)
-
-    @staticmethod
-    def load_sam_to_rdd(
-        ctx: "GPFContext",
-        path: str,
-        num_partitions: int | None = None,
-        malformed: str = "fail",
-    ):
-        header, records = read_sam(path, malformed, _sink(ctx, malformed))
-        return header, ctx.parallelize(records, num_partitions)
-
-    @staticmethod
-    def load_vcf_to_rdd(
-        ctx: "GPFContext",
-        path: str,
-        num_partitions: int | None = None,
-        malformed: str = "fail",
-    ):
-        header, records = read_vcf(path, malformed, _sink(ctx, malformed))
-        return header, ctx.parallelize(records, num_partitions)
 
 
 class LoadFastqPairProcess(Process):

@@ -62,9 +62,6 @@ class RegionBundle:
         """Every sample's records pooled (what joint calling consumes)."""
         return [rec for sams in self.sam_sets for rec in sams]
 
-    def with_sams(self, sams: Sequence[SamRecord]) -> "RegionBundle":
-        return replace(self, sam_sets=(tuple(sams),))
-
     def with_sam_sets(
         self, sam_sets: Sequence[Sequence[SamRecord]]
     ) -> "RegionBundle":

@@ -368,7 +368,6 @@ class WorkerContext(PartitionStore):
         #: rode in with the first TASK frame, kept for the namespace's
         #: life so hit counters advance across tasks and retries.
         self.chaos = chaos
-        self.fault_injectors: list = []
         from repro.formats.quarantine import QuarantineSink
 
         self.quarantine = QuarantineSink(events=self.events)

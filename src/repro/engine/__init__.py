@@ -13,9 +13,8 @@ cost structure as Spark:
   disk-blocked time, and (modelled) network-blocked time are recorded per
   task — the instrumentation behind the paper's blocked-time analysis
   (Fig. 12) and shuffle accounting (Table 4).
-- **Pluggable serializers** (``pickle`` for Java-serialization,
-  ``compact`` for Kryo, ``gpf`` for the paper's genomic codec) used for
-  both caching (MEMORY_SER) and shuffle blocks.
+- **Two serializers** (``compact`` for Kryo, ``gpf`` for the paper's
+  genomic codec) used for both caching (MEMORY_SER) and shuffle blocks.
 - **Executor backends**: ``serial`` (deterministic, for tests),
   ``threads`` (NumPy kernels release the GIL, so threads give genuine
   overlap on the vectorized stages), and ``cluster`` (a socket worker
@@ -34,11 +33,10 @@ from repro.engine.files import (
     load_fastq_pair_lazy,
 )
 from repro.engine.accumulators import Accumulator, counter
-from repro.engine.faults import FaultPlan, RandomFaults, InjectedFault, TaskFailedError
+from repro.engine.faults import InjectedFault, TaskFailedError
 from repro.engine.blockmanager import BlockManager
 from repro.engine.serializers import (
     Serializer,
-    PickleSerializer,
     CompactSerializer,
     GpfSerializer,
     get_serializer,
@@ -54,7 +52,6 @@ __all__ = [
     "JobMetrics",
     "MetricsRegistry",
     "Serializer",
-    "PickleSerializer",
     "CompactSerializer",
     "GpfSerializer",
     "get_serializer",
@@ -64,8 +61,6 @@ __all__ = [
     "load_fastq_pair_lazy",
     "Accumulator",
     "counter",
-    "FaultPlan",
-    "RandomFaults",
     "InjectedFault",
     "TaskFailedError",
     "BlockManager",

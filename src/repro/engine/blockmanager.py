@@ -351,9 +351,6 @@ class BlockManager:
             self.stats.checkpoint_reads += 1
         return blob
 
-    def has_checkpoint(self, key: tuple[int, int]) -> bool:
-        return os.path.exists(self._checkpoint_path(key))
-
     def discard_checkpoint(self, key: tuple[int, int]) -> None:
         """Drop a checkpoint whose payload failed post-crc decode
         verification (counted as a corrupt read); the caller recomputes

@@ -16,14 +16,14 @@ frame)::
     [u32 record count][u64 logical bytes]
     [serializer payload]
 
-The codec tag is the serializer's own frame tag (``Q`` FASTQ, ``S`` SAM,
-``P`` FASTQ pairs, ``K`` keyed SAM, ``R``/``k`` reference-based, ``F``
-pickle fallback) or ``.`` for serializers without tagged frames
-(pickle/compact), so the chosen representation of every block is
-recorded and inspectable.  This is the only block format: a blob whose
-header is missing, short or of another version is refused with
-:class:`~repro.engine.blockmanager.BlockCorruptionError`, which the
-checkpoint and journal read paths downgrade to discard-and-recompute.
+The codec tag is the gpf serializer's own frame tag (``Q`` FASTQ, ``S``
+SAM, ``P`` FASTQ pairs, ``K`` keyed SAM, ``F`` pickle fallback) or ``.``
+for the untagged compact serializer, so the chosen representation of
+every block is recorded and inspectable.  This is the only block
+format: a blob whose header is missing, short or of another version is
+refused with :class:`~repro.engine.blockmanager.BlockCorruptionError`,
+which the checkpoint and journal read paths downgrade to
+discard-and-recompute.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ BUNDLE_VERSION = 2
 
 _HEADER = struct.Struct("<4sBcIQ")
 
-#: Codec tag recorded for serializers whose frames carry no leading tag.
+#: Codec tag recorded for the compact serializer, whose frames carry no
+#: leading tag.
 OPAQUE_TAG = b"."
 
 
@@ -163,12 +164,8 @@ class LazyPartition:
     # -- lazy access -----------------------------------------------------
     def batches(self, batch_size: int = DECODE_BATCH_SIZE) -> Iterator[list]:
         """Yield the partition as record lists of ~``batch_size``."""
-        iter_loads = getattr(self._serializer, "iter_loads", None)
         started = time.perf_counter()
-        if iter_loads is None:
-            chunks = iter([self._serializer.loads(self._bundle.payload)])
-        else:
-            chunks = iter_loads(self._bundle.payload, batch_size)
+        chunks = self._serializer.iter_loads(self._bundle.payload, batch_size)
         while True:
             try:
                 chunk = next(chunks)

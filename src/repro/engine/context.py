@@ -70,9 +70,8 @@ class EngineConfig:
     #: Pool threads for 'threads'/'process'; for 'cluster', the cap on
     #: concurrent in-flight ships from the driver.
     num_workers: int = 4
-    #: 'pickle' (Java-serialization analogue), 'compact' (Kryo), 'gpf', or
-    #: a constructed Serializer instance (e.g. GpfRefSerializer).
-    serializer: object = "gpf"
+    #: 'compact' (Kryo analogue) or 'gpf' (the paper's genomic codec).
+    serializer: str = "gpf"
     #: Directory for shuffle spill files; a temp dir when None.
     spill_dir: str | None = None
     #: Task attempts before a stage fails (Spark's spark.task.maxFailures).
@@ -200,13 +199,7 @@ class GPFContext(PartitionStore):
         self.executor = make_executor(
             self.config.executor_backend, self.config.num_workers
         )
-        serializer = self.config.serializer
-        # EngineConfig.serializer accepts a registry name or an already
-        # constructed Serializer instance (e.g. the reference-based codec,
-        # which needs the Reference at construction time).
-        self.serializer = (
-            get_serializer(serializer) if isinstance(serializer, str) else serializer
-        )
+        self.serializer = get_serializer(self.config.serializer)
         # -- observability (repro.obs) ----------------------------------
         # Every context owns a telemetry registry and an event bus; both
         # are near-free when nothing subscribes.  A configured trace_dir
@@ -277,11 +270,6 @@ class GPFContext(PartitionStore):
         )
         self._rdd_partitions: dict[int, int] = {}
         self._closed = False
-        #: Fault injectors consulted at every task attempt (chaos plane
-        #: and resilience tests).
-        self.fault_injectors: list = []
-        if self.chaos is not None and callable(self.chaos):
-            self.fault_injectors.append(self.chaos)
         #: Context-wide sink for malformed input records routed by the
         #: ``malformed="quarantine"`` loader policy.
         self.quarantine = QuarantineSink(events=self.events, chaos=self.chaos)
@@ -292,7 +280,7 @@ class GPFContext(PartitionStore):
             "run.start",
             backend=self.config.executor_backend,
             workers=self.config.num_workers,
-            serializer=str(self.config.serializer),
+            serializer=self.config.serializer,
         )
         # Bind the transport last: a remote transport hooks the shuffle
         # manager and opens its fleet listener here, and needs the block
@@ -315,11 +303,6 @@ class GPFContext(PartitionStore):
 
     def broadcast(self, value: T) -> Broadcast[T]:
         return Broadcast(value)
-
-    def add_fault_injector(self, injector) -> None:
-        """Register a callable (stage_kind, partition, attempt) -> None that
-        may raise to kill a task attempt; used by resilience tests."""
-        self.fault_injectors.append(injector)
 
     def accumulator(self, zero=0, op=None, name: str = "") -> Accumulator:
         """Create a write-only shared counter (Spark Accumulator)."""
@@ -370,7 +353,7 @@ class GPFContext(PartitionStore):
             "run.start",
             backend=self.config.executor_backend,
             workers=self.config.num_workers,
-            serializer=str(self.config.serializer),
+            serializer=self.config.serializer,
         )
 
     def end_trace(self) -> None:
@@ -426,16 +409,13 @@ class GPFContext(PartitionStore):
         ):
             if value:
                 counters[name] = counters.get(name, 0) + value
-        gauges["block.memory_bytes"] = stats.memory_bytes
         gauges["block.disk_bytes"] = stats.disk_bytes
         # Compressed-resident gauges: what the cache holds compressed vs.
-        # what those same blocks would occupy decoded, and their ratio.
+        # what those same blocks would occupy decoded.  Their ratio is
+        # derived where it is read (RunReport.memory_summary), so a fold
+        # that sums gauges across contexts never sums a ratio.
         gauges["blockmanager.compressed_bytes"] = stats.memory_bytes
         gauges["blockmanager.logical_bytes"] = stats.logical_bytes
-        if stats.memory_bytes:
-            gauges["blockmanager.compression_ratio"] = (
-                stats.logical_bytes / stats.memory_bytes
-            )
         for kind, count in self.quarantine.counts.items():
             counters[f"quarantine.{kind}"] = (
                 counters.get(f"quarantine.{kind}", 0) + count

@@ -1,92 +1,24 @@
-"""Fault injection for resilience testing.
+"""Typed task failures: what the scheduler raises, retries and ledgers.
 
 RDDs are *Resilient* Distributed Datasets: a lost task recomputes from
-lineage.  The engine's scheduler retries failed tasks; this module
-provides the controlled failure sources the resilience tests inject —
-deterministic (fail attempt k of task p) and probabilistic (fail with
-probability q, seeded).
-
-Injectors are registered on the context and consulted by the scheduler
-at task start; they see ``(stage_kind, partition, attempt)`` and raise
-:class:`InjectedFault` to kill the attempt.
+lineage.  The scheduler retries failed attempts; the errors here name why
+an attempt or a whole task failed.  Controlled failures come from the
+chaos plane (``repro.chaos``): its ``task.attempt`` site kills attempts
+with :class:`InjectedFault`.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-
-import numpy as np
-
 
 class InjectedFault(RuntimeError):
-    """Raised inside a task by a fault injector.
+    """Raised inside a task by the chaos plane's ``die`` fault.
 
-    Kept picklable (single ``args`` message) so injected failures survive
-    the round trip through the ``process`` executor backend.
+    Kept picklable (single ``args`` message) so an injected failure
+    survives the round trip through a cluster worker's ``ERROR`` frame.
     """
 
     def __init__(self, message: str = ""):
         super().__init__(message)
-
-
-@dataclass
-class FaultPlan:
-    """Deterministic plan: fail specific (partition, attempt) pairs."""
-
-    #: set of (partition, attempt) attempts to kill; attempts count from 0.
-    failures: set[tuple[int, int]] = field(default_factory=set)
-
-    def __call__(self, stage_kind: str, partition: int, attempt: int) -> None:
-        if (partition, attempt) in self.failures:
-            raise InjectedFault(
-                f"injected failure: {stage_kind} partition {partition} "
-                f"attempt {attempt}"
-            )
-
-
-@dataclass
-class RandomFaults:
-    """Probabilistic injector: each attempt fails with probability ``rate``.
-
-    Deterministic given the seed; thread-safe.
-    """
-
-    rate: float
-    seed: int = 0
-    max_failures: int | None = None
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
-        self._lock = threading.Lock()
-        self._injected = 0
-
-    def __call__(self, stage_kind: str, partition: int, attempt: int) -> None:
-        with self._lock:
-            if self.max_failures is not None and self._injected >= self.max_failures:
-                return
-            if self._rng.random() < self.rate:
-                self._injected += 1
-                raise InjectedFault(
-                    f"random failure: {stage_kind} partition {partition} "
-                    f"attempt {attempt}"
-                )
-
-    @property
-    def injected(self) -> int:
-        with self._lock:
-            return self._injected
-
-    # Locks do not pickle; drop the lock so the injector can ship to a
-    # process-backend worker (each worker gets an independent lock).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 class TaskFailedError(RuntimeError):

@@ -10,8 +10,9 @@ comparison (Table 4) measurable here.
 
 Tasks that raise are retried up to ``EngineConfig.max_task_attempts``
 times (Spark's ``spark.task.maxFailures``); a retry recomputes the
-partition from lineage — the RDD resilience property — and registered
-fault injectors (``repro.engine.faults``) can kill attempts to prove it.
+partition from lineage — the RDD resilience property — and the chaos
+plane's ``task.attempt`` site (``repro.chaos``) can kill attempts to
+prove it.
 
 Retries are hardened three ways (Spark's speculation, scaled down):
 
@@ -164,7 +165,7 @@ class DAGScheduler:
         body: Callable[[TaskMetrics], object],
         parent_span=None,
     ) -> tuple[TaskMetrics, object]:
-        """One measured task attempt: injectors, body, GC accounting.
+        """One measured task attempt: chaos site, body, GC accounting.
 
         ``parent_span`` is the stage span: task bodies run on executor
         threads with no thread-local span ancestry, so nesting must be
@@ -180,8 +181,13 @@ class DAGScheduler:
             attempt=attempt,
         ) as span:
             with GC_TIMER.measure() as gc_state:
-                for injector in self.ctx.fault_injectors:
-                    injector(stage_kind, split, attempt)
+                if self.ctx.chaos is not None:
+                    self.ctx.chaos.hit(
+                        "task.attempt",
+                        stage_kind=stage_kind,
+                        partition=split,
+                        attempt=attempt,
+                    )
                 # The transport seam: local transports run the body
                 # inline and hand back the same TaskMetrics; the cluster
                 # transport ships it and returns the worker-mutated copy.
@@ -266,7 +272,7 @@ class DAGScheduler:
         parent_span=None,
         progress: "_StageProgress | None" = None,
     ) -> object:
-        """Run one task body with fault injection + retry; returns its value."""
+        """Run one task body with retries; returns its value."""
         max_attempts = max(1, self.ctx.config.max_task_attempts)
         timeout = self.ctx.config.task_timeout
         events = self.ctx.events

@@ -1,10 +1,8 @@
-"""Pluggable partition serializers.
+"""Partition serializers: the Kryo stand-in and the genomic codec.
 
-Spark offers Java serialization and Kryo; GPF adds its genomic codec on
-top (paper §4.2).  The same three options exist here:
+Spark's default shuffle serializer is Kryo; GPF replaces it with its
+genomic codec (paper §4.2).  The same pair exists here:
 
-- ``pickle``  — protocol-2 pickle, the "Java serialization" stand-in:
-  correct for everything, verbose.
 - ``compact`` — binary pickle, the "Kryo" stand-in: compact object framing
   but no entropy coding, so genomic strings pass through byte for byte.
 - ``gpf``     — the paper's codec: batches of FASTQ/SAM records go through
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-import zlib
 from typing import Iterator, Protocol, Sequence
 
 from repro.compression.records import (
@@ -42,23 +39,9 @@ class Serializer(Protocol):
 
     def loads(self, blob: bytes) -> list[object]: ...
 
-
-class PickleSerializer:
-    """Verbose baseline — the Java-serialization analogue.
-
-    Pickle protocol 2 (the oldest protocol that can carry ``__slots__``
-    record classes) repeats field names and framing per object, much as
-    Java serialization repeats class descriptors; it is the reference
-    point the compact serializers are measured against.
-    """
-
-    name = "pickle"
-
-    def dumps(self, elements: Sequence[object]) -> bytes:
-        return pickle.dumps(list(elements), protocol=2)
-
-    def loads(self, blob: bytes) -> list[object]:
-        return pickle.loads(blob)
+    def iter_loads(
+        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[object]]: ...
 
 
 class CompactSerializer:
@@ -68,26 +51,22 @@ class CompactSerializer:
     compression*, which is exactly the weakness the paper exploits:
     "when shuffling RDDs with complex objects or string types, the Kryo
     compression algorithm becomes inefficient" — genomic strings pass
-    through byte for byte.  An optional zlib level adds Spark's
-    shuffle-compression on top for ablations.
+    through byte for byte.
     """
 
     name = "compact"
 
-    def __init__(self, level: int | None = None):
-        self._level = level
-
     def dumps(self, elements: Sequence[object]) -> bytes:
-        blob = pickle.dumps(list(elements), protocol=pickle.HIGHEST_PROTOCOL)
-        if self._level is not None:
-            return b"z" + zlib.compress(blob, self._level)
-        return b"r" + blob
+        return pickle.dumps(list(elements), protocol=pickle.HIGHEST_PROTOCOL)
 
     def loads(self, blob: bytes) -> list[object]:
-        tag, body = blob[:1], blob[1:]
-        if tag == b"z":
-            return pickle.loads(zlib.decompress(body))
-        return pickle.loads(body)
+        return pickle.loads(blob)
+
+    def iter_loads(
+        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[object]]:
+        """Pickle has no incremental decode: the whole list is one chunk."""
+        yield self.loads(blob)
 
 
 #: Frame tags for the gpf serializer's per-partition dispatch.
@@ -98,7 +77,7 @@ _TAG_KEYED_SAM = b"K"
 _TAG_FALLBACK = b"F"
 
 #: Tags whose payloads the §4.1 batch codecs produced (vs. pickle frames).
-CODEC_TAGS = frozenset({b"Q", b"S", b"P", b"K", b"R", b"k"})
+CODEC_TAGS = frozenset({b"Q", b"S", b"P", b"K"})
 
 
 class GpfSerializer:
@@ -179,73 +158,12 @@ class GpfSerializer:
                 yield list(zip(keys[offset : offset + len(batch)], batch))
                 offset += len(batch)
         elif tag == _TAG_FALLBACK:
-            yield self._fallback.loads(body)
+            yield from self._fallback.iter_loads(body, batch_size)
         else:
             raise ValueError(f"unknown gpf serializer frame tag {tag!r}")
 
 
-class GpfRefSerializer(GpfSerializer):
-    """The genomic codec with reference-based SAM sequences (CRAM-style).
-
-    Requires the reference genome at construction; SAM partitions route
-    through :class:`repro.compression.refbased.RefBasedSamCodec`, storing
-    only each read's differences from the reference.  Pass an *instance*
-    as ``EngineConfig.serializer``.
-    """
-
-    name = "gpf-ref"
-
-    def __init__(self, reference) -> None:
-        super().__init__()
-        from repro.compression.refbased import RefBasedSamCodec
-
-        self._sam_codec = RefBasedSamCodec(reference)
-
-    def dumps(self, elements: Sequence[object]) -> bytes:
-        elements = list(elements)
-        if elements and all(isinstance(e, SamRecord) for e in elements):
-            return b"R" + self._sam_codec.encode(elements)  # type: ignore[arg-type]
-        if (
-            elements
-            and all(
-                isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], SamRecord)
-                for e in elements
-            )
-        ):
-            keys = pickle.dumps(
-                [e[0] for e in elements], protocol=pickle.HIGHEST_PROTOCOL
-            )
-            body = self._sam_codec.encode([e[1] for e in elements])  # type: ignore[misc]
-            return b"k" + struct.pack("<I", len(keys)) + keys + body
-        return super().dumps(elements)
-
-    def loads(self, blob: bytes) -> list[object]:
-        tag, body = blob[:1], blob[1:]
-        if tag == b"R":
-            return list(self._sam_codec.decode(body))
-        if tag == b"k":
-            (key_len,) = struct.unpack_from("<I", body, 0)
-            keys = pickle.loads(body[4 : 4 + key_len])
-            records = self._sam_codec.decode(body[4 + key_len :])
-            return list(zip(keys, records))
-        return super().loads(blob)
-
-    def iter_loads(
-        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]:
-        # The reference-based codec has no incremental decode; chunk the
-        # materialized list so consumers see one uniform batch interface.
-        tag = blob[:1]
-        if tag in (b"R", b"k"):
-            records = self.loads(blob)
-            for start in range(0, len(records), batch_size):
-                yield records[start : start + batch_size]
-            return
-        yield from super().iter_loads(blob, batch_size)
-
-
 _REGISTRY: dict[str, type] = {
-    "pickle": PickleSerializer,
     "compact": CompactSerializer,
     "gpf": GpfSerializer,
 }

@@ -150,8 +150,8 @@ class QuarantineSink:
                     reason=f"{type(exc).__name__}: {exc}",
                 )
 
-    # A sink never pickles its lock or its event bus (process-backend
-    # task closures); a deserialized sink counts silently and its records
+    # A sink never pickles its lock or its event bus (task closures shipped
+    # to cluster workers); a deserialized sink counts silently and its records
     # surface when it is merge()d back into the driver-side sink.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

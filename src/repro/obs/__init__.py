@@ -11,8 +11,8 @@ run inspectable:
 - :mod:`repro.obs.events` — the :class:`EventBus` every subsystem
   publishes to, its JSONL sink, and the event-schema validator.
 - :mod:`repro.obs.telemetry` — named counters/gauges/histograms
-  replacing the subsystems' private tallies, plus the gauge fold-policy
-  machinery the serve layer uses to merge worker snapshots.
+  replacing the subsystems' private tallies, plus the gauge fold the
+  serve layer uses to merge its contexts' snapshots.
 - :mod:`repro.obs.histogram` — the fixed-bucket log-spaced latency
   histogram (mergeable bucket-wise; p50/p95/p99 estimation).
 - :mod:`repro.obs.profiler` — the sampling profiler: collapsed stacks
@@ -47,12 +47,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.prometheus import render_prometheus, validate_prometheus
 from repro.obs.report import ProcessRow, RunReport, StageRow
-from repro.obs.telemetry import (
-    TelemetryRegistry,
-    fold_gauges,
-    fold_histograms,
-    register_gauge_fold,
-)
+from repro.obs.telemetry import TelemetryRegistry, fold_gauges
 from repro.obs.tracer import NOOP_SPAN, NoopTracer, Span, Tracer, new_span_id
 
 __all__ = [
@@ -74,11 +69,9 @@ __all__ = [
     "chrome_trace_dict",
     "fold_folded_text",
     "fold_gauges",
-    "fold_histograms",
     "merge_histogram_snapshots",
     "new_span_id",
     "read_events",
-    "register_gauge_fold",
     "render_prometheus",
     "top_functions_from_stacks",
     "validate_chrome_trace",

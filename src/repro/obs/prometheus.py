@@ -9,7 +9,7 @@ scraper ingests:
 - service totals become ``gpf_service_<name>_total`` counters; the
   point-in-time queue/running/draining numbers become gauges;
 - engine counters become ``gpf_<name>_total``; engine gauges keep their
-  value as-is (the fold policy already ran);
+  value as-is (the service already folded them);
 - each histogram renders the canonical triplet: cumulative
   ``_bucket{le="..."}`` series ending in ``le="+Inf"``, ``_sum``, and
   ``_count``.

@@ -88,9 +88,10 @@ class RunReport:
         """Compressed-residency gauges, plus derived ratio and decode share.
 
         ``compressed_bytes``/``logical_bytes`` come from the block manager
-        (resident vs. decoded footprint of cached blocks); the ratio is
-        recomputed from the two byte gauges so summed multi-worker
-        snapshots (the serve ``/metrics`` fold) stay meaningful.
+        (resident vs. decoded footprint of cached blocks).  This is the
+        one place the compression ratio is derived: no gauge stores it,
+        so summed multi-context snapshots (the serve ``/metrics`` fold,
+        read by ``gpf jobs --metrics``) yield the fleet-wide ratio.
         """
         compressed = self.gauges.get("blockmanager.compressed_bytes", 0.0)
         logical = self.gauges.get("blockmanager.logical_bytes", 0.0)

@@ -39,13 +39,7 @@ from repro.core.pipeline import PipelineCancelledError
 from repro.engine.blockmanager import fsync_directory
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.journal import job_journal_dir
-from repro.obs import (
-    EventBus,
-    JsonlEventSink,
-    TelemetryRegistry,
-    fold_gauges,
-    fold_histograms,
-)
+from repro.obs import EventBus, JsonlEventSink, TelemetryRegistry, fold_gauges
 from repro.serve.health import HealthConfig, ServiceHealth
 from repro.serve.progress import JobProgress
 from repro.serve.jobs import (
@@ -130,49 +124,33 @@ def run_wgs_job(
 ) -> dict:
     """The default runner: one WGS pipeline over the spec's files.
 
-    Mirrors ``gpf run`` (load, build, run, write VCF) but journaled under
-    the job's namespace and polling ``should_cancel`` between Processes.
+    The same run as ``gpf run`` (:func:`repro.wgs.run_wgs_files`), but
+    journaled under the job's namespace and polling ``should_cancel``
+    between Processes.
     """
-    from repro.engine.files import load_fastq_pair_lazy
-    from repro.formats.fasta import read_fasta
-    from repro.formats.vcf import read_vcf, sort_records, write_vcf
-    from repro.wgs import build_wgs_pipeline
+    from repro.wgs import run_wgs_files
 
     spec = job.spec
-    malformed = spec.get("malformed", "fail")
-    partitions = spec.get("partitions", ctx.config.default_parallelism)
     start = time.perf_counter()
-    sink = ctx.quarantine if malformed == "quarantine" else None
-    reference = read_fasta(spec["reference"])
-    known = []
-    if spec.get("known_sites"):
-        _, known = read_vcf(spec["known_sites"], malformed, sink)
-    rdd = load_fastq_pair_lazy(
-        ctx, spec["fastq1"], spec["fastq2"], partitions, malformed=malformed
-    )
-    handles = build_wgs_pipeline(
+    handles, calls = run_wgs_files(
         ctx,
-        reference,
-        rdd,
-        known,
+        spec["reference"],
+        spec["fastq1"],
+        spec["fastq2"],
+        spec.get("partitions", ctx.config.default_parallelism),
+        known_sites=spec.get("known_sites"),
+        output=spec.get("output"),
         partition_length=spec.get("partition_length", 5_000),
         use_gvcf=bool(spec.get("gvcf", False)),
-        name=f"wgs-{job.id}",
-    )
-    handles.pipeline.run(
+        malformed=spec.get("malformed", "fail"),
         optimize=bool(spec.get("optimize", True)),
         journal_dir=journal_dir,
         should_cancel=should_cancel,
+        name=f"wgs-{job.id}",
     )
-    calls = handles.vcf.rdd.collect()
-    output = spec.get("output")
-    if output:
-        write_vcf(
-            handles.vcf.header, sort_records(calls, reference.contig_names), output
-        )
     return {
         "records": len(calls),
-        "output": output,
+        "output": spec.get("output"),
         "elapsed": time.perf_counter() - start,
         "executed": [p.name for p in handles.pipeline.executed],
         "skipped": [p.name for p in handles.pipeline.skipped],
@@ -551,13 +529,10 @@ class PipelineService:
     def metrics(self) -> dict:
         """Service counters plus a fold of every live worker's telemetry.
 
-        Counters sum; gauges fold by their registered policy
-        (:func:`repro.obs.fold_gauges` — point-in-time gauges are never
-        naively summed, and derived gauges like the compression ratio
-        are recomputed from the folded byte gauges); histograms merge
-        bucket-wise, which is exact.
+        Counters sum and histograms merge bucket-wise
+        (:meth:`TelemetryRegistry.merge`, the fold worker RESULT frames
+        use); gauges sum except ``dist.workers`` (:func:`fold_gauges`).
         """
-        counters: dict[str, float] = {}
         with self._lock:
             contexts = list(self._contexts.values())
             service = dict(self._counters)
@@ -568,18 +543,16 @@ class PipelineService:
                 draining=self._draining,
             )
         snapshots = [ctx.telemetry_snapshot() for ctx in contexts]
-        for snapshot in snapshots:
-            for name, value in snapshot["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-        gauges = fold_gauges(s["gauges"] for s in snapshots)
-        histogram_maps = [s.get("histograms", {}) for s in snapshots]
-        histogram_maps.append(self.telemetry.histograms())
+        folded = TelemetryRegistry()
+        for snapshot in snapshots + [self.telemetry.snapshot()]:
+            folded.merge(snapshot)
+        merged = folded.snapshot()
         payload = {
             "service": service,
             "health": self.healthmon.snapshot(),
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": fold_histograms(histogram_maps),
+            "counters": merged["counters"],
+            "gauges": fold_gauges(s["gauges"] for s in snapshots),
+            "histograms": merged["histograms"],
         }
         # Cluster transport: one fleet is shared by every context on this
         # box, so the first executor that has one speaks for all.

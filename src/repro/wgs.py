@@ -9,6 +9,9 @@ and returns the Pipeline plus the terminal VCF bundle.  This is the same
 structure as the user-programming example in the paper's Fig. 3, with the
 three partition Processes sharing one PartitionInfoBundle so the Fig. 7
 optimization applies to the IndelRealign -> BQSR -> HaplotypeCaller chain.
+
+``run_wgs_files`` is that pipeline over files on disk: the one path
+``gpf run`` and the service's job runner share.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from repro.core.processes import (
     ReadRepartitioner,
 )
 from repro.engine.context import GPFContext
-from repro.formats.fasta import Reference
-from repro.formats.vcf import VcfRecord
+from repro.engine.files import load_fastq_pair_lazy
+from repro.formats.fasta import Reference, read_fasta
+from repro.formats.vcf import VcfRecord, read_vcf, sort_records, write_vcf
 
 
 @dataclass
@@ -124,6 +128,57 @@ def build_wgs_pipeline(
         recalibrated=recalibrated,
         vcf=vcf,
     )
+
+
+def run_wgs_files(
+    ctx: GPFContext,
+    reference_path: str,
+    fastq1: str,
+    fastq2: str,
+    partitions: int,
+    *,
+    known_sites: str | None = None,
+    output: str | None = None,
+    partition_length: int = 5_000,
+    use_gvcf: bool = False,
+    malformed: str = "fail",
+    optimize: bool = True,
+    journal_dir: str | None = None,
+    should_cancel=None,
+    name: str = "wgs",
+) -> tuple[WgsPipelineHandles, list[VcfRecord]]:
+    """Run the WGS pipeline over files; returns its handles and the calls.
+
+    Reads the reference and the known sites, loads the FASTQ pair lazily,
+    builds and runs the pipeline, collects the calls and, when ``output``
+    is given, writes them as a sorted VCF.  ``malformed`` is the
+    bad-record policy of every parser (``"quarantine"`` routes bad records
+    to ``ctx.quarantine``).
+    """
+    sink = ctx.quarantine if malformed == "quarantine" else None
+    reference = read_fasta(reference_path)
+    known: list[VcfRecord] = []
+    if known_sites:
+        _, known = read_vcf(known_sites, malformed, sink)
+    rdd = load_fastq_pair_lazy(ctx, fastq1, fastq2, partitions, malformed=malformed)
+    handles = build_wgs_pipeline(
+        ctx,
+        reference,
+        rdd,
+        known,
+        partition_length=partition_length,
+        use_gvcf=use_gvcf,
+        name=name,
+    )
+    handles.pipeline.run(
+        optimize=optimize, journal_dir=journal_dir, should_cancel=should_cancel
+    )
+    calls = handles.vcf.rdd.collect()
+    if output:
+        write_vcf(
+            handles.vcf.header, sort_records(calls, reference.contig_names), output
+        )
+    return handles, calls
 
 
 @dataclass

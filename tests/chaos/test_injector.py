@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.chaos import ChaosInjector, ChaosPlan, ChaosRule
+from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.faults import InjectedFault
 from repro.obs.events import EventBus, validate_event
 
@@ -160,11 +161,21 @@ class TestObservability:
             assert event["site"] == "s" and event["fault"] == "eio"
             assert event["path"] == "x.bin"
 
-    def test_task_injector_protocol(self):
-        injector = make([ChaosRule(site="task.attempt", fault="die", nth=1)])
-        with pytest.raises(InjectedFault):
-            injector("map", 0, 1)
-        assert injector.site_hits("task.attempt") == 1
+    def test_task_injector_protocol(self, tmp_path):
+        # The scheduler reports each attempt at the task.attempt site with
+        # its identity; the retry of the killed attempt survives.
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "spill"),
+            chaos=ChaosPlan(rules=[ChaosRule(site="task.attempt", fault="die", nth=1)]),
+        )
+        with GPFContext(config) as ctx:
+            assert ctx.parallelize([1, 2], 1).collect() == [1, 2]
+            injector = ctx.chaos
+            assert injector.site_hits("task.attempt") == 2
+            (entry,) = injector.log
+        assert entry["stage_kind"] == "result"
+        assert (entry["partition"], entry["attempt"]) == (0, 0)
+        assert ctx.metrics.failures[0].error_type == "InjectedFault"
 
 
 class TestPickling:

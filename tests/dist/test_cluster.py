@@ -107,7 +107,8 @@ class TestBasicJobs:
             for _ in range(2):
                 assert rdd.map(lambda kv: kv[0]).count() == 400
             counts = {
-                name: h["count"] for name, h in ctx.telemetry.histograms().items()
+                name: h["count"]
+                for name, h in ctx.telemetry.snapshot()["histograms"].items()
             }
             return counts, ctx.telemetry.counter("blockmanager.decoded_records")
 

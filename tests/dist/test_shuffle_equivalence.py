@@ -75,7 +75,7 @@ def drive(manager, telemetry, root, map_inputs, serializer):
 
 @pytest.mark.parametrize(
     "serializer_name, make_input",
-    [("gpf", keyed_reads), ("compact", keyed_ints), ("pickle", keyed_ints)],
+    [("gpf", keyed_reads), ("compact", keyed_ints)],
 )
 def test_single_node_dist_shuffle_equals_the_engine_shuffle(
     tmp_path, serializer_name, make_input

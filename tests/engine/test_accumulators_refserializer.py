@@ -1,10 +1,11 @@
-"""Accumulators + reference-based serializer integration tests."""
+"""Accumulator tests.
 
-import pytest
+The reference-based codec these once drove as an engine serializer is
+tested at the codec level in ``tests/compression/test_refbased.py``.
+"""
 
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.serializers import GpfRefSerializer
 
 
 class TestAccumulator:
@@ -47,69 +48,3 @@ class TestAccumulator:
             ctx.parallelize(range(500), 8).map(bump).count()
             assert acc.value == 500
 
-
-class TestGpfRefSerializer:
-    @pytest.fixture()
-    def ref_ctx(self, reference, tmp_path):
-        config = EngineConfig(
-            default_parallelism=3,
-            serializer=GpfRefSerializer(reference),
-            spill_dir=str(tmp_path / "refser"),
-        )
-        ctx = GPFContext(config)
-        yield ctx
-        ctx.stop()
-
-    def test_sam_partition_roundtrip(self, ref_ctx, aligned_records):
-        mapped = [r for r in aligned_records if not r.is_unmapped][:50]
-        rdd = ref_ctx.parallelize(mapped, 2).persist()
-        out = rdd.collect()  # cache round-trips through the serializer
-        out = rdd.collect()
-        assert [r.seq for r in out] == [r.seq for r in mapped]
-        assert [r.pos for r in out] == [r.pos for r in mapped]
-
-    def test_keyed_sam_shuffle_roundtrip(self, ref_ctx, aligned_records):
-        mapped = [r for r in aligned_records if not r.is_unmapped][:60]
-        rdd = ref_ctx.parallelize(mapped, 3)
-        grouped = rdd.key_by(lambda r: r.rname).group_by_key().collect()
-        total = sum(len(v) for _, v in grouped)
-        assert total == 60
-
-    def test_smaller_cache_than_gpf(self, reference, aligned_records, tmp_path):
-        """Reference-based caching beats the 2-bit codec on aligned data."""
-        mapped = [r for r in aligned_records if not r.is_unmapped][:200]
-        sizes = {}
-        for name, serializer in (
-            ("gpf", "gpf"),
-            ("gpf-ref", GpfRefSerializer(reference)),
-        ):
-            config = EngineConfig(
-                serializer=serializer, spill_dir=str(tmp_path / f"c_{name}")
-            )
-            with GPFContext(config) as ctx:
-                rdd = ctx.parallelize(mapped, 2).persist()
-                rdd.collect()
-                sizes[name] = ctx.cached_bytes()
-        assert sizes["gpf-ref"] < sizes["gpf"]
-
-    def test_pipeline_works_with_ref_serializer(
-        self, reference, known_sites, read_pairs, tmp_path
-    ):
-        from repro.wgs import build_wgs_pipeline
-
-        config = EngineConfig(
-            default_parallelism=3,
-            serializer=GpfRefSerializer(reference),
-            spill_dir=str(tmp_path / "refpipe"),
-        )
-        with GPFContext(config) as ctx:
-            handles = build_wgs_pipeline(
-                ctx,
-                reference,
-                ctx.parallelize(read_pairs[:80], 3),
-                known_sites,
-                partition_length=4_000,
-            )
-            handles.pipeline.run()
-            calls = handles.vcf.rdd.collect()
-        assert isinstance(calls, list)

@@ -15,11 +15,7 @@ from repro.engine.bundle import (
     encode_partition,
     iter_record_batches,
 )
-from repro.engine.serializers import (
-    CompactSerializer,
-    GpfSerializer,
-    PickleSerializer,
-)
+from repro.engine.serializers import CompactSerializer, GpfSerializer
 from repro.obs.telemetry import TelemetryRegistry
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
@@ -50,7 +46,7 @@ class TestCompressedBundle:
         assert bundle.codec == b"F"
 
     def test_codec_tag_opaque_for_pickle(self):
-        bundle = CompressedBundle.encode([1, 2, 3], PickleSerializer())
+        bundle = CompressedBundle.encode([1, 2, 3], CompactSerializer())
         assert bundle.codec == b"."
 
     def test_pair_partitions_use_pair_codec(self):
@@ -150,7 +146,7 @@ class TestLazyPartition:
         assert len(clone) == 6
 
     def test_serializer_without_iter_loads(self):
-        # CompactSerializer has no iter_loads: one whole-list chunk.
+        # Pickle has no incremental decode: a compact block is one chunk.
         records = make_fastq(5)
         part = self._lazy(records, serializer=CompactSerializer())
         assert list(part) == records

@@ -9,18 +9,25 @@ import time
 
 import pytest
 
+from repro.chaos import ChaosInjector, ChaosPlan, ChaosRule
 from repro.core.pipeline import Pipeline
 from repro.core.process import Process, ProcessState
 from repro.core.resource import Resource
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.faults import (
     InjectedFault,
-    RandomFaults,
     TaskFailedError,
     TaskTimeoutError,
 )
 from repro.engine.journal import RunJournal, plan_signature
 from repro.engine.scheduler import RETRY_BACKOFF, RETRY_BACKOFF_MAX
+
+
+def _kill_randomly(probability, max_faults=None):
+    """Chaos rule: each task attempt dies with ``probability``."""
+    return ChaosRule(
+        site="task.attempt", fault="die", probability=probability, max_faults=max_faults
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +281,9 @@ class TestJournalResume:
             executor_backend="threads",
             num_workers=2,
             max_task_attempts=8,
+            chaos=ChaosPlan(seed=7, rules=[_kill_randomly(0.2)]),
         )
         with GPFContext(config) as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.2, seed=7))
             reference, _, total_ref = _build(ctx, [])
             reference.run()
             expected = pickle.dumps(total_ref.value)
@@ -356,10 +363,14 @@ class TestDeadlinesAndBackoff:
         # Exponential growth until the cap.
         assert scheduler._backoff_delay("result", 0, 9) == RETRY_BACKOFF_MAX
 
-    def test_injected_failures_enter_ledger(self, ctx):
-        ctx.add_fault_injector(RandomFaults(rate=1.0, seed=0, max_failures=2))
-        ctx.parallelize(range(6), 2).collect()
-        ledger = ctx.metrics.failures
+    def test_injected_failures_enter_ledger(self, tmp_path):
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "spill"),
+            chaos=ChaosPlan(rules=[_kill_randomly(1.0, max_faults=2)]),
+        )
+        with GPFContext(config) as ctx:
+            ctx.parallelize(range(6), 2).collect()
+            ledger = ctx.metrics.failures
         assert len(ledger) == 2
         assert {f.error_type for f in ledger} == {"InjectedFault"}
 
@@ -382,14 +393,14 @@ class TestExceptionPickling:
         assert clone.timeout == 1.5 and clone.where == "result p0"
 
     def test_injector_round_trip_keeps_determinism(self):
-        injector = RandomFaults(rate=0.5, seed=3)
+        injector = ChaosInjector(ChaosPlan(seed=3, rules=[_kill_randomly(0.5)]))
         clone = pickle.loads(pickle.dumps(injector))
 
         def trace(inj):
             outcomes = []
             for i in range(20):
                 try:
-                    inj("result", i, 0)
+                    inj.hit("task.attempt", stage_kind="result", partition=i, attempt=0)
                     outcomes.append(False)
                 except InjectedFault:
                     outcomes.append(True)

@@ -64,7 +64,7 @@ class TestCachedBlocksStayCompressed:
         assert gauges["blockmanager.logical_bytes"] > gauges[
             "blockmanager.compressed_bytes"
         ]
-        assert gauges["blockmanager.compression_ratio"] > 1.0
+        assert "blockmanager.compression_ratio" not in gauges
         counters = snapshot["counters"]
         assert counters["blockmanager.decode_seconds"] > 0
         assert counters["blockmanager.decoded_records"] > 0

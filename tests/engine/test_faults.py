@@ -1,54 +1,85 @@
-"""Resilience tests: task retry, lineage recomputation, fault injection."""
+"""Resilience tests: task retry, lineage recomputation, fault injection.
+
+Faults come from the chaos plane's ``task.attempt`` site.  Under the
+serial backend attempts run in a fixed order (a retry runs right after
+the attempt it replaces), so an ``nth`` rule kills one named attempt.
+"""
 
 import pytest
 
+from repro.chaos import ChaosInjector, ChaosPlan, ChaosRule
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.faults import FaultPlan, InjectedFault, RandomFaults, TaskFailedError
+from repro.engine.faults import InjectedFault, TaskFailedError
+
+
+def kill_nth(nth):
+    """Kill the run's nth task attempt (counted from 1, every stage)."""
+    return ChaosRule(site="task.attempt", fault="die", nth=nth)
+
+
+def kill_randomly(probability, max_faults=None):
+    return ChaosRule(
+        site="task.attempt", fault="die", probability=probability, max_faults=max_faults
+    )
+
+
+def chaos_ctx(tmp_path, rules, seed=0, **config):
+    config.setdefault("default_parallelism", 3)
+    return GPFContext(
+        EngineConfig(
+            spill_dir=str(tmp_path / "spill"),
+            chaos=ChaosPlan(seed=seed, rules=rules),
+            **config,
+        )
+    )
+
+
+def attempt(injector, partition, attempt=0):
+    """One task attempt as the scheduler reports it to the chaos plane."""
+    injector.hit(
+        "task.attempt", stage_kind="result", partition=partition, attempt=attempt
+    )
+
+
+def outcomes(injector, attempts=20):
+    """Which of ``attempts`` first attempts the injector killed."""
+    killed = []
+    for partition in range(attempts):
+        try:
+            attempt(injector, partition)
+            killed.append(False)
+        except InjectedFault:
+            killed.append(True)
+    return killed
 
 
 class TestFaultPlan:
     def test_planned_attempt_killed(self):
-        plan = FaultPlan({(0, 0)})
+        injector = ChaosInjector(ChaosPlan(rules=[kill_nth(1)]))
         with pytest.raises(InjectedFault):
-            plan("result", 0, 0)
-        plan("result", 0, 1)  # next attempt survives
-        plan("result", 1, 0)  # other partitions untouched
+            attempt(injector, 0, 0)
+        attempt(injector, 0, 1)  # next attempt survives
+        attempt(injector, 1, 0)  # other partitions untouched
 
     def test_random_faults_deterministic(self):
-        a = RandomFaults(rate=0.5, seed=3)
-        b = RandomFaults(rate=0.5, seed=3)
-
-        def trace(injector):
-            outcomes = []
-            for i in range(20):
-                try:
-                    injector("result", i, 0)
-                    outcomes.append(False)
-                except InjectedFault:
-                    outcomes.append(True)
-            return outcomes
-
-        assert trace(a) == trace(b)
+        plan = ChaosPlan(seed=3, rules=[kill_randomly(0.5)])
+        assert outcomes(ChaosInjector(plan)) == outcomes(ChaosInjector(plan))
 
     def test_max_failures_cap(self):
-        injector = RandomFaults(rate=1.0, seed=0, max_failures=2)
-        killed = 0
-        for i in range(10):
-            try:
-                injector("result", i, 0)
-            except InjectedFault:
-                killed += 1
-        assert killed == 2
+        injector = ChaosInjector(ChaosPlan(rules=[kill_randomly(1.0, max_faults=2)]))
+        assert sum(outcomes(injector, 10)) == 2
         assert injector.injected == 2
 
 
 class TestRetry:
-    def test_single_failure_recovers(self, ctx):
-        ctx.add_fault_injector(FaultPlan({(1, 0)}))  # kill partition 1, try 0
-        data = list(range(30))
-        assert ctx.parallelize(data, 3).map(lambda x: x * 2).collect() == [
-            x * 2 for x in data
-        ]
+    def test_single_failure_recovers(self, tmp_path):
+        # Attempts run p0, p1 (killed), p1 retry, p2.
+        with chaos_ctx(tmp_path, [kill_nth(2)]) as ctx:
+            data = list(range(30))
+            assert ctx.parallelize(data, 3).map(lambda x: x * 2).collect() == [
+                x * 2 for x in data
+            ]
+            assert ctx.metrics.failure_counts() == {("result", 1): 1}
 
     def test_retry_recomputes_from_lineage(self, ctx):
         """The retried attempt re-runs the map function (recompute from
@@ -70,24 +101,31 @@ class TestRetry:
         # retry recomputed both. Partition 1 ran once.
         assert sorted(calls) == [1, 1, 2, 2, 3, 4]
 
-    def test_shuffle_map_retry(self, ctx):
-        ctx.add_fault_injector(FaultPlan({(0, 0), (2, 0), (2, 1)}))
-        rdd = ctx.parallelize([(i % 3, 1) for i in range(30)], 3)
-        out = dict(rdd.reduce_by_key(lambda a, b: a + b).collect())
+    def test_shuffle_map_retry(self, tmp_path):
+        # Partition 0's first attempt and partition 2's first two, in the
+        # map stage (attempts 1, 4, 5) and in the reduce stage (7, 10, 11).
+        rules = [kill_nth(n) for n in (1, 4, 5, 7, 10, 11)]
+        with chaos_ctx(tmp_path, rules) as ctx:
+            rdd = ctx.parallelize([(i % 3, 1) for i in range(30)], 3)
+            out = dict(rdd.reduce_by_key(lambda a, b: a + b).collect())
+            assert ctx.metrics.failure_counts() == {
+                ("shuffle-map", 0): 1,
+                ("shuffle-map", 2): 2,
+                ("result", 0): 1,
+                ("result", 2): 2,
+            }
         assert out == {0: 10, 1: 10, 2: 10}
 
     def test_budget_exhausted_raises(self, tmp_path):
-        config = EngineConfig(max_task_attempts=2, spill_dir=str(tmp_path / "s"))
-        with GPFContext(config) as ctx:
-            ctx.add_fault_injector(FaultPlan({(0, 0), (0, 1)}))
+        with chaos_ctx(tmp_path, [kill_nth(1), kill_nth(2)], max_task_attempts=2) as ctx:
             with pytest.raises(TaskFailedError) as excinfo:
                 ctx.parallelize([1], 1).collect()
             assert isinstance(excinfo.value.cause, InjectedFault)
 
-    def test_failed_attempts_not_counted_in_metrics(self, ctx):
-        ctx.add_fault_injector(FaultPlan({(0, 0)}))
-        ctx.parallelize([1, 2], 2).collect()
-        job = ctx.metrics.job()
+    def test_failed_attempts_not_counted_in_metrics(self, tmp_path):
+        with chaos_ctx(tmp_path, [kill_nth(1)]) as ctx:
+            ctx.parallelize([1, 2], 2).collect()
+            job = ctx.metrics.job()
         # Only successful attempts are recorded; partition 0's survivor
         # carries attempt index 1.
         tasks = [t for s in job.stages for t in s.tasks]
@@ -95,11 +133,10 @@ class TestRetry:
         assert {t.attempt for t in tasks} == {0, 1}
 
     def test_random_faults_full_pipeline_still_correct(self, tmp_path):
-        config = EngineConfig(
-            max_task_attempts=6, spill_dir=str(tmp_path / "rf"), default_parallelism=4
-        )
-        with GPFContext(config) as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.25, seed=11))
+        with chaos_ctx(
+            tmp_path, [kill_randomly(0.25)], seed=11, max_task_attempts=6,
+            default_parallelism=4,
+        ) as ctx:
             rdd = ctx.parallelize(range(200), 8)
             out = dict(
                 rdd.key_by(lambda x: x % 7)
@@ -115,13 +152,8 @@ class TestRetry:
         """The whole WGS pipeline completes under random task failures."""
         from repro.wgs import build_wgs_pipeline
 
-        config = EngineConfig(
-            max_task_attempts=6,
-            spill_dir=str(tmp_path / "wgs"),
-            default_parallelism=3,
-        )
-        with GPFContext(config) as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.1, seed=5, max_failures=10))
+        rules = [kill_randomly(0.1, max_faults=10)]
+        with chaos_ctx(tmp_path, rules, seed=5, max_task_attempts=6) as ctx:
             handles = build_wgs_pipeline(
                 ctx,
                 reference,
@@ -131,6 +163,6 @@ class TestRetry:
             )
             handles.pipeline.run()
             calls = handles.vcf.rdd.collect()
-            injected = ctx.fault_injectors[0].injected
+            injected = ctx.chaos.injected
         assert injected > 0  # faults actually fired
         assert isinstance(calls, list)  # and the pipeline still finished

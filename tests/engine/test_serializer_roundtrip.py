@@ -1,0 +1,200 @@
+"""Both serializers round-trip seeded generated partitions exactly.
+
+Every partition kind the engine stores (FASTQ records, SAM records, FASTQ
+pairs, keyed SAM, non-genomic values, empty partitions) is drawn from a
+stdlib ``random.Random`` seed.  Some partitions carry one record the §4.1
+codec refuses (an IUPAC code, a lowercase base, an ``N`` with a real
+quality); the gpf serializer must store those through its pickle
+fallback (``F``).  ``dumps`` -> ``iter_loads`` and ``encode_partition``
+-> ``LazyPartition`` must return the input for every decode batch size,
+and a block in an older payload format must be refused, never decoded
+into something else.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+import pytest
+
+from repro.engine.blockmanager import write_block_file
+from repro.engine.bundle import CompressedBundle, decode_partition, encode_partition
+from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.serializers import get_serializer
+from repro.formats.cigar import Cigar
+from repro.formats.fastq import FastqPair, FastqRecord
+from repro.formats.sam import UNMAPPED_POS, SamRecord
+
+SERIALIZERS = ("gpf", "compact")
+SEEDS = range(6)
+#: Odd sizes split FASTQ pairs' interleaved mates unless the decoder
+#: rounds its chunk to whole pairs.
+BATCH_SIZES = (1, 2, 3, 7, 64, 512)
+#: Phred 2..40: every quality but the Phred-0 marker ``!`` a codec N carries.
+QUALITIES = "".join(chr(q) for q in range(35, 74))
+
+
+def gen_bases(rng: random.Random) -> tuple[str, str]:
+    """Sequence and quality the codec accepts: ACGT, and N only with ``!``."""
+    seq, qual = [], []
+    for _ in range(rng.randint(1, 120)):
+        if rng.random() < 0.03:
+            seq.append("N")
+            qual.append("!")
+        else:
+            seq.append(rng.choice("ACGT"))
+            qual.append(rng.choice(QUALITIES))
+    return "".join(seq), "".join(qual)
+
+
+def refused_bases(rng: random.Random) -> tuple[str, str]:
+    """One base the codec cannot round-trip: IUPAC, lowercase, or N with
+    a real quality."""
+    seq, qual = gen_bases(rng)
+    i = rng.randrange(len(seq))
+    base, q = rng.choice(
+        [(rng.choice("RYKMSWBDHV"), "I"), (rng.choice("acgt"), "I"), ("N", "5")]
+    )
+    return seq[:i] + base + seq[i + 1 :], qual[:i] + q + qual[i + 1 :]
+
+
+def gen_fastq(rng: random.Random, name: str, refused: bool = False) -> FastqRecord:
+    seq, qual = refused_bases(rng) if refused else gen_bases(rng)
+    return FastqRecord(name, seq, qual)
+
+
+def gen_sam(rng: random.Random, name: str, refused: bool = False) -> SamRecord:
+    seq, qual = refused_bases(rng) if refused else gen_bases(rng)
+    if rng.random() < 0.1:
+        return SamRecord(
+            name, 4, "*", UNMAPPED_POS, 0, Cigar.parse("*"), "*", -1, 0, seq, qual
+        )
+    tags: dict[str, object] = {"NM": rng.randint(0, 5)}
+    if rng.random() < 0.5:
+        tags["RG"] = rng.choice(["lane1", "lane2"])
+    return SamRecord(
+        name,
+        rng.choice([0, 16, 99, 147, 1024 | 99]),
+        rng.choice(["chr1", "chr2"]),
+        rng.randint(0, 50_000),
+        rng.randint(0, 60),
+        Cigar.parse(f"{len(seq)}M"),
+        "=",
+        rng.randint(0, 50_000),
+        rng.randint(-500, 500),
+        seq,
+        qual,
+        tags,
+    )
+
+
+def gen_partition(kind: str, rng: random.Random, refused: bool = False) -> list:
+    """A partition of ``kind``; with ``refused``, one record the codec
+    refuses sits at a random position."""
+    n = rng.randint(1, 40)
+    bad = rng.randrange(n) if refused else -1
+    if kind == "fastq":
+        return [gen_fastq(rng, f"r{i}", i == bad) for i in range(n)]
+    if kind == "sam":
+        return [gen_sam(rng, f"r{i}", i == bad) for i in range(n)]
+    if kind == "pairs":
+        return [
+            FastqPair(gen_fastq(rng, f"p{i}/1", i == bad), gen_fastq(rng, f"p{i}/2"))
+            for i in range(n)
+        ]
+    if kind == "keyed_sam":
+        return [
+            ((rng.choice(["chr1", "chr2"]), rng.randint(0, 99)), gen_sam(rng, f"r{i}", i == bad))
+            for i in range(n)
+        ]
+    return [
+        rng.choice([rng.randint(-9, 9), f"s{i}", (i, [i, None]), {"k": i}])
+        for i in range(n)
+    ]
+
+
+GENOMIC = {"fastq": b"Q", "sam": b"S", "pairs": b"P", "keyed_sam": b"K"}
+KINDS = sorted(GENOMIC) + ["values"]
+
+
+def cases():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for kind in KINDS:
+            yield kind, False, gen_partition(kind, rng)
+            if kind in GENOMIC:
+                yield kind, True, gen_partition(kind, rng, refused=True)
+        yield "empty", False, []
+
+
+def expected_tag(name: str, kind: str, refused: bool) -> bytes:
+    if name == "compact":
+        return b"."
+    if kind in GENOMIC and not refused:
+        return GENOMIC[kind]
+    return b"F"
+
+
+@pytest.mark.parametrize("name", SERIALIZERS)
+def test_dumps_then_iter_loads_is_identity(name):
+    serializer = get_serializer(name)
+    for kind, refused, data in cases():
+        blob = serializer.dumps(data)
+        assert serializer.loads(blob) == data, (kind, refused)
+        for batch_size in BATCH_SIZES:
+            chunks = list(serializer.iter_loads(blob, batch_size))
+            assert [r for chunk in chunks for r in chunk] == data, (kind, batch_size)
+
+
+@pytest.mark.parametrize("name", SERIALIZERS)
+def test_block_then_lazy_partition_is_identity(name):
+    serializer = get_serializer(name)
+    for kind, refused, data in cases():
+        blob, bundle = encode_partition(data, serializer)
+        if data:
+            assert bundle.codec == expected_tag(name, kind, refused), (kind, refused)
+        part = decode_partition(blob, serializer)
+        assert len(part) == len(data)
+        assert list(part) == data, (kind, refused)
+        for batch_size in BATCH_SIZES:
+            chunks = list(part.batches(batch_size))
+            assert [r for chunk in chunks for r in chunk] == data, (kind, batch_size)
+
+
+def prefixed_compact(blob: bytes) -> bytes:
+    """The same block with the one-byte ``r`` prefix an older compact
+    serializer put in front of its pickle payload."""
+    bundle = CompressedBundle.frombytes(blob)
+    payload = bundle.payload
+    if payload[:1] == b"F":
+        payload = b"F" + b"r" + payload[1:]
+    else:
+        payload = b"r" + payload
+    return CompressedBundle(
+        bundle.codec, bundle.count, bundle.logical_bytes, payload
+    ).tobytes()
+
+
+@pytest.mark.parametrize("name", SERIALIZERS)
+def test_old_compact_checkpoint_is_refused_and_recomputed(tmp_path, name):
+    config = EngineConfig(
+        default_parallelism=2, serializer=name, spill_dir=str(tmp_path / "spill")
+    )
+    with GPFContext(config) as ctx:
+        rdd = ctx.parallelize(range(12), 2).map(lambda x: (x, str(x)))
+        rdd.checkpoint()
+        expected = [(x, str(x)) for x in range(12)]
+        block_manager = ctx.block_manager
+        key = (rdd.id, 0)
+        blob = block_manager.get_checkpoint(key)
+        with pytest.raises(pickle.UnpicklingError):
+            list(decode_partition(prefixed_compact(blob), ctx.serializer))
+        write_block_file(block_manager._checkpoint_path(key), prefixed_compact(blob))
+
+        assert rdd.collect() == expected
+        assert block_manager.stats.corrupt_reads == 1
+        # The recompute rewrote the checkpoint in the current format.
+        assert block_manager.get_checkpoint(key) == blob
+        assert rdd.collect() == expected
+        assert block_manager.stats.corrupt_reads == 1

@@ -1,10 +1,11 @@
+import pickle
+
 import pytest
 
 from repro.compression.records import FastqCodec
 from repro.engine.serializers import (
     CompactSerializer,
     GpfSerializer,
-    PickleSerializer,
     get_serializer,
 )
 from repro.formats.cigar import Cigar
@@ -36,7 +37,6 @@ def sam_batch(n=20):
 
 class TestRegistry:
     @pytest.mark.parametrize("name,cls", [
-        ("pickle", PickleSerializer),
         ("compact", CompactSerializer),
         ("gpf", GpfSerializer),
     ])
@@ -49,13 +49,13 @@ class TestRegistry:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", ["pickle", "compact", "gpf"])
+    @pytest.mark.parametrize("name", ["compact", "gpf"])
     def test_generic_objects(self, name):
         s = get_serializer(name)
         data = [1, "two", (3, [4, 5]), {"k": "v"}, None]
         assert s.loads(s.dumps(data)) == data
 
-    @pytest.mark.parametrize("name", ["pickle", "compact", "gpf"])
+    @pytest.mark.parametrize("name", ["compact", "gpf"])
     def test_empty_partition(self, name):
         s = get_serializer(name)
         assert s.loads(s.dumps([])) == []
@@ -87,7 +87,8 @@ class TestSizes:
     def test_gpf_beats_pickle_on_fastq(self):
         batch = fastq_batch(100)
         gpf = len(GpfSerializer().dumps(batch))
-        java = len(PickleSerializer().dumps(batch))
+        # Protocol-2 pickle: the Java-serialization stand-in.
+        java = len(pickle.dumps(batch, protocol=2))
         assert gpf < java
 
     def test_gpf_beats_compact_on_sam(self):
@@ -110,4 +111,4 @@ class TestSizes:
     def test_compact_beats_pickle(self):
         # Byte payloads show the old protocol's framing overhead clearly.
         data = [bytes([i % 256]) * 60 for i in range(300)]
-        assert len(CompactSerializer().dumps(data)) < len(PickleSerializer().dumps(data))
+        assert len(CompactSerializer().dumps(data)) < len(pickle.dumps(data, protocol=2))

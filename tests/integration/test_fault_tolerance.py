@@ -1,18 +1,19 @@
 """Fault-injected WGS runs: random task deaths plus a mid-run kill must
 not change a single output byte.
 
-This is the CI fault-smoke gate: the full pipeline runs under
-``RandomFaults(rate=0.2, seed=7)``, is killed after an early Process, and
-is resumed from its run journal; the resumed VCF must be byte-identical
-to an uninterrupted reference run under the same fault schedule.
+This is the CI fault-smoke gate: the full pipeline runs with one task
+attempt in five killed (a chaos ``task.attempt`` rule, probability 0.2,
+seed 7), is killed after an early Process, and is resumed from its run
+journal; the resumed VCF must be byte-identical to an uninterrupted
+reference run under the same fault schedule.
 """
 
 import os
 
 import pytest
 
+from repro.chaos import ChaosPlan, ChaosRule
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.faults import RandomFaults
 from repro.formats.vcf import write_vcf
 from repro.wgs import build_wgs_pipeline
 
@@ -23,6 +24,10 @@ def _make_ctx(tmp_path, tag):
             default_parallelism=3,
             spill_dir=str(tmp_path / f"spill_{tag}"),
             max_task_attempts=8,
+            chaos=ChaosPlan(
+                seed=7,
+                rules=[ChaosRule(site="task.attempt", fault="die", probability=0.2)],
+            ),
         )
     )
 
@@ -54,15 +59,13 @@ class TestKillAndResumeUnderFaults:
 
         # Uninterrupted reference run under fault injection.
         with _make_ctx(tmp_path, "ref") as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.2, seed=7))
             handles = _build(ctx, inputs)
             handles.pipeline.run()
-            assert ctx.fault_injectors[0].injected > 0
+            assert ctx.chaos.injected > 0
             expected = _vcf_bytes(handles, str(tmp_path / "ref.vcf"))
 
         # Journaled run killed right after BwaMapping commits.
         with _make_ctx(tmp_path, "crash") as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.2, seed=7))
             handles = _build(ctx, inputs)
             victim = handles.pipeline.processes[1]  # MarkDuplicate
             assert victim.name == "MarkDuplicate"
@@ -76,7 +79,6 @@ class TestKillAndResumeUnderFaults:
 
         # Resume: BwaMapping restores from the journal, the rest re-runs.
         with _make_ctx(tmp_path, "resume") as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.2, seed=7))
             handles = _build(ctx, inputs)
             handles.pipeline.run(journal_dir=journal_dir)
             skipped = [p.name for p in handles.pipeline.skipped]

@@ -5,11 +5,10 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
+    RunReport,
     TelemetryRegistry,
     fold_gauges,
-    fold_histograms,
     merge_histogram_snapshots,
-    register_gauge_fold,
 )
 
 
@@ -126,41 +125,31 @@ class TestTelemetryObserve:
 
 class TestGaugeFold:
     def test_point_in_time_gauges_are_not_summed(self):
-        # The regression this PR pins: compression_ratio is a ratio, not
-        # a volume — two workers at 2.0x must fold to 2.0x, not 4.0x.
-        worker = {
+        # Two contexts at 2.0x each are 2.0x together, not 4.0x: the ratio
+        # is no gauge, so the fold sums only the bytes it derives from.
+        context = {
             "blockmanager.compressed_bytes": 100,
             "blockmanager.logical_bytes": 200,
-            "blockmanager.compression_ratio": 2.0,
         }
-        folded = fold_gauges([dict(worker), dict(worker)])
-        assert folded["blockmanager.compression_ratio"] == pytest.approx(2.0)
+        folded = fold_gauges([dict(context), dict(context)])
+        assert "blockmanager.compression_ratio" not in folded
         assert folded["blockmanager.compressed_bytes"] == 200
+        memory = RunReport(gauges=folded).memory_summary()
+        assert memory["compression_ratio"] == pytest.approx(2.0)
 
     def test_derived_ratio_recomputed_from_folded_bytes(self):
-        a = {
-            "blockmanager.compressed_bytes": 100,
-            "blockmanager.logical_bytes": 300,
-            "blockmanager.compression_ratio": 3.0,
-        }
-        b = {
-            "blockmanager.compressed_bytes": 300,
-            "blockmanager.logical_bytes": 300,
-            "blockmanager.compression_ratio": 1.0,
-        }
+        a = {"blockmanager.compressed_bytes": 100, "blockmanager.logical_bytes": 300}
+        b = {"blockmanager.compressed_bytes": 300, "blockmanager.logical_bytes": 300}
         folded = fold_gauges([a, b])
         # Fleet-wide truth: 600 logical over 400 compressed = 1.5x, which
-        # neither sum (4.0) nor max (3.0) of the per-worker ratios gives.
-        assert folded["blockmanager.compression_ratio"] == pytest.approx(1.5)
-
-    def test_derived_falls_back_to_max_without_inputs(self):
-        folded = fold_gauges([{"blockmanager.compression_ratio": 2.5}, {"blockmanager.compression_ratio": 1.5}])
-        assert folded["blockmanager.compression_ratio"] == pytest.approx(2.5)
+        # neither sum (4.0) nor max (3.0) of the per-context ratios gives.
+        memory = RunReport(gauges=folded).memory_summary()
+        assert memory["compression_ratio"] == pytest.approx(1.5)
 
     def test_registered_policy_applies(self):
-        register_gauge_fold("test.high_water", "max")
-        folded = fold_gauges([{"test.high_water": 7}, {"test.high_water": 3}])
-        assert folded["test.high_water"] == 7
+        # The one level gauge: every context sees the same shared fleet.
+        folded = fold_gauges([{"dist.workers": 2}, {"dist.workers": 3}])
+        assert folded["dist.workers"] == 3
 
     def test_default_policy_sums(self):
         folded = fold_gauges([{"bytes": 1}, {"bytes": 2}])
@@ -172,14 +161,16 @@ class TestFoldHistograms:
         a, b = Histogram(), Histogram()
         a.observe(0.01)
         b.observe(0.02)
-        folded = fold_histograms(
-            [{"task.seconds": a.snapshot()}, {"task.seconds": b.snapshot()}]
-        )
-        assert Histogram.from_snapshot(folded["task.seconds"]).count == 2
+        folded = TelemetryRegistry()
+        folded.merge({"histograms": {"task.seconds": a.snapshot()}})
+        folded.merge({"histograms": {"task.seconds": b.snapshot()}})
+        assert folded.histogram("task.seconds").count == 2
 
     def test_disjoint_names_both_survive(self):
         a, b = Histogram(), Histogram()
         a.observe(0.01)
         b.observe(0.02)
-        folded = fold_histograms([{"one": a.snapshot()}, {"two": b.snapshot()}])
-        assert set(folded) == {"one", "two"}
+        folded = TelemetryRegistry()
+        folded.merge({"histograms": {"one": a.snapshot()}})
+        folded.merge({"histograms": {"two": b.snapshot()}})
+        assert set(folded.snapshot()["histograms"]) == {"one", "two"}

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.obs import RunReport
 from repro.serve import (
     ServiceClient,
     ServiceError,
@@ -232,10 +233,10 @@ def _warm_contexts(service, expected):
 
 class TestGaugeFoldOverHTTP:
     def test_point_in_time_gauges_not_summed_across_contexts(self, tmp_path):
-        # Regression for the /metrics fold: before fold policies existed,
-        # every gauge was summed, so two warm contexts each reporting a
-        # 2.0x compression ratio yielded a nonsense 4.0x fleet ratio
-        # (hidden by a hand-rolled special case for that one name).
+        # Regression for the /metrics fold: gauges sum across contexts,
+        # so two warm contexts each at a 2.0x compression ratio once
+        # yielded a nonsense 4.0x.  No ratio is stored as a gauge now; the
+        # memory view derives it from the summed byte gauges.
         service = make_service(tmp_path / "state", runner=instant_runner, workers=2)
         service.start()
         try:
@@ -243,11 +244,17 @@ class TestGaugeFoldOverHTTP:
                 # 100 compressed bytes standing in for 200 logical ones:
                 # each warm context reports a 2.0x ratio on its own.
                 ctx.block_manager.put((0, 0), b"x" * 100, logical_bytes=200)
-            gauges = service.metrics()["gauges"]
+            metrics = service.metrics()
+            gauges = metrics["gauges"]
             # Capacity gauges sum; the ratio is derived from the sums.
             assert gauges["blockmanager.compressed_bytes"] == 200.0
             assert gauges["blockmanager.logical_bytes"] == 400.0
-            assert gauges["blockmanager.compression_ratio"] == pytest.approx(2.0)
+            assert "blockmanager.compression_ratio" not in gauges
+            assert "block.memory_bytes" not in gauges
+            memory = RunReport(
+                counters=metrics["counters"], gauges=gauges
+            ).memory_summary()
+            assert memory["compression_ratio"] == pytest.approx(2.0)
         finally:
             service.drain()
 
