@@ -1,17 +1,22 @@
 """Canonical Huffman coding with an explicit EOF symbol (paper Fig. 6).
 
-The quality-delta alphabet is small (deltas in [-127, 127] plus EOF), so a
+The quality-delta alphabet is small (deltas in [-255, 255] plus EOF), so a
 codec is built once per RDD partition from the observed symbol frequencies
-and shipped with the compressed block.  Encoding/decoding are implemented
-over NumPy bit arrays; the decoder walks a flattened tree stored as two
-child arrays, which keeps the hot loop allocation-free.
+and shipped with the compressed block as its code-length table.  Codes are
+canonical (sorted by length, then symbol) integer ``(code, length)`` pairs.
+
+Both directions handle many streams (one per record) in a fixed number of
+NumPy passes.  The decoder is table-driven: every bit position gets a
+window value, a table of at most ``2**12`` entries gives the code starting
+there (longer codes are resolved per length by canonical arithmetic), and
+pointer doubling follows each stream's chain of code starts to its EOF.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,22 +24,12 @@ import numpy as np
 #: payload ends inside the zero-padded final byte.
 EOF_SYMBOL = 0x10000
 
-#: Internal decode-tree marker for "this node is not a leaf".  Must lie
-#: outside every legal symbol value (deltas are in [-255, 255], EOF is
-#: 0x10000), so a large negative sentinel is safe.
-_NO_SYMBOL = -(2**31)
+#: A code plus its bit offset in a byte must fit one 64-bit window; only
+#: counts past Fibonacci(57) ~ 3.6e11 could ask for longer codes.
+MAX_CODE_LENGTH = 57
 
-
-@dataclass(frozen=True)
-class _Node:
-    weight: int
-    order: int  # tie-breaker for deterministic trees
-    symbol: int | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    def __lt__(self, other: "_Node") -> bool:
-        return (self.weight, self.order) < (other.weight, other.order)
+_TABLE_BITS = 12
+_BIT_SHIFTS = np.arange(8, dtype=np.uint32)
 
 
 class HuffmanCodec:
@@ -43,33 +38,52 @@ class HuffmanCodec:
     def __init__(self, code_lengths: Mapping[int, int]):
         if EOF_SYMBOL not in code_lengths:
             raise ValueError("codec must include the EOF symbol")
-        self._lengths = dict(code_lengths)
-        self._codes = _canonical_codes(self._lengths)
-        self._build_decode_tree()
+        self._lengths = {int(s): int(l) for s, l in code_lengths.items()}
+        symbols = np.fromiter(self._lengths, np.int64, len(self._lengths))
+        lengths = np.fromiter(self._lengths.values(), np.int64, len(self._lengths))
+        if not 1 <= lengths.min() <= lengths.max() <= MAX_CODE_LENGTH:
+            raise ValueError(f"code lengths must lie in [1, {MAX_CODE_LENGTH}]")
+        # Index i is the i-th canonical code: its value is the Kraft sum of
+        # codes 0..i-1 scaled to its own length.
+        order = np.lexsort((symbols, lengths))
+        self._symbols, self._code_len = symbols[order], lengths[order]
+        weight = 1 << (MAX_CODE_LENGTH - self._code_len)
+        kraft = weight.cumsum()
+        if kraft[-1] > 1 << MAX_CODE_LENGTH:
+            raise ValueError("code lengths break Kraft's inequality")
+        self._code = (kraft - weight) >> (MAX_CODE_LENGTH - self._code_len)
+        self._eof = int((self._symbols == EOF_SYMBOL).argmax())
+        by_symbol = np.argsort(symbols)
+        self._sorted_symbols = symbols[by_symbol]
+        self._sorted_index = np.argsort(order)[by_symbol]
+        self._table: tuple[int, np.ndarray, list] | None = None
 
     # -- construction ---------------------------------------------------
     @classmethod
     def from_frequencies(cls, freqs: Mapping[int, int]) -> "HuffmanCodec":
-        """Build a codec from symbol counts; EOF is added automatically."""
+        """Build a codec from symbol counts; EOF is added automatically.
+
+        Ties break on (weight, creation order) with leaves ordered by
+        symbol, so the code lengths are a pure function of the counts.
+        """
         counts = {int(s): int(c) for s, c in freqs.items() if c > 0}
         counts[EOF_SYMBOL] = counts.get(EOF_SYMBOL, 0) + 1
         if len(counts) == 1:
             # Degenerate alphabet: give EOF a 1-bit code by adding a dummy.
             counts[0] = counts.get(0, 0) + 1
-        heap = [
-            _Node(weight, order, symbol=symbol)
-            for order, (symbol, weight) in enumerate(sorted(counts.items()))
-        ]
+        symbols = sorted(counts)
+        heap = [(counts[s], node) for node, s in enumerate(symbols)]
         heapq.heapify(heap)
-        order = len(heap)
-        while len(heap) > 1:
-            a = heapq.heappop(heap)
-            b = heapq.heappop(heap)
-            heapq.heappush(heap, _Node(a.weight + b.weight, order, left=a, right=b))
-            order += 1
-        lengths: dict[int, int] = {}
-        _walk_lengths(heap[0], 0, lengths)
-        return cls(lengths)
+        parent = [0] * (2 * len(symbols) - 1)
+        for node in range(len(symbols), len(parent)):
+            weight_a, a = heapq.heappop(heap)
+            weight_b, b = heapq.heappop(heap)
+            parent[a] = parent[b] = node
+            heapq.heappush(heap, (weight_a + weight_b, node))
+        depth = [0] * len(parent)
+        for child in range(len(parent) - 2, -1, -1):  # parents come later
+            depth[child] = depth[parent[child]] + 1
+        return cls(dict(zip(symbols, depth)))
 
     @classmethod
     def from_samples(cls, samples: Iterable[int]) -> "HuffmanCodec":
@@ -87,34 +101,113 @@ class HuffmanCodec:
     # -- encode/decode ----------------------------------------------------
     def encode(self, symbols: np.ndarray | list[int]) -> bytes:
         """Encode symbols followed by EOF; zero-padded to a whole byte."""
-        stream = list(np.asarray(symbols, dtype=np.int64).tolist()) + [EOF_SYMBOL]
-        bits: list[np.ndarray] = []
-        codes = self._codes
-        try:
-            for sym in stream:
-                bits.append(codes[sym])
-        except KeyError as exc:
-            raise ValueError(f"symbol {exc.args[0]} not in codec alphabet") from None
-        flat = np.concatenate(bits) if bits else np.empty(0, dtype=np.uint8)
-        return np.packbits(flat).tobytes()
+        return self.encode_many([symbols])[0]
 
     def decode(self, blob: bytes) -> np.ndarray:
         """Decode until EOF; returns the symbol array (without EOF)."""
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
-        out: list[int] = []
-        node = 0
-        left, right, symbols = self._left, self._right, self._symbols
-        for bit in bits:
-            node = right[node] if bit else left[node]
-            if node < 0:
-                raise ValueError("invalid bit stream: walked past a leaf")
-            sym = symbols[node]
-            if sym != _NO_SYMBOL:
-                if sym == EOF_SYMBOL:
-                    return np.asarray(out, dtype=np.int64)
-                out.append(sym)
-                node = 0
-        raise ValueError("bit stream ended before EOF symbol")
+        return self.decode_many([blob])[0]
+
+    def encode_many(self, arrays: Sequence[np.ndarray | list[int]]) -> list[bytes]:
+        """``[self.encode(a) for a in arrays]``, in one pass over all of them."""
+        parts = [np.asarray(a, dtype=np.int64).ravel() for a in arrays]
+        counts = np.array([p.size for p in parts], dtype=np.int64)
+        return self.encode_concat(np.concatenate(parts) if parts else counts, counts)
+
+    def encode_concat(self, symbols: np.ndarray, counts: np.ndarray) -> list[bytes]:
+        """:meth:`encode_many` of ``len(counts)`` streams laid end to end."""
+        if counts.size == 0:
+            return []
+        last = (counts + 1).cumsum() - 1  # each stream's EOF
+        stream = np.full(last[-1] + 1, EOF_SYMBOL, dtype=np.int64)
+        rank = np.arange(counts.size).repeat(counts)  # stream of each symbol
+        stream[np.arange(symbols.size) + rank] = symbols
+        slot = self._sorted_symbols.searchsorted(stream) % self._sorted_symbols.size
+        unknown = self._sorted_symbols[slot] != stream
+        if unknown.any():
+            raise ValueError(f"symbol {stream[unknown.argmax()]} not in codec alphabet")
+        slot = self._sorted_index[slot]
+        code, length = self._code[slot], self._code_len[slot]
+        del stream, slot, unknown  # keep the peak down for large blocks
+        # Each stream starts on a fresh byte: shift its codes past the
+        # padding of the streams before it.
+        start = length.cumsum()  # each code's end, for now
+        first_bit = np.concatenate(([0], start[last[:-1]]))
+        nbytes = (start[last] - first_bit + 7) >> 3
+        byte_end = nbytes.cumsum()
+        start -= length
+        start += (8 * (byte_end - nbytes) - first_bit).repeat(counts + 1)
+        # A code spans at most `lanes` bytes; codes never share a bit, so
+        # adding up every code's bytes ORs them together.
+        lanes = (int(length.max()) + 14) // 8
+        code <<= 8 * lanes - length - (start & 7)
+        start >>= 3
+        total = int(byte_end[-1])
+        packed = np.zeros(total + lanes)
+        for lane in range(lanes):
+            byte = (code >> (8 * (lanes - 1 - lane))) & 0xFF
+            packed += np.bincount(start + lane, byte, total + lanes)
+        packed = packed[:total].astype(np.uint8).tobytes()
+        bounds = [0] + byte_end.tolist()
+        return [packed[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def decode_many(self, blobs: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """Decode one stream per blob: ``(all symbols, per-stream counts)``.
+
+        A stream that ends before its EOF, or holds a bit pattern that is
+        no code, raises ``ValueError``.
+        """
+        nbytes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+        if not nbytes.all():
+            raise ValueError("bit stream ended before EOF symbol")
+        data = np.frombuffer(b"".join(blobs) + bytes(8), dtype=np.uint8)
+        nbits = 8 * (data.size - 8)
+        k, table, long_codes = self._decode_table()
+        # The k-bit window at bit p: from the 32-bit word at its byte.
+        words = np.ndarray((data.size - 8,), ">u4", data, 0, (1,))
+        entry = table[(words[:, None] << _BIT_SHIFTS).ravel() >> np.uint32(32 - k)]
+        symbol, length = entry >> 6, entry & 63
+        if long_codes:
+            at = (length == 0).nonzero()[0]
+            # The 64 bits from bit p on, left-aligned: >= 57 of them valid.
+            top = np.ndarray((data.size - 8,), ">u8", data, 0, (1,))[at >> 3]
+            top <<= (at & 7).astype(np.uint64)
+            for code_len, first_code, limit, first_index in long_codes:
+                value = (top >> np.uint64(64 - code_len)).astype(np.int64)
+                hit = (value < limit) & (length[at] == 0)
+                symbol[at[hit]] = first_index + value[hit] - first_code
+                length[at[hit]] = code_len
+        # Successor of each bit position: the next code start, DONE after
+        # an EOF, FAIL after a bit pattern that is no code.
+        done, fail = nbits, nbits + 1
+        jump = np.arange(nbits + 2)
+        jump[:nbits] += length
+        np.minimum(jump, fail, out=jump)
+        jump[:nbits][symbol == self._eof] = done
+        jump[:nbits][length == 0] = fail
+        # Pointer doubling: after pass t, `on` holds the first 2**t steps of
+        # every chain; a pass that adds nothing means all reached DONE/FAIL.
+        start = 8 * (nbytes.cumsum() - nbytes)
+        on = np.zeros(nbits + 2, dtype=bool)
+        on[start] = True
+        reached = nbytes.size
+        while True:
+            on[jump[on]] = True
+            reached, before = int(np.count_nonzero(on)), reached
+            if reached == before:
+                break
+            jump = jump[jump]
+        # A chain never crosses into the next stream if each stream's last
+        # position on a chain is an EOF that ends inside the stream.
+        marked = on[:nbits].nonzero()[0]
+        end = start + 8 * nbytes
+        last = marked.searchsorted(end) - 1
+        tail = marked[last]
+        closed = (symbol[tail] == self._eof) & (tail + length[tail] <= end)
+        if on[fail] or not closed.all():
+            raise ValueError("invalid Huffman bit stream (no code, or no EOF)")
+        chain = symbol[marked]
+        counts = np.diff(last, prepend=-1) - 1
+        return self._symbols[chain[chain != self._eof]], counts
 
     def mean_bits_per_symbol(self, freqs: Mapping[int, int]) -> float:
         """Expected code length under the given symbol frequencies."""
@@ -127,53 +220,27 @@ class HuffmanCodec:
         )
 
     # -- internals --------------------------------------------------------
-    def _build_decode_tree(self) -> None:
-        """Flatten the canonical tree into arrays for the decode loop."""
-        size = 1
-        left = [-1]
-        right = [-1]
-        symbols = [_NO_SYMBOL]
-        for symbol, code in self._codes.items():
-            node = 0
-            for bit in code:
-                children = right if bit else left
-                if children[node] == -1:
-                    left.append(-1)
-                    right.append(-1)
-                    symbols.append(_NO_SYMBOL)
-                    children[node] = size
-                    size += 1
-                node = children[node]
-            symbols[node] = symbol
-        self._left = np.asarray(left, dtype=np.int64)
-        self._right = np.asarray(right, dtype=np.int64)
-        self._symbols = np.asarray(symbols, dtype=np.int64)
+    def _decode_table(self) -> tuple[int, np.ndarray, list]:
+        """Built on first decode: ``table[w]`` is ``index << 6 | length`` of
+        the code that begins the ``k``-bit window ``w`` (0: a longer code or
+        none); ``long_codes`` has each longer length's first code, limit and
+        first index."""
+        if self._table is None:
+            lens, codes = self._code_len.tolist(), self._code.tolist()
+            k = min(lens[-1], _TABLE_BITS)
+            short = bisect.bisect_right(lens, k)
+            spans = 1 << (k - self._code_len[:short])
+            table = np.zeros(1 << k, dtype=np.int32)
+            entries = (np.arange(short) << 6) | self._code_len[:short]
+            table[: spans.sum()] = entries.repeat(spans)
+            first = [i for i in range(short, len(lens))
+                     if i == short or lens[i] > lens[i - 1]]
+            long_codes = [
+                (lens[i], codes[i], codes[j - 1] + 1, i)
+                for i, j in zip(first, first[1:] + [len(lens)])
+            ]
+            self._table = (k, table, long_codes)
+        return self._table
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HuffmanCodec) and self._lengths == other._lengths
-
-
-def _walk_lengths(node: _Node, depth: int, out: dict[int, int]) -> None:
-    if node.symbol is not None:
-        out[node.symbol] = max(depth, 1)
-        return
-    assert node.left is not None and node.right is not None
-    _walk_lengths(node.left, depth + 1, out)
-    _walk_lengths(node.right, depth + 1, out)
-
-
-def _canonical_codes(lengths: Mapping[int, int]) -> dict[int, np.ndarray]:
-    """Assign canonical codes: sort by (length, symbol), count upwards."""
-    ordered = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    codes: dict[int, np.ndarray] = {}
-    code = 0
-    prev_len = 0
-    for symbol, length in ordered:
-        code <<= length - prev_len
-        bits = np.array(
-            [(code >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8
-        )
-        codes[symbol] = bits
-        code += 1
-        prev_len = length
-    return codes

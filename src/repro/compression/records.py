@@ -12,6 +12,11 @@ batch codec therefore takes a *list* of records and produces a single
   compressed, which is why SAM batches compress less than FASTQ batches
   (Table 3).
 
+The field kernels take a block at a time: its sequences (and qualities)
+are one ``uint8`` array with per-record lengths, masked, 2-bit packed,
+delta and Huffman coded (and back) in a few NumPy passes; decoded strings
+are slices of one ``str`` per field.  Only the framing is per record.
+
 Binary layout of a batch::
 
     [u32 record_count]
@@ -19,6 +24,8 @@ Binary layout of a batch::
     per record:
       [u16 name_len][name][u32 seq_blob_len][seq blob]
       [u32 qual_blob_len][qual bits][u32 extra_len][extra ascii fields]
+
+SAM writes an empty seq blob for a record without SEQ.
 """
 
 from __future__ import annotations
@@ -28,13 +35,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.compression.delta import delta_decode, delta_encode
-from repro.compression.huffman import HuffmanCodec
+from repro.compression.delta import delta_decode_block, delta_encode_block
+from repro.compression.huffman import EOF_SYMBOL, HuffmanCodec
 from repro.compression.twobit import (
     MASK_QUAL_CHAR,
     _ENCODE_LUT,
-    compress_sequence,
-    decompress_sequence,
+    compress_block,
+    decompress_block,
 )
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqRecord
@@ -45,6 +52,8 @@ from repro.formats.sam import SamRecord, format_tag, parse_tag
 #: consumer never holds more than a sliver of the partition decoded.
 DECODE_BATCH_SIZE = 512
 
+_MASK = ord(MASK_QUAL_CHAR)
+
 
 class CodecUnsupportedError(ValueError):
     """A record cannot round-trip byte-identically through the §4.1 codec.
@@ -52,9 +61,11 @@ class CodecUnsupportedError(ValueError):
     Raised by ``encode(..., strict=True)`` for records the 2-bit + mask
     transform would alter: lowercase or IUPAC ambiguity codes (decoded as
     ``N``), an ``N`` whose quality is not already the Phred-0 marker (its
-    real quality would be clobbered), or a real ACGT base carrying the
-    reserved Phred-0 score (the mask would be ambiguous).  The serializer
-    layer catches this and falls back to pickle for the whole block.
+    real quality would be clobbered), a real ACGT base carrying the
+    reserved Phred-0 score (the mask would be ambiguous), or a SAM QUAL
+    without a SEQ (the codec stores qualities only beside bases).  The
+    serializer layer catches this and falls back to pickle for the whole
+    block.
     """
 
 
@@ -65,63 +76,79 @@ def roundtrip_safe(sequence: str, quality: str) -> bool:
     is ACGT (quality anything but the reserved ``!``) or an ``N`` whose
     quality is *already* the Phred-0 marker.
     """
-    if len(sequence) != len(quality):
+    try:
+        _block_arrays([sequence], [quality], strict=True)
+    except CodecUnsupportedError:
         return False
-    if not sequence:
-        return True
-    try:
-        seq = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
-        qual = np.frombuffer(quality.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return False
-    special = _ENCODE_LUT[seq] == 255
-    mask = ord(MASK_QUAL_CHAR)
-    # A special base must be exactly N-with-marker; a regular base must
-    # not use the reserved marker score.
-    bad_special = special & ~((seq == ord("N")) & (qual == mask))
-    collision = (~special) & (qual == mask)
-    return not (bool(bad_special.any()) or bool(collision.any()))
+    return True
 
 
-def _check_strict(name: str, sequence: str, quality: str) -> None:
-    try:
-        name.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise CodecUnsupportedError(f"non-ascii record name {name!r}") from exc
-    if not roundtrip_safe(sequence, quality):
+def _split(text: str, lengths: Sequence[int]) -> list[str]:
+    bounds = np.cumsum(lengths).tolist()
+    return [text[a:b] for a, b in zip([0] + bounds, bounds)]
+
+
+def _strings(views: list) -> list[str]:
+    return _split(b"".join(views).decode("ascii"), [len(v) for v in views])
+
+
+def _block_arrays(seqs: list, quals: list, strict: bool) -> tuple[np.ndarray, ...]:
+    """A block's bases and qualities as one ASCII ``uint8`` array each, and
+    the per-record lengths.  ``strict`` refuses any record the mask would
+    alter: a marked quality must sit on an ``N``, an unmarked one on ACGT."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if lengths.tolist() != [len(q) for q in quals]:
+        refuse = CodecUnsupportedError if strict else ValueError
+        raise refuse("sequence/quality length mismatch")
+    seqs, quals = "".join(seqs), "".join(quals)
+    if strict and not (seqs + quals).isascii():
+        raise CodecUnsupportedError("non-ascii sequence or quality")
+    seq = np.frombuffer(seqs.encode("ascii"), dtype=np.uint8)
+    qual = np.frombuffer(quals.encode("ascii"), dtype=np.uint8).copy()
+    marked = qual == _MASK
+    if strict and np.where(marked, seq != ord("N"), _ENCODE_LUT[seq] == 255).any():
         raise CodecUnsupportedError(
-            f"record {name!r} would not round-trip byte-identically "
-            "(ambiguity code, lowercase base, or N with a real quality)"
+            "ambiguity code, lowercase base, N with a real quality, or the "
+            "Phred-0 marker on a real base would not round-trip"
         )
+    return seq, qual, lengths
 
 
-def _check_sam_strict(rec: SamRecord) -> None:
-    """Strict-mode gate for one SAM record: name, payload, extra fields.
+def _encode_qualities(qual: np.ndarray, lengths: np.ndarray) -> tuple:
+    """One Huffman codec over a block's quality deltas (paper Fig. 5-6);
+    each record's deltas are their own stream."""
+    deltas = delta_encode_block(qual, lengths)
+    hist = np.bincount(deltas + 255, minlength=511)
+    present = hist.nonzero()[0]
+    freqs = dict(zip((present - 255).tolist(), hist[present].tolist()))
+    codec = HuffmanCodec.from_frequencies(freqs)
+    return codec, codec.encode_concat(deltas, lengths)
 
-    The extra fields are framed as one tab-joined ascii line, so a tag
-    value carrying a tab/newline (or any non-ascii byte) would re-split
-    into the wrong fields on decode — those records must take the pickle
-    fallback.
-    """
-    if rec.seq:
-        _check_strict(rec.qname, rec.seq, rec.qual)
-    else:
-        try:
-            rec.qname.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise CodecUnsupportedError(
-                f"non-ascii record name {rec.qname!r}"
-            ) from exc
-    try:
-        extra = _sam_extra_fields(rec)
-    except (UnicodeEncodeError, ValueError, TypeError) as exc:
-        raise CodecUnsupportedError(
-            f"SAM extra fields of {rec.qname!r} are not ascii-framable"
-        ) from exc
-    if extra.count(b"\t") != 7 + len(rec.tags) or b"\n" in extra:
-        raise CodecUnsupportedError(
-            f"SAM tag of {rec.qname!r} contains a framing byte (tab/newline)"
-        )
+
+def _decode_qualities(codec: HuffmanCodec, blobs: Sequence) -> tuple[np.ndarray, ...]:
+    """Inverse of :func:`_encode_qualities`: ``(qualities, lengths)``."""
+    deltas, lengths = codec.decode_many(blobs)
+    return delta_decode_block(deltas, lengths), lengths
+
+
+def _encode_block(names: list, seqs: list, quals: list, strict: bool) -> tuple:
+    """The field kernel shared by the codecs: ``(table, names, seq blobs,
+    qual blobs)``."""
+    if strict and not "".join(names).isascii():
+        raise CodecUnsupportedError("non-ascii record name")
+    name_fields = [name.encode("ascii") for name in names]
+    seq, qual, lengths = _block_arrays(seqs, quals, strict)
+    seq_blobs = compress_block(seq, qual, lengths)
+    codec, qual_blobs = _encode_qualities(qual, lengths)
+    return _serialize_table(codec.code_lengths()), name_fields, seq_blobs, qual_blobs
+
+
+def _decode_block(codec: HuffmanCodec, names: list, seqs: list, quals: list) -> tuple:
+    """Inverse of :func:`_encode_block` for one chunk: names, seqs, quals."""
+    qual, lengths = _decode_qualities(codec, quals)
+    bases = decompress_block(seqs, qual, lengths).tobytes().decode("ascii")
+    quals = qual.tobytes().decode("ascii")
+    return _strings(names), _split(bases, lengths), _split(quals, lengths)
 
 
 def _serialize_table(lengths: dict[int, int]) -> bytes:
@@ -130,65 +157,61 @@ def _serialize_table(lengths: dict[int, int]) -> bytes:
 
 def _deserialize_table(blob: bytes) -> dict[int, int]:
     table: dict[int, int] = {}
-    for token in blob.decode("ascii").split(","):
+    for token in bytes(blob).decode("ascii").split(","):
         sym, length = token.split(":")
         table[int(sym)] = int(length)
+    if any(not -255 <= s <= 255 for s in table if s != EOF_SYMBOL):
+        raise ValueError("code table holds a symbol outside the delta alphabet")
     return table
 
 
-class _BatchWriter:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u16(self, value: int) -> None:
-        self._parts.append(struct.pack("<H", value))
-
-    def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
-
-    def blob(self, data: bytes, width: str = "u32") -> None:
-        if width == "u16":
-            self.u16(len(data))
-        else:
-            self.u32(len(data))
-        self._parts.append(data)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+_WIDTHS = {"H": struct.Struct("<H"), "I": struct.Struct("<I")}
 
 
-class _BatchReader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._off = 0
-
-    def u16(self) -> int:
-        (value,) = struct.unpack_from("<H", self._data, self._off)
-        self._off += 2
-        return value
-
-    def u32(self) -> int:
-        (value,) = struct.unpack_from("<I", self._data, self._off)
-        self._off += 4
-        return value
-
-    def blob(self, width: str = "u32") -> bytes:
-        n = self.u16() if width == "u16" else self.u32()
-        out = self._data[self._off : self._off + n]
-        self._off += n
-        return out
+def _frame(table: bytes, columns: list[tuple[str, Sequence]]) -> bytes:
+    """``[u32 count][u32 table_len][table]``, then per record one field per
+    column: width ``H``/``I`` writes bytes behind their u16/u32 length,
+    ``h``/``i`` a bare u16/u32 value."""
+    parts = [struct.pack("<II", len(columns[0][1]), len(table)), table]
+    layout = [(_WIDTHS[w.upper()].pack, w.isupper()) for w, _ in columns]
+    for row in zip(*(values for _, values in columns)):
+        for (pack, prefixed), value in zip(layout, row):
+            parts += (pack(len(value)), value) if prefixed else (pack(value),)
+    return b"".join(parts)
 
 
-def _encode_qualities(masked_quals: list[str]) -> tuple[HuffmanCodec, list[bytes]]:
-    """Build one Huffman codec over a batch's quality deltas, encode each."""
-    deltas = [delta_encode(q) for q in masked_quals]
-    freqs: dict[int, int] = {}
-    for arr in deltas:
-        symbols, counts = np.unique(arr, return_counts=True)
-        for s, c in zip(symbols.tolist(), counts.tolist()):
-            freqs[s] = freqs.get(s, 0) + c
-    codec = HuffmanCodec.from_frequencies(freqs)
-    return codec, [codec.encode(arr) for arr in deltas]
+def _read(data: memoryview, off: int, count: int, widths: str) -> tuple[list, int]:
+    """The next ``count`` records framed as :func:`_frame` writes them:
+    ``(fields by column, new offset)``; bytes come back as views."""
+    fields = [(_WIDTHS[w.upper()], w.isupper(), []) for w in widths]
+    try:
+        for _ in range(count):
+            for fmt, prefixed, column in fields:
+                (value,) = fmt.unpack_from(data, off)
+                off += fmt.size
+                column.append(data[off : off + value] if prefixed else value)
+                off += value if prefixed else 0
+    except struct.error as exc:
+        raise ValueError("truncated batch") from exc
+    if off > len(data):
+        raise ValueError("truncated batch")
+    return [column for _, _, column in fields], off
+
+
+def _record_count(blob: bytes) -> int:
+    """Record count from the batch header, without decoding."""
+    return _read(memoryview(blob), 0, 1, "i")[0][0][0]
+
+
+def _chunks(blob: bytes, widths: str, batch_size: int) -> Iterator[tuple]:
+    """The batch's codec with each chunk of ``batch_size`` records' fields."""
+    data = memoryview(blob)
+    ((count,), (table,)), off = _read(data, 0, 1, "iI")
+    codec = HuffmanCodec(_deserialize_table(table))
+    step = max(1, batch_size)
+    for first in range(0, count, step):
+        columns, off = _read(data, off, min(step, count - first), widths)
+        yield codec, columns
 
 
 class FastqCodec:
@@ -202,62 +225,28 @@ class FastqCodec:
         or :class:`CodecUnsupportedError` is raised before any output is
         produced (the serializer layer then falls back to pickle).
         """
-        writer = _BatchWriter()
-        writer.u32(len(records))
-        seq_blobs: list[bytes] = []
-        masked_quals: list[str] = []
-        for rec in records:
-            if strict:
-                _check_strict(rec.name, rec.sequence, rec.quality)
-            blob, masked = compress_sequence(rec.sequence, rec.quality)
-            seq_blobs.append(blob)
-            masked_quals.append(masked)
-        codec, qual_blobs = _encode_qualities(masked_quals)
-        writer.blob(_serialize_table(codec.code_lengths()))
-        for rec, seq_blob, qual_blob in zip(records, seq_blobs, qual_blobs):
-            writer.blob(rec.name.encode("ascii"), width="u16")
-            writer.blob(seq_blob)
-            writer.blob(qual_blob)
-        return writer.getvalue()
+        table, names, seqs, quals = _encode_block(
+            [r.name for r in records],
+            [r.sequence for r in records],
+            [r.quality for r in records],
+            strict,
+        )
+        return _frame(table, [("H", names), ("I", seqs), ("I", quals)])
 
-    @staticmethod
-    def record_count(blob: bytes) -> int:
-        """Record count from the batch header, without decoding."""
-        return _BatchReader(blob).u32()
+    record_count = staticmethod(_record_count)
 
     @staticmethod
     def iter_decode(
         blob: bytes, batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[FastqRecord]]:
         """Lazily decode the batch, yielding record chunks of ``batch_size``."""
-        reader = _BatchReader(blob)
-        count = reader.u32()
-        codec = HuffmanCodec(_deserialize_table(reader.blob()))
-        batch: list[FastqRecord] = []
-        for _ in range(count):
-            name = reader.blob(width="u16").decode("ascii")
-            seq_blob = reader.blob()
-            masked_qual = delta_decode(codec.decode(reader.blob()))
-            seq = decompress_sequence(seq_blob, masked_qual)
-            # Restore the original quality: the Phred-0 markers were only
-            # meaningful for masked bases; real FASTQ keeps them (score 0
-            # positions correspond to N bases whose original quality the
-            # sequencer reported as low anyway -- the Deorowicz transform
-            # is lossy exactly there, replacing the N's quality with 0).
-            batch.append(FastqRecord(name=name, sequence=seq, quality=masked_qual))
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        for codec, columns in _chunks(blob, "HII", batch_size):
+            yield [FastqRecord(*row) for row in zip(*_decode_block(codec, *columns))]
 
     @staticmethod
     def decode(blob: bytes) -> list[FastqRecord]:
         """Inverse of :meth:`encode`."""
-        out: list[FastqRecord] = []
-        for batch in FastqCodec.iter_decode(blob):
-            out.extend(batch)
-        return out
+        return [rec for batch in FastqCodec.iter_decode(blob) for rec in batch]
 
 
 def _sam_extra_fields(rec: SamRecord) -> bytes:
@@ -276,25 +265,30 @@ def _sam_extra_fields(rec: SamRecord) -> bytes:
     return "\t".join(fields).encode("ascii")
 
 
-def _sam_from_extra(name: str, seq: str, qual: str, extra: bytes) -> SamRecord:
-    parts = extra.decode("ascii").split("\t")
-    tags: dict[str, object] = {}
-    for raw in parts[8:]:
-        key, value = parse_tag(raw)
-        tags[key] = value
+def _sam_extras(records: Sequence[SamRecord], strict: bool) -> list[bytes]:
+    """Every record's extra fields, computed once.  Strict mode refuses
+    fields that do not frame as one ascii line: a non-ascii byte, or a tab
+    or newline inside a tag value (it would re-split on decode)."""
+    try:
+        extras = [_sam_extra_fields(rec) for rec in records]
+    except (UnicodeEncodeError, ValueError, TypeError) as exc:
+        if strict:
+            raise CodecUnsupportedError("SAM extra fields are not ascii") from exc
+        raise
+    # A line has at least 7 + len(tags) tabs: the totals agree only if
+    # every line does.
+    joined = b"".join(extras)
+    tabs = sum(7 + len(rec.tags) for rec in records)
+    if strict and (b"\n" in joined or joined.count(b"\t") != tabs):
+        raise CodecUnsupportedError("SAM tag contains a framing byte (tab/newline)")
+    return extras
+
+
+def _sam_from_extra(name: str, seq: str, qual: str, extra: str) -> SamRecord:
+    flag, rname, pos, mapq, cigar, rnext, pnext, tlen, *tags = extra.split("\t")
     return SamRecord(
-        qname=name,
-        flag=int(parts[0]),
-        rname=parts[1],
-        pos=int(parts[2]),
-        mapq=int(parts[3]),
-        cigar=Cigar.parse(parts[4]),
-        rnext=parts[5],
-        pnext=int(parts[6]),
-        tlen=int(parts[7]),
-        seq=seq,
-        qual=qual,
-        tags=tags,
+        name, int(flag), rname, int(pos), int(mapq), Cigar.parse(cigar), rnext,
+        int(pnext), int(tlen), seq, qual, dict(map(parse_tag, tags)),
     )
 
 
@@ -307,63 +301,35 @@ class SamCodec:
 
         ``strict=True`` raises :class:`CodecUnsupportedError` for records
         that would not round-trip byte-identically (see FastqCodec).
+        Without it, a QUAL whose record has no SEQ is dropped.
         """
-        writer = _BatchWriter()
-        writer.u32(len(records))
-        seq_blobs: list[bytes] = []
-        masked_quals: list[str] = []
-        for rec in records:
-            if strict:
-                _check_sam_strict(rec)
-            if rec.seq:
-                blob, masked = compress_sequence(rec.seq, rec.qual)
-            else:
-                blob, masked = b"", ""
-            seq_blobs.append(blob)
-            masked_quals.append(masked)
-        codec, qual_blobs = _encode_qualities(masked_quals)
-        writer.blob(_serialize_table(codec.code_lengths()))
-        for rec, seq_blob, qual_blob in zip(records, seq_blobs, qual_blobs):
-            writer.blob(rec.qname.encode("ascii"), width="u16")
-            writer.blob(seq_blob)
-            writer.blob(qual_blob)
-            writer.blob(_sam_extra_fields(rec))
-        return writer.getvalue()
+        extras = _sam_extras(records, strict)
+        if strict and any(r.qual and not r.seq for r in records):
+            raise CodecUnsupportedError("SAM record with QUAL but no SEQ")
+        seqs = [r.seq for r in records]
+        quals = [r.qual if r.seq else "" for r in records]
+        table, names, seq_blobs, quals = _encode_block(
+            [r.qname for r in records], seqs, quals, strict
+        )
+        seq_blobs = [blob if seq else b"" for blob, seq in zip(seq_blobs, seqs)]
+        columns = [("H", names), ("I", seq_blobs), ("I", quals), ("I", extras)]
+        return _frame(table, columns)
 
-    @staticmethod
-    def record_count(blob: bytes) -> int:
-        """Record count from the batch header, without decoding."""
-        return _BatchReader(blob).u32()
+    record_count = staticmethod(_record_count)
 
     @staticmethod
     def iter_decode(
         blob: bytes, batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[SamRecord]]:
         """Lazily decode the batch, yielding record chunks of ``batch_size``."""
-        reader = _BatchReader(blob)
-        count = reader.u32()
-        codec = HuffmanCodec(_deserialize_table(reader.blob()))
-        batch: list[SamRecord] = []
-        for _ in range(count):
-            name = reader.blob(width="u16").decode("ascii")
-            seq_blob = reader.blob()
-            masked_qual = delta_decode(codec.decode(reader.blob()))
-            extra = reader.blob()
-            seq = decompress_sequence(seq_blob, masked_qual) if seq_blob else ""
-            batch.append(_sam_from_extra(name, seq, masked_qual, extra))
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        for codec, (names, seqs, quals, extras) in _chunks(blob, "HIII", batch_size):
+            fields = _decode_block(codec, names, seqs, quals)
+            yield [_sam_from_extra(*row) for row in zip(*fields, _strings(extras))]
 
     @staticmethod
     def decode(blob: bytes) -> list[SamRecord]:
         """Inverse of :meth:`encode`."""
-        out: list[SamRecord] = []
-        for batch in SamCodec.iter_decode(blob):
-            out.extend(batch)
-        return out
+        return [rec for batch in SamCodec.iter_decode(blob) for rec in batch]
 
 
 def logical_size(records: Sequence[FastqRecord] | Sequence[SamRecord]) -> int:

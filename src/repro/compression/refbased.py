@@ -21,20 +21,25 @@ the same reference every Process already holds.
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from typing import Sequence
 
+import numpy as np
+
 from repro.compression.records import (
-    _BatchReader,
-    _BatchWriter,
-    _deserialize_table,
+    DECODE_BATCH_SIZE,
+    _block_arrays,
+    _chunks,
+    _decode_qualities,
     _encode_qualities,
-    _sam_extra_fields,
+    _frame,
+    _sam_extras,
     _sam_from_extra,
     _serialize_table,
+    _split,
+    _strings,
 )
-from repro.compression.twobit import compress_sequence, decompress_sequence
-from repro.compression.delta import delta_decode
-from repro.compression.huffman import HuffmanCodec
+from repro.compression.twobit import compress_block, decompress_block
 from repro.formats.fasta import Reference
 from repro.formats.sam import SamRecord
 
@@ -107,52 +112,60 @@ class RefBasedSamCodec:
 
     def encode(self, records: Sequence[SamRecord]) -> bytes:
         """Serialize a batch with reference-diff sequences where possible."""
-        writer = _BatchWriter()
-        writer.u32(len(records))
-        masked_quals: list[str] = []
-        seq_blobs: list[tuple[int, bytes]] = []
-        for rec in records:
-            ref_blob = encode_against_reference(rec, self.reference)
+        ref_blobs = [encode_against_reference(r, self.reference) for r in records]
+        twobit = [r for r, ref in zip(records, ref_blobs) if ref is None and r.seq]
+        seq, qual, lengths = _block_arrays(
+            [r.seq for r in twobit], [r.qual for r in twobit], strict=False
+        )
+        packed = iter(compress_block(seq, qual, lengths))
+        masked = iter(_split(qual.tobytes().decode("ascii"), lengths))
+        tags, seq_blobs, quals = [], [], []
+        for rec, ref_blob in zip(records, ref_blobs):
             if ref_blob is not None:
-                seq_blobs.append((_REF_ENCODED, ref_blob))
-                masked_quals.append(rec.qual)
-            elif rec.seq:
-                blob, masked = compress_sequence(rec.seq, rec.qual)
-                seq_blobs.append((_TWOBIT_FALLBACK, blob))
-                masked_quals.append(masked)
+                tags.append(_REF_ENCODED)
+                seq_blobs.append(ref_blob)
+                quals.append(rec.qual)
             else:
-                seq_blobs.append((_TWOBIT_FALLBACK, b""))
-                masked_quals.append("")
-        codec, qual_blobs = _encode_qualities(masked_quals)
-        writer.blob(_serialize_table(codec.code_lengths()))
-        for rec, (tag, seq_blob), qual_blob in zip(records, seq_blobs, qual_blobs):
-            writer.u16(tag)
-            writer.blob(rec.qname.encode("ascii"), width="u16")
-            writer.blob(seq_blob)
-            writer.blob(qual_blob)
-            writer.blob(_sam_extra_fields(rec))
-        return writer.getvalue()
+                tags.append(_TWOBIT_FALLBACK)
+                seq_blobs.append(next(packed) if rec.seq else b"")
+                quals.append(next(masked) if rec.seq else "")
+        lengths = np.array([len(q) for q in quals], dtype=np.int64)
+        qual = np.frombuffer("".join(quals).encode("ascii"), dtype=np.uint8)
+        codec, qual_blobs = _encode_qualities(qual, lengths)
+        columns = [
+            ("h", tags),
+            ("H", [r.qname.encode("ascii") for r in records]),
+            ("I", seq_blobs),
+            ("I", qual_blobs),
+            ("I", _sam_extras(records, strict=False)),
+        ]
+        return _frame(_serialize_table(codec.code_lengths()), columns)
 
     def decode(self, blob: bytes) -> list[SamRecord]:
         """Inverse of :meth:`encode`; reconstructs sequences from the reference."""
-        reader = _BatchReader(blob)
-        count = reader.u32()
-        codec = HuffmanCodec(_deserialize_table(reader.blob()))
         records: list[SamRecord] = []
-        for _ in range(count):
-            tag = reader.u16()
-            name = reader.blob(width="u16").decode("ascii")
-            seq_blob = reader.blob()
-            qual = delta_decode(codec.decode(reader.blob()))
-            extra = reader.blob()
-            if tag == _REF_ENCODED:
-                # Build the record shell first (pos/cigar live in extra).
-                shell = _sam_from_extra(name, "", qual, extra)
-                shell.seq = decode_against_reference(
-                    seq_blob, shell.pos, shell.rname, shell.cigar, self.reference
-                )
-                records.append(shell)
-            else:
-                seq = decompress_sequence(seq_blob, qual) if seq_blob else ""
-                records.append(_sam_from_extra(name, seq, qual, extra))
+        for codec, (tags, names, seq_blobs, quals, extras) in _chunks(
+            blob, "hHIII", DECODE_BATCH_SIZE
+        ):
+            qual, lengths = _decode_qualities(codec, quals)
+            twobit = np.array(tags, dtype=np.int64) != _REF_ENCODED
+            bases = decompress_block(
+                list(compress(seq_blobs, twobit)),
+                qual[twobit.repeat(lengths)],
+                lengths[twobit],
+            )
+            seqs = iter(_split(bases.tobytes().decode("ascii"), lengths[twobit]))
+            quals = _split(qual.tobytes().decode("ascii"), lengths)
+            for tag, name, seq_blob, qual_text, line in zip(
+                tags, _strings(names), seq_blobs, quals, _strings(extras)
+            ):
+                if tag == _REF_ENCODED:
+                    # Build the record shell first (pos/cigar live in extra).
+                    rec = _sam_from_extra(name, "", qual_text, line)
+                    rec.seq = decode_against_reference(
+                        seq_blob, rec.pos, rec.rname, rec.cigar, self.reference
+                    )
+                else:
+                    rec = _sam_from_extra(name, next(seqs), qual_text, line)
+                records.append(rec)
         return records

@@ -11,7 +11,9 @@ The packed layout per sequence is::
 
     [length: u32 little-endian][packed 2-bit bases, 4 per byte, zero padded]
 
-All packing/unpacking is vectorized with NumPy.
+The ``*_block`` functions take a whole block of records laid end to end
+in one array, in a few NumPy passes; the per-sequence functions are their
+one-record case.
 """
 
 from __future__ import annotations
@@ -34,6 +36,52 @@ for _base, _code in BASE_TO_CODE.items():
 #: Phred >= 1, which repro.sim guarantees and real Illumina data satisfies
 #: (minimum reported quality is 2).
 MASK_QUAL_CHAR = "!"
+_MASK = ord(MASK_QUAL_CHAR)
+_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _spread(lengths: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Index of each element of records laid end to end, once record ``i``
+    is given ``slots[i]`` places instead."""
+    shift = (slots.cumsum() - slots - lengths.cumsum() + lengths).repeat(lengths)
+    return np.arange(int(lengths.sum())) + shift
+
+
+def _pack(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, list[int]]:
+    """Each record's 2-bit codes, 4 per byte and zero padded: the packed
+    bytes back to back and the record boundaries in them."""
+    nbytes = (lengths + 3) >> 2
+    slots = np.zeros(4 * int(nbytes.sum()), dtype=np.uint8)
+    slots[_spread(lengths, 4 * nbytes)] = codes
+    packed = (slots.reshape(-1, 4) << _SHIFTS).sum(axis=1, dtype=np.uint8)
+    return packed.tobytes(), [0] + nbytes.cumsum().tolist()
+
+
+def _unpack(packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack`: the records' bases as ASCII, end to end."""
+    codes = (packed[:, None] >> _SHIFTS) & 3
+    return CODE_TO_BASE[codes.ravel()[_spread(lengths, 4 * ((lengths + 3) >> 2))]]
+
+
+def _mask(seq: np.ndarray, qual: np.ndarray) -> np.ndarray:
+    """2-bit codes of ``seq``, each special base rewritten to ``A`` with its
+    quality (in ``qual``, in place) set to the Phred-0 marker."""
+    if seq.size != qual.size:
+        raise ValueError("sequence/quality length mismatch")
+    codes = _ENCODE_LUT[seq]
+    special = codes == 255
+    if (qual[~special] == _MASK).any():
+        raise ValueError(
+            "quality uses the reserved Phred-0 score at a regular base; "
+            "cannot mask special characters unambiguously"
+        )
+    codes[special] = 0
+    qual[special] = _MASK
+    return codes
 
 
 def pack_bases(sequence: str) -> np.ndarray:
@@ -42,33 +90,18 @@ def pack_bases(sequence: str) -> np.ndarray:
     Raises ``ValueError`` on non-ACGT characters — callers must mask
     specials first (see :func:`compress_sequence`).
     """
-    raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
+    raw = _ascii(sequence)
     codes = _ENCODE_LUT[raw]
     if codes.max(initial=0) == 255:
         bad = sorted({chr(b) for b in raw[codes == 255]})
         raise ValueError(f"cannot 2-bit pack non-ACGT characters: {bad}")
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4)
-    packed = (
-        (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
-    ).astype(np.uint8)
-    return packed
+    return np.frombuffer(_pack(codes, np.array([codes.size]))[0], dtype=np.uint8)
 
 
 def unpack_bases(packed: np.ndarray, length: int) -> str:
     """Inverse of :func:`pack_bases`."""
-    if length == 0:
-        return ""
     packed = np.asarray(packed, dtype=np.uint8)
-    codes = np.empty((len(packed), 4), dtype=np.uint8)
-    codes[:, 0] = (packed >> 6) & 3
-    codes[:, 1] = (packed >> 4) & 3
-    codes[:, 2] = (packed >> 2) & 3
-    codes[:, 3] = packed & 3
-    flat = codes.reshape(-1)[:length]
-    return CODE_TO_BASE[flat].tobytes().decode("ascii")
+    return _unpack(packed, np.array([length])).tobytes().decode("ascii")
 
 
 def mask_special_bases(sequence: str, quality: str) -> tuple[str, str]:
@@ -78,31 +111,42 @@ def mask_special_bases(sequence: str, quality: str) -> tuple[str, str]:
     quality already uses Phred 0 at a real (ACGT) base, which would make
     decompression ambiguous.
     """
-    if len(sequence) != len(quality):
-        raise ValueError("sequence/quality length mismatch")
-    seq = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
-    qual = np.frombuffer(quality.encode("ascii"), dtype=np.uint8).copy()
-    special = _ENCODE_LUT[seq] == 255
-    collision = (~special) & (qual == ord(MASK_QUAL_CHAR))
-    if collision.any():
-        raise ValueError(
-            "quality uses the reserved Phred-0 score at a regular base; "
-            "cannot mask special characters unambiguously"
-        )
-    if special.any():
-        seq = seq.copy()
-        seq[special] = ord("A")
-        qual[special] = ord(MASK_QUAL_CHAR)
-    return seq.tobytes().decode("ascii"), qual.tobytes().decode("ascii")
+    qual = _ascii(quality).copy()
+    codes = _mask(_ascii(sequence), qual)
+    return CODE_TO_BASE[codes].tobytes().decode("ascii"), qual.tobytes().decode("ascii")
 
 
 def unmask_special_bases(sequence: str, quality: str) -> str:
     """Restore ``N`` at every position where quality is the Phred-0 marker."""
-    seq = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8).copy()
-    qual = np.frombuffer(quality.encode("ascii"), dtype=np.uint8)
-    masked = qual == ord(MASK_QUAL_CHAR)
-    seq[masked] = ord("N")
+    seq = _ascii(sequence).copy()
+    seq[_ascii(quality) == _MASK] = ord("N")
     return seq.tobytes().decode("ascii")
+
+
+def compress_block(seq: np.ndarray, qual: np.ndarray, lengths: np.ndarray) -> list:
+    """:func:`compress_sequence` of records laid end to end in ``seq`` and
+    ``qual`` (ASCII ``uint8``): each record's blob; ``qual`` is masked in
+    place."""
+    packed, bounds = _pack(_mask(seq, qual), lengths)
+    headers = lengths.astype("<u4").tobytes()
+    return [
+        headers[4 * i : 4 * i + 4] + packed[a:b]
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def decompress_block(blobs: list, qual: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`compress_block`: the records' bases laid end to end,
+    ``N`` restored wherever the masked quality holds the marker."""
+    if [int.from_bytes(blob[:4], "little") for blob in blobs] != lengths.tolist():
+        raise ValueError("sequence and quality lengths differ")
+    nbytes = ((lengths + 3) >> 2).tolist()
+    packed = b"".join([blob[4 : 4 + n] for blob, n in zip(blobs, nbytes)])
+    if len(packed) != sum(nbytes):
+        raise ValueError("truncated 2-bit sequence blob")
+    bases = _unpack(np.frombuffer(packed, dtype=np.uint8), lengths)
+    bases[qual == _MASK] = ord("N")
+    return bases
 
 
 def compress_sequence(sequence: str, quality: str) -> tuple[bytes, str]:
@@ -113,15 +157,13 @@ def compress_sequence(sequence: str, quality: str) -> tuple[bytes, str]:
     markers for special bases and must be stored alongside (it is what the
     quality codec then compresses).
     """
-    masked_seq, masked_qual = mask_special_bases(sequence, quality)
-    packed = pack_bases(masked_seq)
-    header = len(sequence).to_bytes(4, "little")
-    return header + packed.tobytes(), masked_qual
+    qual = _ascii(quality).copy()
+    [blob] = compress_block(_ascii(sequence), qual, np.array([len(sequence)]))
+    return blob, qual.tobytes().decode("ascii")
 
 
 def decompress_sequence(blob: bytes, masked_quality: str) -> str:
     """Inverse of :func:`compress_sequence`; restores special characters."""
-    length = int.from_bytes(blob[:4], "little")
-    packed = np.frombuffer(blob[4:], dtype=np.uint8)
-    seq = unpack_bases(packed, length)
-    return unmask_special_bases(seq, masked_quality)
+    qual = _ascii(masked_quality)
+    bases = decompress_block([blob], qual, np.array([qual.size]))
+    return bases.tobytes().decode("ascii")

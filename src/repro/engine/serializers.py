@@ -126,7 +126,7 @@ class GpfSerializer:
 
     def loads(self, blob: bytes) -> list[object]:
         out: list[object] = []
-        for batch in self.iter_loads(blob, batch_size=1 << 30):
+        for batch in self.iter_loads(blob):
             out.extend(batch)
         return out
 
@@ -135,9 +135,10 @@ class GpfSerializer:
     ) -> Iterator[list[object]]:
         """Decode the partition in record chunks of ``batch_size``.
 
-        Codec-tagged payloads decode truly lazily (one Huffman walk per
-        chunk); pickle fallbacks yield the whole list at once, since
-        pickle has no incremental decode.
+        Codec-tagged payloads decode truly lazily: each chunk is one
+        table-driven Huffman pass and one NumPy pass per field over only
+        its own records.  Pickle fallbacks yield the whole list at once,
+        since pickle has no incremental decode.
         """
         tag, body = blob[:1], blob[1:]
         if tag == _TAG_FASTQ:

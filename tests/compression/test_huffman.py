@@ -61,6 +61,27 @@ class TestHuffman:
         with pytest.raises(ValueError, match="EOF"):
             HuffmanCodec({0: 1})
 
+    def test_kraft_violating_lengths_rejected(self):
+        # Three 1-bit codes: sum 2^-l = 1.5.  Such a table used to be
+        # accepted and decoded the stream for [5, 7, 5] as [7].
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanCodec({EOF_SYMBOL: 1, 5: 1, 7: 1})
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_non_positive_length_rejected(self, bad):
+        with pytest.raises(ValueError):
+            HuffmanCodec({EOF_SYMBOL: 1, 5: bad})
+
+    def test_encode_many_is_encode_per_stream(self):
+        codec = HuffmanCodec.from_frequencies({0: 40, 1: 9, -3: 2, 8: 1})
+        streams = [[], [0, 0, 1], [-3, 8, 0], [8] * 9]
+        assert codec.encode_many(streams) == [codec.encode(s) for s in streams]
+        symbols, counts = codec.decode_many(codec.encode_many(streams))
+        assert counts.tolist() == [0, 3, 3, 9]
+        assert symbols.tolist() == [0, 0, 1, -3, 8, 0] + [8] * 9
+        assert codec.encode_many([]) == []
+        assert [a.tolist() for a in codec.decode_many([])] == [[], []]
+
     def test_mean_bits_reflects_skew(self):
         freqs = {0: 1000, 1: 100, 2: 10, 3: 1}
         codec = HuffmanCodec.from_frequencies(freqs)

@@ -14,7 +14,7 @@ from repro.compression.records import (
     roundtrip_safe,
 )
 from repro.compression.twobit import MASK_QUAL_CHAR
-from repro.engine.serializers import GpfSerializer
+from repro.engine.serializers import GpfSerializer, get_serializer
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqRecord
 from repro.formats.sam import SamRecord
@@ -192,6 +192,18 @@ class TestSerializerFallbackByteIdentical:
         blob = serializer.dumps([rec])
         assert blob[:1] == b"F"
         assert serializer.loads(blob) == [rec]
+
+    def test_sam_qual_without_seq_falls_back_byte_identical(self):
+        # The codec stores QUAL only beside SEQ: this record used to take
+        # the codec and come back with qual="" ("* IIII" became "* *").
+        rec = sam(seq="", qual="IIII")
+        serializer = get_serializer("gpf")
+        blob = serializer.dumps([rec])
+        assert blob[:1] == b"F"
+        assert serializer.loads(blob) == [rec]
+        assert serializer.loads(blob)[0].to_line() == rec.to_line()
+        with pytest.raises(CodecUnsupportedError):
+            SamCodec.encode([rec], strict=True)
 
     def test_mixed_safety_partition_falls_back_whole(self):
         safe = FastqRecord("ok", "ACGT", "IIII")
