@@ -10,7 +10,9 @@ lists of these records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.formats.quarantine import QuarantineSink, check_policy, route_malformed
 
@@ -224,17 +226,26 @@ def sort_records(records: Iterable[VcfRecord], contigs: list[str]) -> list[VcfRe
     return sorted(records, key=lambda r: (order.get(r.contig, len(order)), r.pos, r.ref, r.alt))
 
 
-def build_known_sites_index(
+def known_sites_mask(
     records: Iterable[VcfRecord],
-) -> dict[str, set[int]]:
-    """Index of known variant positions per contig.
+    spans: Mapping[str, tuple[int, int]],
+) -> dict[str, np.ndarray]:
+    """Known variant positions inside each contig's window, as boolean masks.
 
-    BQSR uses this mask to skip known polymorphic sites when counting
-    mismatches (a mismatch at a dbSNP site is not sequencer error).
-    Indels mask every reference base they span.
+    ``spans`` maps a contig to a half-open window ``[start, end)``; in the
+    returned mask, index ``i`` is True when position ``start + i`` is a
+    known site.  BQSR uses this mask to skip known polymorphic sites when
+    counting mismatches (a mismatch at a dbSNP site is not sequencer
+    error).  Indels mask every reference base they span.  Only the window
+    is allocated, so a partition's mask stays small on a whole chromosome.
     """
-    index: dict[str, set[int]] = {}
+    masks = {
+        name: np.zeros(max(end - start, 0), dtype=bool) for name, (start, end) in spans.items()
+    }
     for rec in records:
-        positions = index.setdefault(rec.contig, set())
-        positions.update(range(rec.pos, rec.end))
-    return index
+        if rec.contig in spans:
+            start, end = spans[rec.contig]
+            lo, hi = max(rec.pos, start), min(rec.end, end)
+            if lo < hi:
+                masks[rec.contig][lo - start : hi - start] = True
+    return masks

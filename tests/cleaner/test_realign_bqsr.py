@@ -186,6 +186,41 @@ class TestBqsr:
         assert merged.total_observations == full.total_observations
         assert merged.total_errors == full.total_errors
         assert merged.by_quality == full.by_quality
+        assert merged.by_cycle == full.by_cycle
+        assert merged.by_context == full.by_context
+
+    def test_empty_qual_is_skipped_by_both_passes(self):
+        reference, records = self._mini_scene(n_reads=5)
+        counted = build_recalibration_table(records[1:], reference, [])
+        records[0].qual = ""  # QUAL "*"
+        table = build_recalibration_table(records, reference, [])
+        assert table.by_quality == counted.by_quality
+        apply_recalibration(records, table)
+        assert records[0].qual == ""
+
+    @pytest.mark.parametrize("qual", ["I" * 99, "I" * 101])
+    def test_qual_seq_length_mismatch_raises(self, qual):
+        reference, records = self._mini_scene(n_reads=5)
+        table = build_recalibration_table(records, reference, [])
+        records[2].qual = qual
+        with pytest.raises(ValueError, match="'r2'"):
+            build_recalibration_table(records, reference, [])
+        with pytest.raises(ValueError, match="'r2'"):
+            apply_recalibration(records, table)
+
+    def test_cigar_past_seq_raises(self):
+        reference, records = self._mini_scene(n_reads=3)
+        records[1].cigar = Cigar.parse("101M")
+        with pytest.raises(ValueError, match="'r1'"):
+            build_recalibration_table(records, reference, [])
+
+    def test_bases_outside_the_contig_are_not_counted(self):
+        reference = Reference([Contig("chr1", b"ACGTACGT")])
+        before = rec("a", -2, "4M", "TTAC")  # starts two bases before the contig
+        after = rec("b", 6, "4M", "GTAA")  # ends two bases past it
+        table = build_recalibration_table([before, after], reference, [])
+        assert table.total_observations == 4
+        assert table.total_errors == 0
 
     def test_empty_table_is_identity(self):
         table = RecalibrationTable()

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from repro.formats.vcf import (
     VcfHeader,
     VcfRecord,
-    build_known_sites_index,
+    known_sites_mask,
     read_vcf,
     sort_records,
     write_vcf,
@@ -89,15 +90,25 @@ class TestSorting:
 
 class TestKnownSitesIndex:
     def test_snv_masks_single_position(self):
-        index = build_known_sites_index([VcfRecord("c", 7, "A", "G")])
-        assert index == {"c": {7}}
+        masks = known_sites_mask([VcfRecord("c", 7, "A", "G")], {"c": (0, 20)})
+        assert np.flatnonzero(masks["c"]).tolist() == [7]
 
     def test_deletion_masks_span(self):
-        index = build_known_sites_index([VcfRecord("c", 7, "ATT", "A")])
-        assert index["c"] == {7, 8, 9}
+        masks = known_sites_mask([VcfRecord("c", 7, "ATT", "A")], {"c": (5, 20)})
+        assert (np.flatnonzero(masks["c"]) + 5).tolist() == [7, 8, 9]
 
     def test_multiple_contigs(self):
-        index = build_known_sites_index(
-            [VcfRecord("a", 1, "A", "G"), VcfRecord("b", 2, "C", "T")]
+        masks = known_sites_mask(
+            [VcfRecord("a", 1, "A", "G"), VcfRecord("b", 2, "C", "T")],
+            {"a": (0, 10), "b": (0, 10)},
         )
-        assert set(index) == {"a", "b"}
+        assert {name: np.flatnonzero(m).tolist() for name, m in masks.items()} == {
+            "a": [1],
+            "b": [2],
+        }
+
+    def test_mask_covers_only_the_window(self):
+        known = [VcfRecord("c", 7, "ATT", "A"), VcfRecord("c", 30, "A", "G")]
+        masks = known_sites_mask(known, {"c": (8, 20)})
+        assert len(masks["c"]) == 12
+        assert (np.flatnonzero(masks["c"]) + 8).tolist() == [8, 9]
