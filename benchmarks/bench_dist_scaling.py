@@ -143,7 +143,7 @@ def _run_cluster(reference, known_sites, pairs, workdir: str, n_workers: int):
         t0 = time.perf_counter()
         _run_pipeline(ctx, reference, known_sites, pairs, vcf_path)
         wall = time.perf_counter() - t0
-        shipped = ctx.telemetry.counter("dist.tasks_shipped")
+        shipped = ctx.metrics.counter("dist.tasks_shipped")
         with open(vcf_path, "rb") as fh:
             return wall, fh.read(), shipped
     finally:

@@ -169,7 +169,7 @@ class PairHMM:
                     continue
                 key = LikelihoodCache.key(seq, quals, hap)
                 if key not in pending:
-                    cached = self.cache.get(key) if self.cache else None
+                    cached = self.cache.get(key) if self.cache is not None else None
                     if cached is not None:
                         out[i, j] = cached
                         continue

@@ -340,7 +340,6 @@ class ClusterExecutor(Transport):
         )
         self._waited = False
         self._wait_lock = threading.Lock()
-        self.fallback_batches = 0
 
     # -- lifecycle -------------------------------------------------------
     def bind(self, ctx) -> None:
@@ -357,7 +356,7 @@ class ClusterExecutor(Transport):
             self.fleet.advertise_addr,
             ns=self.ns,
             chaos=ctx.chaos,
-            telemetry=ctx.telemetry,
+            metrics=ctx.metrics,
         )
         self.fleet.register_ns_root(self.ns, root)
 
@@ -381,24 +380,19 @@ class ClusterExecutor(Transport):
         )
 
     def _note_fallback(self, reason: str) -> None:
-        self.fallback_batches += 1
-        if self.telemetry is not None:
-            self.telemetry.inc("executor.fallbacks")
-            self.telemetry.inc(f"executor.fallbacks.{reason}")
-        if self.events is not None:
-            self.events.publish(
-                "executor.incident", incident="fallback_batch", reason=reason
-            )
+        self._ctx.metrics.inc("executor.fallbacks")
+        self._ctx.metrics.inc(f"executor.fallbacks.{reason}")
+        self._ctx.events.publish(
+            "executor.incident", incident="fallback_batch", reason=reason
+        )
 
     def _lose(self, slot: WorkerSlot, cause: Exception) -> WorkerLostError:
         self.fleet.lose_worker(slot.worker, reason=str(cause))
-        if self.telemetry is not None:
-            self.telemetry.inc("dist.workers_lost")
-            self.telemetry.set_gauge("dist.workers", len(self.fleet.live_workers()))
-        if self.events is not None:
-            self.events.publish(
-                "executor.incident", incident="worker_lost", worker=slot.worker.id
-            )
+        self._ctx.metrics.inc("dist.workers_lost")
+        self._ctx.metrics.set_gauge("dist.workers", len(self.fleet.live_workers()))
+        self._ctx.events.publish(
+            "executor.incident", incident="worker_lost", worker=slot.worker.id
+        )
         return WorkerLostError(slot.worker.id, cause)
 
     def _ensure_fleet_ready(self) -> bool:
@@ -410,14 +404,13 @@ class ClusterExecutor(Transport):
                     max(1, config.cluster_min_workers), config.cluster_wait
                 )
         live = len(self.fleet.live_workers())
-        if self.telemetry is not None:
-            self.telemetry.set_gauge("dist.workers", live)
+        self._ctx.metrics.set_gauge("dist.workers", live)
         return live > 0
 
     # -- the transport seam ----------------------------------------------
     def execute(self, body, task):
         ctx = self._ctx
-        if ctx is None or not self._ensure_fleet_ready():
+        if not self._ensure_fleet_ready():
             self._note_fallback("no_workers")
             return task, body(task)
         chaos = ctx.chaos
@@ -466,12 +459,11 @@ class ClusterExecutor(Transport):
             ctx.shuffle_manager.add_location(
                 shuffle_id, map_partition, worker.fetch_addr
             )
-        ctx.telemetry.merge(rheader.get("telemetry") or {})
-        if self.telemetry is not None:
-            self.telemetry.inc("dist.tasks_shipped")
-            self.telemetry.inc("dist.bytes_shipped", len(blob))
-            self.telemetry.inc("dist.bytes_returned", len(rbody))
-            self.telemetry.inc(f"dist.worker.{worker.id}.tasks")
+        ctx.metrics.merge(rheader.get("telemetry") or {})
+        ctx.metrics.inc("dist.tasks_shipped")
+        ctx.metrics.inc("dist.bytes_shipped", len(blob))
+        ctx.metrics.inc("dist.bytes_returned", len(rbody))
+        ctx.metrics.inc(f"dist.worker.{worker.id}.tasks")
         encoding = rheader.get("encoding", "none")
         if encoding == "none":
             value = None

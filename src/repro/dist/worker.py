@@ -8,8 +8,8 @@ checkpoint blocks go through :class:`~repro.engine.context.PartitionStore`
 over a worker-local block manager, and shuffle blocks through
 :class:`DistShuffle`, a :class:`~repro.engine.shuffle.ShuffleManager`
 whose only data-path override fetches a block held by another node *from
-that peer* (never through the driver).  Telemetry — counters and
-histograms, including the shared code's encode/decode timers — travels
+that peer* (never through the driver).  Metrics — counters and
+histograms, including the shared code's encode/decode timers — travel
 home with each result frame.
 
 The daemon (``gpf worker --connect HOST:PORT``) opens one task channel
@@ -34,9 +34,9 @@ from repro.engine import bundle
 from repro.engine.blockmanager import BlockManager
 from repro.engine.context import PartitionStore
 from repro.engine.faults import ShuffleFetchFailedError
-from repro.engine.metrics import timed
+from repro.engine.metrics import MetricsRegistry, timed
 from repro.engine.shuffle import ShuffleManager, block_path
-from repro.obs import EventBus, NoopTracer, TelemetryRegistry
+from repro.obs import EventBus, NoopTracer
 
 
 #: Socket timeout for peer block fetches; a hung peer must fail the
@@ -47,8 +47,8 @@ FETCH_TIMEOUT = 30.0
 CONNECT_TIMEOUT = 10.0
 
 
-class _TaskLocalTelemetry:
-    """Telemetry facade routing to the running task's private registry.
+class _TaskLocalMetrics:
+    """Metrics facade routing to the running task's private registry.
 
     One WorkerContext is shared by every slot thread of a namespace;
     counters incremented during a task must travel home with *that*
@@ -60,17 +60,17 @@ class _TaskLocalTelemetry:
 
     def __init__(self) -> None:
         self._tls = threading.local()
-        self._base = TelemetryRegistry()
+        self._base = MetricsRegistry()
 
-    def activate(self) -> TelemetryRegistry:
-        registry = TelemetryRegistry()
+    def activate(self) -> MetricsRegistry:
+        registry = MetricsRegistry()
         self._tls.registry = registry
         return registry
 
     def deactivate(self) -> None:
         self._tls.registry = None
 
-    def _target(self) -> TelemetryRegistry:
+    def _target(self) -> MetricsRegistry:
         return getattr(self._tls, "registry", None) or self._base
 
     def inc(self, name: str, delta: float = 1) -> None:
@@ -228,10 +228,10 @@ class DistShuffle(ShuffleManager):
         *,
         ns: int = 0,
         chaos=None,
-        telemetry=None,
+        metrics=None,
     ):
         super().__init__(
-            root, network_bandwidth=None, telemetry=telemetry, chaos=chaos
+            root, network_bandwidth=None, metrics=metrics, chaos=chaos
         )
         self._here = tuple(self_addr)
         self._ns = ns
@@ -331,9 +331,9 @@ class DistShuffle(ShuffleManager):
             blob = self.chaos.mangle(
                 "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
             )
-        if self._telemetry is not None:
-            self._telemetry.inc("dist.fetch_bytes", len(blob))
-            self._telemetry.inc("dist.fetches")
+        if self._metrics is not None:
+            self._metrics.inc("dist.fetch_bytes", len(blob))
+            self._metrics.inc("dist.fetches")
         return blob
 
 
@@ -344,7 +344,7 @@ class WorkerContext(PartitionStore):
     *compute* time: serializer, cache/checkpoint block I/O (the engine's
     :class:`~repro.engine.context.PartitionStore` over a worker-local
     block manager — a partition cached by one task is reused by the next
-    task of the same namespace), the P2P shuffle, telemetry, and an
+    task of the same namespace), the P2P shuffle, metrics, and an
     inert event bus.  Driver-only machinery (scheduler, executor,
     accumulators) is deliberately absent; a closure that calls
     ``ctx.run_job`` mid-task gets a clear error instead of a deadlock.
@@ -361,7 +361,7 @@ class WorkerContext(PartitionStore):
     ):
         self.ns = ns
         self.serializer = serializer
-        self.telemetry = _TaskLocalTelemetry()
+        self.metrics = _TaskLocalMetrics()
         self.events = EventBus()
         self.tracer = NoopTracer()
         #: The namespace's fault stream on this node: the injector that
@@ -373,7 +373,7 @@ class WorkerContext(PartitionStore):
         self.quarantine = QuarantineSink(events=self.events)
         self.block_manager = BlockManager(root, events=self.events)
         self.shuffle_manager = DistShuffle(
-            root, self_addr, ns=ns, chaos=chaos, telemetry=self.telemetry
+            root, self_addr, ns=ns, chaos=chaos, metrics=self.metrics
         )
 
     # -- guards ----------------------------------------------------------
@@ -417,7 +417,6 @@ class WorkerDaemon:
         self._heartbeat_interval = 1.0
         self._block_listener: socket.socket | None = None
         self.fetch_port: int | None = None
-        self.tasks_run = 0
 
     # -- namespace state -------------------------------------------------
     def _context_for(self, header: dict) -> WorkerContext:
@@ -442,7 +441,7 @@ class WorkerDaemon:
     def _run_task(self, header: dict, body_blob: bytes) -> tuple[dict, bytes]:
         wctx = self._context_for(header)
         wctx.shuffle_manager.set_locations(header.get("locations") or {})
-        registry = wctx.telemetry.activate()
+        registry = wctx.metrics.activate()
         outputs = wctx.shuffle_manager.begin_task()
         try:
             body, task = ship_loads(body_blob, wctx)
@@ -464,7 +463,6 @@ class WorkerDaemon:
                         value, protocol=_pickle.HIGHEST_PROTOCOL
                     )
                     encoding = "pickle"
-            self.tasks_run += 1
             reply = {
                 "task": task,
                 "outputs": outputs,
@@ -474,7 +472,7 @@ class WorkerDaemon:
             }
             return reply, result_blob
         finally:
-            wctx.telemetry.deactivate()
+            wctx.metrics.deactivate()
 
     def _slot_loop(self, slot: int) -> None:
         try:

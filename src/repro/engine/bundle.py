@@ -152,14 +152,14 @@ class LazyPartition:
     whole-partition list.
     """
 
-    __slots__ = ("_bundle", "_serializer", "_telemetry")
+    __slots__ = ("_bundle", "_serializer", "_metrics")
 
     def __init__(
-        self, bundle: CompressedBundle, serializer: Serializer, telemetry=None
+        self, bundle: CompressedBundle, serializer: Serializer, metrics=None
     ):
         self._bundle = bundle
         self._serializer = serializer
-        self._telemetry = telemetry
+        self._metrics = metrics
 
     # -- lazy access -----------------------------------------------------
     def batches(self, batch_size: int = DECODE_BATCH_SIZE) -> Iterator[list]:
@@ -175,13 +175,11 @@ class LazyPartition:
                 # Decode time is charged per pull so partially consumed
                 # iterations (take, early exit) still account correctly.
                 elapsed = time.perf_counter() - started
-                if self._telemetry is not None and elapsed > 0:
-                    self._telemetry.inc("blockmanager.decode_seconds", elapsed)
-                    observe = getattr(self._telemetry, "observe", None)
-                    if observe is not None:
-                        observe("blockmanager.decode_batch_seconds", elapsed)
-            if self._telemetry is not None:
-                self._telemetry.inc("blockmanager.decoded_records", len(chunk))
+                if self._metrics is not None and elapsed > 0:
+                    self._metrics.inc("blockmanager.decode_seconds", elapsed)
+                    self._metrics.observe("blockmanager.decode_batch_seconds", elapsed)
+            if self._metrics is not None:
+                self._metrics.inc("blockmanager.decoded_records", len(chunk))
             yield chunk
             started = time.perf_counter()
 
@@ -239,10 +237,10 @@ def encode_partition(
 
 
 def decode_partition(
-    blob: bytes, serializer: Serializer, telemetry=None
+    blob: bytes, serializer: Serializer, metrics=None
 ) -> LazyPartition:
     """Inverse of :func:`encode_partition`: a lazy partition view."""
-    return LazyPartition(CompressedBundle.frombytes(blob), serializer, telemetry)
+    return LazyPartition(CompressedBundle.frombytes(blob), serializer, metrics)
 
 
 class PartitionChain:

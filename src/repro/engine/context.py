@@ -31,7 +31,6 @@ from repro.obs import (
     EventBus,
     JsonlEventSink,
     NoopTracer,
-    TelemetryRegistry,
     Tracer,
     write_chrome_trace,
 )
@@ -40,13 +39,13 @@ T = TypeVar("T")
 
 
 @contextmanager
-def _timed_counter(telemetry: TelemetryRegistry, name: str):
-    """Charge a block of work's wall time to one telemetry counter."""
+def _timed_counter(metrics: MetricsRegistry, name: str):
+    """Charge a block of work's wall time to one counter."""
     started = time.perf_counter()
     try:
         yield
     finally:
-        telemetry.inc(name, time.perf_counter() - started)
+        metrics.inc(name, time.perf_counter() - started)
 
 
 @dataclass
@@ -130,7 +129,7 @@ class PartitionStore:
     The driver's :class:`GPFContext` and the cluster worker's context
     both inherit it, so a partition is encoded, timed, stored, decoded
     and verified by the same code wherever the task runs.  Subclasses
-    provide ``block_manager``, ``serializer`` and ``telemetry``.
+    provide ``block_manager``, ``serializer`` and ``metrics``.
     """
 
     # -- cache ------------------------------------------------------------
@@ -143,10 +142,10 @@ class PartitionStore:
         blob = self.block_manager.get((rdd.id, split))
         if blob is None:
             return None
-        return decode_partition(blob, self.serializer, telemetry=self.telemetry)
+        return decode_partition(blob, self.serializer, metrics=self.metrics)
 
     def _cache_put(self, rdd: RDD, split: int, data: list) -> None:
-        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
+        with _timed_counter(self.metrics, "blockmanager.encode_seconds"):
             blob, bundle = encode_partition(data, self.serializer)
         self.block_manager.put(
             (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
@@ -163,7 +162,7 @@ class PartitionStore:
 
     # -- checkpoints -------------------------------------------------------
     def _checkpoint_put(self, rdd: RDD, split: int, data: list) -> str:
-        with _timed_counter(self.telemetry, "blockmanager.encode_seconds"):
+        with _timed_counter(self.metrics, "blockmanager.encode_seconds"):
             blob, _ = encode_partition(data, self.serializer)
         return self.block_manager.put_checkpoint((rdd.id, split), blob)
 
@@ -178,7 +177,7 @@ class PartitionStore:
         # to a recompute-and-rewrite — checkpoint reads are rare enough
         # (resume paths) that the extra decode pass is cheap insurance.
         try:
-            part = decode_partition(blob, self.serializer, telemetry=self.telemetry)
+            part = decode_partition(blob, self.serializer, metrics=self.metrics)
             for _ in part.batches():
                 pass
         except Exception:  # noqa: BLE001 - any decode failure => recompute
@@ -201,11 +200,11 @@ class GPFContext(PartitionStore):
         )
         self.serializer = get_serializer(self.config.serializer)
         # -- observability (repro.obs) ----------------------------------
-        # Every context owns a telemetry registry and an event bus; both
-        # are near-free when nothing subscribes.  A configured trace_dir
+        # Every context owns one metrics registry and an event bus; both
+        # are near-free when nothing reads them.  A configured trace_dir
         # upgrades the tracer from no-op to collecting and attaches the
         # JSONL sink.
-        self.telemetry = TelemetryRegistry()
+        self.metrics = MetricsRegistry()
         self.events = EventBus()
         self._event_sink: JsonlEventSink | None = None
         self._trace_dir: str | None = None
@@ -243,16 +242,13 @@ class GPFContext(PartitionStore):
             from repro.chaos.injector import ChaosInjector
 
             self.chaos = ChaosInjector(chaos_cfg, events=self.events)
-        self.executor.events = self.events
-        self.executor.telemetry = self.telemetry
         spill = self.config.spill_dir or tempfile.mkdtemp(prefix="gpf_spill_")
         os.makedirs(spill, exist_ok=True)
         self._owns_spill = self.config.spill_dir is None
         self._spill_dir = spill
         self.shuffle_manager = ShuffleManager(
-            spill, telemetry=self.telemetry, chaos=self.chaos
+            spill, metrics=self.metrics, chaos=self.chaos
         )
-        self.metrics = MetricsRegistry()
         self._scheduler = DAGScheduler(self)
         self._lock = threading.Lock()
         self._next_rdd_id = 0
@@ -365,8 +361,8 @@ class GPFContext(PartitionStore):
     def reset_for_reuse(self) -> None:
         """Clear per-run state, keep the heavy machinery warm (pooling hook).
 
-        Drops every cached RDD partition, per-stage metrics, telemetry
-        counters, and quarantined records — everything one job deposited —
+        Drops every cached RDD partition, the metrics registry's stages,
+        failures and named values, and quarantined records — everything one job deposited —
         while the executor pool, shuffle manager, block manager, and GC
         hook stay up, which is the whole point of a resident service:
         the next job pays none of the start-up cost.
@@ -379,21 +375,19 @@ class GPFContext(PartitionStore):
             rdd_ids = list(self._rdd_partitions)
         for rdd_id in rdd_ids:
             self.block_manager.evict_rdd(rdd_id)
-        # Scheduler and report always read these through the context
-        # attribute, so swapping in fresh registries is safe mid-life.
-        self.metrics = MetricsRegistry()
-        self.telemetry.reset()
+        self.metrics.reset()
         self.quarantine = QuarantineSink(events=self.events, chaos=self.chaos)
 
     def telemetry_snapshot(self) -> dict:
         """Merged view of every subsystem's counters, non-mutating.
 
-        Live-incremented counters (shuffle bytes, journal restores, cache
-        statistics) come straight from the registry; subsystems that keep
-        their own tallies (block manager, quarantine sink, failure ledger)
-        are folded in read-only, so calling this twice never double-counts.
+        Live-incremented counters (shuffle bytes, journal restores, task
+        failures, cache statistics) come straight from the registry;
+        subsystems that keep their own tallies (block manager, quarantine
+        sink, chaos injector, profiler) are folded in read-only, so
+        calling this twice never double-counts.
         """
-        snapshot = self.telemetry.snapshot()
+        snapshot = self.metrics.snapshot()
         counters = snapshot["counters"]
         gauges = snapshot["gauges"]
         stats = self.block_manager.stats
@@ -420,9 +414,6 @@ class GPFContext(PartitionStore):
             counters[f"quarantine.{kind}"] = (
                 counters.get(f"quarantine.{kind}", 0) + count
             )
-        failures = len(self.metrics.failures)
-        if failures:
-            counters["task.failures"] = counters.get("task.failures", 0) + failures
         if self.chaos is not None:
             injected = getattr(self.chaos, "injected", 0)
             if injected:

@@ -41,13 +41,6 @@ class Transport:
     :meth:`shutdown` at context stop.
     """
 
-    #: Optional EventBus the owning context attaches; backends publish
-    #: executor-level incidents (inline fallbacks, lost workers) to it.
-    events = None
-    #: Optional TelemetryRegistry the owning context attaches; backends
-    #: count fallbacks, shipped tasks, and transport traffic on it.
-    telemetry = None
-
     def bind(self, ctx) -> None:
         """Attach the owning context (remote transports hook shuffle I/O
         and allocate their namespace here).  Local transports ignore it."""

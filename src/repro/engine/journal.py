@@ -86,7 +86,7 @@ class CheckpointFileRDD(RDD):
         return decode_partition(
             read_block_file(self._paths[split]),
             self.ctx.serializer,
-            telemetry=self.ctx.telemetry,
+            metrics=self.ctx.metrics,
         )
 
 
@@ -227,7 +227,7 @@ class RunJournal:
             fh.flush()
             os.fsync(fh.fileno())
         self._entries[process.name] = entry
-        ctx.telemetry.inc("journal.recorded")
+        ctx.metrics.inc("journal.recorded")
         ctx.events.publish("journal.record", process=process.name)
 
     # -- restore -----------------------------------------------------------
@@ -280,6 +280,6 @@ class RunJournal:
             if header is not None:
                 resource.header = header
         process.restore_outputs()
-        ctx.telemetry.inc("journal.restored")
+        ctx.metrics.inc("journal.restored")
         ctx.events.publish("journal.restore", process=process.name)
         return True

@@ -1,4 +1,5 @@
-"""Per-task, per-stage and per-job metrics.
+"""Per-task, per-stage and per-job metrics, and the named counters,
+gauges and histograms every engine subsystem reports.
 
 This is the instrumentation behind three of the paper's results:
 
@@ -22,6 +23,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.obs.histogram import Histogram
 
 
 @dataclass
@@ -78,6 +81,23 @@ class StageMetrics:
     def gc_time(self) -> float:
         return sum(t.gc_time for t in self.tasks)
 
+    def totals(self) -> dict:
+        """The stage summed once: the ``stage.end`` event's fields, which
+        are also the run report's stage row."""
+        return {
+            "stage_id": self.stage_id,
+            "name": self.name,
+            "tasks": len(self.tasks),
+            "run_time": self.run_time,
+            "disk_blocked": self.disk_blocked,
+            "network_blocked": self.network_blocked,
+            "gc_time": self.gc_time,
+            "shuffle_bytes_read": self.shuffle_bytes_read,
+            "shuffle_bytes_written": self.shuffle_bytes_written,
+            "records_read": sum(t.records_read for t in self.tasks),
+            "records_written": sum(t.records_written for t in self.tasks),
+        }
+
 
 @dataclass
 class JobMetrics:
@@ -106,15 +126,6 @@ class JobMetrics:
     def gc_time(self) -> float:
         return sum(s.gc_time for s in self.stages)
 
-    def blocked_fractions(self) -> tuple[float, float]:
-        """(disk, network) blocked time as fractions of total task time."""
-        total = self.core_seconds
-        if total == 0:
-            return (0.0, 0.0)
-        disk = sum(s.disk_blocked for s in self.stages)
-        net = sum(s.network_blocked for s in self.stages)
-        return (disk / total, net / total)
-
 
 @dataclass(frozen=True)
 class TaskFailure:
@@ -131,14 +142,92 @@ class TaskFailure:
 
 
 class MetricsRegistry:
-    """Collects stage metrics for one context; thread-safe."""
+    """Everything one context measured, under one lock; thread-safe.
+
+    Two kinds of record share the registry:
+
+    - the **stage ledger** — :class:`StageMetrics` per stage, the
+      :class:`TaskMetrics` of each successful attempt, and the
+      :class:`TaskFailure` of each failed one (Table 4, Fig. 12);
+    - **named values** — counters (monotonic totals, e.g.
+      ``shuffle.bytes_written``), gauges (point-in-time bytes or levels)
+      and fixed-bucket latency histograms (:class:`Histogram`).
+
+    :meth:`snapshot` and :meth:`merge` carry the named values only: that
+    is what a shipped task sends home in its RESULT frame and what the
+    serve ``/metrics`` fold sums.  No ratio is stored as a gauge; a ratio
+    is derived from byte gauges where it is read
+    (``RunReport.memory_summary``), so a fold that sums gauges never sums
+    a ratio.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._counters: dict[str, float] = {}
+        self._gauges: dict[str, float] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._stages: dict[int, StageMetrics] = {}
         self._next_stage_id = 0
         self._failures: list[TaskFailure] = []
 
+    # -- counters, gauges, histograms ---------------------------------------
+    def inc(self, name: str, delta: float = 1) -> None:
+        """Add ``delta`` to a monotonically increasing counter."""
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + delta
+
+    def counter(self, name: str) -> float:
+        with self._lock:
+            return self._counters.get(name, 0)
+
+    def set_gauge(self, name: str, value: float) -> None:
+        """Set a point-in-time value (cache sizes, memory bytes)."""
+        with self._lock:
+            self._gauges[name] = value
+
+    def gauge(self, name: str) -> float | None:
+        with self._lock:
+            return self._gauges.get(name)
+
+    def observe(self, name: str, value: float) -> None:
+        """Record one sample into the named latency histogram."""
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = Histogram()
+            hist.observe(value)
+
+    def histogram(self, name: str) -> Histogram | None:
+        """The live histogram object (shared; registry-lock discipline)."""
+        with self._lock:
+            return self._histograms.get(name)
+
+    def snapshot(self) -> dict:
+        """Copy of the named values: counters, gauges, histogram snapshots."""
+        with self._lock:
+            return {
+                "counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "histograms": {
+                    name: h.snapshot() for name, h in self._histograms.items()
+                },
+            }
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold another registry's :meth:`snapshot` in (a shipped task's
+        partial counts): counters add, histograms merge bucket-wise.
+        Gauges are the sender's point-in-time values and are not folded.
+        """
+        with self._lock:
+            for name, delta in snapshot.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + delta
+            for name, hist_snapshot in snapshot.get("histograms", {}).items():
+                hist = self._histograms.get(name)
+                if hist is None:
+                    hist = self._histograms[name] = Histogram()
+                hist.merge_snapshot(hist_snapshot)
+
+    # -- stage ledger -------------------------------------------------------
     def new_stage(self, name: str = "") -> StageMetrics:
         with self._lock:
             stage = StageMetrics(stage_id=self._next_stage_id, name=name)
@@ -164,18 +253,21 @@ class MetricsRegistry:
         error: BaseException,
         backoff: float = 0.0,
     ) -> None:
-        """Ledger one failed task attempt (successful retries still leave
-        their failures visible here — Spark's failed-task accounting)."""
+        """Ledger one failed task attempt and count it as
+        ``task.failures`` (successful retries still leave their failures
+        visible here — Spark's failed-task accounting)."""
+        failure = TaskFailure(
+            stage_kind=stage_kind,
+            partition=partition,
+            attempt=attempt,
+            error_type=type(error).__name__,
+            message=str(error),
+            backoff=backoff,
+        )
         with self._lock:
-            self._failures.append(
-                TaskFailure(
-                    stage_kind=stage_kind,
-                    partition=partition,
-                    attempt=attempt,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    backoff=backoff,
-                )
+            self._failures.append(failure)
+            self._counters["task.failures"] = (
+                self._counters.get("task.failures", 0) + 1
             )
 
     @property
@@ -193,6 +285,9 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
             self._stages.clear()
             self._next_stage_id = 0
             self._failures.clear()

@@ -231,7 +231,7 @@ class RDD:
         self.ctx.events.publish(
             "checkpoint.recompute", rdd_id=self.id, partition=split
         )
-        self.ctx.telemetry.inc("checkpoint.recomputes")
+        self.ctx.metrics.inc("checkpoint.recomputes")
         self.parents, self.shuffle_deps = self._checkpoint_lineage
         try:
             data = self.compute(split, task)

@@ -283,7 +283,7 @@ class DAGScheduler:
                     stage_kind, split, attempt, body, timeout, parent_span
                 )
                 record(task)
-                self.ctx.telemetry.observe("task.seconds", task.run_time)
+                self.ctx.metrics.observe("task.seconds", task.run_time)
                 if progress is not None:
                     progress.task_done(task)
                 if events.active:
@@ -316,7 +316,7 @@ class DAGScheduler:
                         if isinstance(exc, TaskTimeoutError)
                         else "worker_lost"
                     )
-                    self.ctx.telemetry.inc(f"executor.{kind}")
+                    self.ctx.metrics.inc(f"executor.{kind}")
                     events.publish("executor.incident", incident=kind)
                 if isinstance(exc, ShuffleFetchFailedError):
                     # FetchFailed semantics: retrying the reduce against
@@ -365,20 +365,7 @@ class DAGScheduler:
         events = self.ctx.events
         if not events.active:
             return
-        events.publish(
-            "stage.end",
-            stage_id=stage.stage_id,
-            name=stage.name,
-            tasks=len(stage.tasks),
-            run_time=stage.run_time,
-            disk_blocked=stage.disk_blocked,
-            network_blocked=stage.network_blocked,
-            gc_time=stage.gc_time,
-            shuffle_bytes_read=stage.shuffle_bytes_read,
-            shuffle_bytes_written=stage.shuffle_bytes_written,
-            records_read=sum(t.records_read for t in stage.tasks),
-            records_written=sum(t.records_written for t in stage.tasks),
-        )
+        events.publish("stage.end", **stage.totals())
 
     # -- execution ----------------------------------------------------------
     def _map_task_body(

@@ -56,7 +56,7 @@ class ShuffleManager:
         self,
         spill_dir: str,
         network_bandwidth: float | None = 1.25e9,
-        telemetry=None,
+        metrics=None,
         chaos=None,
     ):
         self._spill_dir = spill_dir
@@ -66,9 +66,9 @@ class ShuffleManager:
         #: Optional ChaosInjector: shuffle.write faults surface as task
         #: OSErrors (retried), shuffle.fetch mangles exercise the crc path.
         self.chaos = chaos
-        #: Optional TelemetryRegistry mirroring shuffle traffic as named
+        #: Optional MetricsRegistry mirroring shuffle traffic as named
         #: whole-run counters (the context wires its own registry in).
-        self._telemetry = telemetry
+        self._metrics = metrics
         #: What the location table records for a map output written here.
         #: Opaque to this class; ``_fetch_block`` is its only reader.
         self._here: object = None
@@ -134,9 +134,9 @@ class ShuffleManager:
                     fh.write(blob)
         task.shuffle_bytes_written += total
         task.records_written += records
-        if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_written", total)
-            self._telemetry.inc("shuffle.records_written", records)
+        if self._metrics is not None:
+            self._metrics.inc("shuffle.bytes_written", total)
+            self._metrics.inc("shuffle.records_written", records)
         with self._lock:
             self._locations[shuffle_id]["maps"][map_partition] = self._here
 
@@ -207,9 +207,9 @@ class ShuffleManager:
         records = len(chain)  # from block headers — no decode needed
         task.shuffle_bytes_read += total
         task.records_read += records
-        if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_read", total)
-            self._telemetry.inc("shuffle.records_read", records)
+        if self._metrics is not None:
+            self._metrics.inc("shuffle.bytes_read", total)
+            self._metrics.inc("shuffle.records_read", records)
         if self._network_bandwidth and num_map > 1:
             remote_fraction = (num_map - 1) / num_map
             task.network_blocked += total * remote_fraction / self._network_bandwidth

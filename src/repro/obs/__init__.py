@@ -10,11 +10,10 @@ run inspectable:
   timestamps and process-safe IDs; a no-op tracer by default.
 - :mod:`repro.obs.events` — the :class:`EventBus` every subsystem
   publishes to, its JSONL sink, and the event-schema validator.
-- :mod:`repro.obs.telemetry` — named counters/gauges/histograms
-  replacing the subsystems' private tallies, plus the gauge fold the
-  serve layer uses to merge its contexts' snapshots.
 - :mod:`repro.obs.histogram` — the fixed-bucket log-spaced latency
-  histogram (mergeable bucket-wise; p50/p95/p99 estimation).
+  histogram (mergeable bucket-wise; p50/p95/p99 estimation).  Named
+  counters, gauges and histograms are kept by the context's one
+  :class:`~repro.engine.metrics.MetricsRegistry`.
 - :mod:`repro.obs.profiler` — the sampling profiler: collapsed stacks
   attributed to live spans, folded flamegraph text, ``profile.sample``
   events.
@@ -47,7 +46,6 @@ from repro.obs.profiler import (
 )
 from repro.obs.prometheus import render_prometheus, validate_prometheus
 from repro.obs.report import ProcessRow, RunReport, StageRow
-from repro.obs.telemetry import TelemetryRegistry, fold_gauges
 from repro.obs.tracer import NOOP_SPAN, NoopTracer, Span, Tracer, new_span_id
 
 __all__ = [
@@ -64,11 +62,9 @@ __all__ = [
     "SamplingProfiler",
     "Span",
     "StageRow",
-    "TelemetryRegistry",
     "Tracer",
     "chrome_trace_dict",
     "fold_folded_text",
-    "fold_gauges",
     "merge_histogram_snapshots",
     "new_span_id",
     "read_events",

@@ -35,7 +35,7 @@ _RATIO = 10 ** 0.25
 
 class Histogram:
     """One log-bucketed value distribution; **not** thread-safe on its
-    own — :class:`~repro.obs.telemetry.TelemetryRegistry` serializes
+    own — :class:`~repro.engine.metrics.MetricsRegistry` serializes
     access for the shared instances."""
 
     __slots__ = ("count", "sum", "min", "max", "_counts")

@@ -139,23 +139,7 @@ class RunReport:
     ) -> "RunReport":
         """Build from a live context (and optionally its Pipeline)."""
         report = cls(elapsed=elapsed)
-        job = ctx.metrics.job()
-        for stage in job.stages:
-            report.stages.append(
-                StageRow(
-                    stage_id=stage.stage_id,
-                    name=stage.name,
-                    tasks=len(stage.tasks),
-                    run_time=stage.run_time,
-                    disk_blocked=stage.disk_blocked,
-                    network_blocked=stage.network_blocked,
-                    gc_time=stage.gc_time,
-                    shuffle_bytes_read=stage.shuffle_bytes_read,
-                    shuffle_bytes_written=stage.shuffle_bytes_written,
-                    records_read=sum(t.records_read for t in stage.tasks),
-                    records_written=sum(t.records_written for t in stage.tasks),
-                )
-            )
+        report.stages = [StageRow(**s.totals()) for s in ctx.metrics.job().stages]
         if pipeline is not None:
             report.pipeline_name = pipeline.name
             for process in pipeline.skipped:

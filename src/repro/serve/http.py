@@ -229,11 +229,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             handler()
         finally:
-            telemetry = getattr(self.server.service, "telemetry", None)
-            if telemetry is not None:
-                telemetry.observe(
-                    "http.request_seconds", time.perf_counter() - started
-                )
+            self.server.service.latencies.observe(
+                "http.request_seconds", time.perf_counter() - started
+            )
 
     def do_POST(self) -> None:  # noqa: N802
         self._observed(self._handle_post)

@@ -33,13 +33,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.pipeline import PipelineCancelledError
 from repro.engine.blockmanager import fsync_directory
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.journal import job_journal_dir
-from repro.obs import EventBus, JsonlEventSink, TelemetryRegistry, fold_gauges
+from repro.engine.metrics import MetricsRegistry
+from repro.obs import EventBus, JsonlEventSink
 from repro.serve.health import HealthConfig, ServiceHealth
 from repro.serve.progress import JobProgress
 from repro.serve.jobs import (
@@ -55,6 +56,23 @@ from repro.serve.jobs import (
     QueueClosedError,
     ServeError,
 )
+
+#: Gauges that fold by max, not sum: one fleet is shared by every serve
+#: context on the box, so summing their views would count it repeatedly.
+MAX_GAUGES = frozenset({"dist.workers"})
+
+
+def fold_gauges(snapshots: Iterable[dict]) -> dict[str, float]:
+    """Fold per-context gauge dicts: sum, or max for :data:`MAX_GAUGES`."""
+    folded: dict[str, float] = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            if name in MAX_GAUGES:
+                folded[name] = max(folded.get(name, value), value)
+            else:
+                folded[name] = folded.get(name, 0) + value
+    return folded
+
 
 #: Runner signature: (job, ctx, should_cancel, journal_dir) -> result dict.
 JobRunner = Callable[[Job, GPFContext, Callable[[], bool], str], dict]
@@ -247,7 +265,7 @@ class PipelineService:
         #: Service-level latency histograms (queue wait, job run time,
         #: HTTP request latency); folded into ``metrics()`` alongside the
         #: per-worker engine histograms.
-        self.telemetry = TelemetryRegistry()
+        self.latencies = MetricsRegistry()
         #: Live progress trackers by job id.  A tracker subscribes to the
         #: running job's context bus and stays after the job ends so a
         #: trailing poll still sees the final snapshot.
@@ -527,10 +545,10 @@ class PipelineService:
         return payload
 
     def metrics(self) -> dict:
-        """Service counters plus a fold of every live worker's telemetry.
+        """Service counters plus a fold of every live worker's metrics.
 
         Counters sum and histograms merge bucket-wise
-        (:meth:`TelemetryRegistry.merge`, the fold worker RESULT frames
+        (:meth:`MetricsRegistry.merge`, the fold worker RESULT frames
         use); gauges sum except ``dist.workers`` (:func:`fold_gauges`).
         """
         with self._lock:
@@ -543,8 +561,8 @@ class PipelineService:
                 draining=self._draining,
             )
         snapshots = [ctx.telemetry_snapshot() for ctx in contexts]
-        folded = TelemetryRegistry()
-        for snapshot in snapshots + [self.telemetry.snapshot()]:
+        folded = MetricsRegistry()
+        for snapshot in snapshots + [self.latencies.snapshot()]:
             folded.merge(snapshot)
         merged = folded.snapshot()
         payload = {
@@ -684,7 +702,7 @@ class PipelineService:
         elif state == FAILED:
             self.healthmon.record_outcome(False)
         if job.run_seconds is not None:
-            self.telemetry.observe("jobs.run_seconds", job.run_seconds)
+            self.latencies.observe("jobs.run_seconds", job.run_seconds)
         self._persist(job)
 
     def _run_job(self, slot: int, ctx: GPFContext, job: Job) -> None:
@@ -696,7 +714,7 @@ class PipelineService:
             self._running[slot] = job
         if job.queue_seconds is not None:
             self.healthmon.record_queue_wait(job.queue_seconds)
-            self.telemetry.observe("jobs.queue_seconds", job.queue_seconds)
+            self.latencies.observe("jobs.queue_seconds", job.queue_seconds)
         self._persist(job)
         tracker = JobProgress(job.id)
         with self._lock:

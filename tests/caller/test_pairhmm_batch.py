@@ -87,6 +87,15 @@ class TestLikelihoodCache:
         assert hmm.cache.misses == misses_after_first  # all hits
         assert hmm.cache.hits >= len(reads) * len(haps)
 
+    def test_first_call_counts_every_miss(self):
+        # An empty cache is falsy (it has __len__): the lookup must not be
+        # skipped on that account, or the first region's misses vanish.
+        hmm = PairHMM()
+        reads = [("ACGTACGT", [30] * 8), ("TTGCAAGC", [25] * 8)]
+        hmm.likelihood_matrix(reads, ["ACGTACGTA", "TTGCAAGCT"])
+        assert hmm.cache.misses == len(hmm.cache) == 4
+        assert hmm.cache.hits == 0
+
     def test_duplicate_pairs_computed_once_within_call(self):
         hmm = PairHMM()
         dup = ("ACGTACGT", [30] * 8)

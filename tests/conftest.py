@@ -99,7 +99,7 @@ def shuffle_ctx(request, tmp_path):
         from repro.dist.worker import DistShuffle
 
         context.shuffle_manager = DistShuffle(
-            str(spill / "dist"), ("127.0.0.1", 1), telemetry=context.telemetry
+            str(spill / "dist"), ("127.0.0.1", 1), metrics=context.metrics
         )
     yield context
     context.stop()

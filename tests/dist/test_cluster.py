@@ -57,9 +57,8 @@ class TestBasicJobs:
         with cluster(tmp_path, workers=1, tag="map") as (ctx, _):
             result = ctx.parallelize(range(100), 4).map(lambda x: x * 2).collect()
             assert result == [x * 2 for x in range(100)]
-            assert ctx.telemetry.counter("dist.tasks_shipped") >= 4
-            assert ctx.telemetry.counter("executor.fallbacks") == 0
-            assert ctx.executor.fallback_batches == 0
+            assert ctx.metrics.counter("dist.tasks_shipped") >= 4
+            assert ctx.metrics.counter("executor.fallbacks") == 0
 
     def test_shuffle_runs_peer_to_peer(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="shuf") as (ctx, _):
@@ -74,8 +73,8 @@ class TestBasicJobs:
                 expected[k] = expected.get(k, 0) + v
             assert result == expected
             # Reduce tasks fetched map outputs over worker block servers.
-            assert ctx.telemetry.counter("dist.fetches") > 0
-            assert ctx.telemetry.counter("dist.fetch_bytes") > 0
+            assert ctx.metrics.counter("dist.fetches") > 0
+            assert ctx.metrics.counter("dist.fetch_bytes") > 0
 
     def test_remote_task_metrics_land_in_the_driver(self, tmp_path):
         with cluster(tmp_path, workers=1, tag="met") as (ctx, daemons):
@@ -93,8 +92,8 @@ class TestBasicJobs:
         with cluster(tmp_path, workers=1, tag="enc") as (ctx, _):
             rdd = ctx.parallelize(range(400), 4).map(lambda x: (x, "v" * 20)).persist()
             assert rdd.count() == 400
-            assert ctx.telemetry.counter("executor.fallbacks") == 0
-            assert ctx.telemetry.counter("blockmanager.encode_seconds") > 0
+            assert ctx.metrics.counter("executor.fallbacks") == 0
+            assert ctx.metrics.counter("blockmanager.encode_seconds") > 0
 
     def test_worker_side_histograms_land_in_the_driver(self, tmp_path):
         """A shipped task's ``observe()`` calls travel home in RESULT with
@@ -108,9 +107,9 @@ class TestBasicJobs:
                 assert rdd.map(lambda kv: kv[0]).count() == 400
             counts = {
                 name: h["count"]
-                for name, h in ctx.telemetry.snapshot()["histograms"].items()
+                for name, h in ctx.metrics.snapshot()["histograms"].items()
             }
-            return counts, ctx.telemetry.counter("blockmanager.decoded_records")
+            return counts, ctx.metrics.counter("blockmanager.decoded_records")
 
         serial = GPFContext(
             EngineConfig(default_parallelism=4, spill_dir=str(tmp_path / "serial"))
@@ -121,19 +120,19 @@ class TestBasicJobs:
             serial.stop()
         with cluster(tmp_path, workers=1, tag="hist") as (ctx, _):
             actual = job(ctx)
-            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            assert ctx.metrics.counter("executor.fallbacks") == 0
         assert expected[0]["blockmanager.decode_batch_seconds"] > 0
         assert actual == expected
 
     def test_per_worker_telemetry_and_gauge(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="tel") as (ctx, daemons):
             ctx.parallelize(range(80), 8).map(lambda x: x).collect()
-            assert ctx.telemetry.gauge("dist.workers") == 2
+            assert ctx.metrics.gauge("dist.workers") == 2
             per_worker = sum(
-                ctx.telemetry.counter(f"dist.worker.{d.worker_id}.tasks")
+                ctx.metrics.counter(f"dist.worker.{d.worker_id}.tasks")
                 for d in daemons
             )
-            assert per_worker == ctx.telemetry.counter("dist.tasks_shipped")
+            assert per_worker == ctx.metrics.counter("dist.tasks_shipped")
 
     def test_fleet_snapshot_rows(self, tmp_path):
         with cluster(tmp_path, workers=2, slots=3, tag="snap") as (ctx, daemons):
@@ -198,8 +197,8 @@ class TestWorkerLoss:
                 killer.cancel()
                 release.set()
             assert result == [x * 10 for x in range(16)]
-            assert ctx.telemetry.counter("dist.workers_lost") >= 1
-            assert ctx.telemetry.counter("executor.worker_lost") >= 1
+            assert ctx.metrics.counter("dist.workers_lost") >= 1
+            assert ctx.metrics.counter("executor.worker_lost") >= 1
             live = ctx.executor.fleet.live_workers()
             assert victim.worker_id not in {w.id for w in live}
 
@@ -214,7 +213,7 @@ class TestWorkerLoss:
                 time.sleep(0.1)
             result = ctx.parallelize(range(12), 4).map(lambda x: -x).collect()
             assert result == [-x for x in range(12)]
-            assert ctx.telemetry.counter("executor.fallbacks.no_workers") > 0
+            assert ctx.metrics.counter("executor.fallbacks.no_workers") > 0
 
     def test_fetch_failure_recovers_lost_map_outputs(self, tmp_path):
         """Kill the worker holding half the map outputs *between* two
@@ -259,7 +258,7 @@ class TestChaosSites:
         with cluster(tmp_path, workers=2, tag="hb", chaos=plan) as (ctx, _):
             result = ctx.parallelize(range(20), 4).map(lambda x: x).collect()
             assert result == list(range(20))
-            assert ctx.telemetry.counter("dist.workers_lost") == 1
+            assert ctx.metrics.counter("dist.workers_lost") == 1
             kinds = {f.error_type for f in ctx.metrics.failures}
             assert "WorkerLostError" in kinds
 
@@ -288,7 +287,7 @@ class TestChaosSites:
                 ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b).collect()
             )
             assert result == expected
-            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            assert ctx.metrics.counter("executor.fallbacks") == 0
             injected = [f for f in ctx.metrics.failures if site in f.message]
             assert injected, "the fault never fired on a worker"
             assert {f.error_type for f in injected} == {error_type}

@@ -17,7 +17,7 @@ from repro.engine.rdd import HashPartitioner
 from repro.engine.serializers import get_serializer
 from repro.engine.shuffle import ShuffleManager
 from repro.formats.fastq import FastqRecord
-from repro.obs import TelemetryRegistry
+from repro.engine.metrics import MetricsRegistry
 
 NUM_MAP, NUM_REDUCE = 3, 4
 TASK_FIELDS = (
@@ -42,7 +42,7 @@ def keyed_reads():
     ]
 
 
-def drive(manager, telemetry, root, map_inputs, serializer):
+def drive(manager, metrics, root, map_inputs, serializer):
     """One whole shuffle through ``manager``; everything observable."""
     shuffle_id = manager.register(NUM_MAP)
     tasks = []
@@ -66,7 +66,7 @@ def drive(manager, telemetry, root, map_inputs, serializer):
                 files[os.path.relpath(path, root)] = fh.read()
     counters = {
         name: value
-        for name, value in telemetry.snapshot()["counters"].items()
+        for name, value in metrics.snapshot()["counters"].items()
         if name.startswith("shuffle.")
     }
     metrics = [[getattr(t, f) for f in TASK_FIELDS] for t in tasks]
@@ -81,10 +81,10 @@ def test_single_node_dist_shuffle_equals_the_engine_shuffle(
     tmp_path, serializer_name, make_input
 ):
     serializer = get_serializer(serializer_name)
-    plain_tel, dist_tel = TelemetryRegistry(), TelemetryRegistry()
+    plain_tel, dist_tel = MetricsRegistry(), MetricsRegistry()
     plain_root, dist_root = str(tmp_path / "plain"), str(tmp_path / "dist")
-    plain = ShuffleManager(plain_root, telemetry=plain_tel)
-    dist = DistShuffle(dist_root, ("127.0.0.1", 1), telemetry=dist_tel)
+    plain = ShuffleManager(plain_root, metrics=plain_tel)
+    dist = DistShuffle(dist_root, ("127.0.0.1", 1), metrics=dist_tel)
 
     expected = drive(plain, plain_tel, plain_root, make_input(), serializer)
     actual = drive(dist, dist_tel, dist_root, make_input(), serializer)

@@ -1,5 +1,5 @@
 """The Transport seam's defaults, the backend factory, and inline-fallback
-telemetry on the one transport that still falls back (cluster)."""
+counting on the one transport that still falls back (cluster)."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.engine.executors import (
     Transport,
     make_executor,
 )
-from repro.obs import EventBus, TelemetryRegistry
+from repro.engine.context import EngineConfig, GPFContext
 
 
 class TestFactory:
@@ -44,30 +44,30 @@ class TestFactory:
 
 
 class TestFallbackTelemetry:
-    """Inline fallbacks are counted, total and per reason.  An unbound
-    cluster executor has no fleet, so every ``execute`` falls back."""
+    """Inline fallbacks are counted, total and per reason, on the bound
+    context's registry.  No worker ever registers, so every ``execute``
+    falls back."""
 
     @pytest.fixture
-    def ex(self):
-        ex = ClusterExecutor(num_workers=2)
-        yield ex
-        ex.shutdown()
+    def ctx(self, tmp_path):
+        ctx = GPFContext(
+            EngineConfig(
+                executor_backend="cluster",
+                spill_dir=str(tmp_path / "spill"),
+                cluster_wait=0.05,
+            )
+        )
+        yield ctx
+        ctx.stop()
 
-    def test_no_workers_counts_a_fallback(self, ex):
-        ex.telemetry = TelemetryRegistry()
-        assert ex.execute(lambda t: t + 1, 1) == (1, 2)
-        assert ex.fallback_batches == 1
-        assert ex.telemetry.counter("executor.fallbacks") == 1
-        assert ex.telemetry.counter("executor.fallbacks.no_workers") == 1
+    def test_no_workers_counts_a_fallback(self, ctx):
+        assert ctx.executor.execute(lambda t: t + 1, 1) == (1, 2)
+        assert ctx.metrics.counter("executor.fallbacks") == 1
+        assert ctx.metrics.counter("executor.fallbacks.no_workers") == 1
 
-    def test_fallback_event_reaches_the_bus(self, ex):
+    def test_fallback_event_reaches_the_bus(self, ctx):
         seen = []
-        ex.events = EventBus()
-        ex.events.subscribe(seen.append)
-        ex.execute(lambda t: t, 0)
+        ctx.events.subscribe(seen.append)
+        ctx.executor.execute(lambda t: t, 0)
         incidents = [e for e in seen if e.get("kind") == "executor.incident"]
         assert incidents and incidents[0]["reason"] == "no_workers"
-
-    def test_no_telemetry_attached_is_fine(self, ex):
-        assert ex.execute(lambda t: 9, 0) == (0, 9)
-        assert ex.fallback_batches == 1

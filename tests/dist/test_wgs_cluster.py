@@ -53,7 +53,7 @@ def _run_wgs(tmp_path, inputs, backend, tag, workers=0):
             out,
         )
         with open(out, "rb") as fh:
-            return fh.read(), ctx.telemetry.snapshot(), daemons
+            return fh.read(), ctx.metrics.snapshot(), daemons
     finally:
         for daemon in daemons:
             daemon.stop()
@@ -67,12 +67,12 @@ def wgs_inputs(reference, known_sites, read_pairs):
 
 def test_cluster_vcf_is_byte_identical_to_threads(tmp_path, wgs_inputs):
     thread_vcf, _, _ = _run_wgs(tmp_path, wgs_inputs, "threads", "threads")
-    cluster_vcf, telemetry, _ = _run_wgs(
+    cluster_vcf, snapshot, _ = _run_wgs(
         tmp_path, wgs_inputs, "cluster", "cluster", workers=2
     )
     assert cluster_vcf == thread_vcf
     assert len(cluster_vcf) > 100
-    assert telemetry["counters"].get("dist.tasks_shipped", 0) > 0
+    assert snapshot["counters"].get("dist.tasks_shipped", 0) > 0
 
 
 def test_wgs_survives_worker_loss_mid_job(tmp_path, wgs_inputs):

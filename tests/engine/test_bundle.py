@@ -16,7 +16,7 @@ from repro.engine.bundle import (
     iter_record_batches,
 )
 from repro.engine.serializers import CompactSerializer, GpfSerializer
-from repro.obs.telemetry import TelemetryRegistry
+from repro.engine.metrics import MetricsRegistry
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
 
@@ -84,10 +84,10 @@ class TestCompressedBundle:
 
 
 class TestLazyPartition:
-    def _lazy(self, records, serializer=None, telemetry=None):
+    def _lazy(self, records, serializer=None, metrics=None):
         serializer = serializer or GpfSerializer()
         blob, _ = encode_partition(records, serializer)
-        part = decode_partition(blob, serializer, telemetry=telemetry)
+        part = decode_partition(blob, serializer, metrics=metrics)
         assert isinstance(part, LazyPartition)
         return part
 
@@ -131,10 +131,10 @@ class TestLazyPartition:
         assert [len(b) for b in batches] == [3, 3, 3, 1]
 
     def test_telemetry_counts_decode(self):
-        telemetry = TelemetryRegistry()
-        part = self._lazy(make_fastq(12), telemetry=telemetry)
+        metrics = MetricsRegistry()
+        part = self._lazy(make_fastq(12), metrics=metrics)
         list(part)
-        counters = telemetry.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["blockmanager.decoded_records"] == 12
         assert counters["blockmanager.decode_seconds"] > 0
 

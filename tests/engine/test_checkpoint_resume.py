@@ -330,7 +330,7 @@ class TestDeadlinesAndBackoff:
             assert failures[0].backoff > 0
             assert failures[1].backoff == 0.0
             assert ctx.metrics.failure_counts() == {("result", 0): 2}
-            assert ctx.telemetry.counter("executor.timeout") == 2
+            assert ctx.metrics.counter("executor.timeout") == 2
             assert ctx.telemetry_snapshot()["counters"]["executor.timeout"] == 2
 
     def test_timeout_recovers_when_retry_is_fast(self, tmp_path):

@@ -56,16 +56,17 @@ class TestResetForReuse:
     def test_clears_metrics_telemetry_quarantine_and_cache(self, tmp_path):
         with GPFContext(EngineConfig(default_parallelism=2)) as ctx:
             _tiny_job(ctx, 2)
-            ctx.telemetry.inc("something", 5)
+            ctx.metrics.inc("something", 5)
             ctx.quarantine.add("fastq", "@bad", "truncated")
             assert ctx.metrics.job().stage_count > 0
             assert ctx.cached_bytes() > 0
             first_metrics = ctx.metrics
 
             ctx.reset_for_reuse()
-            assert ctx.metrics is not first_metrics
+            # Reset in place: one registry for the context's whole life.
+            assert ctx.metrics is first_metrics
             assert ctx.metrics.job().stage_count == 0
-            assert ctx.telemetry.counter("something") == 0
+            assert ctx.metrics.counter("something") == 0
             assert ctx.quarantine.total == 0
             assert ctx.cached_bytes() == 0
 

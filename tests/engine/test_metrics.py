@@ -20,7 +20,8 @@ from repro.engine.metrics import (
 from repro.engine.rdd import HashPartitioner
 from repro.engine.serializers import get_serializer
 from repro.engine.shuffle import ShuffleManager
-from repro.obs import TelemetryRegistry
+from repro.obs import Histogram, RunReport, StageRow
+from repro.serve.service import fold_gauges
 
 
 class TestTaskMetrics:
@@ -44,19 +45,38 @@ class TestAggregation:
         assert job.core_seconds == 3.0
         assert job.shuffle_bytes == 30
 
+    def test_stage_totals_sum_every_task(self):
+        stage = StageMetrics(
+            3,
+            name="result:x",
+            tasks=[
+                TaskMetrics(run_time=1.0, records_read=2, records_written=1),
+                TaskMetrics(run_time=2.0, records_read=3, shuffle_bytes_read=7),
+            ],
+        )
+        totals = stage.totals()
+        assert totals["stage_id"] == 3 and totals["tasks"] == 2
+        assert totals["run_time"] == stage.run_time == 3.0
+        assert (totals["records_read"], totals["records_written"]) == (5, 1)
+        assert totals["shuffle_bytes_read"] == 7
+
     def test_blocked_fractions(self):
+        # Fig. 12's fractions are the report's, computed over the rows the
+        # stage totals build.
         stage = StageMetrics(
             0,
             tasks=[
                 TaskMetrics(run_time=4.0, disk_blocked=1.0, network_blocked=0.5)
             ],
         )
-        disk, net = JobMetrics(stages=[stage]).blocked_fractions()
+        report = RunReport(stages=[StageRow(**stage.totals())])
+        disk, net = report.blocked_fractions()
         assert disk == pytest.approx(0.25)
         assert net == pytest.approx(0.125)
 
     def test_empty_job(self):
-        assert JobMetrics().blocked_fractions() == (0.0, 0.0)
+        assert JobMetrics().core_seconds == 0
+        assert RunReport().blocked_fractions() == (0.0, 0.0)
 
 
 class TestEngineIntegration:
@@ -112,7 +132,6 @@ class TestEngineIntegration:
 class TestMetricsRegistryConcurrency:
     def test_parallel_recording_is_consistent(self):
         registry = MetricsRegistry()
-        telemetry = TelemetryRegistry()
         threads_n, per_thread = 8, 50
         stage_ids: list[int] = []
         lock = threading.Lock()
@@ -124,7 +143,7 @@ class TestMetricsRegistryConcurrency:
                 mine.append(stage.stage_id)
                 registry.add_task(stage, TaskMetrics(run_time=0.001))
                 registry.record_failure("result", i, 0, ValueError("x"))
-                telemetry.inc("executor.timeout")
+                registry.inc("executor.timeout")
             with lock:
                 stage_ids.extend(mine)
 
@@ -141,7 +160,117 @@ class TestMetricsRegistryConcurrency:
         # Stage ids come back sorted and dense.
         assert [s.stage_id for s in job.stages] == list(range(total))
         assert len(registry.failures) == total
-        assert telemetry.counter("executor.timeout") == total
+        assert registry.counter("executor.timeout") == total
+        assert registry.counter("task.failures") == total
+
+
+class TestCountersAndGauges:
+    def test_counters_and_gauges(self):
+        reg = MetricsRegistry()
+        reg.inc("a")
+        reg.inc("a", 4)
+        reg.set_gauge("g", 7)
+        assert reg.counter("a") == 5
+        assert reg.counter("nope") == 0
+        assert reg.gauge("g") == 7
+        snap = reg.snapshot()
+        assert snap == {"counters": {"a": 5}, "gauges": {"g": 7}, "histograms": {}}
+        # Snapshot is a copy — mutating it does not touch the registry.
+        snap["counters"]["a"] = 0
+        assert reg.counter("a") == 5
+
+    def test_concurrent_inc(self):
+        reg = MetricsRegistry()
+
+        def pump():
+            for _ in range(1000):
+                reg.inc("n")
+
+        threads = [threading.Thread(target=pump) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert reg.counter("n") == 8000
+
+    def test_reset_clears_values_and_ledgers(self):
+        reg = MetricsRegistry()
+        reg.inc("a")
+        reg.add_task(reg.new_stage(), TaskMetrics())
+        reg.record_failure("result", 0, 0, ValueError("x"))
+        reg.reset()
+        assert reg.snapshot()["counters"] == {}
+        assert reg.job().stage_count == 0 and reg.failures == []
+        assert reg.new_stage().stage_id == 0
+
+
+class TestObserve:
+    def test_observe_feeds_named_histogram(self):
+        reg = MetricsRegistry()
+        reg.observe("task.seconds", 0.5)
+        reg.observe("task.seconds", 1.5)
+        assert reg.histogram("task.seconds").count == 2
+        snap = reg.snapshot()
+        assert "task.seconds" in snap["histograms"]
+
+    def test_reset_clears_histograms(self):
+        reg = MetricsRegistry()
+        reg.observe("x", 1.0)
+        reg.reset()
+        assert reg.snapshot()["histograms"] == {}
+
+
+class TestGaugeFold:
+    def test_point_in_time_gauges_are_not_summed(self):
+        # Two contexts at 2.0x each are 2.0x together, not 4.0x: the ratio
+        # is no gauge, so the fold sums only the bytes it derives from.
+        context = {
+            "blockmanager.compressed_bytes": 100,
+            "blockmanager.logical_bytes": 200,
+        }
+        folded = fold_gauges([dict(context), dict(context)])
+        assert "blockmanager.compression_ratio" not in folded
+        assert folded["blockmanager.compressed_bytes"] == 200
+        memory = RunReport(gauges=folded).memory_summary()
+        assert memory["compression_ratio"] == pytest.approx(2.0)
+
+    def test_derived_ratio_recomputed_from_folded_bytes(self):
+        a = {"blockmanager.compressed_bytes": 100, "blockmanager.logical_bytes": 300}
+        b = {"blockmanager.compressed_bytes": 300, "blockmanager.logical_bytes": 300}
+        folded = fold_gauges([a, b])
+        # Fleet-wide truth: 600 logical over 400 compressed = 1.5x, which
+        # neither sum (4.0) nor max (3.0) of the per-context ratios gives.
+        memory = RunReport(gauges=folded).memory_summary()
+        assert memory["compression_ratio"] == pytest.approx(1.5)
+
+    def test_registered_policy_applies(self):
+        # The one level gauge: every context sees the same shared fleet.
+        folded = fold_gauges([{"dist.workers": 2}, {"dist.workers": 3}])
+        assert folded["dist.workers"] == 3
+
+    def test_default_policy_sums(self):
+        folded = fold_gauges([{"bytes": 1}, {"bytes": 2}])
+        assert folded["bytes"] == 3
+
+
+class TestFoldHistograms:
+    def test_same_name_merges_across_workers(self):
+        a, b = Histogram(), Histogram()
+        a.observe(0.01)
+        b.observe(0.02)
+        folded = MetricsRegistry()
+        folded.merge({"histograms": {"task.seconds": a.snapshot()}})
+        folded.merge({"histograms": {"task.seconds": b.snapshot()}})
+        assert folded.histogram("task.seconds").count == 2
+
+    def test_disjoint_names_both_survive(self):
+        a, b = Histogram(), Histogram()
+        a.observe(0.01)
+        b.observe(0.02)
+        folded = MetricsRegistry()
+        folded.merge({"histograms": {"one": a.snapshot()}})
+        folded.merge({"histograms": {"two": b.snapshot()}})
+        assert set(folded.snapshot()["histograms"]) == {"one", "two"}
 
 
 class TestGcTimer:

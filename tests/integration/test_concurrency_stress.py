@@ -1,7 +1,7 @@
 """Concurrency stress under the lockwatch watchdog.
 
 Eight-plus threads hammer the shared pieces of the serve and obs layers
-— :class:`TelemetryRegistry`, :class:`EventBus` fan-out into a
+— :class:`MetricsRegistry`, :class:`EventBus` fan-out into a
 :class:`JsonlEventSink`, and :class:`JobQueue` submit/cancel/pop — while
 :mod:`repro.analysis.lockwatch` records every lock acquisition.  The
 assertions are the two things a race would break: the counters balance
@@ -55,28 +55,28 @@ def _run_threads(fn):
 class TestTelemetryAndEvents:
     def test_counters_balance_and_no_inversions(self, watch, tmp_path):
         # Construct AFTER install so every lock is watched.
+        from repro.engine.metrics import MetricsRegistry
         from repro.obs.events import EventBus, JsonlEventSink
-        from repro.obs.telemetry import TelemetryRegistry
 
-        telemetry = TelemetryRegistry()
+        registry = MetricsRegistry()
         bus = EventBus()
         sink = JsonlEventSink(str(tmp_path / "events.jsonl"))
         bus.subscribe(sink)
 
         def worker(i):
             for k in range(OPS):
-                telemetry.inc("stress.ops")
-                telemetry.inc("stress.bytes", k)
-                telemetry.set_gauge(f"stress.thread{i}", k)
+                registry.inc("stress.ops")
+                registry.inc("stress.bytes", k)
+                registry.set_gauge(f"stress.thread{i}", k)
                 bus.publish("stress.tick", thread=i, k=k)
 
         _run_threads(worker)
         bus.unsubscribe(sink)
         sink.close()
 
-        assert telemetry.counter("stress.ops") == N_THREADS * OPS
+        assert registry.counter("stress.ops") == N_THREADS * OPS
         assert (
-            telemetry.counter("stress.bytes")
+            registry.counter("stress.bytes")
             == N_THREADS * sum(range(OPS))
         )
         lines = [
@@ -85,6 +85,39 @@ class TestTelemetryAndEvents:
         ]
         assert len(lines) == N_THREADS * OPS
         assert all(e["kind"] == "stress.tick" for e in lines)
+
+        report = watch.report()
+        assert report["cycles"] == [], report["cycles"]
+
+    def test_one_lock_keeps_values_and_ledgers_exact(self, watch):
+        """Named values, the stage ledger and the failure ledger share
+        one lock; interleaving all four writers loses nothing."""
+        from repro.engine.metrics import MetricsRegistry, TaskMetrics
+
+        registry = MetricsRegistry()
+        stages = [registry.new_stage(name=f"s{i}") for i in range(N_THREADS)]
+
+        def worker(i):
+            for k in range(OPS):
+                registry.inc("stress.ops")
+                registry.observe("stress.seconds", k * 1e-3)
+                # Every thread writes every stage, so appends collide.
+                registry.add_task(stages[k % N_THREADS], TaskMetrics(partition=k))
+                if k % 3 == 0:
+                    registry.record_failure("result", k, i, ValueError("x"))
+
+        _run_threads(worker)
+
+        total = N_THREADS * OPS
+        assert registry.counter("stress.ops") == total
+        assert registry.histogram("stress.seconds").count == total
+        job = registry.job()
+        assert [len(s.tasks) for s in job.stages] == [
+            N_THREADS * len(range(j, OPS, N_THREADS)) for j in range(N_THREADS)
+        ]
+        failures = len(registry.failures)
+        assert failures == N_THREADS * len(range(0, OPS, 3))
+        assert registry.snapshot()["counters"]["task.failures"] == failures
 
         report = watch.report()
         assert report["cycles"] == [], report["cycles"]

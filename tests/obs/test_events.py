@@ -10,7 +10,6 @@ from repro.obs import (
     validate_event,
     validate_events,
 )
-from repro.obs.telemetry import TelemetryRegistry
 
 
 class TestEventBus:
@@ -117,32 +116,3 @@ class TestSchema:
         assert len(problems) == 1
         assert problems[0].startswith("event 1:")
 
-
-class TestTelemetryRegistry:
-    def test_counters_and_gauges(self):
-        reg = TelemetryRegistry()
-        reg.inc("a")
-        reg.inc("a", 4)
-        reg.set_gauge("g", 7)
-        assert reg.counter("a") == 5
-        assert reg.counter("nope") == 0
-        assert reg.gauge("g") == 7
-        snap = reg.snapshot()
-        assert snap == {"counters": {"a": 5}, "gauges": {"g": 7}, "histograms": {}}
-        # Snapshot is a copy — mutating it does not touch the registry.
-        snap["counters"]["a"] = 0
-        assert reg.counter("a") == 5
-
-    def test_concurrent_inc(self):
-        reg = TelemetryRegistry()
-
-        def pump():
-            for _ in range(1000):
-                reg.inc("n")
-
-        threads = [threading.Thread(target=pump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert reg.counter("n") == 8000

@@ -5,9 +5,6 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
-    RunReport,
-    TelemetryRegistry,
-    fold_gauges,
     merge_histogram_snapshots,
 )
 
@@ -105,72 +102,3 @@ class TestHistogram:
         b.observe(0.02)
         merged = merge_histogram_snapshots([a.snapshot(), b.snapshot()])
         assert Histogram.from_snapshot(merged).count == 2
-
-
-class TestTelemetryObserve:
-    def test_observe_feeds_named_histogram(self):
-        reg = TelemetryRegistry()
-        reg.observe("task.seconds", 0.5)
-        reg.observe("task.seconds", 1.5)
-        assert reg.histogram("task.seconds").count == 2
-        snap = reg.snapshot()
-        assert "task.seconds" in snap["histograms"]
-
-    def test_reset_clears_histograms(self):
-        reg = TelemetryRegistry()
-        reg.observe("x", 1.0)
-        reg.reset()
-        assert reg.snapshot()["histograms"] == {}
-
-
-class TestGaugeFold:
-    def test_point_in_time_gauges_are_not_summed(self):
-        # Two contexts at 2.0x each are 2.0x together, not 4.0x: the ratio
-        # is no gauge, so the fold sums only the bytes it derives from.
-        context = {
-            "blockmanager.compressed_bytes": 100,
-            "blockmanager.logical_bytes": 200,
-        }
-        folded = fold_gauges([dict(context), dict(context)])
-        assert "blockmanager.compression_ratio" not in folded
-        assert folded["blockmanager.compressed_bytes"] == 200
-        memory = RunReport(gauges=folded).memory_summary()
-        assert memory["compression_ratio"] == pytest.approx(2.0)
-
-    def test_derived_ratio_recomputed_from_folded_bytes(self):
-        a = {"blockmanager.compressed_bytes": 100, "blockmanager.logical_bytes": 300}
-        b = {"blockmanager.compressed_bytes": 300, "blockmanager.logical_bytes": 300}
-        folded = fold_gauges([a, b])
-        # Fleet-wide truth: 600 logical over 400 compressed = 1.5x, which
-        # neither sum (4.0) nor max (3.0) of the per-context ratios gives.
-        memory = RunReport(gauges=folded).memory_summary()
-        assert memory["compression_ratio"] == pytest.approx(1.5)
-
-    def test_registered_policy_applies(self):
-        # The one level gauge: every context sees the same shared fleet.
-        folded = fold_gauges([{"dist.workers": 2}, {"dist.workers": 3}])
-        assert folded["dist.workers"] == 3
-
-    def test_default_policy_sums(self):
-        folded = fold_gauges([{"bytes": 1}, {"bytes": 2}])
-        assert folded["bytes"] == 3
-
-
-class TestFoldHistograms:
-    def test_same_name_merges_across_workers(self):
-        a, b = Histogram(), Histogram()
-        a.observe(0.01)
-        b.observe(0.02)
-        folded = TelemetryRegistry()
-        folded.merge({"histograms": {"task.seconds": a.snapshot()}})
-        folded.merge({"histograms": {"task.seconds": b.snapshot()}})
-        assert folded.histogram("task.seconds").count == 2
-
-    def test_disjoint_names_both_survive(self):
-        a, b = Histogram(), Histogram()
-        a.observe(0.01)
-        b.observe(0.02)
-        folded = TelemetryRegistry()
-        folded.merge({"histograms": {"one": a.snapshot()}})
-        folded.merge({"histograms": {"two": b.snapshot()}})
-        assert set(folded.snapshot()["histograms"]) == {"one", "two"}

@@ -210,7 +210,7 @@ class TestPrometheusExposition:
         # the client can outrun the server thread's finally block.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            hist = service.telemetry.histogram("http.request_seconds")
+            hist = service.latencies.histogram("http.request_seconds")
             if hist is not None and hist.count >= 2:
                 break
             time.sleep(0.02)
@@ -264,7 +264,7 @@ class TestGaugeFoldOverHTTP:
         try:
             contexts = _warm_contexts(service, 2)
             for ctx in contexts:
-                ctx.telemetry.observe("task.seconds", 0.1)
+                ctx.metrics.observe("task.seconds", 0.1)
             folded = service.metrics()["histograms"]
             assert folded["task.seconds"]["count"] == len(contexts)
         finally:
