@@ -10,11 +10,12 @@ between the best and second-best candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ne
 
 from repro.align.fmindex import FMIndex, reverse_complement
 from repro.align.seeds import Seed, chain_seeds, find_seeds_batch
 from repro.align.smith_waterman import ScoringScheme
-from repro.align.sw_batch import smith_waterman_batch
+from repro.align.sw_batch import SwWork, smith_waterman_batch
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar, CigarOp
 from repro.formats.fasta import Reference
@@ -72,6 +73,8 @@ class BwaMemAligner:
         self.reference = reference
         self.config = config or AlignerConfig()
         self.index = FMIndex(reference)
+        #: Running tally of the Smith-Waterman work this aligner did.
+        self.sw_work = SwWork()
 
     # -- public ------------------------------------------------------------
     def candidates(self, sequence: str) -> list[AlignmentCandidate]:
@@ -108,6 +111,7 @@ class BwaMemAligner:
             [(job.query, job.ref_window) for job in jobs],
             scoring=cfg.scoring,
             band=cfg.extension_pad + cfg.band_width,
+            work=self.sw_work,
         )
         per_read: list[list[AlignmentCandidate]] = [[] for _ in sequences]
         seen: list[set[tuple[str, int, bool]]] = [set() for _ in sequences]
@@ -234,17 +238,20 @@ class BwaMemAligner:
 
     @staticmethod
     def _edit_distance(query: str, ref_window: str, result) -> int:
-        """NM: mismatches within M runs plus inserted/deleted bases."""
+        """NM: mismatches within M runs plus inserted/deleted bases.
+
+        An M run costs one string compare, plus one ``map(ne, ...)`` pass
+        when it has mismatches (never on an exact-match lane).
+        """
         nm = 0
         qi = result.query_start
         ri = result.ref_start
         for length, op in result.cigar_pairs:
             if op == "M":
-                nm += sum(
-                    1
-                    for k in range(length)
-                    if query[qi + k] != ref_window[ri + k]
-                )
+                q_run = query[qi : qi + length]
+                r_run = ref_window[ri : ri + length]
+                if q_run != r_run:
+                    nm += sum(map(ne, q_run, r_run))
                 qi += length
                 ri += length
             elif op == "I":

@@ -19,7 +19,7 @@ from repro.align.bwamem import (
     unmapped_record,
 )
 from repro.align.fmindex import reverse_complement
-from repro.align.smith_waterman import smith_waterman
+from repro.align.sw_batch import smith_waterman_batch
 from repro.formats import flags as F
 from repro.formats.cigar import Cigar, CigarOp
 from repro.formats.fasta import Reference
@@ -156,7 +156,13 @@ class PairedEndAligner:
         # The rescued mate should sit on the opposite strand.
         is_reverse = not mate.is_reverse
         query = reverse_complement(read.sequence) if is_reverse else read.sequence
-        result = smith_waterman(query, ref_window, scoring=self.single.config.scoring)
+        # Unbanded: the mate may sit anywhere in the window.
+        (result,) = smith_waterman_batch(
+            [(query, ref_window)],
+            scoring=self.single.config.scoring,
+            band=None,
+            work=self.single.sw_work,
+        )
         if result.score < self.single.config.min_score:
             return None
         n = len(query)

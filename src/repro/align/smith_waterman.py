@@ -134,10 +134,10 @@ def traceback_alignment(
 ) -> AlignmentResult:
     """Three-state (H/E/F) traceback over filled DP matrices.
 
-    Shared by the scalar kernel and the batched kernel
-    (:func:`repro.align.sw_batch.smith_waterman_batch`), which fills the
-    same matrices vectorized over a batch; affine gap runs are attributed
-    correctly by walking the explicit E/F states.
+    Affine gap runs are attributed correctly by walking the explicit E/F
+    states.  The batched kernel
+    (:func:`repro.align.sw_batch.smith_waterman_batch`) walks the same
+    states, in the same tie order, for a whole batch at once.
     """
     n_mask_r = r == ord("N")
     i, j = best_pos
