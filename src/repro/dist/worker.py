@@ -31,11 +31,11 @@ import traceback
 from repro.dist import protocol
 from repro.dist.shipping import ship_loads
 from repro.engine import bundle
-from repro.engine.blockmanager import BlockManager
+from repro.engine.blockmanager import BlockCorruptionError, BlockManager
 from repro.engine.context import PartitionStore
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import MetricsRegistry, timed
-from repro.engine.shuffle import ShuffleManager, block_path
+from repro.engine.shuffle import ShuffleManager, read_block
 from repro.obs import EventBus, NoopTracer
 
 
@@ -136,19 +136,14 @@ def serve_fetch_connection(conn: socket.socket, root_for, initial: dict | None =
             shuffle_id = header.get("shuffle", -1)
             map_p = header.get("map", -1)
             root = root_for(header.get("ns", -1))
-            blob = None
-            if root is not None:
-                path = block_path(root, shuffle_id, map_p, header.get("reduce", -1))
-                try:
-                    with open(path, "rb") as fh:
-                        blob = fh.read()
-                except OSError:
-                    pass  # missing or unreadable: answered as a fetch failure
-            if blob is None:
-                protocol.send_error(
-                    conn,
-                    ShuffleFetchFailedError(shuffle_id, map_p, where="block server"),
-                )
+            try:
+                if root is None:
+                    raise ShuffleFetchFailedError(
+                        shuffle_id, map_p, where="block server: unknown namespace"
+                    )
+                blob = read_block(root, shuffle_id, map_p, header.get("reduce", -1))
+            except ShuffleFetchFailedError as exc:
+                protocol.send_error(conn, exc)
             else:
                 protocol.send_frame(conn, protocol.MSG_BLOCK, {"ok": True}, blob)
             header = None
@@ -328,9 +323,17 @@ class DistShuffle(ShuffleManager):
                 shuffle_id, map_partition, where=f"{addr[0]}:{addr[1]}: {exc}"
             ) from exc
         if self.chaos is not None:
-            blob = self.chaos.mangle(
+            mangled = self.chaos.mangle(
                 "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
             )
+            if blob and not mangled:
+                # Torn to nothing: the base class would take it for an
+                # empty bucket and drop the map's records, so fail here.
+                raise BlockCorruptionError(
+                    f"fetched block torn to 0 bytes: shuffle {shuffle_id} "
+                    f"map {map_partition} reduce {reduce_partition}"
+                )
+            blob = mangled
         if self._metrics is not None:
             self._metrics.inc("dist.fetch_bytes", len(blob))
             self._metrics.inc("dist.fetches")
@@ -417,6 +420,9 @@ class WorkerDaemon:
         self._heartbeat_interval = 1.0
         self._block_listener: socket.socket | None = None
         self.fetch_port: int | None = None
+        #: Open task channels, severed by :meth:`stop`.
+        self._slot_socks: set[socket.socket] = set()
+        self._slot_socks_lock = threading.Lock()
 
     # -- namespace state -------------------------------------------------
     def _context_for(self, header: dict) -> WorkerContext:
@@ -483,7 +489,11 @@ class WorkerDaemon:
             self._stop.set()
             return
         sock.settimeout(None)
+        with self._slot_socks_lock:
+            self._slot_socks.add(sock)
         try:
+            if self._stop.is_set():
+                return
             protocol.send_frame(
                 sock,
                 protocol.MSG_REGISTER,
@@ -519,6 +529,8 @@ class WorkerDaemon:
         except (OSError, protocol.ProtocolError):
             return
         finally:
+            with self._slot_socks_lock:
+                self._slot_socks.discard(sock)
             try:
                 sock.close()
             except OSError:
@@ -566,7 +578,19 @@ class WorkerDaemon:
         self.stop()
 
     def stop(self) -> None:
+        """Stop as a dying node does: every task channel and the block
+        server close at once.  A slot parked on a channel would otherwise
+        still accept one more task and report map outputs behind a block
+        server that is already gone; severed channels make the driver
+        evict this worker on its next send instead."""
         self._stop.set()
+        with self._slot_socks_lock:
+            socks = list(self._slot_socks)
+        for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its slot loop
         if self._block_listener is not None:
             stop_listener(self._block_listener)
             self._block_listener = None

@@ -9,7 +9,9 @@ cost structure as Spark:
 - **Lazy RDDs** with narrow/wide dependencies; the scheduler cuts stages at
   shuffle boundaries exactly as Spark's DAGScheduler does.
 - **Real shuffles**: map tasks hash-partition their output and *write it to
-  spill files on disk*; reduce tasks read the files back.  Shuffled bytes,
+  disk*, one spill file per map task with an index of per-reduce byte
+  ranges (Spark's sort-shuffle layout); reduce tasks read their ranges
+  back.  Shuffled bytes,
   disk-blocked time, and (modelled) network-blocked time are recorded per
   task — the instrumentation behind the paper's blocked-time analysis
   (Fig. 12) and shuffle accounting (Table 4).

@@ -4,13 +4,19 @@ Spark writes *all* shuffle data to disk, even for in-memory workloads — a
 fact the paper leans on ("even in-memory workloads store shuffle data on
 disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
 output by the partitioner, serialize each bucket with the RDD's serializer,
-and write one spill file per (shuffle, map partition, reduce partition),
-whose bytes are exactly one crc-framed GPB2 block (``frame_block`` over
-``encode_partition``).  Reduce tasks read the files back.
+and write **one** file per map task, ``shuffle_<id>/<map>.bin`` — Spark's
+sort-shuffle layout.  The file holds the non-empty buckets as crc-framed
+GPB2 blocks (``frame_block`` over ``encode_partition``) back to back,
+followed by a self-describing index: R+1 big-endian u64 offsets, u32 R,
+and a crc32 over both.  Reduce partition ``r`` is the byte range
+``[offset[r], offset[r+1])``; an empty bucket is a zero-length range and
+is never encoded, framed or written.  :meth:`ShuffleManager.write` is the
+one writer of this layout and :func:`read_block` the one reader; every
+block server reads through it.
 
 Every backend runs this code.  The only thing a backend may vary is
 :meth:`ShuffleManager._fetch_block` — "give me the bytes of block
-(shuffle, map, reduce)" — which reads this node's spill file here and
+(shuffle, map, reduce)" — which reads this node's map-output file here and
 which the cluster transport's subclass (``DistShuffle`` in the ``dist``
 package) overrides to fetch from the peer the *location table* names.
 That table, ``shuffle -> {map partition -> location}``, is also the
@@ -30,7 +36,9 @@ from __future__ import annotations
 
 import os
 import shutil
+import struct
 import threading
+import zlib
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
@@ -43,10 +51,66 @@ if TYPE_CHECKING:
     from repro.engine.rdd import Partitioner
 
 
-def block_path(root: str, shuffle_id: int, map_p: int, reduce_p: int) -> str:
-    """Where one spill block lives under a shuffle root — the layout every
-    writer, reader and block server shares."""
-    return os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin")
+#: Tail of a map-output file: u32 reduce-partition count R, then the
+#: crc32 of the offset table and that count.
+_TAIL = struct.Struct(">II")
+_OFFSET = struct.Struct(">Q")
+
+
+def _map_output_path(root: str, shuffle_id: int, map_p: int) -> str:
+    return os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}.bin")
+
+
+def _index(offsets: list[int]) -> bytes:
+    """The trailer ``write`` appends: R+1 offsets, R, crc32 over both."""
+    table = struct.pack(f">{len(offsets)}QI", *offsets, len(offsets) - 1)
+    return table + zlib.crc32(table).to_bytes(4, "big")
+
+
+def read_block(root: str, shuffle_id: int, map_p: int, reduce_p: int) -> bytes:
+    """The bytes of block (shuffle, map, reduce) under a shuffle root,
+    exactly as :meth:`ShuffleManager.write` stored them — ``b""`` for an
+    empty bucket.
+
+    Reads the map-output file's index, then one byte range.  A missing or
+    torn file, an index that fails its crc, or a reduce partition the
+    index does not have raises :class:`ShuffleFetchFailedError`; the
+    block's own crc frame is checked by the reader that decodes it.
+    """
+    path = _map_output_path(root, shuffle_id, map_p)
+
+    def failed(why: object) -> ShuffleFetchFailedError:
+        return ShuffleFetchFailedError(shuffle_id, map_p, where=f"{path}: {why}")
+
+    try:
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size < _TAIL.size:
+                raise failed("torn map output")
+            fh.seek(size - _TAIL.size)
+            tail = fh.read(_TAIL.size)
+            num_reduce, crc = _TAIL.unpack(tail)
+            table_start = size - _TAIL.size - (num_reduce + 1) * _OFFSET.size
+            if table_start < 0:
+                raise failed("torn map output")
+            fh.seek(table_start)
+            table = fh.read((num_reduce + 1) * _OFFSET.size)
+            if zlib.crc32(table + tail[:4]) != crc:
+                raise failed("map output index crc mismatch")
+            if not (isinstance(reduce_p, int) and 0 <= reduce_p < num_reduce):
+                raise failed(f"no reduce partition {reduce_p} of {num_reduce}")
+            start, end = struct.unpack_from(">QQ", table, reduce_p * _OFFSET.size)
+            if not start <= end <= table_start:
+                raise failed(f"block range [{start}, {end}) outside the file")
+            if start == end:
+                return b""
+            fh.seek(start)
+            blob = fh.read(end - start)
+    except OSError as exc:
+        raise failed(exc) from exc
+    if len(blob) != end - start:
+        raise failed("torn map output")
+    return blob
 
 
 class ShuffleManager:
@@ -103,38 +167,44 @@ class ShuffleManager:
         serializer: Serializer,
         task: TaskMetrics,
     ) -> None:
-        """Bucket key-value pairs and spill each bucket to disk."""
+        """Bucket key-value pairs and spill them as one map-output file."""
         buckets: list[list] = [[] for _ in range(partitioner.num_partitions)]
         records = 0
         for kv in elements:
             buckets[partitioner(kv[0])].append(kv)
             records += 1
-        paths = [
-            block_path(self._spill_dir, shuffle_id, map_partition, reduce_partition)
-            for reduce_partition in range(len(buckets))
-        ]
-        os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
-        total = 0
-        for path, bucket in zip(paths, buckets):
-            # Spill the compressed block form (crc32-framed GPB2 bundle):
-            # spill I/O shrinks by the codec's compression ratio and a
-            # torn file is detected on read instead of feeding garbage.
-            body, _ = encode_partition(bucket, serializer)
-            blob = frame_block(body)
-            total += len(blob)
-            if self.chaos is not None:
-                # An injected ENOSPC/EIO here kills the map attempt; the
-                # scheduler retries it and the rewrite overwrites any
-                # partial spill file from the failed attempt.
-                self.chaos.hit(
-                    "shuffle.write", shuffle=shuffle_id, map=map_partition
-                )
-            with timed(task, "disk_blocked"):
-                with open(path, "wb") as fh:
-                    fh.write(blob)
+        # Spill the compressed block form (crc32-framed GPB2 bundle) of each
+        # non-empty bucket: spill I/O shrinks by the codec's compression
+        # ratio and a torn block is detected on read instead of feeding
+        # garbage.  An empty bucket is a zero-length range.
+        frames: list[bytes] = []
+        offsets = [0]
+        for bucket in buckets:
+            if bucket:
+                body, _ = encode_partition(bucket, serializer)
+                frames.append(frame_block(body))
+                offsets.append(offsets[-1] + len(frames[-1]))
+            else:
+                offsets.append(offsets[-1])
+        frames.append(_index(offsets))
+        path = _map_output_path(self._spill_dir, shuffle_id, map_partition)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with timed(task, "disk_blocked"):
+            with open(path, "wb") as fh:
+                if self.chaos is not None:
+                    # An injected ENOSPC/EIO here kills the map attempt and
+                    # leaves a torn file; the scheduler retries the attempt
+                    # and the rewrite overwrites it.  A reader that meets
+                    # the torn file fails its index check, typed.
+                    self.chaos.hit(
+                        "shuffle.write", shuffle=shuffle_id, map=map_partition
+                    )
+                fh.write(b"".join(frames))
+        total = offsets[-1]
         task.shuffle_bytes_written += total
         task.records_written += records
         if self._metrics is not None:
+            self._metrics.inc("shuffle.files_written")
             self._metrics.inc("shuffle.bytes_written", total)
             self._metrics.inc("shuffle.records_written", records)
         with self._lock:
@@ -152,17 +222,12 @@ class ShuffleManager:
         """The bytes of one spill block, exactly as ``write`` stored them.
 
         The single point a backend varies: here every location is this
-        node, so the block is a file under the spill directory.
+        node, so the block is a range of a file under the spill directory.
         """
-        path = block_path(self._spill_dir, shuffle_id, map_partition, reduce_partition)
-        try:
-            with timed(task, "disk_blocked"):
-                with open(path, "rb") as fh:
-                    return fh.read()
-        except OSError as exc:
-            raise ShuffleFetchFailedError(
-                shuffle_id, map_partition, where=str(exc)
-            ) from exc
+        with timed(task, "disk_blocked"):
+            return read_block(
+                self._spill_dir, shuffle_id, map_partition, reduce_partition
+            )
 
     def read(
         self,
@@ -187,6 +252,9 @@ class ShuffleManager:
             blob = self._fetch_block(
                 shuffle_id, map_partition, reduce_partition, maps[map_partition], task
             )
+            # Emptiness is decided on the bytes as fetched: a block a
+            # mangle tears down to nothing must still fail its crc check.
+            empty = not blob
             if self.chaos is not None:
                 # Fetch faults: a hit raises (connection-reset-class
                 # failure), a mangle damages only this in-memory copy —
@@ -198,11 +266,11 @@ class ShuffleManager:
                 blob = self.chaos.mangle(
                     "shuffle.fetch", blob, shuffle=shuffle_id, map=map_partition
                 )
+            if empty:
+                continue  # an empty bucket: no block was written
             total += len(blob)
-            # crc check catches torn/corrupt spill files before decode.
-            part = decode_partition(unframe_block(blob), serializer)
-            if part:
-                parts.append(part)
+            # crc check catches torn/corrupt spill blocks before decode.
+            parts.append(decode_partition(unframe_block(blob), serializer))
         chain = PartitionChain(parts)
         records = len(chain)  # from block headers — no decode needed
         task.shuffle_bytes_read += total

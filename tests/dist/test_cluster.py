@@ -236,6 +236,19 @@ class TestWorkerLoss:
             assert "ShuffleFetchFailedError" in kinds
 
 
+    def test_a_stopped_worker_takes_no_more_tasks(self, tmp_path):
+        """stop() severs the task channels as a dying node's close: no
+        parked slot of the stopped worker runs another task and reports
+        map outputs behind its closed block server."""
+        with cluster(tmp_path, workers=2, tag="stopped") as (ctx, daemons):
+            victim = daemons[0]
+            victim.stop()
+            data = [(i % 5, 1) for i in range(100)]
+            shuffled = ctx.parallelize(data, 6).reduce_by_key(lambda a, b: a + b, 3)
+            assert dict(shuffled.collect()) == {k: 20 for k in range(5)}
+            assert ctx.metrics.counter(f"dist.worker.{victim.worker_id}.tasks") == 0
+
+
 class TestChaosSites:
     def test_dist_ship_fault_is_retried(self, tmp_path):
         from repro.chaos import ChaosPlan

@@ -3,8 +3,9 @@
 The cluster transport's shuffle subclasses ``ShuffleManager`` and
 overrides only where a block's bytes come from.  With every location its
 own address it must therefore be indistinguishable from the plain
-manager: same spill files byte for byte, same records back, same
-``shuffle.*`` counters, same per-task byte/record metrics.
+manager: same map-output files byte for byte (one per map task), same
+records back, same ``shuffle.*`` counters, same per-task byte/record
+metrics.
 """
 
 import os
@@ -90,7 +91,8 @@ def test_single_node_dist_shuffle_equals_the_engine_shuffle(
     actual = drive(dist, dist_tel, dist_root, make_input(), serializer)
 
     files, records, counters, metrics = expected
-    assert len(files) == NUM_MAP * NUM_REDUCE
+    assert len(files) == NUM_MAP
+    assert counters["shuffle.files_written"] == NUM_MAP
     assert sum(len(part) for part in records) == sum(len(p) for p in make_input())
     assert counters["shuffle.bytes_written"] == counters["shuffle.bytes_read"] > 0
     assert actual == expected

@@ -4,8 +4,9 @@ spill, checkpoint, journal compatibility, and the telemetry gauges."""
 import pytest
 
 from repro.engine.blockmanager import unframe_block
-from repro.engine.bundle import BUNDLE_MAGIC, LazyPartition
+from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle, LazyPartition
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.shuffle import read_block
 from repro.formats.fastq import FastqPair, FastqRecord
 
 
@@ -149,25 +150,34 @@ class TestShuffleSpillCompressed:
         ) == sorted(p.name for p in pairs)
 
     def test_spill_files_are_framed_bundles(self, tmp_path):
+        spill = tmp_path / "spill"
         context = GPFContext(
-            EngineConfig(
-                default_parallelism=2,
-                serializer="gpf",
-                spill_dir=str(tmp_path / "spill"),
-            )
+            EngineConfig(default_parallelism=2, serializer="gpf", spill_dir=str(spill))
         )
         try:
             keyed = context.parallelize([(i % 2, i) for i in range(10)], 2)
-            keyed.group_by_key(2).collect()
-            import glob
-
-            spill_files = glob.glob(
-                str(tmp_path / "spill" / "shuffle_*" / "*.bin")
-            )
-            assert spill_files
-            with open(spill_files[0], "rb") as fh:
-                blob = fh.read()
-            # A spill block is exactly its crc frame around a GPB2 bundle.
-            assert unframe_block(blob).startswith(BUNDLE_MAGIC)
+            # Two keys over five reduce partitions: at least three empty
+            # buckets per map task.
+            keyed.group_by_key(5).collect()
+            map_files = sorted(spill.glob("shuffle_*/*.bin"))
+            assert [p.name for p in map_files] == ["0.bin", "1.bin"]
+            for path in map_files:
+                shuffle_id = int(path.parent.name.split("_")[1])
+                blocks = [
+                    read_block(str(spill), shuffle_id, int(path.stem), r)
+                    for r in range(5)
+                ]
+                # A non-empty indexed range is exactly its crc frame
+                # around one GPB2 bundle.
+                counts = []
+                for blob in filter(None, blocks):
+                    body = unframe_block(blob)
+                    assert body.startswith(BUNDLE_MAGIC)
+                    counts.append(CompressedBundle.frombytes(body).count)
+                assert sum(counts) == 5
+                # Empty buckets occupy 0 bytes: the file is the non-empty
+                # frames plus the index (6 u64 offsets, u32 R, u32 crc).
+                assert len(counts) == 2
+                assert path.stat().st_size == sum(map(len, blocks)) + 6 * 8 + 8
         finally:
             context.stop()
