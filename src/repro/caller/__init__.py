@@ -8,14 +8,16 @@ paired-HMM algorithm" (Table 2).  The same four phases here:
   evidence ("active regions");
 - ``debruijn``          — per-region de Bruijn graph assembly of candidate
   haplotypes from the spanning reads plus the reference;
-- ``pairhmm``           — log-space pair-HMM read-vs-haplotype likelihoods,
-  vectorized over NumPy anti-rows (the pipeline's dominant compute kernel,
+- ``pairhmm``           — pair-HMM read-vs-haplotype likelihoods: one
+  linear-space forward recursion, exactly rescaled by powers of two, over
+  all pairs of a call's regions (the pipeline's dominant compute kernel,
   per the paper's Fig. 13 CPU analysis);
 - ``genotyper``         — diploid genotype likelihoods over haplotype
   pairs, emitting VCF (or GVCF) records.
 
 ``haplotype_caller`` glues the phases into the per-partition callable the
-GPF HaplotypeCallerProcess runs.
+GPF HaplotypeCallerProcess runs: it assembles every active region, scores
+them all in one pair-HMM batch, then genotypes each region.
 """
 
 from repro.caller.active_region import ActiveRegion, find_active_regions

@@ -27,17 +27,6 @@ class ActiveRegion:
     def span(self) -> int:
         return self.end - self.start
 
-    def overlapping_reads(self, records: list[SamRecord]) -> list[SamRecord]:
-        return [
-            r
-            for r in records
-            if not r.is_unmapped
-            and not r.is_duplicate
-            and r.rname == self.contig
-            and r.pos < self.end
-            and r.end > self.start
-        ]
-
 
 @dataclass
 class ActivityProfile:

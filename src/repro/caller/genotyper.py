@@ -87,29 +87,7 @@ def haplotype_variants(
     """
     a, b = ref_window, haplotype
     m, n = len(a), len(b)
-    # Unit-cost edit DP with traceback; windows are a few hundred bases.
-    dp = np.zeros((m + 1, n + 1), dtype=np.int64)
-    dp[:, 0] = np.arange(m + 1)
-    dp[0, :] = np.arange(n + 1)
-    a_arr = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
-    b_arr = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    for i in range(1, m + 1):
-        sub_cost = (a_arr[i - 1] != b_arr).astype(np.int64)
-        row = dp[i]
-        prev = dp[i - 1]
-        # Sequential within-row minimum; small windows keep this cheap.
-        diag = prev[:-1] + sub_cost
-        up = prev[1:] + 1
-        best = np.minimum(diag, up)
-        running = row[0]
-        out = row  # alias for clarity
-        for j in range(1, n + 1):
-            val = best[j - 1]
-            left = running + 1
-            if left < val:
-                val = left
-            out[j] = val
-            running = val
+    dp = _edit_table(a, b)
     # Traceback.
     i, j = m, n
     diffs: list[tuple[str, int, str, str]] = []
@@ -132,6 +110,31 @@ def haplotype_variants(
     diffs.extend(_collapse_deletions(pending_del, a, contig, window_start))
     diffs.sort(key=lambda d: d[1])
     return diffs
+
+
+def _edit_table(a: str, b: str) -> np.ndarray:
+    """Unit-cost edit-distance table of ``a`` (rows) against ``b`` (columns).
+
+    Each row is ``min(diagonal, up)`` followed by the left-to-right scan
+    ``row[j] = min(best[j], row[j-1] + 1)``, ``best[0] = i``, which unrolls
+    to ``row[j] = j + min_{k<=j}(best[k] - k)``: one exact integer prefix
+    minimum instead of a per-column loop.
+    """
+    m, n = len(a), len(b)
+    dp = np.zeros((m + 1, n + 1), dtype=np.int64)
+    dp[:, 0] = np.arange(m + 1)
+    dp[0, :] = np.arange(n + 1)
+    a_arr = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    b_arr = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    sub_cost = (a_arr[:, None] != b_arr[None, :]).astype(np.int64)
+    cols = np.arange(n + 1)
+    best = np.empty(n + 1, dtype=np.int64)
+    for i in range(1, m + 1):
+        prev = dp[i - 1]
+        best[0] = i
+        np.minimum(prev[:-1] + sub_cost[i - 1], prev[1:] + 1, out=best[1:])
+        dp[i] = cols + np.minimum.accumulate(best - cols)
+    return dp
 
 
 def _collapse_insertions(

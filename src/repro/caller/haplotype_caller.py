@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 from repro.caller.active_region import ActiveRegion, find_active_regions
 from repro.cleaner.index import SamIndex
-from repro.caller.debruijn import DeBruijnAssembler
+from repro.caller.debruijn import DeBruijnAssembler, Haplotype
 from repro.caller.genotyper import Genotyper, genotype_to_vcf
 from repro.caller.pairhmm import PairHMM
 from repro.formats.fasta import Reference
-from repro.formats.sam import SamRecord
+from repro.formats.sam import SamRecord, with_qual
 from repro.formats.vcf import VcfRecord
 
 
@@ -31,6 +31,16 @@ class CallerConfig:
     assembler: DeBruijnAssembler = field(default_factory=DeBruijnAssembler)
 
 
+@dataclass
+class _RegionWork:
+    """One active region between assembly and genotyping."""
+
+    region: ActiveRegion
+    ref_window: str
+    haplotypes: list[Haplotype]
+    reads: list[tuple[str, list[int]]]
+
+
 class HaplotypeCaller:
     def __init__(self, reference: Reference, config: CallerConfig | None = None):
         self.reference = reference
@@ -40,8 +50,14 @@ class HaplotypeCaller:
 
     # -- public -------------------------------------------------------------
     def call(self, records: list[SamRecord]) -> list[VcfRecord]:
-        """Variant records for one batch of (roughly sorted) SAM records."""
+        """Variant records for one batch of (roughly sorted) SAM records.
+
+        Every active region is assembled first; one pair-HMM batch then
+        scores all their (read, haplotype) pairs; each region is genotyped
+        from its own matrix."""
         cfg = self.config
+        # Reads without QUAL ("*") are skipped; a QUAL/SEQ length mismatch raises.
+        records = with_qual(rec for rec in records if not rec.is_unmapped)
         regions = find_active_regions(
             records,
             self.reference,
@@ -51,49 +67,44 @@ class HaplotypeCaller:
         )
         # One binned index instead of a linear scan per region.
         index = SamIndex.build(records)
+        work = [w for w in (self._assemble(r, index) for r in regions) if w is not None]
+        matrices = self.pairhmm.likelihood_matrices(
+            [(w.reads, [h.sequence for h in w.haplotypes]) for w in work]
+        )
         out: list[VcfRecord] = []
-        for region in regions:
-            out.extend(self.call_region(region, records, index=index))
+        for w, likelihoods in zip(work, matrices):
+            call = self.genotyper.call(likelihoods, w.haplotypes)
+            out.extend(
+                genotype_to_vcf(
+                    call,
+                    w.haplotypes,
+                    w.ref_window,
+                    w.region.contig,
+                    w.region.start,
+                    min_qual=cfg.min_call_qual,
+                )
+            )
         out.sort(key=lambda r: (r.contig, r.pos))
         if cfg.gvcf:
             out = self._add_reference_blocks(out, records)
         return out
 
-    def call_region(
-        self,
-        region: ActiveRegion,
-        records: list[SamRecord],
-        index: SamIndex | None = None,
-    ) -> list[VcfRecord]:
-        """Assemble + genotype one active region; index speeds read lookup."""
+    def _assemble(self, region: ActiveRegion, index: SamIndex) -> _RegionWork | None:
+        """The region's reads and assembled haplotypes; None when there is
+        nothing to genotype."""
         cfg = self.config
-        if index is not None:
-            candidates = [
-                r
-                for r in index.query(region.contig, region.start, region.end)
-                if not r.is_duplicate
-            ]
-        else:
-            candidates = region.overlapping_reads(records)
+        candidates = [
+            r for r in index.query(region.contig, region.start, region.end) if not r.is_duplicate
+        ]
         reads = candidates[: cfg.max_reads_per_region]
         if not reads:
-            return []
+            return None
         ref_window = self.reference.fetch(region.contig, region.start, region.end)
         haplotypes = cfg.assembler.assemble(ref_window, reads)
         if len(haplotypes) < 2:
-            return []
-        read_data = [(r.seq, r.phred_scores) for r in reads]
-        likelihoods = self.pairhmm.likelihood_matrix(
-            read_data, [h.sequence for h in haplotypes]
-        )
-        call = self.genotyper.call(likelihoods, haplotypes)
-        return genotype_to_vcf(
-            call,
-            haplotypes,
-            ref_window,
-            region.contig,
-            region.start,
-            min_qual=cfg.min_call_qual,
+            return None
+        return _RegionWork(
+            region, ref_window, haplotypes, [(r.seq, r.phred_scores) for r in reads]
         )
 
     # -- GVCF --------------------------------------------------------------

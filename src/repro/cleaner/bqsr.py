@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.formats.cigar import CONSUMES_QUERY, CONSUMES_REF
 from repro.formats.fasta import Reference
-from repro.formats.sam import SamRecord
+from repro.formats.sam import SamRecord, with_qual
 from repro.formats.vcf import VcfRecord, known_sites_mask
 
 #: Phred cap after recalibration, matching GATK's practical range.
@@ -235,17 +235,6 @@ def _cells(counts: np.ndarray, *axes: list) -> dict:
     return {key: list(cell) for key, cell in zip(keys, cells)}
 
 
-def _checked(records: Iterable[SamRecord]) -> list[SamRecord]:
-    """Records with QUAL (``*`` is skipped); a QUAL/SEQ length mismatch raises."""
-    reads = [rec for rec in records if rec.qual]
-    for rec in reads:
-        if len(rec.qual) != len(rec.seq):
-            raise ValueError(
-                f"read {rec.qname!r}: QUAL has {len(rec.qual)} bases, SEQ has {len(rec.seq)}"
-            )
-    return reads
-
-
 def _bytes(texts: Iterable[str]) -> np.ndarray:
     return np.frombuffer("".join(texts).encode("latin-1"), dtype=np.uint8)
 
@@ -270,7 +259,7 @@ def build_recalibration_table(
     known_sites: list[VcfRecord],
 ) -> RecalibrationTable:
     """Pass 1: count covariates over aligned, non-duplicate records."""
-    reads = _checked(rec for rec in records if not (rec.is_unmapped or rec.is_duplicate))
+    reads = with_qual(rec for rec in records if not (rec.is_unmapped or rec.is_duplicate))
     seq, qual, cycle, context, starts = _covariates(reads)
     # Per contig, one row per M/=/X op: (first base in the batch, first
     # reference position, length).
@@ -331,7 +320,7 @@ def apply_recalibration(
     records: list[SamRecord], table: RecalibrationTable
 ) -> int:
     """Pass 2: rewrite quality strings in place; returns bases changed."""
-    reads = _checked(rec for rec in records if not rec.is_unmapped)
+    reads = with_qual(rec for rec in records if not rec.is_unmapped)
     _, qual, cycle, context, starts = _covariates(reads)
     quality = qual.astype(np.int64) - 33
     new = table.recalibrated(quality, cycle, context)

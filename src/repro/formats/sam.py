@@ -155,6 +155,17 @@ class SamRecord:
         )
 
 
+def with_qual(records: Iterable[SamRecord]) -> list[SamRecord]:
+    """Records with QUAL (``*`` is skipped); a QUAL/SEQ length mismatch raises."""
+    reads = [rec for rec in records if rec.qual]
+    for rec in reads:
+        if len(rec.qual) != len(rec.seq):
+            raise ValueError(
+                f"read {rec.qname!r}: QUAL has {len(rec.qual)} bases, SEQ has {len(rec.seq)}"
+            )
+    return reads
+
+
 def format_tag(key: str, value: object) -> str:
     """Render one optional tag as SAM's TAG:TYPE:VALUE text."""
     if isinstance(value, bool):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.caller.active_region import ActiveRegion, find_active_regions
+from repro.caller.active_region import find_active_regions
 from repro.caller.debruijn import DeBruijnAssembler, Haplotype
 from repro.caller.genotyper import Genotyper, haplotype_variants
 from repro.caller.pairhmm import PairHMM
@@ -63,13 +63,6 @@ class TestActiveRegions:
             noisy.append(rec(f"n{i}", start, "80M", "".join(bases)))
         regions = find_active_regions(noisy, reference, max_region_span=100)
         assert all(r.span <= 100 + 2 * 25 + 1 for r in regions)
-
-    def test_overlapping_reads_selection(self, scene):
-        reference, reads, _, _, _ = scene
-        region = ActiveRegion("chr1", 140, 180)
-        selected = region.overlapping_reads(reads)
-        assert selected
-        assert all(r.pos < 180 and r.end > 140 for r in selected)
 
 
 class TestAssembly:

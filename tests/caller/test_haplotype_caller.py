@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.caller.haplotype_caller import CallerConfig, HaplotypeCaller
+from repro.caller.pairhmm import PairHMM
 from repro.formats.cigar import Cigar
 from repro.formats.fasta import Contig, Reference
 from repro.formats.sam import SamRecord
@@ -136,3 +137,68 @@ class TestDuplicateHandling:
             r.set_duplicate(True)
         caller = HaplotypeCaller(reference)
         assert caller.call(reads) == []
+
+
+def twin_contig_scene():
+    """Two SNVs 250 bases apart, and chr2 an exact copy of chr1 carrying
+    copies of the same reads: four active regions, and every (read,
+    haplotype) triple of chr2 repeats one of chr1."""
+    rng = np.random.default_rng(50)
+    seq = "".join(rng.choice(list("ACGT"), size=900))
+    reference = Reference([Contig("chr1", seq.encode()), Contig("chr2", seq.encode())])
+    donor = list(seq)
+    for pos in (300, 550):
+        donor[pos] = "A" if seq[pos] != "A" else "G"
+    donor = "".join(donor)
+    reads = reads_from_donor(donor, 300, prefix="a") + reads_from_donor(donor, 550, prefix="b")
+    twins = [rec(f"{r.qname}x", r.pos, str(r.cigar), r.seq, rname="chr2") for r in reads]
+    return reference, reads + twins
+
+
+class TestCallShape:
+    def test_one_pairhmm_batch_per_call(self, monkeypatch):
+        reference, reads = twin_contig_scene()
+        batches = []
+        original = PairHMM.batch_log_likelihoods
+
+        def spy(self, items):
+            batches.append(len(items))
+            return original(self, items)
+
+        monkeypatch.setattr(PairHMM, "batch_log_likelihoods", spy)
+        caller = HaplotypeCaller(reference)
+        calls = caller.call(reads)
+        assert [(c.contig, c.pos) for c in calls] == [
+            ("chr1", 300), ("chr1", 550), ("chr2", 300), ("chr2", 550)
+        ]
+        # chr2's triples are deduped inside the call, before the cache:
+        # one batch of chr1's 56 unique triples and no cache hits.  Scored
+        # region by region (batches of 28 and 28), chr2's 56 lookups were
+        # cache hits instead.
+        assert batches == [56]
+        assert (caller.pairhmm.cache.hits, caller.pairhmm.cache.misses) == (0, 56)
+        caller.call(reads)
+        assert batches == [56]  # all 112 lookups of the second call hit
+        assert (caller.pairhmm.cache.hits, caller.pairhmm.cache.misses) == (112, 56)
+
+
+class TestMissingQual:
+    def snv_reads(self):
+        reference, seq = make_scene(seed=51)
+        pos = 300
+        donor = seq[:pos] + ("A" if seq[pos] != "A" else "G") + seq[pos + 1 :]
+        return reference, reads_from_donor(donor, pos)
+
+    def test_reads_without_qual_are_skipped(self):
+        reference, reads = self.snv_reads()
+        expected = HaplotypeCaller(reference).call(reads[::2])
+        assert expected
+        for r in reads[1::2]:
+            r.qual = ""  # QUAL "*"
+        assert HaplotypeCaller(reference).call(reads) == expected
+
+    def test_qual_seq_length_mismatch_names_the_read(self):
+        reference, reads = self.snv_reads()
+        reads[3].qual = reads[3].qual[:-1]
+        with pytest.raises(ValueError, match="'r3': QUAL has 89 bases, SEQ has 90"):
+            HaplotypeCaller(reference).call(reads)
