@@ -17,6 +17,17 @@ the worker rebuilds a live function with ``types.FunctionType``.  The
 driver context is swapped for a persistent-id token that the worker's
 unpickler resolves to its own :class:`~repro.dist.worker.WorkerContext`.
 
+A task ships its **stage, not its lineage**.  An RDD whose shuffle
+dependencies are all written (each has a ``shuffle_id``) pickles as a
+copy with the map side removed: its parents lose the deps' parent RDDs
+and each dep becomes ``ShuffleDependency(None, partitioner,
+shuffle_id=...)``.  ``ShuffledRDD`` and ``CoGroupedRDD`` read a written
+shuffle by id alone, so the DAG above the shuffle never crosses the
+wire — Spark's ``@transient`` ``ShuffleDependency.rdd``.  The driver's
+own objects are untouched: its scheduler regenerates a lost map output
+from its full lineage, so a reduce task never needs the map side.  An
+RDD with any unwritten dep ships whole, as the map stage it is part of.
+
 ``ParallelCollectionRDD`` slices additionally ship in ``GPB2``
 compressed bundle form (the serializer's §4.1-codec payload) rather
 than as pickled record lists — task ship traffic shrinks by the codec's
@@ -32,6 +43,7 @@ into an inline local fallback, never a wrong answer.
 from __future__ import annotations
 
 import builtins
+import copyreg
 import importlib
 import io
 import marshal
@@ -39,6 +51,7 @@ import pickle
 import types
 
 from repro.engine.bundle import decode_partition, encode_partition
+from repro.engine.rdd import RDD, ParallelCollectionRDD, ShuffleDependency
 
 #: Persistent-id token standing in for the driver context.
 CTX_TOKEN = "gpf:ctx"
@@ -137,8 +150,12 @@ class ShipPickler(pickle.Pickler):
             # Modules captured in closures (``import numpy as np`` at
             # module scope, referenced by a shipped lambda).
             return (_import_module, (obj.__name__,))
-        if self._serializer is not None and type(obj).__name__ == "ParallelCollectionRDD":
+        if self._serializer is not None and isinstance(obj, ParallelCollectionRDD):
             return self._reduce_pcrdd(obj)
+        if isinstance(obj, RDD) and obj.shuffle_deps and all(
+            dep.shuffle_id is not None for dep in obj.shuffle_deps
+        ):
+            return self._reduce_written_shuffle(obj)
         return NotImplemented
 
     def _reduce_function(self, func: types.FunctionType):
@@ -164,6 +181,19 @@ class ShipPickler(pickle.Pickler):
                 dict(func.__dict__) or None,
             ),
         )
+
+    def _reduce_written_shuffle(self, rdd):
+        """Ship a shuffle-reading RDD without the map side of its deps."""
+        map_side = {id(dep.parent) for dep in rdd.shuffle_deps}
+        state = dict(rdd.__dict__)
+        state["parents"] = [p for p in rdd.parents if id(p) not in map_side]
+        state["shuffle_deps"] = [
+            ShuffleDependency(None, dep.partitioner, shuffle_id=dep.shuffle_id)
+            for dep in rdd.shuffle_deps
+        ]
+        # The default reduce with a replaced state: the copy is memoized
+        # before its state pickles, so references back to it still resolve.
+        return (copyreg.__newobj__, (type(rdd),), state)
 
     def _reduce_pcrdd(self, rdd):
         """Ship parallelize() source data as compressed GPB2 bundles."""

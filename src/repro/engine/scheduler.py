@@ -321,11 +321,13 @@ class DAGScheduler:
                 if isinstance(exc, ShuffleFetchFailedError):
                     # FetchFailed semantics: retrying the reduce against
                     # a dead peer can never succeed — regenerate the lost
-                    # map outputs from lineage first, then retry.
+                    # map outputs from lineage first, then retry.  A
+                    # recovery that ran out of attempts is this attempt's
+                    # error (its context is the fetch failure).
                     try:
-                        self._recover_shuffle(exc)
-                    except Exception:  # noqa: BLE001 - retry surfaces it
-                        pass
+                        self._recover_shuffle(exc, parent_span)
+                    except TaskFailedError as recovery_failed:
+                        exc = last_error = recovery_failed
                 retries_left = max_attempts - attempt - 1
                 delay = (
                     self._backoff_delay(stage_kind, split, attempt)
@@ -368,19 +370,28 @@ class DAGScheduler:
         events.publish("stage.end", **stage.totals())
 
     # -- execution ----------------------------------------------------------
+    @staticmethod
     def _map_task_body(
-        self, dep: "ShuffleDependency", shuffle_id: int, split: int
+        dep: "ShuffleDependency", shuffle_id: int, split: int
     ) -> Callable[[TaskMetrics], None]:
         """The body of one map task: compute the parent partition, combine
-        map-side if the dependency asks, spill it bucketed."""
+        map-side if the dependency asks, spill it bucketed.
+
+        The closure captures the dependency's fields, never the scheduler
+        or the dependency itself: a shipped body carries its own stage and
+        nothing of ``_map_specs``.  It writes through ``parent.ctx``, which
+        on a worker resolves to the ``WorkerContext``.
+        """
         parent = dep.parent
+        partitioner = dep.partitioner
+        map_side_combine = dep.map_side_combine
 
         def body(task: TaskMetrics) -> None:
             elements = parent.iterator(split, task)
-            if dep.map_side_combine is not None:
-                elements = dep.map_side_combine(elements)
-            self.ctx.shuffle_manager.write(
-                shuffle_id, split, elements, dep.partitioner, parent.serializer, task
+            if map_side_combine is not None:
+                elements = map_side_combine(elements)
+            parent.ctx.shuffle_manager.write(
+                shuffle_id, split, elements, partitioner, parent.serializer, task
             )
 
         return body
@@ -425,16 +436,21 @@ class DAGScheduler:
         self._map_specs[shuffle_id] = dep
         self._publish_stage_end(stage)
 
-    def _recover_shuffle(self, failure: ShuffleFetchFailedError) -> None:
+    def _recover_shuffle(
+        self, failure: ShuffleFetchFailedError, parent_span=None
+    ) -> None:
         """Regenerate lost map outputs of one shuffle from lineage.
 
         Called between attempts of a reduce task that hit a fetch
         failure.  The transport reports which map partitions live on
-        dead nodes; each is recomputed through ``executor.execute`` —
-        landing on a surviving worker (or inline on the driver), whose
-        write re-registers a fresh location that supersedes the dead
-        one.  Failures here propagate to the *retrying* task's loop, so
-        the retry budget still bounds total work.
+        dead nodes; each is recomputed as a ``shuffle-map`` task with
+        its own retries, backoff, deadline and ledger entries — landing
+        on a surviving worker (or inline on the driver), whose write
+        re-registers a fresh location that supersedes the dead one.
+        Only the driver replays a written shuffle's map side: shipped
+        tasks carry none of it.  A recovery that exhausts its attempts raises
+        :class:`TaskFailedError` into the retrying reduce's loop, and
+        its failed attempts count against the retry budget.
         """
         dep = self._map_specs.get(failure.shuffle_id)
         if dep is None:
@@ -451,9 +467,12 @@ class DAGScheduler:
             maps=len(missing),
         )
         for split in sorted(missing):
-            self.ctx.executor.execute(
+            self._run_with_retries(
+                "shuffle-map",
+                split,
                 self._map_task_body(dep, failure.shuffle_id, split),
-                TaskMetrics(partition=split, attempt=0),
+                lambda task: None,
+                parent_span=parent_span,
             )
 
     def _run_result_stage(

@@ -215,6 +215,19 @@ class TestWorkerLoss:
             assert result == [-x for x in range(12)]
             assert ctx.metrics.counter("executor.fallbacks.no_workers") > 0
 
+    @staticmethod
+    def _kill_between_collects(ctx, daemons, shuffled):
+        """Collect, stop the first worker, wait for its eviction, collect
+        again; returns both (sorted) results."""
+        first = sorted(shuffled.collect())
+        daemons[0].stop()
+        deadline = time.monotonic() + 10.0
+        while len(ctx.executor.fleet.live_workers()) > 1:
+            if time.monotonic() > deadline:
+                pytest.fail("fleet never evicted the dead worker")
+            time.sleep(0.1)
+        return first, sorted(shuffled.collect())
+
     def test_fetch_failure_recovers_lost_map_outputs(self, tmp_path):
         """Kill the worker holding half the map outputs *between* two
         collects of the same shuffled RDD: the reduce side hits dead
@@ -223,18 +236,67 @@ class TestWorkerLoss:
         with cluster(tmp_path, workers=2, tag="fetch") as (ctx, daemons):
             data = [(f"k{i % 5}", i) for i in range(100)]
             shuffled = ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b)
-            first = sorted(shuffled.collect())
-            daemons[0].stop()
-            deadline = time.monotonic() + 10.0
-            while len(ctx.executor.fleet.live_workers()) > 1:
-                if time.monotonic() > deadline:
-                    pytest.fail("fleet never evicted the dead worker")
-                time.sleep(0.1)
-            second = sorted(shuffled.collect())
+            first, second = self._kill_between_collects(ctx, daemons, shuffled)
             assert second == first
             kinds = {f.error_type for f in ctx.metrics.failures}
             assert "ShuffleFetchFailedError" in kinds
 
+    @pytest.mark.parametrize(
+        "faulted_ships, ledger",
+        [
+            # One recovery attempt fails; its own retry regenerates.
+            (
+                (7,),
+                [
+                    ("shuffle-map", "ConnectionResetError"),
+                    ("result", "ShuffleFetchFailedError"),
+                ],
+            ),
+            # All three recovery attempts fail: the exhausted recovery is
+            # the reduce attempt's error; the next reduce attempt recovers.
+            (
+                (7, 8, 9),
+                [("shuffle-map", "ConnectionResetError")] * 3
+                + [
+                    ("result", "TaskFailedError"),
+                    ("result", "ShuffleFetchFailedError"),
+                ],
+            ),
+        ],
+        ids=["retried", "exhausted"],
+    )
+    def test_failed_shuffle_recovery_is_retried_and_ledgered(
+        self, tmp_path, faulted_ships, ledger
+    ):
+        """The same kill, plus ship faults from the first recovery map on.
+        Ships: 4 maps + 1 reduce (first collect), the reduce again (its
+        fetch fails), then the 7th is the first recovery map.  The
+        recovery runs under its own retries — ``shuffle-map`` entries in
+        the ledger, not a swallowed error that burns a reduce attempt."""
+        from repro.chaos import ChaosPlan
+
+        plan = ChaosPlan(
+            seed=3,
+            rules=[
+                {"site": "dist.ship", "fault": "conn_reset", "nth": nth}
+                for nth in faulted_ships
+            ],
+        )
+        with cluster(
+            tmp_path, workers=2, tag="recover", chaos=plan, max_task_attempts=3
+        ) as (ctx, daemons):
+            data = [(f"k{i % 5}", i) for i in range(100)]
+            shuffled = ctx.parallelize(data, 4).reduce_by_key(
+                lambda a, b: a + b, 1
+            )
+            first, second = self._kill_between_collects(ctx, daemons, shuffled)
+            assert second == first
+            # A recovery runs inside the reduce's failure handling, so its
+            # failed attempts are ledgered before the reduce attempt's.
+            failures = ctx.metrics.failures
+            assert [(f.stage_kind, f.error_type) for f in failures] == ledger
+            if len(ledger) > 2:
+                assert "shuffle-map task" in failures[3].message
 
     def test_a_stopped_worker_takes_no_more_tasks(self, tmp_path):
         """stop() severs the task channels as a dying node's close: no

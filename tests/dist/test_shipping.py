@@ -1,10 +1,12 @@
 """Closure shipping round-trips, including over a real socket.
 
 Satellite coverage: serializer round-trips across a socketpair under
-partial reads, and the GPB2 compressed-bundle path for
-``ParallelCollectionRDD`` slices with worker-side lazy decode.
+partial reads, the GPB2 compressed-bundle path for
+``ParallelCollectionRDD`` slices with worker-side lazy decode, and the
+stage cut: a written shuffle ships as its id, not its map side.
 """
 
+import io
 import os
 import pickle
 import socket
@@ -15,6 +17,9 @@ from repro.dist import protocol
 from repro.dist.shipping import CTX_TOKEN, ship_dumps, ship_loads
 from repro.dist.spec import format_hostport
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.metrics import TaskMetrics
+from repro.engine.rdd import HashPartitioner
+from repro.engine.scheduler import DAGScheduler
 
 HELPER_CONSTANT = 7
 
@@ -175,3 +180,119 @@ class TestParallelCollectionBundles:
         assert [func(x) for part in rdd._slices for x in part] == [
             x + 1 for x in data
         ]
+
+
+def _reader_for(ctx, tmp_path, shuffle_ids):
+    """A WorkerContext that reads the driver's spill files as its own:
+    every map output of ``shuffle_ids`` is located at the worker."""
+    from repro.dist.worker import WorkerContext
+
+    here = ("127.0.0.1", 0)
+    wctx = WorkerContext(str(tmp_path / "spill"), 0, here, ctx.serializer)
+    locations = {}
+    for shuffle_id in shuffle_ids:
+        num_map, maps = ctx.shuffle_manager.locations(shuffle_id)
+        locations[shuffle_id] = {
+            "num_map": num_map,
+            "maps": {m: here for m in maps},
+        }
+    wctx.shuffle_manager.set_locations(locations)
+    return wctx
+
+
+def _result_body(rdd, split):
+    """The scheduler's result-task body shape, shipped as the cluster
+    transport ships it: ``(body, task)``."""
+    return (lambda task: rdd.iterator(split, task)), TaskMetrics(partition=split)
+
+
+def _captured(body, name):
+    """The value a shipped closure captured under ``name``."""
+    cells = dict(zip(body.__code__.co_freevars, body.__closure__))
+    return cells[name].cell_contents
+
+
+def _types_pickled(obj, ctx) -> set:
+    """Every type the ship pickler visits while pickling ``obj``."""
+    from repro.dist.shipping import ShipPickler
+
+    seen: set = set()
+
+    class Recording(ShipPickler):
+        def reducer_override(self, value):
+            seen.add(type(value))
+            return super().reducer_override(value)
+
+    Recording(io.BytesIO(), ctx).dump(obj)
+    return seen
+
+
+class TestStageCut:
+    def test_written_shuffle_ships_its_id_not_its_lineage(
+        self, ctx, tmp_path
+    ):
+        sizes = {}
+        for n in (10, 10_000):
+            data = [(i % 7, i) for i in range(n)]
+            shuffled = ctx.parallelize(data, 4).partition_by(HashPartitioner(3))
+            expected = ctx.run_job(shuffled, [1])[0]
+            blob = ship_dumps(_result_body(shuffled, 1), ctx)
+            sizes[n] = len(blob)
+            shuffle_id = shuffled.shuffle_deps[0].shuffle_id
+            wctx = _reader_for(ctx, tmp_path, [shuffle_id])
+            body, task = ship_loads(blob, wctx)
+            loaded = _captured(body, "rdd")
+            assert loaded.parents == []
+            assert loaded.shuffle_deps[0].parent is None
+            assert loaded.shuffle_deps[0].shuffle_id == shuffle_id
+            assert list(body(task)) == list(expected)
+            # The driver's own lineage is untouched.
+            assert shuffled.parents and shuffled.shuffle_deps[0].parent
+        assert abs(sizes[10] - sizes[10_000]) <= 8, sizes
+
+    def test_cogroup_with_two_written_deps_is_cut(self, ctx, tmp_path):
+        left = ctx.parallelize([(i % 5, i) for i in range(3_000)], 3)
+        right = ctx.parallelize([(i % 5, -i) for i in range(3_000)], 2)
+        grouped = left.cogroup(right, 2)
+        expected = ctx.run_job(grouped, [0])[0]
+        blob = ship_dumps(_result_body(grouped, 0), ctx)
+        assert len(blob) < 2_000  # 6,000 records would not fit
+        ids = [dep.shuffle_id for dep in grouped.shuffle_deps]
+        body, task = ship_loads(blob, _reader_for(ctx, tmp_path, ids))
+        loaded = _captured(body, "rdd")
+        assert loaded.parents == []
+        assert [dep.shuffle_id for dep in loaded.shuffle_deps] == ids
+        assert all(dep.parent is None for dep in loaded.shuffle_deps)
+        assert sorted(body(task)) == sorted(expected)
+
+    @pytest.mark.parametrize("written", [(), (0,)])
+    def test_an_unwritten_dep_ships_the_map_side(self, ctx, worker_ctx, written):
+        left = ctx.parallelize([(i, i) for i in range(50)], 2)
+        right = ctx.parallelize([(i, -i) for i in range(50)], 2)
+        grouped = left.cogroup(right, 2)
+        for i in written:  # one dep written, the other not: still whole
+            grouped.shuffle_deps[i].shuffle_id = 0
+        loaded = ship_loads(ship_dumps(grouped, ctx), worker_ctx)
+        assert len(loaded.parents) == 2
+        for dep, source in zip(loaded.shuffle_deps, (left, right)):
+            assert dep.parent is not None
+            restored = [kv for part in dep.parent._slices for kv in part]
+            assert restored == [kv for part in source._slices for kv in part]
+
+    def test_map_task_body_carries_one_stage(self, ctx):
+        """Map body of the k-th shuffle in a chain: no scheduler in the
+        pickle, and the same size whatever k is."""
+        sizes = {}
+        rdd = ctx.parallelize([(i % 11, i) for i in range(2_000)], 3)
+        for k in range(1, 6):
+            shuffled = rdd.partition_by(HashPartitioner(3))
+            dep = shuffled.shuffle_deps[0]
+            body = ctx._scheduler._map_task_body(dep, 99, 0)
+            payload = (body, TaskMetrics(partition=0))
+            assert DAGScheduler not in _types_pickled(payload, ctx)
+            sizes[k] = len(ship_dumps(payload, ctx))
+            ctx.run_job(shuffled)  # write shuffle k; the next map reads it
+            rdd = shuffled.map(lambda kv: (kv[0], kv[1] + 1))
+        chained = [sizes[k] for k in (2, 3, 4, 5)]
+        assert max(chained) - min(chained) <= 8, sizes
+        assert sizes[2] < sizes[1]  # k=1 still ships the source slices

@@ -60,6 +60,11 @@ def _run_wgs(tmp_path, inputs, backend, tag, workers=0):
         ctx.stop()
 
 
+#: ``dist.bytes_shipped`` of the cluster run below when every task
+#: pickled its whole lineage back to ``parallelize`` (38 tasks).
+FULL_LINEAGE_BYTES_SHIPPED = 13_479_199
+
+
 @pytest.fixture(scope="module")
 def wgs_inputs(reference, known_sites, read_pairs):
     return reference, known_sites, read_pairs
@@ -73,6 +78,9 @@ def test_cluster_vcf_is_byte_identical_to_threads(tmp_path, wgs_inputs):
     assert cluster_vcf == thread_vcf
     assert len(cluster_vcf) > 100
     assert snapshot["counters"].get("dist.tasks_shipped", 0) > 0
+    # A task ships its stage only: written shuffles travel as ids.
+    shipped = snapshot["counters"]["dist.bytes_shipped"]
+    assert shipped <= FULL_LINEAGE_BYTES_SHIPPED // 2, shipped
 
 
 def test_wgs_survives_worker_loss_mid_job(tmp_path, wgs_inputs):
