@@ -195,7 +195,11 @@ class BaseRecalibrationProcess(PartitionProcessBase):
                 for sams in region.sam_sets
             ]
 
-        partials = bundle_rdd.map(count).collect()
+        # Two jobs read the bundle: this count and the final collect of the
+        # recalibrated output.  Cached, the second reads the count's
+        # partitions instead of re-reading the shuffles and re-running
+        # every region's upstream transform.
+        partials = bundle_rdd.persist().map(count).collect()
         tables = [RecalibrationTable() for _ in range(num_samples)]
         for partial in partials:
             for table, piece in zip(tables, partial):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 CONSUMES_QUERY = frozenset("MIS=X")
@@ -44,18 +45,30 @@ class CigarOp:
 
 
 class Cigar:
-    """An immutable sequence of CIGAR operations."""
+    """An immutable sequence of CIGAR operations.
 
-    __slots__ = ("_ops",)
+    Immutability is what makes sharing safe: :meth:`parse` interns one
+    ``Cigar`` per distinct text, a record that changes its alignment is
+    given a new ``Cigar``, and a ``Cigar`` pickles as its text (unpickling
+    is an interned :meth:`parse`), so no :class:`CigarOp` crosses a pickle
+    boundary on its own.
+    """
+
+    __slots__ = ("_ops", "_text")
 
     def __init__(self, ops: list[CigarOp] | tuple[CigarOp, ...] = ()):
         self._ops: tuple[CigarOp, ...] = tuple(ops)
+        self._text = "".join([f"{op.length}{op.op}" for op in self._ops]) or "*"
 
-    @classmethod
-    def parse(cls, text: str) -> "Cigar":
-        """Parse a CIGAR string like ``"76M"`` or ``"10S30M2D36M"``."""
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def parse(text: str) -> "Cigar":
+        """Parse a CIGAR string like ``"76M"`` or ``"10S30M2D36M"``.
+
+        Interned: equal texts return the same ``Cigar`` object.
+        """
         if text == "*" or text == "":
-            return cls(())
+            return Cigar(())
         consumed = 0
         ops: list[CigarOp] = []
         for match in _CIGAR_RE.finditer(text):
@@ -63,7 +76,7 @@ class Cigar:
             consumed += len(match.group(0))
         if consumed != len(text):
             raise ValueError(f"malformed CIGAR string: {text!r}")
-        return cls(ops)
+        return Cigar(ops)
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[int, str]]) -> "Cigar":
@@ -72,6 +85,9 @@ class Cigar:
     @property
     def ops(self) -> tuple[CigarOp, ...]:
         return self._ops
+
+    def __reduce__(self):
+        return (Cigar.parse, (self._text,))
 
     def __bool__(self) -> bool:
         return bool(self._ops)
@@ -83,18 +99,16 @@ class Cigar:
         return iter(self._ops)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Cigar) and self._ops == other._ops
+        return isinstance(other, Cigar) and self._text == other._text
 
     def __hash__(self) -> int:
-        return hash(self._ops)
+        return hash(self._text)
 
     def __str__(self) -> str:
-        if not self._ops:
-            return "*"
-        return "".join(str(op) for op in self._ops)
+        return self._text
 
     def __repr__(self) -> str:
-        return f"Cigar.parse({str(self)!r})"
+        return f"Cigar.parse({self._text!r})"
 
     def query_length(self) -> int:
         """Number of read bases this alignment consumes (must equal SEQ length)."""

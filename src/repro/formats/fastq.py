@@ -51,6 +51,9 @@ class FastqRecord:
     def to_lines(self) -> list[str]:
         return [f"@{self.name}", self.sequence, "+", self.quality]
 
+    def __reduce__(self):
+        return (FastqRecord, (self.name, self.sequence, self.quality))
+
 
 @dataclass(frozen=True, slots=True)
 class FastqPair:
@@ -66,6 +69,9 @@ class FastqPair:
     def __iter__(self) -> Iterator[FastqRecord]:
         yield self.read1
         yield self.read2
+
+    def __reduce__(self):
+        return (FastqPair, (self.read1, self.read2))
 
 
 def parse_fastq(

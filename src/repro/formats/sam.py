@@ -8,7 +8,7 @@ paper's implementation manipulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from repro.formats import flags as F
@@ -99,7 +99,20 @@ class SamRecord:
         return sum(q for q in self.phred_scores if q >= threshold)
 
     def copy(self) -> "SamRecord":
-        return replace(self, tags=dict(self.tags))
+        """An independent record: its own ``tags`` dict; the immutable
+        :class:`Cigar` and strings are shared."""
+        return SamRecord(
+            self.qname, self.flag, self.rname, self.pos, self.mapq, self.cigar,
+            self.rnext, self.pnext, self.tlen, self.seq, self.qual, dict(self.tags),
+        )
+
+    def __reduce__(self):
+        # One constructor call per record instead of the slots dataclass's
+        # per-field state walk.
+        return (SamRecord, (
+            self.qname, self.flag, self.rname, self.pos, self.mapq, self.cigar,
+            self.rnext, self.pnext, self.tlen, self.seq, self.qual, self.tags,
+        ))
 
     # -- text round trip -------------------------------------------------
     def to_line(self) -> str:

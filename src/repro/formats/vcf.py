@@ -60,6 +60,12 @@ class VcfRecord:
     def key(self) -> tuple[str, int, str, str]:
         return (self.contig, self.pos, self.ref, self.alt)
 
+    def __reduce__(self):
+        return (VcfRecord, (
+            self.contig, self.pos, self.ref, self.alt, self.qual, self.id_,
+            self.filter_, self.info, self.genotype, self.depth,
+        ))
+
     def to_line(self) -> str:
         info = ";".join(
             f"{k}={v}" if v is not True else k for k, v in sorted(self.info.items())
