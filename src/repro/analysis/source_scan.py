@@ -30,11 +30,8 @@ TRANSFORM_NAMES = frozenset(
         "map_partitions",
         "map_partitions_with_index",
         "map_values",
-        "flat_map_values",
         "key_by",
         "reduce_by_key",
-        "aggregate_by_key",
-        "fold_by_key",
         "sort_by",
         "zip_partitions",
     }

@@ -1,8 +1,8 @@
 """repro.chaos — deterministic cross-layer fault injection.
 
 One seeded :class:`ChaosPlan` drives every injected fault in a run:
-disk errors and corruption in the block manager, checkpoint store,
-journal, and shuffle; task-level deaths and hangs in the scheduler;
+disk errors and corruption in the block manager's spill, the journal,
+and the shuffle; task-level deaths and hangs in the scheduler;
 worker deaths, connection resets, and clock skew in the serve layer.
 Every injection is published as a ``chaos.inject`` event, and the same
 plan + seed always reproduces the identical fault sequence — failure

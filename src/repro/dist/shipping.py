@@ -21,9 +21,9 @@ A task ships its **stage, not its lineage**.  An RDD whose shuffle
 dependencies are all written (each has a ``shuffle_id``) pickles as a
 copy with the map side removed: its parents lose the deps' parent RDDs
 and each dep becomes ``ShuffleDependency(None, partitioner,
-shuffle_id=...)``.  ``ShuffledRDD`` and ``CoGroupedRDD`` read a written
-shuffle by id alone, so the DAG above the shuffle never crosses the
-wire — Spark's ``@transient`` ``ShuffleDependency.rdd``.  The driver's
+shuffle_id=...)``.  ``ShuffledRDD`` reads a written shuffle by id
+alone, so the DAG above the shuffle never crosses the wire — Spark's
+``@transient`` ``ShuffleDependency.rdd``.  The driver's
 own objects are untouched: its scheduler regenerates a lost map output
 from its full lineage, so a reduce task never needs the map side.  An
 RDD with any unwritten dep ships whole, as the map stage it is part of.

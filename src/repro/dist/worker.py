@@ -3,8 +3,8 @@
 A worker node runs the *same source tree* as the driver and receives
 task bodies by value (:mod:`repro.dist.shipping`).  Everything a task
 body reaches through ``ctx`` resolves to a :class:`WorkerContext`, and
-the data plane behind it is the engine's own code, not a copy: cache and
-checkpoint blocks go through :class:`~repro.engine.context.PartitionStore`
+the data plane behind it is the engine's own code, not a copy: cache
+blocks go through :class:`~repro.engine.context.PartitionStore`
 over a worker-local block manager, and shuffle blocks through
 :class:`DistShuffle`, a :class:`~repro.engine.shuffle.ShuffleManager`
 whose only data-path override fetches a block held by another node *from
@@ -344,7 +344,7 @@ class WorkerContext(PartitionStore):
     """The ``ctx`` a shipped task body sees on a worker node.
 
     Implements exactly the context surface lineage code touches at
-    *compute* time: serializer, cache/checkpoint block I/O (the engine's
+    *compute* time: serializer, cache block I/O (the engine's
     :class:`~repro.engine.context.PartitionStore` over a worker-local
     block manager — a partition cached by one task is reused by the next
     task of the same namespace), the P2P shuffle, metrics, and an

@@ -7,7 +7,12 @@ operation is submitted, and its dynamic partitioner is an ordinary
 cost structure as Spark:
 
 - **Lazy RDDs** with narrow/wide dependencies; the scheduler cuts stages at
-  shuffle boundaries exactly as Spark's DAGScheduler does.
+  shuffle boundaries exactly as Spark's DAGScheduler does.  Only the
+  operators GPF's Processes, the ADAM baseline and the examples call are
+  kept (a test pins the list): ``map``, ``flat_map``, ``filter``,
+  ``map_partitions(_with_index)``, ``key_by``, ``map_values``,
+  ``values``, ``zip_partitions``, ``partition_by``, ``group_by_key``,
+  ``reduce_by_key``, ``sort_by``, ``collect``, ``persist``.
 - **Real shuffles**: map tasks hash-partition their output and *write it to
   disk*, one spill file per map task with an index of per-reduce byte
   ranges (Spark's sort-shuffle layout); reduce tasks read their ranges
@@ -22,18 +27,15 @@ cost structure as Spark:
   overlap on the vectorized stages), and ``cluster`` (a socket worker
   fleet in the ``dist`` package, imported only when selected).
 - **Broadcast variables** for the reference genome and PartitionInfo.
+- **One durable store**: the run journal (``repro.engine.journal``);
+  the block cache's disk spill is a cache that a crash simply loses.
 """
 
 from repro.engine.context import GPFContext, EngineConfig
 from repro.engine.rdd import RDD
 from repro.engine.broadcast import Broadcast
 from repro.engine.metrics import TaskMetrics, StageMetrics, JobMetrics, MetricsRegistry
-from repro.engine.files import (
-    TextFileRDD,
-    FastqFileRDD,
-    FastqPairFileRDD,
-    load_fastq_pair_lazy,
-)
+from repro.engine.files import FastqPairFileRDD, load_fastq_pair_lazy
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.faults import InjectedFault, TaskFailedError
 from repro.engine.blockmanager import BlockManager
@@ -57,8 +59,6 @@ __all__ = [
     "CompactSerializer",
     "GpfSerializer",
     "get_serializer",
-    "TextFileRDD",
-    "FastqFileRDD",
     "FastqPairFileRDD",
     "load_fastq_pair_lazy",
     "Accumulator",

@@ -8,12 +8,15 @@ memory up to ``memory_limit`` bytes and evicts least-recently-used blocks
 to spill files; reads transparently fall back to disk.  Eviction and
 disk reads are counted so benches can show the memory/IO trade-off.
 
-Every block that touches disk — spilled cache blocks and the durable
-checkpoint store behind :meth:`repro.engine.rdd.RDD.checkpoint` — is
-framed with a crc32 checksum.  A corrupt file is *detected*, counted in
-:attr:`BlockStats.corrupt_reads`, and treated as a miss, so the engine
+A spill file is a cache, not a store: it is written in place with no
+fsync, because the index of spilled blocks lives only in this process
+and nothing reads the file after a crash.  It is still framed with a
+crc32 checksum, so a torn or corrupt file is *detected*, counted in
+:attr:`BlockStats.corrupt_reads`, and treated as a miss: the engine
 recomputes the partition from lineage instead of feeding garbage to the
-next stage (or crashing the run).
+next stage (or crashing the run).  The durable store is the run journal
+(:mod:`repro.engine.journal`), which writes through
+:func:`write_block_file`.
 """
 
 from __future__ import annotations
@@ -123,14 +126,11 @@ class BlockStats:
     disk_reads: int = 0
     hits: int = 0
     misses: int = 0
-    #: Disk blocks (spill or checkpoint) that failed crc32 verification.
+    #: Spilled blocks that failed crc32 verification.
     corrupt_reads: int = 0
     #: Spill writes that failed (disk full / I/O error); the block is
     #: dropped instead — eager eviction, recompute-on-demand.
     spill_errors: int = 0
-    #: Checkpoint partitions written/read back.
-    checkpoint_writes: int = 0
-    checkpoint_reads: int = 0
     #: Decoded (logical) size of the memory-resident blocks — what the
     #: same partitions would occupy as Python record lists.  Together
     #: with ``memory_bytes`` (the compressed resident size) this is the
@@ -139,14 +139,12 @@ class BlockStats:
 
 
 class BlockManager:
-    """LRU memory cache with disk spill for serialized partition blobs,
-    plus a durable checksummed checkpoint store."""
+    """LRU memory cache with disk spill for serialized partition blobs."""
 
     def __init__(
         self,
         spill_dir: str,
         memory_limit: int | None = None,
-        checkpoint_dir: str | None = None,
         events=None,
         chaos=None,
     ):
@@ -158,11 +156,6 @@ class BlockManager:
         self._chaos = chaos
         self._dir = os.path.join(spill_dir, "blocks")
         os.makedirs(self._dir, exist_ok=True)
-        # A caller-supplied checkpoint dir outlives the context (it backs
-        # cross-run resume); only the defaulted in-spill dir is cleaned up.
-        self._owns_ckpt = checkpoint_dir is None
-        self._ckpt_dir = checkpoint_dir or os.path.join(spill_dir, "checkpoints")
-        os.makedirs(self._ckpt_dir, exist_ok=True)
         self._limit = memory_limit
         self._lock = threading.Lock()
         #: key -> blob, most-recently-used last.
@@ -170,7 +163,8 @@ class BlockManager:
         self._memory_bytes = 0
         #: key -> decoded (logical) byte estimate, for the ratio gauges.
         self._logical: dict[tuple[int, int], int] = {}
-        self._on_disk: set[tuple[int, int]] = set()
+        #: key -> payload bytes of a block spilled to disk.
+        self._on_disk: dict[tuple[int, int], int] = {}
         #: Blocks chosen for eviction whose spill write is in flight.
         #: Reads serve these from memory; evict_rdd cancels them by
         #: removing the entry (the writer then discards its stale file).
@@ -205,7 +199,7 @@ class BlockManager:
         for vkey, vblob in victims:
             path = self._block_path(vkey)
             try:
-                write_block_file(path, vblob, self._chaos, site="block.spill")
+                self._write_spill(path, vblob)
             except OSError as exc:
                 # Disk full (or dying): degrade spill to eager eviction.
                 # The block is dropped entirely — a later get() misses and
@@ -213,18 +207,19 @@ class BlockManager:
                 # whole run crashing on a cache write.
                 with self._lock:
                     self._spilling.pop(vkey, None)
+                    self._on_disk.pop(vkey, None)
                     self.stats.spill_errors += 1
                     self._refresh_stats()
                 degraded.append((vkey, f"{type(exc).__name__}: {exc}"))
                 try:
-                    os.unlink(path + ".tmp")
+                    os.unlink(path)
                 except OSError:
                     pass
                 continue
             with self._lock:
                 cancelled = self._spilling.pop(vkey, None) is None
                 if not cancelled:
-                    self._on_disk.add(vkey)
+                    self._on_disk[vkey] = len(vblob)
                     self.stats.evictions += 1
                     evicted.append(vkey)
                     self._refresh_stats()
@@ -275,7 +270,7 @@ class BlockManager:
             with self._lock:
                 self.stats.corrupt_reads += 1
                 self.stats.misses += 1
-                self._on_disk.discard(key)
+                self._on_disk.pop(key, None)
             self._publish_corrupt(path)
             return None
         with self._lock:
@@ -296,7 +291,7 @@ class BlockManager:
             )
 
     def evict_rdd(self, rdd_id: int) -> None:
-        """Drop every block of one RDD (unpersist)."""
+        """Drop every block of one RDD (context reuse between jobs)."""
         doomed: list[str] = []
         with self._lock:
             for key in [k for k in self._memory if k[0] == rdd_id]:
@@ -305,7 +300,7 @@ class BlockManager:
                 # Cancel the in-flight spill; the writer unlinks its file.
                 del self._spilling[key]
             for key in [k for k in self._on_disk if k[0] == rdd_id]:
-                self._on_disk.discard(key)
+                del self._on_disk[key]
                 doomed.append(self._block_path(key))
             for key in [k for k in self._logical if k[0] == rdd_id]:
                 del self._logical[key]
@@ -322,47 +317,8 @@ class BlockManager:
             return (
                 self._memory_bytes
                 + sum(len(b) for b in self._spilling.values())
-                + sum(self._disk_payload_bytes(k) for k in self._on_disk)
+                + sum(self._on_disk.values())
             )
-
-    # -- checkpoint store ----------------------------------------------------
-    def put_checkpoint(self, key: tuple[int, int], blob: bytes) -> str:
-        """Durably write one checkpointed partition; returns the file path."""
-        path = self._checkpoint_path(key)
-        write_block_file(path, blob, self._chaos, site="checkpoint.write")
-        with self._lock:
-            self.stats.checkpoint_writes += 1
-        return path
-
-    def get_checkpoint(self, key: tuple[int, int]) -> bytes | None:
-        """Read one checkpointed partition; None when missing or corrupt
-        (corruption is counted in :attr:`BlockStats.corrupt_reads`)."""
-        path = self._checkpoint_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            blob = read_block_file(path, self._chaos, site="checkpoint.read")
-        except (BlockCorruptionError, OSError):
-            with self._lock:
-                self.stats.corrupt_reads += 1
-            self._publish_corrupt(path)
-            return None
-        with self._lock:
-            self.stats.checkpoint_reads += 1
-        return blob
-
-    def discard_checkpoint(self, key: tuple[int, int]) -> None:
-        """Drop a checkpoint whose payload failed post-crc decode
-        verification (counted as a corrupt read); the caller recomputes
-        and rewrites it from lineage."""
-        path = self._checkpoint_path(key)
-        with self._lock:
-            self.stats.corrupt_reads += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        self._publish_corrupt(path)
 
     # -- lifecycle ------------------------------------------------------------
     def cleanup(self) -> None:
@@ -374,10 +330,23 @@ class BlockManager:
             self._on_disk.clear()
             self._spilling.clear()
         shutil.rmtree(self._dir, ignore_errors=True)
-        if self._owns_ckpt:
-            shutil.rmtree(self._ckpt_dir, ignore_errors=True)
 
     # -- internals ------------------------------------------------------------
+    def _write_spill(self, path: str, blob: bytes) -> None:
+        """Write one evicted block as a single crc-framed write, in place.
+
+        No tmp file, fsync or rename: a torn file fails its crc on read
+        and counts as a miss.  Chaos ``block.spill`` rules model
+        ENOSPC/EIO (hit) and torn or bit-flipped writes (mangle).
+        """
+        framed = frame_block(blob)
+        if self._chaos is not None:
+            name = os.path.basename(path)
+            self._chaos.hit("block.spill", path=name)
+            framed = self._chaos.mangle("block.spill", framed, path=name)
+        with open(path, "wb") as fh:
+            fh.write(framed)
+
     def _select_victims(self) -> list[tuple[tuple[int, int], bytes]]:
         """Pop LRU blocks past the limit into the in-flight spill set.
 
@@ -398,23 +367,10 @@ class BlockManager:
         self.stats.memory_blocks = len(self._memory)
         self.stats.disk_blocks = len(self._on_disk)
         self.stats.memory_bytes = self._memory_bytes
-        self.stats.disk_bytes = sum(
-            self._disk_payload_bytes(k) for k in self._on_disk
-        )
+        self.stats.disk_bytes = sum(self._on_disk.values())
         self.stats.logical_bytes = sum(
             self._logical.get(k, 0) for k in self._memory
         ) + sum(self._logical.get(k, 0) for k in self._spilling)
 
-    def _disk_payload_bytes(self, key: tuple[int, int]) -> int:
-        """Cached payload bytes of a spilled block (frame header excluded,
-        so byte accounting matches what was put())."""
-        path = self._block_path(key)
-        if not os.path.exists(path):
-            return 0
-        return max(0, os.path.getsize(path) - 8)
-
     def _block_path(self, key: tuple[int, int]) -> str:
         return os.path.join(self._dir, f"rdd{key[0]}_p{key[1]}.blk")
-
-    def _checkpoint_path(self, key: tuple[int, int]) -> str:
-        return os.path.join(self._ckpt_dir, f"rdd{key[0]}_p{key[1]}.ckpt")

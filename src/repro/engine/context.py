@@ -85,8 +85,6 @@ class EngineConfig:
     #: with :class:`~repro.engine.faults.TaskTimeoutError` and retried.
     #: None disables the watchdog entirely (zero overhead).
     task_timeout: float | None = None
-    #: Directory for durable RDD checkpoints; defaults inside the spill dir.
-    checkpoint_dir: str | None = None
     #: Sampling-profiler interval in seconds.  When set, the context runs
     #: a :class:`~repro.obs.SamplingProfiler` that attributes collapsed
     #: stacks to live spans, publishes ``profile.sample`` events, and
@@ -123,16 +121,15 @@ class EngineConfig:
 
 
 class PartitionStore:
-    """Cache and checkpoint block I/O over one block manager.
+    """Cache block I/O over one block manager.
 
     The surface ``RDD.iterator`` and the scheduler touch at compute time.
     The driver's :class:`GPFContext` and the cluster worker's context
-    both inherit it, so a partition is encoded, timed, stored, decoded
-    and verified by the same code wherever the task runs.  Subclasses
+    both inherit it, so a partition is encoded, timed, stored and
+    decoded by the same code wherever the task runs.  Subclasses
     provide ``block_manager``, ``serializer`` and ``metrics``.
     """
 
-    # -- cache ------------------------------------------------------------
     def _cache_get(self, rdd: RDD, split: int):
         """A lazily-decoded view of one cached partition (or None).
 
@@ -151,39 +148,11 @@ class PartitionStore:
             (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
         )
 
-    def _cache_evict(self, rdd: RDD) -> None:
-        self.block_manager.evict_rdd(rdd.id)
-
     def _cache_complete(self, rdd: RDD) -> bool:
         return all(
             self.block_manager.contains((rdd.id, split))
             for split in range(rdd.num_partitions)
         )
-
-    # -- checkpoints -------------------------------------------------------
-    def _checkpoint_put(self, rdd: RDD, split: int, data: list) -> str:
-        with _timed_counter(self.metrics, "blockmanager.encode_seconds"):
-            blob, _ = encode_partition(data, self.serializer)
-        return self.block_manager.put_checkpoint((rdd.id, split), blob)
-
-    def _checkpoint_get(self, rdd: RDD, split: int):
-        blob = self.block_manager.get_checkpoint((rdd.id, split))
-        if blob is None:
-            return None
-        # crc32 catches bit flips, but a crc-valid blob can still be
-        # undecodable (bad codec tag, short GPB2 header): the lazy view
-        # would surface those mid-task, far from the checkpoint store.
-        # Verify by draining a throwaway decode and downgrade failures
-        # to a recompute-and-rewrite — checkpoint reads are rare enough
-        # (resume paths) that the extra decode pass is cheap insurance.
-        try:
-            part = decode_partition(blob, self.serializer, metrics=self.metrics)
-            for _ in part.batches():
-                pass
-        except Exception:  # noqa: BLE001 - any decode failure => recompute
-            self.block_manager.discard_checkpoint((rdd.id, split))
-            return None
-        return part
 
 
 class GPFContext(PartitionStore):
@@ -260,7 +229,6 @@ class GPFContext(PartitionStore):
         self.block_manager = BlockManager(
             spill,
             memory_limit=self.config.memory_budget,
-            checkpoint_dir=self.config.checkpoint_dir,
             events=self.events,
             chaos=self.chaos,
         )
@@ -398,8 +366,6 @@ class GPFContext(PartitionStore):
             ("block.disk_reads", stats.disk_reads),
             ("block.corrupt_reads", stats.corrupt_reads),
             ("block.spill_errors", stats.spill_errors),
-            ("checkpoint.writes", stats.checkpoint_writes),
-            ("checkpoint.reads", stats.checkpoint_reads),
         ):
             if value:
                 counters[name] = counters.get(name, 0) + value

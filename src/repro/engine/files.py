@@ -1,19 +1,14 @@
-"""Lazy file-backed RDDs: per-task byte-range reads.
+"""Lazy paired-FASTQ source RDD: per-task record-range reads.
 
 ``parallelize`` needs the whole dataset in driver memory; the paper's
-500 GB FASTQ input obviously never fits.  These source RDDs split a file
-into byte ranges at construction (one cheap scan for boundaries) and have
-*each task* open the file and read only its own range — the engine
-analogue of HDFS input splits.  File read time is charged to the task's
-disk-blocked metric, so loading shows up in blocked-time analysis exactly
-like the paper's "conversion of the FASTQ file to RDD format" phase.
-
-- :class:`TextFileRDD` — generic line-oriented splits (boundaries snapped
-  to newlines).
-- :class:`FastqFileRDD` — FASTQ-aware splits (boundaries snapped to
-  4-line record starts), yielding :class:`FastqRecord`.
-- :func:`load_fastq_pair_lazy` — zip two mate files into FastqPairs with
-  matching record splits.
+500 GB FASTQ input obviously never fits.  :class:`FastqPairFileRDD`
+finds each split's record offsets at construction (one cheap scan per
+mate file) and has *each task* open both files and read only its own
+records — the engine analogue of HDFS input splits.  File read time is
+charged to the task's disk-blocked metric, so loading shows up in
+blocked-time analysis exactly like the paper's "conversion of the FASTQ
+file to RDD format" phase.  :func:`load_fastq_pair_lazy` builds one at
+the context's default parallelism.
 """
 
 from __future__ import annotations
@@ -28,120 +23,6 @@ from repro.formats.quarantine import QuarantineSink, check_policy
 
 if TYPE_CHECKING:
     from repro.engine.context import GPFContext
-
-
-def _line_aligned_offsets(path: str, num_splits: int) -> list[tuple[int, int]]:
-    """Byte ranges covering the file, boundaries snapped to line starts."""
-    size = os.path.getsize(path)
-    if size == 0:
-        return [(0, 0)] * num_splits
-    targets = [size * i // num_splits for i in range(1, num_splits)]
-    boundaries = [0]
-    with open(path, "rb") as fh:
-        for target in targets:
-            fh.seek(target)
-            fh.readline()  # discard the partial line
-            boundaries.append(min(fh.tell(), size))
-    boundaries.append(size)
-    return [(boundaries[i], boundaries[i + 1]) for i in range(num_splits)]
-
-
-def _fastq_aligned_offsets(path: str, num_splits: int) -> list[tuple[int, int]]:
-    """Byte ranges snapped to FASTQ record starts.
-
-    A line starting with '@' is only a record start if the line two
-    before it is a '+' separator or it is preceded by a record boundary —
-    quality strings may also start with '@'.  We resolve this by walking
-    whole 4-line records from each candidate and checking the '+' line.
-    """
-    size = os.path.getsize(path)
-    if size == 0:
-        return [(0, 0)] * num_splits
-    targets = [size * i // num_splits for i in range(1, num_splits)]
-    boundaries = [0]
-    with open(path, "rb") as fh:
-        for target in targets:
-            fh.seek(target)
-            fh.readline()  # partial line
-            # Scan forward for a verified record start: an '@' line whose
-            # third successor line starts with '+'.
-            boundary = None
-            for _ in range(8):  # at most two records of lookahead
-                pos = fh.tell()
-                line = fh.readline()
-                if not line:
-                    boundary = size
-                    break
-                if line.startswith(b"@"):
-                    probe = fh.tell()
-                    fh.readline()  # sequence
-                    plus = fh.readline()
-                    fh.seek(probe)
-                    if plus.startswith(b"+"):
-                        boundary = pos
-                        break
-            boundaries.append(boundary if boundary is not None else size)
-    boundaries.append(size)
-    # Boundaries must be monotonic even for pathological splits.
-    for i in range(1, len(boundaries)):
-        boundaries[i] = max(boundaries[i], boundaries[i - 1])
-    return [(boundaries[i], boundaries[i + 1]) for i in range(num_splits)]
-
-
-def _read_range(path: str, start: int, end: int, task: TaskMetrics) -> str:
-    with timed(task, "disk_blocked"):
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            return fh.read(end - start).decode("ascii")
-
-
-class TextFileRDD(RDD):
-    """Lines of a text file, read lazily per partition."""
-
-    def __init__(self, ctx: "GPFContext", path: str, num_partitions: int):
-        if num_partitions <= 0:
-            raise ValueError("need at least one partition")
-        super().__init__(ctx, num_partitions, name=f"textfile:{os.path.basename(path)}")
-        self._path = path
-        self._ranges = _line_aligned_offsets(path, num_partitions)
-
-    def compute(self, split: int, task: TaskMetrics) -> list:
-        start, end = self._ranges[split]
-        if end <= start:
-            return []
-        text = _read_range(self._path, start, end, task)
-        lines = text.splitlines()
-        task.records_read += len(lines)
-        return lines
-
-
-class FastqFileRDD(RDD):
-    """FASTQ records of a file, read lazily per partition."""
-
-    def __init__(
-        self,
-        ctx: "GPFContext",
-        path: str,
-        num_partitions: int,
-        malformed: str = "fail",
-    ):
-        if num_partitions <= 0:
-            raise ValueError("need at least one partition")
-        check_policy(malformed)
-        super().__init__(ctx, num_partitions, name=f"fastq:{os.path.basename(path)}")
-        self._path = path
-        self._malformed = malformed
-        self._ranges = _fastq_aligned_offsets(path, num_partitions)
-
-    def compute(self, split: int, task: TaskMetrics) -> list:
-        start, end = self._ranges[split]
-        if end <= start:
-            return []
-        text = _read_range(self._path, start, end, task)
-        sink = _quarantine_sink(self.ctx, self._malformed)
-        records = list(parse_fastq(text.splitlines(), self._malformed, sink))
-        task.records_read += len(records)
-        return records
 
 
 class FastqPairFileRDD(RDD):

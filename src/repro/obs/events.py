@@ -65,8 +65,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     ),
     "task.failure": ("stage_kind", "partition", "attempt", "error_type", "backoff"),
     "executor.incident": ("incident",),
-    "rdd.checkpoint": ("rdd_id", "partitions"),
-    "checkpoint.recompute": ("rdd_id", "partition"),
     "block.evict": ("rdd_id", "partition"),
     "block.corrupt": ("where",),
     "journal.record": ("process",),

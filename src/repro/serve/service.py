@@ -606,10 +606,6 @@ class PipelineService:
         overrides: dict = {"trace_dir": None}
         if engine.spill_dir is not None:
             overrides["spill_dir"] = os.path.join(engine.spill_dir, f"worker{slot}")
-        if engine.checkpoint_dir is not None:
-            overrides["checkpoint_dir"] = os.path.join(
-                engine.checkpoint_dir, f"worker{slot}"
-            )
         return GPFContext(dataclasses.replace(engine, **overrides))
 
     def _worker(self, slot: int) -> None:

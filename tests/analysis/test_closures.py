@@ -179,8 +179,10 @@ class TestLineageWalking:
 
     def test_iter_lineage_dedupe_safe_on_diamond(self, ctx):
         base = ctx.parallelize(range(4), 2).map(lambda x: x)
-        union = base.map(lambda x: -x).union(base.map(lambda x: x + 1))
-        names = [name for name, _ in iter_lineage_functions(union)]
+        zipped = base.map(lambda x: -x).zip_partitions(
+            base.map(lambda x: x + 1), lambda left, right: left + right
+        )
+        names = [name for name, _ in iter_lineage_functions(zipped)]
         assert names  # walks both branches without blowing up
 
 

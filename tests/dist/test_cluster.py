@@ -15,6 +15,7 @@ import pytest
 from repro.dist import cluster as dist_cluster
 from repro.dist.worker import WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.rdd import HashPartitioner
 
 
 @contextlib.contextmanager
@@ -91,7 +92,7 @@ class TestBasicJobs:
         shared, timed ``_cache_put``; the counter rides home in RESULT."""
         with cluster(tmp_path, workers=1, tag="enc") as (ctx, _):
             rdd = ctx.parallelize(range(400), 4).map(lambda x: (x, "v" * 20)).persist()
-            assert rdd.count() == 400
+            assert len(rdd.collect()) == 400
             assert ctx.metrics.counter("executor.fallbacks") == 0
             assert ctx.metrics.counter("blockmanager.encode_seconds") > 0
 
@@ -104,7 +105,7 @@ class TestBasicJobs:
             rdd.persist()
             # The first job fills the cache; the second decodes from it.
             for _ in range(2):
-                assert rdd.map(lambda kv: kv[0]).count() == 400
+                assert len(rdd.map(lambda kv: kv[0]).collect()) == 400
             counts = {
                 name: h["count"]
                 for name, h in ctx.metrics.snapshot()["histograms"].items()
@@ -286,9 +287,8 @@ class TestWorkerLoss:
             tmp_path, workers=2, tag="recover", chaos=plan, max_task_attempts=3
         ) as (ctx, daemons):
             data = [(f"k{i % 5}", i) for i in range(100)]
-            shuffled = ctx.parallelize(data, 4).reduce_by_key(
-                lambda a, b: a + b, 1
-            )
+            # 4 map tasks into 1 reduce partition.
+            shuffled = ctx.parallelize(data, 4).partition_by(HashPartitioner(1))
             first, second = self._kill_between_collects(ctx, daemons, shuffled)
             assert second == first
             # A recovery runs inside the reduce's failure handling, so its
@@ -306,7 +306,7 @@ class TestWorkerLoss:
             victim = daemons[0]
             victim.stop()
             data = [(i % 5, 1) for i in range(100)]
-            shuffled = ctx.parallelize(data, 6).reduce_by_key(lambda a, b: a + b, 3)
+            shuffled = ctx.parallelize(data, 6).reduce_by_key(lambda a, b: a + b)
             assert dict(shuffled.collect()) == {k: 20 for k in range(5)}
             assert ctx.metrics.counter(f"dist.worker.{victim.worker_id}.tasks") == 0
 

@@ -18,7 +18,7 @@ from repro.dist.shipping import CTX_TOKEN, ship_dumps, ship_loads
 from repro.dist.spec import format_hostport
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.metrics import TaskMetrics
-from repro.engine.rdd import HashPartitioner
+from repro.engine.rdd import RDD, HashPartitioner, ShuffleDependency
 from repro.engine.scheduler import DAGScheduler
 
 HELPER_CONSTANT = 7
@@ -227,6 +227,31 @@ def _types_pickled(obj, ctx) -> set:
     return seen
 
 
+class _CoGroupShaped(RDD):
+    """Two shuffle dependencies side by side, the shape ``shuffle_deps``
+    allows; no engine operator builds one, so the stage cut is pinned
+    for it here."""
+
+    def __init__(self, left, right, partitioner):
+        deps = [ShuffleDependency(p, partitioner) for p in (left, right)]
+        super().__init__(
+            left.ctx,
+            partitioner.num_partitions,
+            parents=[left, right],
+            shuffle_deps=deps,
+        )
+
+    def compute(self, split, task):
+        out = []
+        for dep in self.shuffle_deps:
+            out.extend(
+                self.ctx.shuffle_manager.read(
+                    dep.shuffle_id, split, self.serializer, task
+                )
+            )
+        return out
+
+
 class TestStageCut:
     def test_written_shuffle_ships_its_id_not_its_lineage(
         self, ctx, tmp_path
@@ -253,7 +278,7 @@ class TestStageCut:
     def test_cogroup_with_two_written_deps_is_cut(self, ctx, tmp_path):
         left = ctx.parallelize([(i % 5, i) for i in range(3_000)], 3)
         right = ctx.parallelize([(i % 5, -i) for i in range(3_000)], 2)
-        grouped = left.cogroup(right, 2)
+        grouped = _CoGroupShaped(left, right, HashPartitioner(2))
         expected = ctx.run_job(grouped, [0])[0]
         blob = ship_dumps(_result_body(grouped, 0), ctx)
         assert len(blob) < 2_000  # 6,000 records would not fit
@@ -269,7 +294,7 @@ class TestStageCut:
     def test_an_unwritten_dep_ships_the_map_side(self, ctx, worker_ctx, written):
         left = ctx.parallelize([(i, i) for i in range(50)], 2)
         right = ctx.parallelize([(i, -i) for i in range(50)], 2)
-        grouped = left.cogroup(right, 2)
+        grouped = _CoGroupShaped(left, right, HashPartitioner(2))
         for i in written:  # one dep written, the other not: still whole
             grouped.shuffle_deps[i].shuffle_id = 0
         loaded = ship_loads(ship_dumps(grouped, ctx), worker_ctx)

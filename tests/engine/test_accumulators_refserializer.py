@@ -29,7 +29,7 @@ class TestAccumulator:
 
     def test_tasks_update_accumulator(self, ctx):
         acc = ctx.accumulator(name="seen")
-        ctx.parallelize(range(50), 4).foreach(lambda _x: acc.add(1))
+        ctx.run_job(ctx.parallelize(range(50), 4).map(lambda _x: acc.add(1)))
         assert acc.value == 50
 
     def test_threadsafe_updates(self, tmp_path):
@@ -45,6 +45,6 @@ class TestAccumulator:
                 acc.add(1)
                 return x
 
-            ctx.parallelize(range(500), 8).map(bump).count()
+            ctx.run_job(ctx.parallelize(range(500), 8).map(bump))
             assert acc.value == 500
 

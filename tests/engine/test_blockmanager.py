@@ -1,7 +1,10 @@
 """Block manager (MEMORY_AND_DISK cache) tests."""
 
+import os
+
 import pytest
 
+from repro.chaos import ChaosPlan, ChaosRule
 from repro.engine.blockmanager import BlockManager
 from repro.engine.context import EngineConfig, GPFContext
 
@@ -59,8 +62,9 @@ class TestBlockManager:
     def test_total_bytes_spans_tiers(self, tmp_path):
         bm = BlockManager(str(tmp_path), memory_limit=12)
         bm.put((1, 0), b"a" * 10)
-        bm.put((1, 1), b"b" * 10)
-        assert bm.total_bytes() == 20
+        bm.put((1, 1), b"b" * 9)
+        assert bm.total_bytes() == 19
+        assert bm.stats.disk_bytes == 10
 
 
 class TestEngineIntegration:
@@ -102,3 +106,42 @@ class TestEngineIntegration:
             count_after_first = len(calls)
             rdd.collect()
             assert len(calls) == count_after_first  # no recompute
+
+
+class TestSpillIsACache:
+    def test_evicting_blocks_calls_fsync_zero_times(self, tmp_path, monkeypatch):
+        calls: list[int] = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+        bm = BlockManager(str(tmp_path), memory_limit=10)
+        blocks = [bytes([i]) * 10 for i in range(8)]
+        for i, blob in enumerate(blocks):
+            bm.put((1, i), blob)
+        assert bm.stats.evictions == 7
+        assert calls == []
+        assert [bm.get((1, i)) for i in range(8)] == blocks
+
+    @pytest.mark.parametrize("fault", ["corrupt", "torn"])
+    def test_damaged_spill_is_a_miss_and_recomputes(self, tmp_path, fault):
+        calls = []
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "s"),
+            memory_budget=1,
+            chaos=ChaosPlan(
+                seed=1, rules=[ChaosRule(site="block.spill", fault=fault, every=1)]
+            ),
+        )
+        with GPFContext(config) as ctx:
+            rdd = (
+                ctx.parallelize(list(range(40)), 4)
+                .map(lambda x: calls.append(x) or x * 2)
+                .persist()
+            )
+            expected = [x * 2 for x in range(40)]
+            assert rdd.collect() == expected
+            computed = len(calls)
+            assert rdd.collect() == expected
+            stats = ctx.block_manager.stats
+            assert stats.evictions > 0
+            assert stats.corrupt_reads > 0
+            assert len(calls) > computed  # recomputed from lineage

@@ -1,19 +1,21 @@
-"""Corrupt/truncated GPB2 compressed checkpoints must recompute cleanly.
+"""Corrupt/truncated GPB2 journal checkpoints must re-execute cleanly.
 
 The block frame's crc32 catches bit flips, but a crc-valid blob can
-still be undecodable: a mangled codec tag or a truncated or absent GPB2 header
-passes the frame check and only explodes at decode time.  The context's
-checkpoint read path decode-verifies eagerly and downgrades any failure
-to discard + lineage recompute + rewrite, including under a thread pool.
+still be undecodable: a mangled codec tag or a truncated or absent GPB2
+header passes the frame check and only explodes at decode time.  The
+run journal's restore path decode-verifies eagerly and downgrades any
+failure to re-executing the Process, which rewrites its checkpoint,
+including under a thread pool.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.blockmanager import write_block_file
+from repro.engine.blockmanager import read_block_file, write_block_file
 from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle
 from repro.engine.context import EngineConfig, GPFContext
+from tests.engine.journaled import partition_files, run_journaled
 
 
 def make_ctx(tmp_path, backend):
@@ -60,41 +62,37 @@ class TestCheckpointCorruptionV2:
     def test_crc_valid_but_undecodable_recomputes_and_rewrites(
         self, tmp_path, backend, corruption
     ):
+        jdir = str(tmp_path / "journal")
+        expected = [x * 5 for x in range(12)]
         with make_ctx(tmp_path, backend) as ctx:
-            rdd = ctx.parallelize(range(12), 2).map(lambda x: x * 5)
-            rdd.checkpoint()
-            expected = [x * 5 for x in range(12)]
-
-            bm = ctx.block_manager
-            key = (rdd.id, 0)
-            blob = bm.get_checkpoint(key)
-            assert blob is not None
+            run_journaled(ctx, jdir, range(12), lambda x: x * 5)
+            path = partition_files(jdir)[0]
             # Re-frame the corrupted blob: the crc is *valid*, only the
             # contents are garbage.
-            write_block_file(bm._checkpoint_path(key), CORRUPTIONS[corruption](blob))
+            write_block_file(path, CORRUPTIONS[corruption](read_block_file(path)))
 
-            assert rdd.collect() == expected
-            assert ctx.block_manager.stats.corrupt_reads >= 1
+            executed, out = run_journaled(ctx, jdir, range(12), lambda x: x * 5)
+            assert executed
+            assert out.collect() == expected
 
-            # The recompute rewrote the checkpoint: the next read is
-            # clean and decodes without another discard.
-            corrupt_before = ctx.block_manager.stats.corrupt_reads
-            assert rdd.collect() == expected
-            assert ctx.block_manager.stats.corrupt_reads == corrupt_before
+            # The re-execution rewrote the checkpoint: the next run
+            # restores it without executing again.
+            executed, out = run_journaled(ctx, jdir, range(12), lambda x: x * 5)
+            assert not executed
+            assert out.collect() == expected
 
     def test_crc_mismatch_recomputes_and_rewrites(self, tmp_path, backend):
+        jdir = str(tmp_path / "journal")
+        expected = [x + 100 for x in range(10)]
         with make_ctx(tmp_path, backend) as ctx:
-            rdd = ctx.parallelize(range(10), 2).map(lambda x: x + 100)
-            rdd.checkpoint()
-            expected = [x + 100 for x in range(10)]
-
-            path = ctx.block_manager._checkpoint_path((rdd.id, 1))
-            with open(path, "r+b") as fh:  # flip payload bytes in place
-                fh.seek(12)
+            run_journaled(ctx, jdir, range(10), lambda x: x + 100)
+            with open(partition_files(jdir)[1], "r+b") as fh:
+                fh.seek(12)  # flip payload bytes in place
                 fh.write(b"\x5a\x5a\x5a")
 
-            assert rdd.collect() == expected
-            assert ctx.block_manager.stats.corrupt_reads >= 1
-            corrupt_before = ctx.block_manager.stats.corrupt_reads
-            assert rdd.collect() == expected
-            assert ctx.block_manager.stats.corrupt_reads == corrupt_before
+            executed, out = run_journaled(ctx, jdir, range(10), lambda x: x + 100)
+            assert executed
+            assert out.collect() == expected
+            executed, out = run_journaled(ctx, jdir, range(10), lambda x: x + 100)
+            assert not executed
+            assert out.collect() == expected

@@ -1,5 +1,5 @@
-"""Fault-tolerance suite: RDD checkpointing, run-journal crash resume,
-task deadlines with backoff, shutdown cleanup."""
+"""Fault-tolerance suite: run-journal crash resume, task deadlines with
+backoff, shutdown cleanup."""
 
 from __future__ import annotations
 
@@ -31,77 +31,17 @@ def _kill_randomly(probability, max_faults=None):
 
 
 # ---------------------------------------------------------------------------
-# RDD.checkpoint()
-# ---------------------------------------------------------------------------
-class TestCheckpoint:
-    def test_checkpoint_truncates_lineage(self, ctx):
-        calls: list[int] = []
-
-        def bump(x):
-            calls.append(x)
-            return x + 1
-
-        rdd = ctx.parallelize(range(10), 2).map(bump)
-        assert not rdd.is_checkpointed
-        rdd.checkpoint()
-        assert rdd.is_checkpointed
-        assert rdd.parents == [] and rdd.shuffle_deps == []
-        computed = len(calls)
-        assert computed == 10  # checkpoint() materialized every partition
-
-        downstream = rdd.map(lambda x: x * 2)
-        assert downstream.collect() == [(x + 1) * 2 for x in range(10)]
-        # Reads came from the checkpoint files, not a recompute.
-        assert len(calls) == computed
-        assert ctx.block_manager.stats.checkpoint_reads >= 2
-
-    def test_checkpoint_is_idempotent(self, ctx):
-        rdd = ctx.parallelize(range(6), 3).map(lambda x: -x)
-        assert rdd.checkpoint() is rdd
-        writes = ctx.block_manager.stats.checkpoint_writes
-        rdd.checkpoint()  # second call is a no-op
-        assert ctx.block_manager.stats.checkpoint_writes == writes
-        assert rdd.collect() == [-x for x in range(6)]
-
-    def test_corrupt_checkpoint_recomputes_from_lineage(self, ctx):
-        rdd = ctx.parallelize(range(8), 2).map(lambda x: x * 3)
-        rdd.checkpoint()
-        path = ctx.block_manager._checkpoint_path((rdd.id, 0))
-        with open(path, "r+b") as fh:  # flip payload bytes past the header
-            fh.seek(10)
-            fh.write(b"\xff\xff\xff")
-        assert rdd.collect() == [x * 3 for x in range(8)]
-        assert ctx.block_manager.stats.corrupt_reads >= 1
-        # The recompute rewrote the checkpoint; the next read is clean.
-        corrupt_before = ctx.block_manager.stats.corrupt_reads
-        assert rdd.collect() == [x * 3 for x in range(8)]
-        assert ctx.block_manager.stats.corrupt_reads == corrupt_before
-
-    def test_checkpoint_feeds_shuffle(self, ctx):
-        rdd = ctx.parallelize([(i % 3, 1) for i in range(30)], 3).checkpoint()
-        out = dict(rdd.reduce_by_key(lambda a, b: a + b).collect())
-        assert out == {0: 10, 1: 10, 2: 10}
-
-
-# ---------------------------------------------------------------------------
-# Context shutdown cleanup (satellite: spill/checkpoint dir lifecycle)
+# Context shutdown cleanup
 # ---------------------------------------------------------------------------
 class TestShutdownCleanup:
-    def test_stop_removes_owned_spill_and_checkpoint_dirs(self):
-        ctx = GPFContext(EngineConfig(default_parallelism=2))
-        ctx.parallelize(range(4), 2).map(lambda x: x).checkpoint()
+    def test_stop_removes_owned_spill_dir(self):
+        ctx = GPFContext(EngineConfig(default_parallelism=2, memory_budget=1))
+        ctx.parallelize(range(4), 2).map(lambda x: x).persist().collect()
         spill = ctx._spill_dir
+        assert ctx.block_manager.stats.disk_blocks == 1
         assert os.path.isdir(spill)
         ctx.stop()
         assert not os.path.exists(spill)
-
-    def test_user_checkpoint_dir_survives_stop(self, tmp_path):
-        ckpt = tmp_path / "keep-ckpt"
-        config = EngineConfig(default_parallelism=2, checkpoint_dir=str(ckpt))
-        ctx = GPFContext(config)
-        ctx.parallelize(range(4), 2).checkpoint()
-        ctx.stop()
-        assert ckpt.is_dir() and list(ckpt.iterdir())
 
 
 # ---------------------------------------------------------------------------

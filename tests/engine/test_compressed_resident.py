@@ -1,13 +1,15 @@
 """Compressed-resident partitions end to end: cache, budget eviction,
-spill, checkpoint, journal compatibility, and the telemetry gauges."""
+spill, journal checkpoints, and the telemetry gauges."""
 
 import pytest
 
 from repro.engine.blockmanager import unframe_block
 from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle, LazyPartition
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.rdd import HashPartitioner
 from repro.engine.shuffle import read_block
 from repro.formats.fastq import FastqPair, FastqRecord
+from tests.engine.journaled import partition_files, run_journaled
 
 
 def make_pairs(n: int) -> list[FastqPair]:
@@ -115,23 +117,20 @@ class TestMemoryBudget:
 
 
 class TestCheckpointCompressed:
-    def test_checkpoint_round_trips(self, gpf_ctx):
+    def test_checkpoint_round_trips(self, gpf_ctx, tmp_path):
         pairs = make_pairs(18)
-        rdd = gpf_ctx.parallelize(pairs, 3).checkpoint()
-        assert rdd.collect() == pairs
-        assert rdd.collect() == pairs
+        jdir = str(tmp_path / "journal")
+        run_journaled(gpf_ctx, jdir, pairs, lambda p: p, partitions=3)
+        executed, out = run_journaled(gpf_ctx, jdir, pairs, lambda p: p, partitions=3)
+        assert not executed  # restored from the journal's files
+        assert out.collect() == pairs
+        assert out.collect() == pairs
 
     def test_checkpoint_files_are_v2_bundles(self, gpf_ctx, tmp_path):
-        pairs = make_pairs(12)
-        rdd = gpf_ctx.parallelize(pairs, 2).checkpoint()
-        rdd.collect()
-        ckpt_dir = gpf_ctx.block_manager._ckpt_dir
-        import glob
-        import os
-
-        files = glob.glob(os.path.join(ckpt_dir, "**", "*"), recursive=True)
-        blobs = [f for f in files if os.path.isfile(f)]
-        assert blobs
+        jdir = str(tmp_path / "journal")
+        run_journaled(gpf_ctx, jdir, make_pairs(12), lambda p: p)
+        blobs = partition_files(jdir)
+        assert len(blobs) == 2
         with open(blobs[0], "rb") as fh:
             body = unframe_block(fh.read())
         assert body.startswith(BUNDLE_MAGIC)
@@ -143,7 +142,7 @@ class TestShuffleSpillCompressed:
         keyed = gpf_ctx.parallelize(
             [(i % 4, p) for i, p in enumerate(pairs)], 2
         )
-        grouped = dict(keyed.group_by_key(2).collect())
+        grouped = dict(keyed.group_by_key().collect())
         assert set(grouped) == {0, 1, 2, 3}
         assert sorted(
             p.name for vs in grouped.values() for p in vs
@@ -158,7 +157,7 @@ class TestShuffleSpillCompressed:
             keyed = context.parallelize([(i % 2, i) for i in range(10)], 2)
             # Two keys over five reduce partitions: at least three empty
             # buckets per map task.
-            keyed.group_by_key(5).collect()
+            keyed.partition_by(HashPartitioner(5)).collect()
             map_files = sorted(spill.glob("shuffle_*/*.bin"))
             assert [p.name for p in map_files] == ["0.bin", "1.bin"]
             for path in map_files:

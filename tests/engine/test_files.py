@@ -1,25 +1,9 @@
-"""Lazy file-backed RDD tests."""
-
-import os
+"""Lazy paired-FASTQ file RDD tests."""
 
 import pytest
 
-from repro.engine.files import (
-    FastqFileRDD,
-    FastqPairFileRDD,
-    TextFileRDD,
-    load_fastq_pair_lazy,
-)
-from repro.formats.fastq import write_fastq
-
-
-@pytest.fixture()
-def text_path(tmp_path):
-    path = str(tmp_path / "data.txt")
-    with open(path, "w") as fh:
-        for i in range(1000):
-            fh.write(f"line-{i:04d} with some padding text\n")
-    return path
+from repro.engine.files import FastqPairFileRDD, load_fastq_pair_lazy
+from repro.formats.fastq import FastqRecord, write_fastq
 
 
 @pytest.fixture()
@@ -30,66 +14,6 @@ def fastq_paths(tmp_path, read_pairs):
     write_fastq([p.read1 for p in subset], p1)
     write_fastq([p.read2 for p in subset], p2)
     return p1, p2, subset
-
-
-class TestTextFile:
-    def test_all_lines_exactly_once(self, ctx, text_path):
-        rdd = TextFileRDD(ctx, text_path, 7)
-        lines = rdd.collect()
-        assert len(lines) == 1000
-        assert lines[0] == "line-0000 with some padding text"
-        assert lines[-1].startswith("line-0999")
-
-    def test_splits_are_nonoverlapping(self, ctx, text_path):
-        parts = TextFileRDD(ctx, text_path, 5).collect_partitions()
-        flat = [l for p in parts for l in p]
-        assert len(flat) == len(set(flat)) == 1000
-
-    def test_single_partition(self, ctx, text_path):
-        assert TextFileRDD(ctx, text_path, 1).count() == 1000
-
-    def test_more_partitions_than_lines(self, ctx, tmp_path):
-        path = str(tmp_path / "tiny.txt")
-        with open(path, "w") as fh:
-            fh.write("a\nb\n")
-        assert sorted(TextFileRDD(ctx, path, 8).collect()) == ["a", "b"]
-
-    def test_empty_file(self, ctx, tmp_path):
-        path = str(tmp_path / "empty.txt")
-        open(path, "w").close()
-        assert TextFileRDD(ctx, path, 3).collect() == []
-
-    def test_read_time_charged_to_disk(self, ctx, text_path):
-        TextFileRDD(ctx, text_path, 2).collect()
-        job = ctx.metrics.job()
-        assert sum(s.disk_blocked for s in job.stages) > 0
-
-    def test_invalid_partitions(self, ctx, text_path):
-        with pytest.raises(ValueError):
-            TextFileRDD(ctx, text_path, 0)
-
-
-class TestFastqFile:
-    def test_records_parse_exactly(self, ctx, fastq_paths):
-        p1, _, subset = fastq_paths
-        rdd = FastqFileRDD(ctx, p1, 5)
-        records = rdd.collect()
-        assert len(records) == len(subset)
-        assert [r.sequence for r in records] == [p.read1.sequence for p in subset]
-
-    def test_quality_lines_starting_with_at_not_confused(self, ctx, tmp_path):
-        # Quality strings may begin with '@' — the split snapper must not
-        # treat them as record headers.
-        from repro.formats.fastq import FastqRecord
-
-        path = str(tmp_path / "tricky.fastq")
-        records = [
-            FastqRecord(f"r{i}", "ACGTACGTAC", "@" + "I" * 9) for i in range(50)
-        ]
-        write_fastq(records, path)
-        out = FastqFileRDD(ctx, path, 7).collect()
-        assert len(out) == 50
-        assert all(r.quality.startswith("@") for r in out)
 
 
 class TestFastqPairFile:
@@ -105,7 +29,7 @@ class TestFastqPairFile:
 
     def test_partition_counts_balanced(self, ctx, fastq_paths):
         p1, p2, subset = fastq_paths
-        parts = FastqPairFileRDD(ctx, p1, p2, 5).collect_partitions()
+        parts = ctx.run_job(FastqPairFileRDD(ctx, p1, p2, 5))
         sizes = [len(p) for p in parts]
         assert sum(sizes) == len(subset)
         assert max(sizes) - min(sizes) <= 1
@@ -116,6 +40,48 @@ class TestFastqPairFile:
         write_fastq([p.read2 for p in subset[:-3]], short)
         with pytest.raises(ValueError, match="disagree"):
             FastqPairFileRDD(ctx, p1, short, 3)
+
+    def test_more_partitions_than_records(self, ctx, tmp_path):
+        p1, p2 = str(tmp_path / "a.fastq"), str(tmp_path / "b.fastq")
+        write_fastq([FastqRecord("r0/1", "ACGT", "IIII")], p1)
+        write_fastq([FastqRecord("r0/2", "TTGA", "IIII")], p2)
+        pairs = FastqPairFileRDD(ctx, p1, p2, 8).collect()
+        assert [(p.read1.sequence, p.read2.sequence) for p in pairs] == [
+            ("ACGT", "TTGA")
+        ]
+
+    def test_empty_files(self, ctx, tmp_path):
+        p1, p2 = str(tmp_path / "a.fastq"), str(tmp_path / "b.fastq")
+        open(p1, "w").close()
+        open(p2, "w").close()
+        assert FastqPairFileRDD(ctx, p1, p2, 3).collect() == []
+
+    def test_quality_lines_starting_with_at_not_confused(self, ctx, tmp_path):
+        # Quality strings may begin with '@'; record offsets count lines,
+        # so they must not be taken for record headers.
+        p1, p2 = str(tmp_path / "a.fastq"), str(tmp_path / "b.fastq")
+        for path, mate in ((p1, 1), (p2, 2)):
+            write_fastq(
+                [
+                    FastqRecord(f"r{i}/{mate}", "ACGTACGTAC", "@" + "I" * 9)
+                    for i in range(50)
+                ],
+                path,
+            )
+        pairs = FastqPairFileRDD(ctx, p1, p2, 7).collect()
+        assert len(pairs) == 50
+        assert all(p.read1.quality.startswith("@") for p in pairs)
+
+    def test_read_time_charged_to_disk(self, ctx, fastq_paths):
+        p1, p2, _ = fastq_paths
+        FastqPairFileRDD(ctx, p1, p2, 2).collect()
+        job = ctx.metrics.job()
+        assert sum(s.disk_blocked for s in job.stages) > 0
+
+    def test_invalid_partitions(self, ctx, fastq_paths):
+        p1, p2, _ = fastq_paths
+        with pytest.raises(ValueError):
+            FastqPairFileRDD(ctx, p1, p2, 0)
 
     def test_helper_uses_default_parallelism(self, ctx, fastq_paths):
         p1, p2, _ = fastq_paths

@@ -30,7 +30,7 @@ def finished(tmp_path):
     )
     try:
         pairs = ctx.parallelize([(i % 3, i) for i in range(30)], 2).persist()
-        assert pairs.count() == 30
+        assert len(pairs.collect()) == 30
         result = dict(pairs.reduce_by_key(add).collect())
         assert result == {k: sum(range(k, 30, 3)) for k in range(3)}
         yield ctx

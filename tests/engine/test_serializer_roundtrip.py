@@ -18,13 +18,14 @@ import random
 
 import pytest
 
-from repro.engine.blockmanager import write_block_file
+from repro.engine.blockmanager import read_block_file, write_block_file
 from repro.engine.bundle import CompressedBundle, decode_partition, encode_partition
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.serializers import get_serializer
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import UNMAPPED_POS, SamRecord
+from tests.engine.journaled import partition_files, run_journaled
 
 SERIALIZERS = ("gpf", "compact")
 SEEDS = range(6)
@@ -181,20 +182,18 @@ def test_old_compact_checkpoint_is_refused_and_recomputed(tmp_path, name):
     config = EngineConfig(
         default_parallelism=2, serializer=name, spill_dir=str(tmp_path / "spill")
     )
+    jdir = str(tmp_path / "journal")
+    expected = [(x, str(x)) for x in range(12)]
     with GPFContext(config) as ctx:
-        rdd = ctx.parallelize(range(12), 2).map(lambda x: (x, str(x)))
-        rdd.checkpoint()
-        expected = [(x, str(x)) for x in range(12)]
-        block_manager = ctx.block_manager
-        key = (rdd.id, 0)
-        blob = block_manager.get_checkpoint(key)
+        run_journaled(ctx, jdir, range(12), lambda x: (x, str(x)))
+        path = partition_files(jdir)[0]
+        blob = read_block_file(path)
         with pytest.raises(pickle.UnpicklingError):
             list(decode_partition(prefixed_compact(blob), ctx.serializer))
-        write_block_file(block_manager._checkpoint_path(key), prefixed_compact(blob))
+        write_block_file(path, prefixed_compact(blob))
 
-        assert rdd.collect() == expected
-        assert block_manager.stats.corrupt_reads == 1
-        # The recompute rewrote the checkpoint in the current format.
-        assert block_manager.get_checkpoint(key) == blob
-        assert rdd.collect() == expected
-        assert block_manager.stats.corrupt_reads == 1
+        executed, out = run_journaled(ctx, jdir, range(12), lambda x: (x, str(x)))
+        assert executed
+        assert out.collect() == expected
+        # The re-execution rewrote the checkpoint in the current format.
+        assert read_block_file(path) == blob

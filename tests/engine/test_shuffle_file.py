@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import random
 import socket
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -215,10 +216,13 @@ def test_damaged_map_output_is_a_typed_fetch_failure(served, seed):
 
 def small_plan(ctx: GPFContext) -> list:
     """Two shuffles: 3 map tasks into 4 reduce partitions, then 4 into 2."""
-    counts = ctx.parallelize([(i % 7, 1) for i in range(60)], 3).reduce_by_key(
-        lambda a, b: a + b, 4
+    counts = (
+        ctx.parallelize([(i % 7, 1) for i in range(60)], 3)
+        .partition_by(HashPartitioner(4))
+        .map_partitions(lambda pairs: Counter(k for k, _ in pairs).items())
     )
-    return sorted(counts.map(lambda kv: (kv[1], kv[0])).group_by_key(2).collect())
+    swapped = counts.map(lambda kv: (kv[1], kv[0]))
+    return sorted(swapped.partition_by(HashPartitioner(2)).collect())
 
 
 def spill_files(root) -> dict[str, bytes]:
@@ -273,7 +277,7 @@ def torn_to_nothing(site: str, block: bytes) -> ChaosPlan:
 
 def one_record_plan(ctx: GPFContext) -> list:
     """One map task, one reduce partition, one record: a single block."""
-    return ctx.parallelize([(0, "x")], 1).group_by_key(1).collect()
+    return ctx.parallelize([(0, "x")], 1).group_by_key().collect()
 
 
 def test_shuffle_fetch_torn_to_nothing_fails_the_attempt(tmp_path):
