@@ -2,7 +2,7 @@
 
 A :class:`ChaosPlan` is the replayable unit of fault injection: a seed
 plus an ordered list of :class:`ChaosRule`\\ s.  Each rule names an
-injection *site* (a dotted string like ``"block.write"`` — the catalog
+injection *site* (a dotted string like ``"block.spill"`` — the catalog
 lives in DESIGN.md §13), a *fault* kind, and exactly one trigger:
 
 ``probability``

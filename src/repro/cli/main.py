@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Start a worker that registers with a driver's fleet listener "
             "(gpf serve --backend cluster / gpf run --backend cluster), "
             "executes shipped tasks, serves its shuffle map outputs to "
-            "peers over a block server, and heartbeats until the driver "
-            "says goodbye.  Runs until interrupted."
+            "peers over a block server, and runs until the driver says "
+            "goodbye or closes its task channels, or until interrupted."
         ),
     )
     wrk.add_argument(
@@ -1218,14 +1218,13 @@ def _top_frame(client) -> list[str]:
     if fleet:
         lines.append("")
         lines.append(
-            f"{'worker':<28}{'state':<8}{'slots':>6}{'tasks':>8}{'seen':>8}  fetch"
+            f"{'worker':<28}{'state':<8}{'slots':>6}{'tasks':>8}  fetch"
         )
         for row in sorted(fleet, key=lambda r: r["worker"]):
             state = "up" if row.get("alive") else "lost"
             lines.append(
                 f"{row['worker']:<28}{state:<8}{row.get('slots', 0):>6}"
-                f"{row.get('tasks_done', 0):>8}"
-                f"{row.get('last_seen_age', 0.0):>7.1f}s  {row.get('fetch', '--')}"
+                f"{row.get('tasks_done', 0):>8}  {row.get('fetch', '--')}"
             )
     hists = metrics.get("histograms") or {}
     if hists:

@@ -13,8 +13,9 @@ depends on ``engine``, never the reverse: the ``Transport`` seam lives in
 - :mod:`repro.dist.worker` — the ``gpf worker`` daemon and the
   worker-side context/shuffle machinery.
 - :mod:`repro.dist.cluster` — the driver side: ``FleetServer`` (worker
-  registry, heartbeats, block serving) and ``ClusterExecutor``, the one
-  remote ``Transport``.
+  registry, slot pool, block serving; a worker is live while its task
+  channels are open) and ``ClusterExecutor``, the one remote
+  ``Transport``.
 - :mod:`repro.dist.spec` — shared ``--workers``-style spec parsers for
   ``gpf worker`` / ``gpf serve``.
 """

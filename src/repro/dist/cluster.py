@@ -3,11 +3,11 @@
 The :class:`FleetServer` is the driver's single listening socket.  Every
 inbound connection declares itself with its first frame: REGISTER parks
 the connection as a task *slot* (one worker daemon opens one connection
-per slot, so the slot pool is the fleet's admission control), PING
-refreshes the sender's heartbeat, FETCH turns the connection into a
-block-serving channel for driver-held shuffle outputs — the driver is a
-peer in the shuffle, so tasks that fall back inline interoperate with
-remote ones.
+per slot, so the slot pool is the fleet's admission control), FETCH
+turns the connection into a block-serving channel for driver-held
+shuffle outputs — the driver is a peer in the shuffle, so tasks that
+fall back inline interoperate with remote ones.  A worker is live while
+all of its task channels are open: a channel that reads EOF evicts it.
 
 :class:`ClusterExecutor` implements the engine's
 :class:`~repro.engine.executors.Transport` seam: ``execute`` ships one
@@ -35,13 +35,14 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.dist import protocol
 from repro.dist.shipping import ship_dumps
 from repro.dist.spec import parse_hostport
-from repro.dist.worker import DistShuffle, serve_fetch_connection, stop_listener
+from repro.dist.worker import (
+    DistShuffle,
+    accept_connections,
+    serve_fetch_connection,
+    stop_listener,
+)
 from repro.engine.executors import Transport, run_in_pool
 from repro.engine.faults import WorkerLostError
-
-#: Seconds without a heartbeat before a worker is declared lost; workers
-#: are told to PING at a fifth of it.
-HEARTBEAT_TIMEOUT = 10.0
 
 
 class WorkerHandle:
@@ -52,7 +53,6 @@ class WorkerHandle:
         self.fetch_addr = tuple(fetch_addr)
         self.pid = pid
         self.alive = True
-        self.last_seen = time.monotonic()
         self.slots: list[WorkerSlot] = []
         self.tasks_done = 0
 
@@ -65,13 +65,26 @@ class WorkerSlot:
         self.slot = slot
         self.sock = sock
 
+    def is_open(self) -> bool:
+        """Whether the worker end of this channel is still open.
+
+        A non-blocking peek consumes nothing, and workers never write to
+        a slot channel unprompted, so probing a slot with a task in
+        flight is harmless: EOF or an error means closed, no data yet
+        (or a reply waiting) means open.
+        """
+        try:
+            return self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) != b""
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+
 
 class FleetServer:
-    """Worker registry, heartbeat ledger, slot pool, and block server."""
+    """Worker registry, slot pool, and block server."""
 
     def __init__(self, listen: tuple[str, int]):
-        self.heartbeat_timeout = HEARTBEAT_TIMEOUT
-        self.heartbeat_interval = max(0.2, HEARTBEAT_TIMEOUT / 5.0)
         self.refs = 0
         self._lock = threading.Lock()
         self._workers: dict[str, WorkerHandle] = {}
@@ -93,10 +106,9 @@ class FleetServer:
         #: bind advertises loopback (the loopback-fleet case this repo's
         #: harness exercises; real deployments pass a routable host).
         self.advertise_addr = ("127.0.0.1" if host in ("0.0.0.0", "") else host, self.port)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="gpf-fleet-accept"
+        self._accept_thread = accept_connections(
+            self._listener, self._dispatch, "gpf-fleet-accept"
         )
-        self._accept_thread.start()
 
     # -- namespaces ------------------------------------------------------
     def allocate_ns(self) -> int:
@@ -118,19 +130,6 @@ class FleetServer:
             return self._ns_roots.get(ns)
 
     # -- connection dispatch ---------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            threading.Thread(
-                target=self._dispatch,
-                args=(conn,),
-                daemon=True,
-                name="gpf-fleet-dispatch",
-            ).start()
-
     def _dispatch(self, conn: socket.socket) -> None:
         """Route one inbound connection by its first frame."""
         try:
@@ -140,9 +139,6 @@ class FleetServer:
             return
         if kind == protocol.MSG_REGISTER:
             self._register(conn, header)
-        elif kind == protocol.MSG_PING:
-            self._heartbeat(header.get("worker", ""))
-            conn.close()
         elif kind == protocol.MSG_FETCH:
             serve_fetch_connection(conn, self._ns_root, initial=header)
         else:
@@ -151,13 +147,6 @@ class FleetServer:
     def _register(self, conn: socket.socket, header: dict) -> None:
         worker_id = header.get("worker", "")
         if not worker_id:
-            conn.close()
-            return
-        try:
-            protocol.send_frame(
-                conn, protocol.MSG_WELCOME, {"heartbeat": self.heartbeat_interval}
-            )
-        except OSError:
             conn.close()
             return
         with self._lock:
@@ -169,32 +158,21 @@ class FleetServer:
                     pid=header.get("pid", 0),
                 )
                 self._workers[worker_id] = handle
-            handle.last_seen = time.monotonic()
             slot = WorkerSlot(handle, header.get("slot", 0), conn)
             handle.slots.append(slot)
         self._slots.put(slot)
 
-    def _heartbeat(self, worker_id: str) -> None:
-        with self._lock:
-            handle = self._workers.get(worker_id)
-            if handle is not None:
-                handle.last_seen = time.monotonic()
-
     # -- fleet state -----------------------------------------------------
     def live_workers(self) -> list[WorkerHandle]:
-        now = time.monotonic()
-        stale: list[WorkerHandle] = []
+        """Workers whose task channels are all open; evicts the rest."""
         with self._lock:
-            live = []
-            for handle in self._workers.values():
-                if not handle.alive:
-                    continue
-                if now - handle.last_seen > self.heartbeat_timeout:
-                    stale.append(handle)
-                else:
-                    live.append(handle)
-        for handle in stale:
-            self.lose_worker(handle, reason="heartbeat timeout")
+            fleet = [(h, list(h.slots)) for h in self._workers.values() if h.alive]
+        live = []
+        for handle, slots in fleet:
+            if all(slot.is_open() for slot in slots):
+                live.append(handle)
+            else:
+                self.lose_worker(handle, reason="task channel closed")
         return live
 
     def is_addr_live(self, addr: tuple[str, int]) -> bool:
@@ -207,13 +185,15 @@ class FleetServer:
         how many are live."""
         deadline = time.monotonic() + timeout
         while True:
-            live = len(self.live_workers())
-            if live >= count or time.monotonic() >= deadline:
-                return live
+            with self._lock:
+                registered = len(self._workers)
+            if registered >= count or time.monotonic() >= deadline:
+                return len(self.live_workers())
             time.sleep(0.02)
 
     def acquire_slot(self, timeout: float) -> WorkerSlot | None:
-        """Take one live slot from the pool; prunes dead/stale workers."""
+        """Take one live slot from the pool; evicts a worker whose
+        channel is found closed."""
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()
@@ -226,8 +206,8 @@ class FleetServer:
             handle = slot.worker
             if not handle.alive:
                 continue  # lost after parking; its socket is closed
-            if time.monotonic() - handle.last_seen > self.heartbeat_timeout:
-                self.lose_worker(handle, reason="heartbeat timeout")
+            if not slot.is_open():
+                self.lose_worker(handle, reason="task channel closed")
                 continue
             return slot
 
@@ -266,7 +246,6 @@ class FleetServer:
 
     def fleet_snapshot(self) -> list[dict]:
         """Per-worker rows for /metrics and ``gpf top``."""
-        now = time.monotonic()
         with self._lock:
             return [
                 {
@@ -274,7 +253,6 @@ class FleetServer:
                     "alive": h.alive,
                     "slots": len(h.slots),
                     "tasks_done": h.tasks_done,
-                    "last_seen_age": now - h.last_seen,
                     "fetch": f"{h.fetch_addr[0]}:{h.fetch_addr[1]}",
                 }
                 for h in self._workers.values()
@@ -430,11 +408,11 @@ class ClusterExecutor(Transport):
             return task, body(task)
         worker = slot.worker
         if chaos is not None:
-            # dist.heartbeat faults simulate a silent worker: the driver
-            # treats the assigned worker as heartbeat-expired and evicts
-            # it, exercising the whole loss path deterministically.
+            # dist.slot faults simulate a dead task channel: the driver
+            # evicts the assigned worker before the TASK is sent,
+            # exercising the whole loss path deterministically.
             try:
-                chaos.hit("dist.heartbeat", worker=worker.id)
+                chaos.hit("dist.slot", worker=worker.id)
             except Exception as exc:  # noqa: BLE001 - typed below
                 raise self._lose(slot, exc) from exc
         header = {

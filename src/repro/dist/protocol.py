@@ -24,8 +24,6 @@ Message types:
 type       direction             meaning
 =========  ====================  =======================================
 REGISTER   worker -> driver      join the fleet (one frame per slot)
-WELCOME    driver -> worker      registration ack + heartbeat interval
-PING       worker -> driver      heartbeat (short-lived connection)
 TASK       driver -> worker      run a shipped task body
 RESULT     worker -> driver      task value + metrics + shuffle outputs
 ERROR      either direction      pickled exception + remote traceback
@@ -33,6 +31,10 @@ FETCH      worker -> peer        request one shuffle block
 BLOCK      peer -> worker        the requested block bytes
 GOODBYE    either direction      orderly shutdown of this connection
 =========  ====================  =======================================
+
+A REGISTER connection stays open as the slot's task channel, and it is
+the worker's only liveness signal: the driver probes it, and EOF there
+evicts the worker.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ import struct
 from repro.engine.blockmanager import BlockCorruptionError, frame_block, unframe_block
 
 MSG_REGISTER = b"R"
-MSG_WELCOME = b"W"
-MSG_PING = b"P"
 MSG_TASK = b"T"
 MSG_RESULT = b"r"
 MSG_ERROR = b"E"

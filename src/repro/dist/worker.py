@@ -13,9 +13,10 @@ histograms, including the shared code's encode/decode timers — travel
 home with each result frame.
 
 The daemon (``gpf worker --connect HOST:PORT``) opens one task channel
-per slot, serves shuffle blocks to peers on its own listener, and
-heartbeats the driver from a separate thread.  It exits when the driver
-closes the task channels (orderly shutdown) or on SIGTERM.
+per slot and serves shuffle blocks to peers on its own listener.  The
+open task channels are its liveness signal: the driver takes a worker
+whose channel reads EOF for lost.  It exits when the driver closes the
+task channels (orderly shutdown) or on SIGTERM.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from repro.obs import EventBus, NoopTracer
 #: Socket timeout for peer block fetches; a hung peer must fail the
 #: task (-> retry + recovery) rather than wedge the reduce slot.
 FETCH_TIMEOUT = 30.0
-#: Socket timeout for a worker's connections to the driver (slot
-#: registration, heartbeat PINGs).
+#: Timeout for a worker's connect to the driver, one per slot; the
+#: connected task channel then blocks without one.
 CONNECT_TIMEOUT = 10.0
 
 
@@ -166,6 +167,19 @@ def run_block_server(
     listener.bind((bind_host, 0))
     listener.listen(64)
 
+    thread = accept_connections(
+        listener,
+        lambda conn: serve_fetch_connection(conn, root_for),
+        "gpf-dist-blockserver",
+    )
+    return listener, listener.getsockname()[1], thread
+
+
+def accept_connections(listener: socket.socket, serve, name: str) -> threading.Thread:
+    """Start a daemon thread called ``name`` that accepts on ``listener``
+    until it is closed, running ``serve(conn)`` on a daemon thread per
+    connection; returns the accept thread."""
+
     def accept_loop() -> None:
         while True:
             try:
@@ -173,17 +187,12 @@ def run_block_server(
             except OSError:
                 return  # listener closed: shutdown
             threading.Thread(
-                target=serve_fetch_connection,
-                args=(conn, root_for),
-                daemon=True,
-                name="gpf-dist-blockserve",
+                target=serve, args=(conn,), daemon=True, name=f"{name}-conn"
             ).start()
 
-    thread = threading.Thread(
-        target=accept_loop, daemon=True, name="gpf-dist-blockserver"
-    )
+    thread = threading.Thread(target=accept_loop, daemon=True, name=name)
     thread.start()
-    return listener, listener.getsockname()[1], thread
+    return thread
 
 
 def stop_listener(listener: socket.socket) -> None:
@@ -391,7 +400,7 @@ class WorkerContext(PartitionStore):
 
 
 class WorkerDaemon:
-    """One worker node: task slots, block server, heartbeats.
+    """One worker node: task slots and a block server.
 
     ``slots`` is the worker's task parallelism: each slot is a dedicated
     socket connection to the driver's fleet server, so the driver's slot
@@ -417,7 +426,6 @@ class WorkerDaemon:
         self._stop = threading.Event()
         self._contexts: dict[int, WorkerContext] = {}
         self._contexts_lock = threading.Lock()
-        self._heartbeat_interval = 1.0
         self._block_listener: socket.socket | None = None
         self.fetch_port: int | None = None
         #: Open task channels, severed by :meth:`stop`.
@@ -505,10 +513,6 @@ class WorkerDaemon:
                     "fetch": (self.advertise_host, self.fetch_port),
                 },
             )
-            kind, header, _ = protocol.recv_frame(sock)
-            if kind != protocol.MSG_WELCOME:
-                return
-            self._heartbeat_interval = header.get("heartbeat", 1.0)
             while not self._stop.is_set():
                 try:
                     kind, header, body = protocol.recv_frame(sock)
@@ -536,22 +540,9 @@ class WorkerDaemon:
             except OSError:
                 pass
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                with socket.create_connection(
-                    self.connect_addr, timeout=CONNECT_TIMEOUT
-                ) as sock:
-                    protocol.send_frame(
-                        sock, protocol.MSG_PING, {"worker": self.worker_id}
-                    )
-            except OSError:
-                pass  # driver busy/restarting; slots detect real loss
-            self._stop.wait(self._heartbeat_interval)
-
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
-        """Start the block server, slot threads, and heartbeats."""
+        """Start the block server and the slot threads."""
         os.makedirs(self.root_dir, exist_ok=True)
         self._block_listener, self.fetch_port, _ = run_block_server(
             "0.0.0.0", self._ns_root
@@ -565,10 +556,6 @@ class WorkerDaemon:
         ]
         for thread in self._threads:
             thread.start()
-        self._hb_thread = threading.Thread(
-            target=self._heartbeat_loop, daemon=True, name="gpf-worker-heartbeat"
-        )
-        self._hb_thread.start()
 
     def wait(self) -> None:
         """Block until every slot loop has exited (driver hung up)."""
@@ -581,8 +568,9 @@ class WorkerDaemon:
         """Stop as a dying node does: every task channel and the block
         server close at once.  A slot parked on a channel would otherwise
         still accept one more task and report map outputs behind a block
-        server that is already gone; severed channels make the driver
-        evict this worker on its next send instead."""
+        server that is already gone; severed channels read EOF, so the
+        driver evicts this worker at its next slot acquire or live
+        check."""
         self._stop.set()
         with self._slot_socks_lock:
             socks = list(self._slot_socks)

@@ -76,7 +76,9 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def write_block_file(path: str, blob: bytes, chaos=None, site: str = "block.write") -> None:
+def write_block_file(
+    path: str, blob: bytes, chaos=None, site: str = "journal.data.write"
+) -> None:
     """Atomically and durably write a framed block file (tmp + fsync +
     rename + directory fsync).
 

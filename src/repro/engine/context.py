@@ -54,7 +54,7 @@ class EngineConfig:
 
     A value no caller varies is a constant beside the code that reads it
     instead (``compression.records.DECODE_BATCH_SIZE``,
-    ``engine.scheduler.RETRY_BACKOFF``, ``dist.cluster.HEARTBEAT_TIMEOUT``);
+    ``engine.scheduler.RETRY_BACKOFF``, ``dist.worker.FETCH_TIMEOUT``);
     a test pins the field list, so a new knob arrives as a reviewed test
     change.
     """

@@ -75,7 +75,7 @@ class WorkerLostError(RuntimeError):
     """A cluster worker died (or vanished) while running a task attempt.
 
     Raised driver-side by the cluster transport when the task channel to
-    a worker breaks or its heartbeats stop.  The scheduler retries the
+    a worker breaks.  The scheduler retries the
     attempt — on another worker, or inline on the driver when the fleet
     is empty — and counts the incident as ``executor.worker_lost``.
     """

@@ -193,7 +193,7 @@ class RunJournal:
                 for split, part in enumerate(ctx.run_job(value)):
                     path = os.path.join(self.data_dir, f"{stem}__p{split}.ckpt")
                     body, _ = encode_partition(part, ctx.serializer)
-                    write_block_file(path, body, chaos, site="journal.data.write")
+                    write_block_file(path, body, chaos)
                     paths.append(path)
                 spec["type"] = "rdd"
                 spec["paths"] = paths
@@ -203,7 +203,6 @@ class RunJournal:
                     path,
                     pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
                     chaos,
-                    site="journal.data.write",
                 )
                 spec["type"] = "value"
                 spec["path"] = path

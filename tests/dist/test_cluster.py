@@ -3,7 +3,7 @@
 Each test spins up a driver ``GPFContext`` with the cluster transport
 (ephemeral listen port) plus one or two ``WorkerDaemon`` instances in
 the same process — the full wire path (register, ship, P2P fetch,
-heartbeat, loss) without subprocess overhead.
+loss) without subprocess overhead.
 """
 
 import contextlib
@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.dist import cluster as dist_cluster
 from repro.dist.worker import WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.rdd import HashPartitioner
@@ -28,11 +27,7 @@ def cluster(tmp_path, workers=1, slots=2, tag="c", **config_kwargs):
         spill_dir=str(tmp_path / f"spill_{tag}"),
         **config_kwargs,
     )
-    # Half the production timeout: silent-loss tests notice a dead worker
-    # sooner.  The fleet reads the constant once, at construction.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dist_cluster, "HEARTBEAT_TIMEOUT", 5.0)
-        ctx = GPFContext(config)
+    ctx = GPFContext(config)
     daemons = []
     try:
         port = ctx.executor.fleet.port
@@ -175,6 +170,37 @@ class TestBasicJobs:
 
 
 class TestWorkerLoss:
+    @staticmethod
+    def _await_slots(fleet, slots):
+        """Wait until ``slots`` task channels are registered; no task has
+        run, so each is parked in the pool."""
+        deadline = time.monotonic() + 10.0
+        while sum(r["slots"] for r in fleet.fleet_snapshot()) < slots:
+            if time.monotonic() > deadline:
+                pytest.fail("slots never registered")
+            time.sleep(0.01)
+
+    def test_a_closed_channel_drops_its_worker_from_the_live_set(self, tmp_path):
+        with cluster(tmp_path, workers=2, tag="eof") as (ctx, daemons):
+            fleet = ctx.executor.fleet
+            self._await_slots(fleet, 4)
+            daemons[0].stop()
+            deadline = time.monotonic() + 1.0
+            while daemons[0].worker_id in {w.id for w in fleet.live_workers()}:
+                if time.monotonic() > deadline:
+                    pytest.fail("a worker with closed channels stayed live")
+                time.sleep(0.01)
+            assert {w.id for w in fleet.live_workers()} == {daemons[1].worker_id}
+
+    def test_wait_for_workers_counts_registrations_not_survivors(self, tmp_path):
+        with cluster(tmp_path, workers=2, tag="reg") as (ctx, daemons):
+            fleet = ctx.executor.fleet
+            self._await_slots(fleet, 4)
+            daemons[0].stop()
+            started = time.monotonic()
+            assert fleet.wait_for_workers(2, 10.0) == 1
+            assert time.monotonic() - started < 1.0
+
     def test_job_survives_a_worker_killed_mid_run(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="kill") as (ctx, daemons):
             victim = daemons[0]
@@ -323,14 +349,14 @@ class TestChaosSites:
             assert result == [x + 5 for x in range(20)]
             assert len(ctx.metrics.failures) >= 1
 
-    def test_dist_heartbeat_fault_evicts_the_worker(self, tmp_path):
+    def test_dist_slot_fault_evicts_the_worker(self, tmp_path):
         from repro.chaos import ChaosPlan
 
         plan = ChaosPlan(
             seed=3,
-            rules=[{"site": "dist.heartbeat", "fault": "conn_reset", "nth": 1}],
+            rules=[{"site": "dist.slot", "fault": "conn_reset", "nth": 1}],
         )
-        with cluster(tmp_path, workers=2, tag="hb", chaos=plan) as (ctx, _):
+        with cluster(tmp_path, workers=2, tag="slot", chaos=plan) as (ctx, _):
             result = ctx.parallelize(range(20), 4).map(lambda x: x).collect()
             assert result == list(range(20))
             assert ctx.metrics.counter("dist.workers_lost") == 1

@@ -36,9 +36,9 @@ def test_roundtrip_header_and_body(pair):
 
 def test_empty_header_and_body(pair):
     a, b = pair
-    protocol.send_frame(a, protocol.MSG_PING)
+    protocol.send_frame(a, protocol.MSG_GOODBYE)
     kind, header, body = protocol.recv_frame(b)
-    assert (kind, header, body) == (protocol.MSG_PING, {}, b"")
+    assert (kind, header, body) == (protocol.MSG_GOODBYE, {}, b"")
 
 
 def test_multiple_frames_on_one_connection(pair):
