@@ -1,15 +1,18 @@
 """Canonical Huffman coding with an explicit EOF symbol (paper Fig. 6).
 
 The quality-delta alphabet is small (deltas in [-255, 255] plus EOF), so a
-codec is built once per RDD partition from the observed symbol frequencies
-and shipped with the compressed block as its code-length table.  Codes are
+codec is built once per encode pass (a partition, or a map task's shuffle
+buckets) from the observed symbol frequencies and shipped with each
+compressed block as its code-length table.  Codes are
 canonical (sorted by length, then symbol) integer ``(code, length)`` pairs.
 
-Both directions handle many streams (one per record) in a fixed number of
-NumPy passes.  The decoder is table-driven: every bit position gets a
+Both directions handle many streams (one per record) together, in NumPy
+passes over all of them.  The decoder is table-driven: every bit position gets a
 window value, a table of at most ``2**12`` entries gives the code starting
 there (longer codes are resolved per length by canonical arithmetic), and
-pointer doubling follows each stream's chain of code starts to its EOF.
+a walk follows every stream's chain of code starts to its EOF at once, one
+code per step.  :func:`decode_streams` decodes streams of several codecs
+in one pass by stacking their tables.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class HuffmanCodec:
         if kraft[-1] > 1 << MAX_CODE_LENGTH:
             raise ValueError("code lengths break Kraft's inequality")
         self._code = (kraft - weight) >> (MAX_CODE_LENGTH - self._code_len)
-        self._eof = int((self._symbols == EOF_SYMBOL).argmax())
         by_symbol = np.argsort(symbols)
         self._sorted_symbols = symbols[by_symbol]
         self._sorted_index = np.argsort(order)[by_symbol]
@@ -153,61 +155,9 @@ class HuffmanCodec:
     def decode_many(self, blobs: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
         """Decode one stream per blob: ``(all symbols, per-stream counts)``.
 
-        A stream that ends before its EOF, or holds a bit pattern that is
-        no code, raises ``ValueError``.
+        The one-codec case of :func:`decode_streams`.
         """
-        nbytes = np.fromiter(map(len, blobs), np.int64, len(blobs))
-        if not nbytes.all():
-            raise ValueError("bit stream ended before EOF symbol")
-        data = np.frombuffer(b"".join(blobs) + bytes(8), dtype=np.uint8)
-        nbits = 8 * (data.size - 8)
-        k, table, long_codes = self._decode_table()
-        # The k-bit window at bit p: from the 32-bit word at its byte.
-        words = np.ndarray((data.size - 8,), ">u4", data, 0, (1,))
-        entry = table[(words[:, None] << _BIT_SHIFTS).ravel() >> np.uint32(32 - k)]
-        symbol, length = entry >> 6, entry & 63
-        if long_codes:
-            at = (length == 0).nonzero()[0]
-            # The 64 bits from bit p on, left-aligned: >= 57 of them valid.
-            top = np.ndarray((data.size - 8,), ">u8", data, 0, (1,))[at >> 3]
-            top <<= (at & 7).astype(np.uint64)
-            for code_len, first_code, limit, first_index in long_codes:
-                value = (top >> np.uint64(64 - code_len)).astype(np.int64)
-                hit = (value < limit) & (length[at] == 0)
-                symbol[at[hit]] = first_index + value[hit] - first_code
-                length[at[hit]] = code_len
-        # Successor of each bit position: the next code start, DONE after
-        # an EOF, FAIL after a bit pattern that is no code.
-        done, fail = nbits, nbits + 1
-        jump = np.arange(nbits + 2)
-        jump[:nbits] += length
-        np.minimum(jump, fail, out=jump)
-        jump[:nbits][symbol == self._eof] = done
-        jump[:nbits][length == 0] = fail
-        # Pointer doubling: after pass t, `on` holds the first 2**t steps of
-        # every chain; a pass that adds nothing means all reached DONE/FAIL.
-        start = 8 * (nbytes.cumsum() - nbytes)
-        on = np.zeros(nbits + 2, dtype=bool)
-        on[start] = True
-        reached = nbytes.size
-        while True:
-            on[jump[on]] = True
-            reached, before = int(np.count_nonzero(on)), reached
-            if reached == before:
-                break
-            jump = jump[jump]
-        # A chain never crosses into the next stream if each stream's last
-        # position on a chain is an EOF that ends inside the stream.
-        marked = on[:nbits].nonzero()[0]
-        end = start + 8 * nbytes
-        last = marked.searchsorted(end) - 1
-        tail = marked[last]
-        closed = (symbol[tail] == self._eof) & (tail + length[tail] <= end)
-        if on[fail] or not closed.all():
-            raise ValueError("invalid Huffman bit stream (no code, or no EOF)")
-        chain = symbol[marked]
-        counts = np.diff(last, prepend=-1) - 1
-        return self._symbols[chain[chain != self._eof]], counts
+        return decode_streams([self], np.zeros(len(blobs), dtype=np.int64), blobs)
 
     def mean_bits_per_symbol(self, freqs: Mapping[int, int]) -> float:
         """Expected code length under the given symbol frequencies."""
@@ -244,3 +194,100 @@ class HuffmanCodec:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HuffmanCodec) and self._lengths == other._lengths
+
+
+def _stack(codecs: Sequence[HuffmanCodec]) -> tuple:
+    """Several codecs' decode tables as one: ``(k, table, symbols, eof,
+    long_codes)``.  Codec ``c`` owns windows ``[c << k, (c+1) << k)`` and a
+    run of ``symbols``; an entry's index points into that run.  Each
+    ``long_codes`` row is one code length past the table and, per codec,
+    its first code, limit (0: no code of that length) and first index."""
+    k = max(codec._decode_table()[0] for codec in codecs)
+    tables, longs, offset = [], {}, 0
+    for c, codec in enumerate(codecs):
+        own_k, table, long_codes = codec._decode_table()
+        # A codec whose longest code is under k bits reads only the
+        # first own_k bits of the k-bit window.
+        table = table.repeat(1 << (k - own_k))
+        tables.append(np.where(table != 0, table + (offset << 6), 0) if offset else table)
+        for code_len, first_code, limit, first_index in long_codes:
+            rows = longs.setdefault(code_len, np.zeros((3, len(codecs)), dtype=np.int64))
+            rows[:, c] = first_code, limit, first_index + offset
+        offset += codec._symbols.size
+    symbols = np.concatenate([codec._symbols for codec in codecs])
+    return k, np.concatenate(tables), symbols, symbols == EOF_SYMBOL, sorted(longs.items())
+
+
+def decode_streams(
+    codecs: Sequence[HuffmanCodec], owner: np.ndarray, blobs: Sequence[bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one stream per blob, blob ``i`` with ``codecs[owner[i]]``:
+    ``(all symbols, per-stream counts)``, in one pass over every stream.
+
+    The codecs' tables are stacked and each bit position looks its window
+    up in its own stream's table.  A stream that ends before its EOF, or
+    holds a bit pattern that is no code, raises ``ValueError``.
+    """
+    nbytes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+    if not nbytes.all():
+        raise ValueError("bit stream ended before EOF symbol")
+    data = np.frombuffer(b"".join(blobs) + bytes(8), dtype=np.uint8)
+    nbits = 8 * (data.size - 8)
+    k, table, symbols, eof, long_codes = _stack(codecs)
+    # The k-bit window at bit p: from the 32-bit word at its byte, offset
+    # into the table of the stream that byte belongs to.
+    words = np.ndarray((data.size - 8,), ">u4", data, 0, (1,))
+    window = (words[:, None] << _BIT_SHIFTS) >> np.uint32(32 - k)
+    byte_owner = np.asarray(owner, dtype=np.uint32).repeat(nbytes)
+    if len(codecs) > 1:
+        window += (byte_owner << np.uint32(k))[:, None]
+    entry = table[window.ravel()]
+    del window
+    symbol, length = entry >> 6, entry & 63
+    if long_codes:
+        at = (length == 0).nonzero()[0]
+        # The 64 bits from bit p on, left-aligned: >= 57 of them valid.
+        top = np.ndarray((data.size - 8,), ">u8", data, 0, (1,))[at >> 3]
+        top <<= (at & 7).astype(np.uint64)
+        at_owner = byte_owner[at >> 3]
+        # Shortest length first: a position takes the first length whose
+        # canonical range holds its bits, under its own codec.
+        for code_len, (first_code, limit, first_index) in long_codes:
+            value = (top >> np.uint64(64 - code_len)).astype(np.int64)
+            hit = (value < limit[at_owner]) & (length[at] == 0)
+            mine = at_owner[hit]
+            symbol[at[hit]] = first_index[mine] + value[hit] - first_code[mine]
+            length[at[hit]] = code_len
+    # Successor of each bit position: the next code start, DONE after
+    # an EOF, FAIL after a bit pattern that is no code.
+    done, fail = nbits, nbits + 1
+    jump = np.arange(nbits + 2)
+    jump[:nbits] += length
+    np.minimum(jump, fail, out=jump)
+    jump[:nbits][eof[symbol]] = done
+    jump[:nbits][length == 0] = fail
+    # Walk every stream's chain of code starts at once, one code per
+    # step, dropping the chains that reached DONE/FAIL every 8 steps (a
+    # finished chain stays put): `on` marks every position a chain visits.
+    start = 8 * (nbytes.cumsum() - nbytes)
+    on = np.zeros(nbits + 2, dtype=bool)
+    on[start] = True
+    heads = start
+    while heads.size:
+        for _ in range(8):
+            heads = jump[heads]
+            on[heads] = True
+        heads = heads[heads < nbits]
+    # A chain never crosses into the next stream if each stream's last
+    # position on a chain is an EOF that ends inside the stream; so every
+    # code on it was read with its own stream's table.
+    marked = on[:nbits].nonzero()[0]
+    end = start + 8 * nbytes
+    last = marked.searchsorted(end) - 1
+    tail = marked[last]
+    closed = eof[symbol[tail]] & (tail + length[tail] <= end)
+    if on[fail] or not closed.all():
+        raise ValueError("invalid Huffman bit stream (no code, or no EOF)")
+    chain = symbol[marked]
+    counts = np.diff(last, prepend=-1) - 1
+    return symbols[chain[~eof[chain]]], counts

@@ -6,7 +6,7 @@ batch codec therefore takes a *list* of records and produces a single
 
 - the Sequence field is 2-bit packed (``twobit``),
 - the Quality field is delta-transformed and Huffman-coded with one codec
-  built per batch (``delta`` + ``huffman``),
+  built per encode pass (``delta`` + ``huffman``),
 - all remaining fields keep their original structure and are framed
   verbatim — the paper is explicit that SAM's other fields are *not*
   compressed, which is why SAM batches compress less than FASTQ batches
@@ -16,6 +16,14 @@ The field kernels take a block at a time: its sequences (and qualities)
 are one ``uint8`` array with per-record lengths, masked, 2-bit packed,
 delta and Huffman coded (and back) in a few NumPy passes; decoded strings
 are slices of one ``str`` per field.  Only the framing is per record.
+
+The unit of work is a task, not a batch.  ``encode_groups`` runs one
+encode pass over several record groups (a map task's shuffle buckets)
+and frames each group as a standalone batch behind the one shared
+table; ``iter_decode_many`` decodes several batches in passes of
+``batch_size`` records that run across batch boundaries, each record
+with its own batch's table (``huffman.decode_streams``).  ``encode`` and
+``iter_decode`` are their one-batch case.
 
 Binary layout of a batch::
 
@@ -31,12 +39,13 @@ SAM writes an empty seq blob for a record without SEQ.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.compression.delta import delta_decode_block, delta_encode_block
-from repro.compression.huffman import EOF_SYMBOL, HuffmanCodec
+from repro.compression.huffman import EOF_SYMBOL, HuffmanCodec, decode_streams
 from repro.compression.twobit import (
     MASK_QUAL_CHAR,
     _ENCODE_LUT,
@@ -125,9 +134,10 @@ def _encode_qualities(qual: np.ndarray, lengths: np.ndarray) -> tuple:
     return codec, codec.encode_concat(deltas, lengths)
 
 
-def _decode_qualities(codec: HuffmanCodec, blobs: Sequence) -> tuple[np.ndarray, ...]:
-    """Inverse of :func:`_encode_qualities`: ``(qualities, lengths)``."""
-    deltas, lengths = codec.decode_many(blobs)
+def _decode_qualities(codecs: list, owner: list, blobs: Sequence) -> tuple[np.ndarray, ...]:
+    """Inverse of :func:`_encode_qualities` for records of several blocks,
+    record ``i`` coded with ``codecs[owner[i]]``: ``(qualities, lengths)``."""
+    deltas, lengths = decode_streams(codecs, np.array(owner, dtype=np.int64), blobs)
     return delta_decode_block(deltas, lengths), lengths
 
 
@@ -143,9 +153,9 @@ def _encode_block(names: list, seqs: list, quals: list, strict: bool) -> tuple:
     return _serialize_table(codec.code_lengths()), name_fields, seq_blobs, qual_blobs
 
 
-def _decode_block(codec: HuffmanCodec, names: list, seqs: list, quals: list) -> tuple:
-    """Inverse of :func:`_encode_block` for one chunk: names, seqs, quals."""
-    qual, lengths = _decode_qualities(codec, quals)
+def _decode_block(codecs: list, owner: list, names: list, seqs: list, quals: list) -> tuple:
+    """Inverse of :func:`_encode_block` for one pass: names, seqs, quals."""
+    qual, lengths = _decode_qualities(codecs, owner, quals)
     bases = decompress_block(seqs, qual, lengths).tobytes().decode("ascii")
     quals = qual.tobytes().decode("ascii")
     return _strings(names), _split(bases, lengths), _split(quals, lengths)
@@ -157,7 +167,7 @@ def _serialize_table(lengths: dict[int, int]) -> bytes:
 
 def _deserialize_table(blob: bytes) -> dict[int, int]:
     table: dict[int, int] = {}
-    for token in bytes(blob).decode("ascii").split(","):
+    for token in blob.decode("ascii").split(","):
         sym, length = token.split(":")
         table[int(sym)] = int(length)
     if any(not -255 <= s <= 255 for s in table if s != EOF_SYMBOL):
@@ -165,19 +175,32 @@ def _deserialize_table(blob: bytes) -> dict[int, int]:
     return table
 
 
+@lru_cache(maxsize=128)
+def _table_codec(table: bytes) -> HuffmanCodec:
+    """The codec a code-length table describes.  Interned: the blocks one
+    map task writes share its table, so each distinct table is parsed
+    (and its decode table built) once."""
+    return HuffmanCodec(_deserialize_table(table))
+
+
 _WIDTHS = {"H": struct.Struct("<H"), "I": struct.Struct("<I")}
 
 
-def _frame(table: bytes, columns: list[tuple[str, Sequence]]) -> bytes:
-    """``[u32 count][u32 table_len][table]``, then per record one field per
-    column: width ``H``/``I`` writes bytes behind their u16/u32 length,
-    ``h``/``i`` a bare u16/u32 value."""
-    parts = [struct.pack("<II", len(columns[0][1]), len(table)), table]
+def _frame(table: bytes, columns: list[tuple[str, Sequence]], sizes: Sequence[int]) -> list:
+    """One standalone batch per group of ``sizes`` consecutive records, all
+    behind the same table: ``[u32 count][u32 table_len][table]``, then per
+    record one field per column: width ``H``/``I`` writes bytes behind
+    their u16/u32 length, ``h``/``i`` a bare u16/u32 value."""
     layout = [(_WIDTHS[w.upper()].pack, w.isupper()) for w, _ in columns]
-    for row in zip(*(values for _, values in columns)):
-        for (pack, prefixed), value in zip(layout, row):
-            parts += (pack(len(value)), value) if prefixed else (pack(value),)
-    return b"".join(parts)
+    rows = zip(*(values for _, values in columns))
+    batches = []
+    for size in sizes:
+        parts = [struct.pack("<II", size, len(table)), table]
+        for _, row in zip(range(size), rows):
+            for (pack, prefixed), value in zip(layout, row):
+                parts += (pack(len(value)), value) if prefixed else (pack(value),)
+        batches.append(b"".join(parts))
+    return batches
 
 
 def _read(data: memoryview, off: int, count: int, widths: str) -> tuple[list, int]:
@@ -203,45 +226,81 @@ def _record_count(blob: bytes) -> int:
     return _read(memoryview(blob), 0, 1, "i")[0][0][0]
 
 
-def _chunks(blob: bytes, widths: str, batch_size: int) -> Iterator[tuple]:
-    """The batch's codec with each chunk of ``batch_size`` records' fields."""
-    data = memoryview(blob)
-    ((count,), (table,)), off = _read(data, 0, 1, "iI")
-    codec = HuffmanCodec(_deserialize_table(table))
+def _passes(blobs: Sequence, widths: str, batch_size: int) -> Iterator[tuple]:
+    """The batches' records in decode passes of ``batch_size`` that run
+    across batch boundaries: each pass's codecs, the index of each record's
+    codec, and the records' fields by column."""
     step = max(1, batch_size)
-    for first in range(0, count, step):
-        columns, off = _read(data, off, min(step, count - first), widths)
-        yield codec, columns
+    codecs: list = []
+    owner: list = []
+    columns: list = [[] for _ in widths]
+    for blob in blobs:
+        data = memoryview(blob)
+        ((count,), (table,)), off = _read(data, 0, 1, "iI")
+        codec = _table_codec(bytes(table))
+        while count:
+            take = min(count, step - len(owner))
+            fields, off = _read(data, off, take, widths)
+            if not codecs or codecs[-1] is not codec:
+                codecs.append(codec)
+            owner += [len(codecs) - 1] * take
+            for column, values in zip(columns, fields):
+                column += values
+            count -= take
+            if len(owner) == step:
+                yield codecs, owner, columns
+                codecs, owner, columns = [], [], [[] for _ in widths]
+    if owner:
+        yield codecs, owner, columns
 
 
 class FastqCodec:
     """Batch codec for FASTQ records."""
 
     @staticmethod
-    def encode(records: Sequence[FastqRecord], strict: bool = False) -> bytes:
-        """Serialize a record batch to one byte blob (see module layout).
+    def encode_groups(
+        groups: Sequence[Sequence[FastqRecord]], strict: bool = False
+    ) -> list[bytes]:
+        """Serialize each record group to one standalone batch (see module
+        layout), all groups in one encode pass behind one shared table.
 
         With ``strict=True`` every record must round-trip byte-identically
         or :class:`CodecUnsupportedError` is raised before any output is
         produced (the serializer layer then falls back to pickle).
         """
+        records = [r for group in groups for r in group]
         table, names, seqs, quals = _encode_block(
             [r.name for r in records],
             [r.sequence for r in records],
             [r.quality for r in records],
             strict,
         )
-        return _frame(table, [("H", names), ("I", seqs), ("I", quals)])
+        columns = [("H", names), ("I", seqs), ("I", quals)]
+        return _frame(table, columns, [len(group) for group in groups])
+
+    @staticmethod
+    def encode(records: Sequence[FastqRecord], strict: bool = False) -> bytes:
+        """One batch for one record group: :meth:`encode_groups` of one."""
+        return FastqCodec.encode_groups([records], strict)[0]
 
     record_count = staticmethod(_record_count)
+
+    @staticmethod
+    def iter_decode_many(
+        blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[FastqRecord]]:
+        """Lazily decode the batches in order, yielding record chunks of
+        ``batch_size`` that run across batch boundaries."""
+        for codecs, owner, columns in _passes(blobs, "HII", batch_size):
+            fields = _decode_block(codecs, owner, *columns)
+            yield [FastqRecord(*row) for row in zip(*fields)]
 
     @staticmethod
     def iter_decode(
         blob: bytes, batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[FastqRecord]]:
-        """Lazily decode the batch, yielding record chunks of ``batch_size``."""
-        for codec, columns in _chunks(blob, "HII", batch_size):
-            yield [FastqRecord(*row) for row in zip(*_decode_block(codec, *columns))]
+        """Lazily decode one batch, yielding record chunks of ``batch_size``."""
+        return FastqCodec.iter_decode_many([blob], batch_size)
 
     @staticmethod
     def decode(blob: bytes) -> list[FastqRecord]:
@@ -296,13 +355,17 @@ class SamCodec:
     """Batch codec for SAM records: seq/qual compressed, other fields framed."""
 
     @staticmethod
-    def encode(records: Sequence[SamRecord], strict: bool = False) -> bytes:
-        """Serialize a record batch to one byte blob (see module layout).
+    def encode_groups(
+        groups: Sequence[Sequence[SamRecord]], strict: bool = False
+    ) -> list[bytes]:
+        """Serialize each record group to one standalone batch (see module
+        layout), all groups in one encode pass behind one shared table.
 
         ``strict=True`` raises :class:`CodecUnsupportedError` for records
         that would not round-trip byte-identically (see FastqCodec).
         Without it, a QUAL whose record has no SEQ is dropped.
         """
+        records = [r for group in groups for r in group]
         extras = _sam_extras(records, strict)
         if strict and any(r.qual and not r.seq for r in records):
             raise CodecUnsupportedError("SAM record with QUAL but no SEQ")
@@ -313,18 +376,31 @@ class SamCodec:
         )
         seq_blobs = [blob if seq else b"" for blob, seq in zip(seq_blobs, seqs)]
         columns = [("H", names), ("I", seq_blobs), ("I", quals), ("I", extras)]
-        return _frame(table, columns)
+        return _frame(table, columns, [len(group) for group in groups])
+
+    @staticmethod
+    def encode(records: Sequence[SamRecord], strict: bool = False) -> bytes:
+        """One batch for one record group: :meth:`encode_groups` of one."""
+        return SamCodec.encode_groups([records], strict)[0]
 
     record_count = staticmethod(_record_count)
+
+    @staticmethod
+    def iter_decode_many(
+        blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[SamRecord]]:
+        """Lazily decode the batches in order, yielding record chunks of
+        ``batch_size`` that run across batch boundaries."""
+        for codecs, owner, (names, seqs, quals, extras) in _passes(blobs, "HIII", batch_size):
+            fields = _decode_block(codecs, owner, names, seqs, quals)
+            yield [_sam_from_extra(*row) for row in zip(*fields, _strings(extras))]
 
     @staticmethod
     def iter_decode(
         blob: bytes, batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[SamRecord]]:
-        """Lazily decode the batch, yielding record chunks of ``batch_size``."""
-        for codec, (names, seqs, quals, extras) in _chunks(blob, "HIII", batch_size):
-            fields = _decode_block(codec, names, seqs, quals)
-            yield [_sam_from_extra(*row) for row in zip(*fields, _strings(extras))]
+        """Lazily decode one batch, yielding record chunks of ``batch_size``."""
+        return SamCodec.iter_decode_many([blob], batch_size)
 
     @staticmethod
     def decode(blob: bytes) -> list[SamRecord]:

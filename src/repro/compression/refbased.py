@@ -29,10 +29,10 @@ import numpy as np
 from repro.compression.records import (
     DECODE_BATCH_SIZE,
     _block_arrays,
-    _chunks,
     _decode_qualities,
     _encode_qualities,
     _frame,
+    _passes,
     _sam_extras,
     _sam_from_extra,
     _serialize_table,
@@ -139,15 +139,16 @@ class RefBasedSamCodec:
             ("I", qual_blobs),
             ("I", _sam_extras(records, strict=False)),
         ]
-        return _frame(_serialize_table(codec.code_lengths()), columns)
+        [blob] = _frame(_serialize_table(codec.code_lengths()), columns, [len(records)])
+        return blob
 
     def decode(self, blob: bytes) -> list[SamRecord]:
         """Inverse of :meth:`encode`; reconstructs sequences from the reference."""
         records: list[SamRecord] = []
-        for codec, (tags, names, seq_blobs, quals, extras) in _chunks(
-            blob, "hHIII", DECODE_BATCH_SIZE
+        for codecs, owner, (tags, names, seq_blobs, quals, extras) in _passes(
+            [blob], "hHIII", DECODE_BATCH_SIZE
         ):
-            qual, lengths = _decode_qualities(codec, quals)
+            qual, lengths = _decode_qualities(codecs, owner, quals)
             twobit = np.array(tags, dtype=np.int64) != _REF_ENCODED
             bases = decompress_block(
                 list(compress(seq_blobs, twobit)),

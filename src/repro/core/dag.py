@@ -8,20 +8,27 @@ one-by-one", paper §3.2) as a :mod:`networkx` graph, for:
 - critical-path analysis under a per-Process cost function,
 - DOT export for visualization,
 - an independent cross-check of the optimizer's fusable chains.
+
+networkx is imported inside the functions that use it: it costs every
+interpreter that imports :mod:`repro.core` a sizeable share of its start
+time, and only plan analysis (``describe``, ``lint``) needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import networkx as nx
+from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.core.process import Process
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_process_graph(processes: Sequence[Process]) -> "nx.DiGraph":
     """Directed graph: edge A->B when an output Resource of A feeds B."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for process in processes:
         graph.add_node(process, label=process.name)
@@ -55,6 +62,8 @@ class DagReport:
 
 def analyze(processes: Sequence[Process]) -> DagReport:
     """Structural report (depth, width, roots, leaves) of a plan."""
+    import networkx as nx
+
     graph = build_process_graph(processes)
     is_dag = nx.is_directed_acyclic_graph(graph)
     if is_dag and len(graph) > 0:
@@ -80,6 +89,8 @@ def analyze(processes: Sequence[Process]) -> DagReport:
 
 def find_cycles(processes: Sequence[Process]) -> list[list[str]]:
     """Process-name cycles, empty when the plan is a valid DAG."""
+    import networkx as nx
+
     graph = build_process_graph(processes)
     return [[p.name for p in cycle] for cycle in nx.simple_cycles(graph)]
 
@@ -93,6 +104,8 @@ def critical_path(
     The pipeline cannot finish faster than this chain no matter how many
     executors run — the Process-level Amdahl bound of the plan.
     """
+    import networkx as nx
+
     graph = build_process_graph(processes)
     if not nx.is_directed_acyclic_graph(graph):
         raise ValueError("critical path undefined: plan contains a cycle")
@@ -132,6 +145,8 @@ def execution_levels(processes: Sequence[Process]) -> list[list[str]]:
     Matches Algorithm 1's iteration structure — each generation is one
     "processToBeFinished" batch when every input arrives on time.
     """
+    import networkx as nx
+
     graph = build_process_graph(processes)
     if not nx.is_directed_acyclic_graph(graph):
         raise ValueError("execution levels undefined: plan contains a cycle")

@@ -53,6 +53,8 @@ class WorkerHandle:
         self.fetch_addr = tuple(fetch_addr)
         self.pid = pid
         self.alive = True
+        #: Why the fleet evicted this worker ("" while it is alive).
+        self.lost_reason = ""
         self.slots: list[WorkerSlot] = []
         self.tasks_done = 0
 
@@ -92,6 +94,8 @@ class FleetServer:
         self._ns_roots: dict[int, str] = {}
         self._next_ns = 0
         self._closed = False
+        #: Evicted workers no context has counted yet (``claim_losses``).
+        self._unclaimed_losses: list[WorkerHandle] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -219,19 +223,31 @@ class FleetServer:
             self._close_slot(slot)
 
     def lose_worker(self, handle: WorkerHandle, reason: str = "") -> None:
-        """Evict a worker: mark dead, sever its task channels.
+        """Evict a worker: mark dead, record why, sever its task channels.
 
         Idempotent; parked slots drain out of the pool on the next
         acquire.  Closing the sockets makes a *live-but-evicted* worker's
-        slot loops exit too, so eviction is authoritative.
+        slot loops exit too, so eviction is authoritative.  Each eviction
+        waits in :meth:`claim_losses` for one context to count it.
         """
         with self._lock:
             if not handle.alive:
                 return
             handle.alive = False
+            handle.lost_reason = reason
+            self._unclaimed_losses.append(handle)
             slots = list(handle.slots)
         for slot in slots:
             self._close_slot(slot)
+
+    def claim_losses(self) -> list[WorkerHandle]:
+        """Workers evicted since the last claim, handed out once: every
+        alive→dead transition is counted by exactly one of the contexts
+        sharing this fleet, whichever path (a failed ship, a closed
+        parked channel) found it."""
+        with self._lock:
+            lost, self._unclaimed_losses = self._unclaimed_losses, []
+        return lost
 
     @staticmethod
     def _close_slot(slot: WorkerSlot) -> None:
@@ -251,6 +267,7 @@ class FleetServer:
                 {
                     "worker": h.id,
                     "alive": h.alive,
+                    "reason": h.lost_reason,
                     "slots": len(h.slots),
                     "tasks_done": h.tasks_done,
                     "fetch": f"{h.fetch_addr[0]}:{h.fetch_addr[1]}",
@@ -364,13 +381,16 @@ class ClusterExecutor(Transport):
             "executor.incident", incident="fallback_batch", reason=reason
         )
 
+    def _count_losses(self) -> None:
+        for handle in self.fleet.claim_losses():
+            self._ctx.metrics.inc("dist.workers_lost")
+            self._ctx.events.publish(
+                "executor.incident", incident="worker_lost", worker=handle.id
+            )
+
     def _lose(self, slot: WorkerSlot, cause: Exception) -> WorkerLostError:
         self.fleet.lose_worker(slot.worker, reason=str(cause))
-        self._ctx.metrics.inc("dist.workers_lost")
         self._ctx.metrics.set_gauge("dist.workers", len(self.fleet.live_workers()))
-        self._ctx.events.publish(
-            "executor.incident", incident="worker_lost", worker=slot.worker.id
-        )
         return WorkerLostError(slot.worker.id, cause)
 
     def _ensure_fleet_ready(self) -> bool:
@@ -387,6 +407,14 @@ class ClusterExecutor(Transport):
 
     # -- the transport seam ----------------------------------------------
     def execute(self, body, task):
+        try:
+            return self._ship(body, task)
+        finally:
+            # Every eviction since the last task, found here or by any
+            # other fleet call, counts once.
+            self._count_losses()
+
+    def _ship(self, body, task):
         ctx = self._ctx
         if not self._ensure_fleet_ready():
             self._note_fallback("no_workers")

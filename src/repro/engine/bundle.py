@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 import time
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from repro.compression.records import DECODE_BATCH_SIZE, logical_size
@@ -93,10 +94,7 @@ class CompressedBundle:
         cls, elements: Sequence[object], serializer: Serializer
     ) -> "CompressedBundle":
         """Serialize one partition into its resident block form."""
-        elements = elements if isinstance(elements, list) else list(elements)
-        payload = serializer.dumps(elements)
-        tag = payload[:1] if payload[:1] in CODEC_TAGS or payload[:1] == b"F" else OPAQUE_TAG
-        return cls(tag, len(elements), approx_logical_bytes(elements), payload)
+        return encode_partitions([elements], serializer)[0][1]
 
     def tobytes(self) -> bytes:
         return (
@@ -217,6 +215,10 @@ class LazyPartition:
         return self._bundle
 
     @property
+    def serializer(self) -> Serializer:
+        return self._serializer
+
+    @property
     def compressed_bytes(self) -> int:
         return self._bundle.compressed_bytes
 
@@ -228,12 +230,25 @@ class LazyPartition:
         return (decode_partition, (self._bundle.tobytes(), self._serializer))
 
 
+def encode_partitions(
+    partitions: Sequence[Sequence[object]], serializer: Serializer
+) -> list[tuple[bytes, CompressedBundle]]:
+    """Partitions -> (block bytes, bundle) each, through one serializer
+    pass (``dumps_many``); every block still decodes alone."""
+    partitions = [p if isinstance(p, list) else list(p) for p in partitions]
+    out = []
+    for elements, payload in zip(partitions, serializer.dumps_many(partitions)):
+        tag = payload[:1] if payload[:1] in CODEC_TAGS or payload[:1] == b"F" else OPAQUE_TAG
+        bundle = CompressedBundle(tag, len(elements), approx_logical_bytes(elements), payload)
+        out.append((bundle.tobytes(), bundle))
+    return out
+
+
 def encode_partition(
     elements: Sequence[object], serializer: Serializer
 ) -> tuple[bytes, CompressedBundle]:
     """One partition -> (block bytes, its bundle) in a single pass."""
-    bundle = CompressedBundle.encode(elements, serializer)
-    return bundle.tobytes(), bundle
+    return encode_partitions([elements], serializer)[0]
 
 
 def decode_partition(
@@ -244,12 +259,14 @@ def decode_partition(
 
 
 class PartitionChain:
-    """Re-iterable concatenation of partition views (shuffle reduce input).
+    """Re-iterable concatenation of lazy partitions (shuffle reduce input).
 
     Holds the map-side blocks in their compressed form; iteration decodes
-    each block lazily in turn, so a reduce task never materializes the
-    whole fetched input as one record list.  ``len`` comes from the block
-    headers without decoding anything.
+    them lazily in passes of ``batch_size`` records that run across block
+    boundaries (one ``iter_loads_many`` over the blocks), so a reduce task
+    pays the codec's fixed cost per pass, not per block, and never
+    materializes the whole fetched input as one record list.  ``len``
+    comes from the block headers without decoding anything.
     """
 
     __slots__ = ("_parts",)
@@ -258,8 +275,8 @@ class PartitionChain:
         self._parts = list(parts)
 
     def __iter__(self) -> Iterator:
-        for part in self._parts:
-            yield from part
+        for batch in self.batches():
+            yield from batch
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)
@@ -281,8 +298,9 @@ class PartitionChain:
         raise IndexError("partition index out of range")  # pragma: no cover
 
     def batches(self, batch_size: int = DECODE_BATCH_SIZE) -> Iterator[list]:
-        for part in self._parts:
-            yield from iter_record_batches(part, batch_size)
+        for serializer, run in groupby(self._parts, key=lambda part: part.serializer):
+            payloads = [part.bundle.payload for part in run]
+            yield from serializer.iter_loads_many(payloads, batch_size)
 
 
 def iter_record_batches(

@@ -71,6 +71,26 @@ class RetryBudgetExhaustedError(RuntimeError):
         return (type(self), (self.budget, self.failures, self.cause))
 
 
+class PartitionIndexError(ValueError):
+    """A partition function returned an index outside its partitioner.
+
+    Deterministic: every attempt computes the same key and gets the same
+    index, so the scheduler fails the task on its first attempt (one
+    :class:`TaskFailedError`) instead of retrying it with backoff.
+    """
+
+    def __init__(self, index: object, num_partitions: int):
+        super().__init__(
+            f"partition function returned {index}, valid range is "
+            f"[0, {num_partitions})"
+        )
+        self.index = index
+        self.num_partitions = num_partitions
+
+    def __reduce__(self):
+        return (type(self), (self.index, self.num_partitions))
+
+
 class WorkerLostError(RuntimeError):
     """A cluster worker died (or vanished) while running a task attempt.
 

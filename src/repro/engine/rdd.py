@@ -17,6 +17,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
+from repro.engine.faults import PartitionIndexError
 from repro.engine.metrics import TaskMetrics
 
 if TYPE_CHECKING:
@@ -48,8 +49,36 @@ def _canonical_key_bytes(key: object) -> bytes:
     Equal keys must encode identically even across interpreter
     boundaries, so numeric types are normalized the way ``==`` compares
     them (``True == 1 == 1.0``) and containers are length-prefixed to
-    keep the encoding unambiguous.
+    keep the encoding unambiguous.  The key types shuffles use (``str``,
+    ``int``, ``bool`` and tuples of them) are dispatched on their exact
+    type, a tuple's scalar items inline; anything else takes
+    :func:`_other_key_bytes`.
     """
+    kind = type(key)
+    if kind is str:
+        return b"s" + key.encode("utf-8")
+    if kind is int:
+        return b"i%d" % key
+    if kind is not tuple and kind is not list:
+        return _other_key_bytes(key)
+    parts = [b"t"]
+    for item in key:
+        kind = type(item)
+        if kind is str:
+            part = b"s" + item.encode("utf-8")
+        elif kind is int:
+            part = b"i%d" % item
+        elif kind is bool:
+            part = b"i1" if item else b"i0"
+        else:
+            part = _canonical_key_bytes(item)
+        parts += (len(part).to_bytes(4, "big"), part)
+    return b"".join(parts)
+
+
+def _other_key_bytes(key: object) -> bytes:
+    """:func:`_canonical_key_bytes` of every key that is not exactly a
+    ``str``, ``int``, tuple or list: ``None``, floats, bytes, subclasses."""
     if key is None:
         return b"z"
     if isinstance(key, bool):
@@ -65,10 +94,7 @@ def _canonical_key_bytes(key: object) -> bytes:
     if isinstance(key, bytes):
         return b"b" + key
     if isinstance(key, (tuple, list)):
-        parts = [_canonical_key_bytes(item) for item in key]
-        return b"t" + b"".join(
-            len(part).to_bytes(4, "big") + part for part in parts
-        )
+        return _canonical_key_bytes(list(key))
     # Last resort for exotic key types: their repr (deterministic for
     # anything with a value-based repr; builtin hash() would not be).
     return b"o" + repr(key).encode("utf-8", "backslashreplace")
@@ -114,10 +140,7 @@ class FuncPartitioner(Partitioner):
     def __call__(self, key: object) -> int:
         index = self.func(key)
         if not 0 <= index < self.num_partitions:
-            raise ValueError(
-                f"partition function returned {index}, valid range is "
-                f"[0, {self.num_partitions})"
-            )
+            raise PartitionIndexError(index, self.num_partitions)
         return index
 
 

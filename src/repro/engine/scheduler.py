@@ -36,6 +36,7 @@ import time
 from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.engine.faults import (
+    PartitionIndexError,
     RetryBudgetExhaustedError,
     ShuffleFetchFailedError,
     TaskFailedError,
@@ -276,7 +277,6 @@ class DAGScheduler:
         max_attempts = max(1, self.ctx.config.max_task_attempts)
         timeout = self.ctx.config.task_timeout
         events = self.ctx.events
-        last_error: Exception | None = None
         for attempt in range(max_attempts):
             try:
                 task, value = self._attempt_with_deadline(
@@ -309,7 +309,6 @@ class DAGScheduler:
                 # breach is terminal for the whole run, never retried.
                 raise
             except Exception as exc:  # noqa: BLE001 - retry semantics
-                last_error = exc
                 if isinstance(exc, (TaskTimeoutError, WorkerLostError)):
                     kind = (
                         "timeout"
@@ -327,8 +326,14 @@ class DAGScheduler:
                     try:
                         self._recover_shuffle(exc, parent_span)
                     except TaskFailedError as recovery_failed:
-                        exc = last_error = recovery_failed
-                retries_left = max_attempts - attempt - 1
+                        exc = recovery_failed
+                # A deterministic error fails the same way on every
+                # attempt: no retry can help.
+                retries_left = (
+                    0
+                    if isinstance(exc, PartitionIndexError)
+                    else max_attempts - attempt - 1
+                )
                 delay = (
                     self._backoff_delay(stage_kind, split, attempt)
                     if retries_left
@@ -357,10 +362,11 @@ class DAGScheduler:
                         raise RetryBudgetExhaustedError(
                             budget, spent, exc
                         ) from exc
+                if not retries_left:
+                    raise TaskFailedError(stage_kind, split, attempt + 1, exc) from exc
                 if delay:
                     time.sleep(delay)
-        assert last_error is not None
-        raise TaskFailedError(stage_kind, split, max_attempts, last_error) from last_error
+        raise AssertionError("the last attempt returns or raises")
 
     # -- stage events ---------------------------------------------------------
     def _publish_stage_end(self, stage) -> None:

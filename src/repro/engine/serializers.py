@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+from itertools import groupby
 from typing import Iterator, Protocol, Sequence
 
 from repro.compression.records import (
@@ -31,11 +32,19 @@ from repro.formats.sam import SamRecord
 
 
 class Serializer(Protocol):
-    """Encodes a partition's element list to bytes and back."""
+    """Encodes partitions' element lists to bytes and back.
+
+    ``dumps_many``/``iter_loads_many`` take several partitions at once (a
+    map task's shuffle buckets, a reduce task's fetched blocks) so a
+    serializer can share work across them; each payload still decodes
+    alone.  ``dumps``/``iter_loads`` are their one-partition case.
+    """
 
     name: str
 
     def dumps(self, elements: Sequence[object]) -> bytes: ...
+
+    def dumps_many(self, groups: Sequence[Sequence[object]]) -> list[bytes]: ...
 
     def loads(self, blob: bytes) -> list[object]: ...
 
@@ -43,8 +52,28 @@ class Serializer(Protocol):
         self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[object]]: ...
 
+    def iter_loads_many(
+        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[object]]: ...
 
-class CompactSerializer:
+
+class _OneEntryPoint:
+    """``dumps``, ``loads`` and ``iter_loads`` as the one-partition case
+    of ``dumps_many`` and ``iter_loads_many``."""
+
+    def dumps(self, elements: Sequence[object]) -> bytes:
+        return self.dumps_many([elements])[0]
+
+    def loads(self, blob: bytes) -> list[object]:
+        return [element for batch in self.iter_loads(blob) for element in batch]
+
+    def iter_loads(
+        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
+    ) -> Iterator[list[object]]:
+        return self.iter_loads_many([blob], batch_size)
+
+
+class CompactSerializer(_OneEntryPoint):
     """Compact binary pickle — the Kryo analogue.
 
     Like Kryo it writes a tight binary encoding *without entropy
@@ -56,17 +85,15 @@ class CompactSerializer:
 
     name = "compact"
 
-    def dumps(self, elements: Sequence[object]) -> bytes:
-        return pickle.dumps(list(elements), protocol=pickle.HIGHEST_PROTOCOL)
+    def dumps_many(self, groups: Sequence[Sequence[object]]) -> list[bytes]:
+        return [pickle.dumps(list(group), protocol=pickle.HIGHEST_PROTOCOL) for group in groups]
 
-    def loads(self, blob: bytes) -> list[object]:
-        return pickle.loads(blob)
-
-    def iter_loads(
-        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
+    def iter_loads_many(
+        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[object]]:
-        """Pickle has no incremental decode: the whole list is one chunk."""
-        yield self.loads(blob)
+        """Pickle has no incremental decode: each whole list is one chunk."""
+        for blob in blobs:
+            yield pickle.loads(blob)
 
 
 #: Frame tags for the gpf serializer's per-partition dispatch.
@@ -79,8 +106,44 @@ _TAG_FALLBACK = b"F"
 #: Tags whose payloads the §4.1 batch codecs produced (vs. pickle frames).
 CODEC_TAGS = frozenset({b"Q", b"S", b"P", b"K"})
 
+_KEY_LEN = struct.Struct("<I")
 
-class GpfSerializer:
+
+def _codec_tag(elements: list) -> bytes | None:
+    """The codec tag whose batch codec takes every element, or None."""
+    if not elements:
+        return None
+    if all(isinstance(e, FastqRecord) for e in elements):
+        return _TAG_FASTQ
+    if all(isinstance(e, SamRecord) for e in elements):
+        return _TAG_SAM
+    if all(isinstance(e, FastqPair) for e in elements):
+        return _TAG_PAIR
+    if all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], SamRecord) for e in elements):
+        return _TAG_KEYED_SAM
+    return None
+
+
+def _encode_groups(tag: bytes, groups: list[list]) -> list[bytes]:
+    """Every group's payload under ``tag``, in one codec pass."""
+    if tag == _TAG_FASTQ:
+        bodies = FastqCodec.encode_groups(groups, strict=True)
+    elif tag == _TAG_SAM:
+        bodies = SamCodec.encode_groups(groups, strict=True)
+    elif tag == _TAG_PAIR:
+        reads = [[read for pair in group for read in pair] for group in groups]
+        bodies = FastqCodec.encode_groups(reads, strict=True)
+    else:
+        sams = SamCodec.encode_groups([[e[1] for e in group] for group in groups], strict=True)
+        keys = [
+            pickle.dumps([e[0] for e in group], protocol=pickle.HIGHEST_PROTOCOL)
+            for group in groups
+        ]
+        bodies = [_KEY_LEN.pack(len(k)) + k + body for k, body in zip(keys, sams)]
+    return [tag + body for body in bodies]
+
+
+class GpfSerializer(_OneEntryPoint):
     """The paper's genomic codec, applied per homogeneous partition.
 
     A partition of :class:`FastqRecord`, :class:`SamRecord` or
@@ -91,6 +154,10 @@ class GpfSerializer:
     lowercase bases, N with a real quality).  Key-value partitions whose
     values are genomic records (``(key, record)`` pairs, ubiquitous after
     ``key_by``) are unzipped so the records still hit the codec.
+
+    Partitions of one kind handed over together (a map task's buckets)
+    cross the codec in one pass behind one shared table; each payload
+    still decodes alone.
     """
 
     name = "gpf"
@@ -98,70 +165,60 @@ class GpfSerializer:
     def __init__(self) -> None:
         self._fallback = CompactSerializer()
 
-    def dumps(self, elements: Sequence[object]) -> bytes:
-        elements = list(elements)
-        try:
-            if elements and all(isinstance(e, FastqRecord) for e in elements):
-                return _TAG_FASTQ + FastqCodec.encode(elements, strict=True)  # type: ignore[arg-type]
-            if elements and all(isinstance(e, SamRecord) for e in elements):
-                return _TAG_SAM + SamCodec.encode(elements, strict=True)  # type: ignore[arg-type]
-            if elements and all(isinstance(e, FastqPair) for e in elements):
-                interleaved = [read for pair in elements for read in pair]  # type: ignore[union-attr]
-                return _TAG_PAIR + FastqCodec.encode(interleaved, strict=True)
-            if (
-                elements
-                and all(
-                    isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], SamRecord)
-                    for e in elements
-                )
-            ):
-                keys = pickle.dumps(
-                    [e[0] for e in elements], protocol=pickle.HIGHEST_PROTOCOL
-                )
-                body = SamCodec.encode([e[1] for e in elements], strict=True)  # type: ignore[misc]
-                return _TAG_KEYED_SAM + struct.pack("<I", len(keys)) + keys + body
-        except CodecUnsupportedError:
-            pass  # per-block fallback: the whole partition goes to pickle
-        return _TAG_FALLBACK + self._fallback.dumps(elements)
+    def dumps_many(self, groups: Sequence[Sequence[object]]) -> list[bytes]:
+        groups = [group if isinstance(group, list) else list(group) for group in groups]
+        tags = {_codec_tag(group) for group in groups}
+        if len(tags) > 1:
+            return [self.dumps(group) for group in groups]  # mixed kinds
+        tag = tags.pop() if tags else None
+        if tag is not None:
+            try:
+                return _encode_groups(tag, groups)
+            except CodecUnsupportedError:
+                if len(groups) > 1:
+                    # A record the codec refuses: each partition gets its
+                    # own codec pass and its own pickle fallback.
+                    return [self.dumps(group) for group in groups]
+        return [_TAG_FALLBACK + self._fallback.dumps(group) for group in groups]
 
-    def loads(self, blob: bytes) -> list[object]:
-        out: list[object] = []
-        for batch in self.iter_loads(blob):
-            out.extend(batch)
-        return out
-
-    def iter_loads(
-        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
+    def iter_loads_many(
+        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
     ) -> Iterator[list[object]]:
-        """Decode the partition in record chunks of ``batch_size``.
+        """Decode the partitions in order, in record chunks of ``batch_size``.
 
-        Codec-tagged payloads decode truly lazily: each chunk is one
-        table-driven Huffman pass and one NumPy pass per field over only
-        its own records.  Pickle fallbacks yield the whole list at once,
-        since pickle has no incremental decode.
+        Consecutive codec payloads of one tag decode together and truly
+        lazily: each chunk is one table-driven Huffman pass and one NumPy
+        pass per field over only its own records, whichever payloads they
+        come from.  Pickle fallbacks yield each whole list at once, since
+        pickle has no incremental decode.
         """
-        tag, body = blob[:1], blob[1:]
-        if tag == _TAG_FASTQ:
-            yield from FastqCodec.iter_decode(body, batch_size)
-        elif tag == _TAG_SAM:
-            yield from SamCodec.iter_decode(body, batch_size)
-        elif tag == _TAG_PAIR:
-            # Interleaved mates: an even chunk size keeps pairs intact.
-            pair_chunk = max(2, batch_size - batch_size % 2)
-            for batch in FastqCodec.iter_decode(body, pair_chunk):
-                reads = iter(batch)
-                yield [FastqPair(r1, r2) for r1, r2 in zip(reads, reads)]
-        elif tag == _TAG_KEYED_SAM:
-            (key_len,) = struct.unpack_from("<I", body, 0)
-            keys = pickle.loads(body[4 : 4 + key_len])
-            offset = 0
-            for batch in SamCodec.iter_decode(body[4 + key_len :], batch_size):
-                yield list(zip(keys[offset : offset + len(batch)], batch))
-                offset += len(batch)
-        elif tag == _TAG_FALLBACK:
-            yield from self._fallback.iter_loads(body, batch_size)
-        else:
-            raise ValueError(f"unknown gpf serializer frame tag {tag!r}")
+        for tag, run in groupby(map(memoryview, blobs), key=lambda blob: bytes(blob[:1])):
+            bodies = [blob[1:] for blob in run]
+            if tag == _TAG_FASTQ:
+                yield from FastqCodec.iter_decode_many(bodies, batch_size)
+            elif tag == _TAG_SAM:
+                yield from SamCodec.iter_decode_many(bodies, batch_size)
+            elif tag == _TAG_PAIR:
+                # Interleaved mates: an even chunk size keeps pairs intact.
+                pair_chunk = max(2, batch_size - batch_size % 2)
+                for batch in FastqCodec.iter_decode_many(bodies, pair_chunk):
+                    reads = iter(batch)
+                    yield [FastqPair(r1, r2) for r1, r2 in zip(reads, reads)]
+            elif tag == _TAG_KEYED_SAM:
+                keys: list = []
+                sams = []
+                for body in bodies:
+                    (key_len,) = _KEY_LEN.unpack_from(body, 0)
+                    keys += pickle.loads(body[4 : 4 + key_len])
+                    sams.append(body[4 + key_len :])
+                offset = 0
+                for batch in SamCodec.iter_decode_many(sams, batch_size):
+                    yield list(zip(keys[offset : offset + len(batch)], batch))
+                    offset += len(batch)
+            elif tag == _TAG_FALLBACK:
+                yield from self._fallback.iter_loads_many(bodies, batch_size)
+            else:
+                raise ValueError(f"unknown gpf serializer frame tag {tag!r}")
 
 
 _REGISTRY: dict[str, type] = {

@@ -3,10 +3,10 @@
 Spark writes *all* shuffle data to disk, even for in-memory workloads — a
 fact the paper leans on ("even in-memory workloads store shuffle data on
 disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
-output by the partitioner, serialize each bucket with the RDD's serializer,
+output by the partitioner, serialize the buckets in one serializer pass,
 and write **one** file per map task, ``shuffle_<id>/<map>.bin`` — Spark's
 sort-shuffle layout.  The file holds the non-empty buckets as crc-framed
-GPB2 blocks (``frame_block`` over ``encode_partition``) back to back,
+GPB2 blocks (``frame_block`` over ``encode_partitions``) back to back,
 followed by a self-describing index: R+1 big-endian u64 offsets, u32 R,
 and a crc32 over both.  Reduce partition ``r`` is the byte range
 ``[offset[r], offset[r+1])``; an empty bucket is a zero-length range and
@@ -42,7 +42,7 @@ import zlib
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
-from repro.engine.bundle import PartitionChain, decode_partition, encode_partition
+from repro.engine.bundle import PartitionChain, decode_partition, encode_partitions
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import TaskMetrics, timed
 from repro.engine.serializers import Serializer
@@ -176,13 +176,15 @@ class ShuffleManager:
         # Spill the compressed block form (crc32-framed GPB2 bundle) of each
         # non-empty bucket: spill I/O shrinks by the codec's compression
         # ratio and a torn block is detected on read instead of feeding
-        # garbage.  An empty bucket is a zero-length range.
+        # garbage.  The buckets cross the codec in one pass (one shared
+        # table), yet each block decodes alone.  An empty bucket is a
+        # zero-length range.
+        blocks = iter(encode_partitions([b for b in buckets if b], serializer))
         frames: list[bytes] = []
         offsets = [0]
         for bucket in buckets:
             if bucket:
-                body, _ = encode_partition(bucket, serializer)
-                frames.append(frame_block(body))
+                frames.append(frame_block(next(blocks)[0]))
                 offsets.append(offsets[-1] + len(frames[-1]))
             else:
                 offsets.append(offsets[-1])

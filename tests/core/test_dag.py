@@ -1,5 +1,9 @@
 """Process-DAG analysis tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.dag import (
@@ -201,3 +205,25 @@ class TestWgsPipelineDag:
         assert levels[0] == ["BwaMapping"]
         path, _ = critical_path(procs, lambda p: 1.0)
         assert path[0] == "BwaMapping" and path[-1] == "HaplotypeCaller"
+
+
+def test_importing_core_leaves_networkx_unloaded():
+    """networkx is paid for only by the plan-analysis helpers: importing
+    the programming model (every ``gpf`` start, every worker) skips it,
+    and the first DAG helper call loads it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    probe = (
+        "import sys, repro.core\n"
+        "print('networkx' in sys.modules)\n"
+        "repro.core.build_process_graph([])\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        timeout=120,
+    )
+    assert out.stdout.split() == ["False", "True"]

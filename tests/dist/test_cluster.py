@@ -14,7 +14,8 @@ import pytest
 
 from repro.dist.worker import WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.rdd import HashPartitioner
+from repro.engine.faults import PartitionIndexError, TaskFailedError
+from repro.engine.rdd import FuncPartitioner, HashPartitioner
 
 
 @contextlib.contextmanager
@@ -81,6 +82,19 @@ class TestBasicJobs:
                 t.worker for s in job.stages for t in s.tasks if t.worker
             }
             assert workers == {daemons[0].worker_id}
+
+    def test_out_of_range_partition_fails_on_the_first_attempt(self, tmp_path):
+        """A partition function's out-of-range index comes home typed from
+        the worker and fails the task once, without retries."""
+        with cluster(tmp_path, workers=1, tag="idx") as (ctx, _):
+            bad = ctx.parallelize([(5, 5)], 1).partition_by(FuncPartitioner(2, lambda k: 7))
+            with pytest.raises(TaskFailedError) as excinfo:
+                bad.collect()
+            assert isinstance(excinfo.value.cause, PartitionIndexError)
+            assert excinfo.value.attempts == 1
+            assert [f.error_type for f in ctx.metrics.failures] == ["PartitionIndexError"]
+            # Raised on the worker: the ERROR frame carried its traceback.
+            assert "PartitionIndexError" in excinfo.value.cause.remote_traceback
 
     def test_worker_side_block_encode_time_lands_in_the_driver(self, tmp_path):
         """A partition persisted on a worker is encoded by the engine's
@@ -254,6 +268,35 @@ class TestWorkerLoss:
                 pytest.fail("fleet never evicted the dead worker")
             time.sleep(0.1)
         return first, sorted(shuffled.collect())
+
+    def test_a_worker_stopped_between_jobs_counts_as_lost_once(self, tmp_path):
+        """Evicted while its slots are parked (by the channel probe, not a
+        failed ship): one alive->dead transition, one count, and the
+        snapshot says why."""
+        with cluster(tmp_path, workers=2, tag="lost") as (ctx, daemons):
+            data = [(f"k{i % 5}", i) for i in range(100)]
+            shuffled = ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b)
+            first, second = self._kill_between_collects(ctx, daemons, shuffled)
+            assert second == first
+            ctx.executor.fleet.live_workers()  # probing again counts nothing
+            assert ctx.metrics.counter("dist.workers_lost") == 1
+            rows = {r["worker"]: r for r in ctx.executor.fleet.fleet_snapshot()}
+            assert rows[daemons[0].worker_id]["alive"] is False
+            assert rows[daemons[0].worker_id]["reason"] == "task channel closed"
+            assert rows[daemons[1].worker_id]["reason"] == ""
+
+    def test_an_eviction_is_claimed_once(self, tmp_path):
+        """Contexts sharing a fleet each claim losses; one eviction is
+        handed to one claimer, so a folded counter counts it once."""
+        with cluster(tmp_path, workers=2, tag="claim") as (ctx, daemons):
+            fleet = ctx.executor.fleet
+            self._await_slots(fleet, 4)
+            victim = next(h for h in fleet.live_workers() if h.id == daemons[0].worker_id)
+            fleet.lose_worker(victim, reason="evicted by hand")
+            fleet.lose_worker(victim, reason="again")
+            assert [h.id for h in fleet.claim_losses()] == [victim.id]
+            assert fleet.claim_losses() == []
+            assert victim.lost_reason == "evicted by hand"
 
     def test_fetch_failure_recovers_lost_map_outputs(self, tmp_path):
         """Kill the worker holding half the map outputs *between* two

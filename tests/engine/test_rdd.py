@@ -109,15 +109,22 @@ class TestRepartitionSort:
         assert all(k % 2 == 1 for k, _ in parts[1])
 
     def test_func_partitioner_range_checked(self, ctx):
-        from repro.engine.faults import TaskFailedError
+        from repro.engine.faults import PartitionIndexError, TaskFailedError
 
         rdd = ctx.parallelize([(5, 5)], 1)
         bad = rdd.partition_by(FuncPartitioner(2, lambda k: 7))
-        # The deterministic error exhausts the retry budget and surfaces
-        # as a task failure whose cause is the original ValueError.
+        # The error is deterministic: it fails the task on its first
+        # attempt, without retries or backoff, as one task failure whose
+        # cause is the typed (ValueError) partition-index error.
+        assert ctx.config.max_task_attempts > 1
         with pytest.raises(TaskFailedError) as excinfo:
             bad.collect()
+        assert isinstance(excinfo.value.cause, PartitionIndexError)
         assert isinstance(excinfo.value.cause, ValueError)
+        assert excinfo.value.attempts == 1
+        assert [(f.error_type, f.backoff) for f in ctx.metrics.failures] == [
+            ("PartitionIndexError", 0.0)
+        ]
 
 
 class TestPartitioners:
