@@ -1,6 +1,6 @@
 """End-to-end WGS run with compressed-resident partitions (§4.1 + §5.2.4).
 
-The paper keeps cached data in codec form and decodes lazily per task;
+The paper keeps cached data in codec form and decodes it where a task reads it;
 this bench runs the full Fig. 3 pipeline three ways on the same reads:
 
 1. ``baseline``   — compact (Kryo-analogue) serializer, no memory budget:

@@ -67,10 +67,8 @@ class PairedEndAligner:
 
         All ``2N`` mate sequences of the batch extend through a single
         ``sw_batch`` dispatch inside :meth:`BwaMemAligner.candidates_batch`,
-        so lazily-decoded partitions can feed the kernel chunk by chunk
-        without a per-pair kernel launch (or an intermediate whole-partition
-        record list).  Identical output to mapping :meth:`align_pair` over
-        the batch.
+        so a partition costs one kernel launch, not one per pair.
+        Identical output to mapping :meth:`align_pair` over the batch.
         """
         pairs = pairs if isinstance(pairs, list) else list(pairs)
         if not pairs:

@@ -27,12 +27,6 @@ detectable on the driver before anything runs:
   reading the wall clock (``datetime.now()`` and friends) inside the
   task body.
 
-- **GPF401 wholesale materialization** — ``list(partition)`` /
-  ``tuple(partition)`` over the closure's partition argument, or any
-  ``.materialize()`` call, inside a task body.  Cached partitions arrive
-  as lazily-decoded compressed blocks; one wholesale copy re-creates the
-  full decoded footprint the compressed-resident block format removed.
-
 The analyzer works on ``inspect.getsource`` + ``ast`` when source is
 available and degrades to ``co_names`` screening when it is not (builtins,
 C extensions, REPL lambdas).
@@ -101,9 +95,6 @@ MUTATING_METHODS = frozenset(
 
 #: closure captures at or above this estimated size rate a GPF203.
 DEFAULT_BIG_CAPTURE_BYTES = 256 * 1024
-
-#: builtins that copy a whole iterable into a new container (GPF401).
-MATERIALIZING_BUILTINS = frozenset({"list", "tuple"})
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +196,6 @@ def find_nondeterministic_calls(tree: ast.AST) -> list[tuple[str, int]]:
             and chain[2] != "default_rng"
         ):
             hits.append((dotted, line))
-    return hits
-
-
-def find_partition_materializations(func_node: ast.AST) -> list[tuple[str, int]]:
-    """(description, line) pairs for GPF401: copying the closure's whole
-    partition argument into a fresh container, or calling
-    ``.materialize()`` on anything inside a task body.
-
-    Cached partitions arrive as lazily-decoded compressed blocks; wrapping
-    the partition parameter in ``list()``/``tuple()`` decodes everything
-    into one record list and re-creates exactly the resident footprint the
-    compressed block format removed.  Stream the partition (iterate it, or
-    chunk it with ``repro.engine.bundle.iter_record_batches``) instead.
-    """
-    params: set[str] = set()
-    if isinstance(func_node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        args = func_node.args
-        for arg in list(args.posonlyargs) + list(args.args):
-            params.add(arg.arg)
-    hits: list[tuple[str, int]] = []
-    for node in _walk_same_scope(func_node):
-        if not isinstance(node, ast.Call):
-            continue
-        line = getattr(node, "lineno", 0)
-        target = node.func
-        if (
-            isinstance(target, ast.Name)
-            and target.id in MATERIALIZING_BUILTINS
-            and len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id in params
-        ):
-            hits.append((f"{target.id}({node.args[0].id})", line))
-        elif isinstance(target, ast.Attribute) and target.attr == "materialize":
-            receiver = _base_name(target) or "<expr>"
-            hits.append((f"{receiver}.materialize()", line))
     return hits
 
 
@@ -516,21 +470,6 @@ def analyze_closure(
                     fix_hint="seed from stable task identity, e.g. "
                     "numpy.random.default_rng((seed, split)), and pass "
                     "timestamps in from the driver",
-                )
-            )
-        for desc, line in find_partition_materializations(node):
-            out.append(
-                Diagnostic(
-                    code="GPF401",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"closure {label} materializes its lazily-decoded "
-                        f"partition via {desc} (line {line}); the full "
-                        "decoded copy defeats compressed residency"
-                    ),
-                    resource=label,
-                    fix_hint="iterate the partition, or consume it in "
-                    "chunks via repro.engine.bundle.iter_record_batches",
                 )
             )
         for name, how, line in find_captured_mutations(node, captured_names):

@@ -8,10 +8,7 @@ code instead of the message text.  Codes are grouped by layer:
 - ``GPF1xx`` — optimizer cross-checks (Fig. 7 redundancy accounting),
 - ``GPF2xx`` — closure analysis of functions shipped to RDD tasks,
 - ``GPF3xx`` — concurrency & resource-safety rules over the framework's
-  *own* source (``gpf lint --self``),
-- ``GPF4xx`` — memory-residency rules: task-closure patterns that defeat
-  compressed-resident partitions (wholesale materialization of lazily-
-  decoded blocks).
+  *own* source (``gpf lint --self``).
 """
 
 from __future__ import annotations
@@ -59,8 +56,6 @@ CODES: dict[str, str] = {
     "GPF303": "blocking call while holding a lock",
     "GPF304": "rename of a written file without fsync of file and directory",
     "GPF305": "wall-clock time.time() in deadline/duration arithmetic",
-    # -- memory-residency rules (GPF4xx) --------------------------------------
-    "GPF401": "task closure materializes a lazily-decoded partition wholesale",
 }
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from repro.analysis.closures import (
     find_captured_mutations,
     find_nondeterministic_calls,
-    find_partition_materializations,
     find_unseeded_rng_and_clock,
 )
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -117,21 +116,6 @@ def scan_source(path: str | Path) -> list[Diagnostic]:
                     resource=label,
                     fix_hint="seed from stable task identity and pass "
                     "timestamps in from the driver",
-                )
-            )
-        for desc, mat_line in find_partition_materializations(func_node):
-            out.append(
-                Diagnostic(
-                    code="GPF401",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"{label} closure materializes its partition "
-                        f"wholesale via {desc} (line {mat_line}); the "
-                        "compressed-resident block decodes all at once"
-                    ),
-                    resource=label,
-                    fix_hint="iterate the partition, or consume it in "
-                    "chunks via repro.engine.bundle.iter_record_batches",
                 )
             )
         for name, how, mut_line in find_captured_mutations(func_node):

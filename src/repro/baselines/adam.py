@@ -40,9 +40,6 @@ class ColumnarBatch:
 
     @classmethod
     def from_records(cls, records: list[SamRecord]) -> "ColumnarBatch":
-        # One materialization up front: lazily-decoded partitions would
-        # otherwise re-decode once per column below.
-        records = records if isinstance(records, list) else list(records)
         return cls(
             qnames=[r.qname for r in records],
             flags=[r.flag for r in records],

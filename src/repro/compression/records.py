@@ -20,10 +20,10 @@ are slices of one ``str`` per field.  Only the framing is per record.
 The unit of work is a task, not a batch.  ``encode_groups`` runs one
 encode pass over several record groups (a map task's shuffle buckets)
 and frames each group as a standalone batch behind the one shared
-table; ``iter_decode_many`` decodes several batches in passes of
-``batch_size`` records that run across batch boundaries, each record
-with its own batch's table (``huffman.decode_streams``).  ``encode`` and
-``iter_decode`` are their one-batch case.
+table; ``decode_many`` decodes several batches into one record list, in
+passes that run across batch boundaries, each record with its own
+batch's table (``huffman.decode_streams``).  ``encode`` and ``decode``
+are their one-batch case.
 
 Binary layout of a batch::
 
@@ -56,10 +56,9 @@ from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqRecord
 from repro.formats.sam import SamRecord, format_tag, parse_tag
 
-#: Default record-batch size for the lazy ``iter_decode`` generators —
-#: large enough to amortize the Huffman table setup, small enough that a
-#: consumer never holds more than a sliver of the partition decoded.
-DECODE_BATCH_SIZE = 512
+#: Records per decode pass: large enough to amortize a pass's fixed NumPy
+#: calls, small enough to bound its Huffman decode scratch.
+_PASS_SIZE = 512
 
 _MASK = ord(MASK_QUAL_CHAR)
 
@@ -226,11 +225,11 @@ def _record_count(blob: bytes) -> int:
     return _read(memoryview(blob), 0, 1, "i")[0][0][0]
 
 
-def _passes(blobs: Sequence, widths: str, batch_size: int) -> Iterator[tuple]:
-    """The batches' records in decode passes of ``batch_size`` that run
+def _passes(blobs: Sequence, widths: str) -> Iterator[tuple]:
+    """The batches' records in decode passes of ``_PASS_SIZE`` that run
     across batch boundaries: each pass's codecs, the index of each record's
     codec, and the records' fields by column."""
-    step = max(1, batch_size)
+    step = _PASS_SIZE
     codecs: list = []
     owner: list = []
     columns: list = [[] for _ in widths]
@@ -286,26 +285,17 @@ class FastqCodec:
     record_count = staticmethod(_record_count)
 
     @staticmethod
-    def iter_decode_many(
-        blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[FastqRecord]]:
-        """Lazily decode the batches in order, yielding record chunks of
-        ``batch_size`` that run across batch boundaries."""
-        for codecs, owner, columns in _passes(blobs, "HII", batch_size):
-            fields = _decode_block(codecs, owner, *columns)
-            yield [FastqRecord(*row) for row in zip(*fields)]
-
-    @staticmethod
-    def iter_decode(
-        blob: bytes, batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[FastqRecord]]:
-        """Lazily decode one batch, yielding record chunks of ``batch_size``."""
-        return FastqCodec.iter_decode_many([blob], batch_size)
+    def decode_many(blobs: Sequence[bytes]) -> list[FastqRecord]:
+        """The batches' records, in order, as one list."""
+        records: list[FastqRecord] = []
+        for codecs, owner, columns in _passes(blobs, "HII"):
+            records += map(FastqRecord, *_decode_block(codecs, owner, *columns))
+        return records
 
     @staticmethod
     def decode(blob: bytes) -> list[FastqRecord]:
         """Inverse of :meth:`encode`."""
-        return [rec for batch in FastqCodec.iter_decode(blob) for rec in batch]
+        return FastqCodec.decode_many([blob])
 
 
 def _sam_extra_fields(rec: SamRecord) -> bytes:
@@ -386,26 +376,18 @@ class SamCodec:
     record_count = staticmethod(_record_count)
 
     @staticmethod
-    def iter_decode_many(
-        blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[SamRecord]]:
-        """Lazily decode the batches in order, yielding record chunks of
-        ``batch_size`` that run across batch boundaries."""
-        for codecs, owner, (names, seqs, quals, extras) in _passes(blobs, "HIII", batch_size):
+    def decode_many(blobs: Sequence[bytes]) -> list[SamRecord]:
+        """The batches' records, in order, as one list."""
+        records: list[SamRecord] = []
+        for codecs, owner, (names, seqs, quals, extras) in _passes(blobs, "HIII"):
             fields = _decode_block(codecs, owner, names, seqs, quals)
-            yield [_sam_from_extra(*row) for row in zip(*fields, _strings(extras))]
-
-    @staticmethod
-    def iter_decode(
-        blob: bytes, batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[SamRecord]]:
-        """Lazily decode one batch, yielding record chunks of ``batch_size``."""
-        return SamCodec.iter_decode_many([blob], batch_size)
+            records += map(_sam_from_extra, *fields, _strings(extras))
+        return records
 
     @staticmethod
     def decode(blob: bytes) -> list[SamRecord]:
         """Inverse of :meth:`encode`."""
-        return [rec for batch in SamCodec.iter_decode(blob) for rec in batch]
+        return SamCodec.decode_many([blob])
 
 
 def logical_size(records: Sequence[FastqRecord] | Sequence[SamRecord]) -> int:

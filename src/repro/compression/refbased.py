@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.compression.records import (
-    DECODE_BATCH_SIZE,
     _block_arrays,
     _decode_qualities,
     _encode_qualities,
@@ -146,7 +145,7 @@ class RefBasedSamCodec:
         """Inverse of :meth:`encode`; reconstructs sequences from the reference."""
         records: list[SamRecord] = []
         for codecs, owner, (tags, names, seq_blobs, quals, extras) in _passes(
-            [blob], "hHIII", DECODE_BATCH_SIZE
+            [blob], "hHIII"
         ):
             qual, lengths = _decode_qualities(codecs, owner, quals)
             twobit = np.array(tags, dtype=np.int64) != _REF_ENCODED

@@ -8,7 +8,6 @@ from repro.align.bwamem import AlignerConfig
 from repro.align.pairing import PairedEndAligner, PairingConfig
 from repro.core.bundles import FASTQPairBundle, SAMBundle
 from repro.core.process import Process
-from repro.engine.bundle import iter_record_batches
 from repro.formats.fasta import Reference
 from repro.formats.sam import SamHeader
 
@@ -65,15 +64,7 @@ class BwaMemProcess(Process):
         shared = ctx.broadcast(aligner)
 
         def align_partition(pairs: list) -> list:
-            # Lazily-decoded partitions stream codec chunks straight into
-            # the batched kernel — no whole-partition pair list in between.
-            pe = shared.value
-            out = []
-            for batch in iter_record_batches(pairs):
-                for r1, r2 in pe.align_pairs(batch):
-                    out.append(r1)
-                    out.append(r2)
-            return out
+            return [rec for mates in shared.value.align_pairs(pairs) for rec in mates]
 
         aligned = self.input_bundle.rdd.map_partitions(align_partition).set_name(
             f"align:{self.name}"

@@ -25,7 +25,6 @@ namespace that scopes worker-side state (shuffle dirs, caches).
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import socket
 import threading
@@ -470,13 +469,9 @@ class ClusterExecutor(Transport):
         ctx.metrics.inc("dist.bytes_shipped", len(blob))
         ctx.metrics.inc("dist.bytes_returned", len(rbody))
         ctx.metrics.inc(f"dist.worker.{worker.id}.tasks")
-        encoding = rheader.get("encoding", "none")
-        if encoding == "none":
-            value = None
-        elif encoding == "bundle":
+        value = None
+        if rheader.get("encoding", "none") == "bundle":
             from repro.engine.bundle import decode_partition
 
-            value = list(decode_partition(rbody, ctx.serializer))
-        else:
-            value = pickle.loads(rbody)
+            value = decode_partition(rbody, ctx.serializer)
         return remote_task, value

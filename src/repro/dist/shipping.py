@@ -31,7 +31,8 @@ RDD with any unwritten dep ships whole, as the map stage it is part of.
 ``ParallelCollectionRDD`` slices additionally ship in ``GPB2``
 compressed bundle form (the serializer's §4.1-codec payload) rather
 than as pickled record lists — task ship traffic shrinks by the codec's
-compression ratio and the worker decodes lazily per batch.
+compression ratio, and each slice stays a block until the task that
+reads it decodes it.
 
 Limits (all safe): marshalled code requires the same interpreter
 version on both ends — true for loopback fleets and documented for real
@@ -111,12 +112,27 @@ def _restore_function(
     return func
 
 
+class _ShippedSlice:
+    """One ``parallelize`` slice as shipped: its GPB2 block, decoded when
+    the task that reads it lists it.  A task ships every slice of its
+    source RDD but reads one."""
+
+    __slots__ = ("blob", "serializer")
+
+    def __init__(self, blob: bytes, serializer):
+        self.blob = blob
+        self.serializer = serializer
+
+    def __iter__(self):
+        return iter(decode_partition(self.blob, self.serializer))
+
+
 def _restore_pcrdd(cls, state: dict, slice_blobs: list[bytes], serializer):
-    """Rebuild a ParallelCollectionRDD with lazily-decoded slices."""
+    """Rebuild a ParallelCollectionRDD whose slices stay blocks until read."""
     rdd = object.__new__(cls)
     rdd.__dict__.update(state)
     rdd._slices = [
-        decode_partition(blob, serializer) if blob is not None else []
+        _ShippedSlice(blob, serializer) if blob is not None else []
         for blob in slice_blobs
     ]
     return rdd

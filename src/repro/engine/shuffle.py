@@ -42,7 +42,7 @@ import zlib
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
-from repro.engine.bundle import PartitionChain, decode_partition, encode_partitions
+from repro.engine.bundle import CompressedBundle, encode_partitions
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import TaskMetrics, timed
 from repro.engine.serializers import Serializer
@@ -237,18 +237,18 @@ class ShuffleManager:
         reduce_partition: int,
         serializer: Serializer,
         task: TaskMetrics,
-    ) -> PartitionChain:
+    ) -> list:
         """Read every map output's bucket for this reduce partition.
 
-        Returns a re-iterable :class:`PartitionChain` over the fetched
-        blocks in compressed form — the reduce task decodes lazily and
-        never holds the whole fetched input as one record list.
+        Returns the fetched records as one list: every block of the reduce
+        task is decoded in one ``loads_many`` call, so the codec's fixed
+        cost is paid per task, not per block.
         """
         num_map, maps = self.locations(shuffle_id)
         missing = sorted(set(range(num_map)) - set(maps))
         if missing:
             raise ShuffleFetchFailedError(shuffle_id, missing[0], where="no location")
-        parts: list = []
+        payloads: list = []
         total = 0
         for map_partition in range(num_map):
             blob = self._fetch_block(
@@ -272,18 +272,17 @@ class ShuffleManager:
                 continue  # an empty bucket: no block was written
             total += len(blob)
             # crc check catches torn/corrupt spill blocks before decode.
-            parts.append(decode_partition(unframe_block(blob), serializer))
-        chain = PartitionChain(parts)
-        records = len(chain)  # from block headers — no decode needed
+            payloads.append(CompressedBundle.frombytes(unframe_block(blob)).payload)
+        records = serializer.loads_many(payloads)
         task.shuffle_bytes_read += total
-        task.records_read += records
+        task.records_read += len(records)
         if self._metrics is not None:
             self._metrics.inc("shuffle.bytes_read", total)
-            self._metrics.inc("shuffle.records_read", records)
+            self._metrics.inc("shuffle.records_read", len(records))
         if self._network_bandwidth and num_map > 1:
             remote_fraction = (num_map - 1) / num_map
             task.network_blocked += total * remote_fraction / self._network_bandwidth
-        return chain
+        return records
 
     # -- cleanup ---------------------------------------------------------
     def cleanup(self) -> None:

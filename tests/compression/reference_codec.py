@@ -12,8 +12,6 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.formats.cigar import Cigar
@@ -218,17 +216,6 @@ def _qualities(masked: list[str]) -> tuple[RefHuffman, list[bytes]]:
     return codec, [codec.encode(arr) for arr in deltas]
 
 
-def _chunked(items: Iterator, batch_size: int) -> Iterator[list]:
-    batch: list = []
-    for item in items:
-        batch.append(item)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
 def _check_name(name: str) -> None:
     if not name.isascii():
         raise Unsupported(f"non-ascii record name {name!r}")
@@ -251,19 +238,17 @@ def fastq_encode(records: list[FastqRecord], strict: bool = False) -> bytes:
     return out
 
 
-def fastq_iter_decode(blob: bytes, batch_size: int = 512) -> Iterator[list[FastqRecord]]:
+def fastq_decode(blob: bytes) -> list[FastqRecord]:
     reader = _Reader(blob)
     count = reader.num("<I")
     codec = RefHuffman(_read_table(reader.blob()))
-
-    def records() -> Iterator[FastqRecord]:
-        for _ in range(count):
-            name = reader.blob("<H").decode("ascii")
-            seq_blob = reader.blob()
-            qual = delta_decode(codec.decode(reader.blob()))
-            yield FastqRecord(name, decompress_sequence(seq_blob, qual), qual)
-
-    yield from _chunked(records(), batch_size)
+    records = []
+    for _ in range(count):
+        name = reader.blob("<H").decode("ascii")
+        seq_blob = reader.blob()
+        qual = delta_decode(codec.decode(reader.blob()))
+        records.append(FastqRecord(name, decompress_sequence(seq_blob, qual), qual))
+    return records
 
 
 def sam_extra_fields(rec: SamRecord) -> bytes:
@@ -311,21 +296,19 @@ def sam_encode(records: list[SamRecord], strict: bool = False) -> bytes:
     return out
 
 
-def sam_iter_decode(blob: bytes, batch_size: int = 512) -> Iterator[list[SamRecord]]:
+def sam_decode(blob: bytes) -> list[SamRecord]:
     reader = _Reader(blob)
     count = reader.num("<I")
     codec = RefHuffman(_read_table(reader.blob()))
-
-    def records() -> Iterator[SamRecord]:
-        for _ in range(count):
-            name = reader.blob("<H").decode("ascii")
-            seq_blob = reader.blob()
-            qual = delta_decode(codec.decode(reader.blob()))
-            extra = reader.blob()
-            seq = decompress_sequence(seq_blob, qual) if seq_blob else ""
-            yield sam_from_extra(name, seq, qual, extra)
-
-    yield from _chunked(records(), batch_size)
+    records = []
+    for _ in range(count):
+        name = reader.blob("<H").decode("ascii")
+        seq_blob = reader.blob()
+        qual = delta_decode(codec.decode(reader.blob()))
+        extra = reader.blob()
+        seq = decompress_sequence(seq_blob, qual) if seq_blob else ""
+        records.append(sam_from_extra(name, seq, qual, extra))
+    return records
 
 
 def refbased_encode(records: list[SamRecord], reference) -> bytes:

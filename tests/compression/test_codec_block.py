@@ -3,8 +3,9 @@
 ``reference_codec`` is the record-at-a-time encoder and tree-walk decoder
 the block kernels replaced.  Every codec here (FASTQ, SAM, keyed SAM,
 FASTQ pairs, reference-based SAM) must write the reference's bytes byte
-for byte and decode to the reference's records, chunk for chunk; corrupt
-input must raise ``ValueError`` and never return data or hang.
+for byte and decode to the reference's records, alone and several
+batches at once; corrupt input must raise ``ValueError`` and never
+return data or hang.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from repro.sim.reads import ReadSimConfig, ReadSimulator
 from repro.sim.reference import generate_reference
 from tests.compression import reference_codec as ref
 
+#: 512 and 513 sit on and across the codec's internal decode-pass size.
 BLOCK_SIZES = [0, 1, 2, 7, 512, 513]
-CHUNK_SIZES = [1, 3, 7, 511, 1 << 30]
 
 
 @contextmanager
@@ -115,22 +116,15 @@ def sam_block(n: int, seed: int, make=safe_read) -> list[SamRecord]:
     return [as_sam(make(rng, i), i, rng) for i in range(n)]
 
 
-def chunks(records: list, size: int) -> list[list]:
-    size = max(1, size)
-    return [records[i : i + size] for i in range(0, len(records), size)]
-
-
-# -- byte-identical encode, chunk-identical decode ----------------------------
+# -- byte-identical encode, record-identical decode ----------------------------
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 @pytest.mark.parametrize("strict", [True, False])
 def test_fastq_matches_reference(n, strict):
     records = fastq_block(n, seed=n)
     blob = FastqCodec.encode(records, strict=strict)
     assert blob == ref.fastq_encode(records, strict=strict)
-    for size in CHUNK_SIZES:
-        assert list(FastqCodec.iter_decode(blob, size)) == list(
-            ref.fastq_iter_decode(blob, size)
-        )
+    assert FastqCodec.decode(blob) == ref.fastq_decode(blob)
+    assert FastqCodec.decode_many([blob, blob]) == 2 * ref.fastq_decode(blob)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -139,10 +133,8 @@ def test_sam_matches_reference(n, strict):
     records = sam_block(n, seed=100 + n)
     blob = SamCodec.encode(records, strict=strict)
     assert blob == ref.sam_encode(records, strict=strict)
-    for size in CHUNK_SIZES:
-        assert list(SamCodec.iter_decode(blob, size)) == list(
-            ref.sam_iter_decode(blob, size)
-        )
+    assert SamCodec.decode(blob) == ref.sam_decode(blob)
+    assert SamCodec.decode_many([blob, blob]) == 2 * ref.sam_decode(blob)
     if strict:
         assert SamCodec.decode(blob) == records
 
@@ -152,11 +144,11 @@ def test_lenient_iupac_and_lowercase_match_reference(n):
     reads = fastq_block(n, seed=7 * n, make=lenient_read)
     blob = FastqCodec.encode(reads)
     assert blob == ref.fastq_encode(reads)
-    assert FastqCodec.decode(blob) == next(ref.fastq_iter_decode(blob, 1 << 30))
+    assert FastqCodec.decode(blob) == ref.fastq_decode(blob)
     sams = sam_block(n, seed=7 * n, make=lenient_read)
     blob = SamCodec.encode(sams)
     assert blob == ref.sam_encode(sams)
-    assert SamCodec.decode(blob) == next(ref.sam_iter_decode(blob, 1 << 30))
+    assert SamCodec.decode(blob) == ref.sam_decode(blob)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -195,13 +187,9 @@ def test_pairs_and_keyed_sam_through_serializer(n):
         assert keyed_blob == (
             b"K" + struct.pack("<I", len(keys)) + keys + ref.sam_encode(sams, strict=True)
         )
-    for size in (1, 3, 7, 513) if n else ():
-        # Mates stay together: a pair chunk is the even size at or below.
-        mates = chunks(reads, max(2, size - size % 2))
-        expected = [[FastqPair(c[j], c[j + 1]) for j in range(0, len(c), 2)] for c in mates]
-        assert list(gpf.iter_loads(blob, size)) == expected
-        assert list(gpf.iter_loads(keyed_blob, size)) == chunks(keyed, size)
     assert gpf.loads(blob) == pairs and gpf.loads(keyed_blob) == keyed
+    assert gpf.loads_many([blob, blob]) == 2 * pairs
+    assert gpf.loads_many([keyed_blob, keyed_blob]) == 2 * keyed
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 120])

@@ -2,8 +2,9 @@
 
 A map task's buckets cross the codec in one encode pass behind one shared
 table (``encode_groups``, ``GpfSerializer.dumps_many``), and a reduce
-task's blocks decode in passes that run across block boundaries, each
-block with its own table (``iter_decode_many``, ``decode_streams``).
+task's blocks decode in one call whose passes run across block
+boundaries, each block with its own table (``decode_many``,
+``decode_streams``).
 The oracle is ``reference_codec``: every grouped batch must decode
 standalone with its per-block reader, and a joint decode must equal the
 per-block decodes, corrupt input included.
@@ -21,13 +22,12 @@ from hypothesis import given, settings, strategies as st
 import repro.compression.records as records_module
 from repro.compression.huffman import HuffmanCodec, decode_streams
 from repro.compression.records import FastqCodec, SamCodec
-from repro.engine.bundle import PartitionChain, decode_partition, encode_partitions
+from repro.engine.bundle import CompressedBundle, encode_partitions
 from repro.engine.serializers import get_serializer
 from repro.formats.fastq import FastqPair, FastqRecord
 from tests.compression import reference_codec as ref
 from tests.compression.test_codec_block import (
     _fibonacci,
-    chunks,
     fastq_block,
     lenient_read,
     sam_block,
@@ -35,7 +35,6 @@ from tests.compression.test_codec_block import (
 )
 
 GROUP_SIZES = st.lists(st.integers(0, 9), min_size=1, max_size=6)
-BATCH = st.sampled_from([1, 2, 3, 7, 1 << 30])
 
 
 def split(records: list, sizes: list[int]) -> list[list]:
@@ -74,8 +73,8 @@ def flat_block(n: int) -> list[FastqRecord]:
 
 # -- encode: one pass, one table, standalone batches -----------------------------
 @settings(max_examples=60, deadline=None)
-@given(sizes=GROUP_SIZES, seed=st.integers(0, 10_000), batch=BATCH)
-def test_fastq_groups_share_a_table_and_decode_standalone(sizes, seed, batch):
+@given(sizes=GROUP_SIZES, seed=st.integers(0, 10_000))
+def test_fastq_groups_share_a_table_and_decode_standalone(sizes, seed):
     records = fastq_block(sum(sizes), seed=seed)
     groups = split(records, sizes)
     blobs = FastqCodec.encode_groups(groups, strict=True)
@@ -86,14 +85,14 @@ def test_fastq_groups_share_a_table_and_decode_standalone(sizes, seed, batch):
     for blob, group in zip(blobs, groups):
         assert blob[:4] == len(group).to_bytes(4, "little")
         assert table_and_frames(blob)[0] == table
-        assert [r for chunk in ref.fastq_iter_decode(blob, 1 << 30) for r in chunk] == group
+        assert ref.fastq_decode(blob) == group
     assert b"".join(table_and_frames(blob)[1] for blob in blobs) == frames
-    assert list(FastqCodec.iter_decode_many(blobs, batch)) == chunks(records, batch)
+    assert FastqCodec.decode_many(blobs) == records
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes=GROUP_SIZES, seed=st.integers(0, 10_000), batch=BATCH)
-def test_sam_groups_share_a_table_and_decode_standalone(sizes, seed, batch):
+@given(sizes=GROUP_SIZES, seed=st.integers(0, 10_000))
+def test_sam_groups_share_a_table_and_decode_standalone(sizes, seed):
     records = sam_block(sum(sizes), seed=seed)
     groups = split(records, sizes)
     blobs = SamCodec.encode_groups(groups, strict=True)
@@ -102,14 +101,14 @@ def test_sam_groups_share_a_table_and_decode_standalone(sizes, seed, batch):
     table, frames = table_and_frames(whole)
     for blob, group in zip(blobs, groups):
         assert table_and_frames(blob)[0] == table
-        assert [r for chunk in ref.sam_iter_decode(blob, 1 << 30) for r in chunk] == group
+        assert ref.sam_decode(blob) == group
     assert b"".join(table_and_frames(blob)[1] for blob in blobs) == frames
-    assert list(SamCodec.iter_decode_many(blobs, batch)) == chunks(records, batch)
+    assert SamCodec.decode_many(blobs) == records
 
 
 @settings(max_examples=30, deadline=None)
-@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5), seed=st.integers(0, 10_000), batch=BATCH)
-def test_keyed_sam_and_pair_groups_through_the_serializer(sizes, seed, batch):
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5), seed=st.integers(0, 10_000))
+def test_keyed_sam_and_pair_groups_through_the_serializer(sizes, seed):
     gpf = get_serializer("gpf")
     sams = sam_block(sum(sizes), seed=seed)
     keyed = [((rec.rname, rec.pos, i), rec) for i, rec in enumerate(sams)]
@@ -121,9 +120,7 @@ def test_keyed_sam_and_pair_groups_through_the_serializer(sizes, seed, batch):
         for payload, group in zip(payloads, groups):
             assert payload[:1] == tag
             assert gpf.loads(payload) == group  # standalone
-        size = max(2, batch - batch % 2) if tag == b"P" else batch
-        got = [e for chunk in gpf.iter_loads_many(payloads, size) for e in chunk]
-        assert got == elements
+        assert gpf.loads_many(payloads) == elements
     assert gpf.dumps_many([keyed]) == [gpf.dumps(keyed)]
 
 
@@ -156,11 +153,10 @@ def test_blocks_with_different_tables_decode_in_one_pass(monkeypatch):
     monkeypatch.setattr(
         records_module, "decode_streams", lambda *a: passes.append(1) or decode_streams(*a)
     )
-    expected = [r for blob in blobs for r in next(ref.fastq_iter_decode(blob, 1 << 30))]
+    expected = [r for blob in blobs for r in ref.fastq_decode(blob)]
     assert [r for block in blocks for r in block] == expected
-    assert list(FastqCodec.iter_decode_many(blobs, 1 << 30)) == [expected]
+    assert FastqCodec.decode_many(blobs) == expected
     assert len(passes) == 1
-    assert list(FastqCodec.iter_decode_many(blobs, 7)) == chunks(expected, 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +195,7 @@ def test_a_torn_block_in_a_chain_raises():
     for cut in range(len(blobs[1])):
         chain = [blobs[0], blobs[1][:cut], blobs[2]]
         with watchdog(), pytest.raises(ValueError):
-            list(SamCodec.iter_decode_many(chain, 1 << 30))
+            SamCodec.decode_many(chain)
 
 
 def test_flipped_bits_in_a_chain_match_per_block_decoding():
@@ -216,9 +212,9 @@ def test_flipped_bits_in_a_chain_match_per_block_decoding():
             if expected is None:
                 raised += 1
                 with pytest.raises(ValueError):
-                    list(SamCodec.iter_decode_many(chain, 1 << 30))
+                    SamCodec.decode_many(chain)
             else:
-                assert [r for c in SamCodec.iter_decode_many(chain, 1 << 30) for r in c] == expected
+                assert SamCodec.decode_many(chain) == expected
     assert raised > 0
 
 
@@ -227,11 +223,11 @@ def test_a_torn_block_in_a_partition_chain_raises():
     groups = [sam_block(4, seed=9), sam_block(5, seed=10)]
     keyed = [[((r.rname, r.pos), r) for r in group] for group in groups]
     blocks = [blob for blob, _ in encode_partitions(keyed, gpf)]
-    whole = PartitionChain([decode_partition(b, gpf) for b in blocks])
-    assert list(whole) == keyed[0] + keyed[1]
-    torn = PartitionChain([decode_partition(blocks[0], gpf), decode_partition(blocks[1][:-9], gpf)])
+    payloads = [CompressedBundle.frombytes(b).payload for b in blocks]
+    assert gpf.loads_many(payloads) == keyed[0] + keyed[1]
+    torn = CompressedBundle.frombytes(blocks[1][:-9]).payload
     with watchdog(), pytest.raises(ValueError):
-        list(torn)
+        gpf.loads_many([payloads[0], torn])
 
 
 # -- the codec's unit of work on the seed-211 clean plan --------------------------
@@ -269,22 +265,14 @@ def test_clean_plan_builds_one_table_per_map_task_and_decodes_once_per_reduce(mo
         state["builds"].append(0)
         return during("write", write)(*args, **kwargs)
 
-    batches = PartitionChain.batches
-
-    def counted_batches(self, *args):
-        inner = batches(self, *args)
-        step = during("chain", lambda: next(inner, None))
-        while (chunk := step()) is not None:
-            yield chunk
-
     def counted_decode(*args):
-        if state["in"] == "chain":
+        if state["in"] == "read":
             state["passes"].append(1)
         return decode_streams(*args)
 
     monkeypatch.setattr(HuffmanCodec, "from_frequencies", classmethod(counted_build))
     monkeypatch.setattr(ShuffleManager, "write", counted_write)
-    monkeypatch.setattr(PartitionChain, "batches", counted_batches)
+    monkeypatch.setattr(ShuffleManager, "read", during("read", ShuffleManager.read))
     monkeypatch.setattr(records_module, "decode_streams", counted_decode)
 
     workload = WORKLOADS["clean_codec"]

@@ -42,7 +42,7 @@ class TestEmptyPartitions:
         blob = FastqCodec.encode([], strict=True)
         assert FastqCodec.decode(blob) == []
         assert FastqCodec.record_count(blob) == 0
-        assert list(FastqCodec.iter_decode(blob)) == []
+        assert FastqCodec.decode_many([blob, blob]) == []
 
     def test_sam_empty_batch(self):
         blob = SamCodec.encode([], strict=True)

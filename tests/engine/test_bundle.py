@@ -1,6 +1,4 @@
-"""Block format (GPB2 CompressedBundle) and lazy partition decode tests."""
-
-import pickle
+"""Block format (GPB2 CompressedBundle) and partition decode tests."""
 
 import pytest
 
@@ -8,14 +6,11 @@ from repro.engine.blockmanager import BlockCorruptionError
 from repro.engine.bundle import (
     BUNDLE_MAGIC,
     CompressedBundle,
-    LazyPartition,
-    PartitionChain,
     approx_logical_bytes,
     decode_partition,
     encode_partition,
-    iter_record_batches,
 )
-from repro.engine.serializers import CompactSerializer, GpfSerializer
+from repro.engine.serializers import CompactSerializer, GpfSerializer, get_serializer
 from repro.engine.metrics import MetricsRegistry
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
@@ -83,118 +78,28 @@ class TestCompressedBundle:
         assert blob.startswith(BUNDLE_MAGIC)
 
 
-class TestLazyPartition:
-    def _lazy(self, records, serializer=None, metrics=None):
-        serializer = serializer or GpfSerializer()
-        blob, _ = encode_partition(records, serializer)
-        part = decode_partition(blob, serializer, metrics=metrics)
-        assert isinstance(part, LazyPartition)
-        return part
-
-    def test_iteration_round_trips(self):
+class TestDecodePartition:
+    @pytest.mark.parametrize("name", ["gpf", "compact"])
+    def test_round_trips_to_a_list(self, name):
+        serializer = get_serializer(name)
         records = make_fastq(20)
-        assert list(self._lazy(records)) == records
+        blob, _ = encode_partition(records, serializer)
+        part = decode_partition(blob, serializer)
+        assert type(part) is list
+        assert part == records
 
-    def test_len_and_bool_without_decode(self):
-        part = self._lazy(make_fastq(7))
-        assert len(part) == 7
-        assert bool(part)
-        empty = self._lazy([])
-        assert len(empty) == 0
-        assert not empty
-
-    def test_reiteration_decodes_again(self):
-        part = self._lazy(make_fastq(5))
-        assert list(part) == list(part)
-
-    def test_getitem_int_and_negative(self):
-        records = make_fastq(9)
-        part = self._lazy(records)
-        assert part[0] == records[0]
-        assert part[4] == records[4]
-        assert part[-1] == records[-1]
-        with pytest.raises(IndexError):
-            part[9]
-
-    def test_getitem_slice(self):
-        records = make_fastq(6)
-        part = self._lazy(records)
-        assert part[1:4] == records[1:4]
-
-    def test_materialize(self):
-        records = make_fastq(4)
-        assert self._lazy(records).materialize() == records
-
-    def test_batches_chunk_size(self):
-        part = self._lazy(make_fastq(10))
-        batches = list(part.batches(batch_size=3))
-        assert [len(b) for b in batches] == [3, 3, 3, 1]
+    def test_empty_partition(self):
+        blob, bundle = encode_partition([], GpfSerializer())
+        assert bundle.count == 0
+        assert decode_partition(blob, GpfSerializer()) == []
 
     def test_telemetry_counts_decode(self):
         metrics = MetricsRegistry()
-        part = self._lazy(make_fastq(12), metrics=metrics)
-        list(part)
+        blob, _ = encode_partition(make_fastq(12), GpfSerializer())
+        decode_partition(blob, GpfSerializer(), metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters["blockmanager.decoded_records"] == 12
         assert counters["blockmanager.decode_seconds"] > 0
-
-    def test_pickle_round_trip(self):
-        records = make_fastq(6)
-        part = self._lazy(records)
-        clone = pickle.loads(pickle.dumps(part))
-        assert list(clone) == records
-        assert len(clone) == 6
-
-    def test_serializer_without_iter_loads(self):
-        # Pickle has no incremental decode: a compact block is one chunk.
-        records = make_fastq(5)
-        part = self._lazy(records, serializer=CompactSerializer())
-        assert list(part) == records
-        assert [len(b) for b in part.batches(2)] == [5]
-
-
-class TestPartitionChain:
-    def _chain(self, *parts):
-        serializer = GpfSerializer()
-        views = []
-        for part in parts:
-            blob, _ = encode_partition(part, serializer)
-            views.append(decode_partition(blob, serializer))
-        return PartitionChain(views)
-
-    def test_concatenation(self):
-        a, b = make_fastq(3), make_fastq(2)
-        chain = self._chain(a, b)
-        assert list(chain) == a + b
-        assert len(chain) == 5
-        assert chain[3] == b[0]
-        assert chain[0:2] == a[0:2]
-
-    def test_empty(self):
-        chain = self._chain()
-        assert not chain
-        assert len(chain) == 0
-        assert list(chain) == []
-
-    def test_batches_span_parts(self):
-        chain = self._chain(make_fastq(4), make_fastq(4))
-        assert sum(len(b) for b in chain.batches(3)) == 8
-
-
-class TestIterRecordBatches:
-    def test_list_is_sliced(self):
-        batches = list(iter_record_batches(list(range(10)), 4))
-        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_generator_is_accumulated(self):
-        batches = list(iter_record_batches((x for x in range(5)), 2))
-        assert batches == [[0, 1], [2, 3], [4]]
-
-    def test_lazy_partition_streams(self):
-        serializer = GpfSerializer()
-        blob, _ = encode_partition(make_fastq(7), serializer)
-        part = decode_partition(blob, serializer)
-        assert [len(b) for b in iter_record_batches(part, 3)] == [3, 3, 1]
 
 
 class TestApproxLogicalBytes:

@@ -1,11 +1,14 @@
 """Compressed-resident partitions end to end: cache, budget eviction,
-spill, journal checkpoints, and the telemetry gauges."""
+spill, journal checkpoints, the telemetry gauges, and the three places a
+stored partition is read, each decoding it once to a list."""
 
 import pytest
 
 from repro.engine.blockmanager import unframe_block
-from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle, LazyPartition
+from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.journal import CheckpointFileRDD
+from repro.engine.metrics import TaskMetrics
 from repro.engine.rdd import HashPartitioner
 from repro.engine.shuffle import read_block
 from repro.formats.fastq import FastqPair, FastqRecord
@@ -39,15 +42,43 @@ def gpf_ctx(tmp_path):
     context.stop()
 
 
-class TestCachedBlocksStayCompressed:
-    def test_cache_get_returns_lazy_partition(self, gpf_ctx):
+class TestReadsDecodeToLists:
+    def test_cache_get_returns_a_counted_list(self, gpf_ctx):
         pairs = make_pairs(30)
         rdd = gpf_ctx.parallelize(pairs, 3).persist()
         assert rdd.collect() == pairs  # populates the cache
+        block = gpf_ctx.block_manager.get((rdd.id, 0))
+        assert CompressedBundle.frombytes(block).codec == b"P"
+        before = gpf_ctx.metrics.counter("blockmanager.decoded_records")
         cached = gpf_ctx._cache_get(rdd, 0)
-        assert isinstance(cached, LazyPartition)
-        assert cached.bundle.codec == b"P"
+        assert type(cached) is list
+        assert cached == pairs[:10]
+        assert gpf_ctx.metrics.counter("blockmanager.decoded_records") == before + 10
 
+    def test_shuffle_read_returns_one_list(self, gpf_ctx):
+        keyed = [(i % 3, p) for i, p in enumerate(make_pairs(12))]
+        shuffled = gpf_ctx.parallelize(keyed, 3).partition_by(HashPartitioner(2))
+        collected = shuffled.collect()  # writes the shuffle
+        task = TaskMetrics()
+        got = gpf_ctx.shuffle_manager.read(
+            shuffled.shuffle_deps[0].shuffle_id, 0, gpf_ctx.serializer, task
+        )
+        assert type(got) is list
+        assert got == [kv for kv in collected if HashPartitioner(2)(kv[0]) == 0]
+        assert task.records_read == len(got)
+
+    def test_checkpoint_compute_returns_a_list(self, gpf_ctx, tmp_path):
+        pairs = make_pairs(12)
+        jdir = str(tmp_path / "journal")
+        run_journaled(gpf_ctx, jdir, pairs, lambda p: p)
+        executed, out = run_journaled(gpf_ctx, jdir, pairs, lambda p: p)
+        assert not executed and isinstance(out, CheckpointFileRDD)
+        part = out.compute(0, TaskMetrics())
+        assert type(part) is list
+        assert part == pairs[:6]
+
+
+class TestCachedBlocksStayCompressed:
     def test_collect_from_cache_round_trips(self, gpf_ctx):
         pairs = make_pairs(24)
         rdd = gpf_ctx.parallelize(pairs, 3).persist()

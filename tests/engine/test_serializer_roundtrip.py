@@ -5,10 +5,10 @@ pairs, keyed SAM, non-genomic values, empty partitions) is drawn from a
 stdlib ``random.Random`` seed.  Some partitions carry one record the §4.1
 codec refuses (an IUPAC code, a lowercase base, an ``N`` with a real
 quality); the gpf serializer must store those through its pickle
-fallback (``F``).  ``dumps`` -> ``iter_loads`` and ``encode_partition``
--> ``LazyPartition`` must return the input for every decode batch size,
-and a block in an older payload format must be refused, never decoded
-into something else.
+fallback (``F``).  ``dumps`` -> ``loads``/``loads_many`` and
+``encode_partition`` -> ``decode_partition`` must return the input, and a
+block in an older payload format must be refused, never decoded into
+something else.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from tests.engine.journaled import partition_files, run_journaled
 
 SERIALIZERS = ("gpf", "compact")
 SEEDS = range(6)
-#: Odd sizes split FASTQ pairs' interleaved mates unless the decoder
-#: rounds its chunk to whole pairs.
-BATCH_SIZES = (1, 2, 3, 7, 64, 512)
 #: Phred 2..40: every quality but the Phred-0 marker ``!`` a codec N carries.
 QUALITIES = "".join(chr(q) for q in range(35, 74))
 
@@ -138,29 +135,27 @@ def expected_tag(name: str, kind: str, refused: bool) -> bytes:
 
 
 @pytest.mark.parametrize("name", SERIALIZERS)
-def test_dumps_then_iter_loads_is_identity(name):
+def test_dumps_then_loads_many_is_identity(name):
     serializer = get_serializer(name)
-    for kind, refused, data in cases():
-        blob = serializer.dumps(data)
+    partitions = [data for _, _, data in cases()]
+    blobs = [serializer.dumps(data) for data in partitions]
+    for (kind, refused, data), blob in zip(cases(), blobs):
         assert serializer.loads(blob) == data, (kind, refused)
-        for batch_size in BATCH_SIZES:
-            chunks = list(serializer.iter_loads(blob, batch_size))
-            assert [r for chunk in chunks for r in chunk] == data, (kind, batch_size)
+        assert serializer.loads_many([blob, blob]) == data + data, (kind, refused)
+    # Every kind, refused records and empty partitions in one call.
+    assert serializer.loads_many(blobs) == [e for data in partitions for e in data]
 
 
 @pytest.mark.parametrize("name", SERIALIZERS)
-def test_block_then_lazy_partition_is_identity(name):
+def test_block_then_decode_partition_is_identity(name):
     serializer = get_serializer(name)
     for kind, refused, data in cases():
         blob, bundle = encode_partition(data, serializer)
         if data:
             assert bundle.codec == expected_tag(name, kind, refused), (kind, refused)
         part = decode_partition(blob, serializer)
-        assert len(part) == len(data)
-        assert list(part) == data, (kind, refused)
-        for batch_size in BATCH_SIZES:
-            chunks = list(part.batches(batch_size))
-            assert [r for chunk in chunks for r in chunk] == data, (kind, batch_size)
+        assert type(part) is list
+        assert part == data, (kind, refused)
 
 
 def prefixed_compact(blob: bytes) -> bytes:
@@ -189,7 +184,7 @@ def test_old_compact_checkpoint_is_refused_and_recomputed(tmp_path, name):
         path = partition_files(jdir)[0]
         blob = read_block_file(path)
         with pytest.raises(pickle.UnpicklingError):
-            list(decode_partition(prefixed_compact(blob), ctx.serializer))
+            decode_partition(prefixed_compact(blob), ctx.serializer)
         write_block_file(path, prefixed_compact(blob))
 
         executed, out = run_journaled(ctx, jdir, range(12), lambda x: (x, str(x)))
