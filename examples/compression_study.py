@@ -12,6 +12,7 @@ Run:  python examples/compression_study.py
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def paper_example() -> None:
     print(f"  round trip        : {decompress_sequence(blob, carried_qual)}")
     deltas = delta_encode(carried_qual)
     print(f"  quality deltas    : {deltas.tolist()}  (paper: 67 0 0 -1 -65 69 0 0 0)")
-    codec = HuffmanCodec.from_samples(deltas.tolist())
+    codec = HuffmanCodec.from_frequencies(Counter(deltas.tolist()))
     encoded = codec.encode(deltas)
     print(f"  Huffman coded     : {len(carried_qual)} chars -> {len(encoded)} bytes")
 

@@ -13,50 +13,8 @@ the record structure intact:
   delta-transformed and Huffman-coded with an explicit EOF symbol
   (``repro.compression.delta`` + ``repro.compression.huffman``).
 
-``repro.compression.records`` combines both into whole-record codecs used
-by the engine's ``gpf`` serializer.
+``repro.compression.records`` combines both into whole-record batch codecs
+used by the engine's ``gpf`` serializer; ``repro.compression.refbased`` is
+a CRAM-style reference-based SAM codec (an extension).  Import from the
+submodules.
 """
-
-from repro.compression.twobit import (
-    compress_sequence,
-    decompress_sequence,
-    pack_bases,
-    unpack_bases,
-)
-from repro.compression.delta import delta_encode, delta_decode
-from repro.compression.huffman import HuffmanCodec, EOF_SYMBOL
-from repro.compression.records import (
-    CodecUnsupportedError,
-    FastqCodec,
-    SamCodec,
-    compressed_size,
-    logical_size,
-    ratio,
-    roundtrip_safe,
-)
-from repro.compression.stats import (
-    quality_histogram,
-    delta_histogram,
-    field_fraction,
-)
-
-__all__ = [
-    "compress_sequence",
-    "decompress_sequence",
-    "pack_bases",
-    "unpack_bases",
-    "delta_encode",
-    "delta_decode",
-    "HuffmanCodec",
-    "EOF_SYMBOL",
-    "CodecUnsupportedError",
-    "FastqCodec",
-    "SamCodec",
-    "compressed_size",
-    "logical_size",
-    "ratio",
-    "roundtrip_safe",
-    "quality_histogram",
-    "delta_histogram",
-    "field_fraction",
-]

@@ -7,45 +7,55 @@ batch codec therefore takes a *list* of records and produces a single
 - the Sequence field is 2-bit packed (``twobit``),
 - the Quality field is delta-transformed and Huffman-coded with one codec
   built per encode pass (``delta`` + ``huffman``),
-- all remaining fields keep their original structure and are framed
-  verbatim — the paper is explicit that SAM's other fields are *not*
-  compressed, which is why SAM batches compress less than FASTQ batches
-  (Table 3).
+- all remaining fields are stored verbatim — the paper is explicit that
+  SAM's other fields are *not* compressed, which is why SAM batches
+  compress less than FASTQ batches (Table 3).
 
-The field kernels take a block at a time: its sequences (and qualities)
-are one ``uint8`` array with per-record lengths, masked, 2-bit packed,
-delta and Huffman coded (and back) in a few NumPy passes; decoded strings
-are slices of one ``str`` per field.  Only the framing is per record.
+A batch is laid out by column: each field is written and read with one
+call per batch (or decode pass), never per record.
 
 The unit of work is a task, not a batch.  ``encode_groups`` runs one
 encode pass over several record groups (a map task's shuffle buckets)
-and frames each group as a standalone batch behind the one shared
-table; ``decode_many`` decodes several batches into one record list, in
-passes that run across batch boundaries, each record with its own
-batch's table (``huffman.decode_streams``).  ``encode`` and ``decode``
-are their one-batch case.
+and writes each group as a standalone batch behind the one shared
+table; ``decode_many`` decodes several batches into one record list,
+Huffman-decoding qualities in passes that run across batch boundaries,
+each record with its own batch's table (``huffman.decode_streams``).
+``encode`` and ``decode`` are their one-batch case.
 
-Binary layout of a batch::
+Binary layout of a batch of ``n`` records::
 
-    [u32 record_count]
-    [u32 table_len][huffman code-length table as 'sym:len,...' ascii]
-    per record:
-      [u16 name_len][name][u32 seq_blob_len][seq blob]
-      [u32 qual_blob_len][qual bits][u32 extra_len][extra ascii fields]
+    [u32 n][u32 table_len][huffman code-length table as 'sym:len,...' ascii]
+    [u8 width]
+    [uint x n] per length column   (width bytes each, little-endian)
+    [i64 x n] per integer column   (SAM only)
+    one section per byte column, each record's bytes back to back
 
-SAM writes an empty seq blob for a record without SEQ.
+All numbers are little-endian, and each column's values follow one
+another.  ``width`` is 1, 2 or 4: the narrowest that holds the batch's
+largest length.
+
+FASTQ's length columns are the name's utf-8 bytes, the read length and
+the quality stream's bytes; its byte columns are the names, the packed
+bases (one 2-bit run for the batch) and the quality streams.  SAM adds
+the utf-8 bytes of RNAME, RNEXT and the CIGAR text after QNAME, the
+integer columns FLAG, POS, MAPQ, PNEXT and TLEN, and, last, the tags as
+one pickled list of the records' tag dicts, so a tag value keeps its
+exact Python type.  A SAM record without SEQ has read length 0.
 """
 
 from __future__ import annotations
 
+import pickle
 import struct
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
 from repro.compression.delta import delta_decode_block, delta_encode_block
-from repro.compression.huffman import EOF_SYMBOL, HuffmanCodec, decode_streams
+from repro.compression.huffman import HuffmanCodec, decode_streams
 from repro.compression.twobit import (
     MASK_QUAL_CHAR,
     _ENCODE_LUT,
@@ -54,13 +64,14 @@ from repro.compression.twobit import (
 )
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqRecord
-from repro.formats.sam import SamRecord, format_tag, parse_tag
+from repro.formats.sam import SamRecord
 
 #: Records per decode pass: large enough to amortize a pass's fixed NumPy
 #: calls, small enough to bound its Huffman decode scratch.
 _PASS_SIZE = 512
 
 _MASK = ord(MASK_QUAL_CHAR)
+_HEADER = struct.Struct("<II")
 
 
 class CodecUnsupportedError(ValueError):
@@ -71,9 +82,10 @@ class CodecUnsupportedError(ValueError):
     ``N``), an ``N`` whose quality is not already the Phred-0 marker (its
     real quality would be clobbered), a real ACGT base carrying the
     reserved Phred-0 score (the mask would be ambiguous), or a SAM QUAL
-    without a SEQ (the codec stores qualities only beside bases).  The
-    serializer layer catches this and falls back to pickle for the whole
-    block.
+    without a SEQ (the codec stores qualities only beside bases).  A SAM
+    integer field that is not an ``int`` is refused too: its column would
+    not give back its type.  The serializer layer catches this and falls
+    back to pickle for the whole block.
     """
 
 
@@ -96,16 +108,17 @@ def _split(text: str, lengths: Sequence[int]) -> list[str]:
     return [text[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
-def _strings(views: list) -> list[str]:
-    return _split(b"".join(views).decode("ascii"), [len(v) for v in views])
+def _bounds(lengths) -> np.ndarray:
+    """Offsets of records of ``lengths`` laid end to end: ``n + 1`` of them."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
 def _block_arrays(seqs: list, quals: list, strict: bool) -> tuple[np.ndarray, ...]:
     """A block's bases and qualities as one ASCII ``uint8`` array each, and
     the per-record lengths.  ``strict`` refuses any record the mask would
     alter: a marked quality must sit on an ``N``, an unmarked one on ACGT."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    if lengths.tolist() != [len(q) for q in quals]:
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    if lengths.tolist() != list(map(len, quals)):
         refuse = CodecUnsupportedError if strict else ValueError
         raise refuse("sequence/quality length mismatch")
     seqs, quals = "".join(seqs), "".join(quals)
@@ -123,55 +136,16 @@ def _block_arrays(seqs: list, quals: list, strict: bool) -> tuple[np.ndarray, ..
 
 
 def _encode_qualities(qual: np.ndarray, lengths: np.ndarray) -> tuple:
-    """One Huffman codec over a block's quality deltas (paper Fig. 5-6);
-    each record's deltas are their own stream."""
+    """One Huffman codec over a block's quality deltas (paper Fig. 5-6),
+    each record's deltas its own stream: ``(table, streams back to back,
+    each stream's bytes)``."""
     deltas = delta_encode_block(qual, lengths)
     hist = np.bincount(deltas + 255, minlength=511)
     present = hist.nonzero()[0]
     freqs = dict(zip((present - 255).tolist(), hist[present].tolist()))
     codec = HuffmanCodec.from_frequencies(freqs)
-    return codec, codec.encode_concat(deltas, lengths)
-
-
-def _decode_qualities(codecs: list, owner: list, blobs: Sequence) -> tuple[np.ndarray, ...]:
-    """Inverse of :func:`_encode_qualities` for records of several blocks,
-    record ``i`` coded with ``codecs[owner[i]]``: ``(qualities, lengths)``."""
-    deltas, lengths = decode_streams(codecs, np.array(owner, dtype=np.int64), blobs)
-    return delta_decode_block(deltas, lengths), lengths
-
-
-def _encode_block(names: list, seqs: list, quals: list, strict: bool) -> tuple:
-    """The field kernel shared by the codecs: ``(table, names, seq blobs,
-    qual blobs)``."""
-    if strict and not "".join(names).isascii():
-        raise CodecUnsupportedError("non-ascii record name")
-    name_fields = [name.encode("ascii") for name in names]
-    seq, qual, lengths = _block_arrays(seqs, quals, strict)
-    seq_blobs = compress_block(seq, qual, lengths)
-    codec, qual_blobs = _encode_qualities(qual, lengths)
-    return _serialize_table(codec.code_lengths()), name_fields, seq_blobs, qual_blobs
-
-
-def _decode_block(codecs: list, owner: list, names: list, seqs: list, quals: list) -> tuple:
-    """Inverse of :func:`_encode_block` for one pass: names, seqs, quals."""
-    qual, lengths = _decode_qualities(codecs, owner, quals)
-    bases = decompress_block(seqs, qual, lengths).tobytes().decode("ascii")
-    quals = qual.tobytes().decode("ascii")
-    return _strings(names), _split(bases, lengths), _split(quals, lengths)
-
-
-def _serialize_table(lengths: dict[int, int]) -> bytes:
-    return ",".join(f"{s}:{l}" for s, l in sorted(lengths.items())).encode("ascii")
-
-
-def _deserialize_table(blob: bytes) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for token in blob.decode("ascii").split(","):
-        sym, length = token.split(":")
-        table[int(sym)] = int(length)
-    if any(not -255 <= s <= 255 for s in table if s != EOF_SYMBOL):
-        raise ValueError("code table holds a symbol outside the delta alphabet")
-    return table
+    table = ",".join(f"{s}:{l}" for s, l in sorted(codec.code_lengths().items()))
+    return (table.encode("ascii"), *codec.encode_concat(deltas, lengths))
 
 
 @lru_cache(maxsize=128)
@@ -179,78 +153,156 @@ def _table_codec(table: bytes) -> HuffmanCodec:
     """The codec a code-length table describes.  Interned: the blocks one
     map task writes share its table, so each distinct table is parsed
     (and its decode table built) once."""
-    return HuffmanCodec(_deserialize_table(table))
+    tokens = (token.split(":") for token in table.decode("ascii").split(","))
+    return HuffmanCodec({int(symbol): int(length) for symbol, length in tokens})
 
 
-_WIDTHS = {"H": struct.Struct("<H"), "I": struct.Struct("<I")}
+def _text(values: list[str]) -> tuple[np.ndarray, bytes]:
+    """A text column: each value's utf-8 byte length, and the bytes back to
+    back.  Lone surrogates pass too, so every ``str`` round-trips."""
+    joined = "".join(values)
+    if joined.isascii():
+        return np.fromiter(map(len, values), np.int64, len(values)), joined.encode("ascii")
+    parts = [value.encode("utf-8", "surrogatepass") for value in values]
+    return np.fromiter(map(len, parts), np.int64, len(parts)), b"".join(parts)
 
 
-def _frame(table: bytes, columns: list[tuple[str, Sequence]], sizes: Sequence[int]) -> list:
-    """One standalone batch per group of ``sizes`` consecutive records, all
-    behind the same table: ``[u32 count][u32 table_len][table]``, then per
-    record one field per column: width ``H``/``I`` writes bytes behind
-    their u16/u32 length, ``h``/``i`` a bare u16/u32 value."""
-    layout = [(_WIDTHS[w.upper()].pack, w.isupper()) for w, _ in columns]
-    rows = zip(*(values for _, values in columns))
-    batches = []
-    for size in sizes:
-        parts = [struct.pack("<II", size, len(table)), table]
-        for _, row in zip(range(size), rows):
-            for (pack, prefixed), value in zip(layout, row):
-                parts += (pack(len(value)), value) if prefixed else (pack(value),)
-        batches.append(b"".join(parts))
-    return batches
+def _strings(pieces: list, lengths: np.ndarray) -> list[str]:
+    """Inverse of :func:`_text`, over a column's pieces from several batches."""
+    data = b"".join(pieces)
+    if data.isascii():
+        return _split(data.decode("ascii"), lengths.tolist())
+    bounds = _bounds(lengths).tolist()
+    return [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
 
 
-def _read(data: memoryview, off: int, count: int, widths: str) -> tuple[list, int]:
-    """The next ``count`` records framed as :func:`_frame` writes them:
-    ``(fields by column, new offset)``; bytes come back as views."""
-    fields = [(_WIDTHS[w.upper()], w.isupper(), []) for w in widths]
+def _cut(data, lengths: np.ndarray, ends: np.ndarray) -> list:
+    """``data``, records of byte ``lengths`` laid end to end, cut into the
+    groups of records that end at ``ends``."""
+    offsets = [0] + _bounds(lengths)[ends].tolist()
+    return [data[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+#: Width byte -> dtype of a batch's length columns.
+_WIDTHS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
+
+
+def _batches(table: bytes, ends: np.ndarray, lengths: list, ints, sections: list) -> list[bytes]:
+    """One standalone batch per group of records ending at ``ends``, all
+    behind ``table``: the group's slice of each length column, at the
+    narrowest width that holds its largest value, and of each integer
+    column, then its piece of each byte column (``sections`` holds one
+    list of pieces per column)."""
+    lengths = np.stack(lengths)
+    out = []
+    for g, (a, b) in enumerate(zip([0] + ends.tolist(), ends.tolist())):
+        top = int(lengths[:, a:b].max(initial=0))
+        width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+        parts = [_HEADER.pack(b - a, len(table)), table, bytes((width,))]
+        parts.append(lengths[:, a:b].astype(_WIDTHS[width]).tobytes())
+        parts.append(ints[:, a:b].tobytes())
+        out.append(b"".join(parts + [pieces[g] for pieces in sections]))
+    return out
+
+
+def _encode(groups: Sequence[Sequence], strict: bool, fields, tail) -> list[bytes]:
+    """Batches of record groups, all behind one table: ``fields(records,
+    strict)`` gives the records' text columns, sequences, qualities and
+    integer block, and ``tail(group)`` each group's last byte column."""
+    records = [r for group in groups for r in group]
+    ends = np.cumsum([len(group) for group in groups], dtype=np.int64)
     try:
-        for _ in range(count):
-            for fmt, prefixed, column in fields:
-                (value,) = fmt.unpack_from(data, off)
-                off += fmt.size
-                column.append(data[off : off + value] if prefixed else value)
-                off += value if prefixed else 0
-    except struct.error as exc:
-        raise ValueError("truncated batch") from exc
-    if off > len(data):
-        raise ValueError("truncated batch")
-    return [column for _, _, column in fields], off
+        texts, seqs, quals, ints = fields(records, strict)
+        texts = [_text(values) for values in texts]
+    except (OverflowError, TypeError, ValueError) as exc:
+        if strict:
+            raise CodecUnsupportedError(f"a field would not round-trip: {exc}") from exc
+        raise
+    seq, qual, reads = _block_arrays(seqs, quals, strict)
+    packed, runs = compress_block(seq, qual, np.diff(_bounds(reads)[ends], prepend=0))
+    table, streams, nbytes = _encode_qualities(qual, reads)
+    sections = [_cut(data, n, ends) for n, data in texts]
+    sections += [[packed[a:b] for a, b in zip(runs, runs[1:])], _cut(streams, nbytes, ends)]
+    sections.append([tail(group) for group in groups])
+    return _batches(table, ends, [n for n, _ in texts] + [reads, nbytes], ints, sections)
 
 
-def _record_count(blob: bytes) -> int:
-    """Record count from the batch header, without decoding."""
-    return _read(memoryview(blob), 0, 1, "i")[0][0][0]
+class _Columns:
+    """Batches opened for decoding: every record's length and integer
+    columns (``lengths``, ``ints``), and each batch's piece of byte column
+    ``i`` in ``pieces[i]``, sized by ``sizes(lengths)``; the last column is
+    each batch's rest."""
+
+    def __init__(self, blobs: Sequence, nlengths: int, nints: int, sizes) -> None:
+        self.codecs: list[HuffmanCodec] = []
+        lengths, ints = [np.zeros((nlengths, 0), np.int64)], [np.zeros((nints, 0), "<i8")]
+        pieces = []
+        for blob in blobs:
+            data = memoryview(blob)
+            try:
+                count, table_len = _HEADER.unpack_from(data)
+                off = _HEADER.size + table_len
+                self.codecs.append(_table_codec(bytes(data[_HEADER.size : off])))
+                lens = np.frombuffer(data, _WIDTHS[data[off]], nlengths * count, off + 1)
+                off += 1 + lens.nbytes
+                nums = np.frombuffer(data, "<i8", nints * count, off)
+            except (struct.error, IndexError, KeyError, ValueError) as exc:
+                raise ValueError(f"truncated or corrupt batch: {exc!r}") from exc
+            lengths.append(lens.reshape(nlengths, count).astype(np.int64))
+            ints.append(nums.reshape(nints, count))
+            off += nums.nbytes
+            cuts = np.cumsum([off, *sizes(lengths[-1])]).tolist()
+            if cuts[-1] > len(data):
+                raise ValueError("truncated batch")
+            pieces.append([data[a:b] for a, b in zip(cuts, cuts[1:])] + [data[cuts[-1] :]])
+        self.counts = [lens.shape[1] for lens in lengths[1:]]
+        self.lengths = np.concatenate(lengths, axis=1)
+        self.ints = np.concatenate(ints, axis=1)
+        self.pieces = [list(col) for col in zip(*pieces)] or [[]] * (len(sizes(self.lengths)) + 1)
+
+    def qualities(self, reads: np.ndarray, nbytes: np.ndarray, streams: list) -> np.ndarray:
+        """Every record's masked quality, ASCII ``uint8`` end to end, from
+        its read length and Huffman stream: decoded in passes of
+        ``_PASS_SIZE`` records that run across batch boundaries, each
+        record with its own batch's table."""
+        owner = np.arange(len(self.counts)).repeat(self.counts)
+        data = memoryview(b"".join(streams))
+        bounds = _bounds(nbytes).tolist()
+        out = [np.zeros(0, dtype=np.uint8)]
+        for a in range(0, reads.size, _PASS_SIZE):
+            b = min(a + _PASS_SIZE, reads.size)
+            first, last = owner[a], owner[b - 1]
+            codecs, streams = self.codecs[first : last + 1], data[bounds[a] : bounds[b]]
+            deltas, counts = decode_streams(codecs, owner[a:b] - first, streams, nbytes[a:b])
+            if not np.array_equal(counts, reads[a:b]):
+                raise ValueError("sequence and quality lengths differ")
+            out.append(delta_decode_block(deltas, counts))
+        return np.concatenate(out)
+
+    def bases(self, packed: list, qual: np.ndarray, reads: np.ndarray) -> np.ndarray:
+        """The bases of each batch's 2-bit run, ASCII ``uint8`` end to end:
+        ``reads`` are the run's read lengths (0 for a record outside it),
+        ``qual`` their masked qualities."""
+        runs = np.diff(_bounds(reads)[_bounds(self.counts)])
+        return decompress_block(b"".join(packed), qual, runs)
 
 
-def _passes(blobs: Sequence, widths: str) -> Iterator[tuple]:
-    """The batches' records in decode passes of ``_PASS_SIZE`` that run
-    across batch boundaries: each pass's codecs, the index of each record's
-    codec, and the records' fields by column."""
-    step = _PASS_SIZE
-    codecs: list = []
-    owner: list = []
-    columns: list = [[] for _ in widths]
-    for blob in blobs:
-        data = memoryview(blob)
-        ((count,), (table,)), off = _read(data, 0, 1, "iI")
-        codec = _table_codec(bytes(table))
-        while count:
-            take = min(count, step - len(owner))
-            fields, off = _read(data, off, take, widths)
-            if not codecs or codecs[-1] is not codec:
-                codecs.append(codec)
-            owner += [len(codecs) - 1] * take
-            for column, values in zip(columns, fields):
-                column += values
-            count -= take
-            if len(owner) == step:
-                yield codecs, owner, columns
-                codecs, owner, columns = [], [], [[] for _ in widths]
-    if owner:
-        yield codecs, owner, columns
+def _decode(blobs: Sequence, ntexts: int, nints: int) -> tuple:
+    """The batches of :func:`_encode` with ``ntexts`` text columns:
+    ``(columns, texts, seqs, quals, each batch's last byte column)``."""
+    cols = _Columns(blobs, ntexts + 2, nints, lambda lens: [
+        *lens[:ntexts].sum(axis=1), (lens[ntexts].sum() + 3) >> 2, lens[ntexts + 1].sum()
+    ])
+    *texts, packed, streams, tail = cols.pieces
+    reads, nbytes = cols.lengths[ntexts:]
+    qual = cols.qualities(reads, nbytes, streams)
+    seqs = _sequence_text(cols.bases(packed, qual, reads), reads)
+    texts = [_strings(pieces, n) for pieces, n in zip(texts, cols.lengths)]
+    return cols, texts, seqs, _sequence_text(qual, reads), tail
+
+
+def _sequence_text(bases: np.ndarray, lengths: np.ndarray) -> list[str]:
+    return _split(bases.tobytes().decode("ascii"), lengths.tolist())
 
 
 class FastqCodec:
@@ -267,30 +319,31 @@ class FastqCodec:
         or :class:`CodecUnsupportedError` is raised before any output is
         produced (the serializer layer then falls back to pickle).
         """
-        records = [r for group in groups for r in group]
-        table, names, seqs, quals = _encode_block(
-            [r.name for r in records],
-            [r.sequence for r in records],
-            [r.quality for r in records],
-            strict,
-        )
-        columns = [("H", names), ("I", seqs), ("I", quals)]
-        return _frame(table, columns, [len(group) for group in groups])
+        def fields(records: list, strict: bool) -> tuple:  # no integer column
+            names, seqs = [[r.name for r in records]], [r.sequence for r in records]
+            return names, seqs, [r.quality for r in records], np.zeros((0, len(records)), "<i8")
+
+        return _encode(groups, strict, fields, lambda group: b"")
 
     @staticmethod
     def encode(records: Sequence[FastqRecord], strict: bool = False) -> bytes:
         """One batch for one record group: :meth:`encode_groups` of one."""
         return FastqCodec.encode_groups([records], strict)[0]
 
-    record_count = staticmethod(_record_count)
+    @staticmethod
+    def record_count(blob: bytes) -> int:
+        """Record count from the batch header, without decoding."""
+        if len(blob) < 4:
+            raise ValueError("truncated batch")
+        return int.from_bytes(blob[:4], "little")
 
     @staticmethod
     def decode_many(blobs: Sequence[bytes]) -> list[FastqRecord]:
         """The batches' records, in order, as one list."""
-        records: list[FastqRecord] = []
-        for codecs, owner, columns in _passes(blobs, "HII"):
-            records += map(FastqRecord, *_decode_block(codecs, owner, *columns))
-        return records
+        _, (names,), seqs, quals, tail = _decode(blobs, 1, 0)
+        if any(tail):
+            raise ValueError("trailing bytes after a batch")
+        return list(map(FastqRecord, names, seqs, quals))
 
     @staticmethod
     def decode(blob: bytes) -> list[FastqRecord]:
@@ -298,51 +351,51 @@ class FastqCodec:
         return FastqCodec.decode_many([blob])
 
 
-def _sam_extra_fields(rec: SamRecord) -> bytes:
-    """All SAM fields except name/seq/qual, framed as a tab-joined line."""
-    fields = [
-        str(rec.flag),
-        rec.rname,
-        str(rec.pos),
-        str(rec.mapq),
-        str(rec.cigar),
-        rec.rnext,
-        str(rec.pnext),
-        str(rec.tlen),
-    ]
-    fields += [format_tag(k, v) for k, v in sorted(rec.tags.items())]
-    return "\t".join(fields).encode("ascii")
+#: SAM's integer columns, in layout order.
+_SAM_INTS = attrgetter("flag", "pos", "mapq", "pnext", "tlen")
 
 
-def _sam_extras(records: Sequence[SamRecord], strict: bool) -> list[bytes]:
-    """Every record's extra fields, computed once.  Strict mode refuses
-    fields that do not frame as one ascii line: a non-ascii byte, or a tab
-    or newline inside a tag value (it would re-split on decode)."""
-    try:
-        extras = [_sam_extra_fields(rec) for rec in records]
-    except (UnicodeEncodeError, ValueError, TypeError) as exc:
-        if strict:
-            raise CodecUnsupportedError("SAM extra fields are not ascii") from exc
-        raise
-    # A line has at least 7 + len(tags) tabs: the totals agree only if
-    # every line does.
-    joined = b"".join(extras)
-    tabs = sum(7 + len(rec.tags) for rec in records)
-    if strict and (b"\n" in joined or joined.count(b"\t") != tabs):
-        raise CodecUnsupportedError("SAM tag contains a framing byte (tab/newline)")
-    return extras
+def _sam_fields(records: list[SamRecord], strict: bool) -> tuple:
+    """SAM's columns for :func:`_encode`: the text columns QNAME, RNAME,
+    RNEXT and the CIGAR text, SEQ, QUAL (dropped without SEQ), and FLAG,
+    POS, MAPQ, PNEXT and TLEN as one ``(5, n)`` ``<i8`` block.  ``strict``
+    refuses an integer field that is not an ``int``."""
+    values = list(map(_SAM_INTS, records))
+    if strict and not set(map(type, chain.from_iterable(values))) <= {int}:
+        raise TypeError("a SAM integer field is not an int")
+    texts = [[r.qname for r in records], [r.rname for r in records], [r.rnext for r in records]]
+    texts.append([str(r.cigar) for r in records])
+    seqs, quals = [r.seq for r in records], [r.qual if r.seq else "" for r in records]
+    return texts, seqs, quals, np.array(values, dtype="<i8").reshape(len(records), 5).T
 
 
-def _sam_from_extra(name: str, seq: str, qual: str, extra: str) -> SamRecord:
-    flag, rname, pos, mapq, cigar, rnext, pnext, tlen, *tags = extra.split("\t")
-    return SamRecord(
-        name, int(flag), rname, int(pos), int(mapq), Cigar.parse(cigar), rnext,
-        int(pnext), int(tlen), seq, qual, dict(map(parse_tag, tags)),
-    )
+def _sam_tags(records: Sequence[SamRecord]) -> bytes:
+    return pickle.dumps([r.tags for r in records], protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _sam_records(cols: _Columns, texts: list, seqs: list, quals: list, tags: list) -> list:
+    """SAM records from decoded columns; ``tags`` is each batch's pickled
+    tag column."""
+    qnames, rnames, rnexts, cigars = texts
+    tag_dicts: list = []
+    for blob, count in zip(tags, cols.counts):
+        try:
+            batch = pickle.loads(blob)
+        except Exception as exc:  # any unpickling failure is a corrupt batch
+            raise ValueError(f"corrupt SAM tag column: {exc!r}") from exc
+        if not isinstance(batch, list) or len(batch) != count:
+            raise ValueError("corrupt SAM tag column")
+        tag_dicts += batch
+    flag, pos, mapq, pnext, tlen = cols.ints.tolist()
+    return list(map(
+        SamRecord, qnames, flag, rnames, pos, mapq, map(Cigar.parse, cigars), rnexts,
+        pnext, tlen, seqs, quals, tag_dicts,
+    ))
 
 
 class SamCodec:
-    """Batch codec for SAM records: seq/qual compressed, other fields framed."""
+    """Batch codec for SAM records: seq/qual compressed, other fields
+    stored verbatim by column."""
 
     @staticmethod
     def encode_groups(
@@ -355,34 +408,21 @@ class SamCodec:
         that would not round-trip byte-identically (see FastqCodec).
         Without it, a QUAL whose record has no SEQ is dropped.
         """
-        records = [r for group in groups for r in group]
-        extras = _sam_extras(records, strict)
-        if strict and any(r.qual and not r.seq for r in records):
+        if strict and any(r.qual and not r.seq for group in groups for r in group):
             raise CodecUnsupportedError("SAM record with QUAL but no SEQ")
-        seqs = [r.seq for r in records]
-        quals = [r.qual if r.seq else "" for r in records]
-        table, names, seq_blobs, quals = _encode_block(
-            [r.qname for r in records], seqs, quals, strict
-        )
-        seq_blobs = [blob if seq else b"" for blob, seq in zip(seq_blobs, seqs)]
-        columns = [("H", names), ("I", seq_blobs), ("I", quals), ("I", extras)]
-        return _frame(table, columns, [len(group) for group in groups])
+        return _encode(groups, strict, _sam_fields, _sam_tags)
 
     @staticmethod
     def encode(records: Sequence[SamRecord], strict: bool = False) -> bytes:
         """One batch for one record group: :meth:`encode_groups` of one."""
         return SamCodec.encode_groups([records], strict)[0]
 
-    record_count = staticmethod(_record_count)
+    record_count = staticmethod(FastqCodec.record_count)
 
     @staticmethod
     def decode_many(blobs: Sequence[bytes]) -> list[SamRecord]:
         """The batches' records, in order, as one list."""
-        records: list[SamRecord] = []
-        for codecs, owner, (names, seqs, quals, extras) in _passes(blobs, "HIII"):
-            fields = _decode_block(codecs, owner, names, seqs, quals)
-            records += map(_sam_from_extra, *fields, _strings(extras))
-        return records
+        return _sam_records(*_decode(blobs, 4, 5))
 
     @staticmethod
     def decode(blob: bytes) -> list[SamRecord]:
@@ -396,20 +436,12 @@ def logical_size(records: Sequence[FastqRecord] | Sequence[SamRecord]) -> int:
     Counts the string payload plus a fixed per-object overhead; this is
     the "logical bytes" side of the compression-ratio telemetry.
     """
-    total = 0
-    for rec in records:
-        if isinstance(rec, FastqRecord):
-            total += len(rec.name) + len(rec.sequence) + len(rec.quality) + 96
-        else:
-            total += (
-                len(rec.qname)
-                + len(rec.seq)
-                + len(rec.qual)
-                + len(rec.rname)
-                + len(rec.rnext)
-                + 160
-            )
-    return total
+    return sum(
+        len(r.name) + len(r.sequence) + len(r.quality) + 96
+        if isinstance(r, FastqRecord)
+        else len(r.qname) + len(r.seq) + len(r.qual) + len(r.rname) + len(r.rnext) + 160
+        for r in records
+    )
 
 
 def compressed_size(
@@ -443,3 +475,4 @@ def ratio(
     if compressed == 0:
         return 1.0
     return logical_size(records) / compressed
+

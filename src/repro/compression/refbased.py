@@ -21,24 +21,24 @@ the same reference every Process already holds.
 from __future__ import annotations
 
 import struct
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from repro.compression.records import (
+    _Columns,
+    _batches,
     _block_arrays,
-    _decode_qualities,
     _encode_qualities,
-    _frame,
-    _passes,
-    _sam_extras,
-    _sam_from_extra,
-    _serialize_table,
+    _sam_fields,
+    _sam_records,
+    _sam_tags,
+    _sequence_text,
     _split,
     _strings,
+    _text,
 )
-from repro.compression.twobit import compress_block, decompress_block
+from repro.compression.twobit import compress_block
 from repro.formats.fasta import Reference
 from repro.formats.sam import SamRecord
 
@@ -94,16 +94,15 @@ def decode_against_reference(
     return out.decode("ascii")
 
 
-#: Per-record frame tags inside a reference-based batch.
-_REF_ENCODED = 0
-_TWOBIT_FALLBACK = 1
-
-
 class RefBasedSamCodec:
     """Batch codec: reference-diff sequences + delta/Huffman qualities.
 
     Drop-in alternative to :class:`repro.compression.records.SamCodec`
     for contexts that hold the reference (all of GPF's Processes do).
+    Its batch is ``SamCodec``'s layout with one more length column, each
+    record's diff bytes (0 for a record 2-bit packed instead), and the
+    diffs as one more byte column ahead of the 2-bit run, which holds
+    only the 2-bit packed records.  The read-length column counts QUAL.
     """
 
     def __init__(self, reference: Reference):
@@ -111,61 +110,50 @@ class RefBasedSamCodec:
 
     def encode(self, records: Sequence[SamRecord]) -> bytes:
         """Serialize a batch with reference-diff sequences where possible."""
-        ref_blobs = [encode_against_reference(r, self.reference) for r in records]
-        twobit = [r for r, ref in zip(records, ref_blobs) if ref is None and r.seq]
-        seq, qual, lengths = _block_arrays(
-            [r.seq for r in twobit], [r.qual for r in twobit], strict=False
+        records = list(records)
+        diffs = [encode_against_reference(r, self.reference) or b"" for r in records]
+        twobit = [r for r, diff in zip(records, diffs) if not diff]
+        seq, qual, reads = _block_arrays(
+            [r.seq for r in twobit], [r.qual if r.seq else "" for r in twobit], strict=False
         )
-        packed = iter(compress_block(seq, qual, lengths))
-        masked = iter(_split(qual.tobytes().decode("ascii"), lengths))
-        tags, seq_blobs, quals = [], [], []
-        for rec, ref_blob in zip(records, ref_blobs):
-            if ref_blob is not None:
-                tags.append(_REF_ENCODED)
-                seq_blobs.append(ref_blob)
-                quals.append(rec.qual)
-            else:
-                tags.append(_TWOBIT_FALLBACK)
-                seq_blobs.append(next(packed) if rec.seq else b"")
-                quals.append(next(masked) if rec.seq else "")
-        lengths = np.array([len(q) for q in quals], dtype=np.int64)
-        qual = np.frombuffer("".join(quals).encode("ascii"), dtype=np.uint8)
-        codec, qual_blobs = _encode_qualities(qual, lengths)
-        columns = [
-            ("h", tags),
-            ("H", [r.qname.encode("ascii") for r in records]),
-            ("I", seq_blobs),
-            ("I", qual_blobs),
-            ("I", _sam_extras(records, strict=False)),
-        ]
-        [blob] = _frame(_serialize_table(codec.code_lengths()), columns, [len(records)])
-        return blob
+        packed, _ = compress_block(seq, qual, reads.sum(keepdims=True))
+        masked = iter(_split(qual.tobytes().decode("ascii"), reads.tolist()))
+        quals = [rec.qual if diff else next(masked) for rec, diff in zip(records, diffs)]
+        qual_len = np.fromiter(map(len, quals), np.int64, len(quals))
+        table, streams, nbytes = _encode_qualities(
+            np.frombuffer("".join(quals).encode("ascii"), dtype=np.uint8), qual_len
+        )
+        texts, _, _, ints = _sam_fields(records, strict=False)
+        texts = [_text(values) for values in texts]
+        lengths = [n for n, _ in texts] + [qual_len, nbytes, np.array([len(d) for d in diffs])]
+        sections = [[data] for _, data in texts] + [[b"".join(diffs)], [packed], [streams]]
+        ends = np.array([len(records)])
+        return _batches(table, ends, lengths, ints, sections + [[_sam_tags(records)]])[0]
 
     def decode(self, blob: bytes) -> list[SamRecord]:
         """Inverse of :meth:`encode`; reconstructs sequences from the reference."""
-        records: list[SamRecord] = []
-        for codecs, owner, (tags, names, seq_blobs, quals, extras) in _passes(
-            [blob], "hHIII"
-        ):
-            qual, lengths = _decode_qualities(codecs, owner, quals)
-            twobit = np.array(tags, dtype=np.int64) != _REF_ENCODED
-            bases = decompress_block(
-                list(compress(seq_blobs, twobit)),
-                qual[twobit.repeat(lengths)],
-                lengths[twobit],
-            )
-            seqs = iter(_split(bases.tobytes().decode("ascii"), lengths[twobit]))
-            quals = _split(qual.tobytes().decode("ascii"), lengths)
-            for tag, name, seq_blob, qual_text, line in zip(
-                tags, _strings(names), seq_blobs, quals, _strings(extras)
-            ):
-                if tag == _REF_ENCODED:
-                    # Build the record shell first (pos/cigar live in extra).
-                    rec = _sam_from_extra(name, "", qual_text, line)
-                    rec.seq = decode_against_reference(
-                        seq_blob, rec.pos, rec.rname, rec.cigar, self.reference
-                    )
-                else:
-                    rec = _sam_from_extra(name, next(seqs), qual_text, line)
-                records.append(rec)
+        cols = _Columns([blob], 7, 5, lambda lens: [
+            *lens[:4].sum(axis=1),
+            lens[6].sum(),
+            (lens[4][lens[6] == 0].sum() + 3) >> 2,
+            lens[5].sum(),
+        ])
+        *texts, diffs, packed, streams, tags = cols.pieces
+        qual_len, nbytes, diff_len = cols.lengths[4:]
+        qual = cols.qualities(qual_len, nbytes, streams)
+        twobit = diff_len == 0
+        bases = cols.bases(packed, qual[twobit.repeat(qual_len)], np.where(twobit, qual_len, 0))
+        seqs = iter(_sequence_text(bases, qual_len[twobit]))
+        texts = [_strings(pieces, n) for pieces, n in zip(texts, cols.lengths)]
+        quals = _sequence_text(qual, qual_len)
+        records = _sam_records(cols, texts, [""] * twobit.size, quals, tags)
+        diffs = b"".join(diffs)
+        bounds = [0] + diff_len.cumsum().tolist()
+        for rec, a, b in zip(records, bounds, bounds[1:]):
+            if a == b:
+                rec.seq = next(seqs)
+            else:
+                rec.seq = decode_against_reference(
+                    diffs[a:b], rec.pos, rec.rname, rec.cigar, self.reference
+                )
         return records

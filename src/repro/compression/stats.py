@@ -16,19 +16,15 @@ import numpy as np
 from repro.compression.delta import delta_encode
 
 
+def _percent(arrays: Iterable[np.ndarray]) -> dict[int, float]:
+    values = np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+    keys, counts = np.unique(values, return_counts=True)
+    return {k: 100.0 * c / values.size for k, c in zip(keys.tolist(), counts.tolist())}
+
+
 def quality_histogram(qualities: Iterable[str]) -> dict[int, float]:
     """Percent of bases at each raw ASCII quality value."""
-    counts: dict[int, int] = {}
-    total = 0
-    for qual in qualities:
-        raw = np.frombuffer(qual.encode("ascii"), dtype=np.uint8)
-        values, freq = np.unique(raw, return_counts=True)
-        for v, c in zip(values.tolist(), freq.tolist()):
-            counts[v] = counts.get(v, 0) + c
-        total += len(raw)
-    if total == 0:
-        return {}
-    return {v: 100.0 * c / total for v, c in sorted(counts.items())}
+    return _percent(np.frombuffer(q.encode("ascii"), dtype=np.uint8) for q in qualities)
 
 
 def delta_histogram(qualities: Iterable[str]) -> dict[int, float]:
@@ -37,17 +33,7 @@ def delta_histogram(qualities: Iterable[str]) -> dict[int, float]:
     Only the difference part of the delta stream is counted (the first
     element of each read is the absolute score, not a difference).
     """
-    counts: dict[int, int] = {}
-    total = 0
-    for qual in qualities:
-        deltas = delta_encode(qual)[1:]
-        values, freq = np.unique(deltas, return_counts=True)
-        for v, c in zip(values.tolist(), freq.tolist()):
-            counts[int(v)] = counts.get(int(v), 0) + int(c)
-        total += len(deltas)
-    if total == 0:
-        return {}
-    return {v: 100.0 * c / total for v, c in sorted(counts.items())}
+    return _percent(delta_encode(q)[1:] for q in qualities)
 
 
 def concentration(histogram: dict[int, float], radius: int = 10) -> float:

@@ -7,13 +7,13 @@ scheme (the paper notes the range 33..126 for the raw ASCII, i.e. score
 0 is never produced by a sequencer) — so the decoder can recognize
 "A with quality 0" as a masked special character.
 
-The packed layout per sequence is::
+The ``*_block`` functions take a whole block of records laid end to end
+in one array, in a few NumPy passes, and pack their bases as runs (a
+record batch is one run), 4 bases per byte, each run zero padded to a
+whole byte.  The per-sequence functions are their one-record case, with
+a length header::
 
     [length: u32 little-endian][packed 2-bit bases, 4 per byte, zero padded]
-
-The ``*_block`` functions take a whole block of records laid end to end
-in one array, in a few NumPy passes; the per-sequence functions are their
-one-record case.
 """
 
 from __future__ import annotations
@@ -29,12 +29,9 @@ _ENCODE_LUT = np.full(256, 255, dtype=np.uint8)
 for _base, _code in BASE_TO_CODE.items():
     _ENCODE_LUT[ord(_base)] = _code
 
-#: Quality character used to mark a masked special base (Phred 0 => '!'-1
-#: is out of range, so we use chr(33+0)... but the paper sets the *score*
-#: to 0, meaning ASCII 33 ('!') never appears for real bases).  We encode
-#: the mask as Phred score 0 == ASCII '!' and require real reads to have
-#: Phred >= 1, which repro.sim guarantees and real Illumina data satisfies
-#: (minimum reported quality is 2).
+#: Quality character marking a masked special base: Phred 0, ASCII '!'.
+#: Real reads must have Phred >= 1, which repro.sim guarantees and real
+#: Illumina data satisfies (minimum reported quality is 2).
 MASK_QUAL_CHAR = "!"
 _MASK = ord(MASK_QUAL_CHAR)
 _SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
@@ -44,27 +41,26 @@ def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
-def _spread(lengths: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Index of each element of records laid end to end, once record ``i``
-    is given ``slots[i]`` places instead."""
-    shift = (slots.cumsum() - slots - lengths.cumsum() + lengths).repeat(lengths)
-    return np.arange(int(lengths.sum())) + shift
-
-
-def _pack(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, list[int]]:
-    """Each record's 2-bit codes, 4 per byte and zero padded: the packed
-    bytes back to back and the record boundaries in them."""
-    nbytes = (lengths + 3) >> 2
-    slots = np.zeros(4 * int(nbytes.sum()), dtype=np.uint8)
-    slots[_spread(lengths, 4 * nbytes)] = codes
+def _pack(codes: np.ndarray, runs: np.ndarray) -> tuple[bytes, list[int]]:
+    """Runs of ``runs[i]`` 2-bit codes, 4 per byte, each zero padded to a
+    whole byte: the packed bytes back to back and the run boundaries in
+    them.  A record batch is one run, so there are few."""
+    bounds = [0] + ((runs + 3) >> 2).cumsum().tolist()
+    ends = runs.cumsum().tolist()
+    slots = np.zeros(4 * bounds[-1], dtype=np.uint8)
+    for start, end, at in zip([0] + ends, ends, bounds):
+        slots[4 * at : 4 * at + end - start] = codes[start:end]
     packed = (slots.reshape(-1, 4) << _SHIFTS).sum(axis=1, dtype=np.uint8)
-    return packed.tobytes(), [0] + nbytes.cumsum().tolist()
+    return packed.tobytes(), bounds
 
 
-def _unpack(packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pack`: the records' bases as ASCII, end to end."""
-    codes = (packed[:, None] >> _SHIFTS) & 3
-    return CODE_TO_BASE[codes.ravel()[_spread(lengths, 4 * ((lengths + 3) >> 2))]]
+def _unpack(packed: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack`: the runs' bases as ASCII, end to end."""
+    codes = ((packed[:, None] >> _SHIFTS) & 3).ravel()
+    starts = 4 * (((runs + 3) >> 2).cumsum() - ((runs + 3) >> 2))
+    if runs.size > 1:
+        codes = np.concatenate([codes[a : a + n] for a, n in zip(starts.tolist(), runs.tolist())])
+    return CODE_TO_BASE[codes[: int(runs.sum())]]
 
 
 def _mask(seq: np.ndarray, qual: np.ndarray) -> np.ndarray:
@@ -123,28 +119,22 @@ def unmask_special_bases(sequence: str, quality: str) -> str:
     return seq.tobytes().decode("ascii")
 
 
-def compress_block(seq: np.ndarray, qual: np.ndarray, lengths: np.ndarray) -> list:
-    """:func:`compress_sequence` of records laid end to end in ``seq`` and
-    ``qual`` (ASCII ``uint8``): each record's blob; ``qual`` is masked in
-    place."""
-    packed, bounds = _pack(_mask(seq, qual), lengths)
-    headers = lengths.astype("<u4").tobytes()
-    return [
-        headers[4 * i : 4 * i + 4] + packed[a:b]
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    ]
+def compress_block(seq: np.ndarray, qual: np.ndarray, runs: np.ndarray) -> tuple[bytes, list[int]]:
+    """The 2-bit codes of records laid end to end in ``seq`` and ``qual``
+    (ASCII ``uint8``), packed as runs of ``runs[i]`` bases, each run from a
+    fresh byte: the packed runs back to back and the run boundaries in
+    them.  ``qual`` is masked in place."""
+    return _pack(_mask(seq, qual), runs)
 
 
-def decompress_block(blobs: list, qual: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`compress_block`: the records' bases laid end to end,
-    ``N`` restored wherever the masked quality holds the marker."""
-    if [int.from_bytes(blob[:4], "little") for blob in blobs] != lengths.tolist():
+def decompress_block(packed, qual: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`compress_block`: the bases laid end to end, ``N``
+    restored wherever the masked quality holds the marker."""
+    if int(runs.sum()) != qual.size:
         raise ValueError("sequence and quality lengths differ")
-    nbytes = ((lengths + 3) >> 2).tolist()
-    packed = b"".join([blob[4 : 4 + n] for blob, n in zip(blobs, nbytes)])
-    if len(packed) != sum(nbytes):
-        raise ValueError("truncated 2-bit sequence blob")
-    bases = _unpack(np.frombuffer(packed, dtype=np.uint8), lengths)
+    if len(packed) != int(((runs + 3) >> 2).sum()):
+        raise ValueError("truncated 2-bit sequence run")
+    bases = _unpack(np.frombuffer(packed, dtype=np.uint8), runs)
     bases[qual == _MASK] = ord("N")
     return bases
 
@@ -158,12 +148,13 @@ def compress_sequence(sequence: str, quality: str) -> tuple[bytes, str]:
     quality codec then compresses).
     """
     qual = _ascii(quality).copy()
-    [blob] = compress_block(_ascii(sequence), qual, np.array([len(sequence)]))
-    return blob, qual.tobytes().decode("ascii")
+    packed, _ = compress_block(_ascii(sequence), qual, np.array([len(sequence)]))
+    return len(sequence).to_bytes(4, "little") + packed, qual.tobytes().decode("ascii")
 
 
 def decompress_sequence(blob: bytes, masked_quality: str) -> str:
     """Inverse of :func:`compress_sequence`; restores special characters."""
     qual = _ascii(masked_quality)
-    bases = decompress_block([blob], qual, np.array([qual.size]))
-    return bases.tobytes().decode("ascii")
+    if len(blob) < 4 or int.from_bytes(blob[:4], "little") != qual.size:
+        raise ValueError("sequence and quality lengths differ")
+    return decompress_block(blob[4:], qual, np.array([qual.size])).tobytes().decode("ascii")

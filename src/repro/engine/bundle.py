@@ -12,7 +12,7 @@ Block format (``GPB2``: the payload *inside* the crc32 ``GPFB``
 frame)::
 
     [4s magic "GPB2"][u8 version][1s codec tag]
-    [u32 record count][u64 logical bytes]
+    [u32 record count][u64 logical bytes, 0 unless estimated]
     [serializer payload]
 
 The codec tag is the gpf serializer's own frame tag (``Q`` FASTQ, ``S``
@@ -91,8 +91,10 @@ class CompressedBundle:
     def encode(
         cls, elements: Sequence[object], serializer: Serializer
     ) -> "CompressedBundle":
-        """Serialize one partition into its resident block form."""
-        return encode_partitions([elements], serializer)[0][1]
+        """One partition's resident block form, logical bytes estimated."""
+        bundle = encode_partitions([elements], serializer)[0][1]
+        bundle.logical_bytes = approx_logical_bytes(elements)
+        return bundle
 
     def tobytes(self) -> bytes:
         return (
@@ -140,12 +142,13 @@ def encode_partitions(
     partitions: Sequence[Sequence[object]], serializer: Serializer
 ) -> list[tuple[bytes, CompressedBundle]]:
     """Partitions -> (block bytes, bundle) each, through one serializer
-    pass (``dumps_many``); every block still decodes alone."""
+    pass (``dumps_many``); every block still decodes alone.  Logical bytes
+    are 0: a cache put, their one reader, estimates its own."""
     partitions = [p if isinstance(p, list) else list(p) for p in partitions]
     out = []
     for elements, payload in zip(partitions, serializer.dumps_many(partitions)):
         tag = payload[:1] if payload[:1] in CODEC_TAGS or payload[:1] == b"F" else OPAQUE_TAG
-        bundle = CompressedBundle(tag, len(elements), approx_logical_bytes(elements), payload)
+        bundle = CompressedBundle(tag, len(elements), 0, payload)
         out.append((bundle.tobytes(), bundle))
     return out
 

@@ -18,7 +18,7 @@ from contextlib import contextmanager, suppress
 
 from repro.engine.accumulators import Accumulator, counter
 from repro.engine.blockmanager import BlockManager
-from repro.engine.bundle import decode_partition, encode_partition
+from repro.engine.bundle import approx_logical_bytes, decode_partition, encode_partition
 from repro.engine.broadcast import Broadcast
 from repro.engine.executors import make_executor
 from repro.engine.metrics import GC_TIMER, MetricsRegistry
@@ -139,9 +139,9 @@ class PartitionStore:
 
     def _cache_put(self, rdd: RDD, split: int, data: list) -> None:
         with _timed_counter(self.metrics, "blockmanager.encode_seconds"):
-            blob, bundle = encode_partition(data, self.serializer)
+            blob, _ = encode_partition(data, self.serializer)
         self.block_manager.put(
-            (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
+            (rdd.id, split), blob, logical_bytes=approx_logical_bytes(data)
         )
 
     def _cache_complete(self, rdd: RDD) -> bool:

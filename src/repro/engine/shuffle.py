@@ -12,7 +12,8 @@ and a crc32 over both.  Reduce partition ``r`` is the byte range
 ``[offset[r], offset[r+1])``; an empty bucket is a zero-length range and
 is never encoded, framed or written.  :meth:`ShuffleManager.write` is the
 one writer of this layout and :func:`read_block` the one reader; every
-block server reads through it.
+block server reads through it, and the manager keeps each map output's
+verified index (:func:`read_index`) after its first read.
 
 Every backend runs this code.  The only thing a backend may vary is
 :meth:`ShuffleManager._fetch_block` — "give me the bytes of block
@@ -67,50 +68,67 @@ def _index(offsets: list[int]) -> bytes:
     return table + zlib.crc32(table).to_bytes(4, "big")
 
 
-def read_block(root: str, shuffle_id: int, map_p: int, reduce_p: int) -> bytes:
-    """The bytes of block (shuffle, map, reduce) under a shuffle root,
-    exactly as :meth:`ShuffleManager.write` stored them — ``b""`` for an
-    empty bucket.
-
-    Reads the map-output file's index, then one byte range.  A missing or
-    torn file, an index that fails its crc, or a reduce partition the
-    index does not have raises :class:`ShuffleFetchFailedError`; the
-    block's own crc frame is checked by the reader that decodes it.
-    """
+def read_index(root: str, shuffle_id: int, map_p: int) -> list[int]:
+    """The verified offset table of a map-output file: R+1 offsets, every
+    block range inside the file.  A missing or torn file, or an index that
+    fails its crc, raises :class:`ShuffleFetchFailedError`."""
     path = _map_output_path(root, shuffle_id, map_p)
-
-    def failed(why: object) -> ShuffleFetchFailedError:
-        return ShuffleFetchFailedError(shuffle_id, map_p, where=f"{path}: {why}")
-
     try:
         with open(path, "rb") as fh:
             size = fh.seek(0, os.SEEK_END)
             if size < _TAIL.size:
-                raise failed("torn map output")
+                raise _failed(path, shuffle_id, map_p, "torn map output")
             fh.seek(size - _TAIL.size)
             tail = fh.read(_TAIL.size)
             num_reduce, crc = _TAIL.unpack(tail)
             table_start = size - _TAIL.size - (num_reduce + 1) * _OFFSET.size
             if table_start < 0:
-                raise failed("torn map output")
+                raise _failed(path, shuffle_id, map_p, "torn map output")
             fh.seek(table_start)
             table = fh.read((num_reduce + 1) * _OFFSET.size)
-            if zlib.crc32(table + tail[:4]) != crc:
-                raise failed("map output index crc mismatch")
-            if not (isinstance(reduce_p, int) and 0 <= reduce_p < num_reduce):
-                raise failed(f"no reduce partition {reduce_p} of {num_reduce}")
-            start, end = struct.unpack_from(">QQ", table, reduce_p * _OFFSET.size)
-            if not start <= end <= table_start:
-                raise failed(f"block range [{start}, {end}) outside the file")
-            if start == end:
-                return b""
+    except OSError as exc:
+        raise _failed(path, shuffle_id, map_p, exc) from exc
+    if zlib.crc32(table + tail[:4]) != crc:
+        raise _failed(path, shuffle_id, map_p, "map output index crc mismatch")
+    offsets = list(struct.unpack(f">{num_reduce + 1}Q", table))
+    if not all(a <= b for a, b in zip(offsets, offsets[1:] + [table_start])):
+        raise _failed(path, shuffle_id, map_p, "block range outside the file")
+    return offsets
+
+
+def read_block(
+    root: str, shuffle_id: int, map_p: int, reduce_p: int, offsets: list[int] | None = None
+) -> bytes:
+    """The bytes of block (shuffle, map, reduce) under a shuffle root,
+    exactly as :meth:`ShuffleManager.write` stored them — ``b""`` for an
+    empty bucket.
+
+    Reads the file's index (:func:`read_index`) unless the caller keeps
+    it as ``offsets``, then one byte range.  A reduce partition the index
+    does not have, or a file torn short of the block, raises
+    :class:`ShuffleFetchFailedError`; the block's own crc frame is checked
+    by the reader that decodes it.
+    """
+    path = _map_output_path(root, shuffle_id, map_p)
+    offsets = read_index(root, shuffle_id, map_p) if offsets is None else offsets
+    if not (isinstance(reduce_p, int) and 0 <= reduce_p < len(offsets) - 1):
+        raise _failed(path, shuffle_id, map_p, f"no reduce partition {reduce_p!r}")
+    start, end = offsets[reduce_p], offsets[reduce_p + 1]
+    if start == end:
+        return b""
+    try:
+        with open(path, "rb") as fh:
             fh.seek(start)
             blob = fh.read(end - start)
     except OSError as exc:
-        raise failed(exc) from exc
+        raise _failed(path, shuffle_id, map_p, exc) from exc
     if len(blob) != end - start:
-        raise failed("torn map output")
+        raise _failed(path, shuffle_id, map_p, "torn map output")
     return blob
+
+
+def _failed(path: str, shuffle_id: int, map_p: int, why: object) -> ShuffleFetchFailedError:
+    return ShuffleFetchFailedError(shuffle_id, map_p, where=f"{path}: {why}")
 
 
 class ShuffleManager:
@@ -139,6 +157,8 @@ class ShuffleManager:
         self._lock = threading.Lock()
         #: shuffle_id -> {"num_map": int, "maps": {map_partition: location}}
         self._locations: dict[int, dict] = {}
+        #: (shuffle, map) -> verified index of a map output; ``write`` drops it.
+        self._offsets: dict[tuple[int, int], list[int]] = {}
         self._next_id = 0
         os.makedirs(spill_dir, exist_ok=True)
 
@@ -210,6 +230,7 @@ class ShuffleManager:
             self._metrics.inc("shuffle.bytes_written", total)
             self._metrics.inc("shuffle.records_written", records)
         with self._lock:
+            self._offsets.pop((shuffle_id, map_partition), None)
             self._locations[shuffle_id]["maps"][map_partition] = self._here
 
     # -- reduce side --------------------------------------------------------
@@ -225,11 +246,17 @@ class ShuffleManager:
 
         The single point a backend varies: here every location is this
         node, so the block is a range of a file under the spill directory.
+        The file's index is read and checked on its first read only.
         """
+        key = (shuffle_id, map_partition)
         with timed(task, "disk_blocked"):
-            return read_block(
-                self._spill_dir, shuffle_id, map_partition, reduce_partition
-            )
+            with self._lock:
+                offsets = self._offsets.get(key)
+            if offsets is None:
+                offsets = read_index(self._spill_dir, shuffle_id, map_partition)
+                with self._lock:
+                    self._offsets[key] = offsets
+            return read_block(self._spill_dir, shuffle_id, map_partition, reduce_partition, offsets)
 
     def read(
         self,
@@ -291,3 +318,4 @@ class ShuffleManager:
         os.makedirs(self._spill_dir, exist_ok=True)
         with self._lock:
             self._locations.clear()
+            self._offsets.clear()

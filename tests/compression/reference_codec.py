@@ -1,22 +1,27 @@
 """Reference record codecs for the differential tests: one record at a time.
 
-This is the per-record encoder and tree-walk decoder the block codec in
-``repro.compression`` replaced, kept here (test side only) as the oracle:
-the block codec must write the same bytes and decode to the same records.
-It imports nothing from ``repro.compression`` so that a change there
-cannot move the oracle with it.
+The batch layout of ``repro.compression.records`` written and read the
+slow, obvious way: every length and integer packed one ``struct`` value at
+a time, every record's qualities Huffman-coded on their own and decoded
+by walking the code tree bit by bit.  It is the oracle: the block codec
+must write the same bytes and decode to the same records.  It imports
+nothing from ``repro.compression`` (bar the reference-diff helpers the
+reference-based codec is built on) so that a change there cannot move
+the oracle with it.
 """
 
 from __future__ import annotations
 
 import heapq
+import pickle
 import struct
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro.formats.cigar import Cigar
 from repro.formats.fastq import FastqRecord
-from repro.formats.sam import SamRecord, format_tag, parse_tag
+from repro.formats.sam import SamRecord
 
 EOF_SYMBOL = 0x10000
 _NO_SYMBOL = -(2**31)
@@ -120,7 +125,9 @@ class RefHuffman:
 
 
 # -- per-record sequence and quality transforms -----------------------------
-def compress_sequence(sequence: str, quality: str) -> tuple[bytes, str]:
+def mask_sequence(sequence: str, quality: str) -> tuple[list[int], str]:
+    """One record's 2-bit codes, and its quality with the Phred-0 marker on
+    every special base (which is coded as ``A``)."""
     if len(sequence) != len(quality):
         raise ValueError("sequence/quality length mismatch")
     seq = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8).copy()
@@ -130,24 +137,29 @@ def compress_sequence(sequence: str, quality: str) -> tuple[bytes, str]:
         raise ValueError("reserved Phred-0 score at a regular base")
     seq[special] = ord("A")
     qual[special] = ord(MASK)
-    codes = _ENCODE_LUT[seq]
-    codes = np.concatenate([codes, np.zeros((-len(codes)) % 4, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4).astype(np.uint8)
-    packed = (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
-    blob = len(sequence).to_bytes(4, "little") + packed.astype(np.uint8).tobytes()
-    return blob, qual.tobytes().decode("ascii")
+    return _ENCODE_LUT[seq].tolist(), qual.tobytes().decode("ascii")
 
 
-def decompress_sequence(blob: bytes, masked_quality: str) -> str:
-    length = int.from_bytes(blob[:4], "little")
-    if length == 0:
-        return ""
-    packed = np.frombuffer(blob[4:], dtype=np.uint8)
-    codes = np.stack([(packed >> s) & 3 for s in (6, 4, 2, 0)], axis=1).reshape(-1)
-    seq = _CODE_TO_BASE[codes[:length]].copy()
-    qual = np.frombuffer(masked_quality.encode("ascii"), dtype=np.uint8)
-    seq[qual == ord(MASK)] = ord("N")
-    return seq.tobytes().decode("ascii")
+def pack_codes(codes: list[int]) -> bytes:
+    """2-bit codes, 4 per byte, first code in the high bits, zero padded."""
+    codes = codes + [0] * (-len(codes) % 4)
+    return bytes(
+        (codes[i] << 6) | (codes[i + 1] << 4) | (codes[i + 2] << 2) | codes[i + 3]
+        for i in range(0, len(codes), 4)
+    )
+
+
+def unpack_codes(packed: bytes, count: int) -> list[int]:
+    codes = [(byte >> shift) & 3 for byte in packed for shift in (6, 4, 2, 0)]
+    if len(packed) != (count + 3) // 4:
+        raise ValueError("2-bit run has the wrong size")
+    return codes[:count]
+
+
+def unmask(codes: list[int], masked_quality: str) -> str:
+    return "".join(
+        "N" if q == MASK else chr(_CODE_TO_BASE[c]) for c, q in zip(codes, masked_quality)
+    )
 
 
 def delta_encode(quality: str) -> np.ndarray:
@@ -178,7 +190,7 @@ def roundtrip_safe(sequence: str, quality: str) -> bool:
     return not (bad_special.any() or collision.any())
 
 
-# -- batch framing -----------------------------------------------------------
+# -- batch layout: header, length columns, integer columns, byte columns -------
 def _table(lengths: dict[int, int]) -> bytes:
     return ",".join(f"{s}:{l}" for s, l in sorted(lengths.items())).encode("ascii")
 
@@ -187,172 +199,232 @@ def _read_table(blob: bytes) -> dict[int, int]:
     return {int(s): int(l) for s, l in (t.split(":") for t in blob.decode("ascii").split(","))}
 
 
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def quality_codec(masked: list[str]) -> RefHuffman:
+    """The Huffman codec built from these qualities' deltas."""
+    freqs: dict[int, int] = {}
+    for quality in masked:
+        for s in delta_encode(quality).tolist():
+            freqs[s] = freqs.get(s, 0) + 1
+    return RefHuffman.from_frequencies(freqs)
+
+
+def _batch(codec: RefHuffman, lengths: list[list[int]], ints: list[list[int]], sections: list[bytes]) -> bytes:
+    out = struct.pack("<I", len(lengths[0])) + struct.pack("<I", len(_table(codec.lengths)))
+    out += _table(codec.lengths)
+    top = max((v for column in lengths for v in column), default=0)
+    fmt = "<B" if top < 256 else "<H" if top < 65536 else "<I"
+    out += struct.pack("<B", struct.calcsize(fmt))
+    for column in lengths:
+        for value in column:
+            out += struct.pack(fmt, value)
+    for column in ints:
+        for value in column:
+            out += struct.pack("<q", value)
+    for section in sections:
+        out += section
+    return out
+
+
 class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data, self.off = data, 0
+    """Walks a batch front to back: header, columns, then sections."""
+
+    def __init__(self, data: bytes, nlengths: int, nints: int) -> None:
+        self.data, self.off = bytes(data), 0
+        self.count = self.num("<I")
+        self.codec = RefHuffman(_read_table(self.take(self.num("<I"))))
+        fmt = {1: "<B", 2: "<H", 4: "<I"}[self.num("<B")]
+        self.lengths = [[self.num(fmt) for _ in range(self.count)] for _ in range(nlengths)]
+        self.ints = [[self.num("<q") for _ in range(self.count)] for _ in range(nints)]
 
     def num(self, fmt: str) -> int:
         (value,) = struct.unpack_from(fmt, self.data, self.off)
         self.off += struct.calcsize(fmt)
         return value
 
-    def blob(self, fmt: str = "<I") -> bytes:
-        n = self.num(fmt)
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.data):
+            raise ValueError("truncated batch")
         self.off += n
         return self.data[self.off - n : self.off]
 
+    def pieces(self, lengths: list[int]) -> list[bytes]:
+        return [self.take(n) for n in lengths]
 
-def _lp(data: bytes, fmt: str = "<I") -> bytes:
-    return struct.pack(fmt, len(data)) + data
+    def strings(self, lengths: list[int]) -> list[str]:
+        return [piece.decode("utf-8", "surrogatepass") for piece in self.pieces(lengths)]
 
-
-def _qualities(masked: list[str]) -> tuple[RefHuffman, list[bytes]]:
-    deltas = [delta_encode(q) for q in masked]
-    freqs: dict[int, int] = {}
-    for arr in deltas:
-        for s in arr.tolist():
-            freqs[s] = freqs.get(s, 0) + 1
-    codec = RefHuffman.from_frequencies(freqs)
-    return codec, [codec.encode(arr) for arr in deltas]
+    def qualities(self, nbytes: list[int]) -> list[str]:
+        return [delta_decode(self.codec.decode(piece)) for piece in self.pieces(nbytes)]
 
 
-def _check_name(name: str) -> None:
-    if not name.isascii():
-        raise Unsupported(f"non-ascii record name {name!r}")
-
-
-def fastq_encode(records: list[FastqRecord], strict: bool = False) -> bytes:
-    seq_blobs, masked = [], []
+def fastq_encode(records: list[FastqRecord], strict: bool = False, shared=None) -> bytes:
+    """One batch; ``shared``: the records whose qualities build the table
+    (a group of an encode pass shares the pass's table)."""
+    codes, masked = [], []
     for rec in records:
-        if strict:
-            _check_name(rec.name)
-            if not roundtrip_safe(rec.sequence, rec.quality):
-                raise Unsupported(rec.name)
-        blob, qual = compress_sequence(rec.sequence, rec.quality)
-        seq_blobs.append(blob)
+        if strict and not roundtrip_safe(rec.sequence, rec.quality):
+            raise Unsupported(rec.name)
+        rec_codes, qual = mask_sequence(rec.sequence, rec.quality)
+        codes += rec_codes
         masked.append(qual)
-    codec, qual_blobs = _qualities(masked)
-    out = struct.pack("<I", len(records)) + _lp(_table(codec.lengths))
-    for rec, seq_blob, qual_blob in zip(records, seq_blobs, qual_blobs):
-        out += _lp(rec.name.encode("ascii"), "<H") + _lp(seq_blob) + _lp(qual_blob)
-    return out
+    if shared is None:
+        codec = quality_codec(masked)
+    else:
+        codec = quality_codec([mask_sequence(r.sequence, r.quality)[1] for r in shared])
+    streams = [codec.encode(delta_encode(q)) for q in masked]
+    names = [_utf8(rec.name) for rec in records]
+    return _batch(
+        codec,
+        [[len(n) for n in names], [len(r.sequence) for r in records], [len(s) for s in streams]],
+        [],
+        [b"".join(names), pack_codes(codes), b"".join(streams)],
+    )
 
 
 def fastq_decode(blob: bytes) -> list[FastqRecord]:
-    reader = _Reader(blob)
-    count = reader.num("<I")
-    codec = RefHuffman(_read_table(reader.blob()))
-    records = []
-    for _ in range(count):
-        name = reader.blob("<H").decode("ascii")
-        seq_blob = reader.blob()
-        qual = delta_decode(codec.decode(reader.blob()))
-        records.append(FastqRecord(name, decompress_sequence(seq_blob, qual), qual))
+    reader = _Reader(blob, 3, 0)
+    name_len, reads, nbytes = reader.lengths
+    names = reader.strings(name_len)
+    codes = unpack_codes(reader.take((sum(reads) + 3) // 4), sum(reads))
+    quals = reader.qualities(nbytes)
+    if reader.off != len(reader.data):
+        raise ValueError("trailing bytes")
+    records, at = [], 0
+    for name, n, qual in zip(names, reads, quals):
+        if len(qual) != n:
+            raise ValueError("sequence and quality lengths differ")
+        records.append(FastqRecord(name, unmask(codes[at : at + n], qual), qual))
+        at += n
     return records
 
 
-def sam_extra_fields(rec: SamRecord) -> bytes:
-    fields = [str(rec.flag), rec.rname, str(rec.pos), str(rec.mapq), str(rec.cigar),
-              rec.rnext, str(rec.pnext), str(rec.tlen)]
-    fields += [format_tag(k, v) for k, v in sorted(rec.tags.items())]
-    return "\t".join(fields).encode("ascii")
-
-
-def sam_from_extra(name: str, seq: str, qual: str, extra: bytes) -> SamRecord:
-    parts = extra.decode("ascii").split("\t")
-    tags = dict(parse_tag(raw) for raw in parts[8:])
-    return SamRecord(name, int(parts[0]), parts[1], int(parts[2]), int(parts[3]),
-                     Cigar.parse(parts[4]), parts[5], int(parts[6]), int(parts[7]),
-                     seq, qual, tags)
+def _sam_text(rec: SamRecord) -> list[bytes]:
+    return [_utf8(rec.qname), _utf8(rec.rname), _utf8(rec.rnext), _utf8(str(rec.cigar))]
 
 
 def _check_sam(rec: SamRecord) -> None:
-    _check_name(rec.qname)
     if rec.seq and not roundtrip_safe(rec.seq, rec.qual):
         raise Unsupported(rec.qname)
-    try:
-        extra = sam_extra_fields(rec)
-    except (UnicodeEncodeError, ValueError, TypeError) as exc:
-        raise Unsupported(rec.qname) from exc
-    if extra.count(b"\t") != 7 + len(rec.tags) or b"\n" in extra:
+    if rec.qual and not rec.seq:
+        raise Unsupported(rec.qname)
+    if any(type(v) is not int for v in (rec.flag, rec.pos, rec.mapq, rec.pnext, rec.tlen)):
         raise Unsupported(rec.qname)
 
 
-def sam_encode(records: list[SamRecord], strict: bool = False) -> bytes:
-    """The replaced SAM encoder, QUAL-without-SEQ bug included: such a
-    record passes ``strict`` and loses its QUAL."""
-    seq_blobs, masked = [], []
+def _sam_ints(records: list[SamRecord]) -> list[list[int]]:
+    return [[r.flag for r in records], [r.pos for r in records], [r.mapq for r in records],
+            [r.pnext for r in records], [r.tlen for r in records]]
+
+
+def _tags(records: list[SamRecord]) -> bytes:
+    return pickle.dumps([rec.tags for rec in records], protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def sam_encode(records: list[SamRecord], strict: bool = False, shared=None) -> bytes:
+    """One batch (``shared`` as in :func:`fastq_encode`); a QUAL without a
+    SEQ is refused under ``strict`` and dropped without it."""
+    def masked_of(rec: SamRecord) -> tuple[list[int], str]:
+        return mask_sequence(rec.seq, rec.qual) if rec.seq else ([], "")
+
+    codes, masked = [], []
     for rec in records:
         if strict:
             _check_sam(rec)
-        blob, qual = compress_sequence(rec.seq, rec.qual) if rec.seq else (b"", "")
-        seq_blobs.append(blob)
+        rec_codes, qual = masked_of(rec)
+        codes += rec_codes
         masked.append(qual)
-    codec, qual_blobs = _qualities(masked)
-    out = struct.pack("<I", len(records)) + _lp(_table(codec.lengths))
-    for rec, seq_blob, qual_blob in zip(records, seq_blobs, qual_blobs):
-        out += _lp(rec.qname.encode("ascii"), "<H") + _lp(seq_blob) + _lp(qual_blob)
-        out += _lp(sam_extra_fields(rec))
-    return out
+    codec = quality_codec(masked if shared is None else [masked_of(r)[1] for r in shared])
+    streams = [codec.encode(delta_encode(q)) for q in masked]
+    texts = [_sam_text(rec) for rec in records]
+    return _batch(
+        codec,
+        [[len(t[i]) for t in texts] for i in range(4)]
+        + [[len(r.seq) for r in records], [len(s) for s in streams]],
+        _sam_ints(records),
+        [b"".join(t[i] for t in texts) for i in range(4)]
+        + [pack_codes(codes), b"".join(streams), _tags(records)],
+    )
 
 
 def sam_decode(blob: bytes) -> list[SamRecord]:
-    reader = _Reader(blob)
-    count = reader.num("<I")
-    codec = RefHuffman(_read_table(reader.blob()))
-    records = []
-    for _ in range(count):
-        name = reader.blob("<H").decode("ascii")
-        seq_blob = reader.blob()
-        qual = delta_decode(codec.decode(reader.blob()))
-        extra = reader.blob()
-        seq = decompress_sequence(seq_blob, qual) if seq_blob else ""
-        records.append(sam_from_extra(name, seq, qual, extra))
-    return records
+    reader = _Reader(blob, 6, 5)
+    reads, nbytes = reader.lengths[4:]
+    texts = [reader.strings(n) for n in reader.lengths[:4]]
+    codes = unpack_codes(reader.take((sum(reads) + 3) // 4), sum(reads))
+    quals = reader.qualities(nbytes)
+    tags = reader.data[reader.off :]
+    seqs, at = [], 0
+    for n, qual in zip(reads, quals):
+        if len(qual) != n:
+            raise ValueError("sequence and quality lengths differ")
+        seqs.append(unmask(codes[at : at + n], qual))
+        at += n
+    return _records(reader, texts, seqs, quals, tags)
+
+
+def _records(reader: _Reader, texts: list, seqs, quals, tags: bytes) -> list[SamRecord]:
+    qnames, rnames, rnexts, cigars = texts
+    tag_dicts = pickle.loads(tags)
+    if len(tag_dicts) != reader.count:
+        raise ValueError("tag column has the wrong length")
+    flag, pos, mapq, pnext, tlen = reader.ints
+    return [
+        SamRecord(qnames[i], flag[i], rnames[i], pos[i], mapq[i], Cigar.parse(cigars[i]),
+                  rnexts[i], pnext[i], tlen[i], seqs[i], quals[i], tag_dicts[i])
+        for i in range(reader.count)
+    ]
 
 
 def refbased_encode(records: list[SamRecord], reference) -> bytes:
     from repro.compression.refbased import encode_against_reference
 
-    tags_blobs, masked = [], []
+    diffs, codes, masked = [], [], []
     for rec in records:
-        ref_blob = encode_against_reference(rec, reference)
-        if ref_blob is not None:
-            tags_blobs.append((0, ref_blob))
+        diff = encode_against_reference(rec, reference)
+        if diff is not None:
+            diffs.append(diff)
             masked.append(rec.qual)
-        elif rec.seq:
-            blob, qual = compress_sequence(rec.seq, rec.qual)
-            tags_blobs.append((1, blob))
-            masked.append(qual)
         else:
-            tags_blobs.append((1, b""))
-            masked.append("")
-    codec, qual_blobs = _qualities(masked)
-    out = struct.pack("<I", len(records)) + _lp(_table(codec.lengths))
-    for rec, (tag, seq_blob), qual_blob in zip(records, tags_blobs, qual_blobs):
-        out += struct.pack("<H", tag) + _lp(rec.qname.encode("ascii"), "<H")
-        out += _lp(seq_blob) + _lp(qual_blob) + _lp(sam_extra_fields(rec))
-    return out
+            rec_codes, qual = mask_sequence(rec.seq, rec.qual) if rec.seq else ([], "")
+            diffs.append(b"")
+            codes += rec_codes
+            masked.append(qual)
+    codec = quality_codec(masked)
+    streams = [codec.encode(delta_encode(q)) for q in masked]
+    texts = [_sam_text(rec) for rec in records]
+    return _batch(
+        codec,
+        [[len(t[i]) for t in texts] for i in range(4)]
+        + [[len(q) for q in masked], [len(s) for s in streams], [len(d) for d in diffs]],
+        _sam_ints(records),
+        [b"".join(t[i] for t in texts) for i in range(4)]
+        + [b"".join(diffs), pack_codes(codes), b"".join(streams), _tags(records)],
+    )
 
 
 def refbased_decode(blob: bytes, reference) -> list[SamRecord]:
     from repro.compression.refbased import decode_against_reference
 
-    reader = _Reader(blob)
-    count = reader.num("<I")
-    codec = RefHuffman(_read_table(reader.blob()))
-    out = []
-    for _ in range(count):
-        tag = reader.num("<H")
-        name = reader.blob("<H").decode("ascii")
-        seq_blob = reader.blob()
-        qual = delta_decode(codec.decode(reader.blob()))
-        extra = reader.blob()
-        if tag == 0:
-            rec = sam_from_extra(name, "", qual, extra)
-            rec.seq = decode_against_reference(seq_blob, rec.pos, rec.rname, rec.cigar, reference)
+    reader = _Reader(blob, 7, 5)
+    qual_len, nbytes, diff_len = reader.lengths[4:]
+    texts = [reader.strings(n) for n in reader.lengths[:4]]
+    diffs = reader.pieces(diff_len)
+    twobit = sum(n for n, d in zip(qual_len, diff_len) if d == 0)
+    codes = unpack_codes(reader.take((twobit + 3) // 4), twobit)
+    quals = reader.qualities(nbytes)
+    tags = reader.data[reader.off :]
+    records = _records(reader, texts, [""] * reader.count, quals, tags)
+    at = 0
+    for rec, n, diff in zip(records, qual_len, diffs):
+        if len(rec.qual) != n:
+            raise ValueError("quality length differs")
+        if diff:
+            rec.seq = decode_against_reference(diff, rec.pos, rec.rname, rec.cigar, reference)
         else:
-            seq = decompress_sequence(seq_blob, qual) if seq_blob else ""
-            rec = sam_from_extra(name, seq, qual, extra)
-        out.append(rec)
-    return out
+            rec.seq = unmask(codes[at : at + n], rec.qual)
+            at += n
+    return records

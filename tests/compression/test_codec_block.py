@@ -1,7 +1,7 @@
 """Differential tests: the block codec against the per-record reference.
 
-``reference_codec`` is the record-at-a-time encoder and tree-walk decoder
-the block kernels replaced.  Every codec here (FASTQ, SAM, keyed SAM,
+``reference_codec`` writes the batch layout a record at a time and
+decodes it by tree walk.  Every codec here (FASTQ, SAM, keyed SAM,
 FASTQ pairs, reference-based SAM) must write the reference's bytes byte
 for byte and decode to the reference's records, alone and several
 batches at once; corrupt input must raise ``ValueError`` and never
@@ -16,6 +16,7 @@ import random
 import signal
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -274,21 +275,25 @@ def test_fibonacci_skewed_qualities_through_record_codec():
 
 
 # -- corrupt streams ------------------------------------------------------------
+def _stream_length(blob: bytes) -> tuple[int, str]:
+    """Offset and struct format of a one-record FASTQ batch's quality-stream
+    length: the third length column, after the name and read lengths."""
+    (table_len,) = struct.unpack_from("<I", blob, 4)
+    width = blob[8 + table_len]
+    return 8 + table_len + 1 + 2 * width, {1: "<B", 2: "<H", 4: "<I"}[width]
+
+
 def _split_last_field(blob: bytes) -> tuple[bytes, bytes]:
-    """A one-record FASTQ batch as (everything before the quality field,
-    the quality blob)."""
-    offset = 4
-    (table_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4 + table_len
-    (name_len,) = struct.unpack_from("<H", blob, offset)
-    offset += 2 + name_len
-    (seq_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4 + seq_len
-    return blob[:offset], blob[offset + 4 :]
+    """A one-record FASTQ batch as (everything before its quality stream,
+    the quality stream): the stream is the last byte column."""
+    at, fmt = _stream_length(blob)
+    (stream_len,) = struct.unpack_from(fmt, blob, at)
+    return blob[: len(blob) - stream_len], blob[len(blob) - stream_len :]
 
 
 def _with_quality(prefix: bytes, qual_blob: bytes) -> bytes:
-    return prefix + struct.pack("<I", len(qual_blob)) + qual_blob
+    at, fmt = _stream_length(prefix)
+    return prefix[:at] + struct.pack(fmt, len(qual_blob)) + prefix[at + struct.calcsize(fmt) :] + qual_blob
 
 
 def _table_codes(lengths: dict[int, int]) -> dict[int, list[int]]:
@@ -378,11 +383,25 @@ def test_kraft_breaking_table_raises():
         FastqCodec.decode(bad)
 
 
+def test_a_per_record_layout_sam_batch_is_refused():
+    """A SAM batch in the layout this codec replaced, one frame per record
+    (committed from that codec's output: 6 records of ``sam_block(6,
+    seed=37)``), fails typed and never decodes to records.  A block on
+    disk in that layout is a corrupt block: it is recomputed."""
+    blob = (Path(__file__).parent / "data" / "per_record_layout_sam.bin").read_bytes()
+    assert SamCodec.record_count(blob) == 6
+    with watchdog(), pytest.raises(ValueError):
+        SamCodec.decode(blob)
+    with watchdog(), pytest.raises(ValueError):
+        get_serializer("gpf").loads(b"S" + blob)
+
+
 # -- pinned payload digest ------------------------------------------------------
 #: sha256 over FASTQ and SAM payloads of one simulated batch of 800 reads,
-#: encoded in blocks of 1, 13, 100 and 800 records.  The value is the
-#: per-record codec's output: the block codec must not move a byte.
-SIM_DIGEST = "9806d00ade2313584dd2f4856d1ffbc3a96f3a0a8fc189daa05db98b7d6ecbee"
+#: encoded in blocks of 1, 13, 100 and 800 records: the column layout's
+#: bytes, which the reference codec writes too.  Any change to the batch
+#: layout moves it.
+SIM_DIGEST = "8e2c4925b39b2647479f2da9422d09b8090d1c9f4b3961d1cbd944eb10baa258"
 
 
 def sim_batch() -> tuple[list[FastqRecord], list[SamRecord]]:

@@ -5,8 +5,9 @@ table (``encode_groups``, ``GpfSerializer.dumps_many``), and a reduce
 task's blocks decode in one call whose passes run across block
 boundaries, each block with its own table (``decode_many``,
 ``decode_streams``).
-The oracle is ``reference_codec``: every grouped batch must decode
-standalone with its per-block reader, and a joint decode must equal the
+The oracle is ``reference_codec``: every grouped batch must be the
+reference's batch of its group under the pass's shared table and decode
+standalone with the reference reader, and a joint decode must equal the
 per-block decodes, corrupt input included.
 """
 
@@ -42,10 +43,10 @@ def split(records: list, sizes: list[int]) -> list[list]:
     return [records[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def table_and_frames(blob: bytes) -> tuple[bytes, bytes]:
-    """A batch's code-length table and its record frames."""
+def table_of(blob: bytes) -> bytes:
+    """A batch's code-length table."""
     table_len = int.from_bytes(blob[4:8], "little")
-    return blob[8 : 8 + table_len], blob[8 + table_len :]
+    return blob[8 : 8 + table_len]
 
 
 def skewed_block(seed: int, symbols: int) -> list[FastqRecord]:
@@ -80,13 +81,12 @@ def test_fastq_groups_share_a_table_and_decode_standalone(sizes, seed):
     blobs = FastqCodec.encode_groups(groups, strict=True)
     whole = ref.fastq_encode(records, strict=True)
     assert FastqCodec.encode_groups([records], strict=True) == [whole]
-    table, frames = table_and_frames(whole)
     assert len(blobs) == len(groups)
     for blob, group in zip(blobs, groups):
         assert blob[:4] == len(group).to_bytes(4, "little")
-        assert table_and_frames(blob)[0] == table
+        assert table_of(blob) == table_of(whole)
+        assert blob == ref.fastq_encode(group, strict=True, shared=records)
         assert ref.fastq_decode(blob) == group
-    assert b"".join(table_and_frames(blob)[1] for blob in blobs) == frames
     assert FastqCodec.decode_many(blobs) == records
 
 
@@ -98,11 +98,10 @@ def test_sam_groups_share_a_table_and_decode_standalone(sizes, seed):
     blobs = SamCodec.encode_groups(groups, strict=True)
     whole = ref.sam_encode(records, strict=True)
     assert SamCodec.encode_groups([records], strict=True) == [whole]
-    table, frames = table_and_frames(whole)
     for blob, group in zip(blobs, groups):
-        assert table_and_frames(blob)[0] == table
+        assert table_of(blob) == table_of(whole)
+        assert blob == ref.sam_encode(group, strict=True, shared=records)
         assert ref.sam_decode(blob) == group
-    assert b"".join(table_and_frames(blob)[1] for blob in blobs) == frames
     assert SamCodec.decode_many(blobs) == records
 
 
@@ -146,9 +145,9 @@ def test_blocks_with_different_tables_decode_in_one_pass(monkeypatch):
     ones in one pass: the same records as decoding each block alone."""
     blocks = [fastq_block(30, seed=1), skewed_block(2, 15), flat_block(9), fastq_block(5, seed=3), skewed_block(4, 14)]
     blobs = [FastqCodec.encode(block, strict=True) for block in blocks]
-    lengths = [ref._read_table(table_and_frames(b)[0]) for b in blobs]
+    lengths = [ref._read_table(table_of(b)) for b in blobs]
     assert max(lengths[1].values()) > 12 and max(lengths[2].values()) < 12
-    assert len({table_and_frames(b)[0] for b in blobs}) == len(blobs)
+    assert len({table_of(b) for b in blobs}) == len(blobs)
     passes = []
     monkeypatch.setattr(
         records_module, "decode_streams", lambda *a: passes.append(1) or decode_streams(*a)
@@ -177,7 +176,8 @@ def test_decode_streams_equals_each_codec_alone(seeds, skew, data):
         alphabet = sorted(s for s in codecs[c].code_lengths() if s != 0x10000)
         streams.append(data.draw(st.lists(st.sampled_from(alphabet), max_size=30)))
     blobs = [codecs[c].encode(s) for c, s in zip(owner, streams)]
-    symbols, counts = decode_streams(codecs, np.array(owner, dtype=np.int64), blobs)
+    nbytes = np.array([len(b) for b in blobs], dtype=np.int64)
+    symbols, counts = decode_streams(codecs, np.array(owner, dtype=np.int64), b"".join(blobs), nbytes)
     assert counts.tolist() == [len(s) for s in streams]
     assert symbols.tolist() == [x for s in streams for x in s]
 

@@ -45,6 +45,16 @@ class TestHuffman:
         with pytest.raises(ValueError, match="not in codec alphabet"):
             codec.encode([42])
 
+    @pytest.mark.parametrize("symbol", [-256, 256, 1000])
+    def test_symbol_outside_the_delta_alphabet_refused(self, symbol):
+        with pytest.raises(ValueError, match="-255, 255"):
+            HuffmanCodec({EOF_SYMBOL: 1, 0: 2, symbol: 2})
+        with pytest.raises(ValueError, match="-255, 255"):
+            HuffmanCodec.from_frequencies({symbol: 5, 3: 1})
+        codec = HuffmanCodec.from_frequencies({-255: 1, 255: 1})
+        with pytest.raises(ValueError, match="not in codec alphabet"):
+            codec.encode([255, symbol])
+
     def test_frequent_symbols_get_shorter_codes(self):
         codec = HuffmanCodec.from_frequencies({0: 10_000, 9: 1})
         lengths = codec.code_lengths()

@@ -101,10 +101,10 @@ class TestStrictMode:
         with pytest.raises(CodecUnsupportedError):
             FastqCodec.encode([rec], strict=True)
 
-    def test_strict_rejects_non_ascii_name(self):
-        rec = FastqRecord("réad", "ACGT", "IIII")
-        with pytest.raises(CodecUnsupportedError):
-            FastqCodec.encode([rec], strict=True)
+    def test_strict_accepts_non_ascii_name(self):
+        # Names are a length-prefixed utf-8 column: any str round-trips.
+        records = [FastqRecord("réad", "ACGT", "IIII"), FastqRecord("r\tb\ud800", "A", "I")]
+        assert FastqCodec.decode(FastqCodec.encode(records, strict=True)) == records
 
     def test_strict_accepts_masked_n(self):
         rec = FastqRecord("r", "ACNGT", "II" + MASK_QUAL_CHAR + "II")
@@ -140,20 +140,36 @@ class TestExoticSamTags:
         blob = SamCodec.encode([rec], strict=True)
         assert SamCodec.decode(blob) == [rec]
 
-    def test_tab_in_tag_value_raises_typed_error(self):
+    # Tags are one pickled column: no byte inside a value frames anything.
+    def test_tab_in_tag_value_round_trips(self):
         rec = sam(tags={"XX": "a\tb"})
-        with pytest.raises(CodecUnsupportedError):
-            SamCodec.encode([rec], strict=True)
+        assert SamCodec.decode(SamCodec.encode([rec], strict=True)) == [rec]
 
-    def test_newline_in_tag_value_raises_typed_error(self):
+    def test_newline_in_tag_value_round_trips(self):
         rec = sam(tags={"XX": "a\nb"})
-        with pytest.raises(CodecUnsupportedError):
-            SamCodec.encode([rec], strict=True)
+        assert SamCodec.decode(SamCodec.encode([rec], strict=True)) == [rec]
 
-    def test_non_ascii_tag_value_raises_typed_error(self):
+    def test_non_ascii_tag_value_round_trips(self):
         rec = sam(tags={"XX": "café"})
-        with pytest.raises(CodecUnsupportedError):
-            SamCodec.encode([rec], strict=True)
+        assert SamCodec.decode(SamCodec.encode([rec], strict=True)) == [rec]
+
+    def test_tag_values_keep_their_types(self):
+        rec = sam(tags={"XB": True, "XI": 3, "XF": 3.0, "XZ": "3", "XL": [1, 2]})
+        [out] = SamCodec.decode(SamCodec.encode([rec], strict=True))
+        assert [type(v) for v in out.tags.values()] == [bool, int, float, str, list]
+        assert out == rec
+
+    def test_non_ascii_text_fields_round_trip(self):
+        rec = sam(qname="réad\t1")
+        rec.rname, rec.rnext = "chr\u00e91", "chr\ud800"
+        assert SamCodec.decode(SamCodec.encode([rec, sam()], strict=True)) == [rec, sam()]
+
+    def test_strict_rejects_a_non_int_integer_field(self):
+        for field, value in (("flag", True), ("pos", 10.0), ("tlen", "0")):
+            rec = sam()
+            setattr(rec, field, value)
+            with pytest.raises(CodecUnsupportedError):
+                SamCodec.encode([rec], strict=True)
 
 
 class TestSerializerFallbackByteIdentical:
@@ -186,12 +202,21 @@ class TestSerializerFallbackByteIdentical:
         blob = serializer.dumps([FastqRecord("r", "ACGT", "IIII")])
         assert blob[:1] == b"Q"
 
-    def test_exotic_sam_falls_back_byte_identical(self):
-        rec = sam(tags={"XX": "a\tb", "YY": "café"})
+    def test_exotic_sam_takes_the_codec_byte_identical(self):
+        rec = sam(qname="réad", tags={"XX": "a\tb", "YY": "café"})
+        serializer = GpfSerializer()
+        blob = serializer.dumps([rec])
+        assert blob[:1] == b"S"
+        assert serializer.loads(blob) == [rec]
+        assert serializer.loads(blob)[0].to_line() == rec.to_line()
+
+    def test_sam_with_a_non_int_field_falls_back_byte_identical(self):
+        rec = sam()
+        rec.flag = True
         serializer = GpfSerializer()
         blob = serializer.dumps([rec])
         assert blob[:1] == b"F"
-        assert serializer.loads(blob) == [rec]
+        assert serializer.loads(blob)[0].flag is True
 
     def test_sam_qual_without_seq_falls_back_byte_identical(self):
         # The codec stores QUAL only beside SEQ: this record used to take
