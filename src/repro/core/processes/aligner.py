@@ -72,4 +72,7 @@ class BwaMemProcess(Process):
         self.output_bundle.header = SamHeader.unsorted(
             self.reference.contig_lengths()
         )
+        # Persisted for journaled runs: RunJournal.record runs this RDD
+        # once to checkpoint it, and MarkDuplicate's map stage reads it
+        # again; without the cache that second read re-aligns every pair.
         self.output_bundle.define(aligned.persist())

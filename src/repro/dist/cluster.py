@@ -470,8 +470,6 @@ class ClusterExecutor(Transport):
         ctx.metrics.inc("dist.bytes_returned", len(rbody))
         ctx.metrics.inc(f"dist.worker.{worker.id}.tasks")
         value = None
-        if rheader.get("encoding", "none") == "bundle":
-            from repro.engine.bundle import decode_partition
-
-            value = decode_partition(rbody, ctx.serializer)
+        if rheader.get("encoding", "none") == "block":
+            value = ctx.serializer.loads(rbody)
         return remote_task, value

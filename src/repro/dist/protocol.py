@@ -13,8 +13,8 @@ catches a torn spill file.  Inside the crc frame::
 
 The *header* is a small pickled dict (message metadata: worker id,
 task namespace, shuffle locations).  The *body* is raw bytes — shipped
-closures, ``GPB2`` compressed partition bundles, shuffle blocks — and
-is never re-pickled: compressed blocks travel in exactly their resident
+closures, partitions as the serializer's bytes, shuffle blocks — and is
+never re-pickled: compressed blocks travel in exactly their resident
 form, which is the point (SAGe's warning: data movement is where
 distributed genomics pipelines lose their throughput).
 

@@ -28,11 +28,10 @@ own objects are untouched: its scheduler regenerates a lost map output
 from its full lineage, so a reduce task never needs the map side.  An
 RDD with any unwritten dep ships whole, as the map stage it is part of.
 
-``ParallelCollectionRDD`` slices additionally ship in ``GPB2``
-compressed bundle form (the serializer's §4.1-codec payload) rather
-than as pickled record lists — task ship traffic shrinks by the codec's
-compression ratio, and each slice stays a block until the task that
-reads it decodes it.
+``ParallelCollectionRDD`` slices additionally ship as the serializer's
+§4.1-codec payload rather than as pickled record lists — task ship
+traffic shrinks by the codec's compression ratio, and each slice stays
+a block until the task that reads it decodes it.
 
 Limits (all safe): marshalled code requires the same interpreter
 version on both ends — true for loopback fleets and documented for real
@@ -51,7 +50,6 @@ import marshal
 import pickle
 import types
 
-from repro.engine.bundle import decode_partition, encode_partition
 from repro.engine.rdd import RDD, ParallelCollectionRDD, ShuffleDependency
 
 #: Persistent-id token standing in for the driver context.
@@ -113,9 +111,9 @@ def _restore_function(
 
 
 class _ShippedSlice:
-    """One ``parallelize`` slice as shipped: its GPB2 block, decoded when
-    the task that reads it lists it.  A task ships every slice of its
-    source RDD but reads one."""
+    """One ``parallelize`` slice as shipped: its serializer bytes, decoded
+    when the task that reads it lists it.  A task ships every slice of
+    its source RDD but reads one."""
 
     __slots__ = ("blob", "serializer")
 
@@ -124,7 +122,7 @@ class _ShippedSlice:
         self.serializer = serializer
 
     def __iter__(self):
-        return iter(decode_partition(self.blob, self.serializer))
+        return iter(self.serializer.loads(self.blob))
 
 
 def _restore_pcrdd(cls, state: dict, slice_blobs: list[bytes], serializer):
@@ -212,7 +210,7 @@ class ShipPickler(pickle.Pickler):
         return (copyreg.__newobj__, (type(rdd),), state)
 
     def _reduce_pcrdd(self, rdd):
-        """Ship parallelize() source data as compressed GPB2 bundles."""
+        """Ship parallelize() source data as the serializer's bytes."""
         state = dict(rdd.__dict__)
         slices = state.pop("_slices", [])
         blobs: list[bytes | None] = []
@@ -221,8 +219,7 @@ class ShipPickler(pickle.Pickler):
             if not elements:
                 blobs.append(None)
                 continue
-            blob, _ = encode_partition(elements, self._serializer)
-            blobs.append(blob)
+            blobs.append(self._serializer.dumps(elements))
         return (_restore_pcrdd, (type(rdd), state, blobs, self._serializer))
 
 

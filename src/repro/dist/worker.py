@@ -31,7 +31,6 @@ import traceback
 
 from repro.dist import protocol
 from repro.dist.shipping import ship_loads
-from repro.engine import bundle
 from repro.engine.blockmanager import BlockCorruptionError, BlockManager
 from repro.engine.context import PartitionStore
 from repro.engine.faults import ShuffleFetchFailedError
@@ -466,8 +465,7 @@ class WorkerDaemon:
             if value is None:
                 encoding, result_blob = "none", b""
             else:
-                result_blob, _ = bundle.encode_partition(value, wctx.serializer)
-                encoding = "bundle"
+                encoding, result_blob = "block", wctx.serializer.dumps(value)
             reply = {
                 "task": task,
                 "outputs": outputs,

@@ -31,7 +31,6 @@ import re
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import read_block_file, write_block_file
-from repro.engine.bundle import decode_partition, encode_partition
 from repro.engine.metrics import TaskMetrics
 from repro.engine.rdd import RDD
 
@@ -39,7 +38,10 @@ if TYPE_CHECKING:
     from repro.core.process import Process
     from repro.engine.context import GPFContext
 
-JOURNAL_VERSION = 1
+#: Bumped when the checkpoint payload format changes: a journal whose
+#: header carries another version is discarded whole (2: a checkpoint
+#: is the bare serializer payload, with no block header of its own).
+JOURNAL_VERSION = 2
 
 
 def plan_signature(processes: Sequence["Process"]) -> str:
@@ -81,11 +83,7 @@ class CheckpointFileRDD(RDD):
         self._paths = list(paths)
 
     def compute(self, split: int, task: TaskMetrics) -> list:
-        return decode_partition(
-            read_block_file(self._paths[split]),
-            self.ctx.serializer,
-            metrics=self.ctx.metrics,
-        )
+        return self.ctx._decode_block(read_block_file(self._paths[split]))
 
 
 def _safe_name(name: str) -> str:
@@ -190,8 +188,7 @@ class RunJournal:
                 paths = []
                 for split, part in enumerate(ctx.run_job(value)):
                     path = os.path.join(self.data_dir, f"{stem}__p{split}.ckpt")
-                    body, _ = encode_partition(part, ctx.serializer)
-                    write_block_file(path, body, chaos)
+                    write_block_file(path, ctx.serializer.dumps(part), chaos)
                     paths.append(path)
                 spec["type"] = "rdd"
                 spec["paths"] = paths
@@ -254,7 +251,7 @@ class RunJournal:
                     # Decode too: a blob that passes crc32 but does not
                     # decode must also downgrade to re-execution.
                     for blob in blobs:
-                        decode_partition(blob, ctx.serializer)
+                        ctx.serializer.loads(blob)
                     value: object = CheckpointFileRDD(ctx, spec["paths"])
                 else:
                     value = pickle.loads(

@@ -87,9 +87,6 @@ _TAG_PAIR = b"P"
 _TAG_KEYED_SAM = b"K"
 _TAG_FALLBACK = b"F"
 
-#: Tags whose payloads the §4.1 batch codecs produced (vs. pickle frames).
-CODEC_TAGS = frozenset({b"Q", b"S", b"P", b"K"})
-
 _KEY_LEN = struct.Struct("<I")
 
 

@@ -6,7 +6,7 @@ disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
 output by the partitioner, serialize the buckets in one serializer pass,
 and write **one** file per map task, ``shuffle_<id>/<map>.bin`` — Spark's
 sort-shuffle layout.  The file holds the non-empty buckets as crc-framed
-GPB2 blocks (``frame_block`` over ``encode_partitions``) back to back,
+serializer payloads (``frame_block`` over ``dumps_many``) back to back,
 followed by a self-describing index: R+1 big-endian u64 offsets, u32 R,
 and a crc32 over both.  Reduce partition ``r`` is the byte range
 ``[offset[r], offset[r+1])``; an empty bucket is a zero-length range and
@@ -43,7 +43,6 @@ import zlib
 from typing import Sequence, TYPE_CHECKING
 
 from repro.engine.blockmanager import frame_block, unframe_block
-from repro.engine.bundle import CompressedBundle, encode_partitions
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import TaskMetrics, timed
 from repro.engine.serializers import Serializer
@@ -193,18 +192,17 @@ class ShuffleManager:
         for kv in elements:
             buckets[partitioner(kv[0])].append(kv)
             records += 1
-        # Spill the compressed block form (crc32-framed GPB2 bundle) of each
-        # non-empty bucket: spill I/O shrinks by the codec's compression
-        # ratio and a torn block is detected on read instead of feeding
-        # garbage.  The buckets cross the codec in one pass (one shared
-        # table), yet each block decodes alone.  An empty bucket is a
-        # zero-length range.
-        blocks = iter(encode_partitions([b for b in buckets if b], serializer))
+        # Spill each non-empty bucket's serializer payload in a crc32
+        # frame: spill I/O shrinks by the codec's compression ratio and a
+        # torn block is detected on read instead of feeding garbage.  The
+        # buckets cross the codec in one pass (one shared table), yet each
+        # block decodes alone.  An empty bucket is a zero-length range.
+        blocks = iter(serializer.dumps_many([b for b in buckets if b]))
         frames: list[bytes] = []
         offsets = [0]
         for bucket in buckets:
             if bucket:
-                frames.append(frame_block(next(blocks)[0]))
+                frames.append(frame_block(next(blocks)))
                 offsets.append(offsets[-1] + len(frames[-1]))
             else:
                 offsets.append(offsets[-1])
@@ -299,7 +297,7 @@ class ShuffleManager:
                 continue  # an empty bucket: no block was written
             total += len(blob)
             # crc check catches torn/corrupt spill blocks before decode.
-            payloads.append(CompressedBundle.frombytes(unframe_block(blob)).payload)
+            payloads.append(unframe_block(blob))
         records = serializer.loads_many(payloads)
         task.shuffle_bytes_read += total
         task.records_read += len(records)

@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 import repro.compression.records as records_module
 from repro.compression.huffman import HuffmanCodec, decode_streams
 from repro.compression.records import FastqCodec, SamCodec
-from repro.engine.bundle import CompressedBundle, encode_partitions
 from repro.engine.serializers import get_serializer
 from repro.formats.fastq import FastqPair, FastqRecord
 from tests.compression import reference_codec as ref
@@ -222,10 +221,10 @@ def test_a_torn_block_in_a_partition_chain_raises():
     gpf = get_serializer("gpf")
     groups = [sam_block(4, seed=9), sam_block(5, seed=10)]
     keyed = [[((r.rname, r.pos), r) for r in group] for group in groups]
-    blocks = [blob for blob, _ in encode_partitions(keyed, gpf)]
-    payloads = [CompressedBundle.frombytes(b).payload for b in blocks]
+    payloads = gpf.dumps_many(keyed)
+    assert [p[:1] for p in payloads] == [b"K", b"K"]
     assert gpf.loads_many(payloads) == keyed[0] + keyed[1]
-    torn = CompressedBundle.frombytes(blocks[1][:-9]).payload
+    torn = payloads[1][:-9]
     with watchdog(), pytest.raises(ValueError):
         gpf.loads_many([payloads[0], torn])
 

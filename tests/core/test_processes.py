@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.align.pairing import PairedEndAligner
 from repro.core.bundles import (
     FASTQPairBundle,
     PartitionInfoBundle,
@@ -20,6 +21,7 @@ from repro.core.processes import (
 )
 from repro.core.processes.io import FileLoader, LoadFastqPairProcess, WriteVcfProcess
 from repro.formats.fastq import write_fastq
+from repro.wgs import build_wgs_pipeline
 
 
 @pytest.fixture()
@@ -50,6 +52,29 @@ class TestBwaMemProcess:
     def test_mates_carry_pair_flags(self, ctx, aligned_bundle):
         records = aligned_bundle.rdd.collect()
         assert all(r.is_paired for r in records)
+
+    def test_journaled_run_aligns_each_partition_once(
+        self, ctx, reference, known_sites, read_pairs, tmp_path, monkeypatch
+    ):
+        """The journal checkpoints ``align:BwaMapping`` and MarkDuplicate's
+        map stage reads it again: the persisted output keeps the second
+        read from re-aligning every pair."""
+        calls = []
+        align_pairs = PairedEndAligner.align_pairs
+
+        def counted(self, pairs):
+            calls.append(len(pairs))
+            return align_pairs(self, pairs)
+
+        monkeypatch.setattr(PairedEndAligner, "align_pairs", counted)
+        pairs = read_pairs[:60]
+        handles = build_wgs_pipeline(
+            ctx, reference, ctx.parallelize(pairs, 3), known_sites,
+            partition_length=4_000,
+        )
+        handles.pipeline.run(journal_dir=str(tmp_path / "journal"))
+        handles.vcf.rdd.collect()
+        assert sorted(calls) == [20, 20, 20]
 
 
 class TestSortProcess:

@@ -55,7 +55,7 @@ def test_torn_writes_reassemble(pair):
     """A frame dribbled one byte at a time still decodes: recv_exactly
     must loop over arbitrarily small partial reads."""
     a, b = pair
-    body = b"GPB2-payload" * 50
+    body = b"codec-payload" * 50
     protocol.send_frame(a, protocol.MSG_BLOCK, {"shuffle": 3}, body)
     # Re-send the identical wire bytes, one byte per send, from a thread.
     buffer = bytearray()

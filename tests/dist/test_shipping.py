@@ -1,8 +1,8 @@
 """Closure shipping round-trips, including over a real socket.
 
 Satellite coverage: serializer round-trips across a socketpair under
-partial reads, the GPB2 compressed-bundle path for
-``ParallelCollectionRDD`` slices with worker-side lazy decode, and the
+partial reads, ``ParallelCollectionRDD`` slices shipped as the
+serializer's compressed bytes with worker-side lazy decode, and the
 stage cut: a written shuffle ships as its id, not its map side.
 """
 
@@ -133,7 +133,7 @@ class TestParallelCollectionBundles:
         blob = ship_dumps(rdd, ctx)
         loaded = ship_loads(blob, worker_ctx)
         assert loaded.ctx is worker_ctx
-        # Slices decode lazily — they arrive as bundle views, not lists.
+        # Slices decode lazily — they arrive as block views, not lists.
         assert all(not isinstance(s, list) for s in loaded._slices if s)
         restored = [kv for part in loaded._slices for kv in part]
         assert restored == data
@@ -147,8 +147,8 @@ class TestParallelCollectionBundles:
         assert slices.count([]) == 2
 
     def test_bundle_form_beats_pickled_lists(self, ctx, read_pairs):
-        """The point of the GPB2 path: ship traffic shrinks by the
-        genomic codec's compression ratio (Table 3)."""
+        """The point of shipping codec bytes: ship traffic shrinks by
+        the genomic codec's compression ratio (Table 3)."""
         rdd = ctx.parallelize(read_pairs, 2)
         shipped = len(ship_dumps(rdd, ctx))
         plain = len(pickle.dumps(read_pairs))

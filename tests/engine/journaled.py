@@ -1,8 +1,8 @@
 """A one-Process journaled pipeline for the durable-store tests.
 
 The run journal is the engine's one durable store: a finished Process's
-RDD outputs are written as crc-framed GPB2 bundles, one file per
-partition, and a resumed run restores them instead of re-executing.
+RDD outputs are written as crc-framed serializer payloads, one file
+per partition, and a resumed run restores them instead of re-executing.
 """
 
 from __future__ import annotations

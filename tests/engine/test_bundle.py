@@ -1,17 +1,18 @@
-"""Block format (GPB2 CompressedBundle) and partition decode tests."""
+"""Block format: a stored partition is exactly the serializer's bytes.
+
+The gpf serializer's first byte names the codec that wrote the block
+(``Q``/``S``/``P``/``K``, or ``F`` for its pickle fallback); the compact
+serializer's block is a bare pickle.  A stored block is decoded to a
+list by :meth:`PartitionStore._decode_block`, which charges the
+``blockmanager.decode*`` telemetry.
+"""
+
+import pickle
 
 import pytest
 
-from repro.engine.blockmanager import BlockCorruptionError
-from repro.engine.bundle import (
-    BUNDLE_MAGIC,
-    CompressedBundle,
-    approx_logical_bytes,
-    decode_partition,
-    encode_partition,
-)
-from repro.engine.serializers import CompactSerializer, GpfSerializer, get_serializer
-from repro.engine.metrics import MetricsRegistry
+from repro.engine.context import EngineConfig, GPFContext, approx_logical_bytes
+from repro.engine.serializers import CompactSerializer, GpfSerializer
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.formats.sam import SamRecord
 
@@ -26,80 +27,78 @@ def make_fastq(n: int) -> list[FastqRecord]:
 
 
 class TestCompressedBundle:
-    def test_header_round_trip(self):
-        records = make_fastq(10)
-        bundle = CompressedBundle.encode(records, GpfSerializer())
-        parsed = CompressedBundle.frombytes(bundle.tobytes())
-        assert parsed is not None
-        assert parsed.codec == b"Q"
-        assert parsed.count == 10
-        assert parsed.logical_bytes == bundle.logical_bytes
-        assert parsed.payload == bundle.payload
+    """A partition's compressed stored form: the serializer's bytes."""
 
     def test_codec_tag_records_fallback(self):
-        bundle = CompressedBundle.encode([1, 2, 3], GpfSerializer())
-        assert bundle.codec == b"F"
+        blob = GpfSerializer().dumps([1, 2, 3])
+        assert blob[:1] == b"F"
 
     def test_codec_tag_opaque_for_pickle(self):
-        bundle = CompressedBundle.encode([1, 2, 3], CompactSerializer())
-        assert bundle.codec == b"."
+        blob = CompactSerializer().dumps([1, 2, 3])
+        assert blob == pickle.dumps([1, 2, 3], protocol=pickle.HIGHEST_PROTOCOL)
 
     def test_pair_partitions_use_pair_codec(self):
         records = make_fastq(8)
         pairs = [
             FastqPair(records[i], records[i + 1]) for i in range(0, 8, 2)
         ]
-        bundle = CompressedBundle.encode(pairs, GpfSerializer())
-        assert bundle.codec == b"P"
-        assert bundle.count == 4
+        blob = GpfSerializer().dumps(pairs)
+        assert blob[:1] == b"P"
+        assert GpfSerializer().loads(blob) == pairs
 
     @pytest.mark.parametrize(
-        "blob", [b"not a bundle", b"", BUNDLE_MAGIC + b"\x02"],
+        "blob", [b"not a bundle", b"", b"GPB2\x02"],
         ids=["no_magic", "empty", "short_header"],
     )
     def test_non_gpb2_blob_is_refused(self, blob):
-        with pytest.raises(BlockCorruptionError, match="GPB2"):
-            CompressedBundle.frombytes(blob)
-
-    def test_wrong_version_is_refused(self):
-        bundle = CompressedBundle.encode(make_fastq(2), GpfSerializer())
-        blob = bytearray(bundle.tobytes())
-        blob[4] = 99  # version byte
-        with pytest.raises(BlockCorruptionError, match="version 99"):
-            CompressedBundle.frombytes(bytes(blob))
+        """Bytes no serializer wrote, a stale ``GPB2``-headed block
+        among them, fail to decode instead of decoding to garbage."""
+        with pytest.raises(ValueError, match="unknown gpf serializer frame tag"):
+            GpfSerializer().loads(blob)
 
     def test_compression_ratio_over_one_for_genomic(self):
-        bundle = CompressedBundle.encode(make_fastq(100), GpfSerializer())
-        assert bundle.ratio > 2.0
-        assert bundle.compressed_bytes < bundle.logical_bytes
+        records = make_fastq(100)
+        blob = GpfSerializer().dumps(records)
+        assert approx_logical_bytes(records) / len(blob) > 2.0
 
-    def test_magic_prefixes_blob(self):
-        blob, _ = encode_partition(make_fastq(3), GpfSerializer())
-        assert blob.startswith(BUNDLE_MAGIC)
+
+@pytest.fixture()
+def store(tmp_path):
+    """Builds one context per serializer name, stops them at teardown."""
+    contexts = []
+
+    def make(name: str = "gpf") -> GPFContext:
+        config = EngineConfig(serializer=name, spill_dir=str(tmp_path / name))
+        contexts.append(GPFContext(config))
+        return contexts[-1]
+
+    yield make
+    for context in contexts:
+        context.stop()
 
 
 class TestDecodePartition:
+    """A stored block decodes, in one call, to the partition's list."""
+
     @pytest.mark.parametrize("name", ["gpf", "compact"])
-    def test_round_trips_to_a_list(self, name):
-        serializer = get_serializer(name)
+    def test_round_trips_to_a_list(self, store, name):
+        ctx = store(name)
         records = make_fastq(20)
-        blob, _ = encode_partition(records, serializer)
-        part = decode_partition(blob, serializer)
+        part = ctx._decode_block(ctx.serializer.dumps(records))
         assert type(part) is list
         assert part == records
 
-    def test_empty_partition(self):
-        blob, bundle = encode_partition([], GpfSerializer())
-        assert bundle.count == 0
-        assert decode_partition(blob, GpfSerializer()) == []
+    def test_empty_partition(self, store):
+        ctx = store()
+        assert ctx._decode_block(ctx.serializer.dumps([])) == []
 
-    def test_telemetry_counts_decode(self):
-        metrics = MetricsRegistry()
-        blob, _ = encode_partition(make_fastq(12), GpfSerializer())
-        decode_partition(blob, GpfSerializer(), metrics=metrics)
-        counters = metrics.snapshot()["counters"]
-        assert counters["blockmanager.decoded_records"] == 12
-        assert counters["blockmanager.decode_seconds"] > 0
+    def test_telemetry_counts_decode(self, store):
+        ctx = store()
+        ctx._decode_block(ctx.serializer.dumps(make_fastq(12)))
+        snapshot = ctx.metrics.snapshot()
+        assert snapshot["counters"]["blockmanager.decoded_records"] == 12
+        assert snapshot["counters"]["blockmanager.decode_seconds"] > 0
+        assert snapshot["histograms"]["blockmanager.decode_batch_seconds"]["count"] == 1
 
 
 class TestApproxLogicalBytes:

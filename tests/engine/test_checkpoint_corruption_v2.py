@@ -1,19 +1,22 @@
-"""Corrupt/truncated GPB2 journal checkpoints must re-execute cleanly.
+"""Corrupt, truncated or stale journal checkpoints must re-execute cleanly.
 
 The block frame's crc32 catches bit flips, but a crc-valid blob can
-still be undecodable: a mangled codec tag or a truncated or absent GPB2
-header passes the frame check and only explodes at decode time.  The
-run journal's restore path decode-verifies eagerly and downgrades any
-failure to re-executing the Process, which rewrites its checkpoint,
-including under a thread pool.
+still be undecodable: a mangled codec tag, a truncated payload, or a
+checkpoint in the parent format (the serializer payload behind an
+18-byte ``GPB2`` header) passes the frame check and only explodes at
+decode time.  The run journal's restore path decode-verifies eagerly
+and downgrades any failure to re-executing the Process, which rewrites
+its checkpoint, including under a thread pool.
 """
 
 from __future__ import annotations
 
+import pickle
+import struct
+
 import pytest
 
 from repro.engine.blockmanager import read_block_file, write_block_file
-from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle
 from repro.engine.context import EngineConfig, GPFContext
 from tests.engine.journaled import partition_files, run_journaled
 
@@ -30,29 +33,25 @@ def make_ctx(tmp_path, backend):
 
 
 def bad_codec_tag(blob: bytes) -> bytes:
-    """Valid GPB2 header, payload tag byte zeroed: undecodable codec."""
-    bundle = CompressedBundle.frombytes(blob)
-    payload = b"\x00" + bundle.payload[1:]
-    return CompressedBundle(
-        bundle.codec, bundle.count, bundle.logical_bytes, payload
-    ).tobytes()
+    """The serializer payload with its codec tag byte zeroed."""
+    return b"\x00" + blob[1:]
 
 
-def short_header(blob: bytes) -> bytes:
-    """GPB2 magic but the header is cut short: frombytes refuses it."""
-    return BUNDLE_MAGIC + b"\x02"
+def truncated_payload(blob: bytes) -> bytes:
+    """The payload cut short, as a torn write re-framed would leave it."""
+    return blob[: len(blob) // 2]
 
 
-def no_header(blob: bytes) -> bytes:
-    """The raw serializer payload with no GPB2 header in front — what a
-    pre-GPB2 writer left behind.  Decodable bytes, but not a block."""
-    return CompressedBundle.frombytes(blob).payload
+def parent_format(blob: bytes) -> bytes:
+    """The payload behind the parent's ``GPB2`` header: magic, version 2,
+    codec tag, record count (6 per partition here), logical bytes."""
+    return struct.pack("<4sBcIQ", b"GPB2", 2, blob[:1], 6, 0) + blob
 
 
 CORRUPTIONS = {
     "bad_codec_tag": bad_codec_tag,
-    "short_header": short_header,
-    "no_header": no_header,
+    "truncated_payload": truncated_payload,
+    "parent_format": parent_format,
 }
 
 
@@ -67,13 +66,18 @@ class TestCheckpointCorruptionV2:
         with make_ctx(tmp_path, backend) as ctx:
             run_journaled(ctx, jdir, range(12), lambda x: x * 5)
             path = partition_files(jdir)[0]
+            blob = read_block_file(path)
+            corrupted = CORRUPTIONS[corruption](blob)
+            with pytest.raises((ValueError, pickle.UnpicklingError)):
+                ctx.serializer.loads(corrupted)
             # Re-frame the corrupted blob: the crc is *valid*, only the
             # contents are garbage.
-            write_block_file(path, CORRUPTIONS[corruption](read_block_file(path)))
+            write_block_file(path, corrupted)
 
             executed, out = run_journaled(ctx, jdir, range(12), lambda x: x * 5)
             assert executed
             assert out.collect() == expected
+            assert read_block_file(path) == blob
 
             # The re-execution rewrote the checkpoint: the next run
             # restores it without executing again.

@@ -3,6 +3,7 @@ backoff, shutdown cleanup."""
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import time
@@ -19,8 +20,9 @@ from repro.engine.faults import (
     TaskFailedError,
     TaskTimeoutError,
 )
-from repro.engine.journal import RunJournal, plan_signature
+from repro.engine.journal import JOURNAL_VERSION, RunJournal, plan_signature
 from repro.engine.scheduler import RETRY_BACKOFF, RETRY_BACKOFF_MAX
+from repro.obs import MemorySink
 
 
 def _kill_randomly(probability, max_faults=None):
@@ -140,6 +142,36 @@ class TestJournalResume:
         assert log == ["stage0", "stage1", "stage2", "collect"]
         assert pipe2.skipped == []
         assert total2.value == [x + 3 for x in range(20)]
+
+    def test_journal_of_another_version_is_discarded(self, ctx, tmp_path):
+        """A version-1 journal (checkpoints behind a ``GPB2`` header) is
+        discarded whole, even when its files would decode."""
+        jdir = str(tmp_path / "journal")
+        pipe1, _, total1 = _build(ctx, [])
+        pipe1.run(journal_dir=jdir)
+        path = os.path.join(jdir, "journal.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == JOURNAL_VERSION == 2
+        header["version"] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+
+        sink = MemorySink()
+        ctx.events.subscribe(sink)
+        try:
+            log: list[str] = []
+            pipe2, _, total2 = _build(ctx, log)
+            pipe2.run(journal_dir=jdir)
+        finally:
+            ctx.events.unsubscribe(sink)
+        assert "journal.stale" in [e["kind"] for e in sink.events]
+        assert log == ["stage0", "stage1", "stage2", "collect"]
+        assert pipe2.skipped == []
+        assert pickle.dumps(total2.value) == pickle.dumps(total1.value)
+        with open(path, encoding="utf-8") as fh:
+            assert json.loads(fh.readline())["version"] == JOURNAL_VERSION
 
     def test_torn_trailing_line_tolerated(self, ctx, tmp_path):
         jdir = str(tmp_path / "journal")

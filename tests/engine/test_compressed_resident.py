@@ -1,11 +1,11 @@
 """Compressed-resident partitions end to end: cache, budget eviction,
 spill, journal checkpoints, the telemetry gauges, and the three places a
-stored partition is read, each decoding it once to a list."""
+stored partition is read, each decoding it once to a list.  Every stored
+partition is the serializer's bytes, framed by ``GPFB`` on disk."""
 
 import pytest
 
-from repro.engine.blockmanager import unframe_block
-from repro.engine.bundle import BUNDLE_MAGIC, CompressedBundle
+from repro.engine.blockmanager import frame_block
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.journal import CheckpointFileRDD
 from repro.engine.metrics import TaskMetrics
@@ -48,7 +48,8 @@ class TestReadsDecodeToLists:
         rdd = gpf_ctx.parallelize(pairs, 3).persist()
         assert rdd.collect() == pairs  # populates the cache
         block = gpf_ctx.block_manager.get((rdd.id, 0))
-        assert CompressedBundle.frombytes(block).codec == b"P"
+        assert block == gpf_ctx.serializer.dumps(pairs[:10])
+        assert block[:1] == b"P"
         before = gpf_ctx.metrics.counter("blockmanager.decoded_records")
         cached = gpf_ctx._cache_get(rdd, 0)
         assert type(cached) is list
@@ -157,14 +158,15 @@ class TestCheckpointCompressed:
         assert out.collect() == pairs
         assert out.collect() == pairs
 
-    def test_checkpoint_files_are_v2_bundles(self, gpf_ctx, tmp_path):
+    def test_checkpoint_files_are_framed_serializer_bytes(self, gpf_ctx, tmp_path):
+        pairs = make_pairs(12)
         jdir = str(tmp_path / "journal")
-        run_journaled(gpf_ctx, jdir, make_pairs(12), lambda p: p)
-        blobs = partition_files(jdir)
-        assert len(blobs) == 2
-        with open(blobs[0], "rb") as fh:
-            body = unframe_block(fh.read())
-        assert body.startswith(BUNDLE_MAGIC)
+        run_journaled(gpf_ctx, jdir, pairs, lambda p: p)
+        paths = partition_files(jdir)
+        assert len(paths) == 2
+        for path, part in zip(paths, (pairs[:6], pairs[6:])):
+            with open(path, "rb") as fh:
+                assert fh.read() == frame_block(gpf_ctx.serializer.dumps(part))
 
 
 class TestShuffleSpillCompressed:
@@ -185,29 +187,29 @@ class TestShuffleSpillCompressed:
             EngineConfig(default_parallelism=2, serializer="gpf", spill_dir=str(spill))
         )
         try:
-            keyed = context.parallelize([(i % 2, i) for i in range(10)], 2)
+            data = [(i % 2, i) for i in range(10)]
+            keyed = context.parallelize(data, 2)
             # Two keys over five reduce partitions: at least three empty
             # buckets per map task.
             keyed.partition_by(HashPartitioner(5)).collect()
             map_files = sorted(spill.glob("shuffle_*/*.bin"))
             assert [p.name for p in map_files] == ["0.bin", "1.bin"]
-            for path in map_files:
+            for path, map_data in zip(map_files, (data[:5], data[5:])):
                 shuffle_id = int(path.parent.name.split("_")[1])
                 blocks = [
                     read_block(str(spill), shuffle_id, int(path.stem), r)
                     for r in range(5)
                 ]
                 # A non-empty indexed range is exactly its crc frame
-                # around one GPB2 bundle.
-                counts = []
-                for blob in filter(None, blocks):
-                    body = unframe_block(blob)
-                    assert body.startswith(BUNDLE_MAGIC)
-                    counts.append(CompressedBundle.frombytes(body).count)
-                assert sum(counts) == 5
+                # around the bucket's serializer payload, the buckets
+                # encoded in one ``dumps_many`` pass.
+                buckets = [[kv for kv in map_data if kv[0] == k] for k in (0, 1)]
+                payloads = context.serializer.dumps_many(
+                    sorted(buckets, key=lambda b: HashPartitioner(5)(b[0][0]))
+                )
+                assert list(filter(None, blocks)) == [frame_block(p) for p in payloads]
                 # Empty buckets occupy 0 bytes: the file is the non-empty
                 # frames plus the index (6 u64 offsets, u32 R, u32 crc).
-                assert len(counts) == 2
                 assert path.stat().st_size == sum(map(len, blocks)) + 6 * 8 + 8
         finally:
             context.stop()
