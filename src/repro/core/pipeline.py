@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.core.optimizer import eliminate_redundancy
@@ -162,14 +161,10 @@ class Pipeline:
                 if resource.is_defined:
                     resource_pool.add(id(resource))
 
-        start = time.perf_counter()
-        events.publish(
-            "pipeline.start",
-            pipeline=self.name,
-            processes=[p.name for p in plan],
-        )
         with self.ctx.tracer.span(
-            f"pipeline:{self.name}", kind="pipeline", processes=len(plan)
+            f"pipeline:{self.name}",
+            kind="pipeline",
+            processes=[p.name for p in plan],
         ):
             while unfinished:
                 ready = [
@@ -211,13 +206,6 @@ class Pipeline:
                     unfinished.remove(process)
                     for resource in process.outputs:
                         resource_pool.add(id(resource))
-        events.publish(
-            "pipeline.end",
-            pipeline=self.name,
-            elapsed=time.perf_counter() - start,
-            executed=[p.name for p in self.executed],
-            skipped=[p.name for p in self.skipped],
-        )
 
     def reset(self) -> None:
         """Undefine every Process-produced Resource so the pipeline can be

@@ -109,10 +109,7 @@ class Process:
             )
         self._state = ProcessState.RUNNING
         defined_before = [r.is_defined for r in self.outputs]
-        events = getattr(ctx, "events", None)
         tracer = getattr(ctx, "tracer", None)
-        if events is not None:
-            events.publish("process.start", process=self.name)
         started = time.perf_counter()
         try:
             if tracer is not None:
@@ -120,7 +117,7 @@ class Process:
                     self.execute(ctx)
             else:
                 self.execute(ctx)
-        except Exception as exc:
+        except Exception:
             # Roll back outputs the failed attempt defined, so a retried
             # plan does not see phantom Resources.
             for resource, was_defined in zip(self.outputs, defined_before):
@@ -128,12 +125,6 @@ class Process:
                     resource.undefine()
             self._state = ProcessState.BLOCKED
             self.last_run_seconds = time.perf_counter() - started
-            if events is not None:
-                events.publish(
-                    "process.failed",
-                    process=self.name,
-                    error=type(exc).__name__,
-                )
             raise
         self.last_run_seconds = time.perf_counter() - started
         not_defined = [r.name for r in self.outputs if not r.is_defined]
@@ -141,10 +132,6 @@ class Process:
             raise RuntimeError(
                 f"process {self.name!r} finished without defining outputs: "
                 f"{not_defined}"
-            )
-        if events is not None:
-            events.publish(
-                "process.end", process=self.name, elapsed=self.last_run_seconds
             )
         self._state = ProcessState.END
 

@@ -57,7 +57,7 @@ class BwaMemProcess(Process):
         return cls(name, reference, input_bundle, output_bundle, **kwargs)
 
     def execute(self, ctx: "GPFContext") -> None:
-        """Broadcast the aligner, map pairs to SAM records, persist."""
+        """Broadcast the aligner and map pairs to SAM records."""
         aligner = PairedEndAligner(
             self.reference, self.aligner_config, self.pairing_config
         )
@@ -72,7 +72,4 @@ class BwaMemProcess(Process):
         self.output_bundle.header = SamHeader.unsorted(
             self.reference.contig_lengths()
         )
-        # Persisted for journaled runs: RunJournal.record runs this RDD
-        # once to checkpoint it, and MarkDuplicate's map stage reads it
-        # again; without the cache that second read re-aligns every pair.
-        self.output_bundle.define(aligned.persist())
+        self.output_bundle.define(aligned)

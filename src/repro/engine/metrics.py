@@ -82,8 +82,8 @@ class StageMetrics:
         return sum(t.gc_time for t in self.tasks)
 
     def totals(self) -> dict:
-        """The stage summed once: the ``stage.end`` event's fields, which
-        are also the run report's stage row."""
+        """The stage summed once: the attributes its span closes with,
+        which are also the run report's stage row."""
         return {
             "stage_id": self.stage_id,
             "name": self.name,

@@ -55,67 +55,6 @@ RETRY_BACKOFF = 0.05
 RETRY_BACKOFF_MAX = 2.0
 
 
-class _StageProgress:
-    """Live progress publisher for one running stage.
-
-    Publishes schema-validated ``progress.stage`` events as tasks
-    complete: tasks done/total, bytes moved, and an ETA from an EWMA of
-    completion *intervals* (wall time between successive completions on
-    any executor slot — which already reflects parallelism, so
-    ``ewma * remaining`` is the stage ETA, not a per-task sum).
-
-    Payloads are computed under the lock; the publish happens outside it
-    (sinks do I/O).  Consumers must tolerate out-of-order delivery —
-    the serve layer's ``JobProgress`` keeps a monotonic guard.
-    """
-
-    _ALPHA = 0.3
-
-    def __init__(self, events, stage_id: int, name: str, total: int):
-        self._events = events
-        self._lock = threading.Lock()
-        self.stage_id = stage_id
-        self.name = name
-        self.total = total
-        self._done = 0
-        self._bytes = 0
-        self._last = time.monotonic()
-        self._ewma: float | None = None
-
-    def _payload(self) -> dict:
-        remaining = max(0, self.total - self._done)
-        eta = self._ewma * remaining if self._ewma is not None else None
-        return {
-            "stage_id": self.stage_id,
-            "name": self.name,
-            "tasks_done": self._done,
-            "tasks_total": self.total,
-            "bytes": self._bytes,
-            "eta_seconds": eta,
-        }
-
-    def start(self) -> None:
-        with self._lock:
-            payload = self._payload()
-        self._events.publish("progress.stage", **payload)
-
-    def task_done(self, task: TaskMetrics) -> None:
-        with self._lock:
-            now = time.monotonic()
-            interval = now - self._last
-            self._last = now
-            self._done += 1
-            self._bytes += task.shuffle_bytes_read + task.shuffle_bytes_written
-            if self._ewma is None:
-                self._ewma = interval
-            else:
-                self._ewma = (
-                    self._ALPHA * interval + (1 - self._ALPHA) * self._ewma
-                )
-            payload = self._payload()
-        self._events.publish("progress.stage", **payload)
-
-
 class DAGScheduler:
     def __init__(self, ctx: "GPFContext"):
         self.ctx = ctx
@@ -129,8 +68,23 @@ class DAGScheduler:
         """Materialize the given partitions of ``rdd`` (all by default)."""
         with self.ctx.tracer.span(f"job:{rdd.name}", kind="job", rdd_id=rdd.id):
             for dep in self._pending_shuffles(rdd):
-                self._run_map_stage(dep)
-            return self._run_result_stage(rdd, partitions)
+                parent = dep.parent
+                shuffle_id = self.ctx.shuffle_manager.register(parent.num_partitions)
+                self._run_stage(
+                    "shuffle-map",
+                    f"shuffle-map:{parent.name}",
+                    range(parent.num_partitions),
+                    lambda split: self._map_task_body(dep, shuffle_id, split),
+                )
+                dep.shuffle_id = shuffle_id
+                self._map_specs[shuffle_id] = dep
+            splits = range(rdd.num_partitions) if partitions is None else list(partitions)
+            return self._run_stage(
+                "result",
+                f"result:{rdd.name}",
+                splits,
+                lambda split: lambda task: rdd.iterator(split, task),
+            )
 
     # -- planning ------------------------------------------------------------
     def _pending_shuffles(self, rdd: "RDD") -> list["ShuffleDependency"]:
@@ -198,6 +152,8 @@ class DAGScheduler:
             task.finalize()
             span.set_attributes(
                 run_time=task.run_time,
+                disk_blocked=task.disk_blocked,
+                network_blocked=task.network_blocked,
                 gc_time=task.gc_time,
                 shuffle_bytes_read=task.shuffle_bytes_read,
                 shuffle_bytes_written=task.shuffle_bytes_written,
@@ -271,7 +227,6 @@ class DAGScheduler:
         body: Callable[[TaskMetrics], object],
         record: Callable[[TaskMetrics], None],
         parent_span=None,
-        progress: "_StageProgress | None" = None,
     ) -> object:
         """Run one task body with retries; returns its value."""
         max_attempts = max(1, self.ctx.config.max_task_attempts)
@@ -284,25 +239,6 @@ class DAGScheduler:
                 )
                 record(task)
                 self.ctx.metrics.observe("task.seconds", task.run_time)
-                if progress is not None:
-                    progress.task_done(task)
-                if events.active:
-                    events.publish(
-                        "task.end",
-                        stage_id=task.stage_id,
-                        stage_kind=stage_kind,
-                        partition=task.partition,
-                        attempt=task.attempt,
-                        run_time=task.run_time,
-                        cpu_time=task.cpu_time,
-                        disk_blocked=task.disk_blocked,
-                        network_blocked=task.network_blocked,
-                        gc_time=task.gc_time,
-                        shuffle_bytes_read=task.shuffle_bytes_read,
-                        shuffle_bytes_written=task.shuffle_bytes_written,
-                        records_read=task.records_read,
-                        records_written=task.records_written,
-                    )
                 return value
             except RetryBudgetExhaustedError:
                 # Raised below on a previous task of this job; a budget
@@ -368,13 +304,6 @@ class DAGScheduler:
                     time.sleep(delay)
         raise AssertionError("the last attempt returns or raises")
 
-    # -- stage events ---------------------------------------------------------
-    def _publish_stage_end(self, stage) -> None:
-        events = self.ctx.events
-        if not events.active:
-            return
-        events.publish("stage.end", **stage.totals())
-
     # -- execution ----------------------------------------------------------
     @staticmethod
     def _map_task_body(
@@ -402,45 +331,37 @@ class DAGScheduler:
 
         return body
 
-    def _run_map_stage(self, dep: "ShuffleDependency") -> None:
-        parent = dep.parent
-        stage = self.ctx.metrics.new_stage(name=f"shuffle-map:{parent.name}")
-        shuffle_id = self.ctx.shuffle_manager.register(parent.num_partitions)
-        self.ctx.events.publish(
-            "stage.start", stage_id=stage.stage_id, name=stage.name
-        )
-        progress = None
-        if self.ctx.events.active:
-            progress = _StageProgress(
-                self.ctx.events, stage.stage_id, stage.name, parent.num_partitions
-            )
-            progress.start()
+    def _run_stage(
+        self,
+        stage_kind: str,
+        name: str,
+        splits: Sequence[int],
+        make_body: Callable[[int], Callable[[TaskMetrics], object]],
+    ) -> list:
+        """Run one stage's tasks under its span; the task values in split
+        order.  The span closes with the stage's ledger totals, which is
+        how its Table-4 row reaches the event log."""
+        stage = self.ctx.metrics.new_stage(name=name)
+        tracer = self.ctx.tracer
+        with tracer.span(
+            name, kind="stage", stage_id=stage.stage_id, tasks=len(splits)
+        ) as stage_span:
 
-        def make_task(split: int, stage_span):
-            def run() -> None:
-                self._run_with_retries(
-                    "shuffle-map",
+            def make_task(split: int) -> Callable[[], object]:
+                body = make_body(split)
+                return lambda: self._run_with_retries(
+                    stage_kind,
                     split,
-                    self._map_task_body(dep, shuffle_id, split),
+                    body,
                     lambda task: self.ctx.metrics.add_task(stage, task),
                     parent_span=stage_span,
-                    progress=progress,
                 )
 
-            return run
-
-        with self.ctx.tracer.span(
-            stage.name, kind="stage", stage_id=stage.stage_id
-        ) as stage_span:
-            self.ctx.executor.run_all(
-                [
-                    make_task(split, stage_span)
-                    for split in range(parent.num_partitions)
-                ]
-            )
-        dep.shuffle_id = shuffle_id
-        self._map_specs[shuffle_id] = dep
-        self._publish_stage_end(stage)
+            try:
+                return self.ctx.executor.run_all([make_task(s) for s in splits])
+            finally:
+                if tracer.enabled:
+                    stage_span.set_attributes(**stage.totals())
 
     def _recover_shuffle(
         self, failure: ShuffleFetchFailedError, parent_span=None
@@ -480,42 +401,3 @@ class DAGScheduler:
                 lambda task: None,
                 parent_span=parent_span,
             )
-
-    def _run_result_stage(
-        self, rdd: "RDD", partitions: Sequence[int] | None
-    ) -> list[list]:
-        splits = list(partitions) if partitions is not None else list(
-            range(rdd.num_partitions)
-        )
-        stage = self.ctx.metrics.new_stage(name=f"result:{rdd.name}")
-        self.ctx.events.publish(
-            "stage.start", stage_id=stage.stage_id, name=stage.name
-        )
-        progress = None
-        if self.ctx.events.active:
-            progress = _StageProgress(
-                self.ctx.events, stage.stage_id, stage.name, len(splits)
-            )
-            progress.start()
-
-        def make_task(split: int, stage_span):
-            def run() -> list:
-                return self._run_with_retries(
-                    "result",
-                    split,
-                    lambda task: rdd.iterator(split, task),
-                    lambda task: self.ctx.metrics.add_task(stage, task),
-                    parent_span=stage_span,
-                    progress=progress,
-                )
-
-            return run
-
-        with self.ctx.tracer.span(
-            stage.name, kind="stage", stage_id=stage.stage_id
-        ) as stage_span:
-            results = self.ctx.executor.run_all(
-                [make_task(split, stage_span) for split in splits]
-            )
-        self._publish_stage_end(stage)
-        return results

@@ -6,10 +6,12 @@ observability story.  This package is the single surface that makes a
 run inspectable:
 
 - :mod:`repro.obs.tracer` — nested spans
-  (pipeline → process → job → stage → task attempt) with monotonic
-  timestamps and process-safe IDs; a no-op tracer by default.
+  (pipeline → process → job → stage → task attempt), published as
+  ``span.open``/``span.close`` events, with process-safe IDs; a no-op
+  tracer by default.
 - :mod:`repro.obs.events` — the :class:`EventBus` every subsystem
-  publishes to, its JSONL sink, and the event-schema validator.
+  publishes to, its one clock, its JSONL sink, and the event-schema
+  validator.
 - :mod:`repro.obs.histogram` — the fixed-bucket log-spaced latency
   histogram (mergeable bucket-wise; p50/p95/p99 estimation).  Named
   counters, gauges and histograms are kept by the context's one
@@ -19,7 +21,8 @@ run inspectable:
   events.
 - :mod:`repro.obs.prometheus` — Prometheus text-format 0.0.4 rendering
   and the line-format validator CI runs against live output.
-- :mod:`repro.obs.chrome_trace` — Chrome-trace/Perfetto JSON export.
+- :mod:`repro.obs.chrome_trace` — Chrome-trace/Perfetto JSON, derived
+  from a run's span events.
 - :mod:`repro.obs.report` — the Table-4 / Fig.-12 style run report,
   renderable from a live context or a saved ``events.jsonl``.
 """

@@ -1,11 +1,13 @@
 """Chrome-trace / Perfetto export of a traced run.
 
-Converts the tracer's finished spans to the Trace Event Format's
-"complete" (``ph: "X"``) events, one per span, so ``chrome://tracing``
-or https://ui.perfetto.dev can open a GPF run: pipeline/process spans on
-the driver thread row, task spans on their executor-thread rows, with
-span attributes (partition, attempt, shuffle bytes, cache hits) in
-``args``.
+Converts the ``span.close`` events of a run's event log to the Trace
+Event Format's "complete" (``ph: "X"``) events, one per span, so
+``chrome://tracing`` or https://ui.perfetto.dev can open a GPF run:
+pipeline/process spans on the driver thread row, task spans on their
+executor-thread rows, with span attributes (partition, attempt, shuffle
+bytes, cache hits) in ``args``.  The file is derived from
+``events.jsonl``, never kept beside it: a span that is not in the log
+is not in the trace.
 
 Format reference: Trace Event Format, "JSON Object Format" — the
 ``traceEvents`` array plus optional metadata events naming processes and
@@ -15,61 +17,70 @@ threads.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+import os
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from repro.obs.profiler import SamplingProfiler
-    from repro.obs.tracer import Tracer
 
 
 def chrome_trace_dict(
-    tracer: "Tracer", profiler: "SamplingProfiler | None" = None
+    events: Iterable[dict], profiler: "SamplingProfiler | None" = None
 ) -> dict:
-    """The run as a Trace Event Format JSON object.
+    """One run's span events as a Trace Event Format JSON object.
 
     With a profiler attached, its bounded ring of raw samples becomes
     ``ph: "P"`` sample events on the same timeline — the leaf frame as
     the name, the full folded stack in ``args`` — so Perfetto shows
-    where inside each span the samples landed.
+    where inside each span the samples landed.  Times are microseconds
+    since the earliest span or sample.
     """
-    events: list[dict] = []
+    timed: list[tuple[float, dict]] = []
     pids = set()
     tids = set()
-    for span in tracer.finished_spans():
-        if not span.finished:
+    for event in events:
+        if event.get("kind") != "span.close":
             continue
-        pids.add(span.pid)
-        tids.add((span.pid, span.tid))
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.kind,
-                "ph": "X",
-                # Microseconds since the tracer's monotonic origin.
-                "ts": (span.start - tracer.origin_mono) * 1e6,
-                "dur": span.duration * 1e6,
-                "pid": span.pid,
-                "tid": span.tid,
-                "args": dict(span.attrs, span_id=span.span_id, parent_id=span.parent_id),
-            }
+        pids.add(event["pid"])
+        tids.add((event["pid"], event["tid"]))
+        timed.append(
+            (
+                event["ts"] - event["dur"],
+                {
+                    "name": event["name"],
+                    "cat": event["span_kind"],
+                    "ph": "X",
+                    "dur": event["dur"] * 1e6,
+                    "pid": event["pid"],
+                    "tid": event["tid"],
+                    "args": dict(
+                        event["attrs"],
+                        span_id=event["span_id"],
+                        parent_id=event["parent_id"],
+                    ),
+                },
+            )
         )
     if profiler is not None:
-        import os
-
         pid = os.getpid()
-        for mono_ts, tid, folded in profiler.raw_samples():
+        for ts, tid, folded in profiler.raw_samples():
             pids.add(pid)
-            events.append(
-                {
-                    "name": folded.rsplit(";", 1)[-1],
-                    "cat": "sample",
-                    "ph": "P",
-                    "ts": (mono_ts - tracer.origin_mono) * 1e6,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"stack": folded},
-                }
+            timed.append(
+                (
+                    ts,
+                    {
+                        "name": folded.rsplit(";", 1)[-1],
+                        "cat": "sample",
+                        "ph": "P",
+                        "pid": pid,
+                        "tid": tid,
+                        "args": {"stack": folded},
+                    },
+                )
             )
+    origin = min((ts for ts, _ in timed), default=0.0)
+    for ts, entry in timed:
+        entry["ts"] = (ts - origin) * 1e6
     metadata = [
         {
             "name": "process_name",
@@ -81,21 +92,19 @@ def chrome_trace_dict(
         for pid in sorted(pids)
     ]
     return {
-        "traceEvents": metadata + sorted(events, key=lambda e: e["ts"]),
+        "traceEvents": metadata
+        + sorted((entry for _, entry in timed), key=lambda e: e["ts"]),
         "displayTimeUnit": "ms",
-        "otherData": {
-            "tracer_origin_wall": tracer.origin_wall,
-            "threads": len(tids),
-        },
+        "otherData": {"origin_wall": origin, "threads": len(tids)},
     }
 
 
 def write_chrome_trace(
-    path: str, tracer: "Tracer", profiler: "SamplingProfiler | None" = None
+    path: str, events: Iterable[dict], profiler: "SamplingProfiler | None" = None
 ) -> None:
     """Write the trace JSON file (open it in chrome://tracing / Perfetto)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace_dict(tracer, profiler), fh)
+        json.dump(chrome_trace_dict(events, profiler), fh)
 
 
 def validate_chrome_trace(trace: dict) -> list[str]:

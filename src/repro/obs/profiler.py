@@ -38,6 +38,8 @@ import threading
 import time
 from collections import deque
 
+from repro.obs.events import now as event_clock
+
 __all__ = ["SamplingProfiler", "fold_folded_text", "top_functions_from_stacks"]
 
 #: Modules whose frames are noise in every profile (the profiler's own
@@ -79,8 +81,8 @@ class SamplingProfiler:
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
         self._delta: dict[str, int] = {}
-        #: Bounded ring of (monotonic_ts, tid, folded_stack) raw samples
-        #: feeding Chrome-trace ``ph:"P"`` events.
+        #: Bounded ring of (ts, tid, folded_stack) raw samples, on the
+        #: event clock, feeding Chrome-trace ``ph:"P"`` events.
         self._raw: deque = deque(maxlen=max_raw_samples)
         self._samples = 0
         self._stop = threading.Event()
@@ -124,7 +126,7 @@ class SamplingProfiler:
         tests; the background loop calls it on its cadence)."""
         own_tid = threading.get_ident()
         tracer = self._tracer_provider() if self._tracer_provider else None
-        now = time.perf_counter()
+        now = event_clock()
         names_by_tid = None
         frames = sys._current_frames()
         try:
@@ -203,7 +205,7 @@ class SamplingProfiler:
             fh.write(self.folded_text())
 
     def raw_samples(self) -> list[tuple[float, int, str]]:
-        """The bounded ring of raw ``(mono_ts, tid, stack)`` samples."""
+        """The bounded ring of raw ``(ts, tid, stack)`` samples."""
         with self._lock:
             return list(self._raw)
 

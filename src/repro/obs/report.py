@@ -15,13 +15,14 @@ A report builds from either source and renders identically:
 
 - :meth:`RunReport.from_context` — a live :class:`GPFContext` (plus the
   Pipeline, for process wall times), right after a run;
-- :meth:`RunReport.from_events` — a saved ``events.jsonl``, which is what
-  ``gpf report <events.jsonl>`` does, long after the run is gone.
+- :meth:`RunReport.from_events` — a saved ``events.jsonl``, whose
+  ``span.close`` events carry the pipeline, process and stage rows; this
+  is what ``gpf report <events.jsonl>`` does, long after the run is gone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -44,6 +45,9 @@ class StageRow:
     shuffle_bytes_written: int = 0
     records_read: int = 0
     records_written: int = 0
+
+
+_STAGE_FIELDS = tuple(f.name for f in fields(StageRow))
 
 
 @dataclass
@@ -163,39 +167,35 @@ class RunReport:
 
     @classmethod
     def from_events(cls, events: list[dict]) -> "RunReport":
-        """Rebuild the report from a saved event log alone."""
+        """Rebuild the report from a saved event log alone.
+
+        Pipeline, process and stage rows come from ``span.close``
+        events: a stage span closes with its ledger totals.  A process
+        span that closed on an exception is not a row, as a failed
+        Process is not in ``Pipeline.executed``.
+        """
         report = cls()
         for event in events:
             kind = event.get("kind")
-            if kind == "stage.end":
-                report.stages.append(
-                    StageRow(
-                        stage_id=event["stage_id"],
-                        name=event["name"],
-                        tasks=event["tasks"],
-                        run_time=event["run_time"],
-                        disk_blocked=event["disk_blocked"],
-                        network_blocked=event["network_blocked"],
-                        gc_time=event["gc_time"],
-                        shuffle_bytes_read=event["shuffle_bytes_read"],
-                        shuffle_bytes_written=event["shuffle_bytes_written"],
-                        records_read=event["records_read"],
-                        records_written=event["records_written"],
+            if kind == "span.close":
+                span_kind = event["span_kind"]
+                attrs = event["attrs"]
+                subject = event["name"].partition(":")[2]
+                if span_kind == "stage":
+                    report.stages.append(
+                        StageRow(**{f: attrs[f] for f in _STAGE_FIELDS})
                     )
-                )
-            elif kind == "process.end":
-                report.processes.append(
-                    ProcessRow(event["process"], seconds=event["elapsed"])
-                )
+                elif span_kind == "process" and "error" not in attrs:
+                    report.processes.append(ProcessRow(subject, event["dur"]))
+                elif span_kind == "pipeline":
+                    report.pipeline_name = subject
+                    report.elapsed = event["dur"]
             elif kind == "process.skipped":
                 report.processes.append(ProcessRow(event["process"], skipped=True))
             elif kind == "task.failure":
                 report.failures.append(
                     (event["stage_kind"], event["partition"], event["error_type"])
                 )
-            elif kind == "pipeline.end":
-                report.pipeline_name = event["pipeline"]
-                report.elapsed = event["elapsed"]
             elif kind == "run.end" and report.elapsed is None:
                 report.elapsed = event["elapsed"]
             elif kind == "telemetry":

@@ -1,22 +1,23 @@
 """Live per-job progress: an event subscriber the service can serve.
 
-While a job runs, its worker context's EventBus carries everything a
-client needs to render progress — ``pipeline.start`` names the process
-list, ``process.start``/``process.end`` walk it, ``progress.stage``
-events stream tasks done/total with an ETA, and ``profile.sample``
-events carry collapsed stacks.  :class:`JobProgress` is the subscriber
-that folds those into one snapshot ``GET /jobs/<id>/progress`` returns.
+While a job runs, its worker context's EventBus carries the job's span
+events, and they are everything a client needs to render progress: the
+pipeline span opens with the process list, process spans open and close
+as the plan walks it (``process.skipped`` marks a journal restore),
+each stage span opens with its task count, and every task span that
+closes cleanly under it is one task done.  ``profile.sample`` events
+carry collapsed stacks.  :class:`JobProgress` is the subscriber that
+folds those into one snapshot ``GET /jobs/<id>/progress`` returns, and
+it is where the stage ETA is computed: an EWMA of the intervals between
+successive task closes (which already reflect parallelism, so
+``ewma * remaining`` is the stage ETA, not a per-task sum).
 
-Two delivery realities shape it:
-
-- **Out-of-order events.**  Tasks complete on many executor threads and
-  the publisher releases its lock before delivering, so a
-  ``tasks_done=3`` event can arrive after ``tasks_done=4``.  Per-stage
-  state keeps a monotonic guard: completion counts never go backwards,
-  which is the contract the acceptance test pins.
-- **The tracker outlives the subscription.**  The service unsubscribes
-  it when the job ends but keeps the tracker around, so a client
-  polling a just-finished job still sees the final 100% snapshot.
+Tasks close on many executor threads, so closes can arrive out of
+order; a count of closes cannot go backwards, and an out-of-order
+close's interval counts as zero.  The tracker outlives its
+subscription: the service unsubscribes it when the job ends but keeps
+it around, so a client polling a just-finished job still sees the final
+100% snapshot.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.obs.profiler import top_functions_from_stacks
 
 class JobProgress:
     """Folds one job's run events into a live progress snapshot."""
+
+    _ALPHA = 0.3
 
     def __init__(self, job_id: str, hot_functions: int = 10):
         self.job_id = job_id
@@ -41,59 +44,80 @@ class JobProgress:
         #: "eta_seconds", "finished"} in first-seen order (dicts are
         #: insertion-ordered, and stage IDs increase within a job).
         self._stages: dict[int, dict] = {}
+        #: open stage span_id -> [stage row, last task close ts, EWMA].
+        self._open_stages: dict[str, list] = {}
         self._leaf_counts: dict[str, int] = {}
         self._samples = 0
 
     # -- event subscriber ---------------------------------------------------
     def __call__(self, event: dict) -> None:
         kind = event.get("kind")
-        if kind == "progress.stage":
-            self._on_stage_progress(event)
-        elif kind == "profile.sample":
+        if kind == "profile.sample":
             self._on_profile_sample(event)
-        elif kind == "pipeline.start":
-            with self._lock:
-                self._pipeline = event.get("pipeline")
-                self._processes = list(event.get("processes") or [])
-        elif kind == "process.start":
-            with self._lock:
-                self._process = event.get("process")
-        elif kind in ("process.end", "process.skipped"):
-            with self._lock:
-                self._processes_done += 1
-                if self._process == event.get("process"):
-                    self._process = None
-        elif kind == "stage.end":
-            with self._lock:
-                stage = self._stages.get(event.get("stage_id"))
-                if stage is not None:
-                    stage["finished"] = True
-                    stage["eta_seconds"] = 0.0
-
-    def _on_stage_progress(self, event: dict) -> None:
-        stage_id = event.get("stage_id")
-        done = event.get("tasks_done", 0)
+            return
+        attrs = event.get("attrs") or {}
         with self._lock:
-            stage = self._stages.get(stage_id)
-            if stage is None:
-                stage = self._stages[stage_id] = {
-                    "stage_id": stage_id,
-                    "name": event.get("name"),
-                    "tasks_done": 0,
-                    "tasks_total": event.get("tasks_total", 0),
-                    "bytes": 0,
-                    "eta_seconds": None,
-                    "finished": False,
-                }
-            # Monotonic guard: publishes can arrive out of order, but
-            # completion never goes backwards.
-            if done >= stage["tasks_done"]:
-                stage["tasks_done"] = done
-                stage["tasks_total"] = event.get(
-                    "tasks_total", stage["tasks_total"]
-                )
-                stage["bytes"] = event.get("bytes", stage["bytes"])
-                stage["eta_seconds"] = event.get("eta_seconds")
+            if kind == "span.open":
+                self._on_span_open(event, attrs)
+            elif kind == "span.close":
+                self._on_span_close(event, attrs)
+            elif kind == "process.skipped":
+                self._processes_done += 1
+
+    def _on_span_open(self, event: dict, attrs: dict) -> None:
+        span_kind = event.get("span_kind")
+        if span_kind == "stage":
+            stage = self._stages[attrs.get("stage_id")] = {
+                "stage_id": attrs.get("stage_id"),
+                "name": event.get("name"),
+                "tasks_done": 0,
+                "tasks_total": attrs.get("tasks", 0),
+                "bytes": 0,
+                "eta_seconds": None,
+                "finished": False,
+            }
+            self._open_stages[event.get("span_id")] = [stage, event.get("ts"), None]
+        elif span_kind == "process":
+            self._process = _subject(event)
+        elif span_kind == "pipeline":
+            self._pipeline = _subject(event)
+            self._processes = list(attrs.get("processes") or [])
+
+    def _on_span_close(self, event: dict, attrs: dict) -> None:
+        span_kind = event.get("span_kind")
+        failed = "error" in attrs
+        if span_kind == "task" and not failed:
+            opened = self._open_stages.get(event.get("parent_id"))
+            if opened is not None:
+                self._on_task_done(opened, event.get("ts"), attrs)
+        elif span_kind == "stage":
+            opened = self._open_stages.pop(event.get("span_id"), None)
+            if opened is not None:
+                opened[0]["finished"] = True
+                opened[0]["eta_seconds"] = 0.0
+        elif span_kind == "process":
+            if not failed:
+                self._processes_done += 1
+            if self._process == _subject(event):
+                self._process = None
+
+    def _on_task_done(self, opened: list, ts: float, attrs: dict) -> None:
+        """One clean task close under an open stage."""
+        stage, last, ewma = opened
+        interval = max(0.0, ts - last)
+        ewma = (
+            interval
+            if ewma is None
+            else self._ALPHA * interval + (1 - self._ALPHA) * ewma
+        )
+        opened[1:] = [max(last, ts), ewma]
+        # A recovered map task closes under the reduce stage that
+        # needed it; the stage's own count stops at its total.
+        stage["tasks_done"] = min(stage["tasks_done"] + 1, stage["tasks_total"])
+        stage["bytes"] += attrs.get("shuffle_bytes_read", 0) + attrs.get(
+            "shuffle_bytes_written", 0
+        )
+        stage["eta_seconds"] = ewma * (stage["tasks_total"] - stage["tasks_done"])
 
     def _on_profile_sample(self, event: dict) -> None:
         stacks = event.get("stacks")
@@ -142,3 +166,8 @@ class JobProgress:
                 "hot_functions": hot,
                 "samples": self._samples,
             }
+
+
+def _subject(event: dict) -> str:
+    """``Align`` from a span named ``process:Align``."""
+    return str(event.get("name", "")).partition(":")[2]

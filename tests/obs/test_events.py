@@ -10,6 +10,7 @@ from repro.obs import (
     validate_event,
     validate_events,
 )
+from repro.obs.events import now
 
 
 class TestEventBus:
@@ -23,8 +24,25 @@ class TestEventBus:
         sink = MemorySink()
         bus.subscribe(sink)
         assert bus.active
-        bus.publish("process.start", process="p")
-        assert sink.events == [{"kind": "process.start", "ts": 123.0, "process": "p"}]
+        bus.publish("process.skipped", process="p")
+        assert sink.events == [
+            {"kind": "process.skipped", "ts": 123.0, "process": "p"}
+        ]
+
+    def test_ts_field_overrides_the_stamp(self):
+        bus = EventBus(clock=lambda: 123.0)
+        sink = MemorySink()
+        bus.subscribe(sink)
+        bus.publish("span.open", ts=7.0, span_id="a")
+        assert sink.events[0]["ts"] == 7.0
+
+    def test_default_clock_is_monotonic_epoch_seconds(self):
+        import time
+
+        stamps = [now() for _ in range(1000)]
+        assert stamps == sorted(stamps)
+        assert abs(stamps[-1] - time.time()) < 5.0
+        assert EventBus().clock is now
 
     def test_unsubscribe_stops_delivery(self):
         bus = EventBus()
@@ -67,9 +85,9 @@ class TestJsonlRoundTrip:
         with JsonlEventSink(path) as sink:
             bus.subscribe(sink)
             bus.publish("run.start", backend="serial")
-            bus.publish("process.end", process="p", elapsed=1.5)
+            bus.publish("run.end", elapsed=1.5)
         events = read_events(path)
-        assert [e["kind"] for e in events] == ["run.start", "process.end"]
+        assert [e["kind"] for e in events] == ["run.start", "run.end"]
         assert events[1]["elapsed"] == 1.5
         assert validate_events(events) == []
 
@@ -107,7 +125,7 @@ class TestSchema:
         assert any("unknown event kind" in p for p in problems)
 
     def test_missing_field_and_ts_reported(self):
-        problems = validate_event({"kind": "process.end", "process": "p"})
+        problems = validate_event({"kind": "run.end"})
         assert any("missing numeric 'ts'" in p for p in problems)
         assert any("'elapsed'" in p for p in problems)
 

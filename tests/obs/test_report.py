@@ -1,55 +1,75 @@
 import json
 import os
 
+import pytest
+
+from repro.chaos import ChaosPlan, ChaosRule
 from repro.engine.context import EngineConfig, GPFContext
-from repro.obs import Histogram, RunReport, read_events
+from repro.obs import Histogram, RunReport, read_events, validate_events
+from repro.wgs import build_wgs_pipeline
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_report.txt")
 
 
+def span_open(ts, span_id, parent_id, name, span_kind, attrs=None) -> dict:
+    return {
+        "kind": "span.open",
+        "ts": ts,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "span_kind": span_kind,
+        "attrs": attrs or {},
+    }
+
+
+def span_close(ts, dur, span_id, parent_id, name, span_kind, attrs=None) -> dict:
+    return {
+        "kind": "span.close",
+        "ts": ts,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "span_kind": span_kind,
+        "dur": dur,
+        "pid": 1,
+        "tid": 1,
+        "attrs": attrs or {},
+    }
+
+
+def stage_totals(stage_id, name, tasks, run_time, disk, net, gc, rd, wr, rec_rd, rec_wr):
+    return dict(
+        stage_id=stage_id,
+        name=name,
+        tasks=tasks,
+        run_time=run_time,
+        disk_blocked=disk,
+        network_blocked=net,
+        gc_time=gc,
+        shuffle_bytes_read=rd,
+        shuffle_bytes_written=wr,
+        records_read=rec_rd,
+        records_written=rec_wr,
+    )
+
+
 def synthetic_events() -> list[dict]:
     """A tiny fixed run: every value deterministic, for the golden test."""
+    s0 = stage_totals(0, "shuffle-map:reads", 4, 2.0, 0.5, 0.25, 0.125, 0, 4096, 100, 100)
+    s1 = stage_totals(1, "result:calls", 2, 2.0, 0.1, 0.05, 0.0, 4096, 0, 100, 10)
     return [
         {"kind": "run.start", "ts": 0.0, "backend": "serial"},
-        {
-            "kind": "pipeline.start",
-            "ts": 0.1,
-            "pipeline": "demo",
-            "processes": ["Align", "Call"],
-        },
-        {"kind": "process.start", "ts": 0.1, "process": "Align"},
-        {
-            "kind": "stage.end",
-            "ts": 0.4,
-            "stage_id": 0,
-            "name": "shuffle-map:reads",
-            "tasks": 4,
-            "run_time": 2.0,
-            "disk_blocked": 0.5,
-            "network_blocked": 0.25,
-            "gc_time": 0.125,
-            "shuffle_bytes_read": 0,
-            "shuffle_bytes_written": 4096,
-            "records_read": 100,
-            "records_written": 100,
-        },
-        {"kind": "process.end", "ts": 0.5, "process": "Align", "elapsed": 0.4},
+        span_open(0.1, "p", None, "pipeline:demo", "pipeline", {"processes": ["Align", "Call"]}),
+        span_open(0.1, "a", "p", "process:Align", "process"),
+        span_open(0.1, "j0", "a", "job:reads", "job", {"rdd_id": 3}),
+        span_open(0.1, "s0", "j0", "shuffle-map:reads", "stage", {"stage_id": 0, "tasks": 4}),
+        span_close(0.4, 0.3, "s0", "j0", "shuffle-map:reads", "stage", s0),
+        span_close(0.45, 0.35, "j0", "a", "job:reads", "job", {"rdd_id": 3}),
+        span_close(0.5, 0.4, "a", "p", "process:Align", "process"),
         {"kind": "process.skipped", "ts": 0.5, "process": "Call"},
-        {
-            "kind": "stage.end",
-            "ts": 0.9,
-            "stage_id": 1,
-            "name": "result:calls",
-            "tasks": 2,
-            "run_time": 2.0,
-            "disk_blocked": 0.1,
-            "network_blocked": 0.05,
-            "gc_time": 0.0,
-            "shuffle_bytes_read": 4096,
-            "shuffle_bytes_written": 0,
-            "records_read": 100,
-            "records_written": 10,
-        },
+        span_open(0.5, "j1", "p", "job:calls", "job", {"rdd_id": 7}),
+        span_open(0.5, "s1", "j1", "result:calls", "stage", {"stage_id": 1, "tasks": 2}),
         {
             "kind": "task.failure",
             "ts": 0.7,
@@ -59,14 +79,9 @@ def synthetic_events() -> list[dict]:
             "error_type": "ValueError",
             "backoff": 0.05,
         },
-        {
-            "kind": "pipeline.end",
-            "ts": 1.0,
-            "pipeline": "demo",
-            "elapsed": 0.9,
-            "executed": ["Align"],
-            "skipped": ["Call"],
-        },
+        span_close(0.9, 0.4, "s1", "j1", "result:calls", "stage", s1),
+        span_close(0.95, 0.45, "j1", "p", "job:calls", "job", {"rdd_id": 7}),
+        span_close(1.0, 0.9, "p", None, "pipeline:demo", "pipeline", {"processes": ["Align", "Call"]}),
         {
             "kind": "telemetry",
             "ts": 1.0,
@@ -136,17 +151,13 @@ class TestFromEvents:
                 "samples": 7,
             },
         )
+        # Task spans: progress for a live tracker, nothing for the report.
+        events.insert(5, span_open(0.2, "t0", "s0", "shuffle-map-p0", "task"))
         events.insert(
-            4,
-            {
-                "kind": "progress.stage",
-                "ts": 0.3,
-                "stage_id": 0,
-                "name": "shuffle-map:reads",
-                "tasks_done": 2,
-                "tasks_total": 4,
-            },
+            6,
+            span_close(0.3, 0.1, "t0", "s0", "shuffle-map-p0", "task", {"run_time": 0.1}),
         )
+        assert validate_events(events) == []
         report = RunReport.from_events(events)
         assert report.task_count == 6
         assert report.pipeline_name == "demo"
@@ -175,6 +186,55 @@ class TestFromEvents:
         assert report.to_json()["histograms"]["task.seconds"]["count"] == 2
 
 
+    def test_synthetic_log_is_schema_valid(self):
+        assert validate_events(synthetic_events()) == []
+
+    def test_failed_process_span_is_not_a_row(self):
+        events = synthetic_events()
+        events.insert(
+            8,
+            span_close(0.5, 0.1, "b", "p", "process:Call", "process", {"error": "ValueError"}),
+        )
+        report = RunReport.from_events(events)
+        assert [(p.name, p.skipped) for p in report.processes] == [
+            ("Align", False),
+            ("Call", True),
+        ]
+
+    def test_log_saved_before_span_events_renders(self):
+        """A log in the older lifecycle vocabulary (``pipeline.end``,
+        ``process.end``, ``stage.end``) renders: its lifecycle lines are
+        unknown kinds now, so the report has no process or stage rows,
+        while failures and telemetry come through."""
+        events = [
+            {"kind": "run.start", "ts": 0.0},
+            {"kind": "pipeline.start", "ts": 0.1, "pipeline": "demo", "processes": ["A"]},
+            {"kind": "process.end", "ts": 0.5, "process": "A", "elapsed": 0.4},
+            {"kind": "stage.end", "ts": 0.4, "stage_id": 0, "name": "result:x", "tasks": 2},
+            {"kind": "task.end", "ts": 0.3, "stage_id": 0, "partition": 0},
+            {"kind": "progress.stage", "ts": 0.3, "stage_id": 0, "tasks_done": 1},
+            {
+                "kind": "task.failure",
+                "ts": 0.3,
+                "stage_kind": "result",
+                "partition": 1,
+                "attempt": 0,
+                "error_type": "ValueError",
+                "backoff": 0.05,
+            },
+            {"kind": "pipeline.end", "ts": 1.0, "pipeline": "demo", "elapsed": 0.9},
+            {"kind": "telemetry", "ts": 1.0, "counters": {"c": 1}, "gauges": {}},
+            {"kind": "run.end", "ts": 1.1, "elapsed": 1.1},
+        ]
+        report = RunReport.from_events(events)
+        text = report.render_text()
+        assert "no pipeline information" in text
+        assert report.stages == []
+        assert report.elapsed == 1.1
+        assert report.failures == [("result", 1, "ValueError")]
+        assert report.counters == {"c": 1}
+
+
 class TestTornAndDirtyLogs:
     def test_torn_last_line_tolerated(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -192,9 +252,48 @@ class TestTornAndDirtyLogs:
             {"kind": "profile.sample", "ts": 1.2, "stacks": {"a": 1}, "samples": 1}
         )
         lines = [json.dumps(e) for e in events]
-        path.write_text("\n".join(lines) + '\n{"kind": "progress.st')
+        path.write_text("\n".join(lines) + '\n{"kind": "span.cl')
         report = RunReport.from_events(read_events(str(path)))
         assert report.pipeline_name == "demo"
+
+
+def assert_reports_agree(live: RunReport, saved: RunReport) -> None:
+    assert saved.stages == live.stages
+    assert [(p.name, p.skipped) for p in saved.processes] == [
+        (p.name, p.skipped) for p in live.processes
+    ]
+    for s_proc, l_proc in zip(saved.processes, live.processes):
+        if l_proc.seconds is not None:
+            # The span times the Process from inside Process.run.
+            assert s_proc.seconds == pytest.approx(l_proc.seconds, abs=0.05)
+    assert saved.failures == live.failures
+    assert saved.counters == live.counters
+    assert saved.task_count == live.task_count
+
+
+def traced_wgs_run(tmp_path, reference, known_sites, read_pairs, **config):
+    """A traced WGS run over 60 pairs; the live and the saved report."""
+    trace_dir = tmp_path / "trace"
+    ctx = GPFContext(
+        EngineConfig(
+            spill_dir=str(tmp_path / "spill"), trace_dir=str(trace_dir), **config
+        )
+    )
+    try:
+        handles = build_wgs_pipeline(
+            ctx,
+            reference,
+            ctx.parallelize(read_pairs[:60], 3),
+            known_sites,
+            partition_length=4_000,
+        )
+        handles.pipeline.run()
+        live = RunReport.from_context(ctx, handles.pipeline)
+    finally:
+        ctx.stop()
+    events = read_events(str(trace_dir / "events.jsonl"))
+    assert validate_events(events) == []
+    return live, events
 
 
 class TestFromContextMatchesFromEvents:
@@ -212,12 +311,87 @@ class TestFromContextMatchesFromEvents:
         saved = RunReport.from_events(
             read_events(str(tmp_path / "trace" / "events.jsonl"))
         )
-        assert [s.stage_id for s in saved.stages] == [
-            s.stage_id for s in live.stages
+        assert_reports_agree(live, saved)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_traced_wgs_run_agrees(
+        self, tmp_path, reference, known_sites, read_pairs, backend
+    ):
+        live, events = traced_wgs_run(
+            tmp_path,
+            reference,
+            known_sites,
+            read_pairs,
+            executor_backend=backend,
+            num_workers=2,
+        )
+        saved = RunReport.from_events(events)
+        assert live.stages and live.processes
+        assert_reports_agree(live, saved)
+        assert saved.pipeline_name == "wgs"
+
+    def test_run_with_an_injected_task_failure_agrees(
+        self, tmp_path, reference, known_sites, read_pairs
+    ):
+        plan = ChaosPlan(rules=[ChaosRule(site="task.attempt", fault="die", nth=3)])
+        live, events = traced_wgs_run(
+            tmp_path, reference, known_sites, read_pairs, chaos=plan
+        )
+        saved = RunReport.from_events(events)
+        assert len(live.failures) == 1
+        assert_reports_agree(live, saved)
+        # The failed attempt's task span closed with the error.
+        failed = [
+            e
+            for e in events
+            if e["kind"] == "span.close"
+            and e["span_kind"] == "task"
+            and "error" in e["attrs"]
         ]
-        assert [s.tasks for s in saved.stages] == [s.tasks for s in live.stages]
-        assert [s.shuffle_bytes_written for s in saved.stages] == [
-            s.shuffle_bytes_written for s in live.stages
-        ]
-        assert saved.counters == live.counters
-        assert saved.task_count == live.task_count
+        assert len(failed) == 1
+
+
+class TestRunTreeFromEvents:
+    def test_span_tree_rebuilds_from_the_event_log_alone(
+        self, tmp_path, reference, known_sites, read_pairs
+    ):
+        _, events = traced_wgs_run(tmp_path, reference, known_sites, read_pairs)
+        opened = [e for e in events if e["kind"] == "span.open"]
+        closed = {e["span_id"]: e for e in events if e["kind"] == "span.close"}
+        # Every span that opened also closed, under the same parent.
+        assert {e["span_id"] for e in opened} == set(closed)
+        for event in opened:
+            assert closed[event["span_id"]]["parent_id"] == event["parent_id"]
+        kind_of = {span_id: e["span_kind"] for span_id, e in closed.items()}
+
+        def parent_kind(event):
+            return kind_of.get(event["parent_id"])
+
+        by_kind: dict[str, list] = {}
+        for event in closed.values():
+            by_kind.setdefault(event["span_kind"], []).append(event)
+        (pipeline,) = by_kind["pipeline"]
+        assert pipeline["parent_id"] is None
+        assert by_kind["task"] and by_kind["stage"] and by_kind["job"]
+        assert all(parent_kind(e) == "stage" for e in by_kind["task"])
+        assert all(parent_kind(e) == "job" for e in by_kind["stage"])
+        assert all(parent_kind(e) == "process" for e in by_kind["job"])
+        assert all(parent_kind(e) == "pipeline" for e in by_kind["process"])
+        # Each stage's Table-4 totals are its clean task spans summed.
+        for stage in by_kind["stage"]:
+            tasks = [
+                e["attrs"]
+                for e in by_kind["task"]
+                if e["parent_id"] == stage["span_id"] and "error" not in e["attrs"]
+            ]
+            assert len(tasks) == stage["attrs"]["tasks"]
+            for field in ("run_time", "disk_blocked", "network_blocked"):
+                assert sum(t[field] for t in tasks) == pytest.approx(
+                    stage["attrs"][field]
+                )
+        # A child lies inside its parent on the one clock.
+        for event in closed.values():
+            parent = closed.get(event["parent_id"])
+            if parent is not None:
+                assert parent["ts"] - parent["dur"] <= event["ts"] - event["dur"]
+                assert event["ts"] <= parent["ts"]

@@ -176,6 +176,15 @@ class TestRealJobOverHTTP:
             assert any(
                 row["name"] == "BwaMapping" for row in done["report"]["processes"]
             )
+            # Progress folds the job's span events: every stage finished
+            # and counted to its total, every planned Process walked.
+            progress = client.progress(job["id"])
+            assert progress["stages"]
+            assert all(stage["finished"] for stage in progress["stages"])
+            assert progress["tasks_done"] == progress["tasks_total"] > 0
+            assert progress["processes"]
+            assert progress["processes_done"] == len(progress["processes"])
+            assert progress["current_process"] is None
         finally:
             server.shutdown()
             service.drain()

@@ -8,46 +8,93 @@ from repro.serve import JobProgress, ServiceClient, ServiceError, start_http_ser
 from tests.serve.conftest import GatedRunner, make_service
 
 
-def _stage_event(stage_id=0, done=0, total=4, **extra) -> dict:
-    event = {
-        "kind": "progress.stage",
-        "ts": 0.0,
-        "stage_id": stage_id,
-        "name": f"stage-{stage_id}",
-        "tasks_done": done,
-        "tasks_total": total,
+def _open(span_id, parent_id, name, span_kind, ts=0.0, **attrs) -> dict:
+    return {
+        "kind": "span.open",
+        "ts": ts,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "span_kind": span_kind,
+        "attrs": attrs,
     }
-    event.update(extra)
-    return event
+
+
+def _close(span_id, parent_id, name, span_kind, ts=0.0, **attrs) -> dict:
+    return {
+        "kind": "span.close",
+        "ts": ts,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "span_kind": span_kind,
+        "dur": 0.0,
+        "pid": 1,
+        "tid": 1,
+        "attrs": attrs,
+    }
+
+
+def _stage_open(tracker, stage_id=0, total=4, ts=0.0) -> str:
+    span_id = f"s{stage_id}"
+    tracker(_open(span_id, "j", f"stage-{stage_id}", "stage", ts,
+                  stage_id=stage_id, tasks=total))
+    return span_id
+
+
+def _task_close(tracker, stage_span, partition, ts, **attrs) -> None:
+    tracker(_close(f"{stage_span}-t{partition}", stage_span,
+                   f"result-p{partition}", "task", ts, **attrs))
 
 
 class TestJobProgress:
     def test_folds_stage_events(self):
         tracker = JobProgress("j1")
-        tracker({"kind": "pipeline.start", "ts": 0, "pipeline": "wgs",
-                 "processes": ["Align", "Call"]})
-        tracker({"kind": "process.start", "ts": 0, "process": "Align"})
-        tracker(_stage_event(done=0))
-        tracker(_stage_event(done=2, bytes=100, eta_seconds=1.5))
+        tracker(_open("p", None, "pipeline:wgs", "pipeline",
+                      processes=["Align", "Call"]))
+        tracker(_open("a", "p", "process:Align", "process"))
+        stage = _stage_open(tracker, ts=10.0)
+        _task_close(tracker, stage, 0, 11.0, shuffle_bytes_read=60,
+                    shuffle_bytes_written=40)
+        _task_close(tracker, stage, 1, 12.0)
         snap = tracker.snapshot()
         assert snap["pipeline"] == "wgs"
+        assert snap["processes"] == ["Align", "Call"]
         assert snap["current_process"] == "Align"
         assert snap["tasks_done"] == 2
         assert snap["tasks_total"] == 4
-        assert snap["eta_seconds"] == pytest.approx(1.5)
+        assert snap["stages"][0]["bytes"] == 100
+        # EWMA of the close intervals (1.0 s each) times 2 tasks left.
+        assert snap["eta_seconds"] == pytest.approx(2.0)
 
     def test_monotonic_guard_against_out_of_order_delivery(self):
         tracker = JobProgress("j1")
-        tracker(_stage_event(done=3))
-        tracker(_stage_event(done=2))  # late arrival must not regress
-        assert tracker.snapshot()["tasks_done"] == 3
+        stage = _stage_open(tracker, ts=0.0)
+        _task_close(tracker, stage, 0, 3.0)
+        _task_close(tracker, stage, 1, 2.0)  # closed earlier, delivered late
+        snap = tracker.snapshot()
+        assert snap["tasks_done"] == 2
+        # The late close's interval counts as zero, never negative.
+        assert snap["stages"][0]["eta_seconds"] >= 0.0
+
+    def test_failed_attempts_do_not_count(self):
+        tracker = JobProgress("j1")
+        stage = _stage_open(tracker, total=2)
+        _task_close(tracker, stage, 0, 1.0, error="InjectedFault")
+        _task_close(tracker, stage, 0, 2.0)
+        _task_close(tracker, stage, 1, 3.0)
+        _task_close(tracker, stage, 2, 4.0)  # a recovered map task
+        assert tracker.snapshot()["tasks_done"] == 2
 
     def test_stage_end_finishes_and_zeroes_eta(self):
         tracker = JobProgress("j1")
-        tracker(_stage_event(done=4, eta_seconds=2.0))
-        tracker({"kind": "stage.end", "ts": 1.0, "stage_id": 0})
+        stage = _stage_open(tracker)
+        for partition in range(4):
+            _task_close(tracker, stage, partition, 1.0 + partition)
+        tracker(_close(stage, "j", "stage-0", "stage", 5.0))
         snap = tracker.snapshot()
         assert snap["stages"][0]["finished"]
+        assert snap["stages"][0]["eta_seconds"] == 0.0
         assert snap["eta_seconds"] is None  # no active stages left
 
     def test_profile_samples_become_hot_functions(self):
@@ -60,10 +107,10 @@ class TestJobProgress:
 
     def test_process_lifecycle_counted(self):
         tracker = JobProgress("j1")
-        tracker({"kind": "pipeline.start", "ts": 0, "pipeline": "p",
-                 "processes": ["A", "B"]})
-        tracker({"kind": "process.start", "ts": 0, "process": "A"})
-        tracker({"kind": "process.end", "ts": 1, "process": "A", "elapsed": 1.0})
+        tracker(_open("p", None, "pipeline:p", "pipeline", processes=["A", "B"]))
+        tracker(_open("a", "p", "process:A", "process"))
+        assert tracker.snapshot()["current_process"] == "A"
+        tracker(_close("a", "p", "process:A", "process", 1.0))
         tracker({"kind": "process.skipped", "ts": 1, "process": "B"})
         snap = tracker.snapshot()
         assert snap["processes_done"] == 2
