@@ -57,8 +57,8 @@ class TestBwaMemProcess:
         self, ctx, reference, known_sites, read_pairs, tmp_path, monkeypatch
     ):
         """The journal checkpoints ``align:BwaMapping`` and MarkDuplicate's
-        map stage reads it again: the persisted output keeps the second
-        read from re-aligning every pair."""
+        map stage reads it again: the checkpoint files, which the output
+        now is, keep the second read from re-aligning every pair."""
         calls = []
         align_pairs = PairedEndAligner.align_pairs
 

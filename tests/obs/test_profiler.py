@@ -47,7 +47,7 @@ class TestSampling:
         assert any(s.startswith("thread:burner;") for s in burn_stacks)
 
     def test_span_attribution_prefixes_stacks(self):
-        tracer = Tracer()
+        tracer = Tracer(EventBus())
         profiler = SamplingProfiler(
             interval=0.001, tracer_provider=lambda: tracer
         )
