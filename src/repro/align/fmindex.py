@@ -83,7 +83,7 @@ class FMIndex:
         self._span_starts = np.asarray([s.start for s in spans], dtype=np.int64)
 
         sa = build_suffix_array(text)
-        self._bwt = bwt_from_suffix_array(text, sa)
+        bwt = bwt_from_suffix_array(text, sa)
         # Sampled suffix array: keep SA[i] where i % sa_sample == 0.
         self._sa_samples = sa[::sa_sample].copy()
 
@@ -92,24 +92,24 @@ class FMIndex:
         for code, byte in enumerate(self.ALPHABET):
             code_of[byte] = code
         self._code_of = code_of
-        bwt_codes = code_of[self._bwt]
+        bwt_codes = code_of[bwt]
         if bwt_codes.min() < 0:
             raise ValueError("reference contains bytes outside the ACGTN alphabet")
-        self._bwt_codes = bwt_codes.astype(np.uint8)
 
         # C array: for each code, number of text chars strictly smaller.
-        counts = np.bincount(self._bwt_codes, minlength=len(self.ALPHABET))
+        counts = np.bincount(bwt_codes, minlength=len(self.ALPHABET))
         self._C = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
-        # Sampled occ: occ[k, c] = occurrences of code c in bwt[:k*occ_sample].
-        num_checkpoints = (len(self._bwt_codes) // occ_sample) + 1
-        occ = np.zeros((num_checkpoints, len(self.ALPHABET)), dtype=np.int64)
-        onehot = np.zeros((len(self._bwt_codes), len(self.ALPHABET)), dtype=np.int64)
-        onehot[np.arange(len(self._bwt_codes)), self._bwt_codes] = 1
-        cumulative = np.cumsum(onehot, axis=0)
-        for k in range(1, num_checkpoints):
-            occ[k] = cumulative[k * occ_sample - 1]
-        self._occ = occ
+        # BWT codes padded with 255 (no code) to whole ``occ_sample``-byte
+        # blocks, one per checkpoint.  occ[k, c] = occurrences of code c in
+        # bwt[:k*occ_sample], the running sum of per-block counts.
+        full = len(bwt) // occ_sample
+        self._bwt_codes = np.full((full + 1) * occ_sample, 255, dtype=np.uint8)
+        self._bwt_codes[: len(bwt)] = bwt_codes
+        blocks = self._bwt_codes.reshape(full + 1, occ_sample)[:full]
+        self._occ = np.zeros((full + 1, len(self.ALPHABET)), dtype=np.int64)
+        for code in range(len(self.ALPHABET)):
+            np.cumsum(np.count_nonzero(blocks == code, axis=1), out=self._occ[1:, code])
 
     # -- rank/search --------------------------------------------------------
     def _rank(self, code: int, row: int) -> int:
@@ -187,21 +187,11 @@ class FMIndex:
     def _rank_batch(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """:meth:`_rank` per lane: the occ checkpoint at or below ``row``
         plus a masked compare over the ``occ_sample``-byte BWT block that
-        starts at that checkpoint."""
+        starts at that checkpoint, gathered from a reshaped view of the
+        padded BWT (small uint8 temporaries, no index matrix)."""
         sample = self._occ_sample
         checkpoint = rows // sample
-        # Whole blocks are gathered from a reshaped view of the BWT (small
-        # uint8 temporaries, no index matrix); the short last block, padded,
-        # is copied in for the lanes whose row falls in it.
-        full = len(self._bwt_codes) // sample
-        last = np.zeros(sample, dtype=np.uint8)
-        last[: len(self._bwt_codes) - full * sample] = self._bwt_codes[full * sample :]
-        if full:
-            blocks = self._bwt_codes[: full * sample].reshape(full, sample)
-            window = blocks[np.minimum(checkpoint, full - 1)]
-            window[checkpoint == full] = last
-        else:
-            window = np.broadcast_to(last, (len(rows), sample))
+        window = self._bwt_codes.reshape(-1, sample)[checkpoint]
         hits = window == codes.astype(np.uint8)[:, None]
         hits &= np.arange(sample) < (rows - checkpoint * sample)[:, None]
         return self._occ[checkpoint, codes] + np.count_nonzero(hits, axis=1)

@@ -16,23 +16,23 @@ banded DP — so this module resolves the batch in three steps, each exact
    ``window.find(query)`` offset ``o``, if it lies in the band
    (``o <= band``).  Its traceback is ``m`` diagonal steps.  A query
    containing ``N`` (which never matches) always goes to the DP.
-2. **Band-major DP.**  The remaining lanes are padded into dense tensors
-   stored by diagonal: slot ``d`` of row ``i`` is column
-   ``j = i - lo + d``, for the ``W = lo + hi + 1`` diagonals
-   ``-lo <= j - i <= hi`` the band allows (every diagonal when ``band`` is
-   ``None``), plus one guard slot that holds the out-of-band values
-   (H 0, E/F ``NEG_INF``) for both edges: slot ``-1`` wraps onto it.  The
-   diagonal predecessor (i-1, j-1) is slot ``d`` of the previous row, the
-   F predecessor (i-1, j) slot ``d+1``, the E predecessor (i, j-1) slot
-   ``d-1``.  Every cell inside a lane's matrix holds the scalar kernel's
-   value; H is zeroed outside it, and E/F there are never read.  Values
-   are int32 whenever the scores fit: H <= m * match, and the −10⁹
-   sentinel only ever has a few bounded terms added before a max drops it.
+2. **Band-major DP in rolling rows.**  The remaining lanes are padded and
+   stored by diagonal: slot ``d`` of row ``i`` is column ``j = i - lo + d``
+   for the ``W = lo + hi + 1`` diagonals ``-lo <= j - i <= hi`` the band
+   allows (all when ``band`` is ``None``), plus a guard slot of out-of-band
+   values (H 0, F ``NEG_INF``) for both edges: slot ``-1`` wraps onto it.
+   A row of all lanes is one contiguous ``(W+1, lanes)`` block, so the
+   predecessors (i-1, j-1), (i-1, j) and (i, j-1) are slots ``d``, ``d+1``
+   of the previous row and ``d-1`` of this one.  H and F keep two rolling
+   rows, E one; inside a lane's matrix each holds the scalar kernel's value
+   (int32 whenever the scores fit), and H is 0 outside it.  The traceback
+   reads a ``(m_max+1, W+1, lanes)`` ``uint8`` matrix: per cell, the five
+   facts listed at ``_H0``; row 0 and the guard slot read "H is 0".
 3. **Lockstep traceback.**  Every DP lane walks the three-state H/E/F
    traceback of :func:`repro.align.smith_waterman.traceback_alignment`
    (same tie order: diagonal, then E, then F; stop on H == 0 or an edge)
-   in one vectorised loop over the band arrays, a run of diagonal moves
-   per step, and the ops are run-length encoded per lane at the end.
+   in one vectorised loop over the traceback bytes, a run of diagonal
+   moves per step, and the ops are run-length encoded per lane at the end.
 
 The same-row dependency E[j] = max(H[j-1] + open + extend, E[j-1] + extend)
 is eliminated exactly: H enters E only through cells that do not themselves
@@ -69,16 +69,20 @@ _OP_M, _OP_D, _OP_I = 1, 2, 3
 _OP_NAMES = ("", "M", "D", "I")
 #: Diagonal moves one traceback step may take.
 _DIAG_RUN = 32
+#: Traceback byte bits: H == 0; H == H(i-1, j-1) + s (with H != 0: the
+#: diagonal move is taken); H == E; E opened from H(i, j-1); F opened from
+#: H(i-1, j).
+_H0, _DIAG, _H_IS_E, _E_OPEN, _F_OPEN = 1, 2, 4, 8, 16
 
 
 class SwWork:
     """Running tally of the work :func:`smith_waterman_batch` did.
 
     ``exact_lanes`` were resolved without the DP, ``dp_lanes`` ran it and
-    ``dp_cells`` counts the cells stored per DP matrix (H, E and F each).
-    All three are a pure function of the batches aligned.  A broadcast
-    aligner is shared by the tasks of the threads backend, so updates take
-    a lock.
+    ``dp_cells`` counts its one-byte traceback cells (module docstring,
+    step 2).  All three are a pure function of the batches aligned.  A
+    broadcast aligner is shared by the tasks of the threads backend, so
+    updates take a lock.
     """
 
     def __init__(self) -> None:
@@ -181,7 +185,7 @@ def _banded_dp(
     out: list[AlignmentResult],
 ) -> int:
     """Band-major DP plus lockstep traceback for non-empty ``pairs``;
-    writes ``out[lanes[b]]`` and returns the cells stored per matrix."""
+    writes ``out[lanes[b]]`` and returns the traceback cells stored."""
     B = len(pairs)
     m_len = np.array([len(q) for q, _ in pairs], dtype=np.int64)
     n_len = np.array([len(r) for _, r in pairs], dtype=np.int64)
@@ -193,82 +197,97 @@ def _banded_dp(
     W = lo + hi + 1
     row = W + 1  # one guard slot
 
-    q = _codes([p[0] for p in pairs], m_max, -1, -3)
-    r = _codes([p[1] for p in pairs], n_max, -2, -4)
-    # Reference codes by diagonal slot: row i reads rd[:, i-1 : i-1+W].
-    rd = np.full((B, m_max + W - 1), -4, dtype=np.int16)
-    take = min(n_max, rd.shape[1] - lo)
-    rd[:, lo : lo + take] = r[:, :take]
+    q = np.ascontiguousarray(_codes([p[0] for p in pairs], m_max, -1, -3).T)
+    # Reference codes by diagonal slot: row i reads rd[i-1 : i-1+W].
+    rd = np.full((m_max + W - 1, B), -4, dtype=np.int16)
+    take = min(n_max, rd.shape[0] - lo)
+    rd[lo : lo + take] = _codes([p[1] for p in pairs], n_max, -2, -4)[:, :take].T
 
     go_ge = s.gap_open + s.gap_extend
     ge = s.gap_extend
     scale = max(abs(s.match), abs(s.mismatch), abs(go_ge), abs(ge), 1)
     fits32 = scale * (m_max + n_max + 2) < 2**30
     dtype = np.int32 if fits32 else np.int64
-    match, mismatch = dtype(s.match), dtype(s.mismatch)
+    mismatch, gain = dtype(s.mismatch), dtype(s.match - s.mismatch)
 
-    # Row-first layout: row i of all lanes is one contiguous (B, row) block.
-    H, E, F = np.empty((3, m_max + 1, B, row), dtype=dtype)
-    H[0] = 0
-    E[0] = NEG_INF
-    F[0] = NEG_INF
-    H[:, :, W] = 0
-    E[:, :, W] = NEG_INF
-    F[:, :, W] = NEG_INF
+    # Rolling rows.  An H row sits between two zero slots: ``h_buf[0]``
+    # (left of slot 0) makes ``h_buf[:W]`` the E predecessors, slots d-1,
+    # and ``h_buf[W+1]`` is the guard slot.
+    h_bufs = np.zeros((2, W + 2, B), dtype=dtype)
+    f_bufs = np.full((2, row, B), NEG_INF, dtype=dtype)
+    tb = np.zeros((m_max + 1, row, B), dtype=np.uint8)
+    tb[0] = _H0
+    tb[:, W] = _H0
 
     # E closed-form offset per scan position (see module docstring).
-    scan_off = (ge * np.arange(row, dtype=np.int64)).astype(dtype)
+    scan_off = (ge * np.arange(row, dtype=np.int64)).astype(dtype)[:, None]
     e_off = go_ge + scan_off[:W]
-    scan = np.empty((B, row), dtype=dtype)
+    scan = np.empty((row, B), dtype=dtype)
+    prefix = np.empty((row, B), dtype=dtype)
+    diag, h_open, e_row, e_open = np.empty((4, W, B), dtype=dtype)
+    bits = np.empty((5, W, B), dtype=bool)  # a row's facts, bit k in plane k
     # Slot d of row i is column j = i - lo + d, inside lane b's reference
-    # iff 1 <= j <= n_len[b]: row i's mask is the sliding view in_ref[:, i : i+W].
-    x = np.arange(m_max + W)
-    in_ref = (x >= lo + 1)[None, :] & (x[None, :] <= (n_len + lo)[:, None])
+    # iff 1 <= j <= n_len[b]: row i's mask is the sliding view in_ref[i : i+W].
+    x = np.arange(m_max + W)[:, None]
+    in_ref = ((x >= lo + 1) & (x <= n_len + lo)).astype(dtype)
     row_max = np.zeros((m_max + 1, B), dtype=dtype)
+    row_arg = np.zeros((m_max + 1, B), dtype=np.intp)
+    lane_ids = np.arange(B)
 
     for i in range(1, m_max + 1):
-        valid = in_ref[:, i : i + W] & (i <= m_len)[:, None]
-        hp = H[i - 1]
-        diag = hp[:, :W] + np.where(
-            q[:, i - 1][:, None] == rd[:, i - 1 : i - 1 + W], match, mismatch
-        )
-        f_row = np.maximum(hp[:, 1:] + go_ge, F[i - 1, :, 1:] + ge)
-        # H without the same-row E contribution; cells outside the band (or
-        # past a pair's real lengths) keep the scalar kernel's implicit 0.
-        h0 = np.maximum(diag, f_row)
+        hp, fp = h_bufs[i & 1][1:], f_bufs[i & 1]
+        h_buf, f_row = h_bufs[~i & 1], f_bufs[~i & 1][:W]
+        h_row = h_buf[1 : W + 1]
+        np.equal(rd[i - 1 : i - 1 + W], q[i - 1], out=bits[1])
+        np.multiply(bits[1], gain, out=diag)
+        diag += hp[:W]
+        diag += mismatch
+        np.add(hp[1:], go_ge, out=h_open)
+        np.add(fp[1:], ge, out=f_row)
+        np.maximum(h_open, f_row, out=f_row)
+        # H without the same-row E contribution is scan positions 1..W;
+        # position p is column i - lo + p - 1.  Columns left of column 0
+        # do not exist (under a positive ``gap_extend`` they would
+        # lengthen every gap); column 0 is an H = 0 boundary.
+        h0 = scan[1:]
+        np.maximum(diag, f_row, out=h0)
         np.maximum(h0, 0, out=h0)
-        h0 *= valid
+        c0 = max(lo - i + 1, 0)
+        scan[:c0] = NEG_INF
+        scan[c0] = 0
+        np.subtract(scan, scan_off, out=prefix)
+        np.maximum.accumulate(prefix, axis=0, out=prefix)
+        np.add(prefix[:W], e_off, out=e_row)
 
-        scan[:, 1:] = h0
-        # Scan position p is column i - lo + p - 1; columns left of column
-        # 0 do not exist (under a positive ``gap_extend`` they would lengthen
-        # every gap), and column 0 is the H = 0 boundary.
-        scan[:, 0] = 0
-        scan[:, : max(lo - i + 1, 0)] = NEG_INF
-        prefix = np.maximum.accumulate(scan - scan_off, axis=1)
-        e_row = e_off + prefix[:, :-1]
-
-        # Only H is masked: E and F outside a lane's matrix reach no valid
-        # cell and the traceback reads them only at valid cells.
-        h_row = H[i, :, :W]
+        # Outside a lane's matrix H is 0 (rows past its query are dropped
+        # below); E and F there reach no valid cell, and no bit is read.
         np.maximum(h0, e_row, out=h_row)
-        h_row *= valid
-        E[i, :, :W] = e_row
-        F[i, :, :W] = f_row
-        h_row.max(axis=1, out=row_max[i])
+        h_row *= in_ref[i : i + W]
+        h_row.argmax(axis=0, out=row_arg[i])
+        row_max[i] = h_row[row_arg[i], lane_ids]
+
+        np.add(h_buf[:W], go_ge, out=e_open)
+        facts = (h_row, 0), (h_row, diag), (h_row, e_row), (e_row, e_open), (f_row, h_open)
+        for plane, (a, b) in zip(bits, facts):
+            np.equal(a, b, out=plane)
+        cell = tb[i, :W]
+        for plane in bits.view(np.uint8)[::-1]:  # bit 4 first; doubling is an add
+            cell += cell
+            cell |= plane
 
     # The scalar kernel keeps the first strictly-improving cell in
     # row-major order: the first row reaching the lane's maximum, and in it
-    # the first slot (slots run in column order).  Invalid slots hold 0.
+    # the first slot (slots run in column order).  Invalid cells hold 0.
+    row_max[np.arange(m_max + 1)[:, None] > m_len] = 0
     best = row_max.max(axis=0)
     best_i = row_max.argmax(axis=0)
-    best_d = H[best_i, np.arange(B), :W].argmax(axis=1)
+    best_d = row_arg[best_i, lane_ids]
 
-    _traceback(H, E, F, q, r, s, lo, best, best_i, best_d, lanes, out)
-    return B * (m_max + 1) * row
+    _traceback(tb, m_max, n_max, lo, best, best_i, best_d, lanes, out)
+    return tb.size
 
 
-def _traceback(H, E, F, q, r, s, lo, best, best_i, best_d, lanes, out) -> None:
+def _traceback(tb, m_max, n_max, lo, best, best_i, best_d, lanes, out) -> None:
     """Three-state traceback of every lane with ``best > 0`` in lockstep.
 
     One step per op, except that a lane in the H state takes a whole run
@@ -278,18 +297,15 @@ def _traceback(H, E, F, q, r, s, lo, best, best_i, best_d, lanes, out) -> None:
     live = np.flatnonzero(best > 0)
     if not live.size:
         return
-    _, B, row = H.shape
-    Hf, Ef, Ff = H.ravel(), E.ravel(), F.ravel()
-    qf, rf = q.ravel(), r.ravel()
-    m_max, n_max = q.shape[1], r.shape[1]
-    go_ge = s.gap_open + s.gap_extend
-    stride = B * row  # flat distance between rows
+    _, row, B = tb.shape
+    tbf = tb.ravel()
+    stride = row * B  # flat distance between rows
     run = np.arange(_DIAG_RUN)
 
     L = live.size
     # Per lane, the (op, count) it emitted at each step, last op first.
     ops = np.zeros((L, m_max + n_max), dtype=np.int8)
-    counts = np.zeros((L, m_max + n_max), dtype=np.int64)
+    counts = np.zeros((L, m_max + n_max), dtype=np.int8)
     n_ops = np.zeros(L, dtype=np.int64)
     # Where each lane's walk stopped: the alignment's query and reference start.
     end_i = np.zeros(L, dtype=np.int64)
@@ -303,42 +319,33 @@ def _traceback(H, E, F, q, r, s, lo, best, best_i, best_d, lanes, out) -> None:
     st = np.zeros(L, dtype=np.int64)
     while t.size:
         jj = ii + dd - lo
-        pos = ii * stride + b * row + dd % row  # slot -1 wraps onto the guard
-        h = Hf[pos]
-        done = (ii <= 0) | (jj <= 0) | ((st == 0) & (h == 0))
+        pos = ii * stride + (dd % row) * B + b  # slot -1 wraps onto the guard
+        here = tbf[pos]
+        done = (ii <= 0) | (jj <= 0) | ((st == 0) & (here & _H0 != 0))
         if done.any():
             end_i[t[done]] = ii[done]
             end_j[t[done]] = jj[done]
             keep = ~done
-            t, b, ii, dd, st, jj, pos, h = (
-                x[keep] for x in (t, b, ii, dd, st, jj, pos, h)
+            t, b, ii, dd, st, jj, pos, here = (
+                x[keep] for x in (t, b, ii, dd, st, jj, pos, here)
             )
             if not t.size:
                 break
         in_h, in_e, in_f = st == 0, st == 1, st == 2
 
         # Diagonal run from (i, j): cell k steps up the diagonal is taken
-        # iff it is inside the matrix, nonzero, and H - match == H(i-1, j-1).
-        up = ii[:, None] - run
-        inside = (up > 0) & (jj[:, None] - run > 0)
+        # iff it is inside the matrix and its byte says so.
+        inside = (ii[:, None] - run > 0) & (jj[:, None] - run > 0)
         cell = np.where(inside, pos[:, None] - run * stride, pos[:, None])
-        walk_h = Hf[cell]
-        q_at = np.where(inside, b[:, None] * m_max + up - 1, 0)
-        r_at = np.where(inside, b[:, None] * n_max + jj[:, None] - run - 1, 0)
-        step = np.where(qf[q_at] == rf[r_at], s.match, s.mismatch)
-        diag = inside & (walk_h != 0) & (walk_h == Hf[cell - stride] + step)
+        diag = inside & (tbf[cell] & (_H0 | _DIAG) == _DIAG)
         n_diag = np.where(in_h, np.logical_and.accumulate(diag, axis=1).sum(axis=1), 0)
 
         stay = in_h & (n_diag == 0)
-        to_e = stay & (h == Ef[pos])
+        to_e = stay & (here & _H_IS_E != 0)
         to_f = stay & ~to_e
-        if (to_f & (h != Ff[pos])).any():  # pragma: no cover - defensive
-            raise AssertionError("traceback inconsistency in smith_waterman_batch (H)")
         # E: a deletion consumes a reference base; F: an insertion a query base.
-        close_e = in_e & (Ef[pos] == Hf[ii * stride + b * row + (dd - 1) % row] + go_ge)
-        close_f = in_f & (
-            Ff[pos] == Hf[(ii - 1) * stride + b * row + (dd + 1) % row] + go_ge
-        )
+        close_e = in_e & (here & _E_OPEN != 0)
+        close_f = in_f & (here & _F_OPEN != 0)
 
         op = np.where(n_diag > 0, _OP_M, np.where(in_e, _OP_D, np.where(in_f, _OP_I, 0)))
         emit = op != 0
@@ -361,7 +368,7 @@ def _traceback(H, E, F, q, r, s, lo, best, best_i, best_d, lanes, out) -> None:
             ([True], (codes[1:] != codes[:-1]) | (owner[1:] != owner[:-1]))
         )
     )
-    run_len = np.add.reduceat(counts[owner, back], starts).tolist()
+    run_len = np.add.reduceat(counts[owner, back], starts, dtype=np.int64).tolist()
     run_op = codes[starts].tolist()
     run_owner = owner[starts].tolist()
     cigars: list[list[tuple[int, str]]] = [[] for _ in range(L)]

@@ -172,10 +172,12 @@ class RunReport:
         Pipeline, process and stage rows come from ``span.close``
         events: a stage span closes with its ledger totals.  A process
         span that closed on an exception is not a row, as a failed
-        Process is not in ``Pipeline.executed``.
+        Process is not in ``Pipeline.executed``.  Of a log that several
+        runs appended to, only the last run (as in ``trace.json``) counts.
         """
         report = cls()
-        for event in events:
+        starts = [k for k, event in enumerate(events) if event.get("kind") == "run.start"]
+        for event in events[starts[-1] if starts else 0 :]:
             kind = event.get("kind")
             if kind == "span.close":
                 span_kind = event["span_kind"]

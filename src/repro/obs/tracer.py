@@ -249,9 +249,9 @@ class Tracer:
 
     def path_for_thread(self, tid: int) -> list[str] | None:
         """Span ancestry for one thread ident (a ``sys._current_frames``
-        key), root-first, as ``kind:name`` frames — the profiler prefixes
-        sampled stacks with this so every sample lands under its
-        job/stage/task in the flamegraph."""
+        key), root-first, as ``kind:name`` frames (``pipeline:wgs`` is one
+        already) — the profiler prefixes sampled stacks with this so every
+        sample lands under its job/stage/task in the flamegraph."""
         with self._lock:
             span = self._active_by_tid.get(tid)
             if span is None:
@@ -259,7 +259,8 @@ class Tracer:
             path: list[str] = []
             depth = 0
             while span is not None and depth < 16:
-                path.append(f"{span.kind}:{span.name}")
+                name, kind = span.name, f"{span.kind}:"
+                path.append(name if name.startswith(kind) else kind + name)
                 span = self._open.get(span.parent_id) if span.parent_id else None
                 depth += 1
         path.reverse()

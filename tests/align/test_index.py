@@ -73,6 +73,19 @@ def small_ref():
 
 
 class TestFMIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(st.text(alphabet="ACGTN", min_size=1, max_size=120), st.sampled_from([1, 3, 8, 32]))
+    def test_occ_checkpoints_match_brute_force(self, seq, sample):
+        # The text is both strands plus the sentinel; checkpoint k counts
+        # every code in the BWT's first k * sample characters.
+        text = seq.encode() + reverse_complement(seq).encode() + b"\x00"
+        codes = [FMIndex.ALPHABET.index(byte) for byte in bwt(text).tobytes()]
+        index = FMIndex(Reference([Contig("c", seq.encode())]), occ_sample=sample)
+        assert index._occ.tolist() == [
+            [codes[: k * sample].count(code) for code in range(len(FMIndex.ALPHABET))]
+            for k in range(len(text) // sample + 1)
+        ]
+
     def test_count_matches_brute_force(self, small_ref):
         index = FMIndex(small_ref)
         rng = np.random.default_rng(3)

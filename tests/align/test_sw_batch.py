@@ -3,9 +3,11 @@
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.align.bwamem import BwaMemAligner
 from repro.align.smith_waterman import AlignmentResult, ScoringScheme, smith_waterman
@@ -261,6 +263,67 @@ class TestExactLanesAndBandEdges:
             "dp_lanes": 32_000,
             "dp_cells": 48_000,
         }
+
+@st.composite
+def _batches(draw):
+    """A batch of mixed-length pairs (some empty, some with ``N``), a
+    ``gap_open <= 0`` scoring and a band; about half the queries are
+    planted in their window at the band edge (band - 1, band or band + 1),
+    some with one substitution, so exact lanes, the DP and both band edges
+    are all drawn."""
+    band = draw(st.one_of(st.none(), st.integers(0, 24)))
+    scoring = ScoringScheme(
+        match=draw(st.integers(1, 4)),
+        mismatch=draw(st.integers(-6, 3)),
+        gap_open=draw(st.integers(-8, 0)),
+        gap_extend=draw(st.integers(-3, 1)),
+    )
+    seq = lambda lo, hi: st.text(alphabet="ACGTN", min_size=lo, max_size=hi)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        query, window = draw(seq(0, 30)), draw(seq(0, 45))
+        if query and draw(st.booleans()):
+            offset = max((band or 8) + draw(st.integers(-1, 1)), 0)
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(query) - 1))
+                query = query[:k] + ("A" if query[k] != "A" else "C") + query[k + 1 :]
+            window = draw(seq(offset, offset)) + query + draw(seq(0, 6))
+        pairs.append((query, window))
+    return pairs, scoring, band
+
+
+class TestGeneratedBatches:
+    @settings(max_examples=150, deadline=None)
+    @given(_batches())
+    def test_batch_equals_scalar_kernel(self, case):
+        pairs, scoring, band = case
+        assert smith_waterman_batch(pairs, scoring=scoring, band=band) == [
+            smith_waterman(q, r, scoring, band) for q, r in pairs
+        ]
+
+
+def test_dp_memory_is_two_bytes_per_traceback_cell():
+    # An aligner-sized batch: 100 chain jobs of 100-base reads, each one
+    # substitution off its 148-base window, band 40 (all go to the DP).
+    rng = np.random.default_rng(41)
+    pairs = []
+    for _ in range(100):
+        window = _acgt(rng, 148)
+        read = list(window[24:124])
+        read[50] = "A" if read[50] != "A" else "C"
+        pairs.append(("".join(read), window))
+    work = SwWork()
+    smith_waterman_batch(pairs, band=40, work=work)  # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        smith_waterman_batch(pairs, band=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = work.snapshot()["dp_cells"]
+    assert work.snapshot()["dp_lanes"] == 100
+    assert peak <= 2 * cells + 512 * 1024, (peak, cells)
+
 
 class TestAlignerBatchWiring:
     def test_candidates_batch_matches_single_reads(self):

@@ -60,6 +60,21 @@ class TestSampling:
         attributed = [s for s in profiler.folded() if s.startswith("stage:s1;")]
         assert attributed, profiler.folded()
 
+    def test_folded_path_names_each_span_once(self):
+        # Pipeline, process and job span names already carry their kind;
+        # stage and task names do not.
+        tracer = Tracer(EventBus())
+        profiler = SamplingProfiler(interval=1.0, tracer_provider=lambda: tracer)
+        with tracer.span("pipeline:wgs", kind="pipeline"):
+            with tracer.span("job:reads", kind="job"):
+                with tracer.span("result:reads", kind="stage"):
+                    with tracer.span("result-p0", kind="task"):
+                        _sample_this_thread(profiler)
+        (stack,) = [s for s in profiler.folded() if "names_each_span_once" in s]
+        assert stack.startswith(
+            "pipeline:wgs;job:reads;stage:result:reads;task:result-p0;"
+        ), stack
+
     def test_flush_publishes_schema_valid_delta_events(self):
         events = []
         bus = EventBus()

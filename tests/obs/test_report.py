@@ -313,6 +313,23 @@ class TestFromContextMatchesFromEvents:
         )
         assert_reports_agree(live, saved)
 
+    def test_two_runs_into_one_trace_dir_report_the_last(self, tmp_path):
+        # Two runs with one --trace-out directory append to one events.jsonl.
+        for parts in (2, 3):
+            config = EngineConfig(
+                spill_dir=str(tmp_path / "spill"), trace_dir=str(tmp_path / "trace")
+            )
+            with GPFContext(config) as ctx:
+                data = [(i % 3, i) for i in range(30)]
+                ctx.parallelize(data, parts).group_by_key().collect()
+                live = RunReport.from_context(ctx)
+        events = read_events(str(tmp_path / "trace" / "events.jsonl"))
+        assert sum(e["kind"] == "run.start" for e in events) == 2
+        saved = RunReport.from_events(events)
+        assert [s.stage_id for s in saved.stages] == [0, 1]
+        assert saved.stages[0].tasks == 3
+        assert_reports_agree(live, saved)
+
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_traced_wgs_run_agrees(
         self, tmp_path, reference, known_sites, read_pairs, backend
