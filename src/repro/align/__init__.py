@@ -4,8 +4,10 @@ A from-scratch BWA-MEM-style aligner (the paper's Aligner stage wraps
 bwa-0.7.12):
 
 - ``suffix_array`` / ``bwt`` / ``fmindex`` — Burrows-Wheeler index of the
-  reference with sampled occurrence/rank tables and backward search.
-- ``seeds`` — super-maximal exact match (SMEM) extraction.
+  reference: a sampled occurrence table for batched backward search, and
+  the whole suffix array, so locating a hit is a slice.
+- ``seeds`` — super-maximal exact match (SMEM) extraction for a batch of
+  reads at once (one lockstep backward search over every anchor).
 - ``smith_waterman`` — banded affine-gap local alignment, vectorized
   anti-diagonal dynamic programming.
 - ``bwamem`` — seed-chain-extend driver producing SAM records with CIGAR,

@@ -1,25 +1,27 @@
-"""FM-index: BWT + sampled occurrence table + sampled suffix array.
+"""FM-index: BWT + sampled occurrence table + the whole suffix array.
 
 Supports the two primitives seed-and-extend alignment needs:
 
-- :meth:`FMIndex.backward_search` — the (lo, hi) suffix-array interval of
-  every exact occurrence of a pattern, in O(|pattern|) rank queries.
-  :meth:`FMIndex.extend_left` is its one-character step and
-  :meth:`FMIndex.extend_left_batch` the same step for many independent
-  lanes at once.
-- :meth:`FMIndex.locate` — text positions for an interval, via the sampled
-  suffix array and LF-walking.
+- :meth:`FMIndex.extend_left_batch` — one backward-search step for many
+  independent lanes at once: each lane's ``(lo, hi)`` suffix-array
+  interval narrows to the rows whose suffixes start with one more
+  character on the left.  A pattern's interval is ``(0, text_length)``
+  extended by its characters right to left.
+- :meth:`FMIndex.locate` — the forward-strand hits of an interval: a
+  slice of the suffix array mapped onto the contig spans.
 
 The index is built over the concatenation of all reference contigs (plus
 the reverse complements, as BWA does, so reverse-strand seeds are found by
 the same forward search) with a 0 sentinel at the end.  ``occ`` is sampled
 every ``occ_sample`` rows; a rank query scans at most ``occ_sample`` BWT
-entries with vectorized comparison.
+entries with vectorized comparison.  BWA samples its suffix array and
+walks the LF mapping back to a sample for every hit because its text is
+gigabases long; this reproduction's text is tens of kilobytes, so the
+index keeps the whole suffix array as int32 (4 bytes per text byte) and
+there is no LF walk.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,54 +40,28 @@ def reverse_complement(seq: str) -> str:
     return seq.encode("ascii").translate(_COMPLEMENT)[::-1].decode("ascii")
 
 
-@dataclass(frozen=True, slots=True)
-class ContigSpan:
-    """Half-open span of one contig (strand-specific) in the index text."""
-
-    name: str
-    start: int
-    end: int
-    is_reverse: bool
-
-
 class FMIndex:
     """FM-index over a multi-contig reference, both strands."""
 
     #: Alphabet of the index text; sentinel first so it sorts lowest.
     ALPHABET = b"\x00ACGNT"
 
-    def __init__(
-        self,
-        reference: Reference,
-        occ_sample: int = 32,
-        sa_sample: int = 8,
-    ):
-        self.reference = reference
+    def __init__(self, reference: Reference, occ_sample: int = 32):
         self._occ_sample = occ_sample
-        self._sa_sample = sa_sample
 
-        parts: list[bytes] = []
-        spans: list[ContigSpan] = []
-        offset = 0
+        strands: list[bytes] = []
         for contig in reference.contigs:
-            for is_reverse in (False, True):
-                seq = contig.sequence
-                if is_reverse:
-                    seq = seq.translate(_COMPLEMENT)[::-1]
-                spans.append(
-                    ContigSpan(contig.name, offset, offset + len(seq), is_reverse)
-                )
-                parts.append(seq)
-                offset += len(seq)
-        text = b"".join(parts) + b"\x00"
-        self._spans = spans
+            strands += [contig.sequence, contig.sequence.translate(_COMPLEMENT)[::-1]]
+        text = b"".join(strands) + b"\x00"
         self._text_len = len(text)
-        self._span_starts = np.asarray([s.start for s in spans], dtype=np.int64)
+        # Contig k's forward strand is span 2k and its reverse complement
+        # span 2k + 1; span s covers text[bounds[s]:bounds[s + 1]].
+        self._contig_names = [contig.name for contig in reference.contigs]
+        self._span_bounds = np.cumsum([0] + [len(s) for s in strands], dtype=np.int64)
 
         sa = build_suffix_array(text)
         bwt = bwt_from_suffix_array(text, sa)
-        # Sampled suffix array: keep SA[i] where i % sa_sample == 0.
-        self._sa_samples = sa[::sa_sample].copy()
+        self._sa = sa.astype(np.int32)
 
         # Character codes 0..5 over the fixed alphabet.
         code_of = np.full(256, -1, dtype=np.int8)
@@ -111,51 +87,13 @@ class FMIndex:
         for code in range(len(self.ALPHABET)):
             np.cumsum(np.count_nonzero(blocks == code, axis=1), out=self._occ[1:, code])
 
-    # -- rank/search --------------------------------------------------------
-    def _rank(self, code: int, row: int) -> int:
-        """Occurrences of character ``code`` in bwt[:row]."""
-        checkpoint = row // self._occ_sample
-        base = self._occ[checkpoint, code]
-        start = checkpoint * self._occ_sample
-        if row > start:
-            base += int(np.count_nonzero(self._bwt_codes[start:row] == code))
-        return int(base)
-
-    def backward_search(self, pattern: str) -> tuple[int, int]:
-        """(lo, hi) interval of rows whose suffixes start with ``pattern``.
-
-        Empty interval (lo >= hi) means no exact occurrence.  ``N`` in the
-        pattern never matches (as in BWA's exact-seed phase).
-        """
-        lo, hi = 0, self._text_len
-        for char in reversed(pattern):
-            code = self._code_of[ord(char)]
-            if code < 0 or char == "N":
-                return (0, 0)
-            lo = int(self._C[code]) + self._rank(int(code), lo)
-            hi = int(self._C[code]) + self._rank(int(code), hi)
-            if lo >= hi:
-                return (0, 0)
-        return lo, hi
-
-    def count(self, pattern: str) -> int:
-        lo, hi = self.backward_search(pattern)
-        return hi - lo
-
-    def extend_left(self, char: str, lo: int, hi: int) -> tuple[int, int]:
-        """One backward-search step; the primitive SMEM extraction uses."""
-        code = self._code_of[ord(char)]
-        if code < 0 or char == "N":
-            return (0, 0)
-        new_lo = int(self._C[code]) + self._rank(int(code), lo)
-        new_hi = int(self._C[code]) + self._rank(int(code), hi)
-        return (new_lo, new_hi) if new_lo < new_hi else (0, 0)
-
+    # -- search -------------------------------------------------------------
     def search_codes(self, text: bytes) -> np.ndarray:
         """Per-byte character codes of ``text`` for :meth:`extend_left_batch`.
 
         ``N``, lowercase and any byte outside the alphabet map to -1, which
-        ends a search exactly where :meth:`extend_left` would.
+        ends a search there (``N`` never matches, as in BWA's exact-seed
+        phase).
         """
         codes = self._code_of[np.frombuffer(text, dtype=np.uint8)]
         codes[codes == self._code_of[ord("N")]] = -1
@@ -164,11 +102,11 @@ class FMIndex:
     def extend_left_batch(
         self, codes: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`extend_left` for many independent lanes at once.
+        """One backward-search step for many independent lanes at once.
 
         Lane ``i`` extends ``(lo[i], hi[i])`` by the character whose code
         (from :meth:`search_codes`) is ``codes[i]``.  A negative code or an
-        emptied interval yields ``(0, 0)``, as in the scalar step.
+        emptied interval yields ``(0, 0)``.
         """
         codes = np.asarray(codes, dtype=np.int64)
         valid = codes >= 0
@@ -185,10 +123,11 @@ class FMIndex:
         return new_lo, new_hi
 
     def _rank_batch(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """:meth:`_rank` per lane: the occ checkpoint at or below ``row``
-        plus a masked compare over the ``occ_sample``-byte BWT block that
-        starts at that checkpoint, gathered from a reshaped view of the
-        padded BWT (small uint8 temporaries, no index matrix)."""
+        """Occurrences of ``codes[i]`` in ``bwt[:rows[i]]`` per lane: the occ
+        checkpoint at or below the row plus a masked compare over the
+        ``occ_sample``-byte BWT block that starts at that checkpoint,
+        gathered from a reshaped view of the padded BWT (small uint8
+        temporaries, no index matrix)."""
         sample = self._occ_sample
         checkpoint = rows // sample
         window = self._bwt_codes.reshape(-1, sample)[checkpoint]
@@ -197,56 +136,35 @@ class FMIndex:
         return self._occ[checkpoint, codes] + np.count_nonzero(hits, axis=1)
 
     # -- locate ------------------------------------------------------------
-    def _suffix_position(self, row: int) -> int:
-        """Text position of the suffix at BWT row ``row`` (LF-walk)."""
-        steps = 0
-        while row % self._sa_sample != 0:
-            code = int(self._bwt_codes[row])
-            row = int(self._C[code]) + self._rank(code, row)
-            steps += 1
-        return int(self._sa_samples[row // self._sa_sample]) + steps
+    def locate(
+        self, lo: int, hi: int, length: int, limit: int = 64
+    ) -> list[tuple[str, int, bool]]:
+        """``(contig, start, is_reverse)`` of the first ``limit`` rows of the
+        interval ``[lo, hi)`` of a ``length``-character match, in row order
+        (repetitive seeds are truncated, as in BWA).
 
-    def locate(self, lo: int, hi: int, limit: int = 64) -> list[tuple[str, int, bool]]:
-        """Map interval rows to ``(contig, position, is_reverse)`` hits.
-
-        ``position`` is the 0-based offset on the *forward* strand where
-        the pattern occurrence begins for forward hits; for reverse-strand
-        hits it is the offset within the reversed sequence (callers convert
-        via :meth:`to_forward_position`).  At most ``limit`` hits are
-        returned (repetitive seeds are truncated, as in BWA).
+        ``start`` is the 0-based forward-strand position where the match
+        begins.  A hit at ``pos`` in a contig's reverse complement, which
+        ends at ``end``, starts at ``end - pos - length`` on the forward
+        strand.
         """
-        hits: list[tuple[str, int, bool]] = []
-        for row in range(lo, min(hi, lo + limit)):
-            pos = self._suffix_position(row)
-            if pos >= self._text_len - 1:  # the sentinel row
-                continue
-            span = self._span_for(pos)
-            hits.append((span.name, pos - span.start, span.is_reverse))
-        return hits
-
-    def _span_for(self, pos: int) -> ContigSpan:
-        idx = int(np.searchsorted(self._span_starts, pos, side="right")) - 1
-        span = self._spans[idx]
-        if not (span.start <= pos < span.end):
-            raise IndexError(f"position {pos} outside any contig span")
-        return span
-
-    def to_forward_position(
-        self, contig: str, offset: int, match_len: int, is_reverse: bool
-    ) -> int:
-        """Convert a reverse-strand index offset to a forward-strand start."""
-        if not is_reverse:
-            return offset
-        contig_len = len(self.reference[contig])
-        return contig_len - offset - match_len
+        pos = self._sa[lo : min(hi, lo + limit)].astype(np.int64)
+        # The sentinel suffix (row 0) only an empty match's interval holds.
+        pos = pos[pos < self._text_len - 1]
+        span = np.searchsorted(self._span_bounds, pos, side="right") - 1
+        is_reverse = span % 2 == 1
+        start = np.where(
+            is_reverse,
+            self._span_bounds[span + 1] - pos - length,
+            pos - self._span_bounds[span],
+        )
+        names = self._contig_names
+        return [
+            (names[s // 2], p, r)
+            for s, p, r in zip(span.tolist(), start.tolist(), is_reverse.tolist())
+        ]
 
     # -- introspection -----------------------------------------------------
     @property
     def text_length(self) -> int:
         return self._text_len
-
-    def memory_bytes(self) -> int:
-        """Approximate index footprint (bwt + occ + sa samples)."""
-        return (
-            self._bwt_codes.nbytes + self._occ.nbytes + self._sa_samples.nbytes
-        )

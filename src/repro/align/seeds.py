@@ -9,11 +9,11 @@ matches — a faithful (if simplified) SMEM definition that preserves the
 property the pipeline needs: every alignable read yields at least one
 long, low-repetition seed.
 
-:func:`find_seeds` does this one read, one anchor, one base at a time and
-is the reference.  :func:`find_seeds_batch` returns exactly the same seeds
-for a batch of reads, but extends every ``(read, anchor)`` pair as one lane
-of a lockstep backward search (:meth:`FMIndex.extend_left_batch`), and
-never extends an anchor whose match is already known to be contained.
+:func:`find_seeds_batch` seeds a batch of reads: every ``(read, anchor)``
+pair is one lane of a lockstep backward search
+(:meth:`FMIndex.extend_left_batch`), and an anchor whose match is already
+known to be contained is never extended.  Each kept match is located by
+one suffix-array slice (:meth:`FMIndex.locate`).
 """
 
 from __future__ import annotations
@@ -47,39 +47,6 @@ class Seed:
         return self.ref_start - self.query_start
 
 
-def find_seeds(
-    index: FMIndex,
-    read: str,
-    min_seed_length: int = 19,
-    max_hits_per_seed: int = 16,
-    anchor_stride: int = 8,
-) -> list[Seed]:
-    """Extract seeds for one read.
-
-    For anchors spaced ``anchor_stride`` apart (always including the read
-    end), extend leftwards from the anchor as far as the index allows,
-    keep matches of at least ``min_seed_length``, drop matches contained
-    in an already-kept one, and locate up to ``max_hits_per_seed``
-    occurrences of each.
-    """
-    n = len(read)
-    if n < min_seed_length:
-        return []
-    extensions: list[Extension] = []
-    for end in _anchors(n, min_seed_length, anchor_stride):
-        lo, hi = 0, index.text_length
-        start = end
-        # Extend left while the interval stays non-empty.
-        while start > 0:
-            new_lo, new_hi = index.extend_left(read[start - 1], lo, hi)
-            if new_lo >= new_hi:
-                break
-            lo, hi = new_lo, new_hi
-            start -= 1
-        extensions.append((start, end, lo, hi))
-    return _kept_seeds(index, extensions, min_seed_length, max_hits_per_seed)
-
-
 def find_seeds_batch(
     index: FMIndex,
     reads: list[str],
@@ -87,9 +54,14 @@ def find_seeds_batch(
     max_hits_per_seed: int = 16,
     anchor_stride: int = 8,
 ) -> list[list[Seed]]:
-    """Seeds for every read of a batch: exactly
-    ``[find_seeds(index, read, ...) for read in reads]``, with the backward
-    searches run by :func:`extend_anchors_batch`."""
+    """Seeds for every read of a batch, in read order.
+
+    For anchors spaced ``anchor_stride`` apart (always including the read
+    end), the match ending at the anchor is extended leftwards as far as
+    the index allows (:func:`extend_anchors_batch`).  Matches of at least
+    ``min_seed_length`` that no earlier anchor's kept match contains are
+    kept, and up to ``max_hits_per_seed`` occurrences of each are located.
+    """
     extensions, _ = extend_anchors_batch(index, reads, min_seed_length, anchor_stride)
     return [
         _kept_seeds(index, read_extensions, min_seed_length, max_hits_per_seed)
@@ -111,7 +83,7 @@ def extend_anchors_batch(
     extension, so the second wave extends the remaining anchors of the
     other reads only.  Each read's list is in anchor order, without the
     skipped anchors.  The step count (one per lane per backward-search
-    step, the work of one :meth:`FMIndex.extend_left` call) is the
+    step, one lane of :meth:`FMIndex.extend_left_batch`) is the
     deterministic work counter of this layer.
     """
     lengths = [len(read) for read in reads]
@@ -206,19 +178,12 @@ def _kept_seeds(
         if any(ks <= start and end <= ke for ks, ke in kept_intervals):
             continue  # contained in an existing SMEM
         kept_intervals.append((start, end))
-        for contig, offset, is_reverse in index.locate(lo, hi, limit=max_hits_per_seed):
-            ref_start = index.to_forward_position(contig, offset, length, is_reverse)
-            # For reverse hits the query interval refers to the reverse-
-            # complemented read; callers align the RC read, so store as-is.
-            seeds.append(
-                Seed(
-                    query_start=start,
-                    query_end=end,
-                    contig=contig,
-                    ref_start=ref_start,
-                    is_reverse=is_reverse,
-                )
-            )
+        # For reverse hits the query interval refers to the reverse-
+        # complemented read; callers align the RC read, so store as-is.
+        seeds.extend(
+            Seed(start, end, *hit)
+            for hit in index.locate(lo, hi, length, limit=max_hits_per_seed)
+        )
     return seeds
 
 

@@ -46,8 +46,3 @@ def build_suffix_array(text: bytes) -> np.ndarray:
             return order
         k *= 2
 
-
-def naive_suffix_array(text: bytes) -> np.ndarray:
-    """O(n^2 log n) reference implementation for cross-checking in tests."""
-    suffixes = sorted(range(len(text)), key=lambda i: text[i:])
-    return np.asarray(suffixes, dtype=np.int64)

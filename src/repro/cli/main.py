@@ -732,7 +732,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """report: rebuild and render the run report from an event log."""
     import json
 
-    from repro.obs import RunReport, read_events, validate_events
+    from repro.obs import RunReport, last_run, read_events, validate_events
 
     if not os.path.exists(args.events):
         print(f"report: no such file: {args.events}", file=sys.stderr)
@@ -746,7 +746,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
         stacks = [
             event.get("stacks")
-            for event in events
+            for event in last_run(events)
             if event.get("kind") == "profile.sample"
             and isinstance(event.get("stacks"), dict)
         ]

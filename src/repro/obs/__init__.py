@@ -37,6 +37,7 @@ from repro.obs.events import (
     EventBus,
     JsonlEventSink,
     MemorySink,
+    last_run,
     read_events,
     validate_event,
     validate_events,
@@ -68,6 +69,7 @@ __all__ = [
     "Tracer",
     "chrome_trace_dict",
     "fold_folded_text",
+    "last_run",
     "merge_histogram_snapshots",
     "new_span_id",
     "read_events",

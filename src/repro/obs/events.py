@@ -18,7 +18,8 @@ advanced by the monotonic counter, so span durations never go negative
 and every event lines up with every span.  With a trace directory
 configured, a :class:`JsonlEventSink` subscribes and appends one line
 per event to ``events.jsonl``; ``gpf report`` and ``trace.json`` are
-both built from that file.
+both built from that file.  Several runs into one trace directory
+append to one log; each reads only the last run (:func:`last_run`).
 
 ``publish`` is a no-op (one attribute check) when nobody subscribes, so
 an untraced run pays nothing.
@@ -208,6 +209,13 @@ def read_events(path: str, offset: int = 0) -> list[dict]:
             except ValueError:  # JSONDecodeError, or a torn UTF-8 sequence
                 break
     return events
+
+
+def last_run(events: list[dict]) -> list[dict]:
+    """The events of the last run in a log several runs appended to: from
+    its last ``run.start`` on (the whole log when it has none)."""
+    starts = [k for k, event in enumerate(events) if event.get("kind") == "run.start"]
+    return events[starts[-1] if starts else 0 :]
 
 
 def validate_event(event: dict) -> list[str]:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro.obs.events import last_run
+
 if TYPE_CHECKING:
     from repro.core.pipeline import Pipeline
     from repro.engine.context import GPFContext
@@ -173,11 +175,11 @@ class RunReport:
         events: a stage span closes with its ledger totals.  A process
         span that closed on an exception is not a row, as a failed
         Process is not in ``Pipeline.executed``.  Of a log that several
-        runs appended to, only the last run (as in ``trace.json``) counts.
+        runs appended to, only the last run (:func:`last_run`, as in
+        ``trace.json``) counts.
         """
         report = cls()
-        starts = [k for k, event in enumerate(events) if event.get("kind") == "run.start"]
-        for event in events[starts[-1] if starts else 0 :]:
+        for event in last_run(events):
             kind = event.get("kind")
             if kind == "span.close":
                 span_kind = event["span_kind"]

@@ -1,0 +1,100 @@
+"""Scalar FM-index search and seeding for the differential tests.
+
+The one-character backward-search step, the one-read seed extraction and
+the quadratic suffix sort that ``repro.align`` ran before its batched
+paths replaced them, kept here (test side only) as oracles:
+``FMIndex.extend_left_batch`` must step every lane as :func:`extend_left`
+does, ``find_seeds_batch`` must return :func:`find_seeds`'s seeds read by
+read, and ``build_suffix_array`` must equal :func:`naive_suffix_array`.
+They read the index's tables (``_C``, ``_occ``, ``_bwt_codes``,
+``_code_of``), never its search code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.align.fmindex import FMIndex
+from repro.align.seeds import Extension, Seed, _anchors, _kept_seeds
+
+
+def rank(index: FMIndex, code: int, row: int) -> int:
+    """Occurrences of character ``code`` in bwt[:row]."""
+    checkpoint = row // index._occ_sample
+    base = index._occ[checkpoint, code]
+    start = checkpoint * index._occ_sample
+    if row > start:
+        base += int(np.count_nonzero(index._bwt_codes[start:row] == code))
+    return int(base)
+
+
+def backward_search(index: FMIndex, pattern: str) -> tuple[int, int]:
+    """(lo, hi) interval of rows whose suffixes start with ``pattern``.
+
+    Empty interval (lo >= hi) means no exact occurrence.  ``N`` in the
+    pattern never matches (as in BWA's exact-seed phase).
+    """
+    lo, hi = 0, index.text_length
+    for char in reversed(pattern):
+        code = index._code_of[ord(char)]
+        if code < 0 or char == "N":
+            return (0, 0)
+        lo = int(index._C[code]) + rank(index, int(code), lo)
+        hi = int(index._C[code]) + rank(index, int(code), hi)
+        if lo >= hi:
+            return (0, 0)
+    return lo, hi
+
+
+def count(index: FMIndex, pattern: str) -> int:
+    lo, hi = backward_search(index, pattern)
+    return hi - lo
+
+
+def extend_left(index: FMIndex, char: str, lo: int, hi: int) -> tuple[int, int]:
+    """One backward-search step; the primitive SMEM extraction uses."""
+    code = index._code_of[ord(char)]
+    if code < 0 or char == "N":
+        return (0, 0)
+    new_lo = int(index._C[code]) + rank(index, int(code), lo)
+    new_hi = int(index._C[code]) + rank(index, int(code), hi)
+    return (new_lo, new_hi) if new_lo < new_hi else (0, 0)
+
+
+def find_seeds(
+    index: FMIndex,
+    read: str,
+    min_seed_length: int = 19,
+    max_hits_per_seed: int = 16,
+    anchor_stride: int = 8,
+) -> list[Seed]:
+    """Extract seeds for one read.
+
+    For anchors spaced ``anchor_stride`` apart (always including the read
+    end), extend leftwards from the anchor as far as the index allows,
+    keep matches of at least ``min_seed_length``, drop matches contained
+    in an already-kept one, and locate up to ``max_hits_per_seed``
+    occurrences of each.  Each step is one :func:`extend_left` call.
+    """
+    n = len(read)
+    if n < min_seed_length:
+        return []
+    extensions: list[Extension] = []
+    for end in _anchors(n, min_seed_length, anchor_stride):
+        lo, hi = 0, index.text_length
+        start = end
+        # Extend left while the interval stays non-empty.
+        while start > 0:
+            new_lo, new_hi = extend_left(index, read[start - 1], lo, hi)
+            if new_lo >= new_hi:
+                break
+            lo, hi = new_lo, new_hi
+            start -= 1
+        extensions.append((start, end, lo, hi))
+    return _kept_seeds(index, extensions, min_seed_length, max_hits_per_seed)
+
+
+def naive_suffix_array(text: bytes) -> np.ndarray:
+    """O(n^2 log n) reference implementation for cross-checking in tests."""
+    suffixes = sorted(range(len(text)), key=lambda i: text[i:])
+    return np.asarray(suffixes, dtype=np.int64)

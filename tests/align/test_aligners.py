@@ -6,11 +6,12 @@ import pytest
 from repro.align.bwamem import BwaMemAligner
 from repro.align.fmindex import FMIndex, reverse_complement
 from repro.align.pairing import PairedEndAligner
-from repro.align.seeds import chain_seeds, find_seeds
+from repro.align.seeds import chain_seeds
 from repro.align.snap import SnapAligner, SnapConfig
 from repro.formats import flags as F
 from repro.formats.fastq import FastqPair, FastqRecord
 from repro.sim import generate_reference
+from tests.align.reference_seeds import find_seeds
 
 
 @pytest.fixture(scope="module")

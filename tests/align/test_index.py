@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.align.bwt import bwt, inverse_bwt
 from repro.align.fmindex import FMIndex, reverse_complement
-from repro.align.suffix_array import build_suffix_array, naive_suffix_array
+from repro.align.seeds import Seed, find_seeds_batch
+from repro.align.suffix_array import build_suffix_array
 from repro.formats.fasta import Contig, Reference
+from tests.align import reference_seeds as ref
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
@@ -15,7 +17,8 @@ dna = st.text(alphabet="ACGT", min_size=1, max_size=200)
 class TestSuffixArray:
     def test_matches_naive_on_classic_strings(self):
         for text in [b"banana\x00", b"mississippi\x00", b"AAAA\x00", b"ACGTACGT\x00"]:
-            assert build_suffix_array(text).tolist() == naive_suffix_array(text).tolist()
+            expected = ref.naive_suffix_array(text).tolist()
+            assert build_suffix_array(text).tolist() == expected
 
     def test_requires_sentinel(self):
         with pytest.raises(ValueError, match="sentinel"):
@@ -32,7 +35,8 @@ class TestSuffixArray:
     @given(dna)
     def test_matches_naive_property(self, text):
         data = text.encode() + b"\x00"
-        assert build_suffix_array(data).tolist() == naive_suffix_array(data).tolist()
+        expected = ref.naive_suffix_array(data).tolist()
+        assert build_suffix_array(data).tolist() == expected
 
 
 class TestBWT:
@@ -94,19 +98,15 @@ class TestFMIndex:
             start = int(rng.integers(0, len(contig) - 25))
             pattern = contig.fetch(start, start + 20)
             expected = brute_force_occurrences(small_ref, pattern)
-            lo, hi = index.backward_search(pattern)
+            lo, hi = ref.backward_search(index, pattern)
             assert hi - lo == len(expected)
 
     def test_locate_positions_match_brute_force(self, small_ref):
         index = FMIndex(small_ref)
         contig = small_ref.contigs[0]
         pattern = contig.fetch(100, 125)
-        lo, hi = index.backward_search(pattern)
-        located = set()
-        for name, offset, is_rev in index.locate(lo, hi, limit=100):
-            located.add(
-                (name, index.to_forward_position(name, offset, len(pattern), is_rev), is_rev)
-            )
+        lo, hi = ref.backward_search(index, pattern)
+        located = set(index.locate(lo, hi, len(pattern), limit=100))
         assert located == brute_force_occurrences(small_ref, pattern)
 
     def test_absent_pattern_gives_empty_interval(self, small_ref):
@@ -115,30 +115,86 @@ class TestFMIndex:
         pattern = "ACGT" * 8
         if brute_force_occurrences(small_ref, pattern):
             pytest.skip("pattern accidentally present")
-        lo, hi = index.backward_search(pattern)
+        lo, hi = ref.backward_search(index, pattern)
         assert lo >= hi
 
     def test_n_in_pattern_never_matches(self, small_ref):
         index = FMIndex(small_ref)
-        assert index.count("ANT") == 0
+        assert ref.count(index, "ANT") == 0
 
     def test_reverse_strand_found(self, small_ref):
         index = FMIndex(small_ref)
         contig = small_ref.contigs[1]
         pattern = reverse_complement(contig.fetch(50, 75))
         expected = brute_force_occurrences(small_ref, pattern)
-        assert index.count(pattern) == len(expected) > 0
+        assert ref.count(index, pattern) == len(expected) > 0
 
     def test_extend_left_consistent_with_search(self, small_ref):
         index = FMIndex(small_ref)
         pattern = small_ref.contigs[0].fetch(200, 215)
-        lo, hi = 0, index.text_length
-        for ch in reversed(pattern):
-            lo, hi = index.extend_left(ch, lo, hi)
-        assert (lo, hi) == index.backward_search(pattern)
+        lo, hi = [0], [index.text_length]
+        for code in reversed(index.search_codes(pattern.encode())):
+            lo, hi = index.extend_left_batch([code], lo, hi)
+        assert (int(lo[0]), int(hi[0])) == ref.backward_search(index, pattern)
 
-    def test_memory_accounting_positive(self, small_ref):
-        assert FMIndex(small_ref).memory_bytes() > 0
+    def test_empty_match_interval_skips_the_sentinel_row(self, small_ref):
+        # An empty read seeded with min_seed_length=0 is an empty match,
+        # whose interval is every row; row 0 is the sentinel suffix.
+        index = FMIndex(small_ref)
+        hits = index.locate(0, index.text_length, 0, limit=3)
+        assert len(hits) == 2
+        assert find_seeds_batch(
+            index, [""], min_seed_length=0, max_hits_per_seed=3
+        ) == [[Seed(0, 0, *hit) for hit in hits]]
+
+
+#: A contig of ACGT stretches and N runs.
+contig_seqs = st.lists(
+    st.one_of(
+        st.text(alphabet="ACGT", min_size=1, max_size=40),
+        st.integers(1, 6).map(lambda k: "N" * k),
+    ),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+class TestLocate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(contig_seqs, min_size=1, max_size=3), st.data())
+    def test_locate_is_the_naive_suffix_array_in_forward_coordinates(
+        self, seqs, data
+    ):
+        reference = Reference(
+            [Contig(f"c{k}", seq.encode()) for k, seq in enumerate(seqs)]
+        )
+        index = FMIndex(reference, occ_sample=data.draw(st.sampled_from([1, 4, 32])))
+        # The index text, its strand spans and naive suffix array.
+        spans, text = [], ""
+        for k, seq in enumerate(seqs):
+            for strand, is_rev in ((seq, False), (reverse_complement(seq), True)):
+                spans.append((f"c{k}", len(text), len(text) + len(strand), is_rev))
+                text += strand
+        text = (text + "\x00").encode()
+        sa = ref.naive_suffix_array(text).tolist()
+
+        # A pattern cut from either strand of any contig, without N.
+        _, start, end, _ = data.draw(st.sampled_from(spans))
+        begin = data.draw(st.integers(start, end - 1))
+        pattern = text[begin : data.draw(st.integers(begin + 1, end))]
+        assume(b"N" not in pattern)
+        limit = data.draw(st.integers(1, 40))
+
+        rows = [row for row, pos in enumerate(sa) if text[pos:].startswith(pattern)]
+        lo, hi = ref.backward_search(index, pattern.decode())
+        assert (lo, hi) == (rows[0], rows[-1] + 1)
+        expected = []
+        for pos in (sa[row] for row in rows[:limit]):
+            name, start, end, is_rev = next(s for s in spans if s[1] <= pos < s[2])
+            offset = pos - start
+            forward = end - start - offset - len(pattern) if is_rev else offset
+            expected.append((name, forward, is_rev))
+        assert index.locate(lo, hi, len(pattern), limit) == expected
 
 
 class TestReverseComplement:

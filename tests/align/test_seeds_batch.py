@@ -3,8 +3,8 @@
 Differential tests over seeded stdlib-``random`` inputs: repeat-rich and
 random references, read batches mixing lengths (0, below, at and well
 above ``min_seed_length``) with ``N``, lowercase and IUPAC bases, and
-several anchor strides / seed lengths.  ``find_seeds`` and
-``FMIndex.extend_left`` are the references.
+several anchor strides / seed lengths.  ``reference_seeds.find_seeds``
+and ``reference_seeds.extend_left`` are the references.
 """
 
 import random
@@ -13,9 +13,11 @@ import pytest
 
 from repro.align.fmindex import FMIndex, reverse_complement
 from repro.align.pairing import PairedEndAligner
-from repro.align.seeds import extend_anchors_batch, find_seeds, find_seeds_batch
+from repro.align.seeds import extend_anchors_batch, find_seeds_batch
 from repro.formats.fasta import Contig, Reference
 from repro.sim import ReadSimConfig, ReadSimulator, generate_reference
+from tests.align import reference_seeds as ref
+from tests.align.reference_seeds import find_seeds
 
 #: Off-alphabet bases a read can carry: soft-masked, ambiguous, unknown.
 NOISE = "NacgtnRYKMBVDHSW?"
@@ -80,8 +82,13 @@ REFERENCES = {
 
 
 @pytest.fixture(scope="module", params=sorted(REFERENCES))
-def index(request):
-    return FMIndex(REFERENCES[request.param]())
+def reference(request):
+    return REFERENCES[request.param]()
+
+
+@pytest.fixture(scope="module")
+def index(reference):
+    return FMIndex(reference)
 
 
 def _read_batch(rng, reference, min_seed_length, size=30):
@@ -111,19 +118,21 @@ def _read_batch(rng, reference, min_seed_length, size=30):
 
 class TestFindSeedsBatch:
     @pytest.mark.parametrize("anchor_stride,min_seed_length", SEED_PARAMS)
-    def test_random_batches_match_scalar(self, index, anchor_stride, min_seed_length):
+    def test_random_batches_match_scalar(
+        self, reference, index, anchor_stride, min_seed_length
+    ):
         rng = random.Random(anchor_stride * 1_000 + min_seed_length)
         kwargs = dict(min_seed_length=min_seed_length, anchor_stride=anchor_stride)
         for _ in range(4):
-            reads = _read_batch(rng, index.reference, min_seed_length)
+            reads = _read_batch(rng, reference, min_seed_length)
             batched = find_seeds_batch(index, reads, **kwargs)
             assert len(batched) == len(reads)
             for read, got in zip(reads, batched):
                 assert got == find_seeds(index, read, **kwargs), read
 
-    def test_max_hits_is_honoured(self, index):
+    def test_max_hits_is_honoured(self, reference, index):
         rng = random.Random(5)
-        reads = _read_batch(rng, index.reference, 12)
+        reads = _read_batch(rng, reference, 12)
         for limit in (1, 3):
             kwargs = dict(min_seed_length=12, max_hits_per_seed=limit, anchor_stride=4)
             assert find_seeds_batch(index, reads, **kwargs) == [
@@ -152,15 +161,15 @@ class TestFindSeedsBatch:
 
 
 class TestExtendLeftBatch:
-    def test_lanes_match_scalar_step(self, index):
+    def test_lanes_match_scalar_step(self, reference, index):
         rng = random.Random(77)
         text_len = index.text_length
-        contig = index.reference.contigs[0].sequence.decode()
+        contig = reference.contigs[0].sequence.decode()
         intervals = [(0, text_len), (0, 0), (text_len, text_len)]
         for _ in range(60):
             start = rng.randint(0, max(0, len(contig) - 12))
             pattern = contig[start : start + rng.randint(1, 12)]
-            intervals.append(index.backward_search(pattern))
+            intervals.append(ref.backward_search(index, pattern))
             lo = rng.randint(0, text_len)
             intervals.append((lo, rng.randint(lo, text_len)))
         chars = "ACGT" + NOISE + "\x00"
@@ -170,11 +179,11 @@ class TestExtendLeftBatch:
             codes, [lo for _, lo, _ in lanes], [hi for _, _, hi in lanes]
         )
         for (char, lo, hi), got_lo, got_hi in zip(lanes, new_lo, new_hi):
-            assert (int(got_lo), int(got_hi)) == index.extend_left(char, lo, hi)
+            assert (int(got_lo), int(got_hi)) == ref.extend_left(index, char, lo, hi)
 
 
 class TestSeedingWork:
-    def test_skipped_anchors_cut_backward_search_steps(self):
+    def test_skipped_anchors_cut_backward_search_steps(self, monkeypatch):
         """The lane-step count of the batched path is pinned against the
         scalar path's ``extend_left`` calls on a fixed simulated input."""
         reference = generate_reference([6_000], seed=211)
@@ -184,16 +193,16 @@ class TestSeedingWork:
         index = FMIndex(reference)
 
         scalar_steps = 0
-        extend_left = index.extend_left
+        extend_left = ref.extend_left
 
-        def counting_extend_left(char, lo, hi):
+        def counting_extend_left(*args):
             nonlocal scalar_steps
             scalar_steps += 1
-            return extend_left(char, lo, hi)
+            return extend_left(*args)
 
-        index.extend_left = counting_extend_left
-        expected = [find_seeds(index, read) for read in reads]
-        del index.extend_left
+        with monkeypatch.context() as patch:
+            patch.setattr(ref, "extend_left", counting_extend_left)
+            expected = [find_seeds(index, read) for read in reads]
 
         _, batch_steps = extend_anchors_batch(index, reads)
         assert find_seeds_batch(index, reads) == expected

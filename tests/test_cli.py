@@ -523,6 +523,38 @@ class TestObservabilityCli:
         stack, count = lines[0].rsplit(" ", 1)
         assert int(count) > 0 and stack
 
+    def test_flame_of_an_appended_log_folds_the_last_run(self, tmp_path, capsys):
+        from repro.engine.context import EngineConfig, GPFContext
+        from repro.obs import last_run, read_events
+
+        trace = str(tmp_path / "trace")
+        for _ in range(2):  # two profiled runs append to one events.jsonl
+            config = EngineConfig(
+                spill_dir=str(tmp_path / "spill"),
+                trace_dir=trace,
+                profile_interval=0.001,
+            )
+            with GPFContext(config) as ctx:
+                ctx.parallelize([(i % 4, i) for i in range(4000)], 4).map_values(
+                    lambda v: sum(j * j for j in range(v % 197))
+                ).group_by_key().collect()
+        log = os.path.join(trace, "events.jsonl")
+        events = read_events(log)
+
+        def samples(segment):
+            return sum(
+                int(n)
+                for event in segment
+                if event["kind"] == "profile.sample"
+                for n in event["stacks"].values()
+            )
+
+        last = samples(last_run(events))
+        assert 0 < last < samples(events)
+        assert main(["report", log, "--flame"]) == 0
+        flame = capsys.readouterr().out.splitlines()
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in flame) == last
+
     def test_flame_without_profile_events_is_error(self, tmp_path, capsys):
         import json
 
