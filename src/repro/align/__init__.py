@@ -3,7 +3,7 @@
 A from-scratch BWA-MEM-style aligner (the paper's Aligner stage wraps
 bwa-0.7.12):
 
-- ``suffix_array`` / ``bwt`` / ``fmindex`` — Burrows-Wheeler index of the
+- ``suffix_array`` / ``fmindex`` — Burrows-Wheeler index of the
   reference: a sampled occurrence table for batched backward search, and
   the whole suffix array, so locating a hit is a slice.
 - ``seeds`` — super-maximal exact match (SMEM) extraction for a batch of

@@ -38,6 +38,14 @@ class AlignerConfig:
     max_alternative_hits: int = 3
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
 
+    def __post_init__(self) -> None:
+        # A zero-length seed matches every suffix-array row: its hits
+        # would land anywhere in the reference.
+        if self.min_seed_length <= 0:
+            raise ValueError(
+                f"min_seed_length must be positive, got {self.min_seed_length}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class AlignmentCandidate:

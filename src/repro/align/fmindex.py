@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.bwt import bwt_from_suffix_array
 from repro.align.suffix_array import build_suffix_array
 from repro.formats.fasta import Reference
 
@@ -38,6 +37,13 @@ _COMPLEMENT = bytes.maketrans(
 
 def reverse_complement(seq: str) -> str:
     return seq.encode("ascii").translate(_COMPLEMENT)[::-1].decode("ascii")
+
+
+def bwt_from_suffix_array(text: bytes, suffix_array: np.ndarray) -> np.ndarray:
+    """BWT[i] = text[SA[i] - 1]  (the character preceding each suffix)."""
+    data = np.frombuffer(text, dtype=np.uint8)
+    prev = np.asarray(suffix_array, dtype=np.int64) - 1
+    return data[prev]  # index -1 wraps to the sentinel, as required
 
 
 class FMIndex:

@@ -14,7 +14,7 @@ detectable on the driver before anything runs:
   captured driver-side container from inside the closure.  On a real
   cluster the mutation happens to a serialized *copy* on the executor and
   the driver never sees it; in this in-process engine it is a data race
-  between worker threads.  Use ``repro.engine.accumulators`` instead.
+  between worker threads.  Return the data from the task instead.
 - **GPF203 large captures** — a closure that drags a reference dict or an
   FM-index along ships it with *every* task.  ``GPFContext.broadcast``
   ships it once per executor (paper §4.4 step 2).
@@ -483,8 +483,7 @@ def analyze_closure(
                         "a copy on real clusters and race in threads"
                     ),
                     resource=label,
-                    fix_hint="return the data from the task instead, or use "
-                    "repro.engine.accumulators",
+                    fix_hint="return the data from the task instead",
                 )
             )
     else:

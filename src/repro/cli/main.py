@@ -653,7 +653,11 @@ def _run_pipeline(args, config, journal_dir: str | None, start: float) -> int:
     from repro.obs import RunReport
     from repro.wgs import run_wgs_files
 
+    # The report is built from the run's own events, by the code
+    # `gpf report` runs on a saved events.jsonl.
+    events: list[dict] = []
     with GPFContext(config) as ctx:
+        ctx.events.subscribe(events.append)
         handles, calls = run_wgs_files(
             ctx,
             args.reference,
@@ -696,35 +700,37 @@ def _run_pipeline(args, config, journal_dir: str | None, start: float) -> int:
             publish = getattr(process, "publish_cache_stats", None)
             if publish is not None:
                 publish(ctx)
-        report = RunReport.from_context(ctx, handles.pipeline, elapsed=elapsed)
-        print(report.summary_line(), file=sys.stderr)
-        if ctx.profiler is not None:
-            total = ctx.profiler.samples
-            print(
-                f"profile: {total} sample(s) at {ctx.profiler.interval * 1e3:.1f}ms",
-                file=sys.stderr,
-            )
-            for name, count in ctx.profiler.top_functions(8):
-                share = 100.0 * count / total if total else 0.0
-                print(f"  {share:5.1f}%  {name}", file=sys.stderr)
-            if args.trace_out:
-                print(
-                    f"  folded stacks: {os.path.join(args.trace_out, 'profile.folded')}",
-                    file=sys.stderr,
-                )
+        profiler = ctx.profiler
+    # Closing the context published the final telemetry and run.end.
+    report = RunReport.from_events(events)
+    print(report.summary_line(), file=sys.stderr)
+    if profiler is not None:
+        total = profiler.samples
+        print(
+            f"profile: {total} sample(s) at {profiler.interval * 1e3:.1f}ms",
+            file=sys.stderr,
+        )
+        for name, count in profiler.top_functions(8):
+            share = 100.0 * count / total if total else 0.0
+            print(f"  {share:5.1f}%  {name}", file=sys.stderr)
         if args.trace_out:
             print(
-                f"trace: {os.path.join(args.trace_out, 'events.jsonl')} "
-                f"(render with `gpf report`); Chrome trace at "
-                f"{os.path.join(args.trace_out, 'trace.json')}",
+                f"  folded stacks: {os.path.join(args.trace_out, 'profile.folded')}",
                 file=sys.stderr,
             )
-        if args.report == "text":
-            print(report.render_text(), end="")
-        elif args.report == "json":
-            import json
+    if args.trace_out:
+        print(
+            f"trace: {os.path.join(args.trace_out, 'events.jsonl')} "
+            f"(render with `gpf report`); Chrome trace at "
+            f"{os.path.join(args.trace_out, 'trace.json')}",
+            file=sys.stderr,
+        )
+    if args.report == "text":
+        print(report.render_text(), end="")
+    elif args.report == "json":
+        import json
 
-            print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     return 0
 
 

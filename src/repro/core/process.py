@@ -15,7 +15,6 @@ and fuse Processes before anything is submitted to the engine.
 from __future__ import annotations
 
 import enum
-import time
 from typing import Sequence, TYPE_CHECKING
 
 from repro.core.resource import Resource
@@ -52,9 +51,6 @@ class Process:
             "output", self.outputs, output_types
         )
         self._state = ProcessState.BLOCKED
-        #: Wall-clock seconds of the most recent :meth:`run` (None until
-        #: the Process has run once); surfaced by the run report.
-        self.last_run_seconds: float | None = None
 
     @staticmethod
     def _check_spec(
@@ -109,13 +105,8 @@ class Process:
             )
         self._state = ProcessState.RUNNING
         defined_before = [r.is_defined for r in self.outputs]
-        tracer = getattr(ctx, "tracer", None)
-        started = time.perf_counter()
         try:
-            if tracer is not None:
-                with tracer.span(f"process:{self.name}", kind="process"):
-                    self.execute(ctx)
-            else:
+            with ctx.tracer.span(f"process:{self.name}", kind="process"):
                 self.execute(ctx)
         except Exception:
             # Roll back outputs the failed attempt defined, so a retried
@@ -124,9 +115,7 @@ class Process:
                 if resource.is_defined and not was_defined:
                     resource.undefine()
             self._state = ProcessState.BLOCKED
-            self.last_run_seconds = time.perf_counter() - started
             raise
-        self.last_run_seconds = time.perf_counter() - started
         not_defined = [r.name for r in self.outputs if not r.is_defined]
         if not_defined:
             raise RuntimeError(

@@ -36,7 +36,7 @@ from repro.engine.context import PartitionStore
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import MetricsRegistry, timed
 from repro.engine.shuffle import ShuffleManager, read_block
-from repro.obs import EventBus, NoopTracer
+from repro.obs import EventBus
 
 
 #: Socket timeout for peer block fetches; a hung peer must fail the
@@ -357,7 +357,7 @@ class WorkerContext(PartitionStore):
     block manager — a partition cached by one task is reused by the next
     task of the same namespace), the P2P shuffle, metrics, and an
     inert event bus.  Driver-only machinery (scheduler, executor,
-    accumulators) is deliberately absent; a closure that calls
+    tracer) is deliberately absent; a closure that calls
     ``ctx.run_job`` mid-task gets a clear error instead of a deadlock.
     """
 
@@ -374,7 +374,6 @@ class WorkerContext(PartitionStore):
         self.serializer = serializer
         self.metrics = _TaskLocalMetrics()
         self.events = EventBus()
-        self.tracer = NoopTracer()
         #: The namespace's fault stream on this node: the injector that
         #: rode in with the first TASK frame, kept for the namespace's
         #: life so hit counters advance across tasks and retries.

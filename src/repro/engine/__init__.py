@@ -36,7 +36,6 @@ from repro.engine.rdd import RDD
 from repro.engine.broadcast import Broadcast
 from repro.engine.metrics import TaskMetrics, StageMetrics, JobMetrics, MetricsRegistry
 from repro.engine.files import FastqPairFileRDD, load_fastq_pair_lazy
-from repro.engine.accumulators import Accumulator, counter
 from repro.engine.faults import InjectedFault, TaskFailedError
 from repro.engine.blockmanager import BlockManager
 from repro.engine.serializers import (
@@ -61,8 +60,6 @@ __all__ = [
     "get_serializer",
     "FastqPairFileRDD",
     "load_fastq_pair_lazy",
-    "Accumulator",
-    "counter",
     "InjectedFault",
     "TaskFailedError",
     "BlockManager",

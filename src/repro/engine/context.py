@@ -17,7 +17,6 @@ from typing import Sequence, TypeVar
 from contextlib import contextmanager, suppress
 
 from repro.compression.records import logical_size
-from repro.engine.accumulators import Accumulator, counter
 from repro.engine.blockmanager import BlockManager
 from repro.engine.broadcast import Broadcast
 from repro.engine.executors import make_executor
@@ -32,7 +31,6 @@ from repro.formats.sam import SamRecord
 from repro.obs import (
     EventBus,
     JsonlEventSink,
-    NoopTracer,
     Tracer,
     read_events,
     write_chrome_trace,
@@ -90,16 +88,16 @@ class EngineConfig:
     task_timeout: float | None = None
     #: Sampling-profiler interval in seconds.  When set, the context runs
     #: a :class:`~repro.obs.SamplingProfiler` that attributes collapsed
-    #: stacks to live spans, publishes ``profile.sample`` events, and
-    #: writes ``<trace_dir>/profile.folded`` at flush.  None (the
-    #: default) = no sampler thread, zero overhead.
+    #: stacks to the tracer's live spans, publishes ``profile.sample``
+    #: events, and writes ``<trace_dir>/profile.folded`` at flush.  None
+    #: (the default) = no sampler thread.
     profile_interval: float | None = None
-    #: Trace output directory.  When set, the context runs a real
-    #: :class:`~repro.obs.Tracer`, streams every event (spans included)
-    #: to ``<trace_dir>/events.jsonl``, and derives
-    #: ``<trace_dir>/trace.json`` (Chrome-trace/Perfetto) from it on
-    #: ``stop()``.  None (the default) keeps
-    #: the no-op tracer and an inert event bus: zero overhead.
+    #: Trace output directory.  When set, the context subscribes a JSONL
+    #: sink to its event bus: every event (spans included) is appended
+    #: to ``<trace_dir>/events.jsonl``, and ``<trace_dir>/trace.json``
+    #: (Chrome-trace/Perfetto) is derived from it on ``stop()``.  The
+    #: tracer runs either way; None (the default) leaves the bus without
+    #: a subscriber, so no event is built.
     trace_dir: str | None = None
     #: Chaos configuration: a :class:`repro.chaos.ChaosPlan` (or an
     #: already-built injector).  When set, a seeded ChaosInjector is
@@ -206,28 +204,24 @@ class GPFContext(PartitionStore):
         )
         self.serializer = get_serializer(self.config.serializer)
         # -- observability (repro.obs) ----------------------------------
-        # Every context owns one metrics registry and an event bus; both
-        # are near-free when nothing reads them.  A configured trace_dir
-        # upgrades the tracer from no-op to publishing and attaches the
-        # JSONL sink.
+        # Every context owns one metrics registry, an event bus and a
+        # tracer over it; all are near-free when nothing reads them.  A
+        # configured trace_dir attaches the JSONL sink.
         self.metrics = MetricsRegistry()
         self.events = EventBus()
+        self.tracer = Tracer(self.events)
         self._event_sink: JsonlEventSink | None = None
         self._trace_dir: str | None = None
         self._started_mono = time.monotonic()
-        self.tracer: Tracer | NoopTracer = NoopTracer()
         if self.config.trace_dir:
             self._attach_trace(self.config.trace_dir)
-        # Sampling profiler: the provider closure re-reads self.tracer on
-        # every sample because begin_trace()/end_trace() swap the tracer
-        # object per job segment.
         self.profiler = None
         if self.config.profile_interval is not None:
             from repro.obs import SamplingProfiler
 
             self.profiler = SamplingProfiler(
                 interval=self.config.profile_interval,
-                tracer_provider=lambda: self.tracer,
+                tracer=self.tracer,
                 events=self.events,
             )
             self.profiler.start()
@@ -304,12 +298,6 @@ class GPFContext(PartitionStore):
     def broadcast(self, value: T) -> Broadcast[T]:
         return Broadcast(value)
 
-    def accumulator(self, zero=0, op=None, name: str = "") -> Accumulator:
-        """Create a write-only shared counter (Spark Accumulator)."""
-        if op is None:
-            return counter(name)
-        return Accumulator(zero, op, name=name)
-
     # -- execution --------------------------------------------------------
     def run_job(self, rdd: RDD, partitions: Sequence[int] | None = None) -> list[list]:
         if self._closed:
@@ -322,10 +310,9 @@ class GPFContext(PartitionStore):
 
     # -- observability -----------------------------------------------------
     def _attach_trace(self, trace_dir: str) -> None:
-        """Arm the publishing tracer and the JSONL event sink."""
+        """Subscribe the JSONL event sink for ``trace_dir``."""
         os.makedirs(trace_dir, exist_ok=True)
         self._trace_dir = trace_dir
-        self.tracer = Tracer(self.events)
         self._event_sink = JsonlEventSink(os.path.join(trace_dir, "events.jsonl"))
         self.events.subscribe(self._event_sink)
 
@@ -356,9 +343,8 @@ class GPFContext(PartitionStore):
         )
 
     def end_trace(self) -> None:
-        """Flush and close the current trace segment; back to no-op tracing."""
+        """Flush and close the current trace segment."""
         self._flush_observability()
-        self.tracer = NoopTracer()
         self._trace_dir = None
 
     def reset_for_reuse(self) -> None:
@@ -434,18 +420,22 @@ class GPFContext(PartitionStore):
         }
 
     def _flush_observability(self) -> None:
-        """Final telemetry event, sink close, then the files derived from
-        the segment's ``events.jsonl`` (stop(), end_trace())."""
-        if self._event_sink is None:
-            return
+        """Final telemetry and ``run.end`` events to whoever subscribes,
+        then sink close and the files derived from the segment's
+        ``events.jsonl`` (stop(), end_trace())."""
         if self.profiler is not None:
             # Drain the pending sample delta into the event log first so
             # the folded profile replays fully from events.jsonl.
             self.profiler.flush()
-        self.events.publish("telemetry", **self.telemetry_snapshot())
-        # elapsed comes from the monotonic clock: an NTP step mid-run
-        # must not produce a negative (or inflated) run duration.
-        self.events.publish("run.end", elapsed=time.monotonic() - self._started_mono)
+        if self.events.active:
+            self.events.publish("telemetry", **self.telemetry_snapshot())
+            # elapsed comes from the monotonic clock: an NTP step mid-run
+            # must not produce a negative (or inflated) run duration.
+            self.events.publish(
+                "run.end", elapsed=time.monotonic() - self._started_mono
+            )
+        if self._event_sink is None:
+            return
         sink = self._event_sink
         self.events.unsubscribe(sink)
         sink.close()

@@ -342,8 +342,7 @@ class DAGScheduler:
         order.  The span closes with the stage's ledger totals, which is
         how its Table-4 row reaches the event log."""
         stage = self.ctx.metrics.new_stage(name=name)
-        tracer = self.ctx.tracer
-        with tracer.span(
+        with self.ctx.tracer.span(
             name, kind="stage", stage_id=stage.stage_id, tasks=len(splits)
         ) as stage_span:
 
@@ -360,8 +359,7 @@ class DAGScheduler:
             try:
                 return self.ctx.executor.run_all([make_task(s) for s in splits])
             finally:
-                if tracer.enabled:
-                    stage_span.set_attributes(**stage.totals())
+                stage_span.set_attributes(**stage.totals())
 
     def _recover_shuffle(
         self, failure: ShuffleFetchFailedError, parent_span=None

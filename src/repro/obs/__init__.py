@@ -7,8 +7,8 @@ run inspectable:
 
 - :mod:`repro.obs.tracer` — nested spans
   (pipeline → process → job → stage → task attempt), published as
-  ``span.open``/``span.close`` events, with process-safe IDs; a no-op
-  tracer by default.
+  ``span.open``/``span.close`` events, with process-safe IDs; one per
+  context, silent while nothing subscribes to its bus.
 - :mod:`repro.obs.events` — the :class:`EventBus` every subsystem
   publishes to, its one clock, its JSONL sink, and the event-schema
   validator.
@@ -24,7 +24,7 @@ run inspectable:
 - :mod:`repro.obs.chrome_trace` — Chrome-trace/Perfetto JSON, derived
   from a run's span events.
 - :mod:`repro.obs.report` — the Table-4 / Fig.-12 style run report,
-  renderable from a live context or a saved ``events.jsonl``.
+  built from a run's events (live or a saved ``events.jsonl``).
 """
 
 from repro.obs.chrome_trace import (
@@ -50,7 +50,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.prometheus import render_prometheus, validate_prometheus
 from repro.obs.report import ProcessRow, RunReport, StageRow
-from repro.obs.tracer import NOOP_SPAN, NoopTracer, Span, Tracer, new_span_id
+from repro.obs.tracer import Span, Tracer, new_span_id
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -59,8 +59,6 @@ __all__ = [
     "Histogram",
     "JsonlEventSink",
     "MemorySink",
-    "NoopTracer",
-    "NOOP_SPAN",
     "ProcessRow",
     "RunReport",
     "SamplingProfiler",

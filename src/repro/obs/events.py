@@ -21,8 +21,12 @@ per event to ``events.jsonl``; ``gpf report`` and ``trace.json`` are
 both built from that file.  Several runs into one trace directory
 append to one log; each reads only the last run (:func:`last_run`).
 
-``publish`` is a no-op (one attribute check) when nobody subscribes, so
-an untraced run pays nothing.
+``publish`` is a no-op (one attribute check) when nobody subscribes,
+and the tracer checks :attr:`EventBus.active` before building a span
+event: an idle bus is the one off switch, so an untraced run builds no
+event.  Any subscriber turns it on, a sink or not: ``gpf run``
+subscribes a list and builds its report from it once the context has
+published its closing ``telemetry`` and ``run.end``.
 
 The event vocabulary is closed: :data:`EVENT_SCHEMA` names every kind and
 its required fields, and :func:`validate_events` is the contract test CI

@@ -58,16 +58,15 @@ def _frame_name(frame) -> str:
 class SamplingProfiler:
     """Background statistical profiler with span attribution.
 
-    ``tracer_provider`` is a zero-arg callable returning the *current*
-    tracer (the engine swaps tracer objects per trace segment); it may
-    return a :class:`~repro.obs.tracer.NoopTracer`, whose
-    ``path_for_thread`` returns ``None``.
+    ``tracer`` is the :class:`~repro.obs.tracer.Tracer` whose open spans
+    prefix the sampled stacks; without one every stack is rooted at its
+    thread.
     """
 
     def __init__(
         self,
         interval: float = 0.005,
-        tracer_provider=None,
+        tracer=None,
         events=None,
         max_depth: int = 48,
         flush_interval: float = 2.0,
@@ -76,7 +75,7 @@ class SamplingProfiler:
         self.interval = max(0.0005, float(interval))
         self.flush_interval = flush_interval
         self.max_depth = max_depth
-        self._tracer_provider = tracer_provider
+        self._tracer = tracer
         self._events = events
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
@@ -125,7 +124,7 @@ class SamplingProfiler:
         """Take one sample of every thread's stack (callable directly in
         tests; the background loop calls it on its cadence)."""
         own_tid = threading.get_ident()
-        tracer = self._tracer_provider() if self._tracer_provider else None
+        tracer = self._tracer
         now = event_clock()
         names_by_tid = None
         frames = sys._current_frames()

@@ -11,25 +11,18 @@ on, plus a failure/robustness summary the paper does not have:
 - **Failures & telemetry** — retried attempts, executor incidents,
   quarantined records, journal restores, cache hit rates.
 
-A report builds from either source and renders identically:
-
-- :meth:`RunReport.from_context` — a live :class:`GPFContext` (plus the
-  Pipeline, for process wall times), right after a run;
-- :meth:`RunReport.from_events` — a saved ``events.jsonl``, whose
-  ``span.close`` events carry the pipeline, process and stage rows; this
-  is what ``gpf report <events.jsonl>`` does, long after the run is gone.
+A report has one constructor, :meth:`RunReport.from_events`: the run's
+``span.close`` events carry the pipeline, process and stage rows, and
+its final ``telemetry`` event the counters.  ``gpf run`` feeds it the
+events it subscribed to; ``gpf report <events.jsonl>`` feeds it a saved
+log, long after the run is gone.  Both run the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 from repro.obs.events import last_run
-
-if TYPE_CHECKING:
-    from repro.core.pipeline import Pipeline
-    from repro.engine.context import GPFContext
 
 
 @dataclass
@@ -72,7 +65,7 @@ class RunReport:
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     #: name -> Histogram.snapshot() — latency distributions (task
-    #: duration, queue wait, decode batches), same from either source.
+    #: duration, queue wait, decode batches).
     histograms: dict[str, dict] = field(default_factory=dict)
     elapsed: float | None = None
     pipeline_name: str | None = None
@@ -136,37 +129,6 @@ class RunReport:
         )
 
     # -- construction -------------------------------------------------------
-    @classmethod
-    def from_context(
-        cls,
-        ctx: "GPFContext",
-        pipeline: "Pipeline | None" = None,
-        elapsed: float | None = None,
-    ) -> "RunReport":
-        """Build from a live context (and optionally its Pipeline)."""
-        report = cls(elapsed=elapsed)
-        report.stages = [StageRow(**s.totals()) for s in ctx.metrics.job().stages]
-        if pipeline is not None:
-            report.pipeline_name = pipeline.name
-            for process in pipeline.skipped:
-                report.processes.append(ProcessRow(process.name, skipped=True))
-            for process in pipeline.executed:
-                report.processes.append(
-                    ProcessRow(
-                        process.name,
-                        seconds=getattr(process, "last_run_seconds", None),
-                    )
-                )
-        for failure in ctx.metrics.failures:
-            report.failures.append(
-                (failure.stage_kind, failure.partition, failure.error_type)
-            )
-        snapshot = ctx.telemetry_snapshot()
-        report.counters = snapshot["counters"]
-        report.gauges = snapshot["gauges"]
-        report.histograms = snapshot.get("histograms", {})
-        return report
-
     @classmethod
     def from_events(cls, events: list[dict]) -> "RunReport":
         """Rebuild the report from a saved event log alone.

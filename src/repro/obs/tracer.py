@@ -11,18 +11,18 @@ span.  Span IDs embed the producing process's PID plus a process-local
 counter, so IDs minted inside ``process``-backend workers can never
 collide with driver IDs.
 
-Two tracers share the interface:
+Every context owns one :class:`Tracer`, built with the context over its
+:class:`EventBus`.  It publishes each span twice: a ``span.open`` event
+when it starts and a ``span.close`` event, with every attribute, when it
+ends.  Those events are the run's one timeline: ``events.jsonl`` keeps
+them, and the run report, the live progress tracker and ``trace.json``
+are all built from them.  Within one thread, spans nest implicitly
+through a thread-local stack; work handed to executor threads passes
+the parent span explicitly instead.
 
-- :class:`Tracer` publishes each span to its :class:`EventBus` twice: a
-  ``span.open`` event when it starts and a ``span.close`` event, with
-  every attribute, when it ends.  Those events are the run's one
-  timeline: ``events.jsonl`` keeps them, and the run report, the live
-  progress tracker and ``trace.json`` are all built from them.  Within
-  one thread, spans nest implicitly through a thread-local stack; work
-  handed to executor threads passes the parent span explicitly instead.
-- :class:`NoopTracer` is the default on every context: ``span()`` is a
-  reusable no-op context manager and nothing is published, so tracing
-  costs nothing unless a trace directory is configured.
+The tracer has no off switch of its own.  On a bus nobody subscribes to
+it times the span and keeps the nesting, but builds no event dict, so
+an untraced run pays a few microseconds per span and nothing more.
 """
 
 from __future__ import annotations
@@ -105,52 +105,8 @@ class Span:
         return f"<Span {self.kind}:{self.name} {self.span_id} {state}>"
 
 
-class _NoopSpan:
-    """Shared do-nothing span for the disabled tracer."""
-
-    __slots__ = ()
-    span_id = None
-    parent_id = None
-    kind = "noop"
-    name = ""
-    attrs: dict = {}
-
-    def set_attribute(self, key: str, value) -> None:
-        pass
-
-    def set_attributes(self, **attrs) -> None:
-        pass
-
-
-NOOP_SPAN = _NoopSpan()
-
-
-class NoopTracer:
-    """Disabled tracer: every operation is a cheap no-op."""
-
-    enabled = False
-
-    @contextmanager
-    def span(self, name: str, kind: str = "span", parent=None, **attrs) -> Iterator[_NoopSpan]:
-        yield NOOP_SPAN
-
-    def start_span(self, name: str, kind: str = "span", parent=None, **attrs) -> _NoopSpan:
-        return NOOP_SPAN
-
-    def finish(self, span) -> None:
-        pass
-
-    def current(self) -> None:
-        return None
-
-    def path_for_thread(self, tid: int) -> None:
-        return None
-
-
 class Tracer:
     """Publishes nested spans to an event bus; thread-safe."""
-
-    enabled = True
 
     def __init__(self, events: EventBus) -> None:
         self.events = events

@@ -7,15 +7,17 @@ paths replaced them, kept here (test side only) as oracles:
 does, ``find_seeds_batch`` must return :func:`find_seeds`'s seeds read by
 read, and ``build_suffix_array`` must equal :func:`naive_suffix_array`.
 They read the index's tables (``_C``, ``_occ``, ``_bwt_codes``,
-``_code_of``), never its search code.
+``_code_of``), never its search code.  :func:`bwt` and its LF-mapping
+inverse :func:`inverse_bwt` check the transform the index is built on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.align.fmindex import FMIndex
+from repro.align.fmindex import FMIndex, bwt_from_suffix_array
 from repro.align.seeds import Extension, Seed, _anchors, _kept_seeds
+from repro.align.suffix_array import build_suffix_array
 
 
 def rank(index: FMIndex, code: int, row: int) -> int:
@@ -98,3 +100,29 @@ def naive_suffix_array(text: bytes) -> np.ndarray:
     """O(n^2 log n) reference implementation for cross-checking in tests."""
     suffixes = sorted(range(len(text)), key=lambda i: text[i:])
     return np.asarray(suffixes, dtype=np.int64)
+
+
+def bwt(text: bytes) -> np.ndarray:
+    """Convenience: BWT of a sentinel-terminated text."""
+    return bwt_from_suffix_array(text, build_suffix_array(text))
+
+
+def inverse_bwt(transformed: np.ndarray) -> bytes:
+    """Invert the BWT via LF-mapping (used in tests to validate the index)."""
+    transformed = np.asarray(transformed, dtype=np.uint8)
+    n = len(transformed)
+    if n == 0:
+        return b""
+    # order maps F-rank -> BWT row; LF is its inverse permutation.
+    order = np.argsort(transformed, kind="stable")
+    lf = np.empty(n, dtype=np.int64)
+    lf[order] = np.arange(n)
+    out = bytearray(n)
+    out[n - 1] = 0  # the sentinel ends the text
+    # Row 0 of the sorted rotation matrix starts with the sentinel, so its
+    # BWT character is the text's last real symbol; walk LF backwards.
+    row = 0
+    for i in range(n - 2, -1, -1):
+        out[i] = transformed[row]
+        row = lf[row]
+    return bytes(out)

@@ -130,6 +130,13 @@ class TestBwaMem:
         rec = aligner.align_read(read_at(ref, 700))
         assert rec.mapq >= 30
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_config_rejects_non_positive_min_seed_length(self, length):
+        from repro.align.bwamem import AlignerConfig
+
+        with pytest.raises(ValueError, match="min_seed_length"):
+            AlignerConfig(min_seed_length=length)
+
 
 class TestPairedEnd:
     def test_proper_pair_flags_and_tlen(self, ref):

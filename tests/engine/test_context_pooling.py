@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.engine.context import EngineConfig, GPFContext
-from repro.obs import NoopTracer, Tracer, read_events, validate_events
+from repro.obs import read_events, validate_events
 
 
 def _tiny_job(ctx, seed: int) -> int:
@@ -23,13 +23,15 @@ def _tiny_job(ctx, seed: int) -> int:
 class TestTraceSegments:
     def test_per_job_trace_files(self, tmp_path):
         with GPFContext(EngineConfig(default_parallelism=2)) as ctx:
+            tracer = ctx.tracer
             for tag in ("job_a", "job_b"):
                 trace_dir = str(tmp_path / tag)
                 ctx.begin_trace(trace_dir)
-                assert isinstance(ctx.tracer, Tracer)
                 _tiny_job(ctx, 3)
                 ctx.end_trace()
-                assert isinstance(ctx.tracer, NoopTracer)
+                # A segment only attaches and detaches the sink.
+                assert ctx.tracer is tracer
+                assert not ctx.events.active
                 events = read_events(os.path.join(trace_dir, "events.jsonl"))
                 assert events and not validate_events(events)
                 # each segment is self-contained: starts and ends a run
@@ -81,7 +83,7 @@ class TestResetForReuse:
         with GPFContext(EngineConfig(default_parallelism=2)) as ctx:
             ctx.begin_trace(str(tmp_path / "seg"))
             ctx.reset_for_reuse()
-            assert isinstance(ctx.tracer, NoopTracer)
+            assert not ctx.events.active
             events = read_events(str(tmp_path / "seg" / "events.jsonl"))
             assert events[-1]["kind"] == "run.end"
 

@@ -49,7 +49,7 @@ class TestSampling:
     def test_span_attribution_prefixes_stacks(self):
         tracer = Tracer(EventBus())
         profiler = SamplingProfiler(
-            interval=0.001, tracer_provider=lambda: tracer
+            interval=0.001, tracer=tracer
         )
         profiler.start()
         with tracer.span("s1", kind="stage"):
@@ -64,7 +64,7 @@ class TestSampling:
         # Pipeline, process and job span names already carry their kind;
         # stage and task names do not.
         tracer = Tracer(EventBus())
-        profiler = SamplingProfiler(interval=1.0, tracer_provider=lambda: tracer)
+        profiler = SamplingProfiler(interval=1.0, tracer=tracer)
         with tracer.span("pipeline:wgs", kind="pipeline"):
             with tracer.span("job:reads", kind="job"):
                 with tracer.span("result:reads", kind="stage"):

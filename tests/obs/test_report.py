@@ -257,22 +257,28 @@ class TestTornAndDirtyLogs:
         assert report.pipeline_name == "demo"
 
 
-def assert_reports_agree(live: RunReport, saved: RunReport) -> None:
-    assert saved.stages == live.stages
-    assert [(p.name, p.skipped) for p in saved.processes] == [
-        (p.name, p.skipped) for p in live.processes
+def assert_report_matches_run(report: RunReport, ctx, pipeline=None) -> None:
+    """The report rebuilt from the events against what the run recorded:
+    the metrics ledger and, given a Pipeline, the Processes it executed."""
+    job = ctx.metrics.job()
+    assert len(report.stages) == job.stage_count
+    assert [s.stage_id for s in report.stages] == [s.stage_id for s in job.stages]
+    assert report.task_count == sum(len(s.tasks) for s in job.stages)
+    assert report.core_seconds == pytest.approx(job.core_seconds)
+    assert report.shuffle_bytes == job.shuffle_bytes
+    assert report.failures == [
+        (f.stage_kind, f.partition, f.error_type) for f in ctx.metrics.failures
     ]
-    for s_proc, l_proc in zip(saved.processes, live.processes):
-        if l_proc.seconds is not None:
-            # The span times the Process from inside Process.run.
-            assert s_proc.seconds == pytest.approx(l_proc.seconds, abs=0.05)
-    assert saved.failures == live.failures
-    assert saved.counters == live.counters
-    assert saved.task_count == live.task_count
+    if pipeline is not None:
+        assert report.pipeline_name == pipeline.name
+        executed = [p for p in report.processes if not p.skipped]
+        assert [p.name for p in executed] == [p.name for p in pipeline.executed]
+        assert all(p.seconds is not None and p.seconds >= 0 for p in executed)
 
 
 def traced_wgs_run(tmp_path, reference, known_sites, read_pairs, **config):
-    """A traced WGS run over 60 pairs; the live and the saved report."""
+    """A traced WGS run over 60 pairs: the stopped context, its Pipeline
+    and the saved event log."""
     trace_dir = tmp_path / "trace"
     ctx = GPFContext(
         EngineConfig(
@@ -288,30 +294,27 @@ def traced_wgs_run(tmp_path, reference, known_sites, read_pairs, **config):
             partition_length=4_000,
         )
         handles.pipeline.run()
-        live = RunReport.from_context(ctx, handles.pipeline)
     finally:
         ctx.stop()
     events = read_events(str(trace_dir / "events.jsonl"))
     assert validate_events(events) == []
-    return live, events
+    return ctx, handles.pipeline, events
 
 
-class TestFromContextMatchesFromEvents:
-    def test_traced_run_agrees(self, tmp_path):
+class TestFromEventsMatchesTheRun:
+    def test_traced_run_matches(self, tmp_path):
         config = EngineConfig(
             spill_dir=str(tmp_path / "spill"), trace_dir=str(tmp_path / "trace")
         )
-        ctx = GPFContext(config)
-        try:
+        with GPFContext(config) as ctx:
             data = [(i % 3, i) for i in range(30)]
             ctx.parallelize(data, 3).group_by_key().collect()
-            live = RunReport.from_context(ctx)
-        finally:
-            ctx.stop()
-        saved = RunReport.from_events(
+        report = RunReport.from_events(
             read_events(str(tmp_path / "trace" / "events.jsonl"))
         )
-        assert_reports_agree(live, saved)
+        assert report.task_count == 6
+        assert_report_matches_run(report, ctx)
+        assert report.counters == ctx.telemetry_snapshot()["counters"]
 
     def test_two_runs_into_one_trace_dir_report_the_last(self, tmp_path):
         # Two runs with one --trace-out directory append to one events.jsonl.
@@ -322,19 +325,37 @@ class TestFromContextMatchesFromEvents:
             with GPFContext(config) as ctx:
                 data = [(i % 3, i) for i in range(30)]
                 ctx.parallelize(data, parts).group_by_key().collect()
-                live = RunReport.from_context(ctx)
         events = read_events(str(tmp_path / "trace" / "events.jsonl"))
         assert sum(e["kind"] == "run.start" for e in events) == 2
-        saved = RunReport.from_events(events)
-        assert [s.stage_id for s in saved.stages] == [0, 1]
-        assert saved.stages[0].tasks == 3
-        assert_reports_agree(live, saved)
+        report = RunReport.from_events(events)
+        assert [s.stage_id for s in report.stages] == [0, 1]
+        assert report.stages[0].tasks == 3
+        assert_report_matches_run(report, ctx)
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_traced_wgs_run_agrees(
+    def test_subscriber_without_trace_dir_gets_the_same_report(
+        self, tmp_path, backend
+    ):
+        # What `gpf run` does: subscribe a list, report after the close.
+        seen: list[dict] = []
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "spill"),
+            executor_backend=backend,
+            num_workers=4,
+        )
+        with GPFContext(config) as ctx:
+            ctx.events.subscribe(seen.append)
+            ctx.parallelize([(i % 3, i) for i in range(30)], 3).group_by_key().collect()
+        assert [e["kind"] for e in seen[-2:]] == ["telemetry", "run.end"]
+        report = RunReport.from_events(seen)
+        assert_report_matches_run(report, ctx)
+        assert report.counters == ctx.telemetry_snapshot()["counters"]
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_traced_wgs_run_matches(
         self, tmp_path, reference, known_sites, read_pairs, backend
     ):
-        live, events = traced_wgs_run(
+        ctx, pipeline, events = traced_wgs_run(
             tmp_path,
             reference,
             known_sites,
@@ -342,21 +363,21 @@ class TestFromContextMatchesFromEvents:
             executor_backend=backend,
             num_workers=2,
         )
-        saved = RunReport.from_events(events)
-        assert live.stages and live.processes
-        assert_reports_agree(live, saved)
-        assert saved.pipeline_name == "wgs"
+        report = RunReport.from_events(events)
+        assert report.stages and report.processes
+        assert_report_matches_run(report, ctx, pipeline)
+        assert report.pipeline_name == "wgs"
 
-    def test_run_with_an_injected_task_failure_agrees(
+    def test_run_with_an_injected_task_failure_matches(
         self, tmp_path, reference, known_sites, read_pairs
     ):
         plan = ChaosPlan(rules=[ChaosRule(site="task.attempt", fault="die", nth=3)])
-        live, events = traced_wgs_run(
+        ctx, pipeline, events = traced_wgs_run(
             tmp_path, reference, known_sites, read_pairs, chaos=plan
         )
-        saved = RunReport.from_events(events)
-        assert len(live.failures) == 1
-        assert_reports_agree(live, saved)
+        report = RunReport.from_events(events)
+        assert len(report.failures) == 1
+        assert_report_matches_run(report, ctx, pipeline)
         # The failed attempt's task span closed with the error.
         failed = [
             e
@@ -372,7 +393,7 @@ class TestRunTreeFromEvents:
     def test_span_tree_rebuilds_from_the_event_log_alone(
         self, tmp_path, reference, known_sites, read_pairs
     ):
-        _, events = traced_wgs_run(tmp_path, reference, known_sites, read_pairs)
+        _, _, events = traced_wgs_run(tmp_path, reference, known_sites, read_pairs)
         opened = [e for e in events if e["kind"] == "span.open"]
         closed = {e["span_id"]: e for e in events if e["kind"] == "span.close"}
         # Every span that opened also closed, under the same parent.

@@ -4,9 +4,7 @@ import pytest
 
 from repro.obs import (
     EventBus,
-    NOOP_SPAN,
     MemorySink,
-    NoopTracer,
     Tracer,
     new_span_id,
     validate_events,
@@ -131,17 +129,24 @@ class TestTracerNesting:
         assert tracer.current() is None
 
 
-class TestNoopTracer:
-    def test_disabled_and_recordless(self):
-        tracer = NoopTracer()
-        assert tracer.enabled is False
-        with tracer.span("anything", kind="task", partition=1) as span:
-            assert span is NOOP_SPAN
-            span.set_attribute("x", 1)  # silently ignored
-            span.set_attributes(y=2)
-        assert NOOP_SPAN.attrs == {}
-        assert tracer.current() is None
-
-    def test_default_context_uses_noop_tracer(self, ctx):
-        assert isinstance(ctx.tracer, NoopTracer)
+class TestContextTracer:
+    def test_idle_bus_spans_nest_and_publish_nothing(self, ctx):
+        # One tracer per context, traced or not: on a bus nobody
+        # subscribes to, a span still nests but builds no event.
+        assert isinstance(ctx.tracer, Tracer)
+        assert ctx.tracer.events is ctx.events
         assert not ctx.events.active
+        with ctx.tracer.span("outer") as outer:
+            with ctx.tracer.span("inner", partition=1) as inner:
+                assert ctx.tracer.current() is inner
+                assert inner.parent_id == outer.span_id
+        assert inner.finished and inner.attrs == {"partition": 1}
+        assert ctx.tracer.current() is None
+
+    def test_subscriber_sees_spans_without_a_trace_dir(self, ctx):
+        sink = MemorySink()
+        ctx.events.subscribe(sink)
+        ctx.parallelize([(i % 2, i) for i in range(10)], 2).group_by_key().collect()
+        kinds = {e["span_kind"] for e in closes(sink)}
+        assert {"job", "stage", "task"} <= kinds
+        assert not validate_events(sink.events)

@@ -523,6 +523,27 @@ class TestObservabilityCli:
         stack, count = lines[0].rsplit(" ", 1)
         assert int(count) > 0 and stack
 
+    def test_run_report_json_is_the_report_of_its_event_log(
+        self, sample_dir, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "trace")
+        rc = main(
+            ["run", "--reference", os.path.join(sample_dir, "reference.fa"),
+             "--fastq1", os.path.join(sample_dir, "sample_1.fastq"),
+             "--fastq2", os.path.join(sample_dir, "sample_2.fastq"),
+             "--output", str(tmp_path / "calls.vcf"), "--trace-out", trace,
+             "--report", "json"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        # The JSON document follows the "wrote ..." summary lines.
+        printed = out[out.index("\n{\n") + 1 :]
+        rc = main(
+            ["report", os.path.join(trace, "events.jsonl"), "--format", "json"]
+        )
+        assert rc == 0
+        assert printed == capsys.readouterr().out
+
     def test_flame_of_an_appended_log_folds_the_last_run(self, tmp_path, capsys):
         from repro.engine.context import EngineConfig, GPFContext
         from repro.obs import last_run, read_events
