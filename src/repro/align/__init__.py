@@ -4,8 +4,8 @@ A from-scratch BWA-MEM-style aligner (the paper's Aligner stage wraps
 bwa-0.7.12):
 
 - ``suffix_array`` / ``fmindex`` — Burrows-Wheeler index of the
-  reference: a sampled occurrence table for batched backward search, and
-  the whole suffix array, so locating a hit is a slice.
+  reference: a full LF table, so a backward-search step is two gathers,
+  and the whole suffix array, so locating a hit is a slice.
 - ``seeds`` — super-maximal exact match (SMEM) extraction for a batch of
   reads at once (one lockstep backward search over every anchor).
 - ``smith_waterman`` — banded affine-gap local alignment, vectorized

@@ -11,22 +11,21 @@ long, low-repetition seed.
 
 :func:`find_seeds_batch` seeds a batch of reads: every ``(read, anchor)``
 pair is one lane of a lockstep backward search
-(:meth:`FMIndex.extend_left_batch`), and an anchor whose match is already
-known to be contained is never extended.  Each kept match is located by
-one suffix-array slice (:meth:`FMIndex.locate`).
+(:meth:`FMIndex.extend_lanes`, two LF-table gathers per step), and an
+anchor whose match is already known to be contained is never extended.
+The containment filter runs over the whole batch as arrays, and every
+kept match of every read is located by one suffix-array gather
+(:meth:`FMIndex.locate_batch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.align.fmindex import FMIndex
-
-#: One anchor's extension: ``(start, end, lo, hi)`` — the match
-#: read[start:end] and its suffix-array interval.
-Extension = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,13 +59,45 @@ def find_seeds_batch(
     end), the match ending at the anchor is extended leftwards as far as
     the index allows (:func:`extend_anchors_batch`).  Matches of at least
     ``min_seed_length`` that no earlier anchor's kept match contains are
-    kept, and up to ``max_hits_per_seed`` occurrences of each are located.
+    kept, and up to ``max_hits_per_seed`` occurrences of each are located
+    (one :meth:`FMIndex.locate_batch` for the batch).
     """
-    extensions, _ = extend_anchors_batch(index, reads, min_seed_length, anchor_stride)
-    return [
-        _kept_seeds(index, read_extensions, min_seed_length, max_hits_per_seed)
-        for read_extensions in extensions
-    ]
+    ext, _ = extend_anchors_batch(index, reads, min_seed_length, anchor_stride)
+    eligible = ext.end - ext.start >= min_seed_length
+    # Anchors run from the read end down, so a match is contained exactly
+    # when it starts at or after an earlier kept (equivalently: eligible)
+    # match of its read.  One running maximum of read * span - start serves
+    # the batch: an ineligible match's key sits below its read's eligible
+    # keys and above every earlier read's, and every key is above -span.
+    span = max(map(len, reads), default=0) + 2
+    key = ext.read * span - np.where(eligible, ext.start, span - 1)
+    before = np.maximum.accumulate(np.concatenate(([-span], key))[:-1])
+    kept = np.flatnonzero(eligible & (key > before))
+    lane, contig, ref_start, is_reverse = index.locate_batch(
+        ext.lo[kept], ext.hi[kept], ext.end[kept] - ext.start[kept], max_hits_per_seed
+    )
+    hit = kept[lane]
+    names = index.contig_names
+    # For reverse hits the query interval refers to the reverse-complemented
+    # read; callers align the RC read, so store as-is.
+    seeds: list[list[Seed]] = [[] for _ in reads]
+    for r, qs, qe, c, pos, rev in zip(
+        *(a.tolist() for a in (ext.read[hit], ext.start[hit], ext.end[hit])),
+        contig.tolist(), ref_start.tolist(), is_reverse.tolist(),
+    ):
+        seeds[r].append(Seed(qs, qe, names[c], pos, rev))
+    return seeds
+
+
+class AnchorExtensions(NamedTuple):
+    """Per extended anchor, by read and in anchor order (read end first):
+    the match ``reads[read][start:end]`` and its interval ``[lo, hi)``."""
+
+    read: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 def extend_anchors_batch(
@@ -74,117 +105,59 @@ def extend_anchors_batch(
     reads: list[str],
     min_seed_length: int = 19,
     anchor_stride: int = 8,
-) -> tuple[list[list[Extension]], int]:
+) -> tuple[AnchorExtensions, int]:
     """Anchor extensions of every read, and the lane-steps that took.
 
-    Runs in two lockstep waves.  The first extends each read's first anchor
-    (the read end).  A read whose first match reaches position 0 keeps the
-    seed ``[0, n)``, which contains every later anchor's match whatever its
-    extension, so the second wave extends the remaining anchors of the
-    other reads only.  Each read's list is in anchor order, without the
-    skipped anchors.  The step count (one per lane per backward-search
-    step, one lane of :meth:`FMIndex.extend_left_batch`) is the
-    deterministic work counter of this layer.
+    Two lockstep waves of :meth:`FMIndex.extend_lanes`: first each read's
+    end anchor; a read whose first match reaches position 0 keeps the seed
+    ``[0, n)``, which contains every later anchor's match, so the second
+    wave extends (and returns) the later anchors of the other reads only.
+    The step count is this layer's work counter, derived from the match
+    starts: one per character matched, plus the failing step of each lane
+    that stopped short of its read's start.  It counts the steps of a
+    one-lane-at-a-time search, not the gathers :meth:`FMIndex.extend_lanes`
+    makes over stopped lanes before it compacts them.
     """
-    lengths = [len(read) for read in reads]
+    lengths = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
     # One code per character: ``replace`` turns each non-ASCII character
     # into one '?' byte, which stops a lane like any byte off the alphabet.
     codes = index.search_codes("".join(reads).encode("ascii", "replace"))
-    read_offsets = np.cumsum([0] + lengths[:-1], dtype=np.int64)
-    anchors = [
-        _anchors(n, min_seed_length, anchor_stride) if n >= min_seed_length else []
-        for n in lengths
-    ]
-    extensions: list[list[Extension]] = [[] for _ in reads]
-
-    def run_wave(lanes: list[tuple[int, int]]) -> int:
-        if not lanes:
-            return 0
-        read_ids, ends = np.asarray(lanes, dtype=np.int64).T
-        starts, los, his, steps = _extend_lanes(
-            index, codes, read_offsets[read_ids], ends
-        )
-        for (read_id, end), start, lo, hi in zip(
-            lanes, starts.tolist(), los.tolist(), his.tolist()
-        ):
-            extensions[read_id].append((start, end, lo, hi))
-        return steps
-
-    steps = run_wave([(i, ends[0]) for i, ends in enumerate(anchors) if ends])
-    steps += run_wave(
-        [
-            (i, end)
-            for i, ends in enumerate(anchors)
-            if ends and extensions[i][0][0] > 0
-            for end in ends[1:]
-        ]
+    offsets = np.cumsum(lengths) - lengths
+    # Anchor ends n, n - stride, ... and min_seed_length itself, per read.
+    per_read = np.where(
+        lengths >= min_seed_length,
+        (lengths - min_seed_length + anchor_stride - 1) // anchor_stride + 1,
+        0,
     )
-    return extensions, steps
+    read = np.repeat(np.arange(len(reads)), per_read)
+    rank = np.arange(len(read)) - np.repeat(np.cumsum(per_read) - per_read, per_read)
+    end = np.maximum(lengths[read] - rank * anchor_stride, min_seed_length)
+    # A lane may read back to its read's first base, or to just after the
+    # nearest off-alphabet code before its end.
+    cuts = np.zeros(len(codes) + 1, dtype=np.int64)
+    stops = np.flatnonzero(codes < 0) + 1
+    cuts[stops] = stops
+    np.maximum.accumulate(cuts, out=cuts)
+    absolute_end = offsets[read] + end
+    floor = np.maximum(cuts[absolute_end], offsets[read])
+    start = end.copy()
+    lo, hi = np.zeros((2, len(read)), dtype=np.int64)
 
-
-def _extend_lanes(
-    index: FMIndex, codes: np.ndarray, read_offsets: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Extend lanes left in lockstep until each interval would empty or the
-    lane reaches its read's first base; compacts the active set each step.
-
-    Lane ``i`` reads ``codes`` leftwards from ``read_offsets[i] + ends[i] - 1``.
-    Returns the final ``(start, lo, hi)`` arrays and the lane-steps taken.
-    """
-    starts = ends.copy()
-    los = np.zeros(len(ends), dtype=np.int64)
-    his = np.full(len(ends), index.text_length, dtype=np.int64)
-    active = np.flatnonzero(starts > 0)
-    steps = 0
-    while active.size:
-        steps += int(active.size)
-        new_lo, new_hi = index.extend_left_batch(
-            codes[read_offsets[active] + starts[active] - 1],
-            los[active],
-            his[active],
+    def run_wave(wave: np.ndarray) -> None:
+        begun, lo[wave], hi[wave] = index.extend_lanes(
+            codes, absolute_end[wave], floor[wave]
         )
-        grew = new_lo < new_hi
-        moved = active[grew]
-        los[moved] = new_lo[grew]
-        his[moved] = new_hi[grew]
-        starts[moved] -= 1
-        active = moved[starts[moved] > 0]
-    return starts, los, his, steps
+        start[wave] = begun - offsets[read[wave]]
 
+    first = rank == 0
+    run_wave(np.flatnonzero(first))
+    # Later anchors of a read run only when its first match stopped short.
+    present = first | (start[first] > 0)[np.cumsum(first) - 1]
+    run_wave(np.flatnonzero(present & ~first))
 
-def _anchors(n: int, min_seed_length: int, anchor_stride: int) -> list[int]:
-    """Anchor ends, read end first, every ``anchor_stride`` down to
-    ``min_seed_length``."""
-    anchors = list(range(n, min_seed_length - 1, -anchor_stride))
-    if anchors and anchors[-1] != min_seed_length:
-        anchors.append(min_seed_length)
-    return anchors
-
-
-def _kept_seeds(
-    index: FMIndex,
-    extensions: list[Extension],
-    min_seed_length: int,
-    max_hits_per_seed: int,
-) -> list[Seed]:
-    """Containment filter over one read's extensions, in anchor order, and
-    up to ``max_hits_per_seed`` located hits for each kept match."""
-    kept_intervals: list[tuple[int, int]] = []
-    seeds: list[Seed] = []
-    for start, end, lo, hi in extensions:
-        length = end - start
-        if length < min_seed_length:
-            continue
-        if any(ks <= start and end <= ke for ks, ke in kept_intervals):
-            continue  # contained in an existing SMEM
-        kept_intervals.append((start, end))
-        # For reverse hits the query interval refers to the reverse-
-        # complemented read; callers align the RC read, so store as-is.
-        seeds.extend(
-            Seed(start, end, *hit)
-            for hit in index.locate(lo, hi, length, limit=max_hits_per_seed)
-        )
-    return seeds
+    rows = np.flatnonzero(present)
+    steps = int((end - start)[rows].sum() + np.count_nonzero(start[rows] > 0))
+    return AnchorExtensions(read[rows], start[rows], end[rows], lo[rows], hi[rows]), steps
 
 
 def chain_seeds(seeds: list[Seed], max_diagonal_diff: int = 16) -> list[list[Seed]]:

@@ -425,7 +425,7 @@ class ClusterExecutor(Transport):
             # the scheduler's retry ships again.
             chaos.hit("dist.ship", partition=task.partition)
         try:
-            blob = ship_dumps((body, task), ctx)
+            blob = ship_dumps((body, task), ctx, task.partition)
         except Exception:  # noqa: BLE001 - unship-able => run it here
             self._note_fallback("unpicklable")
             return task, body(task)

@@ -30,8 +30,11 @@ RDD with any unwritten dep ships whole, as the map stage it is part of.
 
 ``ParallelCollectionRDD`` slices additionally ship as the serializer's
 §4.1-codec payload rather than as pickled record lists — task ship
-traffic shrinks by the codec's compression ratio, and each slice stays
-a block until the task that reads it decodes it.
+traffic shrinks by the codec's compression ratio, and the slice stays
+a block until the task that reads it decodes it.  A task ships only its
+own slice: every narrow dependency is one-to-one, so task ``p`` reads
+split ``p`` of its source RDD and nothing else.  The other slots ship as
+markers that raise :class:`SliceNotShippedError` if a task lists them.
 
 Limits (all safe): marshalled code requires the same interpreter
 version on both ends — true for loopback fleets and documented for real
@@ -110,10 +113,13 @@ def _restore_function(
     return func
 
 
+class SliceNotShippedError(LookupError):
+    """A shipped task listed a ``parallelize`` slice other than its own."""
+
+
 class _ShippedSlice:
-    """One ``parallelize`` slice as shipped: its serializer bytes, decoded
-    when the task that reads it lists it.  A task ships every slice of
-    its source RDD but reads one."""
+    """A task's own ``parallelize`` slice as shipped: its serializer bytes,
+    decoded when the task lists it."""
 
     __slots__ = ("blob", "serializer")
 
@@ -125,15 +131,18 @@ class _ShippedSlice:
         return iter(self.serializer.loads(self.blob))
 
 
-def _restore_pcrdd(cls, state: dict, slice_blobs: list[bytes], serializer):
-    """Rebuild a ParallelCollectionRDD whose slices stay blocks until read."""
-    rdd = object.__new__(cls)
-    rdd.__dict__.update(state)
-    rdd._slices = [
-        _ShippedSlice(blob, serializer) if blob is not None else []
-        for blob in slice_blobs
-    ]
-    return rdd
+class _UnshippedSlice:
+    """The slot of a slice another task reads: it did not ship."""
+
+    __slots__ = ("split",)
+
+    def __init__(self, split: int):
+        self.split = split
+
+    def __iter__(self):
+        raise SliceNotShippedError(
+            f"parallelize slice {self.split} was not shipped with this task"
+        )
 
 
 def _import_module(name: str):
@@ -143,10 +152,11 @@ def _import_module(name: str):
 class ShipPickler(pickle.Pickler):
     """Pickler that makes lineage closures and contexts wire-safe."""
 
-    def __init__(self, file, ctx):
+    def __init__(self, file, ctx, split: int | None = None):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._ctx = ctx
         self._serializer = getattr(ctx, "serializer", None)
+        self._split = split
 
     # The driver context never crosses the wire; the worker substitutes
     # its own.  Identity comparison: a context is unique per driver.
@@ -210,17 +220,21 @@ class ShipPickler(pickle.Pickler):
         return (copyreg.__newobj__, (type(rdd),), state)
 
     def _reduce_pcrdd(self, rdd):
-        """Ship parallelize() source data as the serializer's bytes."""
+        """Ship parallelize() source data as the serializer's bytes: the
+        task's own slice only, when the pickler was given its split."""
         state = dict(rdd.__dict__)
-        slices = state.pop("_slices", [])
-        blobs: list[bytes | None] = []
-        for part in slices:
-            elements = part if isinstance(part, list) else list(part)
-            if not elements:
-                blobs.append(None)
-                continue
-            blobs.append(self._serializer.dumps(elements))
-        return (_restore_pcrdd, (type(rdd), state, blobs, self._serializer))
+        state["_slices"] = [
+            self._shipped_slice(split, part) for split, part in enumerate(rdd._slices)
+        ]
+        return (copyreg.__newobj__, (type(rdd),), state)
+
+    def _shipped_slice(self, split: int, part):
+        if self._split is not None and split != self._split:
+            return _UnshippedSlice(split)
+        elements = part if isinstance(part, list) else list(part)
+        if not elements:
+            return []
+        return _ShippedSlice(self._serializer.dumps(elements), self._serializer)
 
 
 class ShipUnpickler(pickle.Unpickler):
@@ -236,10 +250,14 @@ class ShipUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
-def ship_dumps(obj, ctx) -> bytes:
-    """Serialize ``obj`` for the wire, swapping out the driver ``ctx``."""
+def ship_dumps(obj, ctx, split: int | None = None) -> bytes:
+    """Serialize ``obj`` for the wire, swapping out the driver ``ctx``.
+
+    With ``split``, the task that reads partition ``split`` is shipped:
+    of every ``parallelize`` source only that slice travels.
+    """
     buffer = io.BytesIO()
-    ShipPickler(buffer, ctx).dump(obj)
+    ShipPickler(buffer, ctx, split).dump(obj)
     return buffer.getvalue()
 
 

@@ -1,5 +1,7 @@
 """Suffix array, BWT, and FM-index tests (cross-checked vs brute force)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,7 @@ from repro.align.fmindex import FMIndex, reverse_complement
 from repro.align.seeds import Seed, find_seeds_batch
 from repro.align.suffix_array import build_suffix_array
 from repro.formats.fasta import Contig, Reference
+from repro.sim import generate_reference
 from tests.align import reference_seeds as ref
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=200)
@@ -36,6 +39,35 @@ class TestSuffixArray:
         data = text.encode() + b"\x00"
         expected = ref.naive_suffix_array(data).tolist()
         assert build_suffix_array(data).tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ACGT", min_size=1, max_size=12), min_size=1, max_size=8),
+        st.integers(1, 12),
+    )
+    def test_matches_naive_on_repeats(self, units, copies):
+        # Long exact repeats keep suffixes tied past the 8-byte key, so
+        # the doubling rounds run.
+        data = "".join(unit * copies for unit in units).encode() + b"\x00"
+        expected = ref.naive_suffix_array(data).tolist()
+        assert build_suffix_array(data).tolist() == expected
+
+    def test_traced_peak_is_bounded_per_character(self):
+        # Both strands of the ledger's full-size reference: 26,601 bytes.
+        reference = generate_reference([8_700, 4_600], seed=211)
+        text = b"".join(
+            contig.sequence + reverse_complement(contig.sequence.decode()).encode()
+            for contig in reference.contigs
+        ) + b"\x00"
+        build_suffix_array(text)  # first-call allocations out of the trace
+        tracemalloc.start()
+        try:
+            build_suffix_array(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 26_601
+        assert peak / len(text) <= 40, peak / len(text)
 
 
 class TestBWT:
@@ -77,16 +109,19 @@ def small_ref():
 
 class TestFMIndex:
     @settings(max_examples=40, deadline=None)
-    @given(st.text(alphabet="ACGTN", min_size=1, max_size=120), st.sampled_from([1, 3, 8, 32]))
-    def test_occ_checkpoints_match_brute_force(self, seq, sample):
-        # The text is both strands plus the sentinel; checkpoint k counts
-        # every code in the BWT's first k * sample characters.
+    @given(st.text(alphabet="ACGTN", min_size=1, max_size=120))
+    def test_lf_table_matches_brute_force(self, seq):
+        # The text is both strands plus the sentinel; lf[c, row] is the
+        # count of text characters below c plus c's count in bwt[:row].
         text = seq.encode() + reverse_complement(seq).encode() + b"\x00"
         codes = [FMIndex.ALPHABET.index(byte) for byte in ref.bwt(text).tobytes()]
-        index = FMIndex(Reference([Contig("c", seq.encode())]), occ_sample=sample)
-        assert index._occ.tolist() == [
-            [codes[: k * sample].count(code) for code in range(len(FMIndex.ALPHABET))]
-            for k in range(len(text) // sample + 1)
+        index = FMIndex(Reference([Contig("c", seq.encode())]))
+        assert index._lf.reshape(len(FMIndex.ALPHABET), -1).tolist() == [
+            [
+                sum(c < code for c in codes) + codes[:row].count(code)
+                for row in range(len(text) + 1)
+            ]
+            for code in range(len(FMIndex.ALPHABET))
         ]
 
     def test_count_matches_brute_force(self, small_ref):
@@ -105,7 +140,7 @@ class TestFMIndex:
         contig = small_ref.contigs[0]
         pattern = contig.fetch(100, 125)
         lo, hi = ref.backward_search(index, pattern)
-        located = set(index.locate(lo, hi, len(pattern), limit=100))
+        located = set(ref.locate(index, lo, hi, len(pattern), limit=100))
         assert located == brute_force_occurrences(small_ref, pattern)
 
     def test_absent_pattern_gives_empty_interval(self, small_ref):
@@ -131,16 +166,16 @@ class TestFMIndex:
     def test_extend_left_consistent_with_search(self, small_ref):
         index = FMIndex(small_ref)
         pattern = small_ref.contigs[0].fetch(200, 215)
-        lo, hi = [0], [index.text_length]
-        for code in reversed(index.search_codes(pattern.encode())):
-            lo, hi = index.extend_left_batch([code], lo, hi)
-        assert (int(lo[0]), int(hi[0])) == ref.backward_search(index, pattern)
+        codes = index.search_codes(pattern.encode())
+        (start,), (lo,), (hi,) = index.extend_lanes(codes, [len(codes)], [0])
+        assert start == 0
+        assert (int(lo), int(hi)) == ref.backward_search(index, pattern)
 
     def test_empty_match_interval_skips_the_sentinel_row(self, small_ref):
         # An empty read seeded with min_seed_length=0 is an empty match,
         # whose interval is every row; row 0 is the sentinel suffix.
         index = FMIndex(small_ref)
-        hits = index.locate(0, index.text_length, 0, limit=3)
+        hits = ref.locate(index, 0, index.text_length, 0, limit=3)
         assert len(hits) == 2
         assert find_seeds_batch(
             index, [""], min_seed_length=0, max_hits_per_seed=3
@@ -167,7 +202,7 @@ class TestLocate:
         reference = Reference(
             [Contig(f"c{k}", seq.encode()) for k, seq in enumerate(seqs)]
         )
-        index = FMIndex(reference, occ_sample=data.draw(st.sampled_from([1, 4, 32])))
+        index = FMIndex(reference)
         # The index text, its strand spans and naive suffix array.
         spans, text = [], ""
         for k, seq in enumerate(seqs):
@@ -193,7 +228,7 @@ class TestLocate:
             offset = pos - start
             forward = end - start - offset - len(pattern) if is_rev else offset
             expected.append((name, forward, is_rev))
-        assert index.locate(lo, hi, len(pattern), limit) == expected
+        assert ref.locate(index, lo, hi, len(pattern), limit) == expected
 
 
 class TestReverseComplement:

@@ -4,11 +4,13 @@ Differential tests over seeded stdlib-``random`` inputs: repeat-rich and
 random references, read batches mixing lengths (0, below, at and well
 above ``min_seed_length``) with ``N``, lowercase and IUPAC bases, and
 several anchor strides / seed lengths.  ``reference_seeds.find_seeds``
-and ``reference_seeds.extend_left`` are the references.
+and ``reference_seeds.extend_lane`` are the references.
 """
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.align.fmindex import FMIndex, reverse_complement
@@ -76,7 +78,7 @@ REFERENCES = {
     "random": _random_reference,
     "repeats": _repeat_reference,
     "simulated": _simulated_reference,
-    # A BWT shorter than one occ block.
+    # A BWT of a few characters.
     "tiny": lambda: Reference([Contig("t", b"ACGTNACG")]),
 }
 
@@ -160,32 +162,46 @@ class TestFindSeedsBatch:
         assert find_seeds_batch(index, edge) == [find_seeds(index, r) for r in edge]
 
 
+def _lanes(rng, index, reference, size=400):
+    """Search lanes over one text of reference cuts (either strand) and
+    off-alphabet noise: ``(text, codes, ends, floors)``.  A lane may read
+    back to a random floor, cut to just after the nearest off-alphabet
+    code before its end as ``extend_anchors_batch`` cuts it; a lane
+    ending on such a code has no budget."""
+    contigs = [c.sequence.decode() for c in reference.contigs]
+    parts = []
+    for _ in range(40):
+        source = rng.choice(contigs)
+        start = rng.randint(0, len(source))
+        part = source[start : start + rng.randint(0, 60)]
+        if rng.random() < 0.5:
+            part = reverse_complement(part)
+        parts += [part, _mutate(rng, _dna(rng, rng.randint(0, 4)), 0.5)]
+    text = "".join(parts)
+    codes = index.search_codes(text.encode("ascii"))
+    ends = np.array([rng.randint(0, len(text)) for _ in range(size)])
+    floors = np.array([rng.randint(0, end) for end in ends.tolist()])
+    stops = np.concatenate(([0], np.flatnonzero(codes < 0) + 1))
+    cuts = stops[np.searchsorted(stops, ends, side="right") - 1]
+    return text, codes, ends, np.maximum(floors, cuts)
+
+
 class TestExtendLeftBatch:
+    """``FMIndex.extend_lanes``, the batched left extension, lane by lane."""
+
     def test_lanes_match_scalar_step(self, reference, index):
-        rng = random.Random(77)
-        text_len = index.text_length
-        contig = reference.contigs[0].sequence.decode()
-        intervals = [(0, text_len), (0, 0), (text_len, text_len)]
-        for _ in range(60):
-            start = rng.randint(0, max(0, len(contig) - 12))
-            pattern = contig[start : start + rng.randint(1, 12)]
-            intervals.append(ref.backward_search(index, pattern))
-            lo = rng.randint(0, text_len)
-            intervals.append((lo, rng.randint(lo, text_len)))
-        chars = "ACGT" + NOISE + "\x00"
-        lanes = [(rng.choice(chars), lo, hi) for lo, hi in intervals for _ in range(3)]
-        codes = index.search_codes("".join(c for c, _, _ in lanes).encode("ascii"))
-        new_lo, new_hi = index.extend_left_batch(
-            codes, [lo for _, lo, _ in lanes], [hi for _, _, hi in lanes]
-        )
-        for (char, lo, hi), got_lo, got_hi in zip(lanes, new_lo, new_hi):
-            assert (int(got_lo), int(got_hi)) == ref.extend_left(index, char, lo, hi)
+        text, codes, ends, floors = _lanes(random.Random(77), index, reference)
+        starts, lo, hi = index.extend_lanes(codes, ends, floors)
+        lanes = zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist())
+        for lane, end, floor in zip(lanes, ends.tolist(), floors.tolist()):
+            assert lane == ref.extend_lane(index, text, end, floor), (end, floor)
 
 
 class TestSeedingWork:
     def test_skipped_anchors_cut_backward_search_steps(self, monkeypatch):
-        """The lane-step count of the batched path is pinned against the
-        scalar path's ``extend_left`` calls on a fixed simulated input."""
+        """The lane-step count of the batched path is bounded by the scalar
+        path's ``extend_left`` calls on a fixed simulated input, and the
+        work row (lane-steps, located hits) is pinned exactly."""
         reference = generate_reference([6_000], seed=211)
         simulator = ReadSimulator(reference, ReadSimConfig(coverage=3.0, seed=211))
         pairs = simulator.simulate()
@@ -205,9 +221,34 @@ class TestSeedingWork:
             expected = [find_seeds(index, read) for read in reads]
 
         _, batch_steps = extend_anchors_batch(index, reads)
-        assert find_seeds_batch(index, reads) == expected
+        seeds = find_seeds_batch(index, reads)
+        assert seeds == expected
         assert scalar_steps > 0
         assert batch_steps <= 0.55 * scalar_steps, (batch_steps, scalar_steps)
+        work = {"lane_steps": batch_steps, "hits": sum(map(len, seeds))}
+        assert work == PINNED_SEED_WORK
+
+
+class TestPickledIndex:
+    def test_restored_aligner_rebuilds_the_lf_table_and_extends_alike(self):
+        reference = _simulated_reference()
+        aligner = PairedEndAligner(reference)
+        index = aligner.single.index
+        assert "_lf" not in index.__getstate__()
+        assert len(pickle.dumps(index)) < index._lf.nbytes
+        restored = pickle.loads(pickle.dumps(aligner)).single.index
+        assert np.array_equal(restored._lf, index._lf)
+
+        _, codes, ends, floors = _lanes(random.Random(8), index, reference)
+        got = restored.extend_lanes(codes, ends, floors)
+        want = index.extend_lanes(codes, ends, floors)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+        reads = _read_batch(random.Random(8), reference, 19, size=60)
+        got, got_steps = extend_anchors_batch(restored, reads)
+        want, want_steps = extend_anchors_batch(index, reads)
+        assert got_steps == want_steps
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestAlignerOutput:
@@ -230,3 +271,11 @@ class TestAlignerOutput:
             lambda index, reads, **kw: [find_seeds(index, r, **kw) for r in reads],
         )
         assert sam_lines() == batched
+
+
+#: Seeding work of ``TestSeedingWork``'s simulated batch: backward-search
+#: lane-steps and located seed hits.  The lane-step count is derived from
+#: the match starts, so it pins which anchors are extended and how far
+#: (the skip of contained anchors included), not the gathers the search
+#: spends on lanes that already stopped.
+PINNED_SEED_WORK = {"lane_steps": 37_560, "hits": 206}

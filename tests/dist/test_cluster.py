@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.dist.shipping import ship_dumps
 from repro.dist.worker import WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.faults import PartitionIndexError, TaskFailedError
@@ -56,6 +57,17 @@ class TestBasicJobs:
             assert result == [x * 2 for x in range(100)]
             assert ctx.metrics.counter("dist.tasks_shipped") >= 4
             assert ctx.metrics.counter("executor.fallbacks") == 0
+
+    def test_each_task_ships_only_its_own_slice(self, tmp_path):
+        data = [f"{i * 7919 % 100_003:06d}" * 8 for i in range(2_000)]
+        with cluster(tmp_path, workers=1, tag="slice") as (ctx, _):
+            rdd = ctx.parallelize(data, 4)
+            assert rdd.map(len).collect() == [48] * len(data)
+            assert ctx.metrics.counter("dist.tasks_shipped") == 4
+            # Four tasks that each carried every slice would ship about
+            # four times the whole source.
+            whole = len(ship_dumps(rdd, ctx))
+            assert ctx.metrics.counter("dist.bytes_shipped") < 2 * whole
 
     def test_shuffle_runs_peer_to_peer(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="shuf") as (ctx, _):

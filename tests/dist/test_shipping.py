@@ -2,8 +2,9 @@
 
 Satellite coverage: serializer round-trips across a socketpair under
 partial reads, ``ParallelCollectionRDD`` slices shipped as the
-serializer's compressed bytes with worker-side lazy decode, and the
-stage cut: a written shuffle ships as its id, not its map side.
+serializer's compressed bytes with worker-side lazy decode (a task's own
+slice only), and the stage cut: a written shuffle ships as its id, not
+its map side.
 """
 
 import io
@@ -14,7 +15,12 @@ import socket
 import pytest
 
 from repro.dist import protocol
-from repro.dist.shipping import CTX_TOKEN, ship_dumps, ship_loads
+from repro.dist.shipping import (
+    CTX_TOKEN,
+    SliceNotShippedError,
+    ship_dumps,
+    ship_loads,
+)
 from repro.dist.spec import format_hostport
 from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.metrics import TaskMetrics
@@ -145,6 +151,30 @@ class TestParallelCollectionBundles:
         assert len(slices) == 3
         assert sorted(sum(slices, [])) == [1]
         assert slices.count([]) == 2
+
+    def test_a_task_ships_only_its_own_slice(self, ctx, worker_ctx):
+        data = [(f"k{i % 5}", i) for i in range(400)]
+        rdd = ctx.parallelize(data, 4)
+        whole = ship_dumps(rdd, ctx)
+        blob = ship_dumps(rdd, ctx, split=2)
+        assert len(blob) < len(whole) / 2
+        loaded = ship_loads(blob, worker_ctx)
+        assert list(loaded._slices[2]) == data[200:300]
+        for split in (0, 1, 3):
+            with pytest.raises(SliceNotShippedError, match=f"slice {split} "):
+                list(loaded._slices[split])
+
+    def test_shipped_task_body_reads_its_split_through_a_narrow_chain(
+        self, ctx, worker_ctx
+    ):
+        data = list(range(300))
+        mapped = ctx.parallelize(data, 3).map(lambda x: x * 2).map_partitions(
+            lambda part: [sum(part)]
+        )
+        for split in range(3):
+            body, task = _result_body(mapped, split)
+            loaded, loaded_task = ship_loads(ship_dumps((body, task), ctx, split), worker_ctx)
+            assert list(loaded(loaded_task)) == [2 * sum(data[100 * split : 100 * (split + 1)])]
 
     def test_bundle_form_beats_pickled_lists(self, ctx, read_pairs):
         """The point of shipping codec bytes: ship traffic shrinks by
