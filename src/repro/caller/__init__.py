@@ -5,13 +5,13 @@ local de-novo assembly of haplotypes in an active region based on
 paired-HMM algorithm" (Table 2).  The same four phases here:
 
 - ``active_region``     — pile-up scan for windows with mismatch/indel
-  evidence ("active regions");
+  evidence ("active regions"), as bincounts over the task's CIGARs;
 - ``debruijn``          — per-region de Bruijn graph assembly of candidate
-  haplotypes from the spanning reads plus the reference;
+  haplotypes from the spanning reads plus the reference, on k-mer arrays;
 - ``pairhmm``           — pair-HMM read-vs-haplotype likelihoods: one
-  linear-space forward recursion, exactly rescaled by powers of two, over
-  all pairs of a call's regions (the pipeline's dominant compute kernel,
-  per the paper's Fig. 13 CPU analysis);
+  linear-space forward over haplotype columns, exactly rescaled by powers
+  of two, over the distinct pairs of a call's regions (the pipeline's
+  dominant compute kernel, per the paper's Fig. 13 CPU analysis);
 - ``genotyper``         — diploid genotype likelihoods over haplotype
   pairs, emitting VCF (or GVCF) records.
 

@@ -5,11 +5,17 @@ reference.  Per reference position we accumulate an *activity score*:
 mismatching bases (weighted by base quality) and indel events from read
 CIGARs.  Positions above threshold are dilated by ``padding`` and merged
 into :class:`ActiveRegion` windows.
+
+The pile-up runs on arrays: the CIGARs of a task's reads are expanded once
+into aligned (reference position, read offset) pairs over the joined SEQ
+and QUAL bytes of the task, and each per-position sum is one
+``np.bincount``.  The sums are of integers, so they are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,84 +34,94 @@ class ActiveRegion:
         return self.end - self.start
 
 
-@dataclass
-class ActivityProfile:
-    """Per-position activity evidence over one contig."""
+def joined_quals(records: Sequence[SamRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Phred scores of all ``records`` as one array (QUAL bytes - 33), and
+    each record's offset into it."""
+    lengths = np.fromiter((len(r.qual) for r in records), dtype=np.int64, count=len(records))
+    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.int64)
+    codes = np.frombuffer("".join(r.qual for r in records).encode("ascii"), dtype=np.uint8)
+    return codes - np.uint8(33), offsets
 
-    contig: str
-    length: int
-    mismatch_quality: np.ndarray = field(init=False)
-    indel_events: np.ndarray = field(init=False)
-    depth: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.mismatch_quality = np.zeros(self.length, dtype=np.float64)
-        self.indel_events = np.zeros(self.length, dtype=np.float64)
-        self.depth = np.zeros(self.length, dtype=np.int64)
+def _runs(lengths: np.ndarray, *starts: np.ndarray) -> list[np.ndarray]:
+    """The positions covered by runs of ``lengths`` from each of ``starts``."""
+    step = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return [np.repeat(first, lengths) + step for first in starts]
+
+
+def _columns(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, width).T
 
 
 def build_activity_profiles(
-    records: list[SamRecord], reference: Reference
-) -> dict[str, ActivityProfile]:
-    """Scan records once, accumulating evidence per contig position."""
-    profiles: dict[str, ActivityProfile] = {}
-    for rec in records:
+    records: Sequence[SamRecord],
+    reference: Reference,
+    quals: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per contig with reads, the summed quality of mismatching bases and
+    the indel events at every position.
+
+    ``quals`` is :func:`joined_quals` of ``records`` when the caller
+    already has it."""
+    qual_codes, offsets = quals if quals is not None else joined_quals(records)
+    seq_codes = np.frombuffer("".join(r.seq for r in records).encode("ascii"), dtype=np.uint8)
+    # Per contig: aligned runs (ref, query offset, length), insertions
+    # (ref, length) and deletions (ref, length).
+    ops: dict[str, tuple[list, list, list]] = {}
+    for rec, query in zip(records, offsets.tolist()):
         if rec.is_unmapped or rec.is_duplicate or not rec.seq:
             continue
-        contig = reference[rec.rname]
-        profile = profiles.get(rec.rname)
-        if profile is None:
-            profile = ActivityProfile(rec.rname, len(contig))
-            profiles[rec.rname] = profile
-        quals = rec.phred_scores
-        seq = rec.seq
-        ref_cursor = rec.pos
-        query_cursor = 0
+        aligned, inserted, deleted = ops.setdefault(rec.rname, ([], [], []))
+        ref = rec.pos
         for op in rec.cigar:
-            if op.op in ("M", "=", "X"):
-                end = min(ref_cursor + op.length, len(contig))
-                span = end - ref_cursor
-                if span > 0:
-                    ref_slice = np.frombuffer(
-                        contig.sequence[ref_cursor:end], dtype=np.uint8
-                    )
-                    read_slice = np.frombuffer(
-                        seq[query_cursor : query_cursor + span].encode("ascii"),
-                        dtype=np.uint8,
-                    )
-                    mism = ref_slice != read_slice
-                    profile.depth[ref_cursor:end] += 1
-                    if mism.any():
-                        qual_slice = np.asarray(
-                            quals[query_cursor : query_cursor + span], dtype=np.float64
-                        )
-                        profile.mismatch_quality[ref_cursor:end][mism] += qual_slice[
-                            mism
-                        ]
-                ref_cursor += op.length
-                query_cursor += op.length
-            elif op.op == "I":
-                if 0 <= ref_cursor < len(contig):
-                    profile.indel_events[ref_cursor] += op.length
-                query_cursor += op.length
-            elif op.op == "D":
-                end = min(ref_cursor + op.length, len(contig))
-                profile.indel_events[ref_cursor:end] += 1
-                ref_cursor += op.length
-            elif op.op == "S":
-                query_cursor += op.length
-            elif op.op == "N":
-                ref_cursor += op.length
+            kind, length = op.op, op.length
+            if kind in "M=X":
+                aligned.append((ref, query, length))
+                ref += length
+                query += length
+            elif kind == "I":
+                inserted.append((ref, length))
+                query += length
+            elif kind == "D":
+                deleted.append((ref, length))
+                ref += length
+            elif kind == "S":
+                query += length
+            elif kind == "N":
+                ref += length
+
+    profiles = {}
+    for name, (aligned, inserted, deleted) in ops.items():
+        contig = reference[name]
+        size = len(contig)
+        # Runs stop at the contig's end.
+        ref_starts, query_starts, lengths = _columns(aligned, 3)
+        ref_pos, query_pos = _runs(np.clip(size - ref_starts, 0, lengths), ref_starts, query_starts)
+        mismatch = np.frombuffer(contig.sequence, dtype=np.uint8)[ref_pos] != seq_codes[query_pos]
+        mismatch_quality = np.bincount(
+            ref_pos[mismatch], weights=qual_codes[query_pos[mismatch]], minlength=size
+        )
+        at, inserted_lengths = _columns(inserted, 2)
+        inside = (at >= 0) & (at < size)
+        del_starts, del_lengths = _columns(deleted, 2)
+        (del_pos,) = _runs(np.clip(size - del_starts, 0, del_lengths), del_starts)
+        indel_events = np.bincount(
+            np.concatenate((at[inside], del_pos)),
+            weights=np.concatenate((inserted_lengths[inside], np.ones(len(del_pos)))),
+            minlength=size,
+        )
+        profiles[name] = (mismatch_quality, indel_events)
     return profiles
 
 
 def find_active_regions(
-    records: list[SamRecord],
+    records: Sequence[SamRecord],
     reference: Reference,
     activity_threshold: float = 30.0,
     indel_weight: float = 20.0,
     padding: int = 25,
     max_region_span: int = 300,
+    quals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ActiveRegion]:
     """Windows where assembly is warranted.
 
@@ -113,15 +129,14 @@ def find_active_regions(
     high-quality mismatching base ~ 35); any indel event is strong
     evidence and is weighted by ``indel_weight``.
     """
-    profiles = build_activity_profiles(records, reference)
+    profiles = build_activity_profiles(records, reference, quals)
     regions: list[ActiveRegion] = []
     for contig_name in sorted(profiles):
-        profile = profiles[contig_name]
-        activity = profile.mismatch_quality + indel_weight * profile.indel_events
-        hot = activity >= activity_threshold
-        if not hot.any():
+        mismatch_quality, indel_events = profiles[contig_name]
+        activity = mismatch_quality + indel_weight * indel_events
+        positions = np.flatnonzero(activity >= activity_threshold)
+        if not len(positions):
             continue
-        positions = np.flatnonzero(hot)
         start = int(positions[0])
         prev = start
         for pos in positions[1:].tolist() + [None]:  # type: ignore[list-item]
@@ -134,7 +149,7 @@ def find_active_regions(
                 ActiveRegion(
                     contig_name,
                     max(0, start - padding),
-                    min(profile.length, prev + 1 + padding),
+                    min(len(mismatch_quality), prev + 1 + padding),
                 )
             )
             if pos is not None:

@@ -7,9 +7,11 @@ scores every unordered haplotype pair (h1, h2)::
 
 The best pair determines the genotype; variants are extracted by globally
 aligning each called non-reference haplotype against the reference window
-and walking the alignment for SNVs/indels.  QUAL is the Phred-scaled
-ratio between the best variant-bearing pair and the homozygous-reference
-pair.
+and walking the alignment for SNVs/indels.  A haplotype of the window's
+length within one mismatch of it (most SNV haplotypes) needs no table.
+The edit table is one prefix-minimum row scan per reference base, and the
+traceback walks it as Python lists.  QUAL is the Phred-scaled ratio
+between the best variant-bearing pair and the homozygous-reference pair.
 """
 
 from __future__ import annotations
@@ -83,23 +85,33 @@ def haplotype_variants(
 
     Global alignment with unit costs (scipy-free Needleman-Wunsch over
     small windows) followed by a difference walk.  Adjacent substitutions
-    are emitted per base; indels get the VCF anchor-base convention.
+    are emitted per base; indels get the VCF anchor-base convention.  A
+    haplotype of the window's length at Hamming distance <= 1 skips the
+    table: its traceback is the main diagonal, so it is that one SNV.
     """
     a, b = ref_window, haplotype
     m, n = len(a), len(b)
-    dp = _edit_table(a, b)
+    if m == n:
+        differ = np.flatnonzero(
+            np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+            != np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+        ).tolist()
+        if len(differ) <= 1:
+            return [(contig, window_start + i, a[i], b[i]) for i in differ]
+    dp = _edit_table(a, b).tolist()
     # Traceback.
     i, j = m, n
     diffs: list[tuple[str, int, str, str]] = []
     pending_ins: list[tuple[int, str]] = []
     pending_del: list[tuple[int, str]] = []
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (a[i - 1] != b[j - 1]):
+        row = dp[i]
+        if i > 0 and j > 0 and row[j] == dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
             if a[i - 1] != b[j - 1]:
                 diffs.append((contig, window_start + i - 1, a[i - 1], b[j - 1]))
             i -= 1
             j -= 1
-        elif j > 0 and dp[i, j] == dp[i, j - 1] + 1:
+        elif j > 0 and row[j] == row[j - 1] + 1:
             pending_ins.append((i, b[j - 1]))
             j -= 1
         else:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.caller.active_region import ActiveRegion, find_active_regions
+import numpy as np
+
+from repro.caller.active_region import ActiveRegion, find_active_regions, joined_quals
 from repro.cleaner.index import SamIndex
 from repro.caller.debruijn import DeBruijnAssembler, Haplotype
 from repro.caller.genotyper import Genotyper, genotype_to_vcf
@@ -38,7 +40,7 @@ class _RegionWork:
     region: ActiveRegion
     ref_window: str
     haplotypes: list[Haplotype]
-    reads: list[tuple[str, list[int]]]
+    reads: list[tuple[str, np.ndarray]]
 
 
 class HaplotypeCaller:
@@ -58,16 +60,24 @@ class HaplotypeCaller:
         cfg = self.config
         # Reads without QUAL ("*") are skipped; a QUAL/SEQ length mismatch raises.
         records = with_qual(rec for rec in records if not rec.is_unmapped)
+        # One QUAL buffer for the task: the pile-up and every region's reads.
+        quals = joined_quals(records)
         regions = find_active_regions(
             records,
             self.reference,
             activity_threshold=cfg.activity_threshold,
             padding=cfg.region_padding,
             max_region_span=cfg.max_region_span,
+            quals=quals,
         )
         # One binned index instead of a linear scan per region.
         index = SamIndex.build(records)
-        work = [w for w in (self._assemble(r, index) for r in regions) if w is not None]
+        offsets = {id(rec): offset for rec, offset in zip(records, quals[1].tolist())}
+        work = [
+            w
+            for w in (self._assemble(r, index, quals[0], offsets) for r in regions)
+            if w is not None
+        ]
         matrices = self.pairhmm.likelihood_matrices(
             [(w.reads, [h.sequence for h in w.haplotypes]) for w in work]
         )
@@ -89,9 +99,11 @@ class HaplotypeCaller:
             out = self._add_reference_blocks(out, records)
         return out
 
-    def _assemble(self, region: ActiveRegion, index: SamIndex) -> _RegionWork | None:
-        """The region's reads and assembled haplotypes; None when there is
-        nothing to genotype."""
+    def _assemble(
+        self, region: ActiveRegion, index: SamIndex, quals: np.ndarray, offsets: dict[int, int]
+    ) -> _RegionWork | None:
+        """The region's reads (with their slices of the task's QUAL buffer)
+        and assembled haplotypes; None when there is nothing to genotype."""
         cfg = self.config
         candidates = [
             r for r in index.query(region.contig, region.start, region.end) if not r.is_duplicate
@@ -104,7 +116,10 @@ class HaplotypeCaller:
         if len(haplotypes) < 2:
             return None
         return _RegionWork(
-            region, ref_window, haplotypes, [(r.seq, r.phred_scores) for r in reads]
+            region,
+            ref_window,
+            haplotypes,
+            [(r.seq, quals[offsets[id(r)] : offsets[id(r)] + len(r.seq)]) for r in reads],
         )
 
     # -- GVCF --------------------------------------------------------------

@@ -694,12 +694,6 @@ def _run_pipeline(args, config, journal_dir: str | None, start: float) -> int:
             print(f"  task failures (retried): {summary}")
         if ctx.quarantine.total:
             print(f"  {ctx.quarantine.summary()}")
-        # Lazy evaluation means the caller's dedup cache fills after its
-        # Process "finished"; re-publish so the report sees final numbers.
-        for process in handles.pipeline.processes:
-            publish = getattr(process, "publish_cache_stats", None)
-            if publish is not None:
-                publish(ctx)
         profiler = ctx.profiler
     # Closing the context published the final telemetry and run.end.
     report = RunReport.from_events(events)

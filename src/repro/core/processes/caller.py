@@ -44,34 +44,6 @@ class HaplotypeCallerProcess(PartitionProcessBase):
         config.gvcf = use_gvcf
         self.caller = HaplotypeCaller(reference, config)
         output_vcf_bundle.header = VcfHeader(tuple(reference.contig_lengths()))
-        # Last cache snapshot already published as counters, so repeated
-        # execute() calls (re-runs, fused chains) publish deltas only.
-        self._published_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def execute(self, ctx) -> None:
-        super().execute(ctx)
-        self.publish_cache_stats(ctx)
-
-    def publish_cache_stats(self, ctx) -> None:
-        """Surface the likelihood-dedup cache as counters and a gauge.
-
-        Delta-based, so calling again after lazy downstream computation
-        has filled the cache (e.g. at end of run) never double-counts.
-        """
-        cache = getattr(self.caller.pairhmm, "cache", None)
-        if cache is None:
-            return
-        stats = cache.stats()
-        last = self._published_cache_stats
-        for counter in ("hits", "misses", "evictions"):
-            delta = stats[counter] - last[counter]
-            if delta:
-                ctx.metrics.inc(f"likelihood_cache.{counter}", delta)
-        self._published_cache_stats = {
-            k: stats[k] for k in ("hits", "misses", "evictions")
-        }
-        ctx.metrics.set_gauge("likelihood_cache.entries", stats["entries"])
-        ctx.events.publish("cache.stats", cache="likelihood", **stats)
 
     def transform_region(self, region: RegionBundle) -> RegionBundle:
         # Joint evidence: all samples' reads over the region pool into one

@@ -126,22 +126,23 @@ def approx_logical_bytes(elements: Sequence[object]) -> int:
     """Decoded in-memory footprint estimate of one partition (bytes).
 
     Genomic records get the codec layer's per-record estimate; pairs and
-    keyed records unwrap; anything else is charged a flat per-object
-    cost.  Only used for the memory-pressure gauges, so a cheap estimate
-    beats an exact-but-slow one.
+    keyed values unwrap; a value that defines ``logical_bytes()`` (a
+    region bundle) is charged what it reports; anything else is charged a
+    flat per-object cost.  Only used for the memory-pressure gauges, so a
+    cheap estimate beats an exact-but-slow one.
     """
     total = 0
     for element in elements:
+        keyed = isinstance(element, tuple) and len(element) == 2
+        value = element[1] if keyed else element
         if isinstance(element, (FastqRecord, SamRecord)):
             total += logical_size([element])
         elif isinstance(element, FastqPair):
             total += logical_size([element.read1, element.read2]) + 56
-        elif (
-            isinstance(element, tuple)
-            and len(element) == 2
-            and isinstance(element[1], (FastqRecord, SamRecord))
-        ):
-            total += logical_size([element[1]]) + 120
+        elif keyed and isinstance(value, (FastqRecord, SamRecord)):
+            total += logical_size([value]) + 120
+        elif callable(getattr(value, "logical_bytes", None)):
+            total += value.logical_bytes() + (120 if keyed else 0)
         else:
             total += 160
     return total

@@ -79,7 +79,6 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "block.spill_degraded": ("reason",),
     "health.transition": ("from", "to", "reason"),
     "job.shed": ("job_id", "priority", "retry_after"),
-    "cache.stats": ("cache", "hits", "misses", "evictions", "entries"),
     "profile.sample": ("stacks", "samples"),
     "telemetry": ("counters", "gauges"),
 }

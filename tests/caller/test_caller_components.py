@@ -95,15 +95,20 @@ class TestAssembly:
         assert len(assembler.assemble(window, reads)) <= 2
 
 
+def log_likelihood(hmm: PairHMM, read, quals, hap) -> float:
+    """One pair through the batched kernel."""
+    return float(hmm.batch_log_likelihoods([(read, quals, hap)])[0])
+
+
 class TestPairHMM:
     def test_perfect_match_beats_mismatch(self):
         hmm = PairHMM()
         hap = "ACGTACGTACGTACGTACGT"
         read = hap[4:16]
         quals = [30] * len(read)
-        good = hmm.log_likelihood(read, quals, hap)
+        good = log_likelihood(hmm, read, quals, hap)
         bad_read = read[:5] + "A" + read[6:] if read[5] != "A" else read[:5] + "C" + read[6:]
-        bad = hmm.log_likelihood(bad_read, quals, hap)
+        bad = log_likelihood(hmm, bad_read, quals, hap)
         assert good > bad
 
     def test_low_quality_mismatch_penalized_less(self):
@@ -112,15 +117,15 @@ class TestPairHMM:
         read = list(hap[2:18])
         read[8] = "A" if read[8] != "A" else "C"
         read = "".join(read)
-        high_q = hmm.log_likelihood(read, [40] * len(read), hap)
+        high_q = log_likelihood(hmm, read, [40] * len(read), hap)
         low_q = [40] * len(read)
         low_q[8] = 5
-        low = hmm.log_likelihood(read, low_q, hap)
+        low = log_likelihood(hmm, read, low_q, hap)
         assert low > high_q
 
     def test_likelihood_is_probability(self):
         hmm = PairHMM()
-        ll = hmm.log_likelihood("ACGTACGT", [30] * 8, "TTACGTACGTTT")
+        ll = log_likelihood(hmm, "ACGTACGT", [30] * 8, "TTACGTACGTTT")
         assert ll <= 0.0
 
     def test_indel_read_scores_better_on_indel_haplotype(self):
@@ -129,7 +134,7 @@ class TestPairHMM:
         del_hap = ref_hap[:10] + ref_hap[13:]  # 3-base deletion
         read = del_hap[2:22]
         quals = [35] * len(read)
-        assert hmm.log_likelihood(read, quals, del_hap) > hmm.log_likelihood(
+        assert log_likelihood(hmm, read, quals, del_hap) > log_likelihood(hmm, 
             read, quals, ref_hap
         )
 
@@ -143,7 +148,7 @@ class TestPairHMM:
 
     def test_empty_inputs(self):
         hmm = PairHMM()
-        assert hmm.log_likelihood("", [], "ACGT") < -1e20
+        assert log_likelihood(hmm, "", [], "ACGT") < -1e20
 
 
 class TestGenotyper:

@@ -159,27 +159,24 @@ class TestCallShape:
     def test_one_pairhmm_batch_per_call(self, monkeypatch):
         reference, reads = twin_contig_scene()
         batches = []
-        original = PairHMM.batch_log_likelihoods
+        original = PairHMM._forward
 
-        def spy(self, items):
-            batches.append(len(items))
-            return original(self, items)
+        def spy(self, read, error, hap, m_len, n_len):
+            batches.append(read.shape[1])
+            return original(self, read, error, hap, m_len, n_len)
 
-        monkeypatch.setattr(PairHMM, "batch_log_likelihoods", spy)
+        monkeypatch.setattr(PairHMM, "_forward", spy)
         caller = HaplotypeCaller(reference)
         calls = caller.call(reads)
         assert [(c.contig, c.pos) for c in calls] == [
             ("chr1", 300), ("chr1", 550), ("chr2", 300), ("chr2", 550)
         ]
-        # chr2's triples are deduped inside the call, before the cache:
-        # one batch of chr1's 56 unique triples and no cache hits.  Scored
-        # region by region (batches of 28 and 28), chr2's 56 lookups were
-        # cache hits instead.
+        # chr2's (read, haplotype) pairs equal chr1's and are deduped inside
+        # the call: one forward over chr1's 56 distinct pairs.
         assert batches == [56]
-        assert (caller.pairhmm.cache.hits, caller.pairhmm.cache.misses) == (0, 56)
-        caller.call(reads)
-        assert batches == [56]  # all 112 lookups of the second call hit
-        assert (caller.pairhmm.cache.hits, caller.pairhmm.cache.misses) == (112, 56)
+        # Nothing is kept between calls: the second computes them again.
+        assert caller.call(reads) == calls
+        assert batches == [56, 56]
 
 
 class TestMissingQual:

@@ -3,8 +3,9 @@
 Generated cases cover N bases, qualities 2-60, read and haplotype lengths
 1-150 mixed inside one batch, haplotypes shorter and longer than the read,
 and pairs whose likelihood lies below float64's range.  Every value must
-match :meth:`PairHMM.log_likelihood` to 1e-12 relative, and a pair's value
-must not depend, bit for bit, on the rest of its batch.
+match the scalar oracle :func:`reference_caller.log_likelihood` to 1e-12
+relative, and a pair's value must not depend, bit for bit, on the rest of
+its batch.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.caller import pairhmm
 from repro.caller.pairhmm import LOG_ZERO, PairHMM
+from tests.caller.reference_caller import log_likelihood
 
 RTOL = 1e-12
 BASES = np.array(list("ACGTN"))
@@ -48,12 +50,12 @@ def generated_items(seed: int, count: int = 120) -> list[tuple[str, list[int], s
 
 
 def scalar(hmm: PairHMM, items) -> np.ndarray:
-    return np.array([hmm.log_likelihood(*item) for item in items])
+    return np.array([log_likelihood(hmm, *item) for item in items])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_generated_cases_match_scalar(seed):
-    hmm = PairHMM(cache_size=0)
+    hmm = PairHMM()
     items = generated_items(seed)
     lengths = {len(read) for read, _, _ in items}
     assert len(lengths) > 50  # variable read lengths inside one batch
@@ -63,7 +65,7 @@ def test_generated_cases_match_scalar(seed):
 
 
 def test_underflowing_pairs_are_finite_and_match_scalar():
-    hmm = PairHMM(cache_size=0)
+    hmm = PairHMM()
     batched = hmm.batch_log_likelihoods(UNDERFLOWING)
     assert np.isfinite(batched).all()
     # Each lies below log(smallest normal double): a linear-space kernel
@@ -74,7 +76,7 @@ def test_underflowing_pairs_are_finite_and_match_scalar():
 
 
 def test_value_does_not_depend_on_the_batch():
-    hmm = PairHMM(cache_size=0)
+    hmm = PairHMM()
     items = generated_items(7, count=60) + UNDERFLOWING
     batched = hmm.batch_log_likelihoods(items)
     alone = np.array([hmm.batch_log_likelihoods([item])[0] for item in items])
@@ -89,7 +91,7 @@ def test_value_does_not_depend_on_the_batch():
 
 
 def test_chunked_batch_is_bitwise_equal(monkeypatch):
-    hmm = PairHMM(cache_size=0)
+    hmm = PairHMM()
     items = generated_items(11, count=40)
     whole = hmm.batch_log_likelihoods(items)
     monkeypatch.setattr(pairhmm, "MAX_CHUNK_CELLS", 500)
@@ -103,18 +105,18 @@ def test_matrices_equal_one_problem_at_a_time():
         reads = [(read, quals) for read, quals, _ in generated_items(int(rng.integers(100)), 5)]
         haps = [hap for _, _, hap in generated_items(int(rng.integers(100)), 3)]
         problems.append((reads, haps))
-    together = PairHMM(cache_size=0).likelihood_matrices(problems)
+    together = PairHMM().likelihood_matrices(problems)
     for (reads, haps), matrix in zip(problems, together):
-        np.testing.assert_array_equal(matrix, PairHMM(cache_size=0).likelihood_matrix(reads, haps))
+        np.testing.assert_array_equal(matrix, PairHMM().likelihood_matrix(reads, haps))
 
 
 def test_quals_length_mismatch_raises():
     with pytest.raises(ValueError, match="3 qualities for a 4-base read"):
-        PairHMM(cache_size=0).batch_log_likelihoods([("ACGT", [30] * 3, "ACGT")])
+        PairHMM().batch_log_likelihoods([("ACGT", [30] * 3, "ACGT")])
 
 
 def test_other_gap_penalties_match_scalar():
-    hmm = PairHMM(gap_open_phred=60.0, gap_extend_phred=20.0, cache_size=0)
+    hmm = PairHMM(gap_open_phred=60.0, gap_extend_phred=20.0)
     items = generated_items(13, count=30)
     np.testing.assert_allclose(hmm.batch_log_likelihoods(items), scalar(hmm, items), rtol=RTOL, atol=0)
 
@@ -125,4 +127,4 @@ def test_other_gap_penalties_match_scalar():
 )
 def test_gap_penalties_outside_the_scaling_range_are_refused(gap_open, gap_extend, reason):
     with pytest.raises(ValueError, match=reason):
-        PairHMM(gap_open_phred=gap_open, gap_extend_phred=gap_extend, cache_size=0)
+        PairHMM(gap_open_phred=gap_open, gap_extend_phred=gap_extend)

@@ -122,3 +122,31 @@ class TestApproxLogicalBytes:
 
     def test_opaque_elements_charged_flat(self):
         assert approx_logical_bytes([object(), object()]) == 320
+
+
+class TestRegionBundleLogicalBytes:
+    def test_cached_bundle_partition_is_charged_its_records(self, tmp_path):
+        from repro.compression.records import logical_size
+        from repro.core.processes.regions import RegionBundle
+        from repro.formats.cigar import Cigar
+        from repro.formats.vcf import VcfRecord
+
+        sams = tuple(
+            SamRecord(
+                qname=f"q{i}", flag=0, rname="chr1", pos=i, mapq=60,
+                cigar=Cigar.parse("8M"), rnext="*", pnext=-1, tlen=0,
+                seq="ACGTACGT", qual="IIIIIIII",
+            )
+            for i in range(300)
+        )
+        site = VcfRecord("chr1", 5, "A", "G")
+        bundle = RegionBundle(0, "chr1", 0, 400, "ACGT" * 100, (sams,), (site,))
+        expected = logical_size(sams) + 400 + (4 + 1 + 1 + 96)
+        assert bundle.logical_bytes() == expected
+        assert approx_logical_bytes([(0, bundle)]) == expected + 120
+
+        config = EngineConfig(serializer="gpf", spill_dir=str(tmp_path))
+        with GPFContext(config) as ctx:
+            rdd = ctx.parallelize([(0, bundle)], 1).persist()
+            rdd.collect()
+            assert ctx.block_manager.stats.logical_bytes == expected + 120
