@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.formats.fasta import Reference
+from repro.formats.fasta import Bases
 from repro.formats.sam import SamRecord
 
 
@@ -55,23 +55,27 @@ def _columns(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
 
 def build_activity_profiles(
     records: Sequence[SamRecord],
-    reference: Reference,
+    reference: Bases,
     quals: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    padding: int = 0,
+) -> dict[str, tuple[int, np.ndarray, np.ndarray]]:
     """Per contig with reads, the summed quality of mismatching bases and
-    the indel events at every position.
+    the indel events at every position of a window.
 
-    ``quals`` is :func:`joined_quals` of ``records`` when the caller
-    already has it."""
+    The window is the reads' reference span widened by ``padding`` on
+    each side and clipped to the contig; each contig maps to the window's
+    first position and the two arrays over it.  ``quals`` is
+    :func:`joined_quals` of ``records`` when the caller already has it."""
     qual_codes, offsets = quals if quals is not None else joined_quals(records)
     seq_codes = np.frombuffer("".join(r.seq for r in records).encode("ascii"), dtype=np.uint8)
     # Per contig: aligned runs (ref, query offset, length), insertions
-    # (ref, length) and deletions (ref, length).
-    ops: dict[str, tuple[list, list, list]] = {}
+    # (ref, length), deletions (ref, length) and the reads' [first, last]
+    # reference positions.
+    ops: dict[str, tuple[list, list, list, list]] = {}
     for rec, query in zip(records, offsets.tolist()):
         if rec.is_unmapped or rec.is_duplicate or not rec.seq:
             continue
-        aligned, inserted, deleted = ops.setdefault(rec.rname, ([], [], []))
+        aligned, inserted, deleted, span = ops.setdefault(rec.rname, ([], [], [], [rec.pos, 0]))
         ref = rec.pos
         for op in rec.cigar:
             kind, length = op.op, op.length
@@ -89,34 +93,39 @@ def build_activity_profiles(
                 query += length
             elif kind == "N":
                 ref += length
+        span[0], span[1] = min(span[0], rec.pos), max(span[1], ref)
 
     profiles = {}
-    for name, (aligned, inserted, deleted) in ops.items():
-        contig = reference[name]
-        size = len(contig)
-        # Runs stop at the contig's end.
+    for name, (aligned, inserted, deleted, (lo, hi)) in ops.items():
+        # One base past `hi` holds an insertion after a read's last base.
+        window = reference.fetch(name, lo - padding, hi + 1 + padding).encode("ascii")
+        first = max(0, lo - padding)
+        end = first + len(window)
+        # Runs stop at the window's end, which is the contig's end or past
+        # every read.
         ref_starts, query_starts, lengths = _columns(aligned, 3)
-        ref_pos, query_pos = _runs(np.clip(size - ref_starts, 0, lengths), ref_starts, query_starts)
-        mismatch = np.frombuffer(contig.sequence, dtype=np.uint8)[ref_pos] != seq_codes[query_pos]
+        ref_pos, query_pos = _runs(np.clip(end - ref_starts, 0, lengths), ref_starts, query_starts)
+        ref_pos -= first
+        mismatch = np.frombuffer(window, dtype=np.uint8)[ref_pos] != seq_codes[query_pos]
         mismatch_quality = np.bincount(
-            ref_pos[mismatch], weights=qual_codes[query_pos[mismatch]], minlength=size
+            ref_pos[mismatch], weights=qual_codes[query_pos[mismatch]], minlength=len(window)
         )
         at, inserted_lengths = _columns(inserted, 2)
-        inside = (at >= 0) & (at < size)
+        inside = at < end
         del_starts, del_lengths = _columns(deleted, 2)
-        (del_pos,) = _runs(np.clip(size - del_starts, 0, del_lengths), del_starts)
+        (del_pos,) = _runs(np.clip(end - del_starts, 0, del_lengths), del_starts)
         indel_events = np.bincount(
-            np.concatenate((at[inside], del_pos)),
+            np.concatenate((at[inside], del_pos)) - first,
             weights=np.concatenate((inserted_lengths[inside], np.ones(len(del_pos)))),
-            minlength=size,
+            minlength=len(window),
         )
-        profiles[name] = (mismatch_quality, indel_events)
+        profiles[name] = (first, mismatch_quality, indel_events)
     return profiles
 
 
 def find_active_regions(
     records: Sequence[SamRecord],
-    reference: Reference,
+    reference: Bases,
     activity_threshold: float = 30.0,
     indel_weight: float = 20.0,
     padding: int = 25,
@@ -129,12 +138,12 @@ def find_active_regions(
     high-quality mismatching base ~ 35); any indel event is strong
     evidence and is weighted by ``indel_weight``.
     """
-    profiles = build_activity_profiles(records, reference, quals)
+    profiles = build_activity_profiles(records, reference, quals, padding)
     regions: list[ActiveRegion] = []
     for contig_name in sorted(profiles):
-        mismatch_quality, indel_events = profiles[contig_name]
+        first, mismatch_quality, indel_events = profiles[contig_name]
         activity = mismatch_quality + indel_weight * indel_events
-        positions = np.flatnonzero(activity >= activity_threshold)
+        positions = first + np.flatnonzero(activity >= activity_threshold)
         if not len(positions):
             continue
         start = int(positions[0])
@@ -148,8 +157,8 @@ def find_active_regions(
             regions.append(
                 ActiveRegion(
                     contig_name,
-                    max(0, start - padding),
-                    min(len(mismatch_quality), prev + 1 + padding),
+                    max(first, start - padding),
+                    min(first + len(mismatch_quality), prev + 1 + padding),
                 )
             )
             if pos is not None:

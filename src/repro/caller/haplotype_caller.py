@@ -17,7 +17,7 @@ from repro.cleaner.index import SamIndex
 from repro.caller.debruijn import DeBruijnAssembler, Haplotype
 from repro.caller.genotyper import Genotyper, genotype_to_vcf
 from repro.caller.pairhmm import PairHMM
-from repro.formats.fasta import Reference
+from repro.formats.fasta import Bases
 from repro.formats.sam import SamRecord, with_qual
 from repro.formats.vcf import VcfRecord
 
@@ -44,7 +44,11 @@ class _RegionWork:
 
 
 class HaplotypeCaller:
-    def __init__(self, reference: Reference, config: CallerConfig | None = None):
+    """Calls variants from reads over ``reference``: a whole
+    :class:`~repro.formats.fasta.Reference`, or one region's
+    :class:`~repro.formats.fasta.ReferenceWindow`."""
+
+    def __init__(self, reference: Bases, config: CallerConfig | None = None):
         self.reference = reference
         self.config = config or CallerConfig()
         self.pairhmm = PairHMM()
@@ -142,7 +146,6 @@ class HaplotypeCaller:
                     merged[-1][1] = max(merged[-1][1], end)
                 else:
                     merged.append([start, end])
-            contig = self.reference[contig_name]
             for start, end in merged:
                 block_start = start
                 for pos in sorted(
@@ -150,23 +153,16 @@ class HaplotypeCaller:
                 ):
                     if block_start <= pos < end:
                         if pos > block_start:
-                            out.append(
-                                self._block_record(
-                                    contig_name, contig, block_start, pos
-                                )
-                            )
+                            out.append(self._block_record(contig_name, block_start, pos))
                         block_start = pos + 1
                 if block_start < end:
-                    out.append(
-                        self._block_record(contig_name, contig, block_start, end)
-                    )
+                    out.append(self._block_record(contig_name, block_start, end))
         out.sort(key=lambda r: (r.contig, r.pos))
         return out
 
-    @staticmethod
-    def _block_record(contig_name: str, contig, start: int, end: int) -> VcfRecord:
-        ref_base = chr(contig.sequence[start]) if start < len(contig) else "N"
-        if ref_base == "N":
+    def _block_record(self, contig_name: str, start: int, end: int) -> VcfRecord:
+        ref_base = self.reference.fetch(contig_name, start, start + 1)
+        if ref_base in ("", "N"):
             ref_base = "A"  # placeholder anchor; block records carry END info
         return VcfRecord(
             contig=contig_name,

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.formats.cigar import CONSUMES_QUERY, CONSUMES_REF
-from repro.formats.fasta import Reference
+from repro.formats.fasta import Bases
 from repro.formats.sam import SamRecord, with_qual
 from repro.formats.vcf import VcfRecord, known_sites_mask
 
@@ -255,7 +255,7 @@ def _covariates(reads: list[SamRecord]) -> tuple[np.ndarray, ...]:
 
 def build_recalibration_table(
     records: list[SamRecord],
-    reference: Reference,
+    reference: Bases,
     known_sites: list[VcfRecord],
 ) -> RecalibrationTable:
     """Pass 1: count covariates over aligned, non-duplicate records."""
@@ -279,13 +279,13 @@ def build_recalibration_table(
 
     # The reference window each contig's bases fall in; bases before the
     # contig start or past its end are not counted.
-    arrays, spans = {}, {}
+    arrays, spans, windows = {}, {}, {}
     for name, rows in segments.items():
-        contig_length = len(reference[name])
         if rows:
             array = arrays[name] = np.array(rows, dtype=np.int64)
             first, end = int(array[:, 1].min()), int((array[:, 1] + array[:, 2]).max())
-            spans[name] = (max(first, 0), min(end, contig_length))
+            windows[name] = reference.fetch(name, first, end).encode("ascii")
+            spans[name] = (max(first, 0), max(first, 0) + len(windows[name]))
     masks = known_sites_mask(known_sites, spans)
 
     bases, errors = [_empty(0)], [np.zeros(0, dtype=bool)]
@@ -296,7 +296,7 @@ def build_recalibration_table(
         base, ref = rows[seg, 0] + within, rows[seg, 1] + within
         inside = (ref >= lo) & (ref < hi)
         base, ref = base[inside], ref[inside]
-        ref_base = np.frombuffer(reference[name].sequence, dtype=np.uint8)[ref]
+        ref_base = np.frombuffer(windows[name], dtype=np.uint8)[ref - lo]
         counted = ~masks[name][ref - lo] & (ref_base != _N) & (seq[base] != _N)
         bases.append(base[counted])
         errors.append(seq[base[counted]] != ref_base[counted])
@@ -332,7 +332,7 @@ def apply_recalibration(
 
 def quality_calibration_error(
     records: list[SamRecord],
-    reference: Reference,
+    reference: Bases,
     known_sites: list[VcfRecord],
 ) -> float:
     """RMS difference between reported and empirical quality per bin.

@@ -10,7 +10,7 @@ region lookups and the realigner's interval gathering want.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.formats.sam import SamRecord
@@ -23,6 +23,8 @@ class SamIndex:
     bin_width: int = 1_024
     _bins: dict[tuple[str, int], list[int]] = field(default_factory=dict)
     _records: list[SamRecord] = field(default_factory=list)
+    #: Each record's ``end``, summed from its CIGAR once, at build.
+    _ends: list[int] = field(default_factory=list)
 
     @classmethod
     def build(cls, records: list[SamRecord], bin_width: int = 1_024) -> "SamIndex":
@@ -31,11 +33,12 @@ class SamIndex:
             raise ValueError("bin_width must be positive")
         index = cls(bin_width=bin_width)
         index._records = list(records)
+        index._ends = [rec.end for rec in index._records]
         for i, rec in enumerate(index._records):
             if rec.is_unmapped:
                 continue
             start_bin = rec.pos // bin_width
-            end_bin = max(start_bin, (rec.end - 1) // bin_width)
+            end_bin = max(start_bin, (index._ends[i] - 1) // bin_width)
             for b in range(start_bin, end_bin + 1):
                 index._bins.setdefault((rec.rname, b), []).append(i)
         return index
@@ -51,8 +54,7 @@ class SamIndex:
                 if i in seen:
                     continue
                 seen.add(i)
-                rec = self._records[i]
-                if rec.pos < end and rec.end > start:
+                if self._records[i].pos < end and self._ends[i] > start:
                     out.append(i)
         out.sort()
         return [self._records[i] for i in out]

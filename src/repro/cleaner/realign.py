@@ -20,8 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.formats.cigar import Cigar, CigarOp
-from repro.formats.fasta import Reference
+from repro.formats.fasta import Bases
 from repro.formats.sam import SamRecord
+
+
+#: Margin of a realignment interval around the indel that opens it.
+INTERVAL_PADDING = 10
+#: Margin of the reference window around a realignment interval.
+WINDOW_PAD = 60
+#: How far past a read's aligned bases the realigner reads the reference.
+REACH = INTERVAL_PADDING + WINDOW_PAD
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +58,7 @@ class _ObservedIndel:
 
 def find_realignment_intervals(
     records: Iterable[SamRecord],
-    padding: int = 10,
+    padding: int = INTERVAL_PADDING,
     mismatch_cluster_size: int = 0,
 ) -> list[RealignmentInterval]:
     """Candidate intervals: around every indel CIGAR, merged when close."""
@@ -145,9 +153,9 @@ def _mismatch_cost(read_seq: str, read_quals: list[int], window: str, offset: in
 
 def realign_reads(
     records: Sequence[SamRecord],
-    reference: Reference,
+    reference: Bases,
     intervals: Sequence[RealignmentInterval],
-    window_pad: int = 60,
+    window_pad: int = WINDOW_PAD,
 ) -> int:
     """Realign reads in the given intervals; returns the realigned count.
 
@@ -164,10 +172,8 @@ def realign_reads(
         indels = _observed_indels(group)
         if not indels:
             continue
-        contig = reference[interval.contig]
         window_start = max(0, interval.start - window_pad)
-        window_end = min(len(contig), interval.end + window_pad)
-        ref_window = contig.fetch(window_start, window_end)
+        ref_window = reference.fetch(interval.contig, window_start, interval.end + window_pad)
 
         for indel in indels:
             consensus, shift_at, shift_by = _apply_indel(

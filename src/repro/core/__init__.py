@@ -23,7 +23,6 @@ from repro.core.bundles import (
     SAMBundle,
     VCFBundle,
     PartitionInfoBundle,
-    ReferenceBundle,
 )
 from repro.core.pipeline import (
     CircularDependencyError,
@@ -52,7 +51,6 @@ __all__ = [
     "SAMBundle",
     "VCFBundle",
     "PartitionInfoBundle",
-    "ReferenceBundle",
     "Pipeline",
     "PipelineCancelledError",
     "CircularDependencyError",

@@ -91,27 +91,3 @@ class PartitionInfoBundle(Resource):
     def undefined(cls, name: str) -> "PartitionInfoBundle":
         return cls(name)
 
-
-class ReferenceBundle(Resource):
-    """Holds a broadcast :class:`repro.formats.fasta.Reference`."""
-
-    @classmethod
-    def defined(cls, name: str, reference) -> "ReferenceBundle":
-        """Construct the bundle already holding its value."""
-        bundle = cls(name)
-        bundle.define(reference)
-        return bundle
-
-
-class FusedBundle(Resource["RDD"]):
-    """The optimizer's fused bundle RDD (Fig. 7b).
-
-    Elements are ``(partition_id, region_bundle)`` where ``region_bundle``
-    carries the co-partitioned FASTA window, SAM records and known-VCF
-    records for one genomic region.  Partition Processes rewritten by the
-    optimizer consume and produce this instead of re-grouping/joining.
-    """
-
-    @classmethod
-    def undefined(cls, name: str) -> "FusedBundle":
-        return cls(name)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.formats.fasta import Reference
 
 
@@ -48,10 +46,14 @@ class PartitionInfo:
         partition_length: int = 1_000_000,
         split_table: PartitionSplitTable | None = None,
         num_partitions_override: int | None = None,
+        read_span: int = 0,
     ):
         if partition_length <= 0:
             raise ValueError("partition_length must be positive")
         self.partition_length = partition_length
+        #: The longest reference span of a read placed by this map: how far
+        #: a region's reads can run past its end (sizes the region halo).
+        self.read_span = read_span
         self.contig_names = [name for name, _ in reference_lengths]
         self.contig_lengths = {name: length for name, length in reference_lengths}
         # Partitions per contig (ceil division), Fig. 8's first table.
@@ -113,14 +115,14 @@ class PartitionInfo:
 
     # -- dynamic splitting --------------------------------------------------
     def with_splits(
-        self, read_counts: dict[int, int], threshold: int
+        self, read_counts: dict[int, int], threshold: int, read_span: int = 0
     ) -> "PartitionInfo":
         """New PartitionInfo splitting every partition above ``threshold``.
 
         ``read_counts`` maps *base* partition id -> observed read count
         (the driver-side reduce of §4.4 step 2).  A partition with count c
         is split into ceil(c / threshold) pieces; new ids start after the
-        base range.
+        base range.  ``read_span`` is the longest read span the count saw.
         """
         if threshold <= 0:
             raise ValueError("threshold must be positive")
@@ -136,6 +138,7 @@ class PartitionInfo:
             [(name, self.contig_lengths[name]) for name in self.contig_names],
             self.partition_length,
             PartitionSplitTable(entries),
+            read_span=read_span,
         )
 
     # -- interop with the engine ------------------------------------------
@@ -179,6 +182,7 @@ class PartitionInfo:
             and self.partition_length == other.partition_length
             and self.contig_lengths == other.contig_lengths
             and self.split_table.entries == other.split_table.entries
+            and self.read_span == other.read_span
         )
 
 

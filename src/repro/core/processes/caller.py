@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.caller.filters import FilterConfig, apply_hard_filters
@@ -20,6 +21,8 @@ class HaplotypeCallerProcess(PartitionProcessBase):
     partitionInfoBundle, inputSAMList, outputVCFBundle, useGVCF)``.
     """
 
+    output_type = VCFBundle
+
     def __init__(
         self,
         name: str,
@@ -32,29 +35,28 @@ class HaplotypeCallerProcess(PartitionProcessBase):
         caller_config: CallerConfig | None = None,
     ):
         super().__init__(
-            name,
-            reference,
-            rod_map,
-            partition_info_bundle,
-            input_sam_bundles,
-            [output_vcf_bundle],
-            output_types=[VCFBundle],
+            name, reference, rod_map, partition_info_bundle, input_sam_bundles, [output_vcf_bundle]
         )
-        config = caller_config or CallerConfig()
-        config.gvcf = use_gvcf
-        self.caller = HaplotypeCaller(reference, config)
+        self.config = caller_config or CallerConfig()
+        self.config.gvcf = use_gvcf
         output_vcf_bundle.header = VcfHeader(tuple(reference.contig_lengths()))
 
-    def transform_region(self, region: RegionBundle) -> RegionBundle:
-        # Joint evidence: all samples' reads over the region pool into one
-        # assembly + genotyping pass (the paper's caller takes a SAM list).
-        """Joint-call the region over every sample's pooled reads."""
-        calls = self.caller.call(region.all_sams())
-        # Only keep calls inside the region's own span: reads overlapping
-        # the boundary are seen by both neighbouring regions, and this
-        # half-open ownership rule deduplicates the output.
-        owned = [c for c in calls if region.start <= c.pos < region.end]
-        return region.with_calls(owned)
+    def region_task(self):
+        return partial(call_region, self.config)
+
+
+def call_region(config: CallerConfig, region: RegionBundle) -> RegionBundle:
+    """Joint-call the region over every sample's pooled reads (the paper's
+    caller takes a SAM list) against the region's window."""
+    calls = HaplotypeCaller(region.window, config).call(region.all_sams())
+    # Reads are placed by their start, so a read that starts in the left
+    # neighbour never reaches this region, and calls past the region's
+    # end, made from reads that run into the right neighbour, are dropped
+    # here for that neighbour to make from its own reads.  A variant near
+    # a boundary is so called without the reads that start before it: the
+    # VCF can depend on ``partition_length``.
+    owned = [c for c in calls if region.start <= c.pos < region.end]
+    return region.with_calls(owned)
 
 
 class VariantFiltrationProcess(Process):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cleaner.bqsr import (
     RecalibrationTable,
@@ -11,12 +11,10 @@ from repro.cleaner.bqsr import (
 )
 from repro.cleaner.duplicates import mark_duplicates
 from repro.cleaner.realign import find_realignment_intervals, realign_reads
-from repro.core.bundles import PartitionInfoBundle, SAMBundle
+from repro.core.bundles import SAMBundle
 from repro.core.process import Process
 from repro.core.processes.regions import PartitionProcessBase, RegionBundle
-from repro.formats.fasta import Reference
 from repro.formats.sam import SamRecord, coordinate_key
-from repro.formats.vcf import VcfRecord
 
 if TYPE_CHECKING:
     from repro.engine.context import GPFContext
@@ -114,34 +112,20 @@ class MarkDuplicateProcess(Process):
 class IndelRealignProcess(PartitionProcessBase):
     """Per-region indel realignment (paper Table 2)."""
 
-    def __init__(
-        self,
-        name: str,
-        reference: Reference,
-        rod_map: dict[str, list[VcfRecord]],
-        partition_info_bundle: PartitionInfoBundle,
-        input_sam_bundles: Sequence[SAMBundle],
-        output_sam_bundles: Sequence[SAMBundle],
-    ):
-        super().__init__(
-            name,
-            reference,
-            rod_map,
-            partition_info_bundle,
-            input_sam_bundles,
-            output_sam_bundles,
-            output_types=[SAMBundle] * len(list(output_sam_bundles)),
-        )
-        for inp, outp in zip(input_sam_bundles, output_sam_bundles):
-            outp.header = inp.header
+    def region_task(self):
+        return realign_region
 
-    def transform_sample(self, records, region: RegionBundle):
-        """Realign one sample's records inside the region window."""
-        records = [rec.copy() for rec in records]
+
+def realign_region(region: RegionBundle) -> RegionBundle:
+    """Realign every sample's records against the region's window."""
+    new_sets = []
+    for sams in region.sam_sets:
+        records = [rec.copy() for rec in sams]
         intervals = find_realignment_intervals(records)
         if intervals:
-            realign_reads(records, self.reference, intervals)
-        return records
+            realign_reads(records, region.window, intervals)
+        new_sets.append(records)
+    return region.with_sam_sets(new_sets)
 
 
 class BaseRecalibrationProcess(PartitionProcessBase):
@@ -151,28 +135,8 @@ class BaseRecalibrationProcess(PartitionProcessBase):
     action after BQSR" the paper discusses in §5.2.2.
     """
 
-    def __init__(
-        self,
-        name: str,
-        reference: Reference,
-        rod_map: dict[str, list[VcfRecord]],
-        partition_info_bundle: PartitionInfoBundle,
-        input_sam_bundles: Sequence[SAMBundle],
-        output_sam_bundles: Sequence[SAMBundle],
-    ):
-        super().__init__(
-            name,
-            reference,
-            rod_map,
-            partition_info_bundle,
-            input_sam_bundles,
-            output_sam_bundles,
-            output_types=[SAMBundle] * len(list(output_sam_bundles)),
-        )
-        for inp, outp in zip(input_sam_bundles, output_sam_bundles):
-            outp.header = inp.header
-        #: Per-sample tables after the count pass (index matches inputs).
-        self.tables: list[RecalibrationTable] | None = None
+    #: Per-sample tables after the count pass (index matches inputs).
+    tables: list[RecalibrationTable] | None = None
 
     @property
     def table(self) -> RecalibrationTable | None:
@@ -181,25 +145,15 @@ class BaseRecalibrationProcess(PartitionProcessBase):
 
     def apply_to_bundle(self, bundle_rdd: "RDD", ctx: "GPFContext") -> "RDD":
         """Two passes: count covariates per sample, then recalibrate."""
-        reference = self.reference
         num_samples = len(self.input_sam_bundles)
 
         # Pass 1: per-region, per-sample covariate tables, reduced on the
         # driver (recalibration is per read group / sample in GATK).
-        def count(kv: tuple) -> list[RecalibrationTable]:
-            region: RegionBundle = kv[1]
-            return [
-                build_recalibration_table(
-                    list(sams), reference, list(region.vcfs)
-                )
-                for sams in region.sam_sets
-            ]
-
         # Two jobs read the bundle: this count and the final collect of the
         # recalibrated output.  Cached, the second reads the count's
         # partitions instead of re-reading the shuffles and re-running
         # every region's upstream transform.
-        partials = bundle_rdd.persist().map(count).collect()
+        partials = bundle_rdd.persist().map(count_covariates).set_name(f"count:{self.name}").collect()
         tables = [RecalibrationTable() for _ in range(num_samples)]
         for partial in partials:
             for table, piece in zip(tables, partial):
@@ -218,6 +172,12 @@ class BaseRecalibrationProcess(PartitionProcessBase):
 
         return bundle_rdd.map_values(recalibrate).set_name(f"apply:{self.name}")
 
-    def transform_sample(self, records, region: RegionBundle):
-        """Realign one sample's records inside the region window."""
-        raise AssertionError("BQSR overrides apply_to_bundle directly")
+
+def count_covariates(kv: tuple) -> list[RecalibrationTable]:
+    """BQSR's count pass over one region: a table per sample, masking the
+    known sites of the whole halo, so no read's span is left unmasked."""
+    region: RegionBundle = kv[1]
+    return [
+        build_recalibration_table(list(sams), region.window, list(region.vcfs))
+        for sams in region.sam_sets
+    ]

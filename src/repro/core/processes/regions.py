@@ -6,22 +6,33 @@ window and the known-VCF records of each region alongside, and joins the
 three into a bundle RDD of :class:`RegionBundle` elements.  The Fig. 7
 optimizer fuses chains of these Processes by building the bundle RDD once.
 
+A region computes from its bundle alone.  Reads go to the region their
+start lies in; the bundle's FASTA window and known sites cover the
+region's *halo*, ``[start - HALO_PAD, end + read_span + HALO_PAD)``
+clamped to the contig, where ``read_span`` is the longest reference span
+of a read (counted by the Repartitioner) and ``HALO_PAD`` the widest
+margin a region stage reads past its reads.  A stage that reads past the
+halo gets :class:`~repro.formats.fasta.OutsideWindowError`.
+
 ``PartitionProcessBase`` implements the build/apply/finalize protocol the
-optimizer relies on; concrete Processes only override
-:meth:`transform_region` (pure per-region work) and, when they need a
-global reduce between build and apply (BQSR's covariate collect), the
-:meth:`apply_to_bundle` hook itself.
+optimizer relies on; concrete Processes only override :meth:`region_task`
+(the per-region work, as a function of the bundle alone) and, when they
+need a global reduce between build and apply (BQSR's covariate collect),
+the :meth:`apply_to_bundle` hook itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.cleaner.realign import REACH
 from repro.compression.records import logical_size
 from repro.core.bundles import PartitionInfoBundle, SAMBundle, VCFBundle
 from repro.core.process import Process
 from repro.engine.rdd import RDD, FuncPartitioner
+from repro.formats.fasta import ReferenceWindow
 from repro.formats.sam import SamRecord
 from repro.formats.vcf import VcfRecord
 
@@ -30,22 +41,27 @@ if TYPE_CHECKING:
     from repro.engine.context import GPFContext
     from repro.formats.fasta import Reference
 
+#: The widest margin a region stage reads past its reads: the realigner's
+#: reach (the caller's default active-region padding, 25, lies inside it).
+HALO_PAD = REACH
+
 
 @dataclass(frozen=True)
 class RegionBundle:
-    """Co-partitioned genomic data for one region.
+    """Co-partitioned genomic data for one region ``[start, end)``.
 
     ``sam_sets`` holds one record tuple per input sample — the paper's
     partition Processes take ``inputSAMList: List(SAMBundle)`` and operate
     on all samples of a cohort in one pass.  Single-sample pipelines use
-    the :attr:`sams` view of sample 0.
+    the :attr:`sams` view of sample 0.  ``window`` holds the halo's bases
+    and ``vcfs`` every known site that overlaps the halo.
     """
 
     partition_id: int
     contig: str
     start: int
     end: int
-    fasta: str
+    window: ReferenceWindow
     sam_sets: tuple[tuple[SamRecord, ...], ...] = ((),)
     vcfs: tuple[VcfRecord, ...] = ()
     calls: tuple[VcfRecord, ...] = field(default=())
@@ -54,10 +70,6 @@ class RegionBundle:
     def sams(self) -> tuple[SamRecord, ...]:
         """Sample 0's records (the single-sample view)."""
         return self.sam_sets[0] if self.sam_sets else ()
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.sam_sets)
 
     def all_sams(self) -> list[SamRecord]:
         """Every sample's records pooled (what joint calling consumes)."""
@@ -77,7 +89,7 @@ class RegionBundle:
         variants = self.vcfs + self.calls
         return (
             sum(logical_size(sams) for sams in self.sam_sets)
-            + len(self.fasta)
+            + len(self.window.sequence)
             + sum(len(v.contig) + len(v.ref) + len(v.alt) + 96 for v in variants)
         )
 
@@ -102,7 +114,13 @@ def record_position_key(rec: SamRecord) -> tuple[str, int]:
 
 
 class PartitionProcessBase(Process):
-    """Common build/apply/finalize protocol for partition Processes."""
+    """Common build/apply/finalize protocol for partition Processes.
+
+    The constructor mirrors the paper's ``(name, referencePath, rodMap,
+    partitionInfoBundle, inputSAMList, outputs)``.  Every output is an
+    ``output_type``; SAM outputs take their input's header."""
+
+    output_type: type = SAMBundle
 
     def __init__(
         self,
@@ -112,17 +130,17 @@ class PartitionProcessBase(Process):
         partition_info_bundle: PartitionInfoBundle,
         input_sam_bundles: Sequence[SAMBundle],
         outputs: Sequence,
-        output_types: Sequence[type | None] | None = None,
     ):
-        inputs: list = [partition_info_bundle, *input_sam_bundles]
         super().__init__(
             name,
-            inputs=inputs,
+            inputs=[partition_info_bundle, *input_sam_bundles],
             outputs=list(outputs),
-            input_types=[PartitionInfoBundle]
-            + [SAMBundle] * len(input_sam_bundles),
-            output_types=output_types,
+            input_types=[PartitionInfoBundle] + [SAMBundle] * len(input_sam_bundles),
+            output_types=[self.output_type] * len(outputs),
         )
+        if self.output_type is SAMBundle:
+            for inp, outp in zip(input_sam_bundles, outputs):
+                outp.header = inp.header
         self.reference = reference
         self.rod_map = rod_map
         self.partition_info_bundle = partition_info_bundle
@@ -142,7 +160,6 @@ class PartitionProcessBase(Process):
         """
         info: "PartitionInfo" = self.partition_info_bundle.value
         partitioner = FuncPartitioner(info.num_partitions, info.partition_func())
-        reference = self.reference
 
         # One shuffle per input sample; samples stay separate inside the
         # bundle (tagged by sample index) so per-sample tools keep their
@@ -154,51 +171,42 @@ class PartitionProcessBase(Process):
             )
             sam_parts_per_sample.append(keyed.partition_by(partitioner))
 
-        # FASTA partition RDD: one (key, window) element per region.
-        fasta_elements = []
-        for pid in _live_partition_ids(info):
-            contig, start, end = region_span(info, pid)
-            fasta_elements.append(((contig, start), reference.fetch(contig, start, end)))
+        # FASTA and known-VCF partition RDDs: per region, the halo's window
+        # and the sites overlapping it, keyed by the region's start.
+        sites = sorted(
+            (rec for records in self.rod_map.values() for rec in records),
+            key=lambda rec: (rec.contig, rec.pos),
+        )
+        site_keys = [(rec.contig, rec.pos) for rec in sites]
+        longest_site = max((rec.end - rec.pos for rec in sites), default=0)
+        fasta_elements, vcf_elements = [], []
+        for contig, start, end in _live_regions(info):
+            window = ReferenceWindow.of(
+                self.reference, contig, start - HALO_PAD, end + info.read_span + HALO_PAD
+            )
+            fasta_elements.append(((contig, start), (end, window)))
+            first = bisect_left(site_keys, (contig, window.start - longest_site))
+            last = bisect_left(site_keys, (contig, window.end))
+            vcf_elements.extend(
+                ((contig, start), rec) for rec in sites[first:last] if rec.end > window.start
+            )
         fasta_parts = (
             ctx.parallelize(fasta_elements, max(1, min(len(fasta_elements), 8)))
             .partition_by(partitioner)
         )
-
-        # Known-VCF partition RDD.
-        known: list[VcfRecord] = [
-            rec for records in self.rod_map.values() for rec in records
-        ]
         vcf_parts = (
-            ctx.parallelize(
-                [((rec.contig, rec.pos), rec) for rec in known],
-                max(1, min(max(1, len(known)), 8)),
-            ).partition_by(partitioner)
+            ctx.parallelize(vcf_elements, max(1, min(max(1, len(vcf_elements)), 8)))
+            .partition_by(partitioner)
         )
-
-        info_ref = info
 
         def assemble(split: int, parts: tuple) -> list:
             fasta_p, vcf_p, *sam_ps = parts
             if not fasta_p:
-                return []  # dead partition (split base id): carries no keys
-            _, fasta_seq = fasta_p[0]
-            contig_, start_, end_ = region_span(info_ref, split)
-            return [
-                (
-                    split,
-                    RegionBundle(
-                        partition_id=split,
-                        contig=contig_,
-                        start=start_,
-                        end=end_,
-                        fasta=fasta_seq,
-                        sam_sets=tuple(
-                            tuple(rec for _, rec in sam_p) for sam_p in sam_ps
-                        ),
-                        vcfs=tuple(rec for _, rec in vcf_p),
-                    ),
-                )
-            ]
+                return []  # dead partition (split base id, empty split): no keys
+            (contig, start), (end, window) = fasta_p[0]
+            sam_sets = tuple(tuple(rec for _, rec in sam_p) for sam_p in sam_ps)
+            vcfs = tuple(rec for _, rec in vcf_p)
+            return [(split, RegionBundle(split, contig, start, end, window, sam_sets, vcfs))]
 
         # Zip the co-partitioned pieces: fasta, vcf, then one SAM RDD per
         # sample, accumulating partition lists into one tuple.
@@ -212,9 +220,13 @@ class PartitionProcessBase(Process):
         ).set_name(f"bundle:{self.name}")
 
     def apply_to_bundle(self, bundle_rdd: RDD, ctx: "GPFContext") -> RDD:
-        """Map the per-region transform over the bundle RDD."""
-        transform = self.transform_region
-        return bundle_rdd.map_values(transform).set_name(f"apply:{self.name}")
+        """Map the per-region work over the bundle RDD."""
+        return bundle_rdd.map_values(self.region_task()).set_name(f"apply:{self.name}")
+
+    def region_task(self) -> Callable[[RegionBundle], RegionBundle]:
+        """The per-region work, a function of the bundle alone.  It ships
+        with every region task, so it must not close over this Process."""
+        raise NotImplementedError
 
     def finalize_outputs(self, bundle_rdd: RDD, ctx: "GPFContext") -> None:
         """Define output bundles as lazy views over the bundle RDD.
@@ -254,26 +266,14 @@ class PartitionProcessBase(Process):
         bundle_rdd.persist()
         self.finalize_outputs(bundle_rdd, ctx)
 
-    # -- per-region work -------------------------------------------------------
-    def transform_region(self, region: RegionBundle) -> RegionBundle:
-        """Default: apply :meth:`transform_sample` to every sample."""
-        return region.with_sam_sets(
-            [self.transform_sample(list(sams), region) for sams in region.sam_sets]
-        )
 
-    def transform_sample(
-        self, records: list[SamRecord], region: RegionBundle
-    ) -> list[SamRecord]:
-        raise NotImplementedError
-
-
-def _live_partition_ids(info: "PartitionInfo") -> list[int]:
-    """Partition ids that can actually receive keys (split bases excluded)."""
-    out = []
-    split_bases = set(info.split_table.entries)
-    for pid in range(info.base_partitions):
-        if pid not in split_bases:
-            out.append(pid)
-    for base_pid, (count, start_id) in info.split_table.entries.items():
-        out.extend(range(start_id, start_id + count))
-    return out
+def _live_regions(info: "PartitionInfo") -> list[tuple[str, int, int]]:
+    """The spans of the partitions that can receive keys: split base ids
+    are left out, and so are the empty splits of a contig's short last
+    partition, which start past the contig's end."""
+    split_bases = info.split_table.entries
+    ids = [pid for pid in range(info.base_partitions) if pid not in split_bases]
+    for count, start_id in split_bases.values():
+        ids.extend(range(start_id, start_id + count))
+    spans = [region_span(info, pid) for pid in ids]
+    return [(contig, start, end) for contig, start, end in spans if start < end]

@@ -4,8 +4,9 @@ Three steps, as the paper describes:
 
 1. Build the basic equal-length ``PartitionInfo`` from the reference.
 2. Count reads per base partition: map each SAM record to
-   ``(partition_id, 1)``, reduce, and ``collect()`` the histogram to the
-   driver.
+   ``(partition_id, (1, reference span))``, reduce to the count and the
+   longest span, and ``collect()`` the histogram to the driver.  The
+   longest span sizes every region's halo.
 3. Split every partition whose count exceeds the segmentation threshold,
    producing the split table (Fig. 9) embedded in a new PartitionInfo.
 
@@ -55,20 +56,22 @@ class ReadRepartitioner(Process):
         )
         shared = ctx.broadcast(base)
 
-        def to_partition_count(rec) -> tuple[int, int]:
+        def to_partition_count(rec) -> tuple[int, tuple[int, int]]:
             info: PartitionInfo = shared.value
-            return (info.base_partition_id(rec.rname, rec.pos), 1)
+            return (info.base_partition_id(rec.rname, rec.pos), (1, rec.end - rec.pos))
 
         counts: dict[int, int] = {}
+        read_span = 0
         for bundle in self.input_sam_bundles:
             pairs = (
                 bundle.rdd.filter(lambda r: not r.is_unmapped)
                 .map(to_partition_count)
-                .reduce_by_key(lambda a, b: a + b)
+                .reduce_by_key(lambda a, b: (a[0] + b[0], max(a[1], b[1])))
                 .collect()
             )
-            for pid, count in pairs:
+            for pid, (count, span) in pairs:
                 counts[pid] = counts.get(pid, 0) + count
+                read_span = max(read_span, span)
 
         threshold = self.segmentation_threshold
         if threshold is None:
@@ -77,5 +80,5 @@ class ReadRepartitioner(Process):
             mean = sum(occupied) / len(occupied) if occupied else 1.0
             threshold = max(1, int(2 * mean))
 
-        info = base.with_splits(counts, threshold)
+        info = base.with_splits(counts, threshold, read_span)
         self.output_partition_info.define(info)

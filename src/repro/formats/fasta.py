@@ -1,9 +1,9 @@
 """FASTA reference genomes with contig indexing.
 
 ``Reference`` is the in-memory equivalent of an indexed ``.fa`` +
-``.fai`` pair: O(1) contig lookup and slicing.  GPF broadcasts the
-reference to every executor, so the representation must be compact —
-sequences are stored as ``bytes``.
+``.fai`` pair: O(1) contig lookup and slicing.  Sequences are stored as
+``bytes``.  A region task holds only a :class:`ReferenceWindow`, the
+slice of one contig its stages read.
 """
 
 from __future__ import annotations
@@ -75,6 +75,49 @@ class Reference:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Reference) and self._contigs == other._contigs
+
+
+class OutsideWindowError(LookupError):
+    """A fetch reached past the bases a :class:`ReferenceWindow` holds."""
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceWindow:
+    """The bases of one contig over ``[start, start + len(sequence))``.
+
+    It answers :meth:`Reference.fetch` in the same absolute coordinates,
+    clipped to the contig the same way, so a kernel that only fetches
+    takes either.  A fetch the window cannot answer whole raises
+    :class:`OutsideWindowError` instead of returning a short slice.
+    """
+
+    contig: str
+    start: int
+    sequence: str
+    contig_length: int
+
+    @classmethod
+    def of(cls, reference: Reference, contig: str, start: int, end: int) -> "ReferenceWindow":
+        """``reference``'s bases over ``[start, end)``, clipped to the contig."""
+        start = max(0, start)
+        return cls(contig, start, reference.fetch(contig, start, end), len(reference[contig]))
+
+    @property
+    def end(self) -> int:
+        return self.start + len(self.sequence)
+
+    def fetch(self, contig: str, start: int, end: int) -> str:
+        lo, hi = max(0, start), min(max(0, end), self.contig_length)
+        if contig != self.contig or (lo < hi and (lo < self.start or hi > self.end)):
+            raise OutsideWindowError(
+                f"fetch {contig}:[{start}, {end}) outside the window "
+                f"{self.contig}:[{self.start}, {self.end})"
+            )
+        return self.sequence[lo - self.start : hi - self.start] if lo < hi else ""
+
+
+#: What the Cleaner and Caller kernels read bases from, through ``fetch``.
+Bases = Reference | ReferenceWindow
 
 
 def parse_fasta(lines: Iterable[str]) -> Iterator[Contig]:

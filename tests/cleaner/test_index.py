@@ -111,3 +111,26 @@ def test_index_query_property(placements, start, span):
     assert index.query("chr1", start, end) == records_overlapping(
         records, "chr1", start, end
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3_000), st.integers(1, 80), st.integers(0, 400), st.integers(1, 80)),
+        max_size=60,
+    ),
+    st.integers(0, 3_500),
+    st.integers(1, 1_500),
+)
+def test_index_query_with_deletions_equals_brute_force(placements, start, span):
+    # A deletion makes a record's reference span longer than its SEQ.
+    records = [
+        SamRecord(
+            f"d{i}", 0, "chr1", pos, 60, Cigar.parse(f"{a}M{d}D{b}M" if d else f"{a + b}M"),
+            "*", -1, 0, "A" * (a + b), "I" * (a + b),
+        )
+        for i, (pos, a, d, b) in enumerate(placements)
+    ]
+    end = start + span
+    expected = [r for r in records if r.pos < end and r.pos + r.cigar.reference_length() > start]
+    assert SamIndex.build(records, bin_width=128).query("chr1", start, end) == expected

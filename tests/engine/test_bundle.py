@@ -129,6 +129,7 @@ class TestRegionBundleLogicalBytes:
         from repro.compression.records import logical_size
         from repro.core.processes.regions import RegionBundle
         from repro.formats.cigar import Cigar
+        from repro.formats.fasta import ReferenceWindow
         from repro.formats.vcf import VcfRecord
 
         sams = tuple(
@@ -140,7 +141,8 @@ class TestRegionBundleLogicalBytes:
             for i in range(300)
         )
         site = VcfRecord("chr1", 5, "A", "G")
-        bundle = RegionBundle(0, "chr1", 0, 400, "ACGT" * 100, (sams,), (site,))
+        window = ReferenceWindow("chr1", 0, "ACGT" * 100, 400)
+        bundle = RegionBundle(0, "chr1", 0, 400, window, (sams,), (site,))
         expected = logical_size(sams) + 400 + (4 + 1 + 1 + 96)
         assert bundle.logical_bytes() == expected
         assert approx_logical_bytes([(0, bundle)]) == expected + 120
